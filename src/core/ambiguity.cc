@@ -47,11 +47,16 @@ double AmbiguityDensity(const xml::LabeledTree& tree, xml::NodeId id) {
 double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
                        const wordnet::SemanticNetwork& network,
                        const AmbiguityWeights& weights) {
-  const std::string& label = tree.node(id).label;
+  return AmbiguityDegreeWithPolysemy(
+      tree, id, AmbiguityPolysemy(network, tree.node(id).label), weights);
+}
+
+double AmbiguityDegreeWithPolysemy(const xml::LabeledTree& tree,
+                                   xml::NodeId id, double polysemy,
+                                   const AmbiguityWeights& weights) {
   // Assumption 4: a label with a single sense (or none) is unambiguous
   // regardless of structure. AmbiguityPolysemy already evaluates to 0
   // in that case, making the whole ratio 0.
-  double polysemy = AmbiguityPolysemy(network, label);
   if (polysemy <= 0.0 || weights.polysemy <= 0.0) return 0.0;
   double depth_term = 1.0 - AmbiguityDepth(tree, id);
   double density_term = 1.0 - AmbiguityDensity(tree, id);

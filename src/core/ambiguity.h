@@ -41,6 +41,15 @@ double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
                        const wordnet::SemanticNetwork& network,
                        const AmbiguityWeights& weights = {});
 
+/// Amb_Deg of node `id` given its label's Amb_Polysemy (`polysemy`, as
+/// AmbiguityPolysemy() computes it): the structural half of Eq. 4.
+/// AmbiguityDegree() is exactly this applied to AmbiguityPolysemy() of
+/// the node's label; the id pipeline passes the value LabelSpace
+/// memoizes per label id, so both paths produce the same doubles.
+double AmbiguityDegreeWithPolysemy(const xml::LabeledTree& tree,
+                                   xml::NodeId id, double polysemy,
+                                   const AmbiguityWeights& weights = {});
+
 /// Average Amb_Deg over all nodes of the tree — the per-document
 /// ambiguity feature used to assign documents to Table 1 groups.
 double AverageAmbiguityDegree(const xml::LabeledTree& tree,
@@ -49,7 +58,9 @@ double AverageAmbiguityDegree(const xml::LabeledTree& tree,
 
 /// Nodes whose Amb_Deg >= threshold — the disambiguation targets
 /// (paper §3.3). A threshold of 0 selects every node whose label has
-/// at least one sense in the network.
+/// at least one sense in the network. The string-keyed reference for
+/// Disambiguator::SelectTargets(), which selects the same nodes from
+/// the per-label-id memo.
 std::vector<xml::NodeId> SelectTargetNodes(
     const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
     double threshold, const AmbiguityWeights& weights = {});

@@ -1,10 +1,12 @@
 #include "core/disambiguator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 
-#include "common/strings.h"
 #include "core/tree_builder.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -45,6 +47,11 @@ uint32_t Disambiguator::LabelIdFor(const xml::LabeledTree& tree,
   return label_space_->Resolve(tree.node(id).label);
 }
 
+const LabelSenses& Disambiguator::LabelSensesFor(const xml::LabeledTree& tree,
+                                                 xml::NodeId id) const {
+  return label_space_->Senses(LabelIdFor(tree, id));
+}
+
 std::shared_ptr<const SenseEntry> Disambiguator::CandidatesFor(
     const xml::LabeledTree& tree, xml::NodeId id) const {
   const std::string& label = tree.node(id).label;
@@ -81,9 +88,9 @@ std::vector<double> Disambiguator::ScoreCandidates(
 
 std::vector<double> Disambiguator::ScoreCandidatesImpl(
     const xml::LabeledTree& tree, xml::NodeId id,
-    const std::vector<SenseCandidate>& candidates, StageAccum* accum,
+    const std::vector<SenseCandidate>& candidates, StageTimes* times,
     NodeAudit* audit) const {
-  const uint64_t t_start = accum != nullptr ? obs::MonotonicNowNs() : 0;
+  const uint64_t t_start = times != nullptr ? obs::MonotonicNowNs() : 0;
   // The id front end needs per-node label ids; trees built without
   // them (ad-hoc callers) take the legacy string path, which is
   // bit-identical, just slower.
@@ -111,9 +118,9 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
     resolved.emplace(*network_, sphere, vector);
   }
   uint64_t t_context = 0;
-  if (accum != nullptr) {
+  if (times != nullptr) {
     t_context = obs::MonotonicNowNs();
-    accum->context_ns += t_context - t_start;
+    times->context_ns += t_context - t_start;
   }
   std::vector<double> scores;
   scores.reserve(candidates.size());
@@ -184,8 +191,8 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
       audit->candidates[i].total = scores[i];
     }
   }
-  if (accum != nullptr) {
-    accum->score_ns += obs::MonotonicNowNs() - t_context;
+  if (times != nullptr) {
+    times->score_ns += obs::MonotonicNowNs() - t_context;
   }
   return scores;
 }
@@ -195,8 +202,24 @@ Result<SenseAssignment> Disambiguator::DisambiguateNode(
   return DisambiguateNodeImpl(tree, id, nullptr, nullptr);
 }
 
+Result<SenseAssignment> Disambiguator::DisambiguateNode(
+    const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times) const {
+  return DisambiguateNodeImpl(tree, id, times, nullptr);
+}
+
+void Disambiguator::RecordStageTimes(const StageTimes& times) const {
+  // One sample per document: where this document's disambiguation
+  // time went, split between context construction and scoring.
+  if (ins_.context_us != nullptr) {
+    ins_.context_us->Record((times.context_ns + 500) / 1000);
+  }
+  if (ins_.score_us != nullptr) {
+    ins_.score_us->Record((times.score_ns + 500) / 1000);
+  }
+}
+
 Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
-    const xml::LabeledTree& tree, xml::NodeId id, StageAccum* accum,
+    const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times,
     NodeAudit* audit) const {
   const std::string& label = tree.node(id).label;
   obs::Span node_span(options_.trace, "node",
@@ -209,8 +232,9 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
   SenseAssignment assignment;
   assignment.node = id;
   assignment.candidate_count = static_cast<int>(candidates.size());
-  assignment.ambiguity = AmbiguityDegree(tree, id, *network_,
-                                         options_.ambiguity_weights);
+  assignment.ambiguity = AmbiguityDegreeWithPolysemy(
+      tree, id, LabelSensesFor(tree, id).polysemy,
+      options_.ambiguity_weights);
   if (ins_.node_candidates != nullptr) {
     ins_.node_candidates->Record(candidates.size());
   }
@@ -236,7 +260,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     return assignment;
   }
   std::vector<double> scores =
-      ScoreCandidatesImpl(tree, id, candidates, accum, audit);
+      ScoreCandidatesImpl(tree, id, candidates, times, audit);
   size_t best = 0;
   for (size_t i = 1; i < scores.size(); ++i) {
     if (scores[i] > scores[best]) best = i;
@@ -275,8 +299,20 @@ Result<NodeAudit> Disambiguator::ExplainNode(const xml::LabeledTree& tree,
 std::vector<xml::NodeId> Disambiguator::SelectTargets(
     const xml::LabeledTree& tree) const {
   obs::StageTimer timer(ins_.select_us, options_.trace, "select");
-  return SelectTargetNodes(tree, *network_, options_.ambiguity_threshold,
-                           options_.ambiguity_weights);
+  std::vector<xml::NodeId> targets;
+  for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
+       ++id) {
+    // Senseless labels can never be assigned a concept, so they are
+    // never targets, even at threshold 0 (as in SelectTargetNodes).
+    const LabelSenses& senses = LabelSensesFor(tree, id);
+    if (!senses.has_senses()) continue;
+    if (AmbiguityDegreeWithPolysemy(tree, id, senses.polysemy,
+                                    options_.ambiguity_weights) >=
+        options_.ambiguity_threshold) {
+      targets.push_back(id);
+    }
+  }
+  return targets;
 }
 
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
@@ -289,26 +325,15 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
     }
   }
   SemanticTree result;
-  StageAccum accum;
-  StageAccum* acc =
-      (ins_.context_us != nullptr || ins_.score_us != nullptr) ? &accum
-                                                               : nullptr;
+  StageTimes times;
+  StageTimes* timed = records_stage_times() ? &times : nullptr;
   std::vector<xml::NodeId> targets = SelectTargets(tree);
   for (xml::NodeId id : targets) {
-    auto assignment = DisambiguateNodeImpl(tree, id, acc, nullptr);
+    auto assignment = DisambiguateNodeImpl(tree, id, timed, nullptr);
     if (!assignment.ok()) continue;  // senseless labels stay untouched
     result.assignments.emplace(id, std::move(assignment).value());
   }
-  if (acc != nullptr) {
-    // One sample per document: where this document's disambiguation
-    // time went, split between context construction and scoring.
-    if (ins_.context_us != nullptr) {
-      ins_.context_us->Record((accum.context_ns + 500) / 1000);
-    }
-    if (ins_.score_us != nullptr) {
-      ins_.score_us->Record((accum.score_ns + 500) / 1000);
-    }
-  }
+  if (timed != nullptr) RecordStageTimes(times);
   result.tree = std::move(tree);
   return result;
 }
@@ -329,57 +354,191 @@ Result<SemanticTree> Disambiguator::RunOnXml(
 
 namespace {
 
-void AppendNodeXml(const SemanticTree& semantic_tree,
-                   const wordnet::SemanticNetwork& network,
-                   xml::NodeId id, xml::Node* parent) {
-  const xml::TreeNode& node = semantic_tree.tree.node(id);
-  xml::Node* element = parent->AddElement("node");
-  element->AddAttribute("label", node.label);
-  switch (node.kind) {
-    case xml::TreeNodeKind::kElement:
-      element->AddAttribute("kind", "element");
-      break;
-    case xml::TreeNodeKind::kAttribute:
-      element->AddAttribute("kind", "attribute");
-      break;
-    case xml::TreeNodeKind::kToken:
-      element->AddAttribute("kind", "token");
-      break;
-  }
-  auto it = semantic_tree.assignments.find(id);
-  if (it != semantic_tree.assignments.end()) {
-    const SenseAssignment& assignment = it->second;
-    const wordnet::Concept& c =
-        network.GetConcept(assignment.sense.primary);
-    element->AddAttribute("concept", c.label());
-    element->AddAttribute("concept_id",
-                          std::to_string(assignment.sense.primary));
-    element->AddAttribute("gloss", c.gloss);
-    if (assignment.sense.is_compound()) {
-      const wordnet::Concept& c2 =
-          network.GetConcept(assignment.sense.secondary);
-      element->AddAttribute("concept2", c2.label());
-      element->AddAttribute("concept2_id",
-                            std::to_string(assignment.sense.secondary));
-    }
-    element->AddAttribute("score", StrFormat("%.4f", assignment.score));
-  }
-  for (xml::NodeId child : node.children) {
-    AppendNodeXml(semantic_tree, network, child, element);
-  }
+/// Appends ` name="value"` with the value attribute-escaped.
+void AppendAttribute(std::string* out, std::string_view name,
+                     std::string_view value) {
+  out->push_back(' ');
+  out->append(name);
+  out->append("=\"");
+  xml::AppendEscaped(out, value, /*attribute=*/true);
+  out->push_back('"');
 }
+
+/// Appends ` name="<number>"`: a concept id, or a score printed with
+/// four decimals. to_chars in fixed format is specified to print what
+/// printf("%.4f") prints.
+template <typename Number>
+void AppendNumberAttribute(std::string* out, std::string_view name,
+                           Number value) {
+  char digits[400];  // any double at four decimals fits
+  std::to_chars_result printed;
+  if constexpr (std::is_floating_point_v<Number>) {
+    printed = std::to_chars(digits, digits + sizeof(digits), value,
+                            std::chars_format::fixed, 4);
+  } else {
+    printed = std::to_chars(digits, digits + sizeof(digits), value);
+  }
+  AppendAttribute(out, name,
+                  std::string_view(digits, printed.ptr - digits));
+}
+
+/// Writes the <semantic_tree> text in the layout of xml::Serialize()
+/// with default options (declaration line, one element per line
+/// indented two spaces per level, childless elements self-closed).
+/// A giant document assigns a few thousand concepts to hundreds of
+/// thousands of nodes, so each concept's escaped attribute run is
+/// built once per document and then copied.
+class SemanticXmlWriter {
+ public:
+  SemanticXmlWriter(const SemanticTree& semantic_tree,
+                    const wordnet::SemanticNetwork& network)
+      : semantic_tree_(semantic_tree), network_(network) {}
+
+  std::string Write() {
+    const xml::LabeledTree& tree = semantic_tree_.tree;
+    out_.append("<?xml version=\"1.0\"?>\n");
+    if (tree.empty()) {
+      out_.append("<semantic_tree/>");
+      return std::move(out_);
+    }
+    out_.reserve(EstimateSize());
+    out_.append("<semantic_tree>");
+    // An explicit stack keeps deep documents off the call stack.
+    struct Frame {
+      xml::NodeId id;
+      size_t next_child;
+    };
+    std::vector<Frame> open;
+    if (OpenNode(tree.root(), 1)) open.push_back({tree.root(), 0});
+    while (!open.empty()) {
+      Frame& frame = open.back();
+      const std::vector<xml::NodeId>& children =
+          tree.node(frame.id).children;
+      if (frame.next_child < children.size()) {
+        const xml::NodeId child = children[frame.next_child++];
+        if (OpenNode(child, open.size() + 1)) open.push_back({child, 0});
+        continue;
+      }
+      AppendIndent(open.size());
+      out_.append("</node>");
+      open.pop_back();
+    }
+    out_.append("\n</semantic_tree>");
+    return std::move(out_);
+  }
+
+ private:
+  /// The ` kind="..."` attribute of a node kind.
+  static std::string_view KindAttribute(xml::TreeNodeKind kind) {
+    switch (kind) {
+      case xml::TreeNodeKind::kElement:
+        return " kind=\"element\"";
+      case xml::TreeNodeKind::kAttribute:
+        return " kind=\"attribute\"";
+      case xml::TreeNodeKind::kToken:
+        return " kind=\"token\"";
+    }
+    return {};
+  }
+
+  /// The length of the text when no label needs escaping and no score
+  /// prints longer than seven characters (scores lie near [0, 1]), plus
+  /// 1/64 for the exceptions, so the buffer does not regrow: a copy of
+  /// tens of MB on giant documents.
+  size_t EstimateSize() {
+    size_t size = out_.size() + sizeof("<semantic_tree>\n</semantic_tree>");
+    for (const xml::TreeNode& node : semantic_tree_.tree.nodes()) {
+      const size_t indent = 1 + 2 * (static_cast<size_t>(node.depth) + 1);
+      size += indent + node.label.size() + KindAttribute(node.kind).size();
+      if (node.children.empty()) {
+        size += sizeof("<node label=\"\"/>") - 1;
+      } else {
+        size += sizeof("<node label=\"\">") - 1 + indent +
+                sizeof("</node>") - 1;
+      }
+    }
+    for (const auto& [id, assignment] : semantic_tree_.assignments) {
+      size += sizeof(" score=\"00.0000\"") - 1 +
+              PrimaryAttributes(assignment.sense.primary).size();
+      if (assignment.sense.is_compound()) {
+        size += SecondaryAttributes(assignment.sense.secondary).size();
+      }
+    }
+    return size + size / 64;
+  }
+
+  void AppendIndent(size_t level) {
+    out_.push_back('\n');
+    out_.append(2 * level, ' ');
+  }
+
+  /// ` concept="..." concept_id="..." gloss="..."` of `id`.
+  const std::string& PrimaryAttributes(wordnet::ConceptId id) {
+    std::string& run = CachedRun(&primary_attributes_, id);
+    if (run.empty()) {
+      const wordnet::Concept& c = network_.GetConcept(id);
+      AppendAttribute(&run, "concept", c.label());
+      AppendNumberAttribute(&run, "concept_id", id);
+      AppendAttribute(&run, "gloss", c.gloss);
+    }
+    return run;
+  }
+
+  /// ` concept2="..." concept2_id="..."` of a compound's second sense.
+  const std::string& SecondaryAttributes(wordnet::ConceptId id) {
+    std::string& run = CachedRun(&secondary_attributes_, id);
+    if (run.empty()) {
+      AppendAttribute(&run, "concept2", network_.GetConcept(id).label());
+      AppendNumberAttribute(&run, "concept2_id", id);
+    }
+    return run;
+  }
+
+  std::string& CachedRun(std::vector<std::string>* runs,
+                         wordnet::ConceptId id) {
+    if (runs->empty()) runs->resize(network_.size());
+    return (*runs)[static_cast<size_t>(id)];
+  }
+
+  /// Opens the <node> element of tree node `id` at nesting `level` (the
+  /// <semantic_tree> root is level 0). Returns true when the element
+  /// stays open for children; a childless one is closed with "/>".
+  bool OpenNode(xml::NodeId id, size_t level) {
+    const xml::TreeNode& node = semantic_tree_.tree.node(id);
+    AppendIndent(level);
+    out_.append("<node");
+    AppendAttribute(&out_, "label", node.label);
+    out_.append(KindAttribute(node.kind));
+    auto it = semantic_tree_.assignments.find(id);
+    if (it != semantic_tree_.assignments.end()) {
+      const SenseAssignment& assignment = it->second;
+      out_.append(PrimaryAttributes(assignment.sense.primary));
+      if (assignment.sense.is_compound()) {
+        out_.append(SecondaryAttributes(assignment.sense.secondary));
+      }
+      AppendNumberAttribute(&out_, "score", assignment.score);
+    }
+    if (node.children.empty()) {
+      out_.append("/>");
+      return false;
+    }
+    out_.push_back('>');
+    return true;
+  }
+
+  const SemanticTree& semantic_tree_;
+  const wordnet::SemanticNetwork& network_;
+  /// Per concept id, filled on first use (empty = not yet built).
+  std::vector<std::string> primary_attributes_;
+  std::vector<std::string> secondary_attributes_;
+  std::string out_;
+};
 
 }  // namespace
 
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network) {
-  xml::Document doc;
-  xml::Node* root = doc.NewElement("semantic_tree");
-  if (!semantic_tree.tree.empty()) {
-    AppendNodeXml(semantic_tree, network, semantic_tree.tree.root(), root);
-  }
-  doc.set_root(root);
-  return xml::Serialize(doc);
+  return SemanticXmlWriter(semantic_tree, network).Write();
 }
 
 namespace {

@@ -214,7 +214,10 @@ class Disambiguator {
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
   /// The target nodes RunOnTree would disambiguate, in selection
-  /// order, timed into stage.select_us. Exposed so the runtime engine
+  /// order, timed into stage.select_us. Selection reads each label's
+  /// Amb_Polysemy from the label space's per-id memo, so it equals
+  /// SelectTargetNodes() on the same tree without re-tokenizing a
+  /// label per node. Exposed so the runtime engine
   /// can split the per-target DisambiguateNode() loop into stealable
   /// chunks across workers — DisambiguateNode is a pure function of
   /// (tree, id) for identically-configured disambiguators, so chunk
@@ -227,6 +230,31 @@ class Disambiguator {
   /// assignment, or NotFound when the label has no candidate senses.
   Result<SenseAssignment> DisambiguateNode(const xml::LabeledTree& tree,
                                            xml::NodeId id) const;
+
+  /// Per-document accumulator for the stage.context_us and
+  /// stage.score_us histograms: context covers sphere + context-vector
+  /// + sense resolution, score covers the candidate scoring loop (incl.
+  /// the frequency prior).
+  struct StageTimes {
+    uint64_t context_ns = 0;
+    uint64_t score_ns = 0;
+  };
+
+  /// True when a metrics registry is attached. Callers running the
+  /// per-target loop themselves (the engine's chunked fan-out) pass a
+  /// StageTimes only then, so an uninstrumented run never reads the
+  /// clock.
+  bool records_stage_times() const { return ins_.context_us != nullptr; }
+
+  /// DisambiguateNode() that adds the node's context and score time to
+  /// `times` (null: no timing). Results are identical either way.
+  Result<SenseAssignment> DisambiguateNode(const xml::LabeledTree& tree,
+                                           xml::NodeId id,
+                                           StageTimes* times) const;
+
+  /// Records one document's accumulated stage times as one sample per
+  /// histogram; no-op without a registry.
+  void RecordStageTimes(const StageTimes& times) const;
 
   /// Scores every candidate sense of `id` (exposed for analysis and
   /// tests); parallel to EnumerateCandidates() order.
@@ -242,13 +270,6 @@ class Disambiguator {
                                 xml::NodeId id) const;
 
  private:
-  /// Per-document accumulators for the stage histograms: context
-  /// covers sphere + context-vector + sense resolution, score covers
-  /// the candidate scoring loop (incl. the frequency prior).
-  struct StageAccum {
-    uint64_t context_ns = 0;
-    uint64_t score_ns = 0;
-  };
   /// Handles resolved once against options_.metrics (all null without
   /// a registry, making every record site a dead branch).
   struct Instruments {
@@ -266,6 +287,10 @@ class Disambiguator {
   /// ids, resolved through the label space otherwise.
   uint32_t LabelIdFor(const xml::LabeledTree& tree, xml::NodeId id) const;
 
+  /// The node's memoized label senses (and Amb_Polysemy).
+  const LabelSenses& LabelSensesFor(const xml::LabeledTree& tree,
+                                    xml::NodeId id) const;
+
   /// The node's shared candidate entry, via the sense inventory when
   /// installed; never null.
   std::shared_ptr<const SenseEntry> CandidatesFor(
@@ -275,7 +300,7 @@ class Disambiguator {
   /// capture (both null on the plain path).
   Result<SenseAssignment> DisambiguateNodeImpl(const xml::LabeledTree& tree,
                                                xml::NodeId id,
-                                               StageAccum* accum,
+                                               StageTimes* times,
                                                NodeAudit* audit) const;
 
   /// Scores an already-enumerated candidate list, resolving the node's
@@ -284,7 +309,7 @@ class Disambiguator {
   std::vector<double> ScoreCandidatesImpl(
       const xml::LabeledTree& tree, xml::NodeId id,
       const std::vector<SenseCandidate>& candidates,
-      StageAccum* accum = nullptr, NodeAudit* audit = nullptr) const;
+      StageTimes* times = nullptr, NodeAudit* audit = nullptr) const;
 
   const wordnet::SemanticNetwork* network_;
   DisambiguatorOptions options_;
@@ -299,6 +324,9 @@ class Disambiguator {
 /// per tree node carrying its label, kind, and — when disambiguated —
 /// the assigned concept's label, id, and gloss. This is the
 /// "semantically augmented XML tree" deliverable of the paper abstract.
+/// The text is written straight into the returned string, byte for
+/// byte what xml::Serialize() (default options) prints for the
+/// equivalent <semantic_tree> DOM, without building that DOM.
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network);
 

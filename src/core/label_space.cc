@@ -2,6 +2,7 @@
 
 #include <mutex>
 
+#include "core/ambiguity.h"
 #include "core/tree_builder.h"
 
 namespace xsdf::core {
@@ -82,13 +83,14 @@ const LabelSenses& LabelSpace::Senses(uint32_t id) {
 
 std::unique_ptr<LabelSenses> LabelSpace::ResolveSenses(uint32_t id) {
   auto resolved = std::make_unique<LabelSenses>();
-  for (const std::string& token :
-       LabelSenseTokens(*network_, Spelling(id))) {
+  const std::string& spelling = Spelling(id);
+  for (const std::string& token : LabelSenseTokens(*network_, spelling)) {
     const std::vector<wordnet::ConceptId>& senses = network_->Senses(token);
     if (!senses.empty()) {
       resolved->token_senses.emplace_back(senses.data(), senses.size());
     }
   }
+  resolved->polysemy = AmbiguityPolysemy(*network_, spelling);
   return resolved;
 }
 

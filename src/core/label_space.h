@@ -19,10 +19,14 @@ namespace xsdf::core {
 /// shared: the sense lists of the label's sense-bearing tokens, in
 /// token order (LabelSenseTokens() order; tokens without senses are
 /// dropped, exactly as ResolvedContext and EnumerateCandidates filter
-/// them). Spans point into the network's sense index and stay valid
-/// while the network is unchanged.
+/// them), plus the label's Amb_Polysemy. Spans point into the network's
+/// sense index and stay valid while the network is unchanged.
 struct LabelSenses {
   std::vector<std::span<const wordnet::ConceptId>> token_senses;
+  /// AmbiguityPolysemy(network, spelling): like the senses, a pure
+  /// function of the label and the fixed lexicon, so target selection
+  /// reads it here instead of re-tokenizing the label per node.
+  double polysemy = 0.0;
 
   bool has_senses() const { return !token_senses.empty(); }
 };
@@ -70,8 +74,9 @@ class LabelSpace {
   /// interners keep node-stable spellings).
   const std::string& Spelling(uint32_t id) const;
 
-  /// The label's resolved senses, memoized per id. The reference is
-  /// stable for the life of the space.
+  /// The label's resolved senses and polysemy, memoized per id (filled
+  /// on the first call for an id). The reference is stable for the
+  /// life of the space.
   const LabelSenses& Senses(uint32_t id);
 
   const wordnet::SemanticNetwork& network() const { return *network_; }

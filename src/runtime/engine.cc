@@ -53,6 +53,11 @@ struct DisambiguationEngine::SubtreeWork {
   int owner_worker = -1;
   std::atomic<size_t> next_chunk{0};
   std::atomic<size_t> chunks_done{0};
+  /// Stage times summed over every chunk (whichever worker ran it),
+  /// recorded by the owner as the document's one sample per stage.
+  /// Only accumulated when the disambiguators record stage times.
+  std::atomic<uint64_t> context_ns{0};
+  std::atomic<uint64_t> score_ns{0};
   /// Per-chunk (target, assignment) pairs in target order; merged by
   /// the owner chunk by chunk, so the result is independent of which
   /// worker ran what when.
@@ -309,12 +314,16 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
   if (targets.size() <
       std::max(options_.subtree_min_targets, 2 * chunk_size)) {
     // Too few targets to amortize ticket overhead: the same sequential
-    // per-target loop RunOnTree runs.
+    // per-target loop RunOnTree runs, timed the same way.
+    core::Disambiguator::StageTimes times;
+    core::Disambiguator::StageTimes* timed =
+        disambiguator.records_stage_times() ? &times : nullptr;
     for (xml::NodeId id : targets) {
-      auto assignment = disambiguator.DisambiguateNode(tree, id);
+      auto assignment = disambiguator.DisambiguateNode(tree, id, timed);
       if (!assignment.ok()) continue;  // senseless labels stay untouched
       result.assignments.emplace(id, std::move(assignment).value());
     }
+    if (timed != nullptr) disambiguator.RecordStageTimes(times);
     result.tree = std::move(tree);
     return result;
   }
@@ -349,6 +358,13 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
     });
   }
   subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
+  if (disambiguator.records_stage_times()) {
+    // The chunks' relaxed adds happen before their chunks_done
+    // increments, which the acquire wait above observed.
+    disambiguator.RecordStageTimes(
+        {work->context_ns.load(std::memory_order_relaxed),
+         work->score_ns.load(std::memory_order_relaxed)});
+  }
   // Merge in chunk (= target) order. The map is keyed by NodeId and
   // serialization walks the tree by id, so insertion order can never
   // leak into the output anyway — the fixed order just keeps the merge
@@ -387,11 +403,18 @@ void DisambiguationEngine::RunSubtreeChunks(
     // identically-configured disambiguators, so running this chunk
     // under a helper's Disambiguator yields the exact bytes the owner
     // would have produced.
+    core::Disambiguator::StageTimes times;
+    core::Disambiguator::StageTimes* timed =
+        disambiguator.records_stage_times() ? &times : nullptr;
     for (size_t i = begin; i < end; ++i) {
       auto assignment =
-          disambiguator.DisambiguateNode(*work.tree, targets[i]);
+          disambiguator.DisambiguateNode(*work.tree, targets[i], timed);
       if (!assignment.ok()) continue;  // senseless labels stay untouched
       out.emplace_back(targets[i], std::move(assignment).value());
+    }
+    if (timed != nullptr) {
+      work.context_ns.fetch_add(times.context_ns, std::memory_order_relaxed);
+      work.score_ns.fetch_add(times.score_ns, std::memory_order_relaxed);
     }
     const size_t done =
         work.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;

@@ -149,6 +149,7 @@ class NetworkCodec {
     n->depths_v_ = tables.depths;
     n->label_token_ids_v_ = tables.label_token_ids;
     n->snapshot_backing_ = std::move(backing);
+    n->max_polysemy_ = n->ScanMaxPolysemy();
     n->finalized_ = true;
   }
 };

@@ -248,6 +248,10 @@ bool SemanticNetwork::Contains(std::string_view lemma) const {
 }
 
 int SemanticNetwork::MaxPolysemy() const {
+  return finalized_ ? max_polysemy_ : ScanMaxPolysemy();
+}
+
+int SemanticNetwork::ScanMaxPolysemy() const {
   size_t max_senses = 0;
   for (const std::vector<ConceptId>& senses : senses_by_token_) {
     max_senses = std::max(max_senses, senses.size());
@@ -585,6 +589,7 @@ void SemanticNetwork::FinalizeFrequencies() {
         gloss_bag_tokens_.size();
   }
 
+  max_polysemy_ = ScanMaxPolysemy();
   BindViewsToOwnedTables();
   finalized_ = true;
 }

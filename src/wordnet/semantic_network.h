@@ -150,7 +150,9 @@ class SemanticNetwork {
   bool Contains(std::string_view lemma) const;
 
   /// Max(senses(SN)): the maximum polysemy of any lemma (Proposition 1's
-  /// normalizer; 33 for "head" in WordNet 2.1).
+  /// normalizer; 33 for "head" in WordNet 2.1). Computed once when the
+  /// network is finalized (or restored from a snapshot); an unfinalized
+  /// network rescans its sense index on every call.
   int MaxPolysemy() const;
 
   /// Replaces the ordering of `lemma`'s senses of part-of-speech `pos`
@@ -309,6 +311,8 @@ class SemanticNetwork {
   mutable std::vector<int32_t> depth_cache_;
   double total_frequency_ = 0.0;
   bool finalized_ = false;
+  /// MaxPolysemy() of the finalized network (valid while finalized_).
+  int max_polysemy_ = 0;
 
   // Kernel tables (CSR layout, rebuilt by FinalizeFrequencies()). The
   // owned vectors are empty in a snapshot-backed network; all reads go
@@ -344,6 +348,9 @@ class SemanticNetwork {
   /// Points every table view at the owned vectors (the
   /// FinalizeFrequencies() epilogue) and drops any snapshot backing.
   void BindViewsToOwnedTables();
+
+  /// Scans the sense index for the largest sense list.
+  int ScanMaxPolysemy() const;
 
   static std::string NormalizeLemma(std::string_view lemma);
   static void NormalizeLemmaInto(std::string_view lemma, std::string* out);

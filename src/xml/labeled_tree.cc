@@ -98,7 +98,18 @@ Status LabeledTree::Validate() const {
 
 int LabeledTree::DistinctChildLabelCount(NodeId id) const {
   const TreeNode& n = node(id);
-  std::unordered_set<std::string> labels;
+  if (n.children.size() <= 1) return n.fan_out();
+  if (has_label_ids()) {
+    // Interned ids map one-to-one to spellings, so counting distinct
+    // ids counts distinct labels without hashing a string.
+    thread_local std::vector<uint32_t> ids;
+    ids.clear();
+    for (NodeId child : n.children) ids.push_back(label_id(child));
+    std::sort(ids.begin(), ids.end());
+    return static_cast<int>(std::unique(ids.begin(), ids.end()) -
+                            ids.begin());
+  }
+  std::unordered_set<std::string_view> labels;
   for (NodeId child : n.children) {
     labels.insert(node(child).label);
   }

@@ -107,7 +107,9 @@ class LabeledTree {
   const std::vector<TreeNode>& nodes() const { return nodes_; }
 
   /// Number of children of `id` carrying distinct labels — the paper's
-  /// density factor x.f-bar (Proposition 3).
+  /// density factor x.f-bar (Proposition 3). On a tree with label ids
+  /// it counts distinct child ids, which requires ids to map one-to-one
+  /// to spellings (core::LabelSpace ids do).
   int DistinctChildLabelCount(NodeId id) const;
 
   /// Max(depth(T)): the maximum node depth in the tree. Memoized after

@@ -23,7 +23,7 @@ void SerializeNode(const Node& node, const SerializeOptions& options,
                    int depth, std::string* out) {
   switch (node.kind()) {
     case NodeKind::kText:
-      out->append(EscapeText(node.text()));
+      AppendEscaped(out, node.text(), /*attribute=*/false);
       return;
     case NodeKind::kCData:
       out->append("<![CDATA[");
@@ -54,7 +54,7 @@ void SerializeNode(const Node& node, const SerializeOptions& options,
     out->push_back(' ');
     out->append(attr.name);
     out->append("=\"");
-    out->append(EscapeAttribute(attr.value));
+    AppendEscaped(out, attr.value, /*attribute=*/true);
     out->push_back('"');
   }
   if (node.children().empty()) {
@@ -80,49 +80,34 @@ void SerializeNode(const Node& node, const SerializeOptions& options,
 
 }  // namespace
 
-std::string EscapeText(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
+void AppendEscaped(std::string* out, std::string_view text,
+                   bool attribute) {
+  // Copies the runs between special characters in bulk.
+  size_t run_start = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    std::string_view entity;
+    switch (text[i]) {
       case '<':
-        out.append("&lt;");
+        entity = "&lt;";
         break;
       case '>':
-        out.append("&gt;");
+        entity = "&gt;";
         break;
       case '&':
-        out.append("&amp;");
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string EscapeAttribute(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '<':
-        out.append("&lt;");
-        break;
-      case '>':
-        out.append("&gt;");
-        break;
-      case '&':
-        out.append("&amp;");
+        entity = "&amp;";
         break;
       case '"':
-        out.append("&quot;");
+        if (!attribute) continue;
+        entity = "&quot;";
         break;
       default:
-        out.push_back(c);
+        continue;
     }
+    out->append(text.data() + run_start, i - run_start);
+    out->append(entity);
+    run_start = i + 1;
   }
-  return out;
+  out->append(text.data() + run_start, text.size() - run_start);
 }
 
 std::string Serialize(const Node& node, const SerializeOptions& options) {

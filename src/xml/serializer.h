@@ -17,11 +17,10 @@ struct SerializeOptions {
   bool declaration = true;
 };
 
-/// Escapes the five XML special characters for character data.
-std::string EscapeText(std::string_view text);
-
-/// Escapes special characters for a double-quoted attribute value.
-std::string EscapeAttribute(std::string_view value);
+/// Appends `text` to `out` with `<`, `>` and `&` escaped, and `"` too
+/// when `attribute` (a double-quoted attribute value). The one escape
+/// routine behind Serialize() and core::SemanticTreeToXml().
+void AppendEscaped(std::string* out, std::string_view text, bool attribute);
 
 /// Serializes `node` (and its subtree) to XML text.
 std::string Serialize(const Node& node, const SerializeOptions& options = {});

@@ -1,0 +1,64 @@
+#include "oracles/semantic_tree_dom.h"
+
+#include "common/strings.h"
+#include "xml/dom.h"
+#include "xml/serializer.h"
+
+namespace xsdf::oracles {
+
+namespace {
+
+void AppendNodeXml(const core::SemanticTree& semantic_tree,
+                   const wordnet::SemanticNetwork& network,
+                   xml::NodeId id, xml::Node* parent) {
+  const xml::TreeNode& node = semantic_tree.tree.node(id);
+  xml::Node* element = parent->AddElement("node");
+  element->AddAttribute("label", node.label);
+  switch (node.kind) {
+    case xml::TreeNodeKind::kElement:
+      element->AddAttribute("kind", "element");
+      break;
+    case xml::TreeNodeKind::kAttribute:
+      element->AddAttribute("kind", "attribute");
+      break;
+    case xml::TreeNodeKind::kToken:
+      element->AddAttribute("kind", "token");
+      break;
+  }
+  auto it = semantic_tree.assignments.find(id);
+  if (it != semantic_tree.assignments.end()) {
+    const core::SenseAssignment& assignment = it->second;
+    const wordnet::Concept& c =
+        network.GetConcept(assignment.sense.primary);
+    element->AddAttribute("concept", c.label());
+    element->AddAttribute("concept_id",
+                          std::to_string(assignment.sense.primary));
+    element->AddAttribute("gloss", c.gloss);
+    if (assignment.sense.is_compound()) {
+      const wordnet::Concept& c2 =
+          network.GetConcept(assignment.sense.secondary);
+      element->AddAttribute("concept2", c2.label());
+      element->AddAttribute("concept2_id",
+                            std::to_string(assignment.sense.secondary));
+    }
+    element->AddAttribute("score", StrFormat("%.4f", assignment.score));
+  }
+  for (xml::NodeId child : node.children) {
+    AppendNodeXml(semantic_tree, network, child, element);
+  }
+}
+
+}  // namespace
+
+std::string SemanticTreeToXmlViaDom(const core::SemanticTree& semantic_tree,
+                                    const wordnet::SemanticNetwork& network) {
+  xml::Document doc;
+  xml::Node* root = doc.NewElement("semantic_tree");
+  if (!semantic_tree.tree.empty()) {
+    AppendNodeXml(semantic_tree, network, semantic_tree.tree.root(), root);
+  }
+  doc.set_root(root);
+  return xml::Serialize(doc);
+}
+
+}  // namespace xsdf::oracles

@@ -703,6 +703,35 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
             stats.sense_cache.capacity);
 }
 
+// At more than one worker the engine runs the per-target loop itself
+// (inline for short target lists, in stolen chunks for long ones); both
+// must still record one context and one score sample per document, as
+// RunOnTree does at one worker.
+TEST(DisambiguationEngineTest, StageHistogramsSampleEveryDocumentAtFourWorkers) {
+  obs::MetricsRegistry metrics;
+  EngineOptions options;
+  options.threads = 4;
+  options.metrics = &metrics;
+  DisambiguationEngine engine(&Network(), options);
+  std::vector<DocumentJob> jobs = TestCorpus();
+  for (const auto& doc : datasets::GiantDocuments(1, 64u << 10, 3)) {
+    jobs.push_back({0, doc.name, doc.xml});
+  }
+  for (const auto& result : engine.RunBatch(jobs)) {
+    ASSERT_TRUE(result.ok) << result.name;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.subtree_parallel_docs, 0u);  // the chunked path ran
+  EXPECT_LT(stats.subtree_parallel_docs, stats.documents);  // and inline
+  const uint64_t documents = metrics.GetCounter("engine.documents")->Value();
+  EXPECT_EQ(documents, jobs.size());
+  for (const char* name :
+       {"stage.select_us", "stage.context_us", "stage.score_us"}) {
+    EXPECT_EQ(metrics.GetHistogram(name)->Snapshot().count, documents)
+        << name;
+  }
+}
+
 TEST(DisambiguationEngineTest, TraceSessionRecordsOneTidPerWorker) {
   obs::TraceSession trace;
   EngineOptions options;

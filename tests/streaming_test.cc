@@ -6,9 +6,13 @@
 // to the DOM mode at any worker count; and the intra-document subtree
 // work stealing must never change a byte. Malformed, truncated, and
 // over-budget giant inputs must fail with a Status, never a crash.
+// Over the same generated corpus, the id-native target selection must
+// agree with the string reference.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -58,19 +62,31 @@ void ExpectTreesIdentical(const xml::LabeledTree& dom,
   EXPECT_EQ(dom.has_label_ids(), streaming.has_label_ids()) << context;
 }
 
+/// The 500 generated documents the identity properties run over.
+const std::vector<std::string>& PropgenCorpus() {
+  static const std::vector<std::string>* corpus = [] {
+    Rng rng(20260807);
+    propgen::XmlGenOptions gen;
+    gen.max_depth = 6;
+    gen.max_children = 5;
+    auto* docs = new std::vector<std::string>();
+    for (int i = 0; i < 500; ++i) {
+      docs->push_back(propgen::GenerateXmlDocument(rng, gen));
+    }
+    return docs;
+  }();
+  return *corpus;
+}
+
 // The core identity property, driven over 500 generated documents:
 // for every well-formed input, BuildTreeStreaming produces exactly the
 // tree that Parse + BuildTree produces — same preorder, same labels,
 // same raws, same kinds, and (under independent LabelSpaces) the same
 // interned ids, which proves the interning order is reproduced too.
 TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
-  Rng rng(20260807);
-  propgen::XmlGenOptions gen;
-  gen.max_depth = 6;
-  gen.max_children = 5;
   int skipped = 0;
   for (int i = 0; i < 500; ++i) {
-    const std::string xml_text = propgen::GenerateXmlDocument(rng, gen);
+    const std::string& xml_text = PropgenCorpus()[static_cast<size_t>(i)];
     auto doc = xml::Parse(xml_text);
     ASSERT_TRUE(doc.ok()) << "doc " << i << ": " << doc.status().ToString();
 
@@ -178,6 +194,75 @@ TEST(StreamingBuilderTest, ScaffoldingStaysSmall) {
   // < 25% of the document beyond the input buffer; in practice the
   // scaffold is a few KB regardless of document size.
   EXPECT_LT(stats.scaffold_peak_bytes, giant[0].xml.size() / 4);
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Id-native target selection must be the string reference in disguise:
+// Disambiguator::SelectTargets picks exactly SelectTargetNodes' nodes,
+// on trees with label ids and on id-less trees, and every target's
+// assignment.ambiguity is bit-equal to AmbiguityDegree() — under
+// default and non-default weights and thresholds, over the generated
+// corpus (whose suffixed tags make out-of-vocabulary compound labels,
+// i.e. overflow ids) plus one giant document.
+TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
+  std::vector<std::string> docs = PropgenCorpus();
+  docs.push_back(datasets::GiantDocuments(1, 256u << 10, 2)[0].xml);
+  struct Config {
+    core::AmbiguityWeights weights;
+    double threshold;
+  };
+  const Config configs[] = {
+      {{}, 0.0},
+      {{}, 0.12},
+      {{0.6, 0.3, 0.8}, 0.05},
+      {{1.0, 0.0, 0.5}, 0.3},
+  };
+  core::LabelSpace space(&Network());
+  size_t targets = 0;
+  size_t overflow_targets = 0;
+  for (const Config& config : configs) {
+    core::DisambiguatorOptions options;
+    options.ambiguity_weights = config.weights;
+    options.ambiguity_threshold = config.threshold;
+    // Radius 1 keeps the per-target scoring (which only has to run for
+    // the ambiguity check) fast.
+    options.sphere_radius = 1;
+    options.label_space = &space;
+    const core::Disambiguator with_ids(&Network(), options);
+    options.label_space = nullptr;
+    const core::Disambiguator without_ids(&Network(), options);
+    for (size_t i = 0; i < docs.size(); ++i) {
+      const std::string context = "doc " + std::to_string(i) +
+                                  " threshold " +
+                                  std::to_string(config.threshold);
+      auto doc = xml::Parse(docs[i]);
+      ASSERT_TRUE(doc.ok()) << context;
+      auto id_tree = core::BuildTree(*doc, Network(), true, &space);
+      auto plain_tree = core::BuildTree(*doc, Network(), true, nullptr);
+      ASSERT_EQ(id_tree.ok(), plain_tree.ok()) << context;
+      if (!id_tree.ok()) continue;
+      ASSERT_TRUE(id_tree->has_label_ids()) << context;
+      ASSERT_FALSE(plain_tree->has_label_ids()) << context;
+
+      const std::vector<xml::NodeId> expected = core::SelectTargetNodes(
+          *plain_tree, Network(), config.threshold, config.weights);
+      ASSERT_EQ(with_ids.SelectTargets(*id_tree), expected) << context;
+      ASSERT_EQ(without_ids.SelectTargets(*plain_tree), expected) << context;
+      for (xml::NodeId id : expected) {
+        ++targets;
+        if (id_tree->label_id(id) >= space.network_size()) ++overflow_targets;
+        const double reference = core::AmbiguityDegree(
+            *plain_tree, id, Network(), config.weights);
+        auto assignment = with_ids.DisambiguateNode(*id_tree, id);
+        ASSERT_TRUE(assignment.ok()) << context << " node " << id;
+        ASSERT_EQ(Bits(assignment->ambiguity), Bits(reference))
+            << context << " node " << id;
+      }
+    }
+  }
+  EXPECT_GT(targets, 10000u);
+  EXPECT_GT(overflow_targets, 100u);
 }
 
 std::vector<runtime::DocumentJob> CorpusJobs() {

@@ -170,6 +170,26 @@ TEST(SemanticNetworkTest, MaxPolysemy) {
   EXPECT_EQ(network.MaxPolysemy(), 2);  // "star"
 }
 
+// MaxPolysemy() is computed once at finalization; mutation must not
+// leave a stale value, before or after finalizing again.
+TEST(SemanticNetworkTest, MaxPolysemyFollowsMutationAndRefinalize) {
+  SemanticNetwork network = ToyNetwork();
+  ASSERT_TRUE(network.finalized());
+  ASSERT_EQ(network.MaxPolysemy(), 2);
+  for (int i = 0; i < 3; ++i) {
+    network.AddConcept(PartOfSpeech::kVerb, {"star"}, "to feature");
+  }
+  EXPECT_FALSE(network.finalized());
+  EXPECT_EQ(network.MaxPolysemy(), 5);
+  network.FinalizeFrequencies();
+  EXPECT_EQ(network.MaxPolysemy(), 5);
+
+  network.AddConcept(PartOfSpeech::kNoun, {"actor"}, "a doer");
+  network.FinalizeFrequencies();
+  EXPECT_EQ(network.MaxPolysemy(), 5);  // "actor" now has 2 senses
+  EXPECT_EQ(network.SenseCount("actor"), 2);
+}
+
 TEST(SemanticNetworkTest, SetSenseOrder) {
   SemanticNetwork network = ToyNetwork();
   std::vector<ConceptId> senses = network.Senses("star");

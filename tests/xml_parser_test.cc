@@ -221,9 +221,12 @@ TEST(XmlValidNameTest, AcceptsAndRejects) {
 }
 
 TEST(XmlSerializerTest, EscapesText) {
-  EXPECT_EQ(EscapeText("a<b>&c"), "a&lt;b&gt;&amp;c");
-  EXPECT_EQ(EscapeAttribute("say \"hi\" & <go>"),
-            "say &quot;hi&quot; &amp; &lt;go&gt;");
+  std::string out = "kept:";
+  AppendEscaped(&out, "a<b>&c \"q\"", /*attribute=*/false);
+  EXPECT_EQ(out, "kept:a&lt;b&gt;&amp;c \"q\"");
+  out.clear();
+  AppendEscaped(&out, "say \"hi\" & <go>", /*attribute=*/true);
+  EXPECT_EQ(out, "say &quot;hi&quot; &amp; &lt;go&gt;");
 }
 
 TEST(XmlSerializerTest, RoundTripPreservesStructure) {

@@ -148,6 +148,17 @@ def validate_metrics(args):
             errors.append(
                 f"{stage}: {count} samples for {documents} documents"
             )
+    # The disambiguation stages record one sample per document that got
+    # past the front end, at any worker count (documents that fail to
+    # parse are the only engine failures and never reach them).
+    built = documents - data.get("counters", {}).get("engine.failures", 0)
+    for stage in ("stage.select_us", "stage.context_us", "stage.score_us"):
+        count = data.get("histograms", {}).get(stage, {}).get("count", 0)
+        if count != built:
+            errors.append(
+                f"{stage}: {count} samples for {built} documents "
+                f"past the front end"
+            )
     if errors:
         return fail(errors)
     print(

@@ -68,17 +68,17 @@ int main() {
   }
   {
     DisambiguatorOptions o = full;
-    o.similarity_weights = {1.0, 0.0, 0.0};
+    o.measure_config = xsdf::sim::MeasureConfig::PaperHybrid(1.0, 0.0, 0.0);
     ablations.push_back({"edge measure only (no node/gloss)", o});
   }
   {
     DisambiguatorOptions o = full;
-    o.similarity_weights = {0.0, 1.0, 0.0};
+    o.measure_config = xsdf::sim::MeasureConfig::PaperHybrid(0.0, 1.0, 0.0);
     ablations.push_back({"node (IC) measure only", o});
   }
   {
     DisambiguatorOptions o = full;
-    o.similarity_weights = {0.0, 0.0, 1.0};
+    o.measure_config = xsdf::sim::MeasureConfig::PaperHybrid(0.0, 0.0, 1.0);
     ablations.push_back({"gloss measure only", o});
   }
   {

@@ -2,10 +2,11 @@
 // timings for the parse -> labeled-tree -> sphere -> context-vector
 // half of the pipeline, string-keyed baseline vs the id path.
 //
-// The baseline reconstructs the pre-interning front end through the
-// same public APIs: BuildLabeledTree() with the raw (non-memoized)
-// pre-processing hooks and no label resolver, then BuildXmlSphere /
-// ContextVector / ResolvedContext over string labels. The fast path is
+// The baseline reconstructs the pre-interning front end:
+// BuildLabeledTree() with the raw (non-memoized) pre-processing hooks
+// and no label resolver, then the string-keyed BuildXmlSphere /
+// ContextVector / ResolvedContext of the test-only oracle library
+// (tests/oracles/). The fast path is
 // what the runtime actually runs today: core::BuildTree() with a
 // LabelSpace (memoized pre-processing + interning at build time), then
 // BuildXmlIdSphere / IdContextVector / IdResolvedContext over flat id
@@ -32,6 +33,7 @@
 #include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
+#include "oracles/string_pipeline.h"
 #include "runtime/engine.h"
 #include "text/preprocess.h"
 #include "wordnet/mini_wordnet.h"
@@ -41,12 +43,12 @@
 namespace {
 
 using xsdf::core::BuildXmlIdSphere;
-using xsdf::core::BuildXmlSphere;
-using xsdf::core::ContextVector;
 using xsdf::core::IdContextVector;
 using xsdf::core::IdResolvedContext;
 using xsdf::core::LabelSpace;
-using xsdf::core::ResolvedContext;
+using xsdf::oracles::BuildXmlSphere;
+using xsdf::oracles::ContextVector;
+using xsdf::oracles::ResolvedContext;
 using xsdf::wordnet::SemanticNetwork;
 using xsdf::xml::LabeledTree;
 

@@ -1,7 +1,8 @@
 // Microbenchmark for the interned id-based similarity kernels: ns/pair
 // for each measure over deterministic random concept pairs of the
-// mini-WordNet, legacy string-path kernels vs the precomputed-table
-// kernels, plus the warm path (CombinedMeasure through a primed
+// mini-WordNet, legacy string-path kernels (the test-only oracle
+// library, tests/oracles/) vs the precomputed-table kernels, plus the
+// warm path (CombinedMeasure through a primed
 // SimilarityCache, i.e. the steady-state cost at >99% hit rates).
 // Results go to stdout and to a JSON file (argv[1] when it is not a
 // flag, default BENCH_sim_kernels.json).
@@ -34,6 +35,7 @@
 #include "core/disambiguator.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
+#include "oracles/legacy_similarity.h"
 #include "runtime/similarity_cache.h"
 #include "sim/combined.h"
 #include "sim/conceptual_density.h"
@@ -319,13 +321,12 @@ int main(int argc, char** argv) {
     return measure.Similarity(n, a, b);
   };
   const Check checks[] = {
-      {"wu_palmer", wu_fast, &xsdf::sim::WuPalmerMeasure::LegacySimilarity},
-      {"resnik", resnik_fast, &xsdf::sim::ResnikMeasure::LegacySimilarity},
-      {"lin", lin_fast, &xsdf::sim::LinMeasure::LegacySimilarity},
-      {"gloss_overlap", gloss_fast,
-       &xsdf::sim::GlossOverlapMeasure::LegacySimilarity},
+      {"wu_palmer", wu_fast, &xsdf::oracles::LegacyWuPalmer},
+      {"resnik", resnik_fast, &xsdf::oracles::LegacyResnik},
+      {"lin", lin_fast, &xsdf::oracles::LegacyLin},
+      {"gloss_overlap", gloss_fast, &xsdf::oracles::LegacyGlossOverlap},
       {"conceptual_density", density_fast,
-       &xsdf::sim::ConceptualDensityMeasure::LegacySimilarity},
+       &xsdf::oracles::LegacyConceptualDensity},
   };
   size_t mismatches = 0;
   const std::vector<xsdf::simd::Level> levels = SupportedLevels();
@@ -362,8 +363,8 @@ int main(int argc, char** argv) {
   KernelResult wu{"wu_palmer"};
   wu.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::WuPalmerMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return xsdf::oracles::LegacyWuPalmer(network,
+                                                                  a, b);
                            });
   wu.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -374,8 +375,8 @@ int main(int argc, char** argv) {
   KernelResult re{"resnik"};
   re.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::ResnikMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return xsdf::oracles::LegacyResnik(network, a,
+                                                                b);
                            });
   re.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -386,8 +387,7 @@ int main(int argc, char** argv) {
   KernelResult li{"lin"};
   li.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::LinMeasure::LegacySimilarity(
-                                 network, a, b);
+                             return xsdf::oracles::LegacyLin(network, a, b);
                            });
   li.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -398,8 +398,8 @@ int main(int argc, char** argv) {
   KernelResult gl{"gloss_overlap"};
   gl.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::GlossOverlapMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return xsdf::oracles::LegacyGlossOverlap(
+                                 network, a, b);
                            });
   gl.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -410,8 +410,8 @@ int main(int argc, char** argv) {
   KernelResult cd{"conceptual_density"};
   cd.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::ConceptualDensityMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return xsdf::oracles::LegacyConceptualDensity(
+                                 network, a, b);
                            });
   // Prime the lazily built subtree table so fast_ns is the per-pair
   // steady state, not a one-off table build.
@@ -424,9 +424,10 @@ int main(int argc, char** argv) {
 
   // Warm path: CombinedMeasure through a primed shared SimilarityCache
   // — the cost of a cache hit, which dominates steady-state batches.
-  xsdf::sim::SimilarityWeights weights;
-  xsdf::sim::CombinedMeasure combined(weights);
-  xsdf::runtime::SimilarityCache cache(1 << 18, 16, weights);
+  xsdf::sim::CombinedMeasure combined;
+  xsdf::runtime::SimilarityCache cache(
+      1 << 18, 16,
+      xsdf::runtime::SimilarityCache::ConfigFingerprint(combined.config()));
   combined.set_external_cache(&cache);
   for (const auto& [a, b] : pairs) combined.Similarity(network, a, b);
   double warm_ns = TimePairs(pairs, rounds, &checksum,

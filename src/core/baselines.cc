@@ -71,7 +71,7 @@ RpdBaseline::RpdBaseline(const wordnet::SemanticNetwork* network)
     : network_(network),
       // The cited RPD configuration combines gloss overlap [6] with the
       // Wu-Palmer edge measure [59]; no information-content component.
-      measure_(sim::SimilarityWeights{0.5, 0.0, 0.5}) {}
+      measure_(sim::MeasureConfig::PaperHybrid(0.5, 0.0, 0.5)) {}
 
 double RpdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
                           wordnet::ConceptId candidate) const {

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "wordnet/semantic_network.h"
@@ -12,35 +10,19 @@
 
 namespace xsdf::core {
 
-/// One node of a sphere neighborhood: a label at a structural distance
-/// from the sphere center (distance 0 is the center itself).
-struct SphereMember {
-  std::string label;
-  int distance = 0;
-};
-
 /// A sphere neighborhood S_d(x) (paper Definition 5): all members at
 /// distance <= d from the center, including the center at distance 0,
 /// over either an XML tree (containment edges) or the semantic network
-/// (semantic relation edges).
-struct Sphere {
-  int radius = 0;
-  std::vector<SphereMember> members;
-
-  /// |S_d(x)|: the sphere cardinality (including the center; with this
-  /// convention the weights of paper Figure 7's d=1 vector are
-  /// reproduced exactly).
-  int size() const { return static_cast<int>(members.size()); }
-};
-
-/// The id-based twin of Sphere, laid out structure-of-arrays: member
-/// label ids (interned via core::LabelSpace for XML labels,
-/// SemanticNetwork::LabelTokenId for concept labels — one shared id
-/// space) and member distances are parallel flat vectors, so the
-/// consumers' SIMD scans (first-occurrence dedup, sorted intersects)
-/// load full lanes of ids with no (id, distance) deinterleave.
-/// Building one does no string work at all. Member order is the
-/// ring-by-ring order of the string twin.
+/// (semantic relation edges). |S_d(x)| counts the center, the
+/// convention that reproduces paper Figure 7's d=1 weights exactly.
+///
+/// Laid out structure-of-arrays: member label ids (interned via
+/// core::LabelSpace for XML labels, SemanticNetwork::LabelTokenId for
+/// concept labels — one shared id space) and member distances are
+/// parallel flat vectors, so the consumers' SIMD scans
+/// (first-occurrence dedup, sorted intersects) load full lanes of ids
+/// with no (id, distance) deinterleave. Building one does no string
+/// work at all. Members are stored ring by ring.
 struct IdSphere {
   int radius = 0;
   std::vector<uint32_t> label_ids;  ///< parallel to distances
@@ -63,60 +45,21 @@ struct IdSphere {
 };
 
 /// The weighted context vector V_d(x) of Definitions 6-7: one dimension
-/// per distinct label in the sphere, weighted by structural frequency
-/// (occurrence frequency scaled by structural proximity, Eqs. 5-7).
-///
-/// Dimensions are stored in first-occurrence sphere order and all
-/// accumulation follows that order. The id-based IdContextVector
-/// accumulates in exactly the same order over the bijective label<->id
-/// mapping, which is what makes the two pipelines bit-identical.
-class ContextVector {
+/// per distinct label id in the sphere, weighted by structural
+/// frequency (occurrence frequency scaled by structural proximity,
+/// Eqs. 5-7). Dimensions are stored in first-occurrence sphere order
+/// and all accumulation follows that order, so every weight and
+/// similarity depends only on which members share a label, never on
+/// the id values themselves; lookups are a binary search over a small
+/// sorted permutation.
+class IdContextVector {
  public:
-  ContextVector() = default;
+  IdContextVector() = default;
 
   /// Builds the vector from a sphere per Definition 7. When
   /// `uniform_proximity` is set, the structural proximity factor is
   /// fixed at 1 for every member — degrading the model to the
   /// bag-of-words context of prior work (used by the ablation bench).
-  explicit ContextVector(const Sphere& sphere,
-                         bool uniform_proximity = false);
-
-  /// w(l): the weight of label `l`, 0 when absent.
-  double Weight(const std::string& label) const;
-
-  /// (label, weight) dimensions in first-occurrence sphere order.
-  const std::vector<std::pair<std::string, double>>& weights() const {
-    return entries_;
-  }
-  size_t dimension_count() const { return entries_.size(); }
-  int sphere_size() const { return sphere_size_; }
-
-  /// Cosine similarity with another context vector (Definition 10's
-  /// comparison operator; 0 for empty vectors).
-  double Cosine(const ContextVector& other) const;
-
-  /// Weighted Jaccard similarity, the alternative vector comparison
-  /// the paper's footnote 10 mentions: sum(min(w)) / sum(max(w)).
-  double Jaccard(const ContextVector& other) const;
-
- private:
-  /// Index into entries_ of `label`, or -1.
-  int FindEntry(const std::string& label) const;
-
-  std::vector<std::pair<std::string, double>> entries_;
-  int sphere_size_ = 0;
-};
-
-/// The id-based twin of ContextVector: dimensions are interned label
-/// ids, lookups are a binary search over a small sorted permutation
-/// instead of a string hash. Arithmetic (accumulation order, weight
-/// formula, cosine/Jaccard loops) mirrors ContextVector exactly, so
-/// for bijectively-mapped spheres every produced double is
-/// bit-identical to the string path.
-class IdContextVector {
- public:
-  IdContextVector() = default;
-
   explicit IdContextVector(const IdSphere& sphere,
                            bool uniform_proximity = false);
 
@@ -136,7 +79,12 @@ class IdContextVector {
   size_t dimension_count() const { return ids_.size(); }
   int sphere_size() const { return sphere_size_; }
 
+  /// Cosine similarity with another context vector (Definition 10's
+  /// comparison operator; 0 for empty vectors).
   double Cosine(const IdContextVector& other) const;
+
+  /// Weighted Jaccard similarity, the alternative vector comparison
+  /// the paper's footnote 10 mentions: sum(min(w)) / sum(max(w)).
   double Jaccard(const IdContextVector& other) const;
 
  private:
@@ -158,16 +106,12 @@ class IdContextVector {
 double StructuralProximity(int distance, int radius);
 
 /// Builds the XML sphere neighborhood S_d(center) over the tree
-/// (Definition 5), rings computed by BFS over containment edges. When
+/// (Definition 5), rings computed by BFS over containment edges and
+/// sorted by node id within a ring; each member carries its node's
+/// entry of `label_ids` (normally tree.label_ids()). When
 /// `exclude_tokens` is set, content token nodes are left out of the
 /// sphere (structure-only context; ablation of the paper's
 /// structure-and-content integration, §3.1).
-Sphere BuildXmlSphere(const xml::LabeledTree& tree, xml::NodeId center,
-                      int radius, bool exclude_tokens = false);
-
-/// Id-based twin of BuildXmlSphere over `label_ids` (normally
-/// tree.label_ids(); callers disambiguating id-less trees pass a
-/// scratch table). Member order matches BuildXmlSphere exactly.
 IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree,
                           std::span<const uint32_t> label_ids,
                           xml::NodeId center, int radius,
@@ -182,23 +126,15 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree,
 
 /// Builds the concept sphere neighborhood S_d(c) over the semantic
 /// network (paper §3.5.2), rings following all semantic relations.
-/// Labels are concept labels (first lemma).
-Sphere BuildConceptSphere(const wordnet::SemanticNetwork& network,
-                          wordnet::ConceptId center, int radius);
-
-/// Id-based twin of BuildConceptSphere; labels are the concepts'
-/// LabelTokenId()s (network must be finalized).
+/// Labels are the concepts' LabelTokenId()s (network must be
+/// finalized).
 IdSphere BuildConceptIdSphere(const wordnet::SemanticNetwork& network,
                               wordnet::ConceptId center, int radius);
 
 /// Compound sphere S_d(s_p, s_q) = S_d(s_p) U S_d(s_q) for compound
 /// labels whose tokens resolve to two senses (Eq. 12). Members present
-/// in both spheres keep their smaller distance.
-Sphere BuildCompoundConceptSphere(const wordnet::SemanticNetwork& network,
-                                  wordnet::ConceptId p,
-                                  wordnet::ConceptId q, int radius);
-
-/// Id-based twin of BuildCompoundConceptSphere.
+/// in both spheres keep their smaller distance; members are in
+/// concept-id order.
 IdSphere BuildCompoundConceptIdSphere(
     const wordnet::SemanticNetwork& network, wordnet::ConceptId p,
     wordnet::ConceptId q, int radius);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <optional>
 #include <string_view>
 #include <type_traits>
 
@@ -52,20 +51,34 @@ const LabelSenses& Disambiguator::LabelSensesFor(const xml::LabeledTree& tree,
   return label_space_->Senses(LabelIdFor(tree, id));
 }
 
+void Disambiguator::BuildSphere(const xml::LabeledTree& tree,
+                                xml::NodeId id, IdSphere* sphere) const {
+  if (tree.has_label_ids()) {
+    BuildXmlIdSphere(tree, tree.label_ids(), id, options_.sphere_radius,
+                     options_.structure_only_context, sphere);
+    return;
+  }
+  // Node ids stand in for label ids while the rings are collected, then
+  // each member's node id is replaced by its label's id.
+  thread_local std::vector<uint32_t> node_ids;
+  while (node_ids.size() < tree.size()) {
+    node_ids.push_back(static_cast<uint32_t>(node_ids.size()));
+  }
+  BuildXmlIdSphere(tree, node_ids, id, options_.sphere_radius,
+                   options_.structure_only_context, sphere);
+  for (uint32_t& member : sphere->label_ids) {
+    member = LabelIdFor(tree, static_cast<xml::NodeId>(member));
+  }
+}
+
 std::shared_ptr<const SenseEntry> Disambiguator::CandidatesFor(
     const xml::LabeledTree& tree, xml::NodeId id) const {
-  const std::string& label = tree.node(id).label;
+  const uint32_t label_id = LabelIdFor(tree, id);
   if (options_.sense_inventory != nullptr) {
-    return options_.sense_inventory->Entry(*network_, LabelIdFor(tree, id),
-                                           label);
+    return options_.sense_inventory->Entry(*label_space_, label_id);
   }
   auto entry = std::make_shared<SenseEntry>();
-  if (options_.use_id_frontend && tree.has_label_ids()) {
-    entry->candidates =
-        EnumerateCandidatesById(*label_space_, tree.label_id(id));
-  } else {
-    entry->candidates = EnumerateCandidates(*network_, label);
-  }
+  entry->candidates = EnumerateCandidatesById(*label_space_, label_id);
   return entry;
 }
 
@@ -91,32 +104,16 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
     const std::vector<SenseCandidate>& candidates, StageTimes* times,
     NodeAudit* audit) const {
   const uint64_t t_start = times != nullptr ? obs::MonotonicNowNs() : 0;
-  // The id front end needs per-node label ids; trees built without
-  // them (ad-hoc callers) take the legacy string path, which is
-  // bit-identical, just slower.
-  const bool use_ids = options_.use_id_frontend && tree.has_label_ids();
   CombinationWeights combo = EffectiveCombination();
   // Build the sphere context and resolve its labels against the sense
   // index once; every candidate scores against the same resolved
-  // context.
-  ContextVector vector;
-  std::optional<ResolvedContext> resolved;
-  IdContextVector id_vector;
-  std::optional<IdResolvedContext> id_resolved;
-  if (use_ids) {
-    // The sphere scratch is thread_local so batch workers scoring node
-    // after node reuse its member buffer instead of reallocating it.
-    thread_local IdSphere sphere;
-    BuildXmlIdSphere(tree, tree.label_ids(), id, options_.sphere_radius,
-                     options_.structure_only_context, &sphere);
-    id_vector.Assign(sphere, options_.bag_of_words_context);
-    id_resolved.emplace(*label_space_, sphere, id_vector);
-  } else {
-    Sphere sphere = BuildXmlSphere(tree, id, options_.sphere_radius,
-                                   options_.structure_only_context);
-    vector = ContextVector(sphere, options_.bag_of_words_context);
-    resolved.emplace(*network_, sphere, vector);
-  }
+  // context. The sphere scratch is thread_local so batch workers
+  // scoring node after node reuse its member buffer instead of
+  // reallocating it.
+  thread_local IdSphere sphere;
+  BuildSphere(tree, id, &sphere);
+  const IdContextVector vector(sphere, options_.bag_of_words_context);
+  const IdResolvedContext resolved(*label_space_, sphere, vector);
   uint64_t t_context = 0;
   if (times != nullptr) {
     t_context = obs::MonotonicNowNs();
@@ -131,19 +128,13 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
     double concept_part = 0.0;
     double context_part = 0.0;
     if (combo.concept_weight > 0.0) {
-      concept_part = use_ids
-                         ? id_resolved->Score(*network_, measure_, candidate)
-                         : resolved->Score(*network_, measure_, candidate);
+      concept_part = resolved.Score(*network_, measure_, candidate);
       score += combo.concept_weight * concept_part;
     }
     if (combo.context_weight > 0.0) {
-      context_part =
-          use_ids ? IdContextScore(*network_, candidate, id_vector,
-                                   options_.sphere_radius,
-                                   options_.vector_similarity)
-                  : ContextScore(*network_, candidate, vector,
-                                 options_.sphere_radius,
-                                 options_.vector_similarity);
+      context_part = IdContextScore(*network_, candidate, vector,
+                                    options_.sphere_radius,
+                                    options_.vector_similarity);
       score += combo.context_weight * context_part;
     }
     if (audit != nullptr) {
@@ -317,8 +308,9 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
 
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
   // Trees handed in without interned labels get one id-assignment pass
-  // up front, so every per-node sphere below runs on the id path.
-  if (options_.use_id_frontend && !tree.has_label_ids()) {
+  // up front, so the per-node loop below reads ids straight off the
+  // tree.
+  if (!tree.has_label_ids()) {
     for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
          ++id) {
       tree.set_label_id(id, label_space_->Resolve(tree.node(id).label));
@@ -339,8 +331,8 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
 }
 
 Result<SemanticTree> Disambiguator::Run(const xml::Document& doc) const {
-  auto tree = BuildTree(doc, *network_, options_.include_values,
-                        options_.use_id_frontend ? label_space_ : nullptr);
+  auto tree =
+      BuildTree(doc, *network_, options_.include_values, label_space_);
   if (!tree.ok()) return tree.status();
   return RunOnTree(std::move(tree).value());
 }

@@ -26,31 +26,32 @@ enum class DisambiguationProcess { kConceptBased, kContextBased, kCombined };
 
 /// Pluggable provider of a label's candidate senses. The default path
 /// enumerates candidates on every node; a provider can memoize them
-/// (label -> candidates is a pure function of the network). A provider
-/// shared across threads must be internally thread-safe; the runtime
-/// layer supplies a sharded LRU implementation with hit/miss counters.
+/// (label id -> candidates is a pure function of the label space and
+/// its network). A provider shared across threads must be internally
+/// thread-safe; the runtime layer supplies a sharded LRU implementation
+/// with hit/miss counters.
 ///
 /// Entries are handed out as shared_ptr<const SenseEntry>: a memoized
 /// hit is a pointer copy, not a candidate-vector copy, and an entry a
 /// worker is still scoring against stays alive even if the provider
-/// evicts it concurrently. `label_id` is the label's LabelSpace id —
-/// the natural cache key; all callers of one provider must resolve ids
-/// through the same LabelSpace (the engine guarantees this by owning
+/// evicts it concurrently. Every call names the LabelSpace its id was
+/// resolved through, and a miss is computed from that space; all
+/// callers of one provider must pass the same space (the engine owns
 /// exactly one).
 class SenseInventory {
  public:
   virtual ~SenseInventory() = default;
 
-  /// The shared candidate entry of a preprocessed node label, in
-  /// EnumerateCandidates() order; never null.
-  virtual std::shared_ptr<const SenseEntry> Entry(
-      const wordnet::SemanticNetwork& network, uint32_t label_id,
-      const std::string& label) = 0;
+  /// The shared candidate entry of the label interned under `label_id`
+  /// in `space`, in EnumerateCandidatesById() order; never null.
+  virtual std::shared_ptr<const SenseEntry> Entry(LabelSpace& space,
+                                                  uint32_t label_id) = 0;
 };
 
 /// Everything the user can tune (the paper's Motivation 4): ambiguity
-/// weights + selection threshold, sphere radius (context size),
-/// semantic similarity measure weights, and the process combination.
+/// weights + selection threshold, sphere radius (context size), the
+/// semantic similarity measure composition, and the process
+/// combination.
 struct DisambiguatorOptions {
   /// Node selection (paper §3.3).
   AmbiguityWeights ambiguity_weights;
@@ -59,22 +60,19 @@ struct DisambiguatorOptions {
   /// Context size: the sphere neighborhood radius d (paper §3.4).
   int sphere_radius = 2;
 
-  /// Semantic similarity combination (Definition 9).
-  sim::SimilarityWeights similarity_weights;
-
-  /// Registry measure composition (the `--measures` flag). When
-  /// non-empty it overrides `similarity_weights` and must be valid
-  /// (MeasureConfig::Validate() OK — the CLI guarantees this by going
-  /// through MeasureConfig::Parse); when empty the paper hybrid under
-  /// `similarity_weights` is used. Always read it through
+  /// Semantic similarity combination (Definition 9): the registry
+  /// measure composition (the `--measures` flag). When non-empty it
+  /// must be valid (MeasureConfig::Validate() OK — the CLI guarantees
+  /// this by going through MeasureConfig::Parse); when empty the paper
+  /// hybrid (equal thirds) is used. Always read it through
   /// EffectiveMeasureConfig() so the measure the disambiguator builds,
   /// the fingerprint the engine keys its similarity cache on, and the
   /// spec string serve reports can never disagree.
   sim::MeasureConfig measure_config;
 
-  /// The composition actually in effect under the override rule above.
+  /// The composition actually in effect under the rule above.
   sim::MeasureConfig EffectiveMeasureConfig() const {
-    return measure_config.empty() ? similarity_weights.ToConfig()
+    return measure_config.empty() ? sim::MeasureConfig::PaperHybrid()
                                   : measure_config;
   }
 
@@ -98,12 +96,6 @@ struct DisambiguatorOptions {
   /// (uniform structural proximity), as prior approaches do.
   bool bag_of_words_context = false;
 
-  /// Run the id-based front half (interned spheres, id context
-  /// vectors, memoized sense resolution) on trees that carry label
-  /// ids. The string pipeline is kept as the legacy oracle; both
-  /// produce bit-identical output, so this flag only moves time.
-  bool use_id_frontend = true;
-
   /// The label id space shared with the sense inventory and the tree
   /// builder (non-owning; optional). Without one the disambiguator
   /// owns a private space — fine standalone, but an engine sharing a
@@ -121,7 +113,7 @@ struct DisambiguatorOptions {
   /// Non-owning shared caches (both optional; installed by the runtime
   /// engine). `similarity_cache` replaces the combined measure's
   /// private memo table; `sense_inventory` replaces direct
-  /// EnumerateCandidates() calls. Either may be shared across many
+  /// EnumerateCandidatesById() calls. Either may be shared across many
   /// Disambiguator instances/threads, in which case it must be
   /// thread-safe. They never change results — only where memoized
   /// values live.
@@ -188,6 +180,13 @@ struct SemanticTree {
 /// The XSDF pipeline (paper Figure 3): linguistic pre-processing ->
 /// ambiguous-node selection -> sphere context construction -> hybrid
 /// disambiguation.
+///
+/// Every entry point accepts trees with or without label ids. A tree
+/// that carries ids must have been built through label_space(); a tree
+/// without them has each label it touches resolved through that space
+/// on the fly, with byte-identical results (RunOnTree resolves the
+/// whole tree once up front; the per-node entry points resolve only
+/// the node's sphere).
 class Disambiguator {
  public:
   /// `network` must outlive the disambiguator and have finalized
@@ -199,9 +198,9 @@ class Disambiguator {
 
   /// The label space ids are resolved through (the installed one, or
   /// the private space created when none was). Internally
-  /// synchronized; callers building trees for RunOnTree() should pass
-  /// it to BuildTree() so the id front end engages without a second
-  /// resolution pass.
+  /// synchronized; callers building trees for this disambiguator should
+  /// pass it to BuildTree() so no entry point has to resolve labels
+  /// again.
   LabelSpace* label_space() const { return label_space_; }
 
   /// Runs the full pipeline on a parsed document.
@@ -221,9 +220,7 @@ class Disambiguator {
   /// can split the per-target DisambiguateNode() loop into stealable
   /// chunks across workers — DisambiguateNode is a pure function of
   /// (tree, id) for identically-configured disambiguators, so chunk
-  /// placement never changes results. Requires a tree whose label ids
-  /// match this disambiguator's expectations (the id-assignment pass
-  /// RunOnTree applies to id-less trees is NOT run here).
+  /// placement never changes results.
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
 
   /// Disambiguates a single node of `tree`; returns the winning
@@ -257,7 +254,7 @@ class Disambiguator {
   void RecordStageTimes(const StageTimes& times) const;
 
   /// Scores every candidate sense of `id` (exposed for analysis and
-  /// tests); parallel to EnumerateCandidates() order.
+  /// tests); parallel to EnumerateCandidatesById() order.
   std::vector<double> ScoreCandidates(const xml::LabeledTree& tree,
                                       xml::NodeId id) const;
 
@@ -290,6 +287,13 @@ class Disambiguator {
   /// The node's memoized label senses (and Amb_Polysemy).
   const LabelSenses& LabelSensesFor(const xml::LabeledTree& tree,
                                     xml::NodeId id) const;
+
+  /// Builds the node's XML sphere into `*sphere`. On a tree without
+  /// label ids the sphere is built over node ids and only its members'
+  /// labels are then resolved, so the resolving costs the sphere's
+  /// size, not the tree's.
+  void BuildSphere(const xml::LabeledTree& tree, xml::NodeId id,
+                   IdSphere* sphere) const;
 
   /// The node's shared candidate entry, via the sense inventory when
   /// installed; never null.

@@ -18,8 +18,8 @@ namespace xsdf::core {
 /// The senses of one label, resolved against the network once and then
 /// shared: the sense lists of the label's sense-bearing tokens, in
 /// token order (LabelSenseTokens() order; tokens without senses are
-/// dropped, exactly as ResolvedContext and EnumerateCandidates filter
-/// them), plus the label's Amb_Polysemy. Spans point into the network's
+/// dropped, since they can contribute no candidate and no similarity),
+/// plus the label's Amb_Polysemy. Spans point into the network's
 /// sense index and stay valid while the network is unchanged.
 struct LabelSenses {
   std::vector<std::span<const wordnet::ConceptId>> token_senses;
@@ -41,9 +41,10 @@ struct LabelSenses {
 ///     first sight into an overflow table.
 ///
 /// The mapping is injective over exact spellings (a label maps to a
-/// network id only when the interned spelling is byte-equal), which is
-/// what lets the id pipeline reproduce the string pipeline's grouping
-/// decisions — and therefore its output — bit for bit.
+/// network id only when the interned spelling is byte-equal), so two
+/// labels share an id exactly when they are spelled the same: grouping
+/// sphere members by id is grouping them by spelling, which is what
+/// the paper's label-keyed context vectors and scores ask for.
 ///
 /// Thread-safety: Resolve()/Senses()/Spelling() may be called from any
 /// number of threads concurrently. Network-id reads are lock-free (the

@@ -27,13 +27,6 @@ struct SenseCandidate {
   }
 };
 
-/// Enumerates the sense candidates of a (preprocessed) node label:
-/// the label's senses when the network knows it (or its single token);
-/// otherwise all combinations of its two sense-bearing compound tokens.
-/// Empty when no token has any sense.
-std::vector<SenseCandidate> EnumerateCandidates(
-    const wordnet::SemanticNetwork& network, const std::string& label);
-
 /// The immutable, shareable sense inventory of one label. Produced
 /// once, then passed around as shared_ptr<const SenseEntry>: a cache
 /// hit hands out another reference instead of copying the candidate
@@ -43,61 +36,39 @@ struct SenseEntry {
   std::vector<SenseCandidate> candidates;
 };
 
-/// EnumerateCandidates() keyed by interned label id, served from the
-/// space's memoized sense resolution (no string splitting or lemma
-/// hashing after a label's first sight). Candidate order is identical
-/// to EnumerateCandidates() on the spelling of `label_id`.
+/// Enumerates the sense candidates of the label interned under
+/// `label_id`: the label's senses when the network knows it (or its
+/// single sense-bearing token); otherwise all combinations of its first
+/// two sense-bearing compound tokens. Empty when no token has any
+/// sense. Served from the space's memoized sense resolution (no string
+/// splitting or lemma hashing after a label's first sight).
 std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
                                                     uint32_t label_id);
 
 /// A sphere context resolved against the sense inventory once, so that
-/// scoring N candidates does the label-token split and Senses() lookups
-/// a single time instead of N times per sphere member. Distinct labels
-/// collapse to one entry; each candidate's per-label similarity is
-/// computed once and reused for every member carrying that label
-/// (recomputation is deterministic, so reuse is bit-identical).
+/// scoring N candidates reads each sphere label's senses a single time
+/// instead of N times per sphere member. Sphere labels resolve through
+/// the LabelSpace's memoized per-id sense table; distinct labels
+/// collapse to one entry, grouped in first-occurrence order, and each
+/// candidate's per-label similarity is computed once and reused for
+/// every member carrying that label (recomputation is deterministic, so
+/// reuse is bit-identical). Member weights come from the
+/// IdContextVector.
 ///
-/// Holds references into `network`'s sense index — build, score, and
-/// discard while the network is unchanged (never across AddConcept).
-class ResolvedContext {
- public:
-  ResolvedContext(const wordnet::SemanticNetwork& network,
-                  const Sphere& sphere, const ContextVector& vector);
-
-  /// Concept_Score(candidate, sphere, vector) — bit-identical to the
-  /// free-function ConceptScore() over the same sphere and vector.
-  double Score(const wordnet::SemanticNetwork& network,
-               const sim::CombinedMeasure& measure,
-               const SenseCandidate& candidate) const;
-
- private:
-  /// One distinct sphere label: the sense lists of its sense-bearing
-  /// tokens (empty when no token has a sense — scores 0).
-  struct ResolvedLabel {
-    std::vector<std::span<const wordnet::ConceptId>> token_senses;
-  };
-  /// One sphere member (center occurrence already removed).
-  struct Member {
-    uint32_t label_index = 0;  ///< into labels_
-    double weight = 0.0;       ///< vector.Weight(label)
-  };
-
-  std::vector<ResolvedLabel> labels_;
-  std::vector<Member> members_;
-  int sphere_size_ = 0;
-};
-
-/// The id-based twin of ResolvedContext: sphere labels resolve through
-/// the LabelSpace's memoized per-id sense table instead of re-running
-/// the token split and lemma lookups, and member weights come from the
-/// IdContextVector. Score() runs the exact arithmetic of
-/// ResolvedContext::Score() in the exact same order, so for
-/// bijectively-mapped spheres its result is bit-identical.
+/// Holds pointers into the space's memo, whose spans point into the
+/// network's sense index — build, score, and discard while the network
+/// is unchanged.
 class IdResolvedContext {
  public:
   IdResolvedContext(LabelSpace& space, const IdSphere& sphere,
                     const IdContextVector& vector);
 
+  /// Concept_Score(s_p, S_d(x), SN-bar) of Definition 8 (and its
+  /// compound extension Eq. 10): the average over context nodes of the
+  /// maximum candidate-to-context-sense similarity, scaled by each
+  /// context node's context-vector weight. The center node itself is
+  /// not scored against (its own label's best sense is the candidate
+  /// itself, a constant across candidates).
   double Score(const wordnet::SemanticNetwork& network,
                const sim::CombinedMeasure& measure,
                const SenseCandidate& candidate) const;
@@ -115,36 +86,14 @@ class IdResolvedContext {
   int sphere_size_ = 0;
 };
 
-/// Concept_Score(s_p, S_d(x), SN-bar) of Definition 8 (and its
-/// compound extension Eq. 10): the average over context nodes of the
-/// maximum candidate-to-context-sense similarity, scaled by each
-/// context node's context-vector weight. The center node itself is not
-/// scored against (its own label's best sense is the candidate itself,
-/// a constant across candidates). One-shot wrapper over
-/// ResolvedContext; build the latter directly to score many candidates.
-double ConceptScore(const wordnet::SemanticNetwork& network,
-                    const sim::CombinedMeasure& measure,
-                    const SenseCandidate& candidate, const Sphere& sphere,
-                    const ContextVector& vector);
-
 /// How two context vectors are compared in Context_Score: cosine (the
 /// paper's default) or weighted Jaccard (footnote 10's alternative).
 enum class VectorSimilarity { kCosine, kJaccard };
 
 /// Context_Score(s_p, S_d(x), SN) of Definition 10 (and Eq. 12): the
-/// vector similarity between the XML context vector and the concept
-/// sphere context vector of the candidate (union sphere for compound
-/// candidates).
-double ContextScore(const wordnet::SemanticNetwork& network,
-                    const SenseCandidate& candidate,
-                    const ContextVector& xml_vector, int radius,
-                    VectorSimilarity vector_similarity =
-                        VectorSimilarity::kCosine);
-
-/// Id-based twin of ContextScore(): the candidate's concept sphere and
-/// context vector are built as flat id arrays and compared against the
-/// XML id vector. Bit-identical to ContextScore() over the same
-/// context.
+/// vector similarity between the XML context vector and the context
+/// vector of the candidate's concept sphere (union sphere for compound
+/// candidates), both built as flat id arrays.
 double IdContextScore(const wordnet::SemanticNetwork& network,
                       const SenseCandidate& candidate,
                       const IdContextVector& xml_vector, int radius,
@@ -158,14 +107,6 @@ struct CombinationWeights {
   double concept_weight = 1.0;  ///< w_Concept
   double context_weight = 0.0;  ///< w_Context
 };
-
-double CombinedScore(const wordnet::SemanticNetwork& network,
-                     const sim::CombinedMeasure& measure,
-                     const SenseCandidate& candidate, const Sphere& sphere,
-                     const ContextVector& xml_vector, int radius,
-                     const CombinationWeights& weights,
-                     VectorSimilarity vector_similarity =
-                         VectorSimilarity::kCosine);
 
 }  // namespace xsdf::core
 

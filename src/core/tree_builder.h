@@ -69,8 +69,8 @@ std::vector<std::string> LabelSenseTokens(
 /// Pre-processing results are memoized (XML vocabularies repeat tags
 /// and values heavily): through `cache` across calls when the caller
 /// passes one, else per document. With a `label_space` every built node
-/// also carries its interned label id (tree.has_label_ids() holds) and
-/// the disambiguator runs its id-based front half on the tree.
+/// also carries its interned label id (tree.has_label_ids() holds), which
+/// the disambiguator reads instead of resolving the labels itself.
 Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
                                    const wordnet::SemanticNetwork& network,
                                    bool include_values = true,

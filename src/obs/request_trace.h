@@ -13,7 +13,7 @@ namespace xsdf::obs {
 
 /// The span tree of one HTTP request: a request id plus the stages it
 /// passed through (read -> admission -> queue wait -> parse ->
-/// tree_build -> disambiguate -> serialize -> send), each recorded as
+/// disambiguate -> serialize -> send), each recorded as
 /// [start, start+dur) in absolute MonotonicNowNs() time.
 ///
 /// Unlike TraceSession (process-wide, per-thread buffers, exported

@@ -9,11 +9,10 @@ SenseInventoryCache::SenseInventoryCache(size_t capacity,
     : cache_(capacity, shard_count) {}
 
 std::shared_ptr<const core::SenseEntry> SenseInventoryCache::Entry(
-    const wordnet::SemanticNetwork& network, uint32_t label_id,
-    const std::string& label) {
+    core::LabelSpace& space, uint32_t label_id) {
   return cache_.GetOrCompute(label_id, [&] {
     auto entry = std::make_shared<core::SenseEntry>();
-    entry->candidates = core::EnumerateCandidates(network, label);
+    entry->candidates = core::EnumerateCandidatesById(space, label_id);
     return std::shared_ptr<const core::SenseEntry>(std::move(entry));
   });
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/disambiguator.h"
 #include "runtime/sharded_lru_cache.h"
@@ -19,17 +18,17 @@ namespace xsdf::runtime {
 /// alive, so eviction under concurrent load can never invalidate
 /// in-flight scoring (the eviction-safety regression test pins this).
 ///
-/// label id -> candidates is a pure function of the semantic network
-/// and the label space, so one cache instance must only ever be used
-/// with a single network AND a single LabelSpace (the engine's
-/// contract — it owns one of each and shares them with every worker).
+/// label id -> candidates is a pure function of the label space (and
+/// its network), so one cache instance must only ever be used with a
+/// single LabelSpace (the engine's contract — it owns one and shares it
+/// with every worker). A miss is filled by EnumerateCandidatesById()
+/// through the space the caller names.
 class SenseInventoryCache : public core::SenseInventory {
  public:
   explicit SenseInventoryCache(size_t capacity, size_t shard_count = 8);
 
-  std::shared_ptr<const core::SenseEntry> Entry(
-      const wordnet::SemanticNetwork& network, uint32_t label_id,
-      const std::string& label) override;
+  std::shared_ptr<const core::SenseEntry> Entry(core::LabelSpace& space,
+                                                uint32_t label_id) override;
 
   CacheStats GetStats() const { return cache_.GetStats(); }
   void ResetCounters() { cache_.ResetCounters(); }

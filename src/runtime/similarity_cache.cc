@@ -47,18 +47,9 @@ SimilarityCache::SimilarityCache(size_t capacity, size_t stripe_count,
   stripes_ = std::make_unique<Stripe[]>(stripes);
 }
 
-SimilarityCache::SimilarityCache(size_t capacity, size_t stripe_count,
-                                 const sim::SimilarityWeights& weights)
-    : SimilarityCache(capacity, stripe_count, WeightsFingerprint(weights)) {}
-
 uint64_t SimilarityCache::ConfigFingerprint(
     const sim::MeasureConfig& config) {
   return config.Fingerprint();
-}
-
-uint64_t SimilarityCache::WeightsFingerprint(
-    const sim::SimilarityWeights& weights) {
-  return ConfigFingerprint(weights.ToConfig());
 }
 
 uint64_t SimilarityCache::MixKey(uint64_t pair_key) const {

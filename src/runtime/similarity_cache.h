@@ -50,11 +50,6 @@ class SimilarityCache : public sim::SimilarityCacheHook {
   SimilarityCache(size_t capacity, size_t stripe_count,
                   uint64_t config_fingerprint);
 
-  /// Convenience: a cache for the paper hybrid under `weights`
-  /// (fingerprint = ConfigFingerprint(weights.ToConfig())).
-  SimilarityCache(size_t capacity, size_t stripe_count,
-                  const sim::SimilarityWeights& weights);
-
   bool Lookup(uint64_t pair_key, double* value) override;
   void Insert(uint64_t pair_key, double value) override;
 
@@ -73,12 +68,6 @@ class SimilarityCache : public sim::SimilarityCacheHook {
   /// 64-bit fingerprint of a measure composition (bit-exact on the
   /// ordered names and weights) — MeasureConfig::Fingerprint().
   static uint64_t ConfigFingerprint(const sim::MeasureConfig& config);
-
-  /// Fingerprint of the paper hybrid under `weights`; equal to
-  /// ConfigFingerprint(weights.ToConfig()), so a weights-constructed
-  /// cache and a config-constructed cache for the same composition
-  /// agree.
-  static uint64_t WeightsFingerprint(const sim::SimilarityWeights& weights);
 
   /// Test hook: the mixed stored key for `pair_key` under this cache's
   /// fingerprint. Lets tests prove that two caches for different

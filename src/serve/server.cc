@@ -593,10 +593,13 @@ HttpResponse Server::HandleExplain(const HttpRequest& request) {
     return {400, {}, doc.status().ToString() + "\n"};
   }
   // Same options as the engine workers, so the audited choice matches
-  // what /disambiguate answers for the same document.
+  // what /disambiguate answers for the same document. The tree interns
+  // its labels through the disambiguator's label space, so every
+  // explained node reads its ids off the tree.
   core::DisambiguatorOptions doptions = options_.engine.disambiguator;
-  auto tree =
-      core::BuildTree(*doc, *state->network, doptions.include_values);
+  core::Disambiguator system(state->network.get(), doptions);
+  auto tree = core::BuildTree(*doc, *state->network, doptions.include_values,
+                              system.label_space());
   if (!tree.ok()) {
     return {400, {}, tree.status().ToString() + "\n"};
   }
@@ -604,7 +607,6 @@ HttpResponse Server::HandleExplain(const HttpRequest& request) {
   if (matches.empty()) {
     return {404, {}, "no node matches '" + query + "'\n"};
   }
-  core::Disambiguator system(state->network.get(), doptions);
   obs::JsonWriter writer;
   writer.BeginObject();
   writer.Key("query");

@@ -1,33 +1,10 @@
 #include "sim/combined.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-#include "sim/gloss_overlap.h"
-#include "sim/lin.h"
-#include "sim/wu_palmer.h"
-
 namespace xsdf::sim {
-
-bool SimilarityWeights::Valid() const {
-  if (edge < 0.0 || node < 0.0 || gloss < 0.0) return false;
-  return std::fabs(edge + node + gloss - 1.0) < 1e-9;
-}
-
-MeasureConfig SimilarityWeights::ToConfig() const {
-  return MeasureConfig::PaperHybrid(edge, node, gloss);
-}
-
-CombinedMeasure::CombinedMeasure(SimilarityWeights weights)
-    : weights_(weights), config_(weights.ToConfig()) {
-  components_.emplace_back(std::make_unique<WuPalmerMeasure>(),
-                           weights.edge);
-  components_.emplace_back(std::make_unique<LinMeasure>(), weights.node);
-  components_.emplace_back(std::make_unique<GlossOverlapMeasure>(),
-                           weights.gloss);
-}
 
 CombinedMeasure::CombinedMeasure(const MeasureConfig& config)
     : config_(config) {

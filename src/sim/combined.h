@@ -12,28 +12,13 @@
 
 namespace xsdf::sim {
 
-/// Weights of the combined measure (paper Definition 9); they must be
-/// non-negative and sum to 1. The paper's experiments use equal thirds.
-struct SimilarityWeights {
-  double edge = 1.0 / 3.0;   ///< w_Edge, on Wu-Palmer
-  double node = 1.0 / 3.0;   ///< w_Node, on Lin
-  double gloss = 1.0 / 3.0;  ///< w_Gloss, on extended gloss overlap
-
-  /// True when weights are non-negative and sum to 1 (within 1e-9).
-  bool Valid() const;
-
-  /// These weights as the equivalent registry composition:
-  /// {wu-palmer: edge, lin: node, gloss-overlap: gloss}.
-  MeasureConfig ToConfig() const;
-};
-
 /// Pluggable memo store for combined similarity values, keyed on the
 /// packed symmetric concept-pair key (min id in the high 32 bits). An
 /// implementation shared across threads must be internally thread-safe;
-/// the runtime layer provides a sharded LRU implementation keyed on
-/// (concept pair, measure weights) with hit/miss accounting. Lookup and
-/// Insert may race benignly: similarity is deterministic, so a duplicate
-/// compute-and-insert stores the same value.
+/// the runtime layer provides a set-associative implementation keyed on
+/// (concept pair, measure composition) with hit/miss accounting. Lookup
+/// and Insert may race benignly: similarity is deterministic, so a
+/// duplicate compute-and-insert stores the same value.
 class SimilarityCacheHook {
  public:
   virtual ~SimilarityCacheHook() = default;
@@ -57,21 +42,21 @@ class SimilarityCacheHook {
   }
 };
 
-/// Definition 9: Sim(c1, c2) = w_Edge * Sim_Edge + w_Node * Sim_Node
-/// + w_Gloss * Sim_Gloss. Results are memoized per concept pair, which
-/// matters because disambiguation evaluates the same pairs repeatedly
-/// across sphere contexts.
+/// Definition 9: Sim(c1, c2) = sum of w_i * Sim_i over a weighted
+/// measure composition — by default the paper hybrid w_Edge * Sim_Edge
+/// + w_Node * Sim_Node + w_Gloss * Sim_Gloss in equal thirds. Results
+/// are memoized per concept pair, which matters because disambiguation
+/// evaluates the same pairs repeatedly across sphere contexts.
 class CombinedMeasure : public SimilarityMeasure {
  public:
-  explicit CombinedMeasure(SimilarityWeights weights = {});
-
   /// Builds the composition described by `config`, resolving each name
   /// through MeasureRegistry::Global(). `config` must be valid
   /// (Validate() OK — e.g. produced by MeasureConfig::Parse or
-  /// SimilarityWeights::ToConfig); an invalid config aborts, since a
+  /// MeasureConfig::PaperHybrid); an invalid config aborts, since a
   /// constructor cannot report the error. Fallible callers go through
   /// FromRegistry.
-  explicit CombinedMeasure(const MeasureConfig& config);
+  explicit CombinedMeasure(
+      const MeasureConfig& config = MeasureConfig::PaperHybrid());
 
   /// Builds a combined measure from arbitrary registered measure names
   /// and weights (extensibility hook beyond the three defaults).
@@ -100,11 +85,9 @@ class CombinedMeasure : public SimilarityMeasure {
 
   std::string name() const override { return "combined"; }
 
-  const SimilarityWeights& weights() const { return weights_; }
-
-  /// The registry composition this measure was built from (for the
-  /// weights constructor, the equivalent ToConfig()). Its Fingerprint()
-  /// is what an external similarity cache must be keyed on.
+  /// The registry composition this measure was built from. Its
+  /// Fingerprint() is what an external similarity cache must be keyed
+  /// on.
   const MeasureConfig& config() const { return config_; }
 
   /// Drops the memoization table (call when switching networks).
@@ -135,7 +118,6 @@ class CombinedMeasure : public SimilarityMeasure {
   double ComputeUncached(const wordnet::SemanticNetwork& network,
                          wordnet::ConceptId a, wordnet::ConceptId b) const;
 
-  SimilarityWeights weights_;
   MeasureConfig config_;
   std::vector<std::pair<std::unique_ptr<SimilarityMeasure>, double>>
       components_;

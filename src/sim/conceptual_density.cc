@@ -1,8 +1,8 @@
 #include "sim/conceptual_density.h"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "common/check.h"
 #include "sim/kernels.h"
 
 namespace xsdf::sim {
@@ -17,38 +17,6 @@ double DensityAt(uint32_t children, uint32_t descendants) {
 }
 
 }  // namespace
-
-double ConceptualDensityMeasure::LegacySimilarity(
-    const wordnet::SemanticNetwork& network, wordnet::ConceptId a,
-    wordnet::ConceptId b) {
-  if (a == b) return 1.0;
-  std::unordered_map<wordnet::ConceptId, int> da =
-      network.AncestorDistances(a);
-  std::unordered_map<wordnet::ConceptId, int> db =
-      network.AncestorDistances(b);
-  // Counts for the common subsumers only, from per-concept closure
-  // walks — the exact quantities the finalized table accumulates.
-  std::unordered_map<wordnet::ConceptId, std::pair<uint32_t, uint32_t>>
-      counts;  // subsumer -> (descendants, children)
-  for (const auto& [anc, dist] : da) {
-    if (db.count(anc) != 0) counts.emplace(anc, std::make_pair(0u, 0u));
-  }
-  if (counts.empty()) return 0.0;
-  const int n = static_cast<int>(network.size());
-  for (wordnet::ConceptId j = 0; j < n; ++j) {
-    for (const auto& [anc, dist] : network.AncestorDistances(j)) {
-      auto it = counts.find(anc);
-      if (it == counts.end()) continue;
-      ++it->second.first;
-      if (dist == 1) ++it->second.second;
-    }
-  }
-  double best = 0.0;
-  for (const auto& [anc, dc] : counts) {
-    best = std::max(best, DensityAt(dc.second, dc.first));
-  }
-  return best;
-}
 
 std::shared_ptr<const ConceptualDensityMeasure::SubtreeTable>
 ConceptualDensityMeasure::TableFor(
@@ -75,16 +43,16 @@ ConceptualDensityMeasure::TableFor(
 double ConceptualDensityMeasure::Similarity(
     const wordnet::SemanticNetwork& network, wordnet::ConceptId a,
     wordnet::ConceptId b) const {
+  XSDF_DCHECK(network.finalized(), "similarity needs a finalized network");
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   std::shared_ptr<const SubtreeTable> table = TableFor(network);
   std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
   std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
   AncestorMatches common =
       IntersectAncestors(aa, ab, /*need_b_positions=*/false);
   // Max over the matched set is order-independent, and the intersect
-  // finds the same matches at every SIMD level — bit-identical to the
-  // legacy per-call walk, which tallies the same closure rows.
+  // finds the same matches at every SIMD level, so the score is
+  // bit-identical at every level.
   double best = 0.0;
   for (size_t k = 0; k < common.count; ++k) {
     const size_t anc = static_cast<size_t>(aa[common.a[k]].id);

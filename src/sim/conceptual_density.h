@@ -35,28 +35,18 @@ namespace xsdf::sim {
 /// scores high; a subsumer near the root scores near 0; unrelated
 /// concepts score 0 and Sim(c, c) = 1.
 ///
-/// On a finalized network both counts come from one O(sum of CSR row
-/// lengths) pass over the ancestor table, memoized per network behind
-/// a mutex-guarded shared_ptr (instances are safely shared across
+/// Both counts come from one O(sum of CSR row lengths) pass over the
+/// finalized network's ancestor table, memoized per network behind a
+/// mutex-guarded shared_ptr (instances are safely shared across
 /// threads), and the common-subsumer set comes from the SIMD sorted
 /// intersect — max over the matched set is order-independent, so
-/// scores are bit-identical at every dispatch level. LegacySimilarity
-/// recomputes both counts per call from AncestorDistances() walks (the
-/// same BFS FinalizeFrequencies() builds the CSR rows from) and is the
-/// oracle the table path is verified against.
+/// scores are bit-identical at every dispatch level.
 class ConceptualDensityMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "conceptual-density"; }
-
-  /// Table-free reference implementation (per-call whole-network
-  /// AncestorDistances walks): used when the network is not finalized,
-  /// and as the bit-identity oracle in tests and benchmarks.
-  static double LegacySimilarity(const wordnet::SemanticNetwork& network,
-                                 wordnet::ConceptId a,
-                                 wordnet::ConceptId b);
 
  private:
   /// Per-network derived counts, built lazily on first use.

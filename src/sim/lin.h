@@ -14,21 +14,14 @@ namespace xsdf::sim {
 /// of c (counting all hyponym descendants) over the taxonomy total —
 /// the statistics the weighted network SN-bar carries (paper Figure 2).
 /// The lcs chosen maximizes IC among common ancestors (Resnik's "most
-/// informative subsumer"). Requires FinalizeFrequencies().
-/// On a finalized network the subsumer search merges the precomputed
-/// ancestor arrays and reads the IC table — bit-identical to the
-/// legacy hash-map walk kept as LegacySimilarity().
+/// informative subsumer"). The subsumer search merges the finalized
+/// network's precomputed ancestor arrays and reads its IC table.
 class LinMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "lin"; }
-
-  /// The pre-interning implementation; oracle for the id-based kernel.
-  static double LegacySimilarity(const wordnet::SemanticNetwork& network,
-                                 wordnet::ConceptId a,
-                                 wordnet::ConceptId b);
 };
 
 }  // namespace xsdf::sim

@@ -20,7 +20,11 @@ class SimilarityMeasure {
  public:
   virtual ~SimilarityMeasure() = default;
 
-  /// Similarity of concepts `a` and `b` in [0, 1].
+  /// Similarity of concepts `a` and `b` in [0, 1]. Precondition:
+  /// `network` is finalized (SemanticNetwork::finalized()); the
+  /// built-in measures read its precomputed kernel tables and check
+  /// this with XSDF_DCHECK. Every production loader finalizes —
+  /// BuildMiniWordNet, the WNDB parser and the snapshot loader.
   virtual double Similarity(const wordnet::SemanticNetwork& network,
                             wordnet::ConceptId a,
                             wordnet::ConceptId b) const = 0;

@@ -16,20 +16,14 @@ namespace xsdf::sim {
 /// additional node-based alternative to Lin, demonstrating the
 /// registry's extensibility (paper footnote 8: "any other semantic
 /// similarity measure can be used, or combined").
-/// On a finalized network the subsumer search merges the precomputed
-/// ancestor arrays and reads the IC table — bit-identical to the
-/// legacy hash-map walk kept as LegacySimilarity().
+/// The subsumer search merges the finalized network's precomputed
+/// ancestor arrays and reads its IC table.
 class ResnikMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "resnik"; }
-
-  /// The pre-interning implementation; oracle for the id-based kernel.
-  static double LegacySimilarity(const wordnet::SemanticNetwork& network,
-                                 wordnet::ConceptId a,
-                                 wordnet::ConceptId b);
 };
 
 }  // namespace xsdf::sim

@@ -2,38 +2,22 @@
 
 #include <limits>
 
+#include "common/check.h"
 #include "sim/kernels.h"
 
 namespace xsdf::sim {
 
-double WuPalmerMeasure::LegacySimilarity(
-    const wordnet::SemanticNetwork& network, wordnet::ConceptId a,
-    wordnet::ConceptId b) {
-  if (a == b) return 1.0;
-  wordnet::ConceptId lcs = network.LeastCommonSubsumer(a, b);
-  if (lcs == wordnet::kInvalidConcept) return 0.0;
-  auto da = network.AncestorDistances(a);
-  auto db = network.AncestorDistances(b);
-  int len_a = da.at(lcs);
-  int len_b = db.at(lcs);
-  int depth_lcs = network.Depth(lcs);
-  double denominator =
-      static_cast<double>(len_a + len_b + 2 * depth_lcs);
-  if (denominator <= 0.0) return 0.0;  // both are roots and disjoint
-  return (2.0 * depth_lcs) / denominator;
-}
-
 double WuPalmerMeasure::Similarity(const wordnet::SemanticNetwork& network,
                                    wordnet::ConceptId a,
                                    wordnet::ConceptId b) const {
+  XSDF_DCHECK(network.finalized(), "similarity needs a finalized network");
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   // LCS = common ancestor minimizing len_a + len_b (ties toward depth),
   // found by the SIMD intersect of the two id-sorted ancestor arrays.
   // The score only depends on (best_sum, best_depth); the (sum, depth)
   // selection rule is order-independent over the matched set and the
-  // intersect finds the same matches at every dispatch level — so this
-  // matches the legacy path bit for bit.
+  // intersect finds the same matches at every dispatch level — so the
+  // score is bit-identical at every level.
   std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
   std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
   int best_sum = std::numeric_limits<int>::max();

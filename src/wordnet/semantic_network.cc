@@ -540,11 +540,11 @@ void SemanticNetwork::FinalizeFrequencies() {
   }
   max_information_content_ = -std::log(1.0 / total_frequency_);
 
-  // Extended-gloss token bags: build the same combined gloss string
-  // sim::GlossOverlapMeasure::ExtendedGloss() builds (own gloss plus
-  // the glosses of taxonomic/meronymic neighbors), run it through the
-  // same tokenize -> stop-word -> stem pipeline once, and intern the
-  // result — per-pair gloss scoring never touches a string again.
+  // Extended-gloss token bags: build each concept's combined gloss
+  // string (own gloss plus the glosses of taxonomic/meronymic
+  // neighbors), run it through the tokenize -> stop-word -> stem
+  // pipeline once, and intern the result — per-pair gloss scoring
+  // never touches a string again.
   gloss_offsets_.assign(n + 1, 0);
   gloss_tokens_.clear();
   gloss_bag_offsets_.assign(n + 1, 0);

@@ -254,9 +254,9 @@ class SemanticNetwork {
   }
 
   /// The extended-gloss token sequence of `id` (own gloss + glosses of
-  /// directly related concepts, tokenized, stop-word filtered, stemmed,
-  /// interned), in text order — the id-level equivalent of
-  /// sim::GlossOverlapMeasure::ExtendedGloss().
+  /// its hypernyms, hyponyms, meronyms and holonyms, tokenized,
+  /// stop-word filtered, stemmed, interned), in text order — the input
+  /// of sim::GlossOverlapMeasure.
   std::span<const uint32_t> GlossTokens(ConceptId id) const {
     size_t i = static_cast<size_t>(id);
     return gloss_tokens_v_.subspan(

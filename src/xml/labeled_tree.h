@@ -61,10 +61,10 @@ class LabeledTree {
   NodeId AddNode(NodeId parent, std::string label, TreeNodeKind kind,
                  std::string raw = {});
 
-  /// Same, with the label's interned id (core::LabelSpace). Trees whose
-  /// every node carries an id run the id-based sphere/vector pipeline;
-  /// a single id-less AddNode() drops the whole tree back to the
-  /// string path (has_label_ids() turns false).
+  /// Same, with the label's interned id (core::LabelSpace). The
+  /// disambiguator reads the ids of a tree whose every node carries
+  /// one; a single id-less AddNode() makes it resolve the labels itself
+  /// instead (has_label_ids() turns false).
   NodeId AddNode(NodeId parent, std::string label, uint32_t label_id,
                  TreeNodeKind kind, std::string raw = {});
 

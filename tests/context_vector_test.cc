@@ -1,18 +1,27 @@
 // Tests for sphere neighborhoods and context vectors (paper
 // Definitions 4-7), including an exact check of the paper's Figure 7
-// weights for the d=1 sphere of the Figure 6 tree.
+// weights for the d=1 sphere of the Figure 6 tree. They check the
+// string-keyed reference in tests/oracles/, which frontend_test holds
+// the production id pipeline to bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/context_vector.h"
+#include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::core {
 namespace {
 
+using oracles::BuildCompoundConceptSphere;
+using oracles::BuildConceptSphere;
+using oracles::BuildXmlSphere;
+using oracles::ContextVector;
+using oracles::Sphere;
+using oracles::SphereMember;
 using xml::kInvalidNode;
 using xml::LabeledTree;
 using xml::NodeId;

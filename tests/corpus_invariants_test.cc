@@ -10,6 +10,7 @@
 
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
+#include "core/label_space.h"
 #include "core/tree_builder.h"
 #include "eval/experiment.h"
 #include "wordnet/mini_wordnet.h"
@@ -164,20 +165,23 @@ TEST_F(CorpusInvariantsTest, TreesRebuildIdentically) {
 TEST_F(CorpusInvariantsTest, ContextVectorInvariantsEverywhere) {
   // Over a sample of nodes from every document: weights in (0, 1],
   // every sphere label has a weight, cosine self-similarity is 1.
+  core::LabelSpace space(&network());
   for (const auto& doc : corpus()) {
+    std::vector<uint32_t> label_ids;
+    for (const auto& node : doc.tree.nodes()) {
+      label_ids.push_back(space.Resolve(node.label));
+    }
     for (size_t i = 0; i < doc.target_sample.size(); i += 3) {
       xml::NodeId id = doc.target_sample[i];
       for (int radius : {1, 3}) {
-        core::Sphere sphere =
-            core::BuildXmlSphere(doc.tree, id, radius);
-        core::ContextVector vector(sphere);
-        EXPECT_EQ(sphere.size(),
-                  static_cast<int>(sphere.members.size()));
-        for (const core::SphereMember& member : sphere.members) {
-          EXPECT_GT(vector.Weight(member.label), 0.0)
-              << doc.generated.name;
-          EXPECT_LE(vector.Weight(member.label), 1.0);
-          EXPECT_LE(member.distance, radius);
+        const core::IdSphere sphere =
+            core::BuildXmlIdSphere(doc.tree, label_ids, id, radius);
+        const core::IdContextVector vector(sphere);
+        for (int m = 0; m < sphere.size(); ++m) {
+          const double weight = vector.WeightById(sphere.label_ids[m]);
+          EXPECT_GT(weight, 0.0) << doc.generated.name;
+          EXPECT_LE(weight, 1.0);
+          EXPECT_LE(sphere.distances[m], radius);
         }
         EXPECT_NEAR(vector.Cosine(vector), 1.0, 1e-9);
         EXPECT_NEAR(vector.Jaccard(vector), 1.0, 1e-9);

@@ -1,13 +1,15 @@
 // Tests for the interned, arena-backed front end: the bump arena, the
 // engine-wide label id space (cross-document id stability, exact-
-// spelling injectivity), and the headline contract — the id-based
-// sphere/vector/scoring pipeline produces BIT-identical disambiguation
-// output to the legacy string pipeline, single-threaded and through
-// the engine at 1 and 8 workers, including the `explain` audit JSON.
+// spelling injectivity), and the headline contract — for every node,
+// the id-based candidates and sphere/vector scores are BIT-identical
+// to the string-keyed reference in tests/oracles/, on trees with and
+// without label ids.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,7 @@
 #include "core/scores.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
-#include "runtime/engine.h"
+#include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 
@@ -150,7 +152,7 @@ TEST(LabelSpaceTest, CandidatesByIdMatchStringEnumeration) {
        {"star", "movie", "kelly", "first_name", "zzz_not_a_lemma", ""}) {
     uint32_t id = space.Resolve(label);
     EXPECT_EQ(core::EnumerateCandidatesById(space, id),
-              core::EnumerateCandidates(Network(), label))
+              oracles::EnumerateCandidates(Network(), label))
         << label;
   }
 }
@@ -197,7 +199,7 @@ TEST(LabelSpaceTest, ConceptLabelIdsJoinTheSameSpace) {
   }
 }
 
-// ===================== Id-path bit identity =======================
+// ================ Id pipeline vs the string oracle =================
 
 std::vector<std::string> CorpusXml() {
   std::vector<std::string> xml;
@@ -211,111 +213,118 @@ std::vector<std::string> CorpusXml() {
   return xml;
 }
 
-core::DisambiguatorOptions LegacyOptions() {
-  core::DisambiguatorOptions options;
-  options.use_id_frontend = false;
-  return options;
-}
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-void ExpectBitIdentical(const core::SemanticTree& id_result,
-                        const core::SemanticTree& legacy_result) {
-  ASSERT_EQ(id_result.assignments.size(), legacy_result.assignments.size());
-  for (const auto& [node, assignment] : id_result.assignments) {
-    auto it = legacy_result.assignments.find(node);
-    ASSERT_NE(it, legacy_result.assignments.end()) << "node " << node;
-    EXPECT_EQ(assignment.sense, it->second.sense) << "node " << node;
-    // Bitwise double equality — the id pipeline's arithmetic must be
-    // the legacy pipeline's arithmetic, not merely close to it.
-    EXPECT_EQ(assignment.score, it->second.score) << "node " << node;
-    EXPECT_EQ(assignment.ambiguity, it->second.ambiguity);
-    EXPECT_EQ(assignment.candidate_count, it->second.candidate_count);
+/// One node as the string oracle sees it: its candidates and, per
+/// candidate, Concept_Score and Context_Score (cosine and Jaccard) over
+/// BuildXmlSphere + ContextVector. Lone candidates are never scored.
+struct OracleNode {
+  std::vector<core::SenseCandidate> candidates;
+  std::vector<double> concept_scores;
+  std::vector<double> cosine_scores;
+  std::vector<double> jaccard_scores;
+};
+
+OracleNode ScoreWithOracle(const xml::LabeledTree& tree, xml::NodeId id,
+                           const sim::CombinedMeasure& measure, int radius) {
+  OracleNode oracle;
+  oracle.candidates =
+      oracles::EnumerateCandidates(Network(), tree.node(id).label);
+  if (oracle.candidates.size() < 2) return oracle;
+  const oracles::Sphere sphere = oracles::BuildXmlSphere(tree, id, radius);
+  const oracles::ContextVector vector(sphere);
+  for (const core::SenseCandidate& candidate : oracle.candidates) {
+    oracle.concept_scores.push_back(
+        oracles::ConceptScore(Network(), measure, candidate, sphere, vector));
+    oracle.cosine_scores.push_back(
+        oracles::ContextScore(Network(), candidate, vector, radius,
+                              core::VectorSimilarity::kCosine));
+    oracle.jaccard_scores.push_back(
+        oracles::ContextScore(Network(), candidate, vector, radius,
+                              core::VectorSimilarity::kJaccard));
   }
-  EXPECT_EQ(core::SemanticTreeToXml(id_result, Network()),
-            core::SemanticTreeToXml(legacy_result, Network()));
+  return oracle;
 }
 
-TEST(IdFrontendBitIdentityTest, SingleThreadedConceptProcess) {
-  core::Disambiguator id_system(&Network());
-  core::Disambiguator legacy_system(&Network(), LegacyOptions());
-  for (const std::string& xml : CorpusXml()) {
-    auto id_result = id_system.RunOnXml(xml);
-    auto legacy_result = legacy_system.RunOnXml(xml);
-    ASSERT_EQ(id_result.ok(), legacy_result.ok());
-    if (!id_result.ok()) continue;
-    ExpectBitIdentical(*id_result, *legacy_result);
-  }
-}
-
-TEST(IdFrontendBitIdentityTest, CombinedProcessBothVectorSimilarities) {
-  for (auto vector_similarity : {core::VectorSimilarity::kCosine,
-                                 core::VectorSimilarity::kJaccard}) {
-    core::DisambiguatorOptions id_options;
-    id_options.process = core::DisambiguationProcess::kCombined;
-    id_options.combination_weights = {0.6, 0.4};
-    id_options.vector_similarity = vector_similarity;
-    core::DisambiguatorOptions legacy_options = id_options;
-    legacy_options.use_id_frontend = false;
-    core::Disambiguator id_system(&Network(), id_options);
-    core::Disambiguator legacy_system(&Network(), legacy_options);
-    for (const std::string& xml : CorpusXml()) {
-      auto id_result = id_system.RunOnXml(xml);
-      auto legacy_result = legacy_system.RunOnXml(xml);
-      ASSERT_EQ(id_result.ok(), legacy_result.ok());
-      if (!id_result.ok()) continue;
-      ExpectBitIdentical(*id_result, *legacy_result);
-    }
-  }
-}
-
-TEST(IdFrontendBitIdentityTest, ExplainAuditJsonIsByteIdentical) {
+// Every node of the corpus and of one giant document, on trees with and
+// without label ids: ExplainNode's candidate list is the oracle's, and
+// each candidate's concept and context score is bit-equal to the
+// oracle's, under the concept-based process and the combined process
+// with cosine and with Jaccard. The frequency prior and the argmax run
+// after scoring in shared code, so they need no oracle.
+TEST(IdPipelineOracleTest, CandidatesAndScoresMatchStringOracle) {
+  std::vector<std::string> docs = CorpusXml();
+  docs.push_back(datasets::GiantDocuments(1, 256u << 10, 7)[0].xml);
+  struct Process {
+    const char* name;
+    core::DisambiguationProcess process;
+    core::VectorSimilarity vector_similarity;
+  };
+  const Process processes[] = {
+      {"concept", core::DisambiguationProcess::kConceptBased,
+       core::VectorSimilarity::kCosine},
+      {"combined-cosine", core::DisambiguationProcess::kCombined,
+       core::VectorSimilarity::kCosine},
+      {"combined-jaccard", core::DisambiguationProcess::kCombined,
+       core::VectorSimilarity::kJaccard},
+  };
   core::LabelSpace space(&Network());
-  core::DisambiguatorOptions id_options;
-  // The tree's label ids come from `space`, so the disambiguator must
-  // resolve senses against the same id universe.
-  id_options.label_space = &space;
-  core::Disambiguator id_system(&Network(), id_options);
-  core::Disambiguator legacy_system(&Network(), LegacyOptions());
-  for (const std::string& xml : CorpusXml()) {
-    auto id_tree = core::BuildTreeFromXml(xml, Network(), true, &space);
-    auto legacy_tree = core::BuildTreeFromXml(xml, Network(), true);
-    if (!id_tree.ok() || !legacy_tree.ok()) continue;
-    ASSERT_TRUE(id_tree->has_label_ids());
-    for (size_t id = 0; id < id_tree->size(); ++id) {
-      auto id_audit =
-          id_system.ExplainNode(*id_tree, static_cast<xml::NodeId>(id));
-      auto legacy_audit = legacy_system.ExplainNode(
-          *legacy_tree, static_cast<xml::NodeId>(id));
-      ASSERT_EQ(id_audit.ok(), legacy_audit.ok());
-      if (!id_audit.ok()) continue;
-      EXPECT_EQ(core::NodeAuditToJson(*id_audit, Network()),
-                core::NodeAuditToJson(*legacy_audit, Network()));
+  std::vector<std::unique_ptr<core::Disambiguator>> systems;
+  for (const Process& process : processes) {
+    core::DisambiguatorOptions options;
+    options.process = process.process;
+    options.combination_weights = {0.6, 0.4};
+    options.vector_similarity = process.vector_similarity;
+    options.label_space = &space;
+    systems.push_back(
+        std::make_unique<core::Disambiguator>(&Network(), options));
+  }
+  const int radius = systems[0]->options().sphere_radius;
+  const sim::CombinedMeasure measure;  // the oracle's own memo
+  size_t scored_nodes = 0;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    auto plain = core::BuildTreeFromXml(docs[d], Network(), true);
+    auto interned = core::BuildTreeFromXml(docs[d], Network(), true, &space);
+    ASSERT_TRUE(plain.ok() && interned.ok()) << "doc " << d;
+    ASSERT_FALSE(plain->has_label_ids());
+    ASSERT_TRUE(interned->has_label_ids());
+    for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(plain->size());
+         ++id) {
+      const OracleNode oracle = ScoreWithOracle(*plain, id, measure, radius);
+      if (oracle.candidates.size() > 1) ++scored_nodes;
+      for (size_t p = 0; p < systems.size(); ++p) {
+        const bool combined =
+            processes[p].process == core::DisambiguationProcess::kCombined;
+        const std::vector<double>& context_scores =
+            processes[p].vector_similarity == core::VectorSimilarity::kJaccard
+                ? oracle.jaccard_scores
+                : oracle.cosine_scores;
+        for (const xml::LabeledTree* tree : {&*plain, &*interned}) {
+          const std::string context =
+              std::string(processes[p].name) + " doc " + std::to_string(d) +
+              " node " + std::to_string(id) +
+              (tree->has_label_ids() ? " (ids)" : " (no ids)");
+          auto audit = systems[p]->ExplainNode(*tree, id);
+          ASSERT_EQ(audit.ok(), !oracle.candidates.empty()) << context;
+          if (!audit.ok()) continue;
+          ASSERT_EQ(audit->candidates.size(), oracle.candidates.size())
+              << context;
+          for (size_t i = 0; i < oracle.candidates.size(); ++i) {
+            const core::CandidateAudit& candidate = audit->candidates[i];
+            ASSERT_EQ(candidate.sense, oracle.candidates[i]) << context;
+            if (oracle.candidates.size() < 2) continue;
+            ASSERT_EQ(Bits(candidate.concept_score),
+                      Bits(oracle.concept_scores[i]))
+                << context << " candidate " << i;
+            ASSERT_EQ(Bits(candidate.context_score),
+                      Bits(combined ? context_scores[i] : 0.0))
+                << context << " candidate " << i;
+          }
+        }
+      }
     }
   }
-}
-
-std::vector<std::string> RunEngine(int threads, bool use_id_frontend) {
-  runtime::EngineOptions options;
-  options.threads = threads;
-  options.disambiguator.use_id_frontend = use_id_frontend;
-  runtime::DisambiguationEngine engine(&Network(), options);
-  std::vector<runtime::DocumentJob> jobs;
-  size_t index = 0;
-  for (const std::string& xml : CorpusXml()) {
-    jobs.push_back({index++, "doc", xml});
-  }
-  std::vector<std::string> trees;
-  for (auto& result : engine.RunBatch(std::move(jobs))) {
-    trees.push_back(result.ok ? result.semantic_xml
-                              : "error: " + result.error);
-  }
-  return trees;
-}
-
-TEST(IdFrontendBitIdentityTest, EngineOneAndEightWorkersMatchLegacy) {
-  std::vector<std::string> legacy = RunEngine(1, /*use_id_frontend=*/false);
-  EXPECT_EQ(RunEngine(1, /*use_id_frontend=*/true), legacy);
-  EXPECT_EQ(RunEngine(8, /*use_id_frontend=*/true), legacy);
-  EXPECT_EQ(RunEngine(8, /*use_id_frontend=*/false), legacy);
+  EXPECT_GT(scored_nodes, 1000u);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 
 #include "common/simd.h"
 #include "datasets/generator.h"
+#include "oracles/legacy_similarity.h"
 #include "runtime/engine.h"
 #include "sim/combined.h"
 #include "sim/conceptual_density.h"
@@ -164,9 +165,8 @@ TEST(ConceptualDensityConformanceTest, TableMatchesLegacyWalkOracle) {
   const SemanticNetwork& network = Network();
   sim::ConceptualDensityMeasure measure;
   for (const auto& [a, b] : SamplePairs()) {
-    EXPECT_EQ(
-        Bits(measure.Similarity(network, a, b)),
-        Bits(sim::ConceptualDensityMeasure::LegacySimilarity(network, a, b)))
+    EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
+              Bits(oracles::LegacyConceptualDensity(network, a, b)))
         << "table path diverges from the walk oracle on (" << a << ","
         << b << ")";
   }
@@ -182,8 +182,7 @@ TEST(ConceptualDensityConformanceTest, SharedInstanceIsThreadSafe) {
   std::vector<uint64_t> expected;
   expected.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
-    expected.push_back(Bits(
-        sim::ConceptualDensityMeasure::LegacySimilarity(network, a, b)));
+    expected.push_back(Bits(oracles::LegacyConceptualDensity(network, a, b)));
   }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;

@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "core/scores.h"
 #include "datasets/generator.h"
+#include "oracles/string_pipeline.h"
 #include "runtime/engine.h"
 #include "runtime/job_queue.h"
 #include "runtime/sense_inventory_cache.h"
@@ -35,6 +36,11 @@ const wordnet::SemanticNetwork& Network() {
     return new wordnet::SemanticNetwork(std::move(result).value());
   }();
   return *network;
+}
+
+/// The cache key-space fingerprint of the default composition.
+uint64_t HybridFingerprint() {
+  return SimilarityCache::ConfigFingerprint(sim::MeasureConfig::PaperHybrid());
 }
 
 // ======================= ShardedLruCache ==========================
@@ -127,7 +133,7 @@ TEST(SimilarityCacheTest, EvictsDeterministicallyWhenASetOverflows) {
   // readable value correct (a stale value for a key is impossible —
   // the mixed key is bijective, so a slot's key identifies its value).
   SimilarityCache cache(/*capacity=*/1, /*stripe_count=*/2,
-                        sim::SimilarityWeights{});
+                        HybridFingerprint());
   constexpr uint64_t kKeys = 1024;
   for (uint64_t k = 1; k <= kKeys; ++k) {
     cache.Insert(k, static_cast<double>(k) * 0.5);
@@ -260,7 +266,7 @@ TEST(BoundedJobQueueTest, BlockingProducersAndConsumersDeliverAll) {
 
 TEST(SimilarityCacheTest, RoundTripsThroughHookInterface) {
   SimilarityCache cache(/*capacity=*/128, /*shard_count=*/4,
-                        sim::SimilarityWeights{});
+                        HybridFingerprint());
   sim::SimilarityCacheHook* hook = &cache;
   double value = 0.0;
   EXPECT_FALSE(hook->Lookup(42, &value));
@@ -272,13 +278,13 @@ TEST(SimilarityCacheTest, RoundTripsThroughHookInterface) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
-TEST(SimilarityCacheTest, WeightFingerprintsDistinguishConfigs) {
-  sim::SimilarityWeights thirds{};
-  sim::SimilarityWeights edge_only{1.0, 0.0, 0.0};
-  EXPECT_NE(SimilarityCache::WeightsFingerprint(thirds),
-            SimilarityCache::WeightsFingerprint(edge_only));
-  EXPECT_EQ(SimilarityCache::WeightsFingerprint(thirds),
-            SimilarityCache::WeightsFingerprint(sim::SimilarityWeights{}));
+TEST(SimilarityCacheTest, ConfigFingerprintsDistinguishWeights) {
+  // Same three measures, different weights: different key spaces.
+  const auto edge_only = sim::MeasureConfig::PaperHybrid(1.0, 0.0, 0.0);
+  EXPECT_NE(HybridFingerprint(), SimilarityCache::ConfigFingerprint(edge_only));
+  EXPECT_EQ(HybridFingerprint(),
+            SimilarityCache::ConfigFingerprint(sim::MeasureConfig::PaperHybrid(
+                1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)));
 }
 
 // Regression for the pre-registry fingerprint, which hashed only the
@@ -358,7 +364,7 @@ TEST(SimilarityCacheTest, MeasureUsesExternalCache) {
   const auto& network = Network();
   sim::CombinedMeasure measure;
   SimilarityCache cache(/*capacity=*/1024, /*shard_count=*/4,
-                        measure.weights());
+                        SimilarityCache::ConfigFingerprint(measure.config()));
   measure.set_external_cache(&cache);
   auto star = network.Senses("star");
   ASSERT_GE(star.size(), 2u);
@@ -376,9 +382,9 @@ TEST(SenseInventoryCacheTest, MatchesEnumerateCandidates) {
   core::LabelSpace space(&network);
   SenseInventoryCache cache(/*capacity=*/256);
   for (const char* label : {"star", "movie", "title", "director"}) {
-    auto expected = core::EnumerateCandidates(network, label);
-    auto cold = cache.Entry(network, space.Resolve(label), label);
-    auto warm = cache.Entry(network, space.Resolve(label), label);
+    auto expected = oracles::EnumerateCandidates(network, label);
+    auto cold = cache.Entry(space, space.Resolve(label));
+    auto warm = cache.Entry(space, space.Resolve(label));
     ASSERT_NE(cold, nullptr);
     EXPECT_EQ(cold->candidates, expected) << label;
     EXPECT_EQ(warm->candidates, expected) << label;
@@ -397,12 +403,11 @@ TEST(SenseInventoryCacheTest, EvictionKeepsInFlightEntriesAlive) {
   // One single-entry shard: every insert evicts the previous entry.
   SenseInventoryCache cache(/*capacity=*/1, /*shard_count=*/1);
   const uint32_t star_id = space.Resolve("star");
-  std::shared_ptr<const core::SenseEntry> held =
-      cache.Entry(network, star_id, "star");
+  std::shared_ptr<const core::SenseEntry> held = cache.Entry(space, star_id);
   ASSERT_NE(held, nullptr);
   const std::vector<core::SenseCandidate> expected = held->candidates;
   for (const char* label : {"movie", "title", "director", "actor"}) {
-    cache.Entry(network, space.Resolve(label), label);
+    cache.Entry(space, space.Resolve(label));
   }
   EXPECT_GT(cache.GetStats().evictions, 0u);
   // The held entry is still alive and byte-for-byte what it was
@@ -410,7 +415,7 @@ TEST(SenseInventoryCacheTest, EvictionKeepsInFlightEntriesAlive) {
   // guarding against by copying; shared_ptr ownership replaces it).
   EXPECT_EQ(held->candidates, expected);
   // A post-eviction lookup recomputes the same pure value.
-  EXPECT_EQ(cache.Entry(network, star_id, "star")->candidates, expected);
+  EXPECT_EQ(cache.Entry(space, star_id)->candidates, expected);
 }
 
 TEST(SenseInventoryCacheTest, ConcurrentChurnUnderEvictionIsSafe) {
@@ -423,7 +428,7 @@ TEST(SenseInventoryCacheTest, ConcurrentChurnUnderEvictionIsSafe) {
   std::vector<std::vector<core::SenseCandidate>> expected;
   for (const std::string& label : labels) {
     ids.push_back(space.Resolve(label));
-    expected.push_back(core::EnumerateCandidates(network, label));
+    expected.push_back(oracles::EnumerateCandidates(network, label));
   }
   std::atomic<bool> mismatch{false};
   std::vector<std::thread> threads;
@@ -431,7 +436,7 @@ TEST(SenseInventoryCacheTest, ConcurrentChurnUnderEvictionIsSafe) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 300; ++i) {
         const size_t k = static_cast<size_t>(t + i) % labels.size();
-        auto entry = cache.Entry(network, ids[k], labels[k]);
+        auto entry = cache.Entry(space, ids[k]);
         if (entry == nullptr || entry->candidates != expected[k]) {
           mismatch = true;
         }
@@ -570,8 +575,8 @@ TEST(SimilarityCacheTest, ContendedWritersSurfaceRetryAndCollisionCounts) {
   // contention. The counters are statistical, so loop rounds until
   // both are nonzero — bounded so a pathological scheduler fails the
   // test instead of hanging it.
-  sim::SimilarityWeights weights;
-  SimilarityCache cache(/*capacity=*/64, /*stripe_count=*/4, weights);
+  SimilarityCache cache(/*capacity=*/64, /*stripe_count=*/4,
+                        HybridFingerprint());
   constexpr int kWriters = 4;
   constexpr int kReaders = 2;
   constexpr int kOpsPerRound = 4000;
@@ -624,8 +629,8 @@ TEST(SimilarityCacheTest, ContendedWritersSurfaceRetryAndCollisionCounts) {
 }
 
 TEST(SimilarityCacheTest, UncontendedTrafficReportsZeroContention) {
-  sim::SimilarityWeights weights;
-  SimilarityCache cache(/*capacity=*/1024, /*stripe_count=*/4, weights);
+  SimilarityCache cache(/*capacity=*/1024, /*stripe_count=*/4,
+                        HybridFingerprint());
   double value = 0.0;
   for (uint64_t key = 1; key <= 200; ++key) {
     cache.Insert(key, 1.5);
@@ -662,36 +667,16 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
   EXPECT_EQ(metrics.GetCounter("engine.failures")->Value(), 0u);
 
   // Every document contributes one sample to each per-stage histogram.
-  // The default streaming front end fuses parse + tree build into one
-  // pass recorded as stage.parse_us; stage.tree_build_us stays
-  // registered but unsampled (the DOM case is checked below).
+  // The streaming front end fuses parse + tree build into one pass
+  // recorded as stage.parse_us.
   for (const char* name :
        {"stage.parse_us", "stage.select_us",
         "stage.serialize_us", "engine.job_wait_us", "engine.job_run_us"}) {
     EXPECT_EQ(metrics.GetHistogram(name)->Snapshot().count, jobs.size())
         << name;
   }
-  EXPECT_EQ(metrics.GetHistogram("stage.tree_build_us")->Snapshot().count,
-            0u);
   EXPECT_GT(metrics.GetHistogram("core.node_candidates")->Snapshot().count,
             0u);
-
-  // The two-pass DOM oracle front end still samples tree_build_us (and
-  // the arena histograms) once per document.
-  obs::MetricsRegistry dom_metrics;
-  EngineOptions dom_options;
-  dom_options.threads = 2;
-  dom_options.streaming_frontend = false;
-  dom_options.metrics = &dom_metrics;
-  DisambiguationEngine dom_engine(&Network(), dom_options);
-  for (const auto& result : dom_engine.RunBatch(jobs)) {
-    ASSERT_TRUE(result.ok) << result.name;
-  }
-  for (const char* name :
-       {"stage.parse_us", "stage.tree_build_us", "xml.arena_used_bytes"}) {
-    EXPECT_EQ(dom_metrics.GetHistogram(name)->Snapshot().count, jobs.size())
-        << name;
-  }
 
   // Cache gauges appear after publishing.
   engine.PublishStatsToMetrics();

@@ -1,16 +1,25 @@
 // Tests for candidate enumeration and the disambiguation scores
 // (paper Definitions 8-10, Eqs. 8-13), including the compound special
-// cases.
+// cases. They check the string-keyed reference in tests/oracles/, which
+// frontend_test holds the production id pipeline to bit for bit.
 
 #include <gtest/gtest.h>
 
 #include "core/scores.h"
 #include "core/tree_builder.h"
+#include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace xsdf::core {
 namespace {
 
+using oracles::BuildXmlSphere;
+using oracles::CombinedScore;
+using oracles::ConceptScore;
+using oracles::ContextScore;
+using oracles::ContextVector;
+using oracles::EnumerateCandidates;
+using oracles::Sphere;
 using wordnet::ConceptId;
 using wordnet::SemanticNetwork;
 using xml::kInvalidNode;

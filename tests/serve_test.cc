@@ -23,6 +23,8 @@
 #include "snapshot/snapshot.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
+#include "xml/dom.h"
+#include "xml/parser.h"
 
 namespace xsdf {
 namespace {
@@ -277,6 +279,76 @@ TEST(ServeTest, ExplainReturnsAuditJson) {
                           "<a/>", kClientTimeoutMs);
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status, 400);
+}
+
+/// The concept_id of every <node> element of a /disambiguate body, in
+/// document order — which is labeled-tree node id order — with -1 for a
+/// node that carries no concept.
+std::vector<int64_t> ConceptIdsInNodeOrder(const std::string& semantic_xml) {
+  std::vector<int64_t> ids;
+  auto doc = xml::Parse(semantic_xml);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  if (!doc.ok()) return ids;
+  std::vector<const xml::Node*> stack = {doc->root()};
+  while (!stack.empty()) {
+    const xml::Node* node = stack.back();
+    stack.pop_back();
+    if (node->name() == "node") {
+      const std::string* concept_id = node->FindAttribute("concept_id");
+      ids.push_back(concept_id == nullptr ? -1 : std::stoll(*concept_id));
+    }
+    const std::vector<xml::Node*>& children = node->children();
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      if ((*it)->is_element()) stack.push_back(*it);
+    }
+  }
+  return ids;
+}
+
+/// The chosen concept id of the (single) node an /explain body audits,
+/// or -1 when it explained none.
+int64_t ChosenConceptId(const std::string& explain_json) {
+  const std::string key = "\"chosen\":{\"concept_id\":";
+  const size_t at = explain_json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(explain_json.substr(at + key.size()));
+}
+
+// /explain runs the code /disambiguate runs: for every node of the
+// Figure-1 document, the sense /explain?node=<id> chooses is the
+// concept /disambiguate assigns that node in the same body (and a
+// senseless node gets neither).
+TEST(ServeTest, ExplainChoiceMatchesDisambiguateForEveryNode) {
+  auto network = MiniNetwork();
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 2;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(network, "mini").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  const std::string xml = datasets::Figure1Documents()[0].xml;
+  auto disambiguated = HttpCall(kHost, server.port(), "POST",
+                                "/disambiguate", {}, xml, kClientTimeoutMs);
+  ASSERT_TRUE(disambiguated.ok()) << disambiguated.status().ToString();
+  ASSERT_EQ(disambiguated->status, 200);
+  const std::vector<int64_t> assigned =
+      ConceptIdsInNodeOrder(disambiguated->body);
+  ASSERT_GT(assigned.size(), 5u);
+  size_t with_concept = 0;
+  for (size_t id = 0; id < assigned.size(); ++id) {
+    auto explained =
+        HttpCall(kHost, server.port(), "POST",
+                 "/explain?node=" + std::to_string(id), {}, xml,
+                 kClientTimeoutMs);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    ASSERT_EQ(explained->status, 200) << "node " << id;
+    EXPECT_EQ(ChosenConceptId(explained->body), assigned[id])
+        << "node " << id << ": " << explained->body;
+    if (assigned[id] >= 0) ++with_concept;
+  }
+  EXPECT_GT(with_concept, 3u);
 }
 
 /// Hot swap under concurrent load: every response must match the
@@ -708,8 +780,7 @@ TEST(ServeTest, StatsReportsRollingPercentilesAndDebugSlowHasSpans) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   // The span tree covers the full request path: connection-side read
   // and send, queue wait, and the engine stages. The streaming front
-  // end fuses parse + tree build into the "parse" span, so no
-  // "tree_build" span appears.
+  // end fuses parse + tree build into the one "parse" span.
   for (const char* span : {"\"read\"", "\"queue_wait\"", "\"parse\"",
                            "\"disambiguate\"",
                            "\"serialize\"", "\"send\""}) {

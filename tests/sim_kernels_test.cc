@@ -1,7 +1,8 @@
 // Equivalence tests for the interned id-based similarity kernels: the
 // precomputed tables (token interner, gloss token sequences/bags,
 // ancestor arrays, IC table) must reproduce the legacy string-path
-// scores *bit for bit* on randomized concept pairs, and the batch
+// scores of tests/oracles/ *bit for bit* on randomized concept pairs,
+// and the batch
 // runtime built on top must stay byte-identical across worker counts.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/token_interner.h"
+#include "oracles/legacy_similarity.h"
 #include "runtime/engine.h"
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
@@ -103,8 +105,7 @@ TEST(SemanticNetworkTest, GlossTokensSpellOutTheLegacyExtendedGloss) {
   const SemanticNetwork& network = Network();
   for (ConceptId id = 0; id < static_cast<ConceptId>(network.size());
        ++id) {
-    std::vector<std::string> legacy =
-        sim::GlossOverlapMeasure::ExtendedGloss(network, id);
+    std::vector<std::string> legacy = oracles::ExtendedGloss(network, id);
     auto tokens = network.GlossTokens(id);
     ASSERT_EQ(tokens.size(), legacy.size()) << "concept " << id;
     for (size_t i = 0; i < tokens.size(); ++i) {
@@ -123,7 +124,7 @@ TEST(KernelEquivalenceTest, WuPalmerIsBitIdenticalToLegacy) {
   sim::WuPalmerMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
-              Bits(sim::WuPalmerMeasure::LegacySimilarity(network, a, b)))
+              Bits(oracles::LegacyWuPalmer(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -133,7 +134,7 @@ TEST(KernelEquivalenceTest, ResnikIsBitIdenticalToLegacy) {
   sim::ResnikMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
-              Bits(sim::ResnikMeasure::LegacySimilarity(network, a, b)))
+              Bits(oracles::LegacyResnik(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -143,7 +144,7 @@ TEST(KernelEquivalenceTest, LinIsBitIdenticalToLegacy) {
   sim::LinMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
-              Bits(sim::LinMeasure::LegacySimilarity(network, a, b)))
+              Bits(oracles::LegacyLin(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -154,22 +155,20 @@ TEST(KernelEquivalenceTest, GlossOverlapIsBitIdenticalToLegacy) {
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(
         Bits(measure.Similarity(network, a, b)),
-        Bits(sim::GlossOverlapMeasure::LegacySimilarity(network, a, b)))
+        Bits(oracles::LegacyGlossOverlap(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
 
 TEST(KernelEquivalenceTest, CombinedIsBitIdenticalToLegacySum) {
   const SemanticNetwork& network = Network();
-  sim::SimilarityWeights weights;  // equal thirds, the paper default
-  sim::CombinedMeasure measure(weights);
+  sim::CombinedMeasure measure;  // equal thirds, the paper default
+  const double third = 1.0 / 3.0;
   for (auto [a, b] : SamplePairs(400)) {
     // Same component order (edge, node, gloss) as CombinedMeasure.
-    double legacy =
-        weights.edge * sim::WuPalmerMeasure::LegacySimilarity(network, a, b) +
-        weights.node * sim::LinMeasure::LegacySimilarity(network, a, b) +
-        weights.gloss *
-            sim::GlossOverlapMeasure::LegacySimilarity(network, a, b);
+    double legacy = third * oracles::LegacyWuPalmer(network, a, b) +
+                    third * oracles::LegacyLin(network, a, b) +
+                    third * oracles::LegacyGlossOverlap(network, a, b);
     if (legacy > 1.0) legacy = 1.0;
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)), Bits(legacy))
         << "pair (" << a << ", " << b << ")";

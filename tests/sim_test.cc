@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "oracles/legacy_similarity.h"
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
 #include "sim/lin.h"
@@ -108,27 +111,29 @@ TEST(GlossOverlapTest, IdenticalConceptsScoreOne) {
 
 TEST(GlossOverlapTest, PhraseOverlapScoreSquaresPhraseLength) {
   // One shared 3-token phrase scores 9; three scattered shared tokens
-  // score 3.
-  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScore(
-                       {"a", "b", "c", "x"}, {"y", "a", "b", "c"}),
+  // score 3 — on the string oracle and on the id kernel alike.
+  EXPECT_DOUBLE_EQ(oracles::PhraseOverlapScore({"a", "b", "c", "x"},
+                                               {"y", "a", "b", "c"}),
                    9.0);
-  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScore(
-                       {"a", "q", "b", "r", "c"},
-                       {"c", "s", "a", "t", "b"}),
+  EXPECT_DOUBLE_EQ(oracles::PhraseOverlapScore({"a", "q", "b", "r", "c"},
+                                               {"c", "s", "a", "t", "b"}),
                    3.0);
-  EXPECT_DOUBLE_EQ(
-      GlossOverlapMeasure::PhraseOverlapScore({"a"}, {"b"}), 0.0);
-  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScore({}, {"b"}),
-                   0.0);
+  EXPECT_DOUBLE_EQ(oracles::PhraseOverlapScore({"a"}, {"b"}), 0.0);
+  EXPECT_DOUBLE_EQ(oracles::PhraseOverlapScore({}, {"b"}), 0.0);
+  const std::vector<uint32_t> a = {1, 2, 3, 9};
+  const std::vector<uint32_t> b = {8, 1, 2, 3};
+  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScoreIds(a, b), 9.0);
+  const std::vector<uint32_t> c = {1, 4, 2, 5, 3};
+  const std::vector<uint32_t> e = {3, 6, 1, 7, 2};
+  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScoreIds(c, e), 3.0);
 }
 
 TEST(GlossOverlapTest, ExtendedGlossIncludesRelatedGlosses) {
   // The extended gloss of movie.n should mention tokens from its
   // hyponyms/hypernyms (e.g. "documentary" gloss words), not only its
   // own.
-  auto gloss = GlossOverlapMeasure::ExtendedGloss(Network(),
-                                                  Key("movie.n"));
-  EXPECT_GT(gloss.size(), 20u);
+  EXPECT_GT(oracles::ExtendedGloss(Network(), Key("movie.n")).size(), 20u);
+  EXPECT_GT(Network().GlossTokens(Key("movie.n")).size(), 20u);
 }
 
 TEST(GlossOverlapTest, RelatedConceptsOverlapMore) {
@@ -164,14 +169,10 @@ TEST(ResnikTest, SubsumerOnlyNotLemmaDepths) {
 }
 
 TEST(CombinedTest, WeightsValidate) {
-  SimilarityWeights equal;
-  EXPECT_TRUE(equal.Valid());
-  SimilarityWeights bad{0.5, 0.5, 0.5};
-  EXPECT_FALSE(bad.Valid());
-  SimilarityWeights negative{-0.5, 1.0, 0.5};
-  EXPECT_FALSE(negative.Valid());
-  SimilarityWeights edge_only{1.0, 0.0, 0.0};
-  EXPECT_TRUE(edge_only.Valid());
+  EXPECT_TRUE(MeasureConfig::PaperHybrid().Validate().ok());
+  EXPECT_FALSE(MeasureConfig::PaperHybrid(0.5, 0.5, 0.5).Validate().ok());
+  EXPECT_FALSE(MeasureConfig::PaperHybrid(-0.5, 1.0, 0.5).Validate().ok());
+  EXPECT_TRUE(MeasureConfig::PaperHybrid(1.0, 0.0, 0.0).Validate().ok());
 }
 
 TEST(CombinedTest, EqualsWeightedSumOfComponents) {
@@ -181,7 +182,7 @@ TEST(CombinedTest, EqualsWeightedSumOfComponents) {
   WuPalmerMeasure edge;
   LinMeasure node;
   GlossOverlapMeasure gloss;
-  CombinedMeasure combined(SimilarityWeights{0.5, 0.3, 0.2});
+  CombinedMeasure combined(MeasureConfig::PaperHybrid(0.5, 0.3, 0.2));
   double expected = 0.5 * edge.Similarity(network, a, b) +
                     0.3 * node.Similarity(network, a, b) +
                     0.2 * gloss.Similarity(network, a, b);
@@ -352,20 +353,19 @@ TEST(MeasureConfigTest, FingerprintSeparatesCompositions) {
   EXPECT_NE(ab.Fingerprint(), ba.Fingerprint());
   EXPECT_EQ(ab.Fingerprint(),
             MeasureConfig::Parse("wu-palmer:0.5,lin:0.5")->Fingerprint());
-  // The weights shorthand and its explicit config agree.
-  SimilarityWeights thirds;
-  EXPECT_EQ(thirds.ToConfig().Fingerprint(), hybrid.Fingerprint());
 }
 
-TEST(MeasureConfigTest, CombinedFromConfigMatchesWeightsPath) {
+TEST(MeasureConfigTest, CombinedDefaultIsThePaperHybrid) {
   const SemanticNetwork& network = Network();
-  CombinedMeasure by_weights{SimilarityWeights{}};
+  CombinedMeasure by_default;
   CombinedMeasure by_config{MeasureConfig::PaperHybrid()};
   ConceptId a = Key("actor.n");
   ConceptId b = Key("actress.n");
-  EXPECT_DOUBLE_EQ(by_weights.Similarity(network, a, b),
+  EXPECT_DOUBLE_EQ(by_default.Similarity(network, a, b),
                    by_config.Similarity(network, a, b));
-  EXPECT_EQ(by_config.config().ToSpec(), by_weights.config().ToSpec());
+  EXPECT_EQ(by_default.config(), MeasureConfig::PaperHybrid());
+  EXPECT_EQ(by_default.config().Fingerprint(),
+            MeasureConfig::PaperHybrid().Fingerprint());
 }
 
 }  // namespace

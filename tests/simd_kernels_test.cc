@@ -398,9 +398,9 @@ TEST(SimdEquivalenceTest, OovOnlySpheresCompareCleanly) {
 }
 
 TEST(SimilarityCacheTest, LookupBatchMatchesLookupLoopIncludingStats) {
-  sim::SimilarityWeights weights;
-  runtime::SimilarityCache batch_cache(1 << 10, 4, weights);
-  runtime::SimilarityCache loop_cache(1 << 10, 4, weights);
+  const uint64_t fingerprint = sim::MeasureConfig::PaperHybrid().Fingerprint();
+  runtime::SimilarityCache batch_cache(1 << 10, 4, fingerprint);
+  runtime::SimilarityCache loop_cache(1 << 10, 4, fingerprint);
   std::mt19937 rng(20150324);
   std::uniform_int_distribution<uint64_t> key_pick(1, 500);
   std::vector<uint64_t> inserted;

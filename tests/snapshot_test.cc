@@ -36,7 +36,11 @@ Result<std::shared_ptr<const SemanticNetwork>> LoadFromString(
     const std::string& bytes) {
   auto aligned = std::make_shared<std::vector<uint64_t>>(
       (bytes.size() + 7) / 8);
-  std::memcpy(aligned->data(), bytes.data(), bytes.size());
+  // An empty vector's data() may be null, and memcpy to null is
+  // undefined even for zero bytes.
+  if (!bytes.empty()) {
+    std::memcpy(aligned->data(), bytes.data(), bytes.size());
+  }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(aligned->data());
   return LoadNetworkSnapshotFromBuffer(
       std::shared_ptr<const void>(aligned, aligned->data()), data,

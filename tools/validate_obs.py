@@ -109,7 +109,6 @@ def validate_metrics(args):
     required_counters = ["engine.documents", "engine.nodes", "engine.assignments"]
     required_histograms = [
         "stage.parse_us",
-        "stage.tree_build_us",
         "stage.select_us",
         "stage.context_us",
         "stage.score_us",

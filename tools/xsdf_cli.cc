@@ -78,9 +78,6 @@ int Usage() {
       "JSON\n"
       "      --trace-out FILE    write Chrome trace-event JSON "
       "(Perfetto)\n"
-      "      --frontend F  front end: streaming (default, fused one-pass\n"
-      "                    parse+build) or dom (two-pass oracle); both\n"
-      "                    produce byte-identical output\n"
       "      --max-input-bytes N  per-document input size cap (default "
       "64MiB)\n"
       "      --max-depth N        element nesting cap (default 256)\n"
@@ -206,23 +203,6 @@ bool ParseSizeValue(const std::vector<std::string>& args, size_t* i,
   return true;
 }
 
-/// Parses the `--frontend streaming|dom` value into the engine's
-/// streaming_frontend switch; false on anything else.
-bool ParseFrontendValue(const std::vector<std::string>& args, size_t* i,
-                        bool* streaming) {
-  if (*i + 1 >= args.size()) return false;
-  ++*i;
-  if (args[*i] == "streaming") {
-    *streaming = true;
-    return true;
-  }
-  if (args[*i] == "dom") {
-    *streaming = false;
-    return true;
-  }
-  return false;
-}
-
 /// Parses the value of a `--flag VALUE` pair; false when missing.
 bool ParseStringValue(const std::vector<std::string>& args, size_t* i,
                       std::string* out) {
@@ -327,7 +307,6 @@ int CmdBatch(const SemanticNetwork& network,
   int passes = 1;
   bool no_cache = false;
   bool quiet = false;
-  bool streaming_frontend = true;
   xsdf::xml::ParseLimits parse_limits;
   std::string metrics_out;
   std::string trace_out;
@@ -342,8 +321,6 @@ int CmdBatch(const SemanticNetwork& network,
       if (!ParseIntValue(args, &i, &passes)) return Usage();
     } else if (arg == "--measures") {
       if (!ParseMeasuresValue(args, &i, &measures)) return Usage();
-    } else if (arg == "--frontend") {
-      if (!ParseFrontendValue(args, &i, &streaming_frontend)) return Usage();
     } else if (arg == "--max-input-bytes") {
       if (!ParseSizeValue(args, &i, &parse_limits.max_input_bytes)) {
         return Usage();
@@ -409,7 +386,6 @@ int CmdBatch(const SemanticNetwork& network,
   options.threads = threads;
   options.disambiguator.sphere_radius = radius;
   options.disambiguator.measure_config = measures;
-  options.streaming_frontend = streaming_frontend;
   options.parse_limits = parse_limits;
   options.enable_similarity_cache = !no_cache;
   options.enable_sense_cache = !no_cache;
@@ -494,11 +470,14 @@ int CmdExplain(const SemanticNetwork& network,
   }
   // Same options as `xsdf batch` (the caches only move memoized values
   // around), so the audited choice reproduces the batch output exactly.
+  // The tree interns its labels through the disambiguator's label
+  // space, so every explained node reads its ids off the tree.
   xsdf::core::DisambiguatorOptions options;
   options.sphere_radius = radius;
   options.measure_config = measures;
-  auto tree =
-      xsdf::core::BuildTree(*doc, network, options.include_values);
+  xsdf::core::Disambiguator system(&network, options);
+  auto tree = xsdf::core::BuildTree(*doc, network, options.include_values,
+                                    system.label_space());
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
@@ -511,7 +490,6 @@ int CmdExplain(const SemanticNetwork& network,
     return 1;
   }
 
-  xsdf::core::Disambiguator system(&network, options);
   xsdf::obs::JsonWriter writer;
   writer.BeginObject();
   writer.Key("file");

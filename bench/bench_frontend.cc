@@ -68,7 +68,7 @@ std::vector<std::string> CorpusXml() {
 }
 
 /// The pre-interning tree build: the exact hooks core::BuildTree wires
-/// up, minus the per-document memo tables and the label resolver.
+/// up, minus the per-document memo tables and label interning.
 xsdf::Result<LabeledTree> BuildTreeBaseline(const xsdf::xml::Document& doc,
                                             const SemanticNetwork& network) {
   xsdf::text::LexiconProbe probe = [&network](const std::string& lemma) {

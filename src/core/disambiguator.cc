@@ -113,7 +113,7 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
   thread_local IdSphere sphere;
   BuildSphere(tree, id, &sphere);
   const IdContextVector vector(sphere, options_.bag_of_words_context);
-  const IdResolvedContext resolved(*label_space_, sphere, vector);
+  IdResolvedContext resolved(*label_space_, sphere, vector);
   uint64_t t_context = 0;
   if (times != nullptr) {
     t_context = obs::MonotonicNowNs();
@@ -128,7 +128,8 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
     double concept_part = 0.0;
     double context_part = 0.0;
     if (combo.concept_weight > 0.0) {
-      concept_part = resolved.Score(*network_, measure_, candidate);
+      concept_part =
+          resolved.Score(*network_, measure_, candidate, &label_terms_);
       score += combo.concept_weight * concept_part;
     }
     if (combo.context_weight > 0.0) {

@@ -111,12 +111,12 @@ struct DisambiguatorOptions {
   double frequency_prior = 0.15;
 
   /// Non-owning shared caches (both optional; installed by the runtime
-  /// engine). `similarity_cache` replaces the combined measure's
-  /// private memo table; `sense_inventory` replaces direct
-  /// EnumerateCandidatesById() calls. Either may be shared across many
-  /// Disambiguator instances/threads, in which case it must be
-  /// thread-safe. They never change results — only where memoized
-  /// values live.
+  /// engine). `similarity_cache` memoizes the combined measure's
+  /// concept-pair values, which it computes only on a label-term memo
+  /// miss; `sense_inventory` replaces direct EnumerateCandidatesById()
+  /// calls. Either may be shared across many Disambiguator
+  /// instances/threads, in which case it must be thread-safe. They
+  /// never change results — only where memoized values live.
   sim::SimilarityCacheHook* similarity_cache = nullptr;
   SenseInventory* sense_inventory = nullptr;
 
@@ -187,6 +187,12 @@ struct SemanticTree {
 /// on the fly, with byte-identical results (RunOnTree resolves the
 /// whole tree once up front; the per-node entry points resolve only
 /// the node's sphere).
+///
+/// A Disambiguator is used from one thread at a time: its entry points
+/// are const but fill a private label-term memo (see LabelTermMemo).
+/// Concurrent callers each construct their own from the same options,
+/// as the runtime engine's workers do; identically configured
+/// instances produce identical bytes.
 class Disambiguator {
  public:
   /// `network` must outlive the disambiguator and have finalized
@@ -318,6 +324,10 @@ class Disambiguator {
   const wordnet::SemanticNetwork* network_;
   DisambiguatorOptions options_;
   sim::CombinedMeasure measure_;
+  /// Concept_Score's per-(context label, candidate) terms, valid for
+  /// this instance's label space, network and measure, which never
+  /// change after construction.
+  mutable LabelTermMemo label_terms_;
   Instruments ins_;
   /// Private space when options_.label_space was null.
   std::unique_ptr<LabelSpace> owned_label_space_;

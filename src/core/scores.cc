@@ -6,6 +6,49 @@
 
 namespace xsdf::core {
 
+size_t LabelTermMemo::KeyHash::operator()(const Key& key) const {
+  // SplitMix64 finalizer over the label id and primary concept, with
+  // the secondary concept (usually kInvalidConcept) spread in first.
+  uint64_t h = (uint64_t{key.label_id} << 32) |
+               static_cast<uint32_t>(key.primary);
+  h ^= static_cast<uint32_t>(key.secondary) * 0x9E3779B97F4A7C15ULL;
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return static_cast<size_t>(h ^ (h >> 31));
+}
+
+double LabelTermMemo::Term(const wordnet::SemanticNetwork& network,
+                           const sim::CombinedMeasure& measure,
+                           uint32_t label_id, const LabelSenses& senses,
+                           const SenseCandidate& candidate) {
+  // A senseless label scores 0 against every candidate; leaving it out
+  // keeps out-of-vocabulary content from growing the memo.
+  if (!senses.has_senses()) return 0.0;
+  auto [it, inserted] = terms_.try_emplace(
+      Key{label_id, candidate.primary, candidate.secondary}, 0.0);
+  if (!inserted) return it->second;
+  // For simple context labels a compound candidate is compared exactly
+  // per Eq. 10: max over context senses of the average of the two
+  // token-sense similarities. For compound context labels each context
+  // token is matched independently and the results averaged.
+  double total = 0.0;
+  for (std::span<const wordnet::ConceptId> token : senses.token_senses) {
+    double best = 0.0;
+    for (wordnet::ConceptId sense : token) {
+      double sim = measure.Similarity(network, candidate.primary, sense);
+      if (candidate.is_compound()) {
+        sim = (sim + measure.Similarity(network, candidate.secondary,
+                                        sense)) /
+              2.0;
+      }
+      best = std::max(best, sim);
+    }
+    total += best;
+  }
+  it->second = total / static_cast<double>(senses.token_senses.size());
+  return it->second;
+}
+
 IdResolvedContext::IdResolvedContext(LabelSpace& space,
                                      const IdSphere& sphere,
                                      const IdContextVector& vector)
@@ -15,8 +58,7 @@ IdResolvedContext::IdResolvedContext(LabelSpace& space,
   // few dozen distinct labels; see IdContextVector for the same
   // tradeoff).
   const size_t member_count = sphere.label_ids.size();
-  std::vector<uint32_t> seen_ids;
-  seen_ids.reserve(member_count);
+  label_ids_.reserve(member_count);
   members_.reserve(member_count);
   bool center_skipped = false;
   for (size_t m = 0; m < member_count; ++m) {
@@ -26,68 +68,28 @@ IdResolvedContext::IdResolvedContext(LabelSpace& space,
       continue;
     }
     const uint32_t entry = static_cast<uint32_t>(
-        simd::FindU32(seen_ids.data(), seen_ids.size(), label_id));
-    if (entry == seen_ids.size()) {
-      seen_ids.push_back(label_id);
+        simd::FindU32(label_ids_.data(), label_ids_.size(), label_id));
+    if (entry == label_ids_.size()) {
+      label_ids_.push_back(label_id);
       labels_.push_back(&space.Senses(label_id));
     }
     members_.push_back({entry, vector.WeightById(label_id)});
   }
+  terms_.resize(labels_.size());
 }
 
 double IdResolvedContext::Score(const wordnet::SemanticNetwork& network,
                                 const sim::CombinedMeasure& measure,
-                                const SenseCandidate& candidate) const {
+                                const SenseCandidate& candidate,
+                                LabelTermMemo* terms) {
   if (sphere_size_ == 0) return 0.0;
-  // Similarity between the candidate and each distinct context label.
-  // For simple context labels a compound candidate is compared exactly
-  // per Eq. 10: max over context senses of the average of the two
-  // token-sense similarities. For compound context labels each context
-  // token is matched independently and the results averaged.
-  thread_local std::vector<double> label_sims;
-  label_sims.assign(labels_.size(), 0.0);
-  // Per sense list the candidate-to-context similarities are fetched
-  // through one SimilarityMany() batch (one pipelined cache probe for
-  // the whole list) instead of per-sense calls. Values are identical —
-  // similarity is a pure function and the miss compute order is
-  // unchanged — and the max-reduction below runs in sense order, so
-  // scores are bit-identical to a per-call loop.
-  thread_local std::vector<double> sims_primary;
-  thread_local std::vector<double> sims_secondary;
   for (size_t li = 0; li < labels_.size(); ++li) {
-    double total = 0.0;
-    int counted = 0;
-    for (std::span<const wordnet::ConceptId> senses :
-         labels_[li]->token_senses) {
-      if (sims_primary.size() < senses.size()) {
-        sims_primary.resize(senses.size());
-      }
-      measure.SimilarityMany(network, candidate.primary, senses,
-                             sims_primary.data());
-      if (candidate.is_compound()) {
-        if (sims_secondary.size() < senses.size()) {
-          sims_secondary.resize(senses.size());
-        }
-        measure.SimilarityMany(network, candidate.secondary, senses,
-                               sims_secondary.data());
-      }
-      double best = 0.0;
-      for (size_t si = 0; si < senses.size(); ++si) {
-        double sim = sims_primary[si];
-        if (candidate.is_compound()) {
-          sim = (sim + sims_secondary[si]) / 2.0;
-        }
-        best = std::max(best, sim);
-      }
-      total += best;
-      ++counted;
-    }
-    label_sims[li] =
-        counted == 0 ? 0.0 : total / static_cast<double>(counted);
+    terms_[li] =
+        terms->Term(network, measure, label_ids_[li], *labels_[li], candidate);
   }
   double sum = 0.0;
   for (const Member& member : members_) {
-    double sim = label_sims[member.label_index];
+    double sim = terms_[member.label_index];
     if (sim <= 0.0) continue;
     sum += sim * member.weight;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/context_vector.h"
@@ -45,13 +46,45 @@ struct SenseEntry {
 std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
                                                     uint32_t label_id);
 
+/// Definition 8's inner term at label grain: a candidate's best
+/// similarity to one context label, the max over the label's senses
+/// (Eq. 10 for compound candidates; the tokens of a compound context
+/// label are matched independently and averaged). The term is a pure
+/// function of (context label id, candidate), so it is computed once,
+/// with plain CombinedMeasure::Similarity() calls in sense order, and
+/// then read back for every later node whose sphere holds that label.
+///
+/// One memo is valid for one LabelSpace, network and measure
+/// composition (a Disambiguator owns one), and is not thread-safe.
+class LabelTermMemo {
+ public:
+  /// The term of `candidate` against the label interned under
+  /// `label_id`, whose resolved senses are `senses`.
+  double Term(const wordnet::SemanticNetwork& network,
+              const sim::CombinedMeasure& measure, uint32_t label_id,
+              const LabelSenses& senses, const SenseCandidate& candidate);
+
+ private:
+  struct Key {
+    uint32_t label_id = 0;
+    wordnet::ConceptId primary = wordnet::kInvalidConcept;
+    wordnet::ConceptId secondary = wordnet::kInvalidConcept;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+
+  std::unordered_map<Key, double, KeyHash> terms_;
+};
+
 /// A sphere context resolved against the sense inventory once, so that
 /// scoring N candidates reads each sphere label's senses a single time
 /// instead of N times per sphere member. Sphere labels resolve through
 /// the LabelSpace's memoized per-id sense table; distinct labels
 /// collapse to one entry, grouped in first-occurrence order, and each
-/// candidate's per-label similarity is computed once and reused for
-/// every member carrying that label (recomputation is deterministic, so
+/// candidate's term for a label is read once from a LabelTermMemo and
+/// reused for every member carrying that label (the term is pure, so
 /// reuse is bit-identical). Member weights come from the
 /// IdContextVector.
 ///
@@ -68,21 +101,27 @@ class IdResolvedContext {
   /// maximum candidate-to-context-sense similarity, scaled by each
   /// context node's context-vector weight. The center node itself is
   /// not scored against (its own label's best sense is the candidate
-  /// itself, a constant across candidates).
+  /// itself, a constant across candidates). Per-label terms come from
+  /// `terms`, which must belong to the space this context was resolved
+  /// through and to `network` and `measure`.
   double Score(const wordnet::SemanticNetwork& network,
                const sim::CombinedMeasure& measure,
-               const SenseCandidate& candidate) const;
+               const SenseCandidate& candidate, LabelTermMemo* terms);
 
  private:
   struct Member {
-    uint32_t label_index = 0;  ///< into labels_
+    uint32_t label_index = 0;  ///< into label_ids_ / labels_
     double weight = 0.0;       ///< vector.WeightById(label_id)
   };
 
-  /// One distinct sphere label id, in first-occurrence order; points at
-  /// the space's stable memoized resolution.
+  /// One distinct sphere label id, in first-occurrence order, with its
+  /// resolution in the space's stable memo.
+  std::vector<uint32_t> label_ids_;
   std::vector<const LabelSenses*> labels_;
   std::vector<Member> members_;
+  /// Per-label terms of the candidate being scored (scratch, reused
+  /// across the node's candidates).
+  std::vector<double> terms_;
   int sphere_size_ = 0;
 };
 

@@ -130,9 +130,9 @@ void DisambiguationEngine::WorkerLoop(int worker_index) {
     // trace has one stable tid (and name) per worker.
     trace_->GetThreadLog()->set_name(StrFormat("worker-%d", worker_index));
   }
-  // Per-worker scratch: the Disambiguator (and its CombinedMeasure
-  // component measures) and the pre-processing cache are private to
-  // this thread; only the network and the engine caches are shared.
+  // Per-worker scratch: the Disambiguator (with its label-term memo)
+  // and the pre-processing cache are private to this thread; only the
+  // network, the label space and the engine caches are shared.
   core::Disambiguator disambiguator(network_, options_.disambiguator);
   core::TreeBuildCache tree_cache;
   while (auto item = queue_.Pop()) {

@@ -74,9 +74,10 @@ struct EngineOptions {
   /// Bounded MPMC job-queue capacity; producers block when full.
   size_t queue_capacity = 64;
 
-  /// Shared sharded LRU fronting sim::CombinedMeasure, keyed on
-  /// (concept pair, measure weights). Off = each worker keeps the
-  /// measure's private unbounded memo (the pre-runtime behavior).
+  /// Shared seqlock SimilarityCache fronting sim::CombinedMeasure,
+  /// keyed on (concept pair, measure composition). Workers probe it
+  /// only on a miss of their Disambiguator's label-term memo. Off =
+  /// those misses compute every pair directly.
   bool enable_similarity_cache = true;
   size_t similarity_cache_capacity = 1 << 16;
   size_t similarity_cache_shards = 16;

@@ -23,22 +23,13 @@ namespace xsdf::runtime {
 /// so per-shard eviction can trigger before the global entry count
 /// reaches `capacity` when keys hash unevenly; with shards = 1 the
 /// cache is a textbook LRU, which the unit tests rely on.
-///
-/// `promote_every` trades recency precision for hit-path speed: with
-/// the default of 1 every hit splices the entry to the front (exact
-/// LRU); with N > 1 only every Nth hit within a shard promotes, so the
-/// common hot-hit path is a hash find plus a counter bump. Eviction
-/// order remains deterministic for a deterministic lookup sequence.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruCache {
  public:
-  explicit ShardedLruCache(size_t capacity, size_t shard_count = 16,
-                           size_t promote_every = 1) {
+  explicit ShardedLruCache(size_t capacity, size_t shard_count = 16) {
     if (shard_count == 0) shard_count = 1;
     if (capacity < shard_count) capacity = shard_count;
-    if (promote_every == 0) promote_every = 1;
     shard_capacity_ = capacity / shard_count;
-    promote_every_ = promote_every;
     shards_.reserve(shard_count);
     for (size_t i = 0; i < shard_count; ++i) {
       shards_.push_back(std::make_unique<Shard>());
@@ -46,8 +37,7 @@ class ShardedLruCache {
   }
 
   /// Returns true and copies the value when present; promotes the
-  /// entry to most-recently-used (every `promote_every`th hit per
-  /// shard). Counts one hit or one miss.
+  /// entry to most-recently-used. Counts one hit or one miss.
   bool Lookup(const Key& key, Value* value) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -57,10 +47,7 @@ class ShardedLruCache {
       return false;
     }
     ++shard.hits;
-    if (++shard.hits_since_promote >= promote_every_) {
-      shard.hits_since_promote = 0;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     *value = it->second->second;
     return true;
   }
@@ -149,8 +136,6 @@ class ShardedLruCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    /// Hits since the last LRU promotion (see `promote_every`).
-    uint64_t hits_since_promote = 0;
   };
 
   Shard& ShardFor(const Key& key) {
@@ -158,7 +143,6 @@ class ShardedLruCache {
   }
 
   size_t shard_capacity_;
-  size_t promote_every_;
   std::vector<std::unique_ptr<Shard>> shards_;
   Hash hasher_;
 };

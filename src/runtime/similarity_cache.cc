@@ -60,30 +60,7 @@ uint64_t SimilarityCache::MixKey(uint64_t pair_key) const {
 }
 
 bool SimilarityCache::Lookup(uint64_t pair_key, double* value) {
-  return LookupMixed(MixKey(pair_key), value);
-}
-
-void SimilarityCache::LookupBatch(const uint64_t* keys, size_t count,
-                                  double* out_values, uint8_t* out_found) {
-  // Pass 1: premix every key and issue a prefetch for its set. The
-  // sets of a sense-list batch are scattered across the table, so
-  // probing them back to back serializes on DRAM; prefetching the
-  // whole batch first overlaps those misses.
-  thread_local std::vector<uint64_t> mixed;
-  if (mixed.size() < count) mixed.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t key = MixKey(keys[i]);
-    mixed[i] = key;
-    __builtin_prefetch(&sets_[static_cast<size_t>(key) & set_mask_]);
-  }
-  // Pass 2: the exact Lookup() probe per key, in order — identical
-  // results and identical per-key stripe accounting.
-  for (size_t i = 0; i < count; ++i) {
-    out_found[i] = LookupMixed(mixed[i], &out_values[i]) ? 1 : 0;
-  }
-}
-
-bool SimilarityCache::LookupMixed(uint64_t key, double* value) {
+  const uint64_t key = MixKey(pair_key);
   const size_t set_index = static_cast<size_t>(key) & set_mask_;
   Set& set = sets_[set_index];
   // Seqlock read: probe the ways with relaxed loads, then confirm no

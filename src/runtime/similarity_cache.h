@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "runtime/stats.h"
 #include "sim/combined.h"
@@ -30,11 +29,10 @@ namespace xsdf::runtime {
 /// Layout is a fixed-capacity 4-way set-associative table whose hit
 /// path takes no lock: readers probe the set's four ways and validate
 /// against a per-set sequence counter (seqlock), so a hit costs a few
-/// loads plus one striped counter increment — cheaper than the private
-/// per-worker memo it replaces, which is what lets the shared cache
-/// beat cache-off even at one thread. Writers (misses are <1% of
-/// steady-state traffic) serialize per set through the sequence
-/// counter; a full set overwrites a deterministic victim way.
+/// loads plus one striped counter increment. Disambiguators probe it
+/// only on a miss of their own label-term memo (core::LabelTermMemo).
+/// Writers serialize per set through the sequence counter; a full set
+/// overwrites a deterministic victim way.
 /// Hit/miss/eviction counters are exact (striped relaxed atomics).
 ///
 /// Concurrent Insert order is racy across workers, but cached values
@@ -52,14 +50,6 @@ class SimilarityCache : public sim::SimilarityCacheHook {
 
   bool Lookup(uint64_t pair_key, double* value) override;
   void Insert(uint64_t pair_key, double value) override;
-
-  /// Pipelined batch probe: all keys are premixed and their sets
-  /// prefetched in one pass before any is probed, hiding the
-  /// cache-miss latency of the random set walk behind the whole batch.
-  /// Per-key results and hit/miss/retry accounting are exactly those
-  /// of a Lookup() loop.
-  void LookupBatch(const uint64_t* keys, size_t count, double* out_values,
-                   uint8_t* out_found) override;
 
   CacheStats GetStats() const;
   void ResetCounters();
@@ -98,9 +88,6 @@ class SimilarityCache : public sim::SimilarityCacheHook {
   };
 
   uint64_t MixKey(uint64_t pair_key) const;
-  /// The seqlock probe + stats update shared by Lookup() and
-  /// LookupBatch(); `key` is already mixed.
-  bool LookupMixed(uint64_t key, double* value);
   Stripe& StripeFor(size_t set_index) {
     return stripes_[set_index & stripe_mask_];
   }

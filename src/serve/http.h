@@ -22,9 +22,10 @@ struct HttpRequest {
   std::string body;
   bool keep_alive = true;
 
-  /// Header value by lowercase name, or `fallback`.
-  const std::string& Header(const std::string& name,
-                            const std::string& fallback) const {
+  /// Header value by lowercase name, or `fallback`. Returned by value,
+  /// so binding the result to a reference never dangles.
+  std::string Header(const std::string& name,
+                     const std::string& fallback) const {
     auto it = headers.find(name);
     return it == headers.end() ? fallback : it->second;
   }

@@ -524,8 +524,7 @@ HttpResponse Server::HandleDisambiguate(const HttpRequest& request,
   job.name = request.Header("x-xsdf-doc-name", "request");
   job.xml = request.body;
   job.rtrace = ctx->trace.get();
-  const std::string& deadline_ms =
-      request.Header("x-xsdf-deadline-ms", "");
+  const std::string deadline_ms = request.Header("x-xsdf-deadline-ms", "");
   if (!deadline_ms.empty()) {
     long ms = std::atol(deadline_ms.c_str());
     ctx->deadline_budget_ms = ms <= 0 ? 0 : static_cast<uint64_t>(ms);

@@ -124,10 +124,10 @@ Result<MeasureConfig> MeasureConfig::Parse(std::string_view spec) {
   }
   Status status = config.Validate();
   if (!status.ok()) return status;
-  // Rescale so the sum is 1 to double rounding: downstream weight
-  // checks (CombinedMeasure::FromRegistry) use a tighter tolerance,
-  // and near-miss inputs like three 0.333333 should mean "thirds of
-  // what was written", not drift the combined score by the shortfall.
+  // Rescale so the sum is 1 to double rounding: near-miss inputs like
+  // three 0.333333 pass Validate()'s 1e-4 tolerance and should mean
+  // "thirds of what was written", not drift the combined score by the
+  // shortfall.
   double total = 0.0;
   for (const auto& [name, weight] : config.entries) total += weight;
   for (auto& [name, weight] : config.entries) weight /= total;

@@ -235,28 +235,16 @@ struct Builder {
   std::function<std::string(const std::string&)> label_transform;
   std::function<std::vector<std::string>(const std::string&)> tokenizer;
   LabeledTree tree;
-  ResolvedLabel scratch;  ///< unfused-hook staging for ResolveTag()
+  ResolvedLabel scratch;  ///< label_transform staging for ResolveTag()
 
-  uint32_t Resolve(const std::string& label) const {
-    return options->label_resolver ? options->label_resolver(label)
-                                   : kNoLabelId;
-  }
-
-  /// Raw tag -> (label, id) through the fused hook when available,
-  /// else through the two-step transform + resolve pair.
+  /// Raw tag -> (label, id) through the interning hook when available,
+  /// else through label_transform with no id.
   const ResolvedLabel& ResolveTag(const std::string& raw_tag) {
     if (options->resolved_label_transform) {
       return options->resolved_label_transform(raw_tag);
     }
     scratch.label = label_transform(raw_tag);
-    scratch.id = Resolve(scratch.label);
     return scratch;
-  }
-
-  NodeId Add(NodeId parent, std::string label, TreeNodeKind kind,
-             std::string raw) {
-    uint32_t id = Resolve(label);
-    return tree.AddNode(parent, std::move(label), id, kind, std::move(raw));
   }
 
   NodeId AddTag(NodeId parent, const std::string& raw_tag,
@@ -280,7 +268,8 @@ struct Builder {
     for (std::string& token : tokenizer(text)) {
       if (token.empty()) continue;
       std::string raw = token;
-      Add(parent, std::move(token), TreeNodeKind::kToken, std::move(raw));
+      tree.AddNode(parent, std::move(token), TreeNodeKind::kToken,
+                   std::move(raw));
     }
   }
 

@@ -208,23 +208,19 @@ struct TreeBuildOptions {
   std::function<std::vector<std::string>(const std::string&)>
       value_tokenizer;
 
-  /// Interns a (transformed) label and returns its id; when set, every
-  /// built node carries the id and the tree satisfies
-  /// has_label_ids(). The core pipeline plugs core::LabelSpace in here.
-  std::function<uint32_t(std::string_view)> label_resolver;
-
-  /// Fused alternative to label_transform + label_resolver: maps a raw
-  /// tag name straight to its preprocessed label and interned id, so a
-  /// memoizing producer answers one hash probe per node instead of a
-  /// transform probe plus a resolver probe. The returned reference
-  /// must stay valid for the duration of the build (memo entries do).
-  /// Takes precedence over the unfused hooks when set.
+  /// Alternative to label_transform that maps a raw tag name straight
+  /// to its preprocessed label and interned id, so every built node
+  /// carries the id and the tree satisfies has_label_ids(); a memoizing
+  /// producer (the core pipeline's LabelSpace hook) answers one hash
+  /// probe per node. The returned reference must stay valid for the
+  /// duration of the build (memo entries do). Takes precedence over
+  /// label_transform when set.
   std::function<const ResolvedLabel&(const std::string&)>
       resolved_label_transform;
 
-  /// Fused alternative to value_tokenizer + label_resolver for text
-  /// values, under the same reference-lifetime contract. Takes
-  /// precedence over value_tokenizer when set.
+  /// The same for text values: an alternative to value_tokenizer that
+  /// also interns each token, under the same reference-lifetime
+  /// contract. Takes precedence over value_tokenizer when set.
   std::function<const std::vector<ResolvedLabel>&(const std::string&)>
       resolved_value_tokenizer;
 };

@@ -8,9 +8,10 @@
 // enumerates the registry, so "register it" is all a new measure needs
 // to do to be held to the same bar.
 //
-// Also hosts the registry thread-safety test (concurrent
-// Register/Create/Names on the global registry; run under TSan in CI)
-// and the conceptual-density table-vs-walk oracle equivalence.
+// Also hosts the thread-safety tests (concurrent Register/Create/Names
+// on the global registry, and one hookless CombinedMeasure shared by
+// many threads; run under TSan in CI) and the conceptual-density
+// table-vs-walk oracle equivalence.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +192,43 @@ TEST(ConceptualDensityConformanceTest, SharedInstanceIsThreadSafe) {
       for (size_t i = 0; i < pairs.size(); ++i) {
         if (Bits(measure.Similarity(network, pairs[i].first,
                                     pairs[i].second)) != expected[i]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ==================== Combined measure sharing ======================
+
+TEST(CombinedConformanceTest, SharedHooklessInstanceIsThreadSafe) {
+  // A CombinedMeasure with no external cache holds no mutable state, so
+  // one instance over every built-in may serve many threads at once
+  // (run under TSan in CI). Each thread must see the bits a fresh
+  // single-threaded instance computes.
+  const SemanticNetwork& network = Network();
+  const MeasureConfig config = *MeasureConfig::Parse(
+      "wu-palmer:0.2,lin:0.2,resnik:0.2,gloss-overlap:0.2,"
+      "conceptual-density:0.2");
+  const auto pairs = SamplePairs();
+  std::vector<uint64_t> expected;
+  expected.reserve(pairs.size());
+  {
+    const sim::CombinedMeasure reference(config);
+    for (const auto& [a, b] : pairs) {
+      expected.push_back(Bits(reference.Similarity(network, a, b)));
+    }
+  }
+  const sim::CombinedMeasure shared(config);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        if (Bits(shared.Similarity(network, pairs[i].first,
+                                   pairs[i].second)) != expected[i]) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }

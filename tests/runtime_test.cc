@@ -108,25 +108,6 @@ TEST(ShardedLruCacheTest, ResetCountersKeepsEntries) {
   EXPECT_TRUE(cache.Lookup(1, &value));
 }
 
-TEST(ShardedLruCacheTest, CoarsePromotionSkipsSplicesButCountsHits) {
-  // promote_every=2: only every second hit refreshes recency, so a key
-  // touched once between inserts can still be the eviction victim.
-  ShardedLruCache<int, int> cache(/*capacity=*/3, /*shard_count=*/1,
-                                  /*promote_every=*/2);
-  cache.Insert(1, 1);
-  cache.Insert(2, 2);
-  cache.Insert(3, 3);
-  int value = 0;
-  // First hit on 1 is not promoted (hit 1 of 2), so 1 stays LRU.
-  ASSERT_TRUE(cache.Lookup(1, &value));
-  cache.Insert(4, 4);
-  EXPECT_FALSE(cache.Lookup(1, &value)) << "unpromoted key evicted";
-  CacheStats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-}
-
 TEST(SimilarityCacheTest, EvictsDeterministicallyWhenASetOverflows) {
   // Tiny table (64 slots = 16 sets x 4 ways): inserting far more keys
   // than slots must overwrite, keep exact counters, and keep every
@@ -374,7 +355,6 @@ TEST(SimilarityCacheTest, MeasureUsesExternalCache) {
   CacheStats stats = cache.GetStats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(measure.CacheSize(), 0u) << "private memo must stay unused";
 }
 
 TEST(SenseInventoryCacheTest, MatchesEnumerateCandidates) {

@@ -189,24 +189,18 @@ TEST(CombinedTest, EqualsWeightedSumOfComponents) {
   EXPECT_NEAR(combined.Similarity(network, a, b), expected, 1e-12);
 }
 
-TEST(CombinedTest, CachesSymmetrically) {
+TEST(CombinedTest, IsSymmetric) {
   CombinedMeasure measure;
   const SemanticNetwork& network = Network();
   ConceptId a = Key("actor.n");
   ConceptId b = Key("movie.n");
-  double ab = measure.Similarity(network, a, b);
-  EXPECT_EQ(measure.CacheSize(), 1u);
-  double ba = measure.Similarity(network, b, a);
-  EXPECT_EQ(measure.CacheSize(), 1u);  // same entry reused
-  EXPECT_DOUBLE_EQ(ab, ba);
-  measure.ClearCache();
-  EXPECT_EQ(measure.CacheSize(), 0u);
+  EXPECT_DOUBLE_EQ(measure.Similarity(network, a, b),
+                   measure.Similarity(network, b, a));
 }
 
-TEST(CombinedTest, FromRegistryComposesByName) {
-  auto combined = CombinedMeasure::FromRegistry(
-      {{"wu-palmer", 0.5}, {"gloss-overlap", 0.5}});
-  ASSERT_TRUE(combined.ok());
+TEST(CombinedTest, ComposesRegisteredMeasuresByName) {
+  CombinedMeasure combined(
+      *MeasureConfig::Parse("wu-palmer:0.5,gloss-overlap:0.5"));
   const SemanticNetwork& network = Network();
   ConceptId a = Key("actor.n");
   ConceptId b = Key("actress.n");
@@ -214,15 +208,7 @@ TEST(CombinedTest, FromRegistryComposesByName) {
   GlossOverlapMeasure gloss;
   double expected = 0.5 * edge.Similarity(network, a, b) +
                     0.5 * gloss.Similarity(network, a, b);
-  EXPECT_NEAR((*combined)->Similarity(network, a, b), expected, 1e-12);
-}
-
-TEST(CombinedTest, FromRegistryRejectsBadInput) {
-  EXPECT_FALSE(CombinedMeasure::FromRegistry({{"wu-palmer", 0.7}}).ok());
-  EXPECT_FALSE(
-      CombinedMeasure::FromRegistry({{"no-such", 1.0}}).ok());
-  EXPECT_FALSE(
-      CombinedMeasure::FromRegistry({{"lin", -1.0}, {"lin", 2.0}}).ok());
+  EXPECT_NEAR(combined.Similarity(network, a, b), expected, 1e-12);
 }
 
 TEST(MeasureRegistryTest, BuiltInsPresent) {

@@ -21,7 +21,6 @@
 #include "core/context_vector.h"
 #include "core/scores.h"
 #include "runtime/engine.h"
-#include "runtime/similarity_cache.h"
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
 #include "sim/lin.h"
@@ -395,47 +394,6 @@ TEST(SimdEquivalenceTest, OovOnlySpheresCompareCleanly) {
         };
       },
       "oov_sphere");
-}
-
-TEST(SimilarityCacheTest, LookupBatchMatchesLookupLoopIncludingStats) {
-  const uint64_t fingerprint = sim::MeasureConfig::PaperHybrid().Fingerprint();
-  runtime::SimilarityCache batch_cache(1 << 10, 4, fingerprint);
-  runtime::SimilarityCache loop_cache(1 << 10, 4, fingerprint);
-  std::mt19937 rng(20150324);
-  std::uniform_int_distribution<uint64_t> key_pick(1, 500);
-  std::vector<uint64_t> inserted;
-  for (int i = 0; i < 200; ++i) {
-    uint64_t key = key_pick(rng);
-    double value = static_cast<double>(key) * 0.25;
-    batch_cache.Insert(key, value);
-    loop_cache.Insert(key, value);
-    inserted.push_back(key);
-  }
-  // Mixed hit/miss batches, including keys never inserted.
-  for (int round = 0; round < 50; ++round) {
-    std::vector<uint64_t> keys;
-    for (int i = 0; i < 12; ++i) {
-      keys.push_back(i % 3 == 0 ? key_pick(rng) + 1000  // guaranteed miss
-                                : inserted[key_pick(rng) % inserted.size()]);
-    }
-    std::vector<double> batch_values(keys.size(), -1.0);
-    std::vector<uint8_t> batch_found(keys.size(), 0xff);
-    batch_cache.LookupBatch(keys.data(), keys.size(), batch_values.data(),
-                            batch_found.data());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      double loop_value = -1.0;
-      bool loop_found = loop_cache.Lookup(keys[i], &loop_value);
-      ASSERT_EQ(batch_found[i] != 0, loop_found) << "key " << keys[i];
-      if (loop_found) {
-        EXPECT_EQ(Bits(batch_values[i]), Bits(loop_value));
-      }
-    }
-  }
-  runtime::CacheStats batch_stats = batch_cache.GetStats();
-  runtime::CacheStats loop_stats = loop_cache.GetStats();
-  EXPECT_EQ(batch_stats.hits, loop_stats.hits);
-  EXPECT_EQ(batch_stats.misses, loop_stats.misses);
-  EXPECT_EQ(batch_stats.entries, loop_stats.entries);
 }
 
 TEST(EngineThreadsTest, ZeroAutoDetectsHardwareConcurrency) {

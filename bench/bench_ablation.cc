@@ -43,10 +43,12 @@ xsdf::eval::PrfScores RunAll(
 int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
-  auto corpus = xsdf::eval::BuildCorpus(*network);
+  xsdf::core::LabelSpace labels(&*network);
+  auto corpus = xsdf::eval::BuildCorpus(*network, &labels);
   if (!corpus.ok()) return 1;
 
   DisambiguatorOptions full;
+  full.label_space = &labels;
   full.sphere_radius = 2;
 
   std::vector<Ablation> ablations;

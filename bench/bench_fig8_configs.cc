@@ -27,7 +27,8 @@ const char* ProcessName(xsdf::core::DisambiguationProcess process) {
 int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
-  auto corpus = xsdf::eval::BuildCorpus(*network);
+  xsdf::core::LabelSpace labels(&*network);
+  auto corpus = xsdf::eval::BuildCorpus(*network, &labels);
   if (!corpus.ok()) {
     std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return 1;
@@ -35,7 +36,7 @@ int main() {
 
   std::printf("Figure 8. Average F-value per group / context size / "
               "disambiguation process.\n");
-  auto cells = xsdf::eval::ComputeFigure8(*corpus, *network);
+  auto cells = xsdf::eval::ComputeFigure8(*corpus, *network, &labels);
   int last_group = 0;
   for (const auto& cell : cells) {
     if (cell.group != last_group) {

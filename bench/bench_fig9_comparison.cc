@@ -36,7 +36,8 @@ void PrintCells(const std::vector<xsdf::eval::ComparisonCell>& cells) {
 int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
-  auto corpus = xsdf::eval::BuildCorpus(*network);
+  xsdf::core::LabelSpace labels(&*network);
+  auto corpus = xsdf::eval::BuildCorpus(*network, &labels);
   if (!corpus.ok()) {
     std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return 1;
@@ -44,7 +45,7 @@ int main() {
 
   std::printf("Figure 9. XSDF vs RPD vs VSD on the sampled target nodes "
               "(12-13 per document).\n");
-  PrintCells(xsdf::eval::ComputeFigure9(*corpus, *network));
+  PrintCells(xsdf::eval::ComputeFigure9(*corpus, *network, &labels));
 
   std::printf("\nStructure-only evaluation (content tokens excluded; the "
               "baselines never attempt\nthem per Table 4):\n");
@@ -52,6 +53,7 @@ int main() {
   static constexpr int kOptimalRadius[5] = {0, 4, 2, 1, 1};
   for (int group = 1; group <= 4; ++group) {
     xsdf::core::DisambiguatorOptions options;
+    options.label_space = &labels;
     options.sphere_radius = kOptimalRadius[group];
     xsdf::core::Disambiguator xsdf_system(&*network, options);
     xsdf::core::RpdBaseline rpd(&*network);

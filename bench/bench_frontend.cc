@@ -3,10 +3,11 @@
 // half of the pipeline, string-keyed baseline vs the id path.
 //
 // The baseline reconstructs the pre-interning front end:
-// BuildLabeledTree() with the raw (non-memoized) pre-processing hooks
-// and no label resolver, then the string-keyed BuildXmlSphere /
-// ContextVector / ResolvedContext of the test-only oracle library
-// (tests/oracles/). The fast path is
+// BuildLabeledTree() with the raw (non-memoized) per-node
+// PreprocessTagName / PreprocessTextValue hooks plus the one
+// build-local intern every tree node needs, then the string-keyed
+// BuildXmlSphere / ContextVector / ResolvedContext of the test-only
+// oracle library (tests/oracles/). The fast path is
 // what the runtime actually runs today: core::BuildTree() with a
 // LabelSpace (memoized pre-processing + interning at build time), then
 // BuildXmlIdSphere / IdContextVector / IdResolvedContext over flat id
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "bench_env.h"
+#include "common/token_interner.h"
 #include "core/context_vector.h"
 #include "core/label_space.h"
 #include "core/scores.h"
@@ -51,6 +53,7 @@ using xsdf::oracles::ContextVector;
 using xsdf::oracles::ResolvedContext;
 using xsdf::wordnet::SemanticNetwork;
 using xsdf::xml::LabeledTree;
+using xsdf::xml::ResolvedLabel;
 
 constexpr int kRadius = 2;  ///< DisambiguatorOptions::sphere_radius
 
@@ -67,20 +70,36 @@ std::vector<std::string> CorpusXml() {
   return xml;
 }
 
-/// The pre-interning tree build: the exact hooks core::BuildTree wires
-/// up, minus the per-document memo tables and label interning.
+/// The pre-interning tree build: the pre-processing core::BuildTree
+/// wires up, run per node without its memo tables, and interned into a
+/// build-local TokenInterner instead of a LabelSpace.
 xsdf::Result<LabeledTree> BuildTreeBaseline(const xsdf::xml::Document& doc,
                                             const SemanticNetwork& network) {
   xsdf::text::LexiconProbe probe = [&network](const std::string& lemma) {
     return network.Contains(lemma);
   };
+  xsdf::TokenInterner interner;
+  ResolvedLabel tag;
+  std::vector<ResolvedLabel> tokens;
   xsdf::xml::TreeBuildOptions options;
   options.include_values = true;
-  options.label_transform = [probe](const std::string& tag) {
-    return xsdf::text::PreprocessTagName(tag, probe).label;
+  options.resolved_label_transform =
+      [&](const std::string& raw) -> const ResolvedLabel& {
+    tag.label = xsdf::text::PreprocessTagName(raw, probe).label;
+    tag.id = interner.Intern(tag.label);
+    return tag;
   };
-  options.value_tokenizer = [probe](const std::string& value) {
-    return xsdf::text::PreprocessTextValue(value, probe);
+  options.resolved_value_tokenizer =
+      [&](const std::string& value) -> const std::vector<ResolvedLabel>& {
+    tokens.clear();
+    for (std::string& token : xsdf::text::PreprocessTextValue(value, probe)) {
+      ResolvedLabel& resolved = tokens.emplace_back();
+      resolved.label = std::move(token);
+      if (!resolved.label.empty()) {
+        resolved.id = interner.Intern(resolved.label);
+      }
+    }
+    return tokens;
   };
   return BuildLabeledTree(doc, options);
 }
@@ -152,10 +171,11 @@ GiantDocResult RunGiantDocSection(const SemanticNetwork& network) {
     const std::string& xml = docs[0].xml;
     giant.frontend_doc_bytes = xml.size();
     for (int round = 0; round < 2; ++round) {
+      LabelSpace space(&network);
       xsdf::core::StreamingBuildStats stats;
       auto start = std::chrono::steady_clock::now();
       auto tree = xsdf::core::BuildTreeStreaming(
-          xml, network, {}, /*include_values=*/true, nullptr, nullptr,
+          xml, network, {}, /*include_values=*/true, &space, nullptr,
           &stats);
       double us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - start)
@@ -171,6 +191,7 @@ GiantDocResult RunGiantDocSection(const SemanticNetwork& network) {
       giant.scaffold_peak_bytes = stats.scaffold_peak_bytes;
     }
     for (int round = 0; round < 2; ++round) {
+      LabelSpace space(&network);
       auto start = std::chrono::steady_clock::now();
       auto doc = xsdf::xml::Parse(xml);
       if (!doc.ok()) {
@@ -178,7 +199,7 @@ GiantDocResult RunGiantDocSection(const SemanticNetwork& network) {
                      doc.status().ToString().c_str());
         return giant;
       }
-      auto tree = xsdf::core::BuildTree(*doc, network);
+      auto tree = xsdf::core::BuildTree(*doc, network, true, &space);
       double us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - start)
                       .count();
@@ -283,8 +304,7 @@ int main(int argc, char** argv) {
   for (size_t d = 0; d < docs.size(); ++d) {
     const LabeledTree& baseline_tree = baseline_trees[d];
     const LabeledTree& id_tree = id_trees[d];
-    if (baseline_tree.size() != id_tree.size() ||
-        !id_tree.has_label_ids()) {
+    if (baseline_tree.size() != id_tree.size()) {
       std::fprintf(stderr, "doc %zu: tree shape mismatch\n", d);
       ++mismatches;
       continue;
@@ -300,7 +320,7 @@ int main(int argc, char** argv) {
       ContextVector vector(
           BuildXmlSphere(baseline_tree, id, kRadius));
       IdContextVector id_vector(
-          BuildXmlIdSphere(id_tree, id_tree.label_ids(), id, kRadius));
+          BuildXmlIdSphere(id_tree, id, kRadius));
       ++nodes_checked;
       if (vector.dimension_count() != id_vector.dimension_count() ||
           vector.sphere_size() != id_vector.sphere_size()) {
@@ -391,8 +411,7 @@ int main(int argc, char** argv) {
     IdContextVector vector;
     for (const LabeledTree& tree : id_trees) {
       for (size_t n = 0; n < tree.size(); ++n) {
-        BuildXmlIdSphere(tree, tree.label_ids(),
-                         static_cast<xsdf::xml::NodeId>(n), kRadius,
+        BuildXmlIdSphere(tree, static_cast<xsdf::xml::NodeId>(n), kRadius,
                          /*exclude_tokens=*/false, &sphere);
         vector.Assign(sphere);
         sum += SumVector(vector);
@@ -426,8 +445,8 @@ int main(int argc, char** argv) {
     for (const LabeledTree& tree : id_trees) {
       for (size_t n = 0; n < tree.size(); ++n) {
         const auto id = static_cast<xsdf::xml::NodeId>(n);
-        BuildXmlIdSphere(tree, tree.label_ids(), id, kRadius,
-                         /*exclude_tokens=*/false, &sphere);
+        BuildXmlIdSphere(tree, id, kRadius, /*exclude_tokens=*/false,
+                         &sphere);
         vector.Assign(sphere);
         IdResolvedContext resolved(space, sphere, vector);
         sum += 1.0;
@@ -466,8 +485,7 @@ int main(int argc, char** argv) {
           xsdf::core::BuildTree(*doc, network, true, &space, &tree_cache);
       if (!tree.ok()) continue;
       for (size_t n = 0; n < tree->size(); ++n) {
-        BuildXmlIdSphere(*tree, tree->label_ids(),
-                         static_cast<xsdf::xml::NodeId>(n), kRadius,
+        BuildXmlIdSphere(*tree, static_cast<xsdf::xml::NodeId>(n), kRadius,
                          /*exclude_tokens=*/false, &sphere);
         vector.Assign(sphere);
         sum += SumVector(vector);

@@ -66,7 +66,8 @@ BENCHMARK(BM_XmlParse);
 void BM_TreeBuild(benchmark::State& state) {
   auto doc = xsdf::xml::Parse(ShakespeareXml());
   for (auto _ : state) {
-    auto tree = xsdf::core::BuildTree(*doc, Network());
+    auto tree = xsdf::core::BuildTree(*doc, Network(),
+                                      /*include_values=*/true, &Space());
     benchmark::DoNotOptimize(tree);
   }
 }
@@ -110,8 +111,7 @@ void BM_BuildXmlIdSphere(benchmark::State& state) {
   xsdf::xml::NodeId center =
       static_cast<xsdf::xml::NodeId>(tree.size() / 2);
   for (auto _ : state) {
-    auto sphere =
-        xsdf::core::BuildXmlIdSphere(tree, tree.label_ids(), center, radius);
+    auto sphere = xsdf::core::BuildXmlIdSphere(tree, center, radius);
     xsdf::core::IdContextVector vector(sphere);
     benchmark::DoNotOptimize(vector);
   }
@@ -150,7 +150,7 @@ void BM_ContextBasedScore(benchmark::State& state) {
   auto senses = network.Senses("star");
   const auto& tree = ShakespeareTree();
   xsdf::core::IdContextVector vector(
-      xsdf::core::BuildXmlIdSphere(tree, tree.label_ids(), 5, 2));
+      xsdf::core::BuildXmlIdSphere(tree, 5, 2));
   for (auto _ : state) {
     double score = xsdf::core::IdContextScore(
         network, {senses[0], xsdf::wordnet::kInvalidConcept}, vector, 2);

@@ -209,7 +209,8 @@ struct AccuracyLatency {
 std::vector<AccuracyLatency> RunAccuracyVsLatency(
     const SemanticNetwork& network) {
   std::vector<AccuracyLatency> out;
-  auto corpus_result = xsdf::eval::BuildCorpus(network);
+  xsdf::core::LabelSpace labels(&network);
+  auto corpus_result = xsdf::eval::BuildCorpus(network, &labels);
   if (!corpus_result.ok()) {
     std::fprintf(stderr, "BuildCorpus: %s\n",
                  corpus_result.status().ToString().c_str());
@@ -234,6 +235,7 @@ std::vector<AccuracyLatency> RunAccuracyVsLatency(
 
   for (const auto& [label, config] : configs) {
     xsdf::core::DisambiguatorOptions options;
+    options.label_space = &labels;
     options.sphere_radius = 2;
     options.measure_config = config;
     xsdf::core::Disambiguator disambiguator(&network, options);

@@ -14,7 +14,8 @@ int main() {
                  network.status().ToString().c_str());
     return 1;
   }
-  auto corpus = xsdf::eval::BuildCorpus(*network);
+  xsdf::core::LabelSpace labels(&*network);
+  auto corpus = xsdf::eval::BuildCorpus(*network, &labels);
   if (!corpus.ok()) {
     std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return 1;

@@ -10,7 +10,8 @@
 int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
-  auto corpus = xsdf::eval::BuildCorpus(*network);
+  xsdf::core::LabelSpace labels(&*network);
+  auto corpus = xsdf::eval::BuildCorpus(*network, &labels);
   if (!corpus.ok()) {
     std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return 1;

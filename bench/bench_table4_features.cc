@@ -27,10 +27,10 @@ int main() {
   bool measures_extensible =
       xsdf::sim::MeasureRegistry::Global().Names().size() >= 3;
 
+  xsdf::core::Disambiguator xsdf_system(&*network);
   auto tree = xsdf::core::BuildTreeFromXml(
       "<films><picture><cast><star>Kelly</star></cast></picture></films>",
-      *network);
-  xsdf::core::Disambiguator xsdf_system(&*network);
+      *network, /*include_values=*/true, xsdf_system.label_space());
   auto semantic = xsdf_system.RunOnTree(*tree);
   bool disambiguates_content = false;
   for (const auto& [id, assignment] : semantic->assignments) {

@@ -9,8 +9,12 @@
 #include <memory>
 #include <vector>
 
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
+#include "core/tree_builder.h"
 #include "prop/generators.h"
 #include "snapshot/snapshot.h"
+#include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
@@ -167,6 +171,66 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   tree->MaxDepth();
   tree->MaxFanOut();
   tree->MaxDensity();
+}
+
+void DriveStreamParser(const uint8_t* data, size_t size) {
+  if (size < 1) return;
+  static const wordnet::SemanticNetwork* network = [] {
+    auto built = wordnet::BuildMiniWordNet();
+    if (!built.ok()) {
+      OracleFailure("stream", "lexicon failed to build",
+                    built.status().ToString());
+    }
+    return new wordnet::SemanticNetwork(std::move(built).value());
+  }();
+  const uint8_t flags = data[0];
+  xml::ParseOptions po = FuzzXmlOptions();
+  po.discard_whitespace_text = (flags & 1) != 0;
+  po.keep_comments = (flags & 2) != 0;
+  const bool include_values = (flags & 4) != 0;
+  const std::string_view text = AsText(data + 1, size - 1);
+
+  core::LabelSpace dom_space(network);
+  Result<xml::LabeledTree> dom = [&]() -> Result<xml::LabeledTree> {
+    auto doc = xml::Parse(text, po);
+    if (!doc.ok()) return doc.status();
+    return core::BuildTree(*doc, *network, include_values, &dom_space);
+  }();
+  core::LabelSpace stream_space(network);
+  auto streamed = core::BuildTreeStreaming(text, *network, po,
+                                           include_values, &stream_space);
+  if (dom.ok() != streamed.ok()) {
+    OracleFailure("stream", "front ends disagree on accepting the input",
+                  "dom: " + dom.status().ToString() +
+                      "\nstream: " + streamed.status().ToString());
+  }
+  if (!dom.ok()) {
+    if (streamed.status().ToString().empty()) {
+      OracleFailure("stream", "rejection without a message", "");
+    }
+    return;
+  }
+  for (const xml::LabeledTree* tree : {&*dom, &*streamed}) {
+    Status audit = tree->Validate();
+    if (!audit.ok()) {
+      OracleFailure("stream", "labeled tree failed its audit",
+                    audit.ToString());
+    }
+  }
+  if (dom->size() != streamed->size()) {
+    OracleFailure("stream", "node counts differ",
+                  std::to_string(dom->size()) + " vs " +
+                      std::to_string(streamed->size()));
+  }
+  for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(dom->size()); ++id) {
+    const xml::TreeNode& a = dom->node(id);
+    const xml::TreeNode& b = streamed->node(id);
+    if (a.label != b.label || a.raw != b.raw || a.kind != b.kind ||
+        a.parent != b.parent || a.depth != b.depth ||
+        dom->label_id(id) != streamed->label_id(id)) {
+      OracleFailure("stream", "trees differ", "node " + std::to_string(id));
+    }
+  }
 }
 
 void DriveSnapshotLoader(const uint8_t* data, size_t size) {

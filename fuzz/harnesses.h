@@ -29,6 +29,14 @@ void DriveWndbParser(const uint8_t* data, size_t size);
 /// every query (LCA, distance, rings, paths) must terminate.
 void DriveLabeledTree(const uint8_t* data, size_t size);
 
+/// Streaming front end against its DOM reference: first byte selects
+/// options, the rest is XML. StreamParse + core::BuildTreeStreaming and
+/// Parse + core::BuildTree, each interning through a fresh LabelSpace,
+/// must agree on accepting the input, and accepted trees must match
+/// node for node (label, raw, kind, parent, depth, label id — so the
+/// interning order too) and pass Validate().
+void DriveStreamParser(const uint8_t* data, size_t size);
+
 /// snapshot::LoadNetworkSnapshotFromBuffer over an 8-aligned copy of
 /// the input: every rejection must carry a message, and an accepted
 /// network must survive its full read surface (ancestors, glosses,

@@ -226,20 +226,15 @@ double IdContextVector::Jaccard(const IdContextVector& other) const {
   return max_sum <= 0.0 ? 0.0 : min_sum / max_sum;
 }
 
-IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree,
-                          std::span<const uint32_t> label_ids,
-                          xml::NodeId center, int radius,
-                          bool exclude_tokens) {
+IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
+                          int radius, bool exclude_tokens) {
   IdSphere sphere;
-  BuildXmlIdSphere(tree, label_ids, center, radius, exclude_tokens,
-                   &sphere);
+  BuildXmlIdSphere(tree, center, radius, exclude_tokens, &sphere);
   return sphere;
 }
 
-void BuildXmlIdSphere(const xml::LabeledTree& tree,
-                      std::span<const uint32_t> label_ids,
-                      xml::NodeId center, int radius, bool exclude_tokens,
-                      IdSphere* out) {
+void BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
+                      int radius, bool exclude_tokens, IdSphere* out) {
   IdSphere& sphere = *out;
   sphere.clear();
   sphere.radius = radius;
@@ -259,7 +254,7 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree,
     epoch = 1;
   }
 
-  sphere.push_back(label_ids[static_cast<size_t>(center)], 0);
+  sphere.push_back(tree.label_id(center), 0);
   mark[static_cast<size_t>(center)] = epoch;
   frontier.clear();
   frontier.push_back(center);
@@ -283,7 +278,7 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree,
           tree.node(id).kind == xml::TreeNodeKind::kToken) {
         continue;
       }
-      sphere.push_back(label_ids[static_cast<size_t>(id)], d);
+      sphere.push_back(tree.label_id(id), d);
     }
     std::swap(frontier, next);
   }

@@ -108,21 +108,16 @@ double StructuralProximity(int distance, int radius);
 /// Builds the XML sphere neighborhood S_d(center) over the tree
 /// (Definition 5), rings computed by BFS over containment edges and
 /// sorted by node id within a ring; each member carries its node's
-/// entry of `label_ids` (normally tree.label_ids()). When
-/// `exclude_tokens` is set, content token nodes are left out of the
-/// sphere (structure-only context; ablation of the paper's
-/// structure-and-content integration, §3.1).
-IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree,
-                          std::span<const uint32_t> label_ids,
-                          xml::NodeId center, int radius,
-                          bool exclude_tokens = false);
+/// tree.label_id(). When `exclude_tokens` is set, content token nodes
+/// are left out of the sphere (structure-only context; ablation of the
+/// paper's structure-and-content integration, §3.1).
+IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
+                          int radius, bool exclude_tokens = false);
 
 /// Same, rebuilding into `*out` (members cleared, capacity reused) so
 /// a per-node loop allocates nothing after its first sphere.
-void BuildXmlIdSphere(const xml::LabeledTree& tree,
-                      std::span<const uint32_t> label_ids,
-                      xml::NodeId center, int radius, bool exclude_tokens,
-                      IdSphere* out);
+void BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
+                      int radius, bool exclude_tokens, IdSphere* out);
 
 /// Builds the concept sphere neighborhood S_d(c) over the semantic
 /// network (paper §3.5.2), rings following all semantic relations.

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/check.h"
 #include "core/tree_builder.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -40,40 +41,20 @@ Disambiguator::Disambiguator(const wordnet::SemanticNetwork* network,
   }
 }
 
-uint32_t Disambiguator::LabelIdFor(const xml::LabeledTree& tree,
-                                   xml::NodeId id) const {
-  if (tree.has_label_ids()) return tree.label_id(id);
-  return label_space_->Resolve(tree.node(id).label);
+Status Disambiguator::CheckLabelSource(const xml::LabeledTree& tree) const {
+  if (tree.label_source() == label_space_->serial()) return Status::Ok();
+  return Status::InvalidArgument(
+      "tree was not built through this disambiguator's label space");
 }
 
 const LabelSenses& Disambiguator::LabelSensesFor(const xml::LabeledTree& tree,
                                                  xml::NodeId id) const {
-  return label_space_->Senses(LabelIdFor(tree, id));
-}
-
-void Disambiguator::BuildSphere(const xml::LabeledTree& tree,
-                                xml::NodeId id, IdSphere* sphere) const {
-  if (tree.has_label_ids()) {
-    BuildXmlIdSphere(tree, tree.label_ids(), id, options_.sphere_radius,
-                     options_.structure_only_context, sphere);
-    return;
-  }
-  // Node ids stand in for label ids while the rings are collected, then
-  // each member's node id is replaced by its label's id.
-  thread_local std::vector<uint32_t> node_ids;
-  while (node_ids.size() < tree.size()) {
-    node_ids.push_back(static_cast<uint32_t>(node_ids.size()));
-  }
-  BuildXmlIdSphere(tree, node_ids, id, options_.sphere_radius,
-                   options_.structure_only_context, sphere);
-  for (uint32_t& member : sphere->label_ids) {
-    member = LabelIdFor(tree, static_cast<xml::NodeId>(member));
-  }
+  return label_space_->Senses(tree.label_id(id));
 }
 
 std::shared_ptr<const SenseEntry> Disambiguator::CandidatesFor(
     const xml::LabeledTree& tree, xml::NodeId id) const {
-  const uint32_t label_id = LabelIdFor(tree, id);
+  const uint32_t label_id = tree.label_id(id);
   if (options_.sense_inventory != nullptr) {
     return options_.sense_inventory->Entry(*label_space_, label_id);
   }
@@ -96,6 +77,10 @@ CombinationWeights Disambiguator::EffectiveCombination() const {
 
 std::vector<double> Disambiguator::ScoreCandidates(
     const xml::LabeledTree& tree, xml::NodeId id) const {
+  if (!CheckLabelSource(tree).ok()) {
+    XSDF_DCHECK(false, "tree was built through another label space");
+    return {};
+  }
   return ScoreCandidatesImpl(tree, id, CandidatesFor(tree, id)->candidates);
 }
 
@@ -111,7 +96,8 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
   // scoring node after node reuse its member buffer instead of
   // reallocating it.
   thread_local IdSphere sphere;
-  BuildSphere(tree, id, &sphere);
+  BuildXmlIdSphere(tree, id, options_.sphere_radius,
+                   options_.structure_only_context, &sphere);
   const IdContextVector vector(sphere, options_.bag_of_words_context);
   IdResolvedContext resolved(*label_space_, sphere, vector);
   uint64_t t_context = 0;
@@ -191,11 +177,12 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
 
 Result<SenseAssignment> Disambiguator::DisambiguateNode(
     const xml::LabeledTree& tree, xml::NodeId id) const {
-  return DisambiguateNodeImpl(tree, id, nullptr, nullptr);
+  return DisambiguateNode(tree, id, nullptr);
 }
 
 Result<SenseAssignment> Disambiguator::DisambiguateNode(
     const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times) const {
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree));
   return DisambiguateNodeImpl(tree, id, times, nullptr);
 }
 
@@ -282,6 +269,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
 
 Result<NodeAudit> Disambiguator::ExplainNode(const xml::LabeledTree& tree,
                                              xml::NodeId id) const {
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree));
   NodeAudit audit;
   auto assignment = DisambiguateNodeImpl(tree, id, nullptr, &audit);
   if (!assignment.ok()) return assignment.status();
@@ -290,6 +278,10 @@ Result<NodeAudit> Disambiguator::ExplainNode(const xml::LabeledTree& tree,
 
 std::vector<xml::NodeId> Disambiguator::SelectTargets(
     const xml::LabeledTree& tree) const {
+  if (!CheckLabelSource(tree).ok()) {
+    XSDF_DCHECK(false, "tree was built through another label space");
+    return {};
+  }
   obs::StageTimer timer(ins_.select_us, options_.trace, "select");
   std::vector<xml::NodeId> targets;
   for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
@@ -308,15 +300,7 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
 }
 
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
-  // Trees handed in without interned labels get one id-assignment pass
-  // up front, so the per-node loop below reads ids straight off the
-  // tree.
-  if (!tree.has_label_ids()) {
-    for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
-         ++id) {
-      tree.set_label_id(id, label_space_->Resolve(tree.node(id).label));
-    }
-  }
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree));
   SemanticTree result;
   StageTimes times;
   StageTimes* timed = records_stage_times() ? &times : nullptr;

@@ -181,12 +181,13 @@ struct SemanticTree {
 /// ambiguous-node selection -> sphere context construction -> hybrid
 /// disambiguation.
 ///
-/// Every entry point accepts trees with or without label ids. A tree
-/// that carries ids must have been built through label_space(); a tree
-/// without them has each label it touches resolved through that space
-/// on the fly, with byte-identical results (RunOnTree resolves the
-/// whole tree once up front; the per-node entry points resolve only
-/// the node's sphere).
+/// Every entry point reads label ids straight off the tree, so a tree
+/// must have been built through label_space() (BuildTree() and
+/// BuildTreeStreaming() record the space as the tree's label_source()).
+/// A tree from any other interner is rejected: RunOnTree,
+/// DisambiguateNode and ExplainNode return InvalidArgument, while
+/// SelectTargets and ScoreCandidates return an empty vector (and trap
+/// in checked builds).
 ///
 /// A Disambiguator is used from one thread at a time: its entry points
 /// are const but fill a private label-term memo (see LabelTermMemo).
@@ -204,9 +205,7 @@ class Disambiguator {
 
   /// The label space ids are resolved through (the installed one, or
   /// the private space created when none was). Internally
-  /// synchronized; callers building trees for this disambiguator should
-  /// pass it to BuildTree() so no entry point has to resolve labels
-  /// again.
+  /// synchronized; trees for this disambiguator are built through it.
   LabelSpace* label_space() const { return label_space_; }
 
   /// Runs the full pipeline on a parsed document.
@@ -286,20 +285,12 @@ class Disambiguator {
 
   CombinationWeights EffectiveCombination() const;
 
-  /// The node's interned label id: straight off the tree when it has
-  /// ids, resolved through the label space otherwise.
-  uint32_t LabelIdFor(const xml::LabeledTree& tree, xml::NodeId id) const;
+  /// InvalidArgument unless `tree`'s ids come from label_space().
+  Status CheckLabelSource(const xml::LabeledTree& tree) const;
 
   /// The node's memoized label senses (and Amb_Polysemy).
   const LabelSenses& LabelSensesFor(const xml::LabeledTree& tree,
                                     xml::NodeId id) const;
-
-  /// Builds the node's XML sphere into `*sphere`. On a tree without
-  /// label ids the sphere is built over node ids and only its members'
-  /// labels are then resolved, so the resolving costs the sphere's
-  /// size, not the tree's.
-  void BuildSphere(const xml::LabeledTree& tree, xml::NodeId id,
-                   IdSphere* sphere) const;
 
   /// The node's shared candidate entry, via the sense inventory when
   /// installed; never null.

@@ -10,6 +10,7 @@ namespace xsdf::core {
 LabelSpace::LabelSpace(const wordnet::SemanticNetwork* network)
     : network_(network),
       network_size_(network->interner().size()),
+      serial_(next_serial_.fetch_add(1, std::memory_order_relaxed)),
       network_senses_(network->interner().size()) {}
 
 LabelSpace::~LabelSpace() {

@@ -54,7 +54,9 @@ struct LabelSenses {
 /// resolutions take a shared_mutex, write-locked only on first sight
 /// of a label. One LabelSpace must only ever be used with its one
 /// network, and ids from different LabelSpace instances are not
-/// comparable (the runtime engine owns exactly one).
+/// comparable (the runtime engine owns exactly one): each instance
+/// takes a process-unique serial() that the trees built through it
+/// record (xml::LabeledTree::label_source()), so a reader can tell.
 class LabelSpace {
  public:
   /// `network` must be finalized and outlive the space.
@@ -82,6 +84,10 @@ class LabelSpace {
 
   const wordnet::SemanticNetwork& network() const { return *network_; }
 
+  /// This instance's process-unique serial (never 0, never reused,
+  /// unlike an address).
+  uint64_t serial() const { return serial_; }
+
   /// Number of ids owned by the network interner (the id-space split).
   size_t network_size() const { return network_size_; }
   /// Number of out-of-vocabulary labels interned so far.
@@ -95,8 +101,10 @@ class LabelSpace {
   /// Computes the (pure) sense resolution of `id`'s spelling.
   std::unique_ptr<LabelSenses> ResolveSenses(uint32_t id);
 
+  static inline std::atomic<uint64_t> next_serial_{1};
   const wordnet::SemanticNetwork* network_;
   size_t network_size_;
+  uint64_t serial_;
 
   mutable std::shared_mutex overflow_mu_;
   TokenInterner overflow_;

@@ -25,12 +25,14 @@ using xml::TreeNodeKind;
 class StreamingTreeBuilder : public xml::StreamHandler {
  public:
   StreamingTreeBuilder(const wordnet::SemanticNetwork& network,
-                       bool include_values, LabelSpace* label_space,
+                       bool include_values, LabelSpace& label_space,
                        TreeBuildCache* cache)
       : network_(network),
         include_values_(include_values),
         label_space_(label_space),
-        cache_(cache) {}
+        cache_(cache) {
+    tree_.set_label_source(label_space.serial());
+  }
 
   Status OnStartElement(std::string_view name) override {
     tag_.assign(name);
@@ -131,7 +133,7 @@ class StreamingTreeBuilder : public xml::StreamHandler {
 
   const wordnet::SemanticNetwork& network_;
   bool include_values_;
-  LabelSpace* label_space_;
+  LabelSpace& label_space_;
   TreeBuildCache* cache_;
 
   xml::LabeledTree tree_;
@@ -149,9 +151,12 @@ Result<xml::LabeledTree> BuildTreeStreaming(
     const xml::ParseOptions& parse_options, bool include_values,
     LabelSpace* label_space, TreeBuildCache* cache,
     StreamingBuildStats* stats) {
+  if (label_space == nullptr) {
+    return Status::InvalidArgument("BuildTreeStreaming requires a label space");
+  }
   TreeBuildCache local_cache;
   if (cache == nullptr) cache = &local_cache;
-  StreamingTreeBuilder builder(network, include_values, label_space, cache);
+  StreamingTreeBuilder builder(network, include_values, *label_space, cache);
   XSDF_RETURN_IF_ERROR(xml::StreamParse(xml_text, &builder, parse_options));
   if (stats != nullptr) {
     stats->scaffold_peak_bytes = builder.scaffold_peak_bytes();

@@ -34,13 +34,14 @@ struct StreamingBuildStats {
 /// is identical to Parse + BuildTree on the same input. That identity
 /// is pinned by tests/streaming_test.cc over the generated-XML corpus.
 ///
-/// `cache` and `label_space` follow the BuildTree contract (optional,
+/// `label_space` and `cache` follow the BuildTree contract (a required
+/// space the tree records as its label_source(), an optional cache,
 /// single-threaded use). Parse failures and limit violations return
 /// the parser's Status unchanged.
 Result<xml::LabeledTree> BuildTreeStreaming(
     std::string_view xml_text, const wordnet::SemanticNetwork& network,
-    const xml::ParseOptions& parse_options = {}, bool include_values = true,
-    LabelSpace* label_space = nullptr, TreeBuildCache* cache = nullptr,
+    const xml::ParseOptions& parse_options, bool include_values,
+    LabelSpace* label_space, TreeBuildCache* cache = nullptr,
     StreamingBuildStats* stats = nullptr);
 
 }  // namespace xsdf::core

@@ -23,23 +23,21 @@ std::vector<std::string> LabelSenseTokens(
 
 const xml::ResolvedLabel& ResolveTagMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace* label_space, const std::string& tag) {
+    LabelSpace& label_space, const std::string& tag) {
   auto [it, inserted] = cache.tags.try_emplace(tag);
   if (inserted) {
     text::LexiconProbe probe = [&network](const std::string& lemma) {
       return network.Contains(lemma);
     };
     it->second.label = text::PreprocessTagName(tag, probe).label;
-    if (label_space != nullptr) {
-      it->second.id = label_space->Resolve(it->second.label);
-    }
+    it->second.id = label_space.Resolve(it->second.label);
   }
   return it->second;
 }
 
 const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace* label_space, const std::string& value) {
+    LabelSpace& label_space, const std::string& value) {
   // Two-level value memo: whole values repeat less than their tokens,
   // so a miss on the value still reuses each token's (pure)
   // normalization + interning. The composition below is
@@ -61,8 +59,8 @@ const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
         tit->second.label = text::NormalizeToken(token, probe);
         // Tokens that normalize to nothing never become nodes, so
         // they are never interned (matches the per-node path).
-        if (label_space != nullptr && !tit->second.label.empty()) {
-          tit->second.id = label_space->Resolve(tit->second.label);
+        if (!tit->second.label.empty()) {
+          tit->second.id = label_space.Resolve(tit->second.label);
         }
       }
       it->second.push_back(tit->second);
@@ -76,6 +74,9 @@ Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
                                    bool include_values,
                                    LabelSpace* label_space,
                                    TreeBuildCache* cache) {
+  if (label_space == nullptr) {
+    return Status::InvalidArgument("BuildTree requires a label space");
+  }
   // Documents repeat the same raw tags and values over and over, so
   // the (pure) pre-processing functions are memoized: into the
   // caller's persistent cache when one is passed (cross-document
@@ -88,14 +89,16 @@ Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
   options.resolved_label_transform =
       [&network, cache, label_space](
           const std::string& tag) -> const xml::ResolvedLabel& {
-    return ResolveTagMemo(*cache, network, label_space, tag);
+    return ResolveTagMemo(*cache, network, *label_space, tag);
   };
   options.resolved_value_tokenizer =
       [&network, cache, label_space](const std::string& value)
       -> const std::vector<xml::ResolvedLabel>& {
-    return TokenizeValueMemo(*cache, network, label_space, value);
+    return TokenizeValueMemo(*cache, network, *label_space, value);
   };
-  return BuildLabeledTree(doc, options);
+  auto tree = xml::BuildLabeledTree(doc, options);
+  if (tree.ok()) tree->set_label_source(label_space->serial());
+  return tree;
 }
 
 Result<xml::LabeledTree> BuildTreeFromXml(

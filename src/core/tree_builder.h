@@ -41,7 +41,7 @@ struct TreeBuildCache {
 /// a cache entry — valid until the cache is destroyed.
 const xml::ResolvedLabel& ResolveTagMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace* label_space, const std::string& tag);
+    LabelSpace& label_space, const std::string& tag);
 
 /// Memoized raw-value -> preprocessed, interned token list (BuildTree's
 /// resolved_value_tokenizer hook), under the same sharing contract as
@@ -49,7 +49,7 @@ const xml::ResolvedLabel& ResolveTagMemo(
 /// and are never interned; builders skip them.
 const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace* label_space, const std::string& value);
+    LabelSpace& label_space, const std::string& value);
 
 /// Splits a node label into the lemma tokens that carry its senses:
 /// a label the network knows as one lemma (including collocations like
@@ -66,21 +66,23 @@ std::vector<std::string> LabelSenseTokens(
 /// `include_values` selects structure-and-content (true) vs
 /// structure-only (false) processing (paper §3.1).
 ///
+/// Every node's label is interned through `label_space`, which the
+/// tree records as its label_source(): only a disambiguator reading
+/// through the same space accepts it. A null space is InvalidArgument.
+///
 /// Pre-processing results are memoized (XML vocabularies repeat tags
 /// and values heavily): through `cache` across calls when the caller
-/// passes one, else per document. With a `label_space` every built node
-/// also carries its interned label id (tree.has_label_ids() holds), which
-/// the disambiguator reads instead of resolving the labels itself.
+/// passes one, else per document.
 Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
                                    const wordnet::SemanticNetwork& network,
-                                   bool include_values = true,
-                                   LabelSpace* label_space = nullptr,
+                                   bool include_values,
+                                   LabelSpace* label_space,
                                    TreeBuildCache* cache = nullptr);
 
 /// Same, from an XML string (parse + build).
 Result<xml::LabeledTree> BuildTreeFromXml(
     const std::string& xml_text, const wordnet::SemanticNetwork& network,
-    bool include_values = true, LabelSpace* label_space = nullptr,
+    bool include_values, LabelSpace* label_space,
     TreeBuildCache* cache = nullptr);
 
 }  // namespace xsdf::core

@@ -12,7 +12,8 @@
 namespace xsdf::eval {
 
 Result<std::vector<CorpusDocument>> BuildCorpus(
-    const wordnet::SemanticNetwork& network, uint64_t seed) {
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
+    uint64_t seed) {
   std::vector<CorpusDocument> corpus;
   for (const datasets::DatasetGenerator* generator :
        datasets::AllDatasets()) {
@@ -21,7 +22,8 @@ Result<std::vector<CorpusDocument>> BuildCorpus(
     for (datasets::GeneratedDocument& doc : docs) {
       CorpusDocument entry;
       entry.dataset = generator->info();
-      auto tree = core::BuildTreeFromXml(doc.xml, network);
+      auto tree = core::BuildTreeFromXml(doc.xml, network,
+                                         /*include_values=*/true, label_space);
       if (!tree.ok()) return tree.status();
       entry.tree = std::move(tree).value();
       auto gold = ResolveGold(doc.gold);
@@ -189,7 +191,7 @@ PrfScores RunOnGroup(const std::vector<CorpusDocument>& corpus, int group,
 
 std::vector<ConfigCell> ComputeFigure8(
     const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network,
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
     const std::vector<int>& radii) {
   std::vector<ConfigCell> cells;
   const core::DisambiguationProcess kProcesses[] = {
@@ -201,6 +203,7 @@ std::vector<ConfigCell> ComputeFigure8(
     for (int radius : radii) {
       for (core::DisambiguationProcess process : kProcesses) {
         core::DisambiguatorOptions options;
+        options.label_space = label_space;
         options.sphere_radius = radius;
         options.process = process;
         options.combination_weights = {0.5, 0.5};
@@ -218,7 +221,7 @@ std::vector<ConfigCell> ComputeFigure8(
 
 std::vector<ComparisonCell> ComputeFigure9(
     const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network) {
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space) {
   std::vector<ComparisonCell> cells;
   for (int group = 1; group <= 4; ++group) {
     // XSDF at its optimal configuration, identified (as in the paper)
@@ -230,6 +233,7 @@ std::vector<ComparisonCell> ComputeFigure9(
     // d=1.
     static constexpr int kOptimalRadius[5] = {0, 4, 2, 1, 1};
     core::DisambiguatorOptions options;
+    options.label_space = label_space;
     options.sphere_radius = kOptimalRadius[group];
     options.process = core::DisambiguationProcess::kConceptBased;
     cells.push_back(

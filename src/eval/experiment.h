@@ -29,9 +29,13 @@ struct CorpusDocument {
 };
 
 /// Generates the complete 10-family evaluation corpus of Table 3 and
-/// prepares every document (tree + resolved gold). Deterministic.
+/// prepares every document (tree + resolved gold). The trees intern
+/// their labels through `label_space`, which every Disambiguator that
+/// reads them must share (ComputeFigure8/9 take it for that).
+/// Deterministic.
 Result<std::vector<CorpusDocument>> BuildCorpus(
-    const wordnet::SemanticNetwork& network, uint64_t seed = 20150323);
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
+    uint64_t seed = 20150323);
 
 /// Per-group features of Table 1: average Amb_Deg and Struct_Deg.
 struct GroupFeatureRow {
@@ -86,7 +90,7 @@ struct ConfigCell {
 };
 std::vector<ConfigCell> ComputeFigure8(
     const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network,
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
     const std::vector<int>& radii = {1, 2, 3, 4});
 
 /// One Figure 9 cell: P/R/F of one system (XSDF at its optimal
@@ -98,7 +102,7 @@ struct ComparisonCell {
 };
 std::vector<ComparisonCell> ComputeFigure9(
     const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network);
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space);
 
 /// The per-group context clarity used by the rater panel (Group 1
 /// generic/deep ... Group 4 flat/domain-specific).

@@ -10,6 +10,16 @@
 
 namespace xsdf::runtime {
 
+namespace {
+
+/// A document with at least kSubtreeMinTargets targets is split into
+/// kSubtreeChunkTargets-sized chunks that idle workers may steal; a
+/// shorter one is a single chunk its owner runs.
+constexpr size_t kSubtreeMinTargets = 64;
+constexpr size_t kSubtreeChunkTargets = 32;
+
+}  // namespace
+
 /// Completion bookkeeping for one RunBatch() call. Workers write each
 /// result into its own pre-sized slot (no two jobs share an index, so
 /// no data race) and the last one signals the waiting producer.
@@ -267,50 +277,35 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
     const core::Disambiguator& disambiguator, xml::LabeledTree tree,
     int worker_index) {
   // Chunked fan-out requires another worker to steal chunks.
-  if (!options_.subtree_parallelism || workers_.size() < 2) {
-    return disambiguator.RunOnTree(std::move(tree));
-  }
+  if (workers_.size() < 2) return disambiguator.RunOnTree(std::move(tree));
   std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
-  const size_t chunk_size =
-      std::max<size_t>(options_.subtree_chunk_targets, 1);
-  core::SemanticTree result;
-  if (targets.size() <
-      std::max(options_.subtree_min_targets, 2 * chunk_size)) {
-    // Too few targets to amortize ticket overhead: the same sequential
-    // per-target loop RunOnTree runs, timed the same way.
-    core::Disambiguator::StageTimes times;
-    core::Disambiguator::StageTimes* timed =
-        disambiguator.records_stage_times() ? &times : nullptr;
-    for (xml::NodeId id : targets) {
-      auto assignment = disambiguator.DisambiguateNode(tree, id, timed);
-      if (!assignment.ok()) continue;  // senseless labels stay untouched
-      result.assignments.emplace(id, std::move(assignment).value());
-    }
-    if (timed != nullptr) disambiguator.RecordStageTimes(times);
-    result.tree = std::move(tree);
-    return result;
-  }
+  const bool fan_out = targets.size() >= kSubtreeMinTargets;
   auto work = std::make_shared<SubtreeWork>();
   work->tree = &tree;
   work->targets = &targets;
-  work->chunk_size = chunk_size;
-  work->chunk_count = (targets.size() + chunk_size - 1) / chunk_size;
+  work->chunk_size =
+      fan_out ? kSubtreeChunkTargets : std::max<size_t>(targets.size(), 1);
+  work->chunk_count =
+      (targets.size() + work->chunk_size - 1) / work->chunk_size;
   work->owner_worker = worker_index;
   work->chunk_results.resize(work->chunk_count);
-  // At most chunk_count - 1 helpers can find work (the owner drains
-  // too). TryPush only: when the queue is full the owner simply runs
-  // more chunks itself — an owner never blocks on its own fan-out, so
-  // every document always makes progress even with zero helpers.
-  const size_t helpers =
-      std::min(workers_.size() - 1, work->chunk_count - 1);
-  for (size_t i = 0; i < helpers; ++i) {
-    WorkItem ticket;
-    ticket.subtree = work;
-    subtree_tickets_.fetch_add(1, std::memory_order_relaxed);
-    if (!queue_.TryPush(std::move(ticket))) {
-      subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
-      break;
+  if (fan_out) {
+    // At most chunk_count - 1 helpers can find work (the owner drains
+    // too). TryPush only: when the queue is full the owner simply runs
+    // more chunks itself — an owner never blocks on its own fan-out, so
+    // every document always makes progress even with zero helpers.
+    const size_t helpers =
+        std::min(workers_.size() - 1, work->chunk_count - 1);
+    for (size_t i = 0; i < helpers; ++i) {
+      WorkItem ticket;
+      ticket.subtree = work;
+      subtree_tickets_.fetch_add(1, std::memory_order_relaxed);
+      if (!queue_.TryPush(std::move(ticket))) {
+        subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
+        break;
+      }
     }
+    subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
   }
   RunSubtreeChunks(*work, disambiguator, worker_index);
   {
@@ -320,7 +315,6 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
              work->chunk_count;
     });
   }
-  subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
   if (disambiguator.records_stage_times()) {
     // The chunks' relaxed adds happen before their chunks_done
     // increments, which the acquire wait above observed.
@@ -332,6 +326,7 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
   // serialization walks the tree by id, so insertion order can never
   // leak into the output anyway — the fixed order just keeps the merge
   // deterministic for debugging.
+  core::SemanticTree result;
   for (auto& chunk : work->chunk_results) {
     for (auto& entry : chunk) {
       result.assignments.emplace(entry.first, std::move(entry.second));
@@ -354,8 +349,10 @@ void DisambiguationEngine::RunSubtreeChunks(
     // Container span for the per-node spans below: on a stealing
     // worker's tid there is no enclosing "document" span, so the trace
     // validator accepts "subtree_chunk" as the alternative container.
-    obs::Span chunk_span(trace_, "subtree_chunk",
-                         StrFormat("chunk %zu/%zu", chunk, work.chunk_count));
+    obs::Span chunk_span(
+        trace_, "subtree_chunk",
+        trace_ != nullptr ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
+                          : std::string());
     const std::vector<xml::NodeId>& targets = *work.targets;
     const size_t begin = chunk * work.chunk_size;
     const size_t end = std::min(begin + work.chunk_size, targets.size());

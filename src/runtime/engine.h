@@ -91,17 +91,6 @@ struct EngineOptions {
   /// --max-input-bytes / --max-depth land here).
   xml::ParseLimits parse_limits;
 
-  /// Intra-document parallelism: when a multi-worker engine selects at
-  /// least `subtree_min_targets` target nodes in one document, the
-  /// owning worker splits the target list into `subtree_chunk_targets`
-  /// sized chunks and publishes helper tickets on the shared job queue
-  /// so idle workers steal chunks — 8 workers saturate on a single
-  /// giant file. Chunk placement never affects output: per-node
-  /// disambiguation is pure and the merge follows target order.
-  bool subtree_parallelism = true;
-  size_t subtree_min_targets = 64;
-  size_t subtree_chunk_targets = 32;
-
   /// Pipeline configuration applied by every worker.
   core::DisambiguatorOptions disambiguator;
 
@@ -129,6 +118,14 @@ struct EngineOptions {
 /// The network must outlive the engine and be finalized()
 /// (FinalizeFrequencies() makes all const accessors pure reads — see
 /// the SemanticNetwork thread-safety contract).
+///
+/// Intra-document parallelism: when a multi-worker engine selects at
+/// least 64 target nodes in one document, the owning worker splits the
+/// target list into 32-target chunks and publishes helper tickets on
+/// the shared job queue so idle workers steal chunks — 8 workers
+/// saturate on a single giant file. Chunk placement never affects
+/// output: per-node disambiguation is pure and the merge follows
+/// target order.
 ///
 /// RunBatch() may be called repeatedly; results are deterministic:
 /// identical jobs + options produce byte-identical semantic_xml for
@@ -209,9 +206,10 @@ class DisambiguationEngine {
                          core::TreeBuildCache& tree_cache,
                          const DocumentJob& job, int worker_index);
 
-  /// Selection + per-target disambiguation for one document, chunked
-  /// across workers when the target list is big enough (else an inline
-  /// sequential loop / RunOnTree). Byte-identical to RunOnTree.
+  /// Selection + per-target disambiguation for one document: RunOnTree
+  /// on a 1-worker engine, else the target list in chunks that other
+  /// workers may steal when it is big enough (one chunk the owner runs
+  /// when it is not). Byte-identical to RunOnTree.
   Result<core::SemanticTree> DisambiguateTree(
       const core::Disambiguator& disambiguator, xml::LabeledTree tree,
       int worker_index);

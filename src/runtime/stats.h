@@ -45,7 +45,7 @@ struct EngineStats {
   int worker_threads = 0;
   /// Intra-document parallelism: documents whose target list was
   /// chunked across workers, and chunks executed by a worker other
-  /// than the document's owner (see EngineOptions::subtree_parallelism).
+  /// than the document's owner (see DisambiguationEngine).
   uint64_t subtree_parallel_docs = 0;
   uint64_t subtree_steals = 0;
   /// High-water mark of per-document front-end scaffolding bytes (the

@@ -1,18 +1,13 @@
 #include "xml/labeled_tree.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/strings.h"
+#include "common/token_interner.h"
 
 namespace xsdf::xml {
-
-NodeId LabeledTree::AddNode(NodeId parent, std::string label,
-                            TreeNodeKind kind, std::string raw) {
-  return AddNode(parent, std::move(label), kNoLabelId, kind,
-                 std::move(raw));
-}
 
 NodeId LabeledTree::AddNode(NodeId parent, std::string label,
                             uint32_t label_id, TreeNodeKind kind,
@@ -30,6 +25,10 @@ NodeId LabeledTree::AddNode(NodeId parent, std::string label,
     XSDF_DCHECK(false, "parent id out of range");
     return kInvalidNode;
   }
+  if (label_id == kNoLabelId) {
+    XSDF_DCHECK(false, "every node needs a label id");
+    return kInvalidNode;
+  }
   TreeNode node;
   node.id = static_cast<NodeId>(nodes_.size());
   node.label = std::move(label);
@@ -42,7 +41,6 @@ NodeId LabeledTree::AddNode(NodeId parent, std::string label,
   }
   nodes_.push_back(std::move(node));
   label_ids_.push_back(label_id);
-  if (label_id == kNoLabelId) ++missing_label_ids_;
   max_depth_.store(CachedMax::kUnset);
   max_fan_out_.store(CachedMax::kUnset);
   max_density_.store(CachedMax::kUnset);
@@ -51,6 +49,9 @@ NodeId LabeledTree::AddNode(NodeId parent, std::string label,
 
 Status LabeledTree::Validate() const {
   size_t child_links = 0;
+  // The id <-> label bijection DistinctChildLabelCount() relies on.
+  std::unordered_map<uint32_t, std::string_view> label_of_id;
+  std::unordered_map<std::string_view, uint32_t> id_of_label;
   for (const TreeNode& n : nodes_) {
     size_t i = static_cast<size_t>(n.id);
     if (n.id < 0 || i >= nodes_.size() || &nodes_[i] != &n) {
@@ -89,6 +90,16 @@ Status LabeledTree::Validate() const {
       }
     }
     child_links += n.children.size();
+    const uint32_t id = label_ids_[i];
+    if (id == kNoLabelId) {
+      return Status::Internal(StrFormat("node %d has no label id", n.id));
+    }
+    const auto by_id = label_of_id.try_emplace(id, n.label).first;
+    const auto by_label = id_of_label.try_emplace(n.label, id).first;
+    if (by_id->second != n.label || by_label->second != id) {
+      return Status::Internal(StrFormat(
+          "node %d: label ids and labels do not map one to one", n.id));
+    }
   }
   if (!nodes_.empty() && child_links != nodes_.size() - 1) {
     return Status::Internal("tree has disconnected or multi-parent nodes");
@@ -99,21 +110,14 @@ Status LabeledTree::Validate() const {
 int LabeledTree::DistinctChildLabelCount(NodeId id) const {
   const TreeNode& n = node(id);
   if (n.children.size() <= 1) return n.fan_out();
-  if (has_label_ids()) {
-    // Interned ids map one-to-one to spellings, so counting distinct
-    // ids counts distinct labels without hashing a string.
-    thread_local std::vector<uint32_t> ids;
-    ids.clear();
-    for (NodeId child : n.children) ids.push_back(label_id(child));
-    std::sort(ids.begin(), ids.end());
-    return static_cast<int>(std::unique(ids.begin(), ids.end()) -
-                            ids.begin());
-  }
-  std::unordered_set<std::string_view> labels;
-  for (NodeId child : n.children) {
-    labels.insert(node(child).label);
-  }
-  return static_cast<int>(labels.size());
+  // Ids map one-to-one to labels, so counting distinct ids counts
+  // distinct labels without hashing a string.
+  thread_local std::vector<uint32_t> ids;
+  ids.clear();
+  for (NodeId child : n.children) ids.push_back(label_id(child));
+  std::sort(ids.begin(), ids.end());
+  return static_cast<int>(std::unique(ids.begin(), ids.end()) -
+                          ids.begin());
 }
 
 int LabeledTree::MaxDepth() const {
@@ -219,32 +223,44 @@ std::vector<NodeId> LabeledTree::Subtree(NodeId id) const {
 
 namespace {
 
-std::string DefaultLabelTransform(const std::string& tag) {
-  return AsciiToLower(tag);
-}
-
-std::vector<std::string> DefaultValueTokenizer(const std::string& value) {
-  std::vector<std::string> tokens =
-      StrSplitAny(value, " \t\r\n.,;:!?()[]{}'\"");
-  for (std::string& t : tokens) t = AsciiToLower(t);
-  return tokens;
-}
-
 struct Builder {
-  const TreeBuildOptions* options;
-  std::function<std::string(const std::string&)> label_transform;
-  std::function<std::vector<std::string>(const std::string&)> tokenizer;
-  LabeledTree tree;
-  ResolvedLabel scratch;  ///< label_transform staging for ResolveTag()
+  explicit Builder(const TreeBuildOptions& options) : options(options) {}
 
-  /// Raw tag -> (label, id) through the interning hook when available,
-  /// else through label_transform with no id.
+  const TreeBuildOptions& options;
+  LabeledTree tree;
+  /// The default hooks' state: labels interned into an interner that
+  /// lives as long as the build, staged where the returned references
+  /// point.
+  TokenInterner interner;
+  ResolvedLabel tag;
+  std::vector<ResolvedLabel> tokens;
+
+  /// The tag hook, by default lowercasing the tag.
   const ResolvedLabel& ResolveTag(const std::string& raw_tag) {
-    if (options->resolved_label_transform) {
-      return options->resolved_label_transform(raw_tag);
+    if (options.resolved_label_transform) {
+      return options.resolved_label_transform(raw_tag);
     }
-    scratch.label = label_transform(raw_tag);
-    return scratch;
+    tag.label = AsciiToLower(raw_tag);
+    tag.id = interner.Intern(tag.label);
+    return tag;
+  }
+
+  /// The value hook, by default splitting on whitespace and
+  /// punctuation and lowercasing.
+  const std::vector<ResolvedLabel>& Tokenize(const std::string& text) {
+    if (options.resolved_value_tokenizer) {
+      return options.resolved_value_tokenizer(text);
+    }
+    tokens.clear();
+    for (const std::string& token :
+         StrSplitAny(text, " \t\r\n.,;:!?()[]{}'\"")) {
+      ResolvedLabel& resolved = tokens.emplace_back();
+      resolved.label = AsciiToLower(token);
+      if (!resolved.label.empty()) {
+        resolved.id = interner.Intern(resolved.label);
+      }
+    }
+    return tokens;
   }
 
   NodeId AddTag(NodeId parent, const std::string& raw_tag,
@@ -255,21 +271,11 @@ struct Builder {
   }
 
   void AddTokens(NodeId parent, const std::string& text) {
-    if (!options->include_values) return;
-    if (options->resolved_value_tokenizer) {
-      for (const ResolvedLabel& token :
-           options->resolved_value_tokenizer(text)) {
-        if (token.label.empty()) continue;
-        tree.AddNode(parent, token.label, token.id, TreeNodeKind::kToken,
-                     token.label);
-      }
-      return;
-    }
-    for (std::string& token : tokenizer(text)) {
-      if (token.empty()) continue;
-      std::string raw = token;
-      tree.AddNode(parent, std::move(token), TreeNodeKind::kToken,
-                   std::move(raw));
+    if (!options.include_values) return;
+    for (const ResolvedLabel& token : Tokenize(text)) {
+      if (token.label.empty()) continue;
+      tree.AddNode(parent, token.label, token.id, TreeNodeKind::kToken,
+                   token.label);
     }
   }
 
@@ -343,14 +349,8 @@ Result<LabeledTree> BuildLabeledTree(const Node& root_element,
     return Status::InvalidArgument(
         "BuildLabeledTree requires an element node");
   }
-  Builder builder;
+  Builder builder(options);
   builder.tree.Reserve(EstimateTreeNodes(root_element));
-  builder.options = &options;
-  builder.label_transform =
-      options.label_transform ? options.label_transform
-                              : DefaultLabelTransform;
-  builder.tokenizer = options.value_tokenizer ? options.value_tokenizer
-                                              : DefaultValueTokenizer;
   builder.AddElement(kInvalidNode, root_element);
   return std::move(builder.tree);
 }

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,7 +19,8 @@ namespace xsdf::xml {
 using NodeId = int;
 inline constexpr NodeId kInvalidNode = -1;
 
-/// Sentinel for a node whose label has not been interned.
+/// Sentinel for a label that has not been interned; no tree node
+/// carries it.
 inline constexpr uint32_t kNoLabelId = 0xFFFFFFFFu;
 
 /// What an XML construct a tree node was derived from.
@@ -52,19 +52,15 @@ class LabeledTree {
  public:
   LabeledTree() = default;
 
-  /// Appends a node. The first added node must be the root
-  /// (`parent == kInvalidNode`); children must be added after their
-  /// parent and in preorder so that ids equal preorder ranks. A call
-  /// violating these preconditions returns kInvalidNode without
-  /// modifying the tree (and traps in checked builds), so malformed
-  /// construction fails recoverably in release binaries.
-  NodeId AddNode(NodeId parent, std::string label, TreeNodeKind kind,
-                 std::string raw = {});
-
-  /// Same, with the label's interned id (core::LabelSpace). The
-  /// disambiguator reads the ids of a tree whose every node carries
-  /// one; a single id-less AddNode() makes it resolve the labels itself
-  /// instead (has_label_ids() turns false).
+  /// Appends a node carrying `label` and its interned id `label_id`.
+  /// The first added node must be the root (`parent == kInvalidNode`);
+  /// children must be added after their parent and in preorder so that
+  /// ids equal preorder ranks, and every node needs an id (not
+  /// kNoLabelId) drawn from the one interner that issued the tree's
+  /// other ids. A call violating these preconditions returns
+  /// kInvalidNode without modifying the tree (and traps in checked
+  /// builds), so malformed construction fails recoverably in release
+  /// binaries.
   NodeId AddNode(NodeId parent, std::string label, uint32_t label_id,
                  TreeNodeKind kind, std::string raw = {});
 
@@ -74,29 +70,24 @@ class LabeledTree {
     label_ids_.reserve(node_count);
   }
 
-  /// Interned label of `id`, or kNoLabelId when never assigned.
+  /// Interned label of `id`.
   uint32_t label_id(NodeId id) const {
     return label_ids_[static_cast<size_t>(id)];
   }
-  /// Per-node interned labels, parallel to nodes().
-  std::span<const uint32_t> label_ids() const { return label_ids_; }
-  /// True when every node carries an interned label id.
-  bool has_label_ids() const {
-    return missing_label_ids_ == 0 && !nodes_.empty();
-  }
-  /// Overwrites node `id`'s interned label (id assignment passes).
-  void set_label_id(NodeId id, uint32_t label_id) {
-    uint32_t& slot = label_ids_[static_cast<size_t>(id)];
-    if ((slot == kNoLabelId) != (label_id == kNoLabelId)) {
-      missing_label_ids_ += label_id == kNoLabelId ? 1 : -1;
-    }
-    slot = label_id;
-  }
+
+  /// Serial of the interner that issued the ids (core::LabelSpace's
+  /// serial()), or 0 when a build-local interner did. A disambiguator
+  /// reads only trees whose source is its own label space.
+  uint64_t label_source() const { return label_source_; }
+  /// Records the issuing interner's serial; builders call it once.
+  void set_label_source(uint64_t serial) { label_source_ = serial; }
 
   /// Full structural-invariant audit: ids equal positions, parents
   /// precede children, depths are parent depth + 1, child lists and
-  /// parent pointers agree, and every non-root node is linked exactly
-  /// once. O(nodes + edges); used as a fuzzing/property-test oracle.
+  /// parent pointers agree, every non-root node is linked exactly
+  /// once, every node carries a label id, and two nodes share an id
+  /// exactly when they share a label. O(nodes + edges) plus one hash
+  /// probe per node; used as a fuzzing/property-test oracle.
   Status Validate() const;
 
   bool empty() const { return nodes_.empty(); }
@@ -107,9 +98,8 @@ class LabeledTree {
   const std::vector<TreeNode>& nodes() const { return nodes_; }
 
   /// Number of children of `id` carrying distinct labels — the paper's
-  /// density factor x.f-bar (Proposition 3). On a tree with label ids
-  /// it counts distinct child ids, which requires ids to map one-to-one
-  /// to spellings (core::LabelSpace ids do).
+  /// density factor x.f-bar (Proposition 3), counted as distinct child
+  /// label ids (ids map one-to-one to labels; see Validate()).
   int DistinctChildLabelCount(NodeId id) const;
 
   /// Max(depth(T)): the maximum node depth in the tree. Memoized after
@@ -174,17 +164,17 @@ class LabeledTree {
   };
 
   std::vector<TreeNode> nodes_;
-  /// Interned label per node, parallel to nodes_ (kNoLabelId when the
-  /// node was added without one).
+  /// Interned label per node, parallel to nodes_.
   std::vector<uint32_t> label_ids_;
-  size_t missing_label_ids_ = 0;  ///< count of kNoLabelId entries
+  uint64_t label_source_ = 0;
   mutable CachedMax max_depth_;
   mutable CachedMax max_fan_out_;
   mutable CachedMax max_density_;
 };
 
 /// A preprocessed node label together with its interned id
-/// (kNoLabelId when the producer interns nothing).
+/// (kNoLabelId for a token that normalizes to nothing, which builders
+/// skip).
 struct ResolvedLabel {
   std::string label;
   uint32_t id = kNoLabelId;
@@ -197,30 +187,21 @@ struct TreeBuildOptions {
   /// (structure-only). See paper §3.1.
   bool include_values = true;
 
-  /// Maps a raw tag name to one or more node labels. The default
-  /// lowercases the tag. XSDF's linguistic pre-processing (compound
-  /// splitting, stemming) is plugged in here by the core pipeline.
-  std::function<std::string(const std::string&)> label_transform;
-
-  /// Splits a text value into token labels (one leaf node each). The
-  /// default splits on whitespace and lowercases. XSDF's tokenizer,
-  /// stop-word filter, and stemmer are plugged in here.
-  std::function<std::vector<std::string>(const std::string&)>
-      value_tokenizer;
-
-  /// Alternative to label_transform that maps a raw tag name straight
-  /// to its preprocessed label and interned id, so every built node
-  /// carries the id and the tree satisfies has_label_ids(); a memoizing
-  /// producer (the core pipeline's LabelSpace hook) answers one hash
-  /// probe per node. The returned reference must stay valid for the
-  /// duration of the build (memo entries do). Takes precedence over
-  /// label_transform when set.
+  /// Maps a raw tag name to its node label and interned id. The
+  /// default lowercases the tag and interns it into a TokenInterner
+  /// local to the build. XSDF's linguistic pre-processing (compound
+  /// splitting, stemming) and core::LabelSpace interning are plugged
+  /// in here by the core pipeline; a memoizing producer answers one
+  /// hash probe per node. The returned reference must stay valid until
+  /// the next call (memo entries outlive the build).
   std::function<const ResolvedLabel&(const std::string&)>
       resolved_label_transform;
 
-  /// The same for text values: an alternative to value_tokenizer that
-  /// also interns each token, under the same reference-lifetime
-  /// contract. Takes precedence over value_tokenizer when set.
+  /// The same for text values: splits a value into token labels (one
+  /// leaf node each) with their ids, under the same reference-lifetime
+  /// contract. The default splits on whitespace and punctuation,
+  /// lowercases, and interns into the build-local interner. XSDF's
+  /// tokenizer, stop-word filter, and stemmer are plugged in here.
   std::function<const std::vector<ResolvedLabel>&(const std::string&)>
       resolved_value_tokenizer;
 };

@@ -469,8 +469,7 @@ class ParserT {
     // The parser, the serializer, the DOM destructor, and the tree
     // builder all recurse once per nesting level, so the depth cap is
     // the stack-overflow guard for the whole pipeline.
-    if (options_.limits.max_depth > 0 &&
-        depth_ >= options_.limits.max_depth) {
+    if (depth_ >= options_.limits.max_depth) {
       return LimitError(StrFormat("element nesting exceeds max_depth (%d)",
                                   options_.limits.max_depth));
     }
@@ -718,7 +717,15 @@ bool IsValidName(std::string_view name) {
 
 namespace {
 
-Status CheckInputSize(std::string_view input, const ParseOptions& options) {
+/// The checks both entry points run before parsing: a usable depth
+/// cap, and the input size budget.
+Status CheckLimits(std::string_view input, const ParseOptions& options) {
+  if (options.limits.max_depth <= 0) {
+    return Status::InvalidArgument(StrFormat(
+        "max_depth must be at least 1 (got %d): the depth cap is the "
+        "parser's stack-overflow guard",
+        options.limits.max_depth));
+  }
   if (options.limits.max_input_bytes > 0 &&
       input.size() > options.limits.max_input_bytes) {
     return Status::OutOfRange(
@@ -731,7 +738,7 @@ Status CheckInputSize(std::string_view input, const ParseOptions& options) {
 }  // namespace
 
 Result<Document> Parse(std::string_view input, const ParseOptions& options) {
-  XSDF_RETURN_IF_ERROR(CheckInputSize(input, options));
+  XSDF_RETURN_IF_ERROR(CheckLimits(input, options));
   Document doc;
   DomSink sink(&doc);
   ParserT<DomSink> parser(input, options, &sink);
@@ -741,7 +748,7 @@ Result<Document> Parse(std::string_view input, const ParseOptions& options) {
 
 Status StreamParse(std::string_view input, StreamHandler* handler,
                    const ParseOptions& options) {
-  XSDF_RETURN_IF_ERROR(CheckInputSize(input, options));
+  XSDF_RETURN_IF_ERROR(CheckLimits(input, options));
   HandlerSink sink(handler);
   ParserT<HandlerSink> parser(input, options, &sink);
   return parser.Run();

@@ -12,14 +12,17 @@ namespace xsdf::xml {
 /// Input-hardening limits. Every document XSDF serves enters through
 /// this parser, so adversarial inputs must fail with a `Status` before
 /// they can exhaust the stack (deep recursion), memory, or CPU. A zero
-/// value disables the corresponding limit.
+/// value disables the corresponding size or count limit; the depth cap
+/// cannot be disabled.
 struct ParseLimits {
   /// Maximum accepted input size in bytes.
   size_t max_input_bytes = 64u << 20;
-  /// Maximum element-nesting depth. The parser, serializer, DOM
-  /// destructor, and LabeledTree builder all recurse over the element
-  /// tree, so this bound protects every downstream consumer from stack
-  /// overflow, not just the parse itself.
+  /// Maximum element-nesting depth; must be at least 1 (Parse and
+  /// StreamParse return InvalidArgument otherwise). The parser,
+  /// serializer, DOM destructor, and LabeledTree builder all recurse
+  /// over the element tree, so this bound protects every downstream
+  /// consumer from stack overflow, not just the parse itself. Raise it
+  /// deliberately and only as far as the stack allows.
   int max_depth = 256;
   /// Maximum number of attributes on a single element.
   size_t max_attributes_per_element = 1024;

@@ -43,9 +43,15 @@ const wordnet::SemanticNetwork& Network() {
   return *network;
 }
 
+/// The label space the corpus trees and every disambiguator share.
+core::LabelSpace* Labels() {
+  static core::LabelSpace* space = new core::LabelSpace(&Network());
+  return space;
+}
+
 const std::vector<eval::CorpusDocument>& Corpus() {
   static const std::vector<eval::CorpusDocument>* corpus = [] {
-    auto built = eval::BuildCorpus(Network(), kCorpusSeed);
+    auto built = eval::BuildCorpus(Network(), Labels(), kCorpusSeed);
     EXPECT_TRUE(built.ok());
     return new std::vector<eval::CorpusDocument>(std::move(built).value());
   }();
@@ -56,6 +62,7 @@ const std::vector<eval::CorpusDocument>& Corpus() {
 /// on the shared target sample against the resolved gold.
 eval::PrfScores ScoreGroup(int group, const sim::MeasureConfig& config) {
   core::DisambiguatorOptions options;
+  options.label_space = Labels();
   options.sphere_radius = kRadius;
   options.measure_config = config;
   core::Disambiguator disambiguator(&Network(), options);

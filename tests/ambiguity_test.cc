@@ -6,6 +6,7 @@
 
 #include "core/ambiguity.h"
 #include "core/tree_builder.h"
+#include "interned_tree.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/labeled_tree.h"
 
@@ -17,6 +18,7 @@ using xml::kInvalidNode;
 using xml::LabeledTree;
 using xml::NodeId;
 using xml::TreeNodeKind;
+using testutil::InternedTree;
 
 const SemanticNetwork& Network() {
   static const SemanticNetwork* network = [] {
@@ -28,25 +30,25 @@ const SemanticNetwork& Network() {
 
 /// Figure 5.a-style tree: picture with several distinct children.
 LabeledTree RichTree() {
-  LabeledTree tree;
+  InternedTree tree;
   NodeId picture =
-      tree.AddNode(kInvalidNode, "picture", TreeNodeKind::kElement);
-  tree.AddNode(picture, "director", TreeNodeKind::kElement);
-  NodeId cast = tree.AddNode(picture, "cast", TreeNodeKind::kElement);
-  tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(picture, "genre", TreeNodeKind::kElement);
-  tree.AddNode(picture, "plot", TreeNodeKind::kElement);
+      tree.Add(kInvalidNode, "picture", TreeNodeKind::kElement);
+  tree.Add(picture, "director", TreeNodeKind::kElement);
+  NodeId cast = tree.Add(picture, "cast", TreeNodeKind::kElement);
+  tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(picture, "genre", TreeNodeKind::kElement);
+  tree.Add(picture, "plot", TreeNodeKind::kElement);
   return tree;
 }
 
 /// Figure 5.b-style tree: picture with identical children labels.
 LabeledTree PoorTree() {
-  LabeledTree tree;
+  InternedTree tree;
   NodeId picture =
-      tree.AddNode(kInvalidNode, "picture", TreeNodeKind::kElement);
+      tree.Add(kInvalidNode, "picture", TreeNodeKind::kElement);
   for (int i = 0; i < 4; ++i) {
-    tree.AddNode(picture, "star", TreeNodeKind::kElement);
+    tree.Add(picture, "star", TreeNodeKind::kElement);
   }
   return tree;
 }
@@ -102,17 +104,17 @@ TEST(AmbiguityDegreeTest, Figure5Intuition) {
   // plot) vs over four identical "star" children. Put both shapes in
   // one tree so the per-tree normalizers cancel, then compare the two
   // picture nodes.
-  LabeledTree tree;
-  NodeId root = tree.AddNode(kInvalidNode, "collection",
+  InternedTree tree;
+  NodeId root = tree.Add(kInvalidNode, "collection",
                              TreeNodeKind::kElement);
-  NodeId rich = tree.AddNode(root, "picture", TreeNodeKind::kElement);
-  tree.AddNode(rich, "director", TreeNodeKind::kElement);
-  tree.AddNode(rich, "cast", TreeNodeKind::kElement);
-  tree.AddNode(rich, "genre", TreeNodeKind::kElement);
-  tree.AddNode(rich, "plot", TreeNodeKind::kElement);
-  NodeId poor = tree.AddNode(root, "picture", TreeNodeKind::kElement);
+  NodeId rich = tree.Add(root, "picture", TreeNodeKind::kElement);
+  tree.Add(rich, "director", TreeNodeKind::kElement);
+  tree.Add(rich, "cast", TreeNodeKind::kElement);
+  tree.Add(rich, "genre", TreeNodeKind::kElement);
+  tree.Add(rich, "plot", TreeNodeKind::kElement);
+  NodeId poor = tree.Add(root, "picture", TreeNodeKind::kElement);
   for (int i = 0; i < 4; ++i) {
-    tree.AddNode(poor, "star", TreeNodeKind::kElement);
+    tree.Add(poor, "star", TreeNodeKind::kElement);
   }
   EXPECT_LT(AmbiguityDegree(tree, rich, Network()),
             AmbiguityDegree(tree, poor, Network()));
@@ -127,8 +129,8 @@ TEST(AmbiguityDegreeTest, RangeAndAssumption4) {
   }
   // "director" has several senses -> nonzero; a monosemous label is 0
   // regardless of structure (Assumption 4).
-  LabeledTree mono;
-  mono.AddNode(kInvalidNode, "wheelchair", TreeNodeKind::kElement);
+  InternedTree mono;
+  mono.Add(kInvalidNode, "wheelchair", TreeNodeKind::kElement);
   EXPECT_DOUBLE_EQ(AmbiguityDegree(mono, 0, Network()), 0.0);
 }
 
@@ -168,8 +170,8 @@ TEST(SelectTargetsTest, ThresholdZeroSelectsAllSenseBearing) {
 }
 
 TEST(SelectTargetsTest, SenselessLabelsNeverSelected) {
-  LabeledTree tree;
-  tree.AddNode(kInvalidNode, "zzunknownzz", TreeNodeKind::kElement);
+  InternedTree tree;
+  tree.Add(kInvalidNode, "zzunknownzz", TreeNodeKind::kElement);
   EXPECT_TRUE(SelectTargetNodes(tree, Network(), 0.0).empty());
 }
 

@@ -7,7 +7,9 @@
 #include <cmath>
 
 #include "core/baselines.h"
+#include "core/label_space.h"
 #include "core/tree_builder.h"
+#include "interned_tree.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace xsdf::core {
@@ -23,12 +25,22 @@ const SemanticNetwork& Network() {
   return *network;
 }
 
+/// The label space every tree in this file is interned through.
+LabelSpace* Labels() {
+  static LabelSpace* space = new LabelSpace(&Network());
+  return space;
+}
+
+Result<xml::LabeledTree> ParseTree(const char* xml) {
+  return BuildTreeFromXml(xml, Network(), /*include_values=*/true, Labels());
+}
+
 const char* kMovieDoc =
     "<films><picture><director>Hitchcock</director>"
     "<cast><star>Kelly</star></cast></picture></films>";
 
 TEST(RpdTest, DisambiguatesStructureNodes) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   auto result = rpd.RunOnTree(*tree);
@@ -43,7 +55,7 @@ TEST(RpdTest, DisambiguatesStructureNodes) {
 }
 
 TEST(RpdTest, NeverTouchesContentTokens) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   auto result = rpd.RunOnTree(*tree);
@@ -54,7 +66,7 @@ TEST(RpdTest, NeverTouchesContentTokens) {
 }
 
 TEST(RpdTest, ScoreUsesRootPathContext) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   // Find the "cast" node: its path context (film/picture ancestors,
@@ -70,8 +82,8 @@ TEST(RpdTest, ScoreUsesRootPathContext) {
   // A candidate scored with path context present is positive...
   EXPECT_GT(rpd.Score(*tree, cast, *actors), 0.0);
   // ...and with no context at all (single-node tree) it is zero.
-  xml::LabeledTree lone;
-  lone.AddNode(xml::kInvalidNode, "cast", xml::TreeNodeKind::kElement);
+  testutil::InternedTree lone;
+  lone.Add(xml::kInvalidNode, "cast", xml::TreeNodeKind::kElement);
   EXPECT_DOUBLE_EQ(rpd.Score(lone, 0, *actors), 0.0);
 }
 
@@ -107,7 +119,7 @@ TEST(VsdTest, LeacockChodorowProperties) {
 TEST(VsdTest, CrossableThresholdLimitsContext) {
   // With a very tight threshold only the immediate ring is crossable,
   // so scores shrink relative to a permissive threshold.
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
   xml::NodeId star = xml::kInvalidNode;
   for (const auto& node : tree->nodes()) {
@@ -123,7 +135,7 @@ TEST(VsdTest, CrossableThresholdLimitsContext) {
 }
 
 TEST(VsdTest, RunAssignsStructureOnly) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
   VsdBaseline vsd(&Network());
   auto result = vsd.RunOnTree(*tree);
@@ -141,7 +153,7 @@ TEST(BaselineComparisonTest, SystemsDisagreeSomewhere) {
   const char* doc =
       "<club><name>golf</name><president>Stewart</president>"
       "<members><member><hobby>tennis</hobby></member></members></club>";
-  auto tree = BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   VsdBaseline vsd(&Network());

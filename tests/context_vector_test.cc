@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/context_vector.h"
+#include "interned_tree.h"
 #include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/labeled_tree.h"
@@ -29,16 +30,16 @@ using xml::TreeNodeKind;
 
 /// The paper's Figure 6 tree.
 LabeledTree Figure6Tree() {
-  LabeledTree tree;
-  NodeId films = tree.AddNode(kInvalidNode, "films",
+  testutil::InternedTree tree;
+  NodeId films = tree.Add(kInvalidNode, "films",
                               TreeNodeKind::kElement);
-  NodeId picture = tree.AddNode(films, "picture", TreeNodeKind::kElement);
-  NodeId cast = tree.AddNode(picture, "cast", TreeNodeKind::kElement);
-  NodeId star1 = tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(star1, "stewart", TreeNodeKind::kToken);
-  NodeId star2 = tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(star2, "kelly", TreeNodeKind::kToken);
-  tree.AddNode(picture, "plot", TreeNodeKind::kElement);
+  NodeId picture = tree.Add(films, "picture", TreeNodeKind::kElement);
+  NodeId cast = tree.Add(picture, "cast", TreeNodeKind::kElement);
+  NodeId star1 = tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(star1, "stewart", TreeNodeKind::kToken);
+  NodeId star2 = tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(star2, "kelly", TreeNodeKind::kToken);
+  tree.Add(picture, "plot", TreeNodeKind::kElement);
   return tree;
 }
 
@@ -140,10 +141,10 @@ TEST(CosineTest, IdenticalVectorsScoreOne) {
 }
 
 TEST(CosineTest, DisjointVectorsScoreZero) {
-  LabeledTree a;
-  a.AddNode(kInvalidNode, "alpha", TreeNodeKind::kElement);
-  LabeledTree b;
-  b.AddNode(kInvalidNode, "beta", TreeNodeKind::kElement);
+  testutil::InternedTree a;
+  a.Add(kInvalidNode, "alpha", TreeNodeKind::kElement);
+  testutil::InternedTree b;
+  b.Add(kInvalidNode, "beta", TreeNodeKind::kElement);
   ContextVector va(BuildXmlSphere(a, 0, 1));
   ContextVector vb(BuildXmlSphere(b, 0, 1));
   EXPECT_DOUBLE_EQ(va.Cosine(vb), 0.0);
@@ -165,10 +166,10 @@ TEST(JaccardTest, IdenticalVectorsScoreOne) {
 }
 
 TEST(JaccardTest, DisjointVectorsScoreZero) {
-  LabeledTree a;
-  a.AddNode(kInvalidNode, "alpha", TreeNodeKind::kElement);
-  LabeledTree b;
-  b.AddNode(kInvalidNode, "beta", TreeNodeKind::kElement);
+  testutil::InternedTree a;
+  a.Add(kInvalidNode, "alpha", TreeNodeKind::kElement);
+  testutil::InternedTree b;
+  b.Add(kInvalidNode, "beta", TreeNodeKind::kElement);
   ContextVector va(BuildXmlSphere(a, 0, 1));
   ContextVector vb(BuildXmlSphere(b, 0, 1));
   EXPECT_DOUBLE_EQ(va.Jaccard(vb), 0.0);

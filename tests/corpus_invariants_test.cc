@@ -26,7 +26,8 @@ class CorpusInvariantsTest : public ::testing::Test {
     auto network = wordnet::BuildMiniWordNet();
     ASSERT_TRUE(network.ok());
     network_ = new wordnet::SemanticNetwork(std::move(network).value());
-    auto corpus = eval::BuildCorpus(*network_);
+    labels_ = new core::LabelSpace(network_);
+    auto corpus = eval::BuildCorpus(*network_, labels_);
     ASSERT_TRUE(corpus.ok());
     corpus_ = new std::vector<eval::CorpusDocument>(
         std::move(corpus).value());
@@ -35,21 +36,31 @@ class CorpusInvariantsTest : public ::testing::Test {
   static const std::vector<eval::CorpusDocument>& corpus() {
     return *corpus_;
   }
+  /// The space the corpus trees were interned through.
+  static core::LabelSpace* labels() { return labels_; }
+  /// Options reading the corpus trees: their label space, nothing else.
+  static core::DisambiguatorOptions CorpusOptions() {
+    core::DisambiguatorOptions options;
+    options.label_space = labels_;
+    return options;
+  }
 
  private:
   static const wordnet::SemanticNetwork* network_;
+  static core::LabelSpace* labels_;
   static const std::vector<eval::CorpusDocument>* corpus_;
 };
 
 const wordnet::SemanticNetwork* CorpusInvariantsTest::network_ = nullptr;
 const std::vector<eval::CorpusDocument>* CorpusInvariantsTest::corpus_ =
     nullptr;
+core::LabelSpace* CorpusInvariantsTest::labels_ = nullptr;
 
 TEST_F(CorpusInvariantsTest, AssignedConceptsAreSensesOfTheirLabels) {
   // The most important correctness invariant: whatever sense the
   // system picks for a node, that concept must actually be a sense of
   // (a token of) the node's label in the network.
-  core::Disambiguator system(&network());
+  core::Disambiguator system(&network(), CorpusOptions());
   for (const auto& doc : corpus()) {
     auto result = system.RunOnTree(doc.tree);
     ASSERT_TRUE(result.ok());
@@ -76,7 +87,7 @@ TEST_F(CorpusInvariantsTest, AssignedConceptsAreSensesOfTheirLabels) {
 }
 
 TEST_F(CorpusInvariantsTest, ScoresAndAmbiguitiesBounded) {
-  core::Disambiguator system(&network());
+  core::Disambiguator system(&network(), CorpusOptions());
   for (const auto& doc : corpus()) {
     auto result = system.RunOnTree(doc.tree);
     ASSERT_TRUE(result.ok());
@@ -93,7 +104,7 @@ TEST_F(CorpusInvariantsTest, ScoresAndAmbiguitiesBounded) {
 }
 
 TEST_F(CorpusInvariantsTest, DisambiguationIsDeterministic) {
-  core::Disambiguator system(&network());
+  core::Disambiguator system(&network(), CorpusOptions());
   const auto& doc = corpus()[0];
   auto a = system.RunOnTree(doc.tree);
   auto b = system.RunOnTree(doc.tree);
@@ -113,12 +124,17 @@ TEST_F(CorpusInvariantsTest, WndbRoundTripPreservesDisambiguation) {
   // change any disambiguation decision.
   auto via_wndb = wordnet::BuildMiniWordNetViaWndb();
   ASSERT_TRUE(via_wndb.ok());
-  core::Disambiguator direct(&network());
+  core::Disambiguator direct(&network(), CorpusOptions());
   core::Disambiguator from_files(&*via_wndb);
   for (size_t i = 0; i < corpus().size(); i += 7) {
     const auto& doc = corpus()[i];
+    // Label ids are network-relative, so the second network reads a
+    // tree interned through its own label space.
+    auto tree_b = core::BuildTreeFromXml(doc.generated.xml, *via_wndb, true,
+                                         from_files.label_space());
+    ASSERT_TRUE(tree_b.ok());
     auto a = direct.RunOnTree(doc.tree);
-    auto b = from_files.RunOnTree(doc.tree);
+    auto b = from_files.RunOnTree(std::move(tree_b).value());
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a->assignments.size(), b->assignments.size())
@@ -152,12 +168,15 @@ TEST_F(CorpusInvariantsTest, SerializerRoundTripsEveryDocument) {
 TEST_F(CorpusInvariantsTest, TreesRebuildIdentically) {
   for (size_t i = 0; i < corpus().size(); i += 5) {
     const auto& doc = corpus()[i];
-    auto rebuilt = core::BuildTreeFromXml(doc.generated.xml, network());
+    auto rebuilt = core::BuildTreeFromXml(doc.generated.xml, network(),
+                                          true, labels());
     ASSERT_TRUE(rebuilt.ok());
     ASSERT_EQ(rebuilt->size(), doc.tree.size()) << doc.generated.name;
     for (size_t n = 0; n < doc.tree.size(); ++n) {
       EXPECT_EQ(rebuilt->node(static_cast<int>(n)).label,
                 doc.tree.node(static_cast<int>(n)).label);
+      EXPECT_EQ(rebuilt->label_id(static_cast<int>(n)),
+                doc.tree.label_id(static_cast<int>(n)));
     }
   }
 }
@@ -165,17 +184,12 @@ TEST_F(CorpusInvariantsTest, TreesRebuildIdentically) {
 TEST_F(CorpusInvariantsTest, ContextVectorInvariantsEverywhere) {
   // Over a sample of nodes from every document: weights in (0, 1],
   // every sphere label has a weight, cosine self-similarity is 1.
-  core::LabelSpace space(&network());
   for (const auto& doc : corpus()) {
-    std::vector<uint32_t> label_ids;
-    for (const auto& node : doc.tree.nodes()) {
-      label_ids.push_back(space.Resolve(node.label));
-    }
     for (size_t i = 0; i < doc.target_sample.size(); i += 3) {
       xml::NodeId id = doc.target_sample[i];
       for (int radius : {1, 3}) {
         const core::IdSphere sphere =
-            core::BuildXmlIdSphere(doc.tree, label_ids, id, radius);
+            core::BuildXmlIdSphere(doc.tree, id, radius);
         const core::IdContextVector vector(sphere);
         for (int m = 0; m < sphere.size(); ++m) {
           const double weight = vector.WeightById(sphere.label_ids[m]);
@@ -208,7 +222,7 @@ TEST_F(CorpusInvariantsTest, RingsPartitionWithinRadius) {
 }
 
 TEST_F(CorpusInvariantsTest, JaccardProcessStillDisambiguates) {
-  core::DisambiguatorOptions options;
+  core::DisambiguatorOptions options = CorpusOptions();
   options.process = core::DisambiguationProcess::kContextBased;
   options.vector_similarity = core::VectorSimilarity::kJaccard;
   core::Disambiguator system(&network(), options);

@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "core/label_space.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "eval/gold.h"
@@ -22,6 +23,12 @@ const wordnet::SemanticNetwork& Network() {
     return new wordnet::SemanticNetwork(std::move(result).value());
   }();
   return *network;
+}
+
+/// The label space every tree in this file is interned through.
+core::LabelSpace* Labels() {
+  static core::LabelSpace* space = new core::LabelSpace(&Network());
+  return space;
 }
 
 TEST(DatasetsTest, TenFamiliesRegistered) {
@@ -102,7 +109,7 @@ TEST(DatasetsTest, GoldLabelsAppearInTrees) {
     int present = 0;
     int total = 0;
     for (const GeneratedDocument& doc : docs) {
-      auto tree = core::BuildTreeFromXml(doc.xml, Network());
+      auto tree = core::BuildTreeFromXml(doc.xml, Network(), true, Labels());
       ASSERT_TRUE(tree.ok());
       std::set<std::string> labels;
       for (const auto& node : tree->nodes()) labels.insert(node.label);
@@ -119,8 +126,8 @@ TEST(DatasetsTest, ShakespeareIsLargestAndDeepest) {
   auto shakespeare = AllDatasets()[0]->Generate(11);
   auto club = AllDatasets()[9]->Generate(11);
   auto tree_s =
-      core::BuildTreeFromXml(shakespeare[0].xml, Network());
-  auto tree_c = core::BuildTreeFromXml(club[0].xml, Network());
+      core::BuildTreeFromXml(shakespeare[0].xml, Network(), true, Labels());
+  auto tree_c = core::BuildTreeFromXml(club[0].xml, Network(), true, Labels());
   ASSERT_TRUE(tree_s.ok());
   ASSERT_TRUE(tree_c.ok());
   xml::TreeShape shape_s = xml::ComputeTreeShape(*tree_s);
@@ -137,7 +144,7 @@ TEST(DatasetsTest, GroupOneIsMostAmbiguous) {
     double sum = 0.0;
     int nodes = 0;
     for (const auto& doc : docs) {
-      auto tree = core::BuildTreeFromXml(doc.xml, Network());
+      auto tree = core::BuildTreeFromXml(doc.xml, Network(), true, Labels());
       for (const auto& node : tree->nodes()) {
         sum += Network().SenseCount(node.label);
         ++nodes;

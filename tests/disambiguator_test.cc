@@ -45,6 +45,13 @@ const SenseAssignment* FindByLabel(const SemanticTree& result,
   return nullptr;
 }
 
+/// `xml` built into a tree `system` reads (interned through its space).
+Result<xml::LabeledTree> TreeFor(const Disambiguator& system,
+                                 const char* xml) {
+  return BuildTreeFromXml(xml, Network(), system.options().include_values,
+                          system.label_space());
+}
+
 std::string AssignedLabel(const SemanticTree& result,
                           const std::string& label) {
   const SenseAssignment* assignment = FindByLabel(result, label);
@@ -135,9 +142,12 @@ TEST(DisambiguatorTest, ProcessesProduceDifferentScores) {
   concept_options.process = DisambiguationProcess::kConceptBased;
   DisambiguatorOptions context_options;
   context_options.process = DisambiguationProcess::kContextBased;
+  LabelSpace space(&Network());
+  concept_options.label_space = &space;
+  context_options.label_space = &space;
   Disambiguator concept_system(&Network(), concept_options);
   Disambiguator context_system(&Network(), context_options);
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
+  auto tree = BuildTreeFromXml(kFigure1Doc1, Network(), true, &space);
   ASSERT_TRUE(tree.ok());
   // Find the "cast" node.
   xml::NodeId cast = xml::kInvalidNode;
@@ -168,12 +178,47 @@ TEST(DisambiguatorTest, CombinedProcessBlends) {
 }
 
 TEST(DisambiguatorTest, DisambiguateNodeErrorsOnSenselessLabel) {
-  auto tree = BuildTreeFromXml("<zzunknownzz/>", Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, "<zzunknownzz/>");
+  ASSERT_TRUE(tree.ok());
   auto assignment = system.DisambiguateNode(*tree, 0);
   ASSERT_FALSE(assignment.ok());
   EXPECT_EQ(assignment.status().code(), StatusCode::kNotFound);
+}
+
+// Label ids are only comparable within one LabelSpace: read through
+// another space, an out-of-vocabulary label's id names a different
+// label, or none at all. Every entry point that can report the mix-up
+// rejects such a tree instead of disambiguating it.
+TEST(DisambiguatorTest, RejectsTreeFromAnotherLabelSpace) {
+  const char* doc =
+      "<films><movie_star>Kelly</movie_star><picture><cast>"
+      "<star>Stewart</star></cast></picture></films>";
+  LabelSpace other(&Network());
+  for (const char* label : {"aa_one", "aa_two", "aa_three"}) {
+    other.Resolve(label);
+  }
+  auto foreign = BuildTreeFromXml(doc, Network(), true, &other);
+  ASSERT_TRUE(foreign.ok());
+  Disambiguator system(&Network());
+  for (const char* label : {"aa_one", "aa_two", "aa_three", "aa_four"}) {
+    system.label_space()->Resolve(label);
+  }
+  auto result = system.RunOnTree(*foreign);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.DisambiguateNode(*foreign, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.ExplainNode(*foreign, 1).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The same document interned through the disambiguator's own space
+  // disambiguates every sense-bearing node.
+  auto own = TreeFor(system, doc);
+  ASSERT_TRUE(own.ok());
+  auto accepted = system.RunOnTree(*own);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted->assignments.size(), 7u);
 }
 
 TEST(DisambiguatorTest, MalformedXmlPropagatesError) {
@@ -213,9 +258,9 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
   // chosen sense, score, and ambiguity are byte-identical to what the
   // batch pipeline assigns — audit capture must not perturb the
   // floating-point accumulation.
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   size_t audited = 0;
   for (const auto& node : tree->nodes()) {
     auto assignment = system.DisambiguateNode(*tree, node.id);
@@ -243,9 +288,9 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
 }
 
 TEST(ExplainNodeTest, MarginSeparatesTopTwoCandidates) {
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   for (const auto& node : tree->nodes()) {
     if (node.label != "star") continue;
     auto audit = system.ExplainNode(*tree, node.id);
@@ -266,9 +311,9 @@ TEST(ExplainNodeTest, MarginSeparatesTopTwoCandidates) {
 }
 
 TEST(ExplainNodeTest, SingleCandidateAuditsAsScoreOne) {
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   for (const auto& node : tree->nodes()) {
     if (node.label != "wheelchair") continue;
     auto audit = system.ExplainNode(*tree, node.id);
@@ -282,18 +327,18 @@ TEST(ExplainNodeTest, SingleCandidateAuditsAsScoreOne) {
 }
 
 TEST(ExplainNodeTest, SenselessLabelReturnsNotFound) {
-  auto tree = BuildTreeFromXml("<zzunknownzz/>", Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, "<zzunknownzz/>");
+  ASSERT_TRUE(tree.ok());
   auto audit = system.ExplainNode(*tree, 0);
   ASSERT_FALSE(audit.ok());
   EXPECT_EQ(audit.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ExplainNodeTest, JsonRenderingCarriesTheDecomposition) {
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   for (const auto& node : tree->nodes()) {
     if (node.label != "star") continue;
     auto audit = system.ExplainNode(*tree, node.id);

@@ -21,6 +21,23 @@ const wordnet::SemanticNetwork& Network() {
   return *network;
 }
 
+/// The label space every tree and disambiguator in this file shares.
+core::LabelSpace* Labels() {
+  static core::LabelSpace* space = new core::LabelSpace(&Network());
+  return space;
+}
+
+Result<xml::LabeledTree> ParseTree(const char* xml) {
+  return core::BuildTreeFromXml(xml, Network(), /*include_values=*/true,
+                                Labels());
+}
+
+core::DisambiguatorOptions SharedSpaceOptions() {
+  core::DisambiguatorOptions options;
+  options.label_space = Labels();
+  return options;
+}
+
 TEST(MetricsTest, ComputePrfBasics) {
   PrfScores scores = ComputePrf(10, 8, 6);
   EXPECT_DOUBLE_EQ(scores.precision, 0.75);
@@ -78,9 +95,9 @@ TEST(GoldTest, ResolveGoldMapsKeys) {
 TEST(GoldTest, ScoreAgainstGoldCountsCorrectly) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   ASSERT_TRUE(tree.ok());
-  core::Disambiguator system(&Network());
+  core::Disambiguator system(&Network(), SharedSpaceOptions());
   auto result = system.RunOnTree(*tree);
   ASSERT_TRUE(result.ok());
   auto gold = ResolveGold({{"kelly", "grace_kelly.n"},
@@ -97,8 +114,8 @@ TEST(GoldTest, ScoreAgainstGoldCountsCorrectly) {
 TEST(GoldTest, ScoreOnNodesRestrictsToSample) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
-  core::Disambiguator system(&Network());
+  auto tree = ParseTree(doc);
+  core::Disambiguator system(&Network(), SharedSpaceOptions());
   auto result = system.RunOnTree(*tree);
   auto gold = ResolveGold(
       {{"kelly", "grace_kelly.n"}, {"cast", "cast.actors.n"}});
@@ -119,7 +136,7 @@ TEST(GoldTest, SampleGoldNodesDeterministicAndBounded) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star><star>Stewart</star>"
       "</cast><plot>mystery</plot></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   auto gold = ResolveGold({{"star", "star.performer.n"},
                            {"cast", "cast.actors.n"},
                            {"plot", "plot.story.n"},
@@ -144,7 +161,7 @@ TEST(GoldTest, StructureBiasFavorsTags) {
   const char* doc =
       "<cast><star>Kelly</star><star>Stewart</star>"
       "<star>Hitchcock</star></cast>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   auto gold = ResolveGold({{"star", "star.performer.n"},
                            {"kelly", "grace_kelly.n"},
                            {"stewart", "james_stewart.n"},
@@ -165,7 +182,7 @@ TEST(GoldTest, StructureBiasFavorsTags) {
 TEST(RatersTest, RatingsAreDeterministicAndBounded) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   auto nodes = SampleRatableNodes(*tree, Network(), 5, 7);
   ASSERT_FALSE(nodes.empty());
   RaterPanelOptions options;
@@ -182,7 +199,7 @@ TEST(RatersTest, ClarityLowersRatings) {
   const char* doc =
       "<personnel><person><address><state>virginia</state></address>"
       "</person></personnel>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   auto nodes = SampleRatableNodes(*tree, Network(), 10, 7);
   RaterPanelOptions opaque;
   opaque.context_clarity = 0.0;
@@ -204,7 +221,7 @@ TEST(RatersTest, ClarityLowersRatings) {
 
 TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
   const char* doc = "<x><head>y</head><wheelchair>z</wheelchair></x>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   // Locate "head" (33 senses) and "wheelchair" (1 sense).
   xml::NodeId head = xml::kInvalidNode;
   xml::NodeId wheelchair = xml::kInvalidNode;
@@ -222,7 +239,7 @@ TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
 
 TEST(RatersTest, SampleRatableNodesSkipsSenseless) {
   const char* doc = "<zzz><qqq>vvv</qqq></zzz>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = ParseTree(doc);
   EXPECT_TRUE(SampleRatableNodes(*tree, Network(), 5, 3).empty());
 }
 

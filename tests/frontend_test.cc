@@ -166,8 +166,8 @@ TEST(LabelSpaceTest, CrossDocumentInterningIsStable) {
       "<catalog><star>Stewart</star><custom_tag>y</custom_tag></catalog>",
       Network(), /*include_values=*/true, &space);
   ASSERT_TRUE(tree1.ok() && tree2.ok());
-  EXPECT_TRUE(tree1->has_label_ids());
-  EXPECT_TRUE(tree2->has_label_ids());
+  EXPECT_EQ(tree1->label_source(), space.serial());
+  EXPECT_EQ(tree2->label_source(), space.serial());
   // Shared vocabulary (in-network and out-of-vocabulary alike) must
   // resolve to the same ids in both documents; distinct labels to
   // distinct ids (exact-spelling injectivity).
@@ -246,12 +246,12 @@ OracleNode ScoreWithOracle(const xml::LabeledTree& tree, xml::NodeId id,
   return oracle;
 }
 
-// Every node of the corpus and of one giant document, on trees with and
-// without label ids: ExplainNode's candidate list is the oracle's, and
-// each candidate's concept and context score is bit-equal to the
-// oracle's, under the concept-based process and the combined process
-// with cosine and with Jaccard. The frequency prior and the argmax run
-// after scoring in shared code, so they need no oracle.
+// Every node of the corpus and of one giant document: ExplainNode's
+// candidate list is the oracle's, and each candidate's concept and
+// context score is bit-equal to the oracle's, under the concept-based
+// process and the combined process with cosine and with Jaccard. The
+// frequency prior and the argmax run after scoring in shared code, so
+// they need no oracle.
 TEST(IdPipelineOracleTest, CandidatesAndScoresMatchStringOracle) {
   std::vector<std::string> docs = CorpusXml();
   docs.push_back(datasets::GiantDocuments(1, 256u << 10, 7)[0].xml);
@@ -283,14 +283,11 @@ TEST(IdPipelineOracleTest, CandidatesAndScoresMatchStringOracle) {
   const sim::CombinedMeasure measure;  // the oracle's own memo
   size_t scored_nodes = 0;
   for (size_t d = 0; d < docs.size(); ++d) {
-    auto plain = core::BuildTreeFromXml(docs[d], Network(), true);
-    auto interned = core::BuildTreeFromXml(docs[d], Network(), true, &space);
-    ASSERT_TRUE(plain.ok() && interned.ok()) << "doc " << d;
-    ASSERT_FALSE(plain->has_label_ids());
-    ASSERT_TRUE(interned->has_label_ids());
-    for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(plain->size());
+    auto tree = core::BuildTreeFromXml(docs[d], Network(), true, &space);
+    ASSERT_TRUE(tree.ok()) << "doc " << d;
+    for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree->size());
          ++id) {
-      const OracleNode oracle = ScoreWithOracle(*plain, id, measure, radius);
+      const OracleNode oracle = ScoreWithOracle(*tree, id, measure, radius);
       if (oracle.candidates.size() > 1) ++scored_nodes;
       for (size_t p = 0; p < systems.size(); ++p) {
         const bool combined =
@@ -299,27 +296,24 @@ TEST(IdPipelineOracleTest, CandidatesAndScoresMatchStringOracle) {
             processes[p].vector_similarity == core::VectorSimilarity::kJaccard
                 ? oracle.jaccard_scores
                 : oracle.cosine_scores;
-        for (const xml::LabeledTree* tree : {&*plain, &*interned}) {
-          const std::string context =
-              std::string(processes[p].name) + " doc " + std::to_string(d) +
-              " node " + std::to_string(id) +
-              (tree->has_label_ids() ? " (ids)" : " (no ids)");
-          auto audit = systems[p]->ExplainNode(*tree, id);
-          ASSERT_EQ(audit.ok(), !oracle.candidates.empty()) << context;
-          if (!audit.ok()) continue;
-          ASSERT_EQ(audit->candidates.size(), oracle.candidates.size())
-              << context;
-          for (size_t i = 0; i < oracle.candidates.size(); ++i) {
-            const core::CandidateAudit& candidate = audit->candidates[i];
-            ASSERT_EQ(candidate.sense, oracle.candidates[i]) << context;
-            if (oracle.candidates.size() < 2) continue;
-            ASSERT_EQ(Bits(candidate.concept_score),
-                      Bits(oracle.concept_scores[i]))
-                << context << " candidate " << i;
-            ASSERT_EQ(Bits(candidate.context_score),
-                      Bits(combined ? context_scores[i] : 0.0))
-                << context << " candidate " << i;
-          }
+        const std::string context = std::string(processes[p].name) +
+                                    " doc " + std::to_string(d) + " node " +
+                                    std::to_string(id);
+        auto audit = systems[p]->ExplainNode(*tree, id);
+        ASSERT_EQ(audit.ok(), !oracle.candidates.empty()) << context;
+        if (!audit.ok()) continue;
+        ASSERT_EQ(audit->candidates.size(), oracle.candidates.size())
+            << context;
+        for (size_t i = 0; i < oracle.candidates.size(); ++i) {
+          const core::CandidateAudit& candidate = audit->candidates[i];
+          ASSERT_EQ(candidate.sense, oracle.candidates[i]) << context;
+          if (oracle.candidates.size() < 2) continue;
+          ASSERT_EQ(Bits(candidate.concept_score),
+                    Bits(oracle.concept_scores[i]))
+              << context << " candidate " << i;
+          ASSERT_EQ(Bits(candidate.context_score),
+                    Bits(combined ? context_scores[i] : 0.0))
+              << context << " candidate " << i;
         }
       }
     }

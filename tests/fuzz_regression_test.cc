@@ -5,7 +5,7 @@
 // oracles abort() on violation, which gtest reports as a crashed test.
 //
 // Layout (relative to the repo root, baked in via XSDF_SOURCE_DIR):
-//   fuzz/corpus/{xml,wndb,tree,snapshot}                  seed inputs
+//   fuzz/corpus/{xml,wndb,tree,stream,snapshot}           seed inputs
 //   fuzz/corpus/regressions/<target>/                     past crashes
 
 #include <gtest/gtest.h>
@@ -66,6 +66,10 @@ TEST(FuzzRegressionTest, TreeSeedCorpusReplaysClean) {
   ReplayDirectory("tree", fuzz::DriveLabeledTree, /*required=*/true);
 }
 
+TEST(FuzzRegressionTest, StreamSeedCorpusReplaysClean) {
+  ReplayDirectory("stream", fuzz::DriveStreamParser, /*required=*/true);
+}
+
 TEST(FuzzRegressionTest, SnapshotSeedCorpusReplaysClean) {
   ReplayDirectory("snapshot", fuzz::DriveSnapshotLoader, /*required=*/true);
 }
@@ -86,6 +90,11 @@ TEST(FuzzRegressionTest, WndbCrashRegressionsStayFixed) {
 
 TEST(FuzzRegressionTest, TreeCrashRegressionsStayFixed) {
   ReplayDirectory("regressions/tree", fuzz::DriveLabeledTree,
+                  /*required=*/false);
+}
+
+TEST(FuzzRegressionTest, StreamCrashRegressionsStayFixed) {
+  ReplayDirectory("regressions/stream", fuzz::DriveStreamParser,
                   /*required=*/false);
 }
 

@@ -18,20 +18,25 @@ class ExperimentTest : public ::testing::Test {
     auto network = wordnet::BuildMiniWordNet();
     ASSERT_TRUE(network.ok());
     network_ = new wordnet::SemanticNetwork(std::move(network).value());
-    auto corpus = BuildCorpus(*network_);
+    labels_ = new core::LabelSpace(network_);
+    auto corpus = BuildCorpus(*network_, labels_);
     ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
     corpus_ = new std::vector<CorpusDocument>(std::move(corpus).value());
   }
   static const wordnet::SemanticNetwork& network() { return *network_; }
   static const std::vector<CorpusDocument>& corpus() { return *corpus_; }
+  /// The space the corpus trees were interned through.
+  static core::LabelSpace* labels() { return labels_; }
 
  private:
   static const wordnet::SemanticNetwork* network_;
+  static core::LabelSpace* labels_;
   static const std::vector<CorpusDocument>* corpus_;
 };
 
 const wordnet::SemanticNetwork* ExperimentTest::network_ = nullptr;
 const std::vector<CorpusDocument>* ExperimentTest::corpus_ = nullptr;
+core::LabelSpace* ExperimentTest::labels_ = nullptr;
 
 TEST_F(ExperimentTest, CorpusHasSixtyPreparedDocuments) {
   EXPECT_EQ(corpus().size(), 60u);
@@ -101,7 +106,7 @@ TEST_F(ExperimentTest, Table3ShapesMatchPaper) {
 }
 
 TEST_F(ExperimentTest, Figure8FValuesInPaperBand) {
-  auto cells = ComputeFigure8(corpus(), network(), {1, 3});
+  auto cells = ComputeFigure8(corpus(), network(), labels(), {1, 3});
   ASSERT_FALSE(cells.empty());
   // Concept-based F-values land in a plausible band around the paper's
   // [0.55, 0.69].
@@ -116,7 +121,7 @@ TEST_F(ExperimentTest, Figure8FValuesInPaperBand) {
 }
 
 TEST_F(ExperimentTest, Figure9XsdfLeadsOverall) {
-  auto cells = ComputeFigure9(corpus(), network());
+  auto cells = ComputeFigure9(corpus(), network(), labels());
   ASSERT_EQ(cells.size(), 12u);
   std::map<std::pair<int, std::string>, PrfScores> by_key;
   for (const auto& cell : cells) {
@@ -151,7 +156,8 @@ TEST_F(ExperimentTest, GroupContextClarityMonotone) {
 }
 
 TEST_F(ExperimentTest, BuildCorpusDeterministic) {
-  auto corpus2 = BuildCorpus(network());
+  core::LabelSpace space(&network());
+  auto corpus2 = BuildCorpus(network(), &space);
   ASSERT_TRUE(corpus2.ok());
   ASSERT_EQ(corpus2->size(), corpus().size());
   for (size_t i = 0; i < corpus().size(); ++i) {

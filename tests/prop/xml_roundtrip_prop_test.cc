@@ -113,11 +113,23 @@ TEST(XmlRoundTripProp, NestingDeeperThanTheLimitIsOutOfRange) {
           << doc.status().ToString();
     }
   }
-  // A disabled limit (0) accepts nesting past the default bound.
-  xml::ParseOptions loose = OracleParseOptions();
-  loose.limits.max_depth = 0;
-  auto deep = xml::Parse(nested(2000), loose);
+  // The depth cap is the parser's stack-overflow guard, so it cannot be
+  // switched off: 0 is rejected on both parse entry points...
+  xml::ParseOptions off = OracleParseOptions();
+  off.limits.max_depth = 0;
+  auto rejected = xml::Parse(nested(2), off);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  xml::StreamHandler ignore;
+  EXPECT_EQ(xml::StreamParse(nested(2), &ignore, off).code(),
+            StatusCode::kInvalidArgument);
+  // ...while a deliberately raised cap accepts nesting past the default.
+  xml::ParseOptions raised = OracleParseOptions();
+  raised.limits.max_depth = 512;
+  auto deep = xml::Parse(nested(512), raised);
   ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_EQ(xml::Parse(nested(513), raised).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 }  // namespace

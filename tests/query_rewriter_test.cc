@@ -61,7 +61,8 @@ TEST(QueryRewriterTest, CrossSchemaRetrieval) {
   auto docs = datasets::Figure1Documents();
   auto doc_b = xml::Parse(docs[1].xml);
   ASSERT_TRUE(doc_b.ok());
-  auto tree_b = BuildTree(*doc_b, Network());
+  LabelSpace space(&Network());
+  auto tree_b = BuildTree(*doc_b, Network(), true, &space);
   ASSERT_TRUE(tree_b.ok());
 
   const std::string original = "//picture";

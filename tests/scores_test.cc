@@ -7,6 +7,7 @@
 
 #include "core/scores.h"
 #include "core/tree_builder.h"
+#include "interned_tree.h"
 #include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 
@@ -42,18 +43,18 @@ ConceptId Key(const char* key) {
 }
 
 LabeledTree MovieTree() {
-  LabeledTree tree;
-  NodeId films = tree.AddNode(kInvalidNode, "film",
+  testutil::InternedTree tree;
+  NodeId films = tree.Add(kInvalidNode, "film",
                               TreeNodeKind::kElement);
-  NodeId picture = tree.AddNode(films, "picture", TreeNodeKind::kElement);
-  NodeId cast = tree.AddNode(picture, "cast", TreeNodeKind::kElement);
-  NodeId star1 = tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(star1, "stewart", TreeNodeKind::kToken);
-  NodeId star2 = tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(star2, "kelly", TreeNodeKind::kToken);
-  NodeId director = tree.AddNode(picture, "director",
+  NodeId picture = tree.Add(films, "picture", TreeNodeKind::kElement);
+  NodeId cast = tree.Add(picture, "cast", TreeNodeKind::kElement);
+  NodeId star1 = tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(star1, "stewart", TreeNodeKind::kToken);
+  NodeId star2 = tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(star2, "kelly", TreeNodeKind::kToken);
+  NodeId director = tree.Add(picture, "director",
                                  TreeNodeKind::kElement);
-  tree.AddNode(director, "hitchcock", TreeNodeKind::kToken);
+  tree.Add(director, "hitchcock", TreeNodeKind::kToken);
   return tree;
 }
 
@@ -113,8 +114,8 @@ TEST(ConceptScoreTest, RangeAndDiscrimination) {
 }
 
 TEST(ConceptScoreTest, EmptySphereScoresZero) {
-  LabeledTree tree;
-  tree.AddNode(kInvalidNode, "star", TreeNodeKind::kElement);
+  testutil::InternedTree tree;
+  tree.Add(kInvalidNode, "star", TreeNodeKind::kElement);
   Sphere sphere = BuildXmlSphere(tree, 0, 2);  // only the center
   ContextVector vector(sphere);
   sim::CombinedMeasure measure;

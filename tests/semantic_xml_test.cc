@@ -13,6 +13,7 @@
 #include "core/disambiguator.h"
 #include "datasets/generator.h"
 #include "eval/experiment.h"
+#include "interned_tree.h"
 #include "oracles/semantic_tree_dom.h"
 #include "wordnet/mini_wordnet.h"
 
@@ -57,10 +58,10 @@ void ExpectDocumentsMatch(const std::vector<datasets::GeneratedDocument>& docs) 
 }
 
 TEST(SemanticTreeToXmlTest, MatchesDomOracleOnExperimentsCorpus) {
-  auto corpus = eval::BuildCorpus(Network());
+  core::Disambiguator disambiguator(&Network());
+  auto corpus = eval::BuildCorpus(Network(), disambiguator.label_space());
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   ASSERT_FALSE(corpus->empty());
-  core::Disambiguator disambiguator(&Network());
   for (const eval::CorpusDocument& doc : *corpus) {
     auto semantic_tree = disambiguator.RunOnTree(doc.tree);
     ASSERT_TRUE(semantic_tree.ok()) << doc.generated.name;
@@ -112,13 +113,13 @@ TEST(SemanticTreeToXmlTest, EscapesLabelsAndGlossesAndWritesCompounds) {
   // Children are linked out of id order (node 4 hangs under node 1
   // after node 3 went under the root), so a writer that walked ids
   // instead of child lists would disagree with the oracle.
-  xml::LabeledTree tree;
-  tree.AddNode(xml::kInvalidNode, "thing", xml::TreeNodeKind::kElement);
-  tree.AddNode(0, "a<b", xml::TreeNodeKind::kElement);
-  tree.AddNode(1, "c&d", xml::TreeNodeKind::kAttribute);
-  tree.AddNode(0, "a<b_c&d", xml::TreeNodeKind::kElement);
-  tree.AddNode(1, "x\"y>z", xml::TreeNodeKind::kToken);
   core::Disambiguator disambiguator(&network);
+  testutil::InternedTree tree(disambiguator.label_space());
+  tree.Add(xml::kInvalidNode, "thing", xml::TreeNodeKind::kElement);
+  tree.Add(0, "a<b", xml::TreeNodeKind::kElement);
+  tree.Add(1, "c&d", xml::TreeNodeKind::kAttribute);
+  tree.Add(0, "a<b_c&d", xml::TreeNodeKind::kElement);
+  tree.Add(1, "x\"y>z", xml::TreeNodeKind::kToken);
   auto semantic_tree = disambiguator.RunOnTree(tree);
   ASSERT_TRUE(semantic_tree.ok());
   ASSERT_EQ(semantic_tree->assignments.count(3), 1u);

@@ -60,7 +60,8 @@ void ExpectTreesIdentical(const xml::LabeledTree& dom,
     ASSERT_EQ(dom.label_id(id), streaming.label_id(id))
         << context << " node " << id;
   }
-  EXPECT_EQ(dom.has_label_ids(), streaming.has_label_ids()) << context;
+  EXPECT_TRUE(dom.Validate().ok()) << context;
+  EXPECT_TRUE(streaming.Validate().ok()) << context;
 }
 
 /// The 500 generated documents the identity properties run over.
@@ -129,10 +130,13 @@ TEST(StreamingBuilderTest, MatchesDomBuildWithoutValues) {
     const std::string xml_text = propgen::GenerateXmlDocument(rng, gen);
     auto doc = xml::Parse(xml_text);
     ASSERT_TRUE(doc.ok());
-    auto dom_tree =
-        core::BuildTree(*doc, Network(), /*include_values=*/false);
+    core::LabelSpace dom_space(&Network());
+    auto dom_tree = core::BuildTree(*doc, Network(),
+                                    /*include_values=*/false, &dom_space);
+    core::LabelSpace streaming_space(&Network());
     auto streaming_tree = core::BuildTreeStreaming(
-        xml_text, Network(), xml::ParseOptions{}, /*include_values=*/false);
+        xml_text, Network(), xml::ParseOptions{}, /*include_values=*/false,
+        &streaming_space);
     ASSERT_EQ(dom_tree.ok(), streaming_tree.ok()) << "doc " << i;
     if (!dom_tree.ok()) continue;
     ASSERT_EQ(dom_tree->size(), streaming_tree->size()) << "doc " << i;
@@ -154,13 +158,18 @@ TEST(StreamingBuilderTest, MalformedAndOverBudgetInputsFailCleanly) {
                                /*seed=*/1);
   ASSERT_EQ(giant.size(), 1u);
   const std::string& whole = giant[0].xml;
+  core::LabelSpace space(&Network());
+  auto stream = [&](const std::string& text,
+                    const xml::ParseOptions& options) {
+    return core::BuildTreeStreaming(text, Network(), options,
+                                    /*include_values=*/true, &space);
+  };
 
   // Truncation at several byte offsets: mid-tag, mid-text, mid-close.
   for (size_t cut : {whole.size() / 7, whole.size() / 3, whole.size() - 9}) {
     const std::string truncated = whole.substr(0, cut);
-    auto streaming =
-        core::BuildTreeStreaming(truncated, Network(), xml::ParseOptions{});
-    EXPECT_FALSE(streaming.ok()) << "cut at " << cut;
+    EXPECT_FALSE(stream(truncated, xml::ParseOptions{}).ok())
+        << "cut at " << cut;
     auto doc = xml::Parse(truncated);
     EXPECT_FALSE(doc.ok()) << "cut at " << cut;
   }
@@ -168,16 +177,15 @@ TEST(StreamingBuilderTest, MalformedAndOverBudgetInputsFailCleanly) {
   // Budget violations surface as OutOfRange on both paths.
   xml::ParseOptions tight;
   tight.limits.max_input_bytes = 1024;
-  EXPECT_FALSE(core::BuildTreeStreaming(whole, Network(), tight).ok());
+  EXPECT_FALSE(stream(whole, tight).ok());
   EXPECT_FALSE(xml::Parse(whole, tight).ok());
   xml::ParseOptions shallow;
   shallow.limits.max_depth = 4;
-  EXPECT_FALSE(core::BuildTreeStreaming(whole, Network(), shallow).ok());
+  EXPECT_FALSE(stream(whole, shallow).ok());
   EXPECT_FALSE(xml::Parse(whole, shallow).ok());
 
   // The well-formed original passes both, for contrast.
-  EXPECT_TRUE(core::BuildTreeStreaming(whole, Network(),
-                                       xml::ParseOptions{}).ok());
+  EXPECT_TRUE(stream(whole, xml::ParseOptions{}).ok());
 }
 
 // Streaming reports bounded scaffolding: on a document dominated by
@@ -186,9 +194,10 @@ TEST(StreamingBuilderTest, MalformedAndOverBudgetInputsFailCleanly) {
 // end-to-end by the giant-doc CI job; this is the in-process version).
 TEST(StreamingBuilderTest, ScaffoldingStaysSmall) {
   auto giant = datasets::GiantDocuments(1, /*target_bytes=*/1u << 20, 3);
+  core::LabelSpace space(&Network());
   core::StreamingBuildStats stats;
   auto tree = core::BuildTreeStreaming(giant[0].xml, Network(),
-                                       xml::ParseOptions{}, true, nullptr,
+                                       xml::ParseOptions{}, true, &space,
                                        nullptr, &stats);
   ASSERT_TRUE(tree.ok());
   EXPECT_GT(stats.scaffold_peak_bytes, 0u);
@@ -201,11 +210,11 @@ uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
 // Id-native target selection must be the string reference in disguise:
 // Disambiguator::SelectTargets picks exactly SelectTargetNodes' nodes,
-// on trees with label ids and on id-less trees, and every target's
-// assignment.ambiguity is bit-equal to AmbiguityDegree() — under
-// default and non-default weights and thresholds, over the generated
-// corpus (whose suffixed tags make out-of-vocabulary compound labels,
-// i.e. overflow ids) plus one giant document.
+// and every target's assignment.ambiguity is bit-equal to
+// AmbiguityDegree() — under default and non-default weights and
+// thresholds, over the generated corpus (whose suffixed tags make
+// out-of-vocabulary compound labels, i.e. overflow ids) plus one giant
+// document.
 TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
   std::vector<std::string> docs = PropgenCorpus();
   docs.push_back(datasets::GiantDocuments(1, 256u << 10, 2)[0].xml);
@@ -230,32 +239,25 @@ TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
     // the ambiguity check) fast.
     options.sphere_radius = 1;
     options.label_space = &space;
-    const core::Disambiguator with_ids(&Network(), options);
-    options.label_space = nullptr;
-    const core::Disambiguator without_ids(&Network(), options);
+    const core::Disambiguator system(&Network(), options);
     for (size_t i = 0; i < docs.size(); ++i) {
       const std::string context = "doc " + std::to_string(i) +
                                   " threshold " +
                                   std::to_string(config.threshold);
       auto doc = xml::Parse(docs[i]);
       ASSERT_TRUE(doc.ok()) << context;
-      auto id_tree = core::BuildTree(*doc, Network(), true, &space);
-      auto plain_tree = core::BuildTree(*doc, Network(), true, nullptr);
-      ASSERT_EQ(id_tree.ok(), plain_tree.ok()) << context;
-      if (!id_tree.ok()) continue;
-      ASSERT_TRUE(id_tree->has_label_ids()) << context;
-      ASSERT_FALSE(plain_tree->has_label_ids()) << context;
+      auto tree = core::BuildTree(*doc, Network(), true, &space);
+      if (!tree.ok()) continue;
 
       const std::vector<xml::NodeId> expected = core::SelectTargetNodes(
-          *plain_tree, Network(), config.threshold, config.weights);
-      ASSERT_EQ(with_ids.SelectTargets(*id_tree), expected) << context;
-      ASSERT_EQ(without_ids.SelectTargets(*plain_tree), expected) << context;
+          *tree, Network(), config.threshold, config.weights);
+      ASSERT_EQ(system.SelectTargets(*tree), expected) << context;
       for (xml::NodeId id : expected) {
         ++targets;
-        if (id_tree->label_id(id) >= space.network_size()) ++overflow_targets;
-        const double reference = core::AmbiguityDegree(
-            *plain_tree, id, Network(), config.weights);
-        auto assignment = with_ids.DisambiguateNode(*id_tree, id);
+        if (tree->label_id(id) >= space.network_size()) ++overflow_targets;
+        const double reference =
+            core::AmbiguityDegree(*tree, id, Network(), config.weights);
+        auto assignment = system.DisambiguateNode(*tree, id);
         ASSERT_TRUE(assignment.ok()) << context << " node " << id;
         ASSERT_EQ(Bits(assignment->ambiguity), Bits(reference))
             << context << " node " << id;
@@ -315,9 +317,9 @@ TEST(StreamingEngineTest, EngineMatchesDomLibraryPathAtAnyWorkerCount) {
 }
 
 // The work-stealing fan-out itself: a multi-MB giant document run with
-// 8 workers and aggressive chunking must produce exactly the bytes the
-// 1-worker run produces, and the 8-worker engine must actually have
-// taken the chunked path (subtree_parallel_docs > 0).
+// 8 workers must produce exactly the bytes the 1-worker (serial) run
+// produces, and the 8-worker engine must actually have taken the
+// chunked path (subtree_parallel_docs > 0).
 TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
   auto giant = datasets::GiantDocuments(1, /*target_bytes=*/2u << 20, 11);
   std::vector<runtime::DocumentJob> jobs;
@@ -332,8 +334,6 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
 
   runtime::EngineOptions pool = solo;
   pool.threads = 8;
-  pool.subtree_min_targets = 8;
-  pool.subtree_chunk_targets = 64;
   runtime::EngineStats stats;
   std::vector<std::string> pool_output = RunEngine(pool, jobs, &stats);
 
@@ -342,15 +342,6 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
   EXPECT_EQ(solo_output[0], pool_output[0]);
   EXPECT_GT(stats.subtree_parallel_docs, 0u);
   EXPECT_GT(stats.frontend_peak_bytes, 0u);
-
-  // Disabling the fan-out must change nothing but the path taken.
-  runtime::EngineOptions serial = pool;
-  serial.subtree_parallelism = false;
-  runtime::EngineStats serial_stats;
-  std::vector<std::string> serial_output =
-      RunEngine(serial, jobs, &serial_stats);
-  EXPECT_EQ(serial_output[0], pool_output[0]);
-  EXPECT_EQ(serial_stats.subtree_parallel_docs, 0u);
 }
 
 // Oversized / truncated giant inputs through the full engine: a failed

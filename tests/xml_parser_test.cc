@@ -314,9 +314,9 @@ TEST(XmlParseLimitsTest, InputSizeCap) {
   EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(XmlParseLimitsTest, ZeroDisablesEachLimit) {
+TEST(XmlParseLimitsTest, ZeroDisablesEachSizeAndCountLimit) {
   ParseOptions options;
-  options.limits.max_depth = 0;
+  options.limits.max_depth = 600;
   options.limits.max_attributes_per_element = 0;
   options.limits.max_entity_references = 0;
   options.limits.max_input_bytes = 0;
@@ -325,6 +325,19 @@ TEST(XmlParseLimitsTest, ZeroDisablesEachLimit) {
   deep += "&amp;";
   for (int i = 0; i < 600; ++i) deep += "</n>";
   EXPECT_TRUE(Parse(deep, options).ok());
+}
+
+TEST(XmlParseLimitsTest, DepthCapCannotBeDisabled) {
+  for (int max_depth : {0, -1}) {
+    ParseOptions options;
+    options.limits.max_depth = max_depth;
+    auto doc = Parse("<a/>", options);
+    ASSERT_FALSE(doc.ok());
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument);
+    StreamHandler ignore;
+    EXPECT_EQ(StreamParse("<a/>", &ignore, options).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(XmlParseLimitsTest, GrammarViolationsStayCorruption) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "interned_tree.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
 #include "xml/tree_stats.h"
@@ -16,16 +17,16 @@ namespace {
 ///                                         star(5) -> kelly(6),
 ///                             plot(7) }
 LabeledTree Figure6Tree() {
-  LabeledTree tree;
-  NodeId films = tree.AddNode(kInvalidNode, "films",
+  testutil::InternedTree tree;
+  NodeId films = tree.Add(kInvalidNode, "films",
                               TreeNodeKind::kElement);
-  NodeId picture = tree.AddNode(films, "picture", TreeNodeKind::kElement);
-  NodeId cast = tree.AddNode(picture, "cast", TreeNodeKind::kElement);
-  NodeId star1 = tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(star1, "stewart", TreeNodeKind::kToken);
-  NodeId star2 = tree.AddNode(cast, "star", TreeNodeKind::kElement);
-  tree.AddNode(star2, "kelly", TreeNodeKind::kToken);
-  tree.AddNode(picture, "plot", TreeNodeKind::kElement);
+  NodeId picture = tree.Add(films, "picture", TreeNodeKind::kElement);
+  NodeId cast = tree.Add(picture, "cast", TreeNodeKind::kElement);
+  NodeId star1 = tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(star1, "stewart", TreeNodeKind::kToken);
+  NodeId star2 = tree.Add(cast, "star", TreeNodeKind::kElement);
+  tree.Add(star2, "kelly", TreeNodeKind::kToken);
+  tree.Add(picture, "plot", TreeNodeKind::kElement);
   return tree;
 }
 
@@ -105,6 +106,33 @@ TEST(LabeledTreeTest, SubtreePreorder) {
   EXPECT_EQ(tree.Subtree(0).size(), tree.size());
 }
 
+TEST(LabeledTreeTest, EveryNodeNeedsALabelId) {
+  LabeledTree tree;
+  NodeId id = 0;
+  EXPECT_DEBUG_DEATH(
+      id = tree.AddNode(kInvalidNode, "films", kNoLabelId,
+                        TreeNodeKind::kElement),
+      "label id");
+#ifdef NDEBUG
+  EXPECT_EQ(id, kInvalidNode);
+  EXPECT_TRUE(tree.empty());
+#endif
+}
+
+TEST(LabeledTreeTest, ValidateAuditsTheIdLabelBijection) {
+  EXPECT_TRUE(Figure6Tree().Validate().ok());
+
+  LabeledTree shared_id;  // two labels under one id
+  shared_id.AddNode(kInvalidNode, "films", 0, TreeNodeKind::kElement);
+  shared_id.AddNode(0, "picture", 0, TreeNodeKind::kElement);
+  EXPECT_FALSE(shared_id.Validate().ok());
+
+  LabeledTree split_label;  // one label under two ids
+  split_label.AddNode(kInvalidNode, "star", 0, TreeNodeKind::kElement);
+  split_label.AddNode(0, "star", 1, TreeNodeKind::kElement);
+  EXPECT_FALSE(split_label.Validate().ok());
+}
+
 TEST(BuildLabeledTreeTest, FromDocument) {
   auto doc = Parse("<films><picture><cast><star>Stewart</star>"
                    "<star>Kelly</star></cast><plot>spies</plot>"
@@ -115,6 +143,12 @@ TEST(BuildLabeledTreeTest, FromDocument) {
   EXPECT_EQ(tree->size(), 9u);  // 6 elements + 3 value tokens
   EXPECT_EQ(tree->node(0).label, "films");
   EXPECT_EQ(tree->node(0).kind, TreeNodeKind::kElement);
+  // The default hooks intern into a build-local interner, so ids
+  // follow first sight and record no label source.
+  EXPECT_TRUE(tree->Validate().ok());
+  EXPECT_EQ(tree->label_id(0), 0u);
+  EXPECT_EQ(tree->label_id(3), tree->label_id(5));  // both "star"
+  EXPECT_EQ(tree->label_source(), 0u);
 }
 
 TEST(BuildLabeledTreeTest, AttributesSortedBeforeElements) {
@@ -162,16 +196,23 @@ TEST(BuildLabeledTreeTest, CustomCallbacks) {
   auto doc = Parse("<A>x y</A>");
   ASSERT_TRUE(doc.ok());
   TreeBuildOptions options;
-  options.label_transform = [](const std::string& tag) {
-    return "tag_" + tag;
+  ResolvedLabel tag;
+  options.resolved_label_transform =
+      [&tag](const std::string& raw) -> const ResolvedLabel& {
+    tag = {"tag_" + raw, 7};
+    return tag;
   };
-  options.value_tokenizer = [](const std::string&) {
-    return std::vector<std::string>{"fixed"};
+  const std::vector<ResolvedLabel> tokens = {{"fixed", 9}};
+  options.resolved_value_tokenizer =
+      [&tokens](const std::string&) -> const std::vector<ResolvedLabel>& {
+    return tokens;
   };
   auto tree = BuildLabeledTree(*doc, options);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->node(0).label, "tag_A");
+  EXPECT_EQ(tree->label_id(0), 7u);
   EXPECT_EQ(tree->node(1).label, "fixed");
+  EXPECT_EQ(tree->label_id(1), 9u);
 }
 
 TEST(BuildLabeledTreeTest, RejectsEmptyDocument) {
@@ -217,8 +258,8 @@ TEST(TreeStatsTest, AverageStructDegreeInRange) {
 }
 
 TEST(TreeStatsTest, SingleNodeTree) {
-  LabeledTree tree;
-  tree.AddNode(kInvalidNode, "only", TreeNodeKind::kElement);
+  testutil::InternedTree tree;
+  tree.Add(kInvalidNode, "only", TreeNodeKind::kElement);
   EXPECT_EQ(tree.MaxDepth(), 0);
   EXPECT_EQ(ComputeTreeShape(tree).node_count, 1);
   EXPECT_EQ(AverageStructDegree(tree), 0.0);

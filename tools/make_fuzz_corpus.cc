@@ -1,6 +1,6 @@
 // Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{xml,
-// wndb,tree}) from the deterministic generators in tests/prop. Run
-// from the repo root:
+// wndb,tree,stream,snapshot}) from the deterministic generators in
+// tests/prop. Run from the repo root:
 //
 //   ./build/tools/make_fuzz_corpus fuzz/corpus
 //
@@ -45,8 +45,11 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // XML seeds: varied generator settings so the corpus starts with
-  // documents exercising every construct the parser knows.
+  // documents exercising every construct the parser knows. Each also
+  // seeds the streaming front end's differential target behind an
+  // option-flag byte cycling through all eight flag combinations.
   fs::create_directories(root / "xml");
+  fs::create_directories(root / "stream");
   {
     xsdf::Rng rng(0xc0597501);
     for (int i = 0; i < 24; ++i) {
@@ -59,6 +62,9 @@ int main(int argc, char** argv) {
       std::string doc = xsdf::propgen::GenerateXmlDocument(rng, gen);
       ok &= WriteFile(root / "xml" /
                           xsdf::StrFormat("gen_%02d.xml", i), doc);
+      ok &= WriteFile(root / "stream" /
+                          xsdf::StrFormat("gen_%02d.bin", i),
+                      static_cast<char>(i % 8) + doc);
     }
   }
 

@@ -604,7 +604,9 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
     std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
     return 1;
   }
-  auto tree = xsdf::core::BuildTree(*doc, network);
+  xsdf::core::LabelSpace label_space(&network);
+  auto tree = xsdf::core::BuildTree(*doc, network, /*include_values=*/true,
+                                    &label_space);
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;

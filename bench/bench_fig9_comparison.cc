@@ -63,7 +63,7 @@ int main() {
       if (doc.dataset.group != group) continue;
       std::vector<xsdf::xml::NodeId> nodes;
       for (auto id : doc.target_sample) {
-        if (doc.tree.node(id).kind != xsdf::xml::TreeNodeKind::kToken) {
+        if (doc.tree.kind(id) != xsdf::xml::TreeNodeKind::kToken) {
           nodes.push_back(id);
         }
       }

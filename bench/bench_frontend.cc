@@ -311,8 +311,8 @@ int main(int argc, char** argv) {
     }
     for (size_t n = 0; n < id_tree.size(); ++n) {
       const auto id = static_cast<xsdf::xml::NodeId>(n);
-      if (baseline_tree.node(id).label != id_tree.node(id).label ||
-          space.Spelling(id_tree.label_id(id)) != id_tree.node(id).label) {
+      if (baseline_tree.label(id) != id_tree.label(id) ||
+          space.Spelling(id_tree.label_id(id)) != id_tree.label(id)) {
         std::fprintf(stderr, "doc %zu node %zu: label mismatch\n", d, n);
         ++mismatches;
         continue;

@@ -122,8 +122,8 @@ void BM_AmbiguityDegree(benchmark::State& state) {
   const auto& tree = ShakespeareTree();
   for (auto _ : state) {
     double total = 0.0;
-    for (const auto& node : tree.nodes()) {
-      total += xsdf::core::AmbiguityDegree(tree, node.id, Network());
+    for (xsdf::xml::NodeId id : tree.ids()) {
+      total += xsdf::core::AmbiguityDegree(tree, id, Network());
     }
     benchmark::DoNotOptimize(total);
   }

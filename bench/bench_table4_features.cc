@@ -34,7 +34,7 @@ int main() {
   auto semantic = xsdf_system.RunOnTree(*tree);
   bool disambiguates_content = false;
   for (const auto& [id, assignment] : semantic->assignments) {
-    if (tree->node(id).kind == xsdf::xml::TreeNodeKind::kToken) {
+    if (tree->kind(id) == xsdf::xml::TreeNodeKind::kToken) {
       disambiguates_content = true;
     }
   }
@@ -42,7 +42,7 @@ int main() {
   auto rpd_result = rpd.RunOnTree(*tree);
   bool rpd_content = false;
   for (const auto& [id, assignment] : rpd_result->assignments) {
-    if (tree->node(id).kind == xsdf::xml::TreeNodeKind::kToken) {
+    if (tree->kind(id) == xsdf::xml::TreeNodeKind::kToken) {
       rpd_content = true;
     }
   }

@@ -59,11 +59,9 @@ int main(int argc, char** argv) {
   for (const auto& doc : docs) {
     auto result = disambiguator.RunOnXml(doc.xml);
     if (!result.ok()) continue;
-    for (const auto& node : result->tree.nodes()) {
-      if (node.label != keyword) continue;
-      auto it = result->assignments.find(node.id);
-      if (it != result->assignments.end()) {
-        used_senses.insert(it->second.sense.primary);
+    for (const auto& [id, assignment] : result->assignments) {
+      if (result->tree.label(id) == keyword) {
+        used_senses.insert(assignment.sense.primary);
       }
     }
   }

@@ -52,12 +52,10 @@ int main() {
   // 4. Inspect assignments: which sense was chosen for each node?
   std::printf("%-14s %-18s %s\n", "node label", "chosen concept",
               "gloss");
-  for (const auto& node : result->tree.nodes()) {
-    auto it = result->assignments.find(node.id);
-    if (it == result->assignments.end()) continue;
-    const auto& concept_node =
-        network->GetConcept(it->second.sense.primary);
-    std::printf("%-14s %-18s %.58s\n", node.label.c_str(),
+  for (const auto& [id, assignment] : result->assignments) {
+    const auto& concept_node = network->GetConcept(assignment.sense.primary);
+    std::printf("%-14s %-18s %.58s\n",
+                std::string(result->tree.label(id)).c_str(),
                 concept_node.label().c_str(),
                 concept_node.gloss.c_str());
   }

@@ -31,11 +31,9 @@ std::vector<LabeledConcept> ConceptsOf(
     const std::string& xml) {
   auto result = disambiguator.RunOnXml(xml);
   std::map<std::string, xsdf::wordnet::ConceptId> by_label;
-  for (const auto& node : result->tree.nodes()) {
-    if (node.kind == xsdf::xml::TreeNodeKind::kToken) continue;
-    auto it = result->assignments.find(node.id);
-    if (it == result->assignments.end()) continue;
-    by_label.emplace(node.label, it->second.sense.primary);
+  for (const auto& [id, assignment] : result->assignments) {
+    if (result->tree.kind(id) == xsdf::xml::TreeNodeKind::kToken) continue;
+    by_label.emplace(result->tree.label(id), assignment.sense.primary);
   }
   std::vector<LabeledConcept> out;
   for (const auto& [label, id] : by_label) out.push_back({label, id});

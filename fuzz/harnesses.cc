@@ -1,5 +1,6 @@
 #include "harnesses.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -7,8 +8,10 @@
 
 #include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
 #include "core/tree_builder.h"
@@ -126,6 +129,94 @@ void DriveWndbParser(const uint8_t* data, size_t size) {
   }
 }
 
+/// One node of the tree DriveLabeledTree expects.
+struct ExpectedNode {
+  std::string label;
+  std::string raw;
+  xml::TreeNodeKind kind = xml::TreeNodeKind::kElement;
+  xml::NodeId parent = xml::kInvalidNode;
+  int depth = 0;
+};
+
+/// Appends the token nodes the default value hook makes of `text`.
+void ExpectTokens(std::string_view text, xml::NodeId parent, int depth,
+                  std::vector<ExpectedNode>* out) {
+  for (const std::string& token :
+       StrSplitAny(text, " \t\r\n.,;:!?()[]{}'\"")) {
+    std::string label = AsciiToLower(token);
+    if (label.empty()) continue;
+    out->push_back({label, label, xml::TreeNodeKind::kToken, parent, depth});
+  }
+}
+
+/// A direct recursive walk of the DOM in Definition 1's order (the
+/// element, its attributes sorted by name each followed by its value
+/// tokens, then content in document order) under the default hooks:
+/// the reference every column of the built tree is checked against.
+void ExpectElement(const xml::Node& element, xml::NodeId parent, int depth,
+                   bool include_values, std::vector<ExpectedNode>* out) {
+  const auto id = static_cast<xml::NodeId>(out->size());
+  out->push_back({AsciiToLower(element.name()), element.name(),
+                  xml::TreeNodeKind::kElement, parent, depth});
+  std::vector<const xml::Attribute*> attrs;
+  for (const xml::Attribute& attr : element.attributes()) {
+    attrs.push_back(&attr);
+  }
+  std::sort(attrs.begin(), attrs.end(),
+            [](const xml::Attribute* a, const xml::Attribute* b) {
+              return a->name < b->name;
+            });
+  for (const xml::Attribute* attr : attrs) {
+    const auto attr_id = static_cast<xml::NodeId>(out->size());
+    out->push_back({AsciiToLower(attr->name), attr->name,
+                    xml::TreeNodeKind::kAttribute, id, depth + 1});
+    if (include_values) ExpectTokens(attr->value, attr_id, depth + 2, out);
+  }
+  for (const auto& child : element.children()) {
+    if (child->is_element()) {
+      ExpectElement(*child, id, depth + 1, include_values, out);
+    } else if (child->is_text() && include_values) {
+      ExpectTokens(child->text(), id, depth + 1, out);
+    }
+  }
+}
+
+/// Checks every column of `tree` — label id, spelling, raw, kind,
+/// parent, depth and child order — against `expected`. The default
+/// hooks intern labels in node order, so a label's id is the number
+/// of distinct labels seen before its first node.
+void CheckColumns(const xml::LabeledTree& tree,
+                  const std::vector<ExpectedNode>& expected) {
+  if (tree.size() != expected.size()) {
+    OracleFailure("tree", "node count differs from the DOM walk",
+                  std::to_string(tree.size()) + " vs " +
+                      std::to_string(expected.size()));
+  }
+  std::unordered_map<std::string, uint32_t> first_id;
+  std::vector<std::vector<xml::NodeId>> children(expected.size());
+  for (xml::NodeId id : tree.ids()) {
+    const ExpectedNode& want = expected[static_cast<size_t>(id)];
+    const uint32_t want_id =
+        first_id.try_emplace(want.label, first_id.size()).first->second;
+    if (tree.label_id(id) != want_id || tree.label(id) != want.label ||
+        tree.raw(id) != want.raw || tree.kind(id) != want.kind ||
+        tree.parent(id) != want.parent || tree.depth(id) != want.depth) {
+      OracleFailure("tree", "column differs from the DOM walk",
+                    "node " + std::to_string(id));
+    }
+    if (want.parent != xml::kInvalidNode) {
+      children[static_cast<size_t>(want.parent)].push_back(id);
+    }
+  }
+  for (xml::NodeId id : tree.ids()) {
+    if (!std::ranges::equal(tree.children(id),
+                            children[static_cast<size_t>(id)])) {
+      OracleFailure("tree", "child order differs from the DOM walk",
+                    "node " + std::to_string(id));
+    }
+  }
+}
+
 void DriveLabeledTree(const uint8_t* data, size_t size) {
   if (size < 1) return;
   uint8_t flags = data[0];
@@ -145,6 +236,10 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   if (!audit.ok()) {
     OracleFailure("tree", "structural audit failed", audit.ToString());
   }
+  std::vector<ExpectedNode> expected;
+  ExpectElement(*doc->root(), xml::kInvalidNode, 0, to.include_values,
+                &expected);
+  CheckColumns(*tree, expected);
   // Exercise the full query surface; inputs are derived from the flag
   // byte so replay is deterministic. Every call must terminate and stay
   // in bounds (ASan/UBSan watch the rest).
@@ -157,8 +252,8 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   if (distance < 0) {
     OracleFailure("tree", "negative node distance", std::to_string(distance));
   }
-  if (tree->node(lca).depth > tree->node(a).depth ||
-      tree->node(lca).depth > tree->node(b).depth) {
+  if (tree->depth(lca) > tree->depth(a) ||
+      tree->depth(lca) > tree->depth(b)) {
     OracleFailure("tree", "LCA deeper than its descendants", "");
   }
   tree->Rings(a, 1 + flags % 4);
@@ -222,12 +317,14 @@ void DriveStreamParser(const uint8_t* data, size_t size) {
                   std::to_string(dom->size()) + " vs " +
                       std::to_string(streamed->size()));
   }
-  for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(dom->size()); ++id) {
-    const xml::TreeNode& a = dom->node(id);
-    const xml::TreeNode& b = streamed->node(id);
-    if (a.label != b.label || a.raw != b.raw || a.kind != b.kind ||
-        a.parent != b.parent || a.depth != b.depth ||
-        dom->label_id(id) != streamed->label_id(id)) {
+  for (xml::NodeId id : dom->ids()) {
+    if (dom->label_id(id) != streamed->label_id(id) ||
+        dom->label(id) != streamed->label(id) ||
+        dom->raw(id) != streamed->raw(id) ||
+        dom->kind(id) != streamed->kind(id) ||
+        dom->parent(id) != streamed->parent(id) ||
+        dom->depth(id) != streamed->depth(id) ||
+        !std::ranges::equal(dom->children(id), streamed->children(id))) {
       OracleFailure("stream", "trees differ", "node " + std::to_string(id));
     }
   }

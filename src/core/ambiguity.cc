@@ -33,7 +33,7 @@ double AmbiguityPolysemy(const wordnet::SemanticNetwork& network,
 double AmbiguityDepth(const xml::LabeledTree& tree, xml::NodeId id) {
   int max_depth = tree.MaxDepth();
   if (max_depth <= 0) return 1.0;  // single-node tree: root is maximal
-  return 1.0 - static_cast<double>(tree.node(id).depth) /
+  return 1.0 - static_cast<double>(tree.depth(id)) /
                    static_cast<double>(max_depth);
 }
 
@@ -48,7 +48,8 @@ double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
                        const wordnet::SemanticNetwork& network,
                        const AmbiguityWeights& weights) {
   return AmbiguityDegreeWithPolysemy(
-      tree, id, AmbiguityPolysemy(network, tree.node(id).label), weights);
+      tree, id, AmbiguityPolysemy(network, std::string(tree.label(id))),
+      weights);
 }
 
 double AmbiguityDegreeWithPolysemy(const xml::LabeledTree& tree,
@@ -70,8 +71,8 @@ double AverageAmbiguityDegree(const xml::LabeledTree& tree,
                               const AmbiguityWeights& weights) {
   if (tree.empty()) return 0.0;
   double sum = 0.0;
-  for (const xml::TreeNode& node : tree.nodes()) {
-    sum += AmbiguityDegree(tree, node.id, network, weights);
+  for (xml::NodeId id : tree.ids()) {
+    sum += AmbiguityDegree(tree, id, network, weights);
   }
   return sum / static_cast<double>(tree.size());
 }
@@ -80,19 +81,20 @@ std::vector<xml::NodeId> SelectTargetNodes(
     const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
     double threshold, const AmbiguityWeights& weights) {
   std::vector<xml::NodeId> targets;
-  for (const xml::TreeNode& node : tree.nodes()) {
+  for (xml::NodeId id : tree.ids()) {
     // Nodes with no senses at all cannot be assigned a concept; they are
     // never targets even at threshold 0.
     bool has_sense = false;
-    for (const std::string& token : LabelSenseTokens(network, node.label)) {
+    for (const std::string& token :
+         LabelSenseTokens(network, std::string(tree.label(id)))) {
       if (network.SenseCount(token) > 0) {
         has_sense = true;
         break;
       }
     }
     if (!has_sense) continue;
-    if (AmbiguityDegree(tree, node.id, network, weights) >= threshold) {
-      targets.push_back(node.id);
+    if (AmbiguityDegree(tree, id, network, weights) >= threshold) {
+      targets.push_back(id);
     }
   }
   return targets;

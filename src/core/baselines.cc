@@ -80,14 +80,14 @@ double RpdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
   // per the per-path disambiguation of [50].
   std::vector<xml::NodeId> context = tree.RootPath(id);
   for (xml::NodeId descendant : tree.Subtree(id)) {
-    if (tree.node(descendant).kind != xml::TreeNodeKind::kToken) {
+    if (tree.kind(descendant) != xml::TreeNodeKind::kToken) {
       context.push_back(descendant);
     }
   }
   double total = 0.0;
   for (xml::NodeId path_node : context) {
     if (path_node == id) continue;
-    const std::string& label = tree.node(path_node).label;
+    const std::string label(tree.label(path_node));
     double best = 0.0;
     for (const std::string& token : LabelSenseTokens(*network_, label)) {
       for (wordnet::ConceptId other : network_->Senses(token)) {
@@ -102,19 +102,18 @@ double RpdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
 
 Result<SemanticTree> RpdBaseline::RunOnTree(xml::LabeledTree tree) const {
   SemanticTree result;
-  for (const xml::TreeNode& node : tree.nodes()) {
+  result.assignments.Reset(tree.size());
+  for (xml::NodeId id : tree.ids()) {
     // RPD generates structure features: element/attribute labels only;
     // content (token) nodes are not disambiguated (paper Table 4).
-    if (node.kind == xml::TreeNodeKind::kToken) continue;
+    if (tree.kind(id) == xml::TreeNodeKind::kToken) continue;
     std::vector<wordnet::ConceptId> candidates =
-        PrimaryTokenSenses(*network_, node.label);
+        PrimaryTokenSenses(*network_, std::string(tree.label(id)));
     if (candidates.empty()) continue;
     result.assignments.emplace(
-        node.id,
-        AssignBest(*network_, node.id, candidates,
-                   [&](wordnet::ConceptId c) {
-                     return Score(tree, node.id, c);
-                   }));
+        id, AssignBest(*network_, id, candidates, [&](wordnet::ConceptId c) {
+          return Score(tree, id, c);
+        }));
   }
   result.tree = std::move(tree);
   return result;
@@ -156,7 +155,7 @@ double VsdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
     double weight = DecayWeight(d);
     if (weight < options_.threshold) break;  // edge no longer crossable
     for (xml::NodeId context : rings[static_cast<size_t>(d)]) {
-      const std::string& label = tree.node(context).label;
+      const std::string label(tree.label(context));
       double best = 0.0;
       for (const std::string& token : LabelSenseTokens(*network_, label)) {
         for (wordnet::ConceptId other : network_->Senses(token)) {
@@ -171,19 +170,18 @@ double VsdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
 
 Result<SemanticTree> VsdBaseline::RunOnTree(xml::LabeledTree tree) const {
   SemanticTree result;
-  for (const xml::TreeNode& node : tree.nodes()) {
+  result.assignments.Reset(tree.size());
+  for (xml::NodeId id : tree.ids()) {
     // VSD disambiguates structured labels, not text content
     // (paper Table 4: structure-and-content is XSDF-only).
-    if (node.kind == xml::TreeNodeKind::kToken) continue;
+    if (tree.kind(id) == xml::TreeNodeKind::kToken) continue;
     std::vector<wordnet::ConceptId> candidates =
-        PrimaryTokenSenses(*network_, node.label);
+        PrimaryTokenSenses(*network_, std::string(tree.label(id)));
     if (candidates.empty()) continue;
     result.assignments.emplace(
-        node.id,
-        AssignBest(*network_, node.id, candidates,
-                   [&](wordnet::ConceptId c) {
-                     return Score(tree, node.id, c);
-                   }));
+        id, AssignBest(*network_, id, candidates, [&](wordnet::ConceptId c) {
+          return Score(tree, id, c);
+        }));
   }
   result.tree = std::move(tree);
   return result;

@@ -261,7 +261,6 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
   for (int d = 1; d <= radius && !frontier.empty(); ++d) {
     next.clear();
     for (xml::NodeId id : frontier) {
-      const xml::TreeNode& n = tree.node(id);
       auto visit = [&](xml::NodeId neighbor) {
         if (neighbor != xml::kInvalidNode &&
             mark[static_cast<size_t>(neighbor)] != epoch) {
@@ -269,13 +268,12 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
           next.push_back(neighbor);
         }
       };
-      visit(n.parent);
-      for (xml::NodeId child : n.children) visit(child);
+      visit(tree.parent(id));
+      for (xml::NodeId child : tree.children(id)) visit(child);
     }
     std::sort(next.begin(), next.end());
     for (xml::NodeId id : next) {
-      if (exclude_tokens &&
-          tree.node(id).kind == xml::TreeNodeKind::kToken) {
+      if (exclude_tokens && tree.kind(id) == xml::TreeNodeKind::kToken) {
         continue;
       }
       sphere.push_back(tree.label_id(id), d);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <span>
 #include <string_view>
 #include <type_traits>
 
 #include "common/check.h"
+#include "common/flat_id_map.h"
 #include "core/tree_builder.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -200,13 +202,15 @@ void Disambiguator::RecordStageTimes(const StageTimes& times) const {
 Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times,
     NodeAudit* audit) const {
-  const std::string& label = tree.node(id).label;
+  const std::string_view label = tree.label(id);
   obs::Span node_span(options_.trace, "node",
-                      options_.trace != nullptr ? label : std::string());
+                      options_.trace != nullptr ? std::string(label)
+                                                : std::string());
   std::shared_ptr<const SenseEntry> entry = CandidatesFor(tree, id);
   const std::vector<SenseCandidate>& candidates = entry->candidates;
   if (candidates.empty()) {
-    return Status::NotFound("label has no senses in the network: " + label);
+    return Status::NotFound("label has no senses in the network: " +
+                            std::string(label));
   }
   SenseAssignment assignment;
   assignment.node = id;
@@ -223,7 +227,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
   }
   if (audit != nullptr) {
     audit->node = id;
-    audit->label = label;
+    audit->label = std::string(label);
     audit->ambiguity = assignment.ambiguity;
   }
   if (candidates.size() == 1) {
@@ -284,8 +288,7 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
   }
   obs::StageTimer timer(ins_.select_us, options_.trace, "select");
   std::vector<xml::NodeId> targets;
-  for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
-       ++id) {
+  for (xml::NodeId id : tree.ids()) {
     // Senseless labels can never be assigned a concept, so they are
     // never targets, even at threshold 0 (as in SelectTargetNodes).
     const LabelSenses& senses = LabelSensesFor(tree, id);
@@ -305,6 +308,7 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
   StageTimes times;
   StageTimes* timed = records_stage_times() ? &times : nullptr;
   std::vector<xml::NodeId> targets = SelectTargets(tree);
+  result.assignments.Reset(tree.size());
   for (xml::NodeId id : targets) {
     auto assignment = DisambiguateNodeImpl(tree, id, timed, nullptr);
     if (!assignment.ok()) continue;  // senseless labels stay untouched
@@ -359,12 +363,42 @@ void AppendNumberAttribute(std::string* out, std::string_view name,
                   std::string_view(digits, printed.ptr - digits));
 }
 
+/// Attribute runs built once per key per document and stored back to
+/// back in one string, for keys drawn from a large id space (concept
+/// ids): the table grows with the keys one document uses.
+class RunTable {
+ public:
+  /// The run of `key`, written by `write(std::string*)` on first use.
+  /// The view is valid until the next new key.
+  template <typename Write>
+  std::string_view Get(uint32_t key, Write&& write) {
+    bool inserted = false;
+    const uint32_t run = index_.FindOrInsert(
+        key, static_cast<uint32_t>(starts_.size()), &inserted);
+    if (inserted) {
+      starts_.push_back(text_.size());
+      write(&text_);
+    }
+    const size_t begin = starts_[run];
+    const size_t end =
+        run + 1 < starts_.size() ? starts_[run + 1] : text_.size();
+    return std::string_view(text_).substr(begin, end - begin);
+  }
+
+ private:
+  FlatIdMap index_;  ///< key -> run number
+  std::vector<size_t> starts_;
+  std::string text_;
+};
+
 /// Writes the <semantic_tree> text in the layout of xml::Serialize()
 /// with default options (declaration line, one element per line
 /// indented two spaces per level, childless elements self-closed).
-/// A giant document assigns a few thousand concepts to hundreds of
-/// thousands of nodes, so each concept's escaped attribute run is
-/// built once per document and then copied.
+/// A giant document carries a few thousand distinct labels and
+/// concepts over hundreds of thousands of nodes, so each label's
+/// escaped ` label="..."` run and each concept's attribute run is built
+/// once per document and then copied; a node's assignment is one slot
+/// read.
 class SemanticXmlWriter {
  public:
   SemanticXmlWriter(const SemanticTree& semantic_tree,
@@ -378,6 +412,7 @@ class SemanticXmlWriter {
       out_.append("<semantic_tree/>");
       return std::move(out_);
     }
+    BuildLabelRuns();
     out_.reserve(EstimateSize());
     out_.append("<semantic_tree>");
     // An explicit stack keeps deep documents off the call stack.
@@ -389,8 +424,7 @@ class SemanticXmlWriter {
     if (OpenNode(tree.root(), 1)) open.push_back({tree.root(), 0});
     while (!open.empty()) {
       Frame& frame = open.back();
-      const std::vector<xml::NodeId>& children =
-          tree.node(frame.id).children;
+      const std::span<const xml::NodeId> children = tree.children(frame.id);
       if (frame.next_child < children.size()) {
         const xml::NodeId child = children[frame.next_child++];
         if (OpenNode(child, open.size() + 1)) open.push_back({child, 0});
@@ -418,20 +452,39 @@ class SemanticXmlWriter {
     return {};
   }
 
-  /// The length of the text when no label needs escaping and no score
-  /// prints longer than seven characters (scores lie near [0, 1]), plus
-  /// 1/64 for the exceptions, so the buffer does not regrow: a copy of
-  /// tens of MB on giant documents.
+  /// ` label="..."` of every label slot of the tree.
+  void BuildLabelRuns() {
+    const xml::LabeledTree& tree = semantic_tree_.tree;
+    label_run_starts_.reserve(tree.label_slot_count() + 1);
+    for (uint32_t slot = 0; slot < tree.label_slot_count(); ++slot) {
+      label_run_starts_.push_back(label_runs_.size());
+      AppendAttribute(&label_runs_, "label", tree.slot_label(slot));
+    }
+    label_run_starts_.push_back(label_runs_.size());
+  }
+
+  std::string_view LabelRun(xml::NodeId id) const {
+    const uint32_t slot = semantic_tree_.tree.label_slot(id);
+    const size_t begin = label_run_starts_[slot];
+    return std::string_view(label_runs_)
+        .substr(begin, label_run_starts_[slot + 1] - begin);
+  }
+
+  /// The length of the text when no score prints longer than seven
+  /// characters (scores lie near [0, 1]), plus 1/64 for the
+  /// exceptions, so the buffer does not regrow: a copy of tens of MB
+  /// on giant documents.
   size_t EstimateSize() {
+    const xml::LabeledTree& tree = semantic_tree_.tree;
     size_t size = out_.size() + sizeof("<semantic_tree>\n</semantic_tree>");
-    for (const xml::TreeNode& node : semantic_tree_.tree.nodes()) {
-      const size_t indent = 1 + 2 * (static_cast<size_t>(node.depth) + 1);
-      size += indent + node.label.size() + KindAttribute(node.kind).size();
-      if (node.children.empty()) {
-        size += sizeof("<node label=\"\"/>") - 1;
+    for (xml::NodeId id : tree.ids()) {
+      const size_t indent = 1 + 2 * (static_cast<size_t>(tree.depth(id)) + 1);
+      size += indent + LabelRun(id).size() +
+              KindAttribute(tree.kind(id)).size();
+      if (tree.fan_out(id) == 0) {
+        size += sizeof("<node/>") - 1;
       } else {
-        size += sizeof("<node label=\"\">") - 1 + indent +
-                sizeof("</node>") - 1;
+        size += sizeof("<node>") - 1 + indent + sizeof("</node>") - 1;
       }
     }
     for (const auto& [id, assignment] : semantic_tree_.assignments) {
@@ -450,52 +503,43 @@ class SemanticXmlWriter {
   }
 
   /// ` concept="..." concept_id="..." gloss="..."` of `id`.
-  const std::string& PrimaryAttributes(wordnet::ConceptId id) {
-    std::string& run = CachedRun(&primary_attributes_, id);
-    if (run.empty()) {
-      const wordnet::Concept& c = network_.GetConcept(id);
-      AppendAttribute(&run, "concept", c.label());
-      AppendNumberAttribute(&run, "concept_id", id);
-      AppendAttribute(&run, "gloss", c.gloss);
-    }
-    return run;
+  std::string_view PrimaryAttributes(wordnet::ConceptId id) {
+    return primary_attributes_.Get(
+        static_cast<uint32_t>(id), [&](std::string* run) {
+          const wordnet::Concept& c = network_.GetConcept(id);
+          AppendAttribute(run, "concept", c.label());
+          AppendNumberAttribute(run, "concept_id", id);
+          AppendAttribute(run, "gloss", c.gloss);
+        });
   }
 
   /// ` concept2="..." concept2_id="..."` of a compound's second sense.
-  const std::string& SecondaryAttributes(wordnet::ConceptId id) {
-    std::string& run = CachedRun(&secondary_attributes_, id);
-    if (run.empty()) {
-      AppendAttribute(&run, "concept2", network_.GetConcept(id).label());
-      AppendNumberAttribute(&run, "concept2_id", id);
-    }
-    return run;
-  }
-
-  std::string& CachedRun(std::vector<std::string>* runs,
-                         wordnet::ConceptId id) {
-    if (runs->empty()) runs->resize(network_.size());
-    return (*runs)[static_cast<size_t>(id)];
+  std::string_view SecondaryAttributes(wordnet::ConceptId id) {
+    return secondary_attributes_.Get(
+        static_cast<uint32_t>(id), [&](std::string* run) {
+          AppendAttribute(run, "concept2", network_.GetConcept(id).label());
+          AppendNumberAttribute(run, "concept2_id", id);
+        });
   }
 
   /// Opens the <node> element of tree node `id` at nesting `level` (the
   /// <semantic_tree> root is level 0). Returns true when the element
   /// stays open for children; a childless one is closed with "/>".
   bool OpenNode(xml::NodeId id, size_t level) {
-    const xml::TreeNode& node = semantic_tree_.tree.node(id);
+    const xml::LabeledTree& tree = semantic_tree_.tree;
     AppendIndent(level);
     out_.append("<node");
-    AppendAttribute(&out_, "label", node.label);
-    out_.append(KindAttribute(node.kind));
-    auto it = semantic_tree_.assignments.find(id);
-    if (it != semantic_tree_.assignments.end()) {
-      const SenseAssignment& assignment = it->second;
-      out_.append(PrimaryAttributes(assignment.sense.primary));
-      if (assignment.sense.is_compound()) {
-        out_.append(SecondaryAttributes(assignment.sense.secondary));
+    out_.append(LabelRun(id));
+    out_.append(KindAttribute(tree.kind(id)));
+    if (const SenseAssignment* assignment =
+            semantic_tree_.assignments.find(id)) {
+      out_.append(PrimaryAttributes(assignment->sense.primary));
+      if (assignment->sense.is_compound()) {
+        out_.append(SecondaryAttributes(assignment->sense.secondary));
       }
-      AppendNumberAttribute(&out_, "score", assignment.score);
+      AppendNumberAttribute(&out_, "score", assignment->score);
     }
-    if (node.children.empty()) {
+    if (tree.fan_out(id) == 0) {
       out_.append("/>");
       return false;
     }
@@ -505,9 +549,11 @@ class SemanticXmlWriter {
 
   const SemanticTree& semantic_tree_;
   const wordnet::SemanticNetwork& network_;
-  /// Per concept id, filled on first use (empty = not yet built).
-  std::vector<std::string> primary_attributes_;
-  std::vector<std::string> secondary_attributes_;
+  /// ` label="..."` runs, one per label slot, back to back.
+  std::string label_runs_;
+  std::vector<size_t> label_run_starts_;
+  RunTable primary_attributes_;
+  RunTable secondary_attributes_;
   std::string out_;
 };
 

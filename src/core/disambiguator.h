@@ -1,9 +1,11 @@
 #ifndef XSDF_CORE_DISAMBIGUATOR_H_
 #define XSDF_CORE_DISAMBIGUATOR_H_
 
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -136,10 +138,109 @@ struct DisambiguatorOptions {
 /// The sense assigned to one target node.
 struct SenseAssignment {
   xml::NodeId node = xml::kInvalidNode;
+  int candidate_count = 0;    ///< size of the sense inventory examined
   SenseCandidate sense;       ///< winning candidate
   double score = 0.0;         ///< its (combined) score
   double ambiguity = 0.0;     ///< the node's Amb_Deg
-  int candidate_count = 0;    ///< size of the sense inventory examined
+};
+
+/// The sense assignments of one tree: a dense column indexed by node
+/// id, whose unassigned slots carry `node == kInvalidNode`. Iteration
+/// visits the assigned nodes in id order as (id, assignment) pairs;
+/// ids past the column's end read as unassigned.
+class AssignmentColumn {
+ public:
+  class const_iterator {
+   public:
+    using value_type = std::pair<xml::NodeId, const SenseAssignment&>;
+    using reference = value_type;
+    using difference_type = std::ptrdiff_t;
+    using iterator_category = std::forward_iterator_tag;
+
+    const_iterator() = default;
+    const_iterator(const SenseAssignment* at, const SenseAssignment* end)
+        : at_(at), end_(end) {
+      SkipUnassigned();
+    }
+    value_type operator*() const { return {at_->node, *at_}; }
+    const_iterator& operator++() {
+      ++at_;
+      SkipUnassigned();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a,
+                           const const_iterator& b) {
+      return a.at_ == b.at_;
+    }
+
+   private:
+    void SkipUnassigned() {
+      while (at_ != end_ && at_->node == xml::kInvalidNode) ++at_;
+    }
+    const SenseAssignment* at_ = nullptr;
+    const SenseAssignment* end_ = nullptr;
+  };
+
+  /// Sizes the column for a tree of `node_count` nodes, all unassigned.
+  void Reset(size_t node_count) {
+    slots_.assign(node_count, SenseAssignment());
+    count_ = 0;
+  }
+
+  /// Stores `assignment` (its `node` set to `id`) unless `id` is
+  /// already assigned, growing the column when `id` lies past its end.
+  /// Returns whether it was stored.
+  bool emplace(xml::NodeId id, SenseAssignment assignment) {
+    if (id < 0) return false;
+    const size_t i = static_cast<size_t>(id);
+    if (i >= slots_.size()) slots_.resize(i + 1);
+    if (slots_[i].node != xml::kInvalidNode) return false;
+    assignment.node = id;
+    slots_[i] = std::move(assignment);
+    ++count_;
+    return true;
+  }
+
+  /// The slot of `id` in a column Reset() to cover it. Writers may fill
+  /// distinct slots concurrently (setting each one's `node` to its id);
+  /// call Recount() once they are done.
+  SenseAssignment& slot(xml::NodeId id) {
+    return slots_[static_cast<size_t>(id)];
+  }
+  /// Recomputes size() after slot() writes.
+  void Recount() {
+    count_ = 0;
+    for (const SenseAssignment& slot : slots_) {
+      if (slot.node != xml::kInvalidNode) ++count_;
+    }
+  }
+
+  /// The assignment of `id`, or null when it has none.
+  const SenseAssignment* find(xml::NodeId id) const {
+    if (id < 0 || static_cast<size_t>(id) >= slots_.size()) return nullptr;
+    const SenseAssignment& slot = slots_[static_cast<size_t>(id)];
+    return slot.node == xml::kInvalidNode ? nullptr : &slot;
+  }
+
+  /// Number of assigned nodes.
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  const_iterator begin() const {
+    return {slots_.data(), slots_.data() + slots_.size()};
+  }
+  const_iterator end() const {
+    return {slots_.data() + slots_.size(), slots_.data() + slots_.size()};
+  }
+
+ private:
+  std::vector<SenseAssignment> slots_;
+  size_t count_ = 0;
 };
 
 /// Audit record of one candidate sense considered for a node: the raw
@@ -174,7 +275,7 @@ struct NodeAudit {
 /// output). Non-target nodes remain untouched.
 struct SemanticTree {
   xml::LabeledTree tree;
-  std::unordered_map<xml::NodeId, SenseAssignment> assignments;
+  AssignmentColumn assignments;
 };
 
 /// The XSDF pipeline (paper Figure 3): linguistic pre-processing ->

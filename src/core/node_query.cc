@@ -1,7 +1,8 @@
 #include "core/node_query.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 
 namespace xsdf::core {
 
@@ -15,9 +16,14 @@ std::vector<xml::NodeId> ResolveNodeQuery(const xml::LabeledTree& tree,
     if (!std::isdigit(static_cast<unsigned char>(c))) all_digits = false;
   }
   if (all_digits) {
-    int id = std::atoi(query.c_str());
-    if (id >= 0 && static_cast<size_t>(id) < tree.size()) {
-      matches.push_back(id);
+    // A value past uint64_t fails to parse, and one past the tree's
+    // last id matches nothing, like any other miss.
+    uint64_t id = 0;
+    const auto [end, error] =
+        std::from_chars(query.data(), query.data() + query.size(), id);
+    if (error == std::errc() && end == query.data() + query.size() &&
+        id < tree.size()) {
+      matches.push_back(static_cast<xml::NodeId>(id));
     }
     return matches;
   }
@@ -37,15 +43,14 @@ std::vector<xml::NodeId> ResolveNodeQuery(const xml::LabeledTree& tree,
   if (components.empty()) return matches;
 
   auto node_matches = [&](xml::NodeId id, const std::string& want) {
-    const xml::TreeNode& node = tree.node(id);
-    std::string raw = node.raw;
+    std::string raw(tree.raw(id));
     for (char& c : raw) {
       c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     }
-    return raw == want || node.label == want;
+    return raw == want || tree.label(id) == want;
   };
-  for (const xml::TreeNode& node : tree.nodes()) {
-    std::vector<xml::NodeId> path = tree.RootPath(node.id);
+  for (xml::NodeId id : tree.ids()) {
+    std::vector<xml::NodeId> path = tree.RootPath(id);
     if (path.size() < components.size()) continue;
     if (anchored && path.size() != components.size()) continue;
     size_t offset = path.size() - components.size();
@@ -53,7 +58,7 @@ std::vector<xml::NodeId> ResolveNodeQuery(const xml::LabeledTree& tree,
     for (size_t c = 0; c < components.size() && ok; ++c) {
       ok = node_matches(path[offset + c], components[c]);
     }
-    if (ok) matches.push_back(node.id);
+    if (ok) matches.push_back(id);
   }
   return matches;
 }

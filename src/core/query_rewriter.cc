@@ -28,7 +28,8 @@ Result<QueryRewriter::Rewriting> QueryRewriter::Rewrite(
     auto result = disambiguator.Run(*doc);
     if (!result.ok()) return result.status();
     for (const auto& [id, assignment] : result->assignments) {
-      votes[result->tree.node(id).label][assignment.sense.primary] += 1;
+      votes[std::string(result->tree.label(id))][assignment.sense.primary] +=
+          1;
     }
   }
 

@@ -30,29 +30,28 @@ class StreamingTreeBuilder : public xml::StreamHandler {
       : network_(network),
         include_values_(include_values),
         label_space_(label_space),
-        cache_(cache) {
-    tree_.set_label_source(label_space.serial());
-  }
+        cache_(cache),
+        tree_(label_space.serial()) {}
 
   Status OnStartElement(std::string_view name) override {
-    tag_.assign(name);
     const ResolvedLabel& resolved =
-        ResolveTagMemo(*cache_, network_, label_space_, tag_);
+        ResolveTagMemo(*cache_, network_, label_space_, name);
     NodeId parent = stack_.empty() ? xml::kInvalidNode : stack_.back();
     NodeId id = tree_.AddNode(parent, resolved.label, resolved.id,
-                              TreeNodeKind::kElement, tag_);
+                              TreeNodeKind::kElement, name);
     if (id == xml::kInvalidNode) {
       return Status::Internal("labeled tree construction failed");
     }
     stack_.push_back(id);
-    NotePeak(0);
+    NotePeak();
     return Status::Ok();
   }
 
-  Status OnAttribute(std::string_view name, std::string value) override {
-    attr_bytes_ += name.size() + value.size() + sizeof(PendingAttr);
-    attrs_.emplace_back(PendingAttr{std::string(name), std::move(value)});
-    NotePeak(0);
+  Status OnAttribute(std::string_view name, std::string_view value) override {
+    // The views die with the callback; the start tag's attributes are
+    // staged in one reused byte buffer until it closes.
+    attrs_.push_back({Stage(name), Stage(value)});
+    NotePeak();
     return Status::Ok();
   }
 
@@ -61,32 +60,31 @@ class StreamingTreeBuilder : public xml::StreamHandler {
     // ordering Builder::AddElement applies to the DOM attribute list.
     // The parser rejects duplicate names, so sort order is total.
     std::sort(attrs_.begin(), attrs_.end(),
-              [](const PendingAttr& a, const PendingAttr& b) {
-                return a.name < b.name;
+              [this](const PendingAttr& a, const PendingAttr& b) {
+                return Staged(a.name) < Staged(b.name);
               });
     for (const PendingAttr& attr : attrs_) {
+      const std::string_view name = Staged(attr.name);
       const ResolvedLabel& resolved =
-          ResolveTagMemo(*cache_, network_, label_space_, attr.name);
+          ResolveTagMemo(*cache_, network_, label_space_, name);
       NodeId attr_id = tree_.AddNode(stack_.back(), resolved.label,
                                      resolved.id, TreeNodeKind::kAttribute,
-                                     attr.name);
+                                     name);
       if (attr_id == xml::kInvalidNode) {
         return Status::Internal("labeled tree construction failed");
       }
-      XSDF_RETURN_IF_ERROR(AddTokens(attr_id, attr.value));
+      XSDF_RETURN_IF_ERROR(AddTokens(attr_id, Staged(attr.value)));
     }
     attrs_.clear();
-    attr_bytes_ = 0;
+    staged_.clear();
     return Status::Ok();
   }
 
-  Status OnText(std::string text) override {
-    NotePeak(text.size());
+  Status OnText(std::string_view text) override {
     return AddTokens(stack_.back(), text);
   }
 
-  Status OnCData(std::string text) override {
-    NotePeak(text.size());
+  Status OnCData(std::string_view text) override {
     return AddTokens(stack_.back(), text);
   }
 
@@ -100,18 +98,32 @@ class StreamingTreeBuilder : public xml::StreamHandler {
     if (tree_.empty()) {
       return Status::InvalidArgument("document has no root element");
     }
-    return std::move(tree_);
+    return tree_.Finish();
   }
 
   size_t scaffold_peak_bytes() const { return scaffold_peak_bytes_; }
 
  private:
+  /// A byte range of staged_.
+  struct StagedText {
+    size_t offset = 0;
+    size_t length = 0;
+  };
   struct PendingAttr {
-    std::string name;
-    std::string value;
+    StagedText name;
+    StagedText value;
   };
 
-  Status AddTokens(NodeId parent, const std::string& text) {
+  StagedText Stage(std::string_view text) {
+    const StagedText range{staged_.size(), text.size()};
+    staged_.append(text);
+    return range;
+  }
+  std::string_view Staged(StagedText range) const {
+    return std::string_view(staged_).substr(range.offset, range.length);
+  }
+
+  Status AddTokens(NodeId parent, std::string_view text) {
     if (!include_values_) return Status::Ok();
     for (const ResolvedLabel& token :
          TokenizeValueMemo(*cache_, network_, label_space_, text)) {
@@ -124,8 +136,8 @@ class StreamingTreeBuilder : public xml::StreamHandler {
     return Status::Ok();
   }
 
-  void NotePeak(size_t pending_text_bytes) {
-    size_t current = attr_bytes_ + tag_.capacity() + pending_text_bytes +
+  void NotePeak() {
+    size_t current = staged_.capacity() +
                      stack_.capacity() * sizeof(NodeId) +
                      attrs_.capacity() * sizeof(PendingAttr);
     scaffold_peak_bytes_ = std::max(scaffold_peak_bytes_, current);
@@ -136,11 +148,10 @@ class StreamingTreeBuilder : public xml::StreamHandler {
   LabelSpace& label_space_;
   TreeBuildCache* cache_;
 
-  xml::LabeledTree tree_;
+  xml::LabeledTreeBuilder tree_;
   std::vector<NodeId> stack_;       ///< open elements, root first
   std::vector<PendingAttr> attrs_;  ///< current start tag's attributes
-  std::string tag_;                 ///< current start tag's raw name
-  size_t attr_bytes_ = 0;
+  std::string staged_;              ///< their names and values
   size_t scaffold_peak_bytes_ = 0;
 };
 

@@ -15,10 +15,11 @@ namespace xsdf::core {
 /// Memory accounting for one streaming build.
 struct StreamingBuildStats {
   /// High-water mark of the builder's transient scaffolding (the
-  /// open-element stack plus the buffered attributes and pending text
-  /// of the element currently being opened) — what replaces the DOM +
-  /// arena the two-pass front end keeps resident. Bounded by tree
-  /// depth plus one start tag, not document size.
+  /// open-element stack plus the staged attributes of the element
+  /// currently being opened; text is tokenized straight from the
+  /// parser's views) — what replaces the DOM + arena the two-pass
+  /// front end keeps resident. Bounded by tree depth plus one start
+  /// tag, not document size.
   size_t scaffold_peak_bytes = 0;
 };
 

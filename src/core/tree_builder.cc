@@ -23,48 +23,53 @@ std::vector<std::string> LabelSenseTokens(
 
 const xml::ResolvedLabel& ResolveTagMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace& label_space, const std::string& tag) {
-  auto [it, inserted] = cache.tags.try_emplace(tag);
-  if (inserted) {
-    text::LexiconProbe probe = [&network](const std::string& lemma) {
-      return network.Contains(lemma);
-    };
-    it->second.label = text::PreprocessTagName(tag, probe).label;
-    it->second.id = label_space.Resolve(it->second.label);
-  }
+    LabelSpace& label_space, std::string_view tag) {
+  auto it = cache.tags.find(tag);
+  if (it != cache.tags.end()) return it->second;
+  it = cache.tags.emplace(std::string(tag), xml::ResolvedLabel()).first;
+  text::LexiconProbe probe = [&network](const std::string& lemma) {
+    return network.Contains(lemma);
+  };
+  it->second.label = text::PreprocessTagName(tag, probe).label;
+  it->second.id = label_space.Resolve(it->second.label);
   return it->second;
 }
 
 const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace& label_space, const std::string& value) {
+    LabelSpace& label_space, std::string_view value) {
   // Two-level value memo: whole values repeat less than their tokens,
   // so a miss on the value still reuses each token's (pure)
   // normalization + interning. The composition below is
   // PreprocessTextValue() step for step, and interning on first sight
   // of a label follows build order exactly as per-node resolution
   // would, so memoized output is identical to the direct call.
-  auto [it, inserted] = cache.values.try_emplace(value);
-  if (inserted) {
-    text::LexiconProbe probe = [&network](const std::string& lemma) {
-      return network.Contains(lemma);
-    };
-    std::vector<std::string> tokens =
-        text::RemoveStopWords(text::Tokenize(value));
-    it->second.reserve(tokens.size());
-    for (const std::string& token : tokens) {
-      if (!text::HasLetter(token)) continue;  // drop pure numbers
-      auto [tit, tinserted] = cache.tokens.try_emplace(token);
-      if (tinserted) {
-        tit->second.label = text::NormalizeToken(token, probe);
-        // Tokens that normalize to nothing never become nodes, so
-        // they are never interned (matches the per-node path).
-        if (!tit->second.label.empty()) {
-          tit->second.id = label_space.Resolve(tit->second.label);
-        }
+  auto it = cache.values.find(value);
+  if (it != cache.values.end()) return it->second;
+  if (cache.values.size() >= TreeBuildCache::kMaxValues) {
+    cache.values.clear();
+  }
+  it = cache.values.emplace(std::string(value),
+                            std::vector<xml::ResolvedLabel>())
+           .first;
+  text::LexiconProbe probe = [&network](const std::string& lemma) {
+    return network.Contains(lemma);
+  };
+  const std::vector<std::string> tokens = text::Tokenize(value);
+  it->second.reserve(tokens.size());
+  for (const std::string& token : tokens) {
+    if (text::IsStopWord(token)) continue;
+    if (!text::HasLetter(token)) continue;  // drop pure numbers
+    auto [tit, tinserted] = cache.tokens.try_emplace(token);
+    if (tinserted) {
+      tit->second.label = text::NormalizeToken(token, probe);
+      // Tokens that normalize to nothing never become nodes, so
+      // they are never interned (matches the per-node path).
+      if (!tit->second.label.empty()) {
+        tit->second.id = label_space.Resolve(tit->second.label);
       }
-      it->second.push_back(tit->second);
     }
+    it->second.push_back(tit->second);
   }
   return it->second;
 }
@@ -96,9 +101,7 @@ Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
       -> const std::vector<xml::ResolvedLabel>& {
     return TokenizeValueMemo(*cache, network, *label_space, value);
   };
-  auto tree = xml::BuildLabeledTree(doc, options);
-  if (tree.ok()) tree->set_label_source(label_space->serial());
-  return tree;
+  return xml::BuildLabeledTree(doc, options, label_space->serial());
 }
 
 Result<xml::LabeledTree> BuildTreeFromXml(

@@ -146,10 +146,10 @@ std::vector<DatasetStatsRow> ComputeTable3(
     row.max_density = std::max(row.max_density, shape.max_density);
     // Label polysemy over nodes.
     double polysemy_sum = 0.0;
-    for (const xml::TreeNode& node : doc.tree.nodes()) {
+    for (xml::NodeId id : doc.tree.ids()) {
       int label_senses = 0;
       for (const std::string& token :
-           core::LabelSenseTokens(network, node.label)) {
+           core::LabelSenseTokens(network, std::string(doc.tree.label(id)))) {
         label_senses += network.SenseCount(token);
       }
       polysemy_sum += label_senses;

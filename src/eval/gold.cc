@@ -14,14 +14,13 @@ namespace {
 void ScoreNode(const core::SemanticTree& result, const GoldMap& gold,
                xml::NodeId id, int* gold_total, int* attempted,
                int* correct) {
-  const xml::TreeNode& node = result.tree.node(id);
-  auto gold_it = gold.find(node.label);
+  auto gold_it = gold.find(std::string(result.tree.label(id)));
   if (gold_it == gold.end()) return;
   ++*gold_total;
-  auto assignment_it = result.assignments.find(id);
-  if (assignment_it == result.assignments.end()) return;
+  const core::SenseAssignment* found = result.assignments.find(id);
+  if (found == nullptr) return;
   ++*attempted;
-  const core::SenseAssignment& assignment = assignment_it->second;
+  const core::SenseAssignment& assignment = *found;
   if (assignment.sense.primary == gold_it->second ||
       (assignment.sense.is_compound() &&
        assignment.sense.secondary == gold_it->second)) {
@@ -47,8 +46,8 @@ PrfScores ScoreAgainstGold(const core::SemanticTree& result,
   int gold_total = 0;
   int attempted = 0;
   int correct = 0;
-  for (const xml::TreeNode& node : result.tree.nodes()) {
-    ScoreNode(result, gold, node.id, &gold_total, &attempted, &correct);
+  for (xml::NodeId id : result.tree.ids()) {
+    ScoreNode(result, gold, id, &gold_total, &attempted, &correct);
   }
   return ComputePrf(gold_total, attempted, correct);
 }
@@ -74,11 +73,11 @@ std::vector<xml::NodeId> SampleGoldNodes(const xml::LabeledTree& tree,
     int weight;
   };
   std::vector<Weighted> pool;
-  for (const xml::TreeNode& node : tree.nodes()) {
-    if (gold.find(node.label) == gold.end()) continue;
+  for (xml::NodeId id : tree.ids()) {
+    if (gold.find(std::string(tree.label(id))) == gold.end()) continue;
     int weight =
-        node.kind == xml::TreeNodeKind::kToken ? 1 : structure_bias;
-    pool.push_back({node.id, weight});
+        tree.kind(id) == xml::TreeNodeKind::kToken ? 1 : structure_bias;
+    pool.push_back({id, weight});
   }
   Rng rng(seed);
   std::vector<xml::NodeId> sampled;

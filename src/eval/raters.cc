@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "core/ambiguity.h"
@@ -17,22 +19,21 @@ namespace {
 /// side).
 double StructuralTransparency(const xml::LabeledTree& tree,
                               xml::NodeId id) {
-  const xml::TreeNode& node = tree.node(id);
   double depth_term =
       tree.MaxDepth() > 0
-          ? static_cast<double>(node.depth) / tree.MaxDepth()
+          ? static_cast<double>(tree.depth(id)) / tree.MaxDepth()
           : 0.0;
   // Distinct labels among parent, siblings, and children.
-  std::unordered_set<std::string> context_labels;
-  if (node.parent != xml::kInvalidNode) {
-    const xml::TreeNode& parent = tree.node(node.parent);
-    context_labels.insert(parent.label);
-    for (xml::NodeId sibling : parent.children) {
-      if (sibling != id) context_labels.insert(tree.node(sibling).label);
+  std::unordered_set<std::string_view> context_labels;
+  const xml::NodeId parent = tree.parent(id);
+  if (parent != xml::kInvalidNode) {
+    context_labels.insert(tree.label(parent));
+    for (xml::NodeId sibling : tree.children(parent)) {
+      if (sibling != id) context_labels.insert(tree.label(sibling));
     }
   }
-  for (xml::NodeId child : node.children) {
-    context_labels.insert(tree.node(child).label);
+  for (xml::NodeId child : tree.children(id)) {
+    context_labels.insert(tree.label(child));
   }
   double diversity =
       std::min(1.0, static_cast<double>(context_labels.size()) / 5.0);
@@ -50,7 +51,7 @@ std::vector<double> SimulateHumanRatings(
   for (size_t i = 0; i < nodes.size(); ++i) {
     xml::NodeId id = nodes[i];
     double polysemy =
-        core::AmbiguityPolysemy(network, tree.node(id).label);
+        core::AmbiguityPolysemy(network, std::string(tree.label(id)));
     double transparency =
         std::clamp(0.35 * StructuralTransparency(tree, id) +
                        options.context_clarity * (0.6 + 0.8 * polysemy),
@@ -74,11 +75,11 @@ std::vector<xml::NodeId> SampleRatableNodes(
     const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
     int count, uint64_t seed) {
   std::vector<xml::NodeId> candidates;
-  for (const xml::TreeNode& node : tree.nodes()) {
+  for (xml::NodeId id : tree.ids()) {
     for (const std::string& token :
-         core::LabelSenseTokens(network, node.label)) {
+         core::LabelSenseTokens(network, std::string(tree.label(id)))) {
       if (network.SenseCount(token) > 0) {
-        candidates.push_back(node.id);
+        candidates.push_back(id);
         break;
       }
     }

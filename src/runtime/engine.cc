@@ -46,16 +46,20 @@ struct DisambiguationEngine::Batch {
 /// Shared state for one document's chunked target fan-out. The owning
 /// worker keeps it on its stack frame (via shared_ptr, so late-arriving
 /// helper tickets stay safe after the owner moves on) and blocks until
-/// chunks_done reaches chunk_count. `tree` and `targets` point into the
-/// owner's frame: a worker only dereferences them while it holds a
-/// claimed chunk, every claim precedes its chunks_done increment, and
-/// the owner cannot unwind before the final increment — so the pointers
-/// are never read after they die. Workers that dequeue a ticket after
-/// all chunks are claimed observe next_chunk >= chunk_count and return
-/// without touching either pointer.
+/// chunks_done reaches chunk_count. `tree`, `targets` and `assignments`
+/// point into the owner's frame: a worker only dereferences them while
+/// it holds a claimed chunk, every claim precedes its chunks_done
+/// increment, and the owner cannot unwind before the final increment —
+/// so the pointers are never read after they die. Workers that dequeue
+/// a ticket after all chunks are claimed observe next_chunk >=
+/// chunk_count and return without touching any of them.
 struct DisambiguationEngine::SubtreeWork {
   const xml::LabeledTree* tree = nullptr;
   const std::vector<xml::NodeId>* targets = nullptr;
+  /// Sized for the whole tree before any chunk runs; each chunk writes
+  /// the slots of its own targets, which no other chunk touches, and
+  /// the owner reads them after its acquire wait on chunks_done.
+  core::AssignmentColumn* assignments = nullptr;
   size_t chunk_size = 0;
   size_t chunk_count = 0;
   int owner_worker = -1;
@@ -66,11 +70,6 @@ struct DisambiguationEngine::SubtreeWork {
   /// Only accumulated when the disambiguators record stage times.
   std::atomic<uint64_t> context_ns{0};
   std::atomic<uint64_t> score_ns{0};
-  /// Per-chunk (target, assignment) pairs in target order; merged by
-  /// the owner chunk by chunk, so the result is independent of which
-  /// worker ran what when.
-  std::vector<std::vector<std::pair<xml::NodeId, core::SenseAssignment>>>
-      chunk_results;
   std::mutex mu;
   std::condition_variable done_cv;
 };
@@ -280,15 +279,18 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
   if (workers_.size() < 2) return disambiguator.RunOnTree(std::move(tree));
   std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
   const bool fan_out = targets.size() >= kSubtreeMinTargets;
+  core::SemanticTree result;
+  result.tree = std::move(tree);
+  result.assignments.Reset(result.tree.size());
   auto work = std::make_shared<SubtreeWork>();
-  work->tree = &tree;
+  work->tree = &result.tree;
   work->targets = &targets;
+  work->assignments = &result.assignments;
   work->chunk_size =
       fan_out ? kSubtreeChunkTargets : std::max<size_t>(targets.size(), 1);
   work->chunk_count =
       (targets.size() + work->chunk_size - 1) / work->chunk_size;
   work->owner_worker = worker_index;
-  work->chunk_results.resize(work->chunk_count);
   if (fan_out) {
     // At most chunk_count - 1 helpers can find work (the owner drains
     // too). TryPush only: when the queue is full the owner simply runs
@@ -322,17 +324,10 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
         {work->context_ns.load(std::memory_order_relaxed),
          work->score_ns.load(std::memory_order_relaxed)});
   }
-  // Merge in chunk (= target) order. The map is keyed by NodeId and
-  // serialization walks the tree by id, so insertion order can never
-  // leak into the output anyway — the fixed order just keeps the merge
-  // deterministic for debugging.
-  core::SemanticTree result;
-  for (auto& chunk : work->chunk_results) {
-    for (auto& entry : chunk) {
-      result.assignments.emplace(entry.first, std::move(entry.second));
-    }
-  }
-  result.tree = std::move(tree);
+  // Every chunk wrote its targets' slots before its chunks_done
+  // increment, so the column is complete; which worker ran what never
+  // shows, because each slot belongs to one node.
+  result.assignments.Recount();
   return result;
 }
 
@@ -356,9 +351,6 @@ void DisambiguationEngine::RunSubtreeChunks(
     const std::vector<xml::NodeId>& targets = *work.targets;
     const size_t begin = chunk * work.chunk_size;
     const size_t end = std::min(begin + work.chunk_size, targets.size());
-    std::vector<std::pair<xml::NodeId, core::SenseAssignment>>& out =
-        work.chunk_results[chunk];
-    out.reserve(end - begin);
     // DisambiguateNode is a pure function of (tree, id) for
     // identically-configured disambiguators, so running this chunk
     // under a helper's Disambiguator yields the exact bytes the owner
@@ -370,7 +362,7 @@ void DisambiguationEngine::RunSubtreeChunks(
       auto assignment =
           disambiguator.DisambiguateNode(*work.tree, targets[i], timed);
       if (!assignment.ok()) continue;  // senseless labels stay untouched
-      out.emplace_back(targets[i], std::move(assignment).value());
+      work.assignments->slot(targets[i]) = std::move(assignment).value();
     }
     if (timed != nullptr) {
       work.context_ns.fetch_add(times.context_ns, std::memory_order_relaxed);

@@ -124,8 +124,9 @@ struct EngineOptions {
 /// target list into 32-target chunks and publishes helper tickets on
 /// the shared job queue so idle workers steal chunks — 8 workers
 /// saturate on a single giant file. Chunk placement never affects
-/// output: per-node disambiguation is pure and the merge follows
-/// target order.
+/// output: per-node disambiguation is pure, and each chunk writes its
+/// targets' slots of the document's dense assignment column, so there
+/// is nothing to merge.
 ///
 /// RunBatch() may be called repeatedly; results are deterministic:
 /// identical jobs + options produce byte-identical semantic_xml for

@@ -9,12 +9,16 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <random>
+#include <system_error>
 #include <utility>
 
 #include "common/strings.h"
@@ -526,13 +530,31 @@ HttpResponse Server::HandleDisambiguate(const HttpRequest& request,
   job.rtrace = ctx->trace.get();
   const std::string deadline_ms = request.Header("x-xsdf-deadline-ms", "");
   if (!deadline_ms.empty()) {
-    long ms = std::atol(deadline_ms.c_str());
+    // A budget in whole milliseconds. A budget past int64_t saturates
+    // in its own direction, and so do the ns conversion and the
+    // addition below, so a huge budget means no practical deadline.
+    const char* const end = deadline_ms.data() + deadline_ms.size();
+    int64_t ms = 0;
+    const auto [parsed_end, error] =
+        std::from_chars(deadline_ms.data(), end, ms);
+    if (error == std::errc::result_out_of_range && parsed_end == end) {
+      ms = deadline_ms[0] == '-' ? std::numeric_limits<int64_t>::min()
+                                 : std::numeric_limits<int64_t>::max();
+    } else if (error != std::errc() || parsed_end != end) {
+      return {400, {}, "malformed X-Xsdf-Deadline-Ms header\n"};
+    }
     ctx->deadline_budget_ms = ms <= 0 ? 0 : static_cast<uint64_t>(ms);
     // ms <= 0 pins the deadline in the past — deterministic 504, used
     // by the tests to exercise shedding without timing races.
-    job.deadline_ns =
-        ms <= 0 ? 1 : obs::MonotonicNowNs() + static_cast<uint64_t>(ms) *
-                                                  1000000ull;
+    constexpr uint64_t kNsPerMs = 1000000;
+    constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+    const uint64_t budget_ns = ctx->deadline_budget_ms > kNever / kNsPerMs
+                                   ? kNever
+                                   : ctx->deadline_budget_ms * kNsPerMs;
+    const uint64_t now_ns = obs::MonotonicNowNs();
+    job.deadline_ns = ms <= 0                      ? 1
+                      : budget_ns > kNever - now_ns ? kNever
+                                                    : now_ns + budget_ns;
   }
   std::optional<runtime::DocumentResult> result =
       state->engine->TryRunOne(std::move(job));

@@ -1,7 +1,8 @@
 #include "xml/labeled_tree.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -9,19 +10,20 @@
 
 namespace xsdf::xml {
 
-NodeId LabeledTree::AddNode(NodeId parent, std::string label,
-                            uint32_t label_id, TreeNodeKind kind,
-                            std::string raw) {
+NodeId LabeledTreeBuilder::AddNode(NodeId parent, std::string_view label,
+                                   uint32_t label_id, TreeNodeKind kind,
+                                   std::string_view raw) {
   // Precondition violations are programmer errors, but a release build
   // must not crash on them: callers receive kInvalidNode and can
   // surface a Status (checked builds still stop at the fault).
-  if ((parent == kInvalidNode) != nodes_.empty()) {
+  const size_t id = tree_.size();
+  if ((parent == kInvalidNode) != (id == 0)) {
     XSDF_DCHECK(false,
                 "first node must be the root; later nodes need a parent");
     return kInvalidNode;
   }
   if (parent != kInvalidNode &&
-      (parent < 0 || static_cast<size_t>(parent) >= nodes_.size())) {
+      (parent < 0 || static_cast<size_t>(parent) >= id)) {
     XSDF_DCHECK(false, "parent id out of range");
     return kInvalidNode;
   }
@@ -29,92 +31,172 @@ NodeId LabeledTree::AddNode(NodeId parent, std::string label,
     XSDF_DCHECK(false, "every node needs a label id");
     return kInvalidNode;
   }
-  TreeNode node;
-  node.id = static_cast<NodeId>(nodes_.size());
-  node.label = std::move(label);
-  node.raw = std::move(raw);
-  node.kind = kind;
-  node.parent = parent;
-  if (parent != kInvalidNode) {
-    node.depth = nodes_[static_cast<size_t>(parent)].depth + 1;
-    nodes_[static_cast<size_t>(parent)].children.push_back(node.id);
+  if (tree_.pool_.size() + label.size() + raw.size() >
+          std::numeric_limits<uint32_t>::max() ||
+      id >= static_cast<size_t>(std::numeric_limits<NodeId>::max())) {
+    XSDF_DCHECK(false, "tree exceeds 32-bit node ids or pool offsets");
+    return kInvalidNode;
   }
-  nodes_.push_back(std::move(node));
-  label_ids_.push_back(label_id);
-  max_depth_.store(CachedMax::kUnset);
-  max_fan_out_.store(CachedMax::kUnset);
-  max_density_.store(CachedMax::kUnset);
-  return nodes_.back().id;
+  bool new_label = false;
+  const uint32_t slot = slot_of_label_.FindOrInsert(
+      label_id, static_cast<uint32_t>(tree_.labels_.size()), &new_label);
+  if (new_label) {
+    tree_.labels_.push_back({label_id, Append(label)});
+    last_raw_.emplace_back();
+  } else if (tree_.slot_label(slot) != label) {
+    XSDF_DCHECK(false, "a label id already carries another spelling");
+    return kInvalidNode;
+  }
+  const PoolRange spelling = tree_.labels_[slot].spelling;
+  PoolRange raw_range;
+  if (raw == label) {
+    raw_range = spelling;
+  } else if (!raw.empty()) {
+    PoolRange& last = last_raw_[slot];
+    raw_range = tree_.View(last) == raw ? last : (last = Append(raw));
+  }
+  tree_.parent_.push_back(parent);
+  tree_.depth_.push_back(parent == kInvalidNode
+                             ? 0
+                             : tree_.depth_[static_cast<size_t>(parent)] + 1);
+  tree_.kind_.push_back(kind);
+  tree_.label_ids_.push_back(label_id);
+  tree_.label_slots_.push_back(slot);
+  tree_.raw_.push_back(raw_range);
+  return static_cast<NodeId>(id);
+}
+
+void LabeledTreeBuilder::Reserve(size_t node_count) {
+  tree_.parent_.reserve(node_count);
+  tree_.depth_.reserve(node_count);
+  tree_.kind_.reserve(node_count);
+  tree_.label_ids_.reserve(node_count);
+  tree_.label_slots_.reserve(node_count);
+  tree_.raw_.reserve(node_count);
+}
+
+LabeledTreeBuilder::PoolRange LabeledTreeBuilder::Append(
+    std::string_view text) {
+  const PoolRange range{static_cast<uint32_t>(tree_.pool_.size()),
+                        static_cast<uint32_t>(text.size())};
+  tree_.pool_.append(text);
+  return range;
+}
+
+LabeledTree LabeledTreeBuilder::Finish() {
+  // Counting sort of the nodes by parent: count each parent's children,
+  // turn the counts into range ends, then place nodes from the highest
+  // id down so that every range ends up in increasing id order and
+  // each end has moved back to its range's start.
+  const size_t n = tree_.size();
+  std::vector<uint32_t>& begin = tree_.child_begin_;
+  begin.assign(n + 1, 0);
+  for (size_t i = 1; i < n; ++i) {
+    ++begin[static_cast<size_t>(tree_.parent_[i])];
+  }
+  uint32_t end = 0;
+  for (size_t i = 0; i < n; ++i) begin[i] = end += begin[i];
+  begin[n] = end;
+  tree_.children_.resize(end);
+  for (size_t i = n; i-- > 1;) {
+    tree_.children_[--begin[static_cast<size_t>(tree_.parent_[i])]] =
+        static_cast<NodeId>(i);
+  }
+  LabeledTree finished = std::move(tree_);
+  tree_ = LabeledTree();
+  tree_.label_source_ = finished.label_source_;
+  slot_of_label_ = FlatIdMap();
+  last_raw_.clear();
+  return finished;
 }
 
 Status LabeledTree::Validate() const {
-  size_t child_links = 0;
-  // The id <-> label bijection DistinctChildLabelCount() relies on.
-  std::unordered_map<uint32_t, std::string_view> label_of_id;
-  std::unordered_map<std::string_view, uint32_t> id_of_label;
-  for (const TreeNode& n : nodes_) {
-    size_t i = static_cast<size_t>(n.id);
-    if (n.id < 0 || i >= nodes_.size() || &nodes_[i] != &n) {
-      return Status::Internal(
-          StrFormat("node id %d does not match its position", n.id));
-    }
-    if (n.id == 0) {
-      if (n.parent != kInvalidNode || n.depth != 0) {
+  const size_t n = size();
+  if (depth_.size() != n || kind_.size() != n || label_ids_.size() != n ||
+      label_slots_.size() != n || raw_.size() != n) {
+    return Status::Internal("tree columns differ in length");
+  }
+  if (n == 0) return Status::Ok();
+  if (child_begin_.size() != n + 1 || child_begin_[0] != 0 ||
+      child_begin_[n] != n - 1 || children_.size() != n - 1) {
+    return Status::Internal(
+        "child offsets do not total size - 1 child links");
+  }
+  auto in_pool = [&](PoolRange range) {
+    return range.offset <= pool_.size() &&
+           range.length <= pool_.size() - range.offset;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    if (i == 0) {
+      if (parent_[0] != kInvalidNode || depth_[0] != 0) {
         return Status::Internal("root node has a parent or nonzero depth");
       }
     } else {
-      if (n.parent < 0 || n.parent >= n.id) {
+      if (parent_[i] < 0 || parent_[i] >= id) {
         return Status::Internal(StrFormat(
-            "node %d has non-preorder parent %d", n.id, n.parent));
+            "node %d has non-preorder parent %d", id, parent_[i]));
       }
-      const TreeNode& p = nodes_[static_cast<size_t>(n.parent)];
-      if (n.depth != p.depth + 1) {
+      if (depth_[i] != depth_[static_cast<size_t>(parent_[i])] + 1) {
         return Status::Internal(
-            StrFormat("node %d depth %d != parent depth %d + 1", n.id,
-                      n.depth, p.depth));
+            StrFormat("node %d depth %d != parent depth %d + 1", id,
+                      depth_[i], depth_[static_cast<size_t>(parent_[i])]));
       }
-      if (std::find(p.children.begin(), p.children.end(), n.id) ==
-          p.children.end()) {
+    }
+    if (child_begin_[i + 1] < child_begin_[i]) {
+      return Status::Internal(
+          StrFormat("child offsets decrease at node %d", id));
+    }
+    // Every listed child names this node as its parent, and the lists
+    // strictly increase; with size - 1 links in total, every non-root
+    // node is therefore listed exactly once, under its parent.
+    NodeId previous = id;
+    for (NodeId child : children(id)) {
+      if (child <= previous || static_cast<size_t>(child) >= n ||
+          parent_[static_cast<size_t>(child)] != id) {
         return Status::Internal(StrFormat(
-            "node %d missing from parent %d child list", n.id, n.parent));
+            "child %d of node %d is out of order or does not point back",
+            child, id));
       }
+      previous = child;
     }
-    for (NodeId child : n.children) {
-      if (child <= n.id || static_cast<size_t>(child) >= nodes_.size()) {
-        return Status::Internal(
-            StrFormat("node %d has invalid child %d", n.id, child));
-      }
-      if (nodes_[static_cast<size_t>(child)].parent != n.id) {
-        return Status::Internal(StrFormat(
-            "child %d of node %d does not point back", child, n.id));
-      }
+    if (!in_pool(raw_[i])) {
+      return Status::Internal(
+          StrFormat("node %d raw text lies outside the pool", id));
     }
-    child_links += n.children.size();
-    const uint32_t id = label_ids_[i];
-    if (id == kNoLabelId) {
-      return Status::Internal(StrFormat("node %d has no label id", n.id));
+    if (label_ids_[i] == kNoLabelId) {
+      return Status::Internal(StrFormat("node %d has no label id", id));
     }
-    const auto by_id = label_of_id.try_emplace(id, n.label).first;
-    const auto by_label = id_of_label.try_emplace(n.label, id).first;
-    if (by_id->second != n.label || by_label->second != id) {
+    if (label_slots_[i] >= labels_.size() ||
+        labels_[label_slots_[i]].label_id != label_ids_[i]) {
       return Status::Internal(StrFormat(
-          "node %d: label ids and labels do not map one to one", n.id));
+          "node %d label slot does not match its label id", id));
     }
   }
-  if (!nodes_.empty() && child_links != nodes_.size() - 1) {
-    return Status::Internal("tree has disconnected or multi-parent nodes");
+  // The id <-> spelling bijection DistinctChildLabelCount() relies on:
+  // one entry (so one spelling) per id, and no spelling under two ids.
+  std::unordered_set<uint32_t> ids;
+  std::unordered_set<std::string_view> spellings;
+  for (const LabelEntry& entry : labels_) {
+    if (!in_pool(entry.spelling)) {
+      return Status::Internal("label spelling lies outside the pool");
+    }
+    if (!ids.insert(entry.label_id).second ||
+        !spellings.insert(View(entry.spelling)).second) {
+      return Status::Internal("label ids and labels do not map one to one");
+    }
   }
   return Status::Ok();
 }
 
 int LabeledTree::DistinctChildLabelCount(NodeId id) const {
-  const TreeNode& n = node(id);
-  if (n.children.size() <= 1) return n.fan_out();
+  const std::span<const NodeId> kids = children(id);
+  if (kids.size() <= 1) return static_cast<int>(kids.size());
   // Ids map one-to-one to labels, so counting distinct ids counts
-  // distinct labels without hashing a string.
+  // distinct labels without comparing a string.
   thread_local std::vector<uint32_t> ids;
   ids.clear();
-  for (NodeId child : n.children) ids.push_back(label_id(child));
+  for (NodeId child : kids) ids.push_back(label_id(child));
   std::sort(ids.begin(), ids.end());
   return static_cast<int>(std::unique(ids.begin(), ids.end()) -
                           ids.begin());
@@ -124,7 +206,7 @@ int LabeledTree::MaxDepth() const {
   int cached = max_depth_.load();
   if (cached != CachedMax::kUnset) return cached;
   int max_depth = 0;
-  for (const TreeNode& n : nodes_) max_depth = std::max(max_depth, n.depth);
+  for (int depth : depth_) max_depth = std::max(max_depth, depth);
   max_depth_.store(max_depth);
   return max_depth;
 }
@@ -133,9 +215,7 @@ int LabeledTree::MaxFanOut() const {
   int cached = max_fan_out_.load();
   if (cached != CachedMax::kUnset) return cached;
   int max_fan_out = 0;
-  for (const TreeNode& n : nodes_) {
-    max_fan_out = std::max(max_fan_out, n.fan_out());
-  }
+  for (NodeId id : ids()) max_fan_out = std::max(max_fan_out, fan_out(id));
   max_fan_out_.store(max_fan_out);
   return max_fan_out;
 }
@@ -144,48 +224,46 @@ int LabeledTree::MaxDensity() const {
   int cached = max_density_.load();
   if (cached != CachedMax::kUnset) return cached;
   int max_density = 0;
-  for (const TreeNode& n : nodes_) {
-    max_density = std::max(max_density, DistinctChildLabelCount(n.id));
+  for (NodeId id : ids()) {
+    max_density = std::max(max_density, DistinctChildLabelCount(id));
   }
   max_density_.store(max_density);
   return max_density;
 }
 
 NodeId LabeledTree::LowestCommonAncestor(NodeId a, NodeId b) const {
-  while (node(a).depth > node(b).depth) a = node(a).parent;
-  while (node(b).depth > node(a).depth) b = node(b).parent;
+  while (depth(a) > depth(b)) a = parent(a);
+  while (depth(b) > depth(a)) b = parent(b);
   while (a != b) {
-    a = node(a).parent;
-    b = node(b).parent;
+    a = parent(a);
+    b = parent(b);
   }
   return a;
 }
 
 int LabeledTree::Distance(NodeId a, NodeId b) const {
   NodeId lca = LowestCommonAncestor(a, b);
-  return node(a).depth + node(b).depth - 2 * node(lca).depth;
+  return depth(a) + depth(b) - 2 * depth(lca);
 }
 
 std::vector<std::vector<NodeId>> LabeledTree::Rings(
     NodeId center, int max_distance) const {
   std::vector<std::vector<NodeId>> rings;
   rings.push_back({center});
-  std::vector<bool> visited(nodes_.size(), false);
-  visited[static_cast<size_t>(center)] = true;
+  std::vector<bool> visited(size(), false);
+  visited[Index(center)] = true;
   std::vector<NodeId> frontier = {center};
   for (int d = 1; d <= max_distance && !frontier.empty(); ++d) {
     std::vector<NodeId> next;
     for (NodeId id : frontier) {
-      const TreeNode& n = node(id);
       auto visit = [&](NodeId neighbor) {
-        if (neighbor != kInvalidNode &&
-            !visited[static_cast<size_t>(neighbor)]) {
-          visited[static_cast<size_t>(neighbor)] = true;
+        if (neighbor != kInvalidNode && !visited[Index(neighbor)]) {
+          visited[Index(neighbor)] = true;
           next.push_back(neighbor);
         }
       };
-      visit(n.parent);
-      for (NodeId child : n.children) visit(child);
+      visit(parent(id));
+      for (NodeId child : children(id)) visit(child);
     }
     std::sort(next.begin(), next.end());
     rings.push_back(next);
@@ -199,7 +277,7 @@ std::vector<std::vector<NodeId>> LabeledTree::Rings(
 
 std::vector<NodeId> LabeledTree::RootPath(NodeId id) const {
   std::vector<NodeId> path;
-  for (NodeId cur = id; cur != kInvalidNode; cur = node(cur).parent) {
+  for (NodeId cur = id; cur != kInvalidNode; cur = parent(cur)) {
     path.push_back(cur);
   }
   std::reverse(path.begin(), path.end());
@@ -213,8 +291,8 @@ std::vector<NodeId> LabeledTree::Subtree(NodeId id) const {
     NodeId cur = stack.back();
     stack.pop_back();
     out.push_back(cur);
-    const TreeNode& n = node(cur);
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
+    const std::span<const NodeId> kids = children(cur);
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
       stack.push_back(*it);
     }
   }
@@ -224,10 +302,14 @@ std::vector<NodeId> LabeledTree::Subtree(NodeId id) const {
 namespace {
 
 struct Builder {
-  explicit Builder(const TreeBuildOptions& options) : options(options) {}
+  Builder(const TreeBuildOptions& options, uint64_t label_source)
+      : options(options), tree(label_source) {}
 
   const TreeBuildOptions& options;
-  LabeledTree tree;
+  LabeledTreeBuilder tree;
+  /// False once an AddNode() precondition failed (a hook returned an
+  /// id the tree cannot hold).
+  bool ok = true;
   /// The default hooks' state: labels interned into an interner that
   /// lives as long as the build, staged where the returned references
   /// point.
@@ -263,24 +345,30 @@ struct Builder {
     return tokens;
   }
 
+  NodeId Add(NodeId parent, std::string_view label, uint32_t label_id,
+             TreeNodeKind kind, std::string_view raw) {
+    const NodeId id = tree.AddNode(parent, label, label_id, kind, raw);
+    if (id == kInvalidNode) ok = false;
+    return id;
+  }
+
   NodeId AddTag(NodeId parent, const std::string& raw_tag,
                 TreeNodeKind kind) {
     const ResolvedLabel& resolved = ResolveTag(raw_tag);
-    return tree.AddNode(parent, resolved.label, resolved.id, kind,
-                        raw_tag);
+    return Add(parent, resolved.label, resolved.id, kind, raw_tag);
   }
 
   void AddTokens(NodeId parent, const std::string& text) {
     if (!options.include_values) return;
     for (const ResolvedLabel& token : Tokenize(text)) {
       if (token.label.empty()) continue;
-      tree.AddNode(parent, token.label, token.id, TreeNodeKind::kToken,
-                   token.label);
+      Add(parent, token.label, token.id, TreeNodeKind::kToken, token.label);
     }
   }
 
   void AddElement(NodeId parent, const Node& element) {
     NodeId id = AddTag(parent, element.name(), TreeNodeKind::kElement);
+    if (!ok) return;
     // Attributes first, sorted by name (paper §3.1).
     std::vector<const Attribute*> attrs;
     attrs.reserve(element.attributes().size());
@@ -344,23 +432,28 @@ size_t EstimateTreeNodes(const Node& element) {
 }  // namespace
 
 Result<LabeledTree> BuildLabeledTree(const Node& root_element,
-                                     const TreeBuildOptions& options) {
+                                     const TreeBuildOptions& options,
+                                     uint64_t label_source) {
   if (!root_element.is_element()) {
     return Status::InvalidArgument(
         "BuildLabeledTree requires an element node");
   }
-  Builder builder(options);
+  Builder builder(options, label_source);
   builder.tree.Reserve(EstimateTreeNodes(root_element));
   builder.AddElement(kInvalidNode, root_element);
-  return std::move(builder.tree);
+  if (!builder.ok) {
+    return Status::Internal("labeled tree construction failed");
+  }
+  return builder.tree.Finish();
 }
 
 Result<LabeledTree> BuildLabeledTree(const Document& doc,
-                                     const TreeBuildOptions& options) {
+                                     const TreeBuildOptions& options,
+                                     uint64_t label_source) {
   if (doc.root() == nullptr) {
     return Status::InvalidArgument("document has no root element");
   }
-  return BuildLabeledTree(*doc.root(), options);
+  return BuildLabeledTree(*doc.root(), options, label_source);
 }
 
 }  // namespace xsdf::xml

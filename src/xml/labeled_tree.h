@@ -5,10 +5,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "common/result.h"
 #include "xml/dom.h"
 
@@ -24,78 +27,94 @@ inline constexpr NodeId kInvalidNode = -1;
 inline constexpr uint32_t kNoLabelId = 0xFFFFFFFFu;
 
 /// What an XML construct a tree node was derived from.
-enum class TreeNodeKind {
+enum class TreeNodeKind : uint8_t {
   kElement,    ///< an element tag
   kAttribute,  ///< an attribute name
   kToken,      ///< one token of an element/attribute text value
 };
 
-/// One node of a rooted ordered labeled tree (paper Definition 1).
-struct TreeNode {
-  NodeId id = kInvalidNode;         ///< preorder rank, T[i]
-  std::string label;                ///< T[i].l — preprocessed label
-  std::string raw;                  ///< original tag name / token text
-  TreeNodeKind kind = TreeNodeKind::kElement;
-  NodeId parent = kInvalidNode;
-  std::vector<NodeId> children;
-  int depth = 0;                    ///< T[i].d — edges from the root
-
-  /// T[i].f — the node's fan-out.
-  int fan_out() const { return static_cast<int>(children.size()); }
-};
+class LabeledTreeBuilder;
 
 /// A rooted ordered labeled tree: the XML document model the XSDF
-/// algorithms operate on (paper Definition 1). Nodes are stored in
-/// preorder, so `node(i)` is exactly the paper's `T[i]`, and the root is
+/// algorithms operate on (paper Definition 1). Node ids are preorder
+/// ranks, so node `i` is exactly the paper's `T[i]`, and the root is
 /// `T[0]`.
+///
+/// Storage is columnar: parent, depth, kind and label id are flat
+/// arrays indexed by node id; children are CSR ranges (a node's
+/// children are not contiguous in preorder, so LabeledTreeBuilder
+/// lays them out once when the build finishes); raw text is an
+/// (offset, length) range of one per-tree byte pool; and each distinct
+/// label's spelling is stored once in that pool, reached through the
+/// node's label slot (an index into the tree's distinct-label table),
+/// so reading a label never hashes a string or takes a lock.
+///
+/// A tree is built by LabeledTreeBuilder and immutable afterwards,
+/// apart from the relaxed-atomic MaxDepth/MaxFanOut/MaxDensity memos:
+/// concurrent readers of one tree (the engine's chunk workers) are
+/// safe.
 class LabeledTree {
  public:
   LabeledTree() = default;
 
-  /// Appends a node carrying `label` and its interned id `label_id`.
-  /// The first added node must be the root (`parent == kInvalidNode`);
-  /// children must be added after their parent and in preorder so that
-  /// ids equal preorder ranks, and every node needs an id (not
-  /// kNoLabelId) drawn from the one interner that issued the tree's
-  /// other ids. A call violating these preconditions returns
-  /// kInvalidNode without modifying the tree (and traps in checked
-  /// builds), so malformed construction fails recoverably in release
-  /// binaries.
-  NodeId AddNode(NodeId parent, std::string label, uint32_t label_id,
-                 TreeNodeKind kind, std::string raw = {});
-
-  /// Pre-sizes node storage (one parse knows its element count).
-  void Reserve(size_t node_count) {
-    nodes_.reserve(node_count);
-    label_ids_.reserve(node_count);
+  bool empty() const { return parent_.empty(); }
+  size_t size() const { return parent_.size(); }
+  NodeId root() const { return empty() ? kInvalidNode : 0; }
+  /// Every node id in preorder: `for (NodeId id : tree.ids())`.
+  auto ids() const {
+    return std::views::iota(NodeId{0}, static_cast<NodeId>(size()));
   }
 
+  /// T[i]'s parent, kInvalidNode for the root.
+  NodeId parent(NodeId id) const { return parent_[Index(id)]; }
+  /// T[i].d: edges from the root.
+  int depth(NodeId id) const { return depth_[Index(id)]; }
+  TreeNodeKind kind(NodeId id) const { return kind_[Index(id)]; }
   /// Interned label of `id`.
-  uint32_t label_id(NodeId id) const {
-    return label_ids_[static_cast<size_t>(id)];
+  uint32_t label_id(NodeId id) const { return label_ids_[Index(id)]; }
+  /// T[i].l: the preprocessed label, a view into the tree's pool.
+  std::string_view label(NodeId id) const {
+    return slot_label(label_slots_[Index(id)]);
+  }
+  /// Original tag name / token text of `id`.
+  std::string_view raw(NodeId id) const { return View(raw_[Index(id)]); }
+  /// Children of `id` in document order (increasing id).
+  std::span<const NodeId> children(NodeId id) const {
+    const size_t i = Index(id);
+    return {children_.data() + child_begin_[i],
+            child_begin_[i + 1] - child_begin_[i]};
+  }
+  /// T[i].f: the node's fan-out.
+  int fan_out(NodeId id) const {
+    const size_t i = Index(id);
+    return static_cast<int>(child_begin_[i + 1] - child_begin_[i]);
+  }
+
+  /// Index of `id`'s label in the tree's distinct-label table, in
+  /// first-occurrence order: slots and label ids map one to one, so
+  /// per-label tables of one document index by slot.
+  uint32_t label_slot(NodeId id) const { return label_slots_[Index(id)]; }
+  /// Number of distinct labels in the tree.
+  size_t label_slot_count() const { return labels_.size(); }
+  /// The spelling of label slot `slot`.
+  std::string_view slot_label(uint32_t slot) const {
+    return View(labels_[slot].spelling);
   }
 
   /// Serial of the interner that issued the ids (core::LabelSpace's
   /// serial()), or 0 when a build-local interner did. A disambiguator
   /// reads only trees whose source is its own label space.
   uint64_t label_source() const { return label_source_; }
-  /// Records the issuing interner's serial; builders call it once.
-  void set_label_source(uint64_t serial) { label_source_ = serial; }
 
-  /// Full structural-invariant audit: ids equal positions, parents
-  /// precede children, depths are parent depth + 1, child lists and
-  /// parent pointers agree, every non-root node is linked exactly
-  /// once, every node carries a label id, and two nodes share an id
-  /// exactly when they share a label. O(nodes + edges) plus one hash
-  /// probe per node; used as a fuzzing/property-test oracle.
+  /// Full structural-invariant audit: the root comes first with depth
+  /// 0, parents precede children, depths are parent depth + 1, CSR
+  /// offsets are non-decreasing and total size - 1 child links, each
+  /// node's child range lists exactly the nodes whose parent column
+  /// names it in increasing id, every raw and label range lies inside
+  /// the pool, every node carries a label id, and label ids and
+  /// spellings map one to one. O(nodes) plus one hash probe per
+  /// distinct label; used as a fuzzing/property-test oracle.
   Status Validate() const;
-
-  bool empty() const { return nodes_.empty(); }
-  size_t size() const { return nodes_.size(); }
-  const TreeNode& node(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
-  NodeId root() const { return nodes_.empty() ? kInvalidNode : 0; }
-
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
 
   /// Number of children of `id` carrying distinct labels — the paper's
   /// density factor x.f-bar (Proposition 3), counted as distinct child
@@ -103,16 +122,16 @@ class LabeledTree {
   int DistinctChildLabelCount(NodeId id) const;
 
   /// Max(depth(T)): the maximum node depth in the tree. Memoized after
-  /// the first call (AddNode invalidates); the per-node ambiguity
-  /// degree normalizes by this, and recomputing the maximum per target
-  /// made giant-document disambiguation quadratic.
+  /// the first call; the per-node ambiguity degree normalizes by this,
+  /// and recomputing the maximum per target made giant-document
+  /// disambiguation quadratic.
   int MaxDepth() const;
   /// Max(fan-out(T)): the maximum node fan-out in the tree. Memoized
   /// like MaxDepth().
   int MaxFanOut() const;
   /// Max(fan-out-bar(T)): the maximum distinct-child-label count.
-  /// Memoized like MaxDepth() — the uncached scan hashes every child
-  /// label of every node, by far the most expensive of the three.
+  /// Memoized like MaxDepth() — the uncached scan sorts every child
+  /// label list, by far the most expensive of the three.
   int MaxDensity() const;
 
   /// Number of edges on the path between `a` and `b` (Definition 4's
@@ -137,11 +156,29 @@ class LabeledTree {
   std::vector<NodeId> Subtree(NodeId id) const;
 
  private:
+  friend class LabeledTreeBuilder;
+
+  /// A byte range of pool_.
+  struct PoolRange {
+    uint32_t offset = 0;
+    uint32_t length = 0;
+  };
+  /// One distinct label: its interned id and its spelling.
+  struct LabelEntry {
+    uint32_t label_id = kNoLabelId;
+    PoolRange spelling;
+  };
+
+  static size_t Index(NodeId id) { return static_cast<size_t>(id); }
+  std::string_view View(PoolRange range) const {
+    return std::string_view(pool_.data() + range.offset, range.length);
+  }
+
   /// A memo cell for the tree-wide maxima above. Reads and writes are
   /// relaxed atomics so that concurrent disambiguation of one tree
   /// (the engine's subtree work stealing) may race on the first
   /// computation: every racer derives the same value from the same
-  /// immutable nodes, so the race is value-benign. Copyable so the
+  /// immutable columns, so the race is value-benign. Copyable so the
   /// tree keeps its implicit copy/move operations (a copy inherits
   /// the source's memo, which is equally valid for identical nodes).
   class CachedMax {
@@ -163,13 +200,72 @@ class LabeledTree {
     std::atomic<int> value_{kUnset};
   };
 
-  std::vector<TreeNode> nodes_;
-  /// Interned label per node, parallel to nodes_.
+  std::vector<NodeId> parent_;
+  std::vector<int> depth_;
+  std::vector<TreeNodeKind> kind_;
   std::vector<uint32_t> label_ids_;
+  std::vector<uint32_t> label_slots_;
+  std::vector<PoolRange> raw_;
+  /// CSR: the children of node i are children_[child_begin_[i] ..
+  /// child_begin_[i + 1]); size() + 1 offsets once built.
+  std::vector<uint32_t> child_begin_;
+  std::vector<NodeId> children_;
+  std::vector<LabelEntry> labels_;
+  std::string pool_;
   uint64_t label_source_ = 0;
   mutable CachedMax max_depth_;
   mutable CachedMax max_fan_out_;
   mutable CachedMax max_density_;
+};
+
+/// Appends nodes in preorder and finishes them into a LabeledTree.
+/// Each distinct label id's spelling is copied into the pool once, and
+/// a raw text equal to its label (every token) or to the label's
+/// previous differing raw (a repeated tag) shares that pool range, so
+/// an append copies bytes only for new text. Column growth is
+/// amortized: no per-node heap allocation.
+class LabeledTreeBuilder {
+ public:
+  /// `label_source` is the serial of the interner issuing the ids
+  /// (LabeledTree::label_source()).
+  explicit LabeledTreeBuilder(uint64_t label_source = 0) {
+    tree_.label_source_ = label_source;
+  }
+
+  /// Appends a node carrying `label` and its interned id `label_id`;
+  /// `raw` is the original text (empty when there is none). The first
+  /// added node must be the root (`parent == kInvalidNode`); children
+  /// must be added after their parent and in preorder so that ids equal
+  /// preorder ranks; every node needs an id (not kNoLabelId) drawn from
+  /// the one interner that issued the tree's other ids, so an id
+  /// already in the tree must come with the same spelling. A call
+  /// violating these preconditions returns kInvalidNode without
+  /// modifying the tree (and traps in checked builds), so malformed
+  /// construction fails recoverably in release binaries.
+  NodeId AddNode(NodeId parent, std::string_view label, uint32_t label_id,
+                 TreeNodeKind kind, std::string_view raw = {});
+
+  /// Pre-sizes the node columns.
+  void Reserve(size_t node_count);
+
+  bool empty() const { return tree_.empty(); }
+  size_t size() const { return tree_.size(); }
+
+  /// Lays out the children and returns the finished tree, leaving the
+  /// builder empty (with the same label source).
+  LabeledTree Finish();
+
+ private:
+  using PoolRange = LabeledTree::PoolRange;
+
+  /// Copies `text` to the end of the pool.
+  PoolRange Append(std::string_view text);
+
+  LabeledTree tree_;
+  /// label id -> label slot.
+  FlatIdMap slot_of_label_;
+  /// Per label slot, the last raw text that differed from the label.
+  std::vector<PoolRange> last_raw_;
 };
 
 /// A preprocessed node label together with its interned id
@@ -209,13 +305,17 @@ struct TreeBuildOptions {
 /// Converts a parsed DOM into the rooted ordered labeled tree of
 /// Definition 1: element nodes in document order, attribute nodes as
 /// children sorted by attribute name before all sub-elements, and text
-/// values tokenized into leaf token nodes.
+/// values tokenized into leaf token nodes. The tree records
+/// `label_source` as its label_source(): the serial of the interner
+/// the hooks resolve ids through (0 for the default hooks).
 Result<LabeledTree> BuildLabeledTree(const Document& doc,
-                                     const TreeBuildOptions& options = {});
+                                     const TreeBuildOptions& options = {},
+                                     uint64_t label_source = 0);
 
 /// Same, but starting from an element subtree.
 Result<LabeledTree> BuildLabeledTree(const Node& root_element,
-                                     const TreeBuildOptions& options = {});
+                                     const TreeBuildOptions& options = {},
+                                     uint64_t label_source = 0);
 
 }  // namespace xsdf::xml
 

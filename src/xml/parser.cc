@@ -134,6 +134,11 @@ class Cursor {
   int column_ = 1;
 };
 
+/// DecodeEntities() into `*out` (replacing its contents), so a caller
+/// decoding text after text reuses one buffer.
+Status DecodeEntitiesInto(std::string_view text, size_t* budget,
+                          std::string* out);
+
 /// Materializing sink: reproduces the DOM `Parse` has always built.
 /// Children, text, CDATA, and kept comments attach to the innermost
 /// open element in event order, so the resulting tree is the same the
@@ -180,21 +185,21 @@ class DomSink {
     return open_.back()->FindAttribute(name) != nullptr;
   }
 
-  Status AddAttribute(std::string_view name, std::string value) {
-    open_.back()->AddAttribute(std::string(name), std::move(value));
+  Status AddAttribute(std::string_view name, std::string_view value) {
+    open_.back()->AddAttribute(std::string(name), std::string(value));
     return Status::Ok();
   }
 
   Status FinishStartTag() { return Status::Ok(); }
 
-  Status AddText(std::string text) {
-    open_.back()->AddText(std::move(text));
+  Status AddText(std::string_view text) {
+    open_.back()->AddText(std::string(text));
     return Status::Ok();
   }
 
-  Status AddCData(std::string text) {
+  Status AddCData(std::string_view text) {
     Node* cdata = doc_->NewNode(NodeKind::kCData);
-    cdata->set_text(std::move(text));
+    cdata->set_text(std::string(text));
     open_.back()->AddChild(cdata);
     return Status::Ok();
   }
@@ -235,31 +240,30 @@ class HandlerSink {
 
   size_t AttributeCount() const { return attr_names_.size(); }
   bool HasAttribute(std::string_view name) const {
-    for (const std::string& existing : attr_names_) {
+    for (std::string_view existing : attr_names_) {
       if (existing == name) return true;
     }
     return false;
   }
 
-  Status AddAttribute(std::string_view name, std::string value) {
-    attr_names_.emplace_back(name);
-    return handler_->OnAttribute(name, std::move(value));
+  Status AddAttribute(std::string_view name, std::string_view value) {
+    attr_names_.push_back(name);
+    return handler_->OnAttribute(name, value);
   }
 
   Status FinishStartTag() { return handler_->OnStartTagDone(); }
-  Status AddText(std::string text) { return handler_->OnText(std::move(text)); }
-  Status AddCData(std::string text) {
-    return handler_->OnCData(std::move(text));
-  }
+  Status AddText(std::string_view text) { return handler_->OnText(text); }
+  Status AddCData(std::string_view text) { return handler_->OnCData(text); }
   Status EndElement(std::string_view name) {
     return handler_->OnEndElement(name);
   }
 
  private:
   StreamHandler* handler_;
-  /// Attribute names of the currently open start tag (cleared at
-  /// StartElement — attributes can only occur before any child opens).
-  std::vector<std::string> attr_names_;
+  /// Attribute names of the currently open start tag, as views into
+  /// the input (cleared at StartElement — attributes can only occur
+  /// before any child opens).
+  std::vector<std::string_view> attr_names_;
 };
 
 /// Recursive-descent parser over a Cursor, emitting structure into a
@@ -309,11 +313,15 @@ class ParserT {
                                         what.c_str()));
   }
 
-  /// Entity decoding against the document-wide reference budget.
-  Result<std::string> Decode(std::string_view raw) {
+  /// `raw` with its references decoded against the document-wide
+  /// budget: `raw` itself when it has none, else a view of the reused
+  /// decode buffer, valid until the next Decode().
+  Result<std::string_view> Decode(std::string_view raw) {
+    if (raw.find('&') == std::string_view::npos) return raw;
     size_t* budget =
         options_.limits.max_entity_references > 0 ? &entity_budget_ : nullptr;
-    return DecodeEntities(raw, budget);
+    XSDF_RETURN_IF_ERROR(DecodeEntitiesInto(raw, budget, &decoded_));
+    return std::string_view(decoded_);
   }
 
   Status ParseProlog() {
@@ -364,14 +372,15 @@ class ParserT {
       // unparseable output.
       if (*name == "version") {
         if (!IsValidXmlVersion(*value)) {
-          return Error("malformed XML version \"" + *value + "\"");
+          return Error("malformed XML version \"" + std::string(*value) + "\"");
         }
-        sink_->SetVersion(std::move(value).value());
+        sink_->SetVersion(std::string(*value));
       } else if (*name == "encoding") {
         if (!IsValidEncodingName(*value)) {
-          return Error("malformed encoding name \"" + *value + "\"");
+          return Error("malformed encoding name \"" + std::string(*value) +
+                     "\"");
         }
-        sink_->SetEncoding(std::move(value).value());
+        sink_->SetEncoding(std::string(*value));
       }
       // `standalone` is accepted and ignored.
     }
@@ -442,7 +451,9 @@ class ParserT {
     return cursor_.Slice(begin, cursor_.pos());
   }
 
-  Result<std::string> ParseQuotedValue() {
+  /// The decoded value of a quoted attribute; a view into the input or
+  /// the decode buffer (see Decode()).
+  Result<std::string_view> ParseQuotedValue() {
     if (cursor_.AtEnd() ||
         (cursor_.Peek() != '"' && cursor_.Peek() != '\'')) {
       return Error("expected quoted value");
@@ -458,9 +469,6 @@ class ParserT {
     if (cursor_.AtEnd()) return Error("unterminated attribute value");
     std::string_view raw = cursor_.Slice(begin, cursor_.pos());
     cursor_.Advance();  // closing quote
-    // Values without references need no decoding (and no budget): one
-    // copy into the DOM instead of a scratch string plus a decode pass.
-    if (raw.find('&') == std::string_view::npos) return std::string(raw);
     return Decode(raw);
   }
 
@@ -518,8 +526,7 @@ class ParserT {
       cursor_.SkipWhitespace();
       auto value = ParseQuotedValue();
       if (!value.ok()) return value.status();
-      XSDF_RETURN_IF_ERROR(
-          sink_->AddAttribute(*attr_name, std::move(*value)));
+      XSDF_RETURN_IF_ERROR(sink_->AddAttribute(*attr_name, *value));
     }
     XSDF_RETURN_IF_ERROR(sink_->FinishStartTag());
 
@@ -529,22 +536,19 @@ class ParserT {
   }
 
   Status ParseContent(std::string_view tag_name) {
-    std::string pending_text;
+    // Character data runs up to the next '<', and every markup branch
+    // below flushes it first, so pending text is always one slice of
+    // the input.
+    std::string_view pending_text;
     auto flush_text = [&]() -> Status {
       if (pending_text.empty()) return Status::Ok();
       if (!options_.discard_whitespace_text ||
           !IsWhitespaceOnly(pending_text)) {
-        if (pending_text.find('&') == std::string::npos) {
-          // No references: the accumulated text is already decoded.
-          XSDF_RETURN_IF_ERROR(sink_->AddText(std::move(pending_text)));
-        } else {
-          auto decoded = Decode(pending_text);
-          if (!decoded.ok()) return decoded.status();
-          XSDF_RETURN_IF_ERROR(
-              sink_->AddText(std::move(decoded).value()));
-        }
+        auto decoded = Decode(pending_text);
+        if (!decoded.ok()) return decoded.status();
+        XSDF_RETURN_IF_ERROR(sink_->AddText(*decoded));
       }
-      pending_text.clear();
+      pending_text = {};
       return Status::Ok();
     };
 
@@ -556,7 +560,7 @@ class ParserT {
       if (cursor_.Peek() != '<') {
         // Bulk character data: everything up to the next markup is
         // text, collected in one scan.
-        pending_text.append(cursor_.AdvanceUntilLt());
+        pending_text = cursor_.AdvanceUntilLt();
         continue;
       }
       if (cursor_.LookingAt("</")) {
@@ -581,9 +585,9 @@ class ParserT {
           cursor_.Advance();
         }
         if (cursor_.AtEnd()) return Error("unterminated CDATA section");
-        std::string cdata(cursor_.Slice(begin, cursor_.pos()));
+        std::string_view cdata = cursor_.Slice(begin, cursor_.pos());
         cursor_.Match("]]>");
-        XSDF_RETURN_IF_ERROR(sink_->AddCData(std::move(cdata)));
+        XSDF_RETURN_IF_ERROR(sink_->AddCData(cdata));
         continue;
       }
       if (cursor_.LookingAt("<!--")) {
@@ -616,6 +620,8 @@ class ParserT {
   Sink* sink_;
   int depth_ = 0;
   size_t entity_budget_ = 0;
+  /// Reused target of every entity decode.
+  std::string decoded_;
 };
 
 }  // namespace
@@ -624,14 +630,17 @@ Result<std::string> DecodeEntities(std::string_view text) {
   return DecodeEntities(text, nullptr);
 }
 
-Result<std::string> DecodeEntities(std::string_view text, size_t* budget) {
-  std::string out;
-  out.reserve(text.size());
+namespace {
+
+Status DecodeEntitiesInto(std::string_view text, size_t* budget,
+                          std::string* out) {
+  out->clear();
+  out->reserve(text.size());
   size_t i = 0;
   while (i < text.size()) {
     char c = text[i];
     if (c != '&') {
-      out.push_back(c);
+      out->push_back(c);
       ++i;
       continue;
     }
@@ -648,15 +657,15 @@ Result<std::string> DecodeEntities(std::string_view text, size_t* budget) {
     }
     std::string_view entity = text.substr(i + 1, semi - i - 1);
     if (entity == "lt") {
-      out.push_back('<');
+      out->push_back('<');
     } else if (entity == "gt") {
-      out.push_back('>');
+      out->push_back('>');
     } else if (entity == "amp") {
-      out.push_back('&');
+      out->push_back('&');
     } else if (entity == "apos") {
-      out.push_back('\'');
+      out->push_back('\'');
     } else if (entity == "quot") {
-      out.push_back('"');
+      out->push_back('"');
     } else if (!entity.empty() && entity[0] == '#') {
       bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
       std::string_view digits = entity.substr(hex ? 2 : 1);
@@ -683,19 +692,19 @@ Result<std::string> DecodeEntities(std::string_view text, size_t* budget) {
       }
       // UTF-8 encode.
       if (code < 0x80) {
-        out.push_back(static_cast<char>(code));
+        out->push_back(static_cast<char>(code));
       } else if (code < 0x800) {
-        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
       } else if (code < 0x10000) {
-        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+        out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
       } else {
-        out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+        out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
       }
     } else {
       return Status::Corruption("unknown entity reference: &" +
@@ -703,6 +712,14 @@ Result<std::string> DecodeEntities(std::string_view text, size_t* budget) {
     }
     i = semi + 1;
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::string> DecodeEntities(std::string_view text, size_t* budget) {
+  std::string out;
+  XSDF_RETURN_IF_ERROR(DecodeEntitiesInto(text, budget, &out));
   return out;
 }
 

@@ -63,10 +63,11 @@ Result<Document> Parse(std::string_view input,
 /// order: OnStartElement, then one OnAttribute per attribute in source
 /// order, OnStartTagDone once the start tag closes, interleaved
 /// OnText/OnCData/child elements, and OnEndElement (also emitted for
-/// self-closing tags, right after OnStartTagDone). `name` views point
-/// into the parse input and are only valid during the callback; text
-/// and attribute values arrive entity-decoded (CDATA verbatim) and
-/// whitespace-only text is already dropped per
+/// self-closing tags, right after OnStartTagDone). Every view points
+/// into the parse input or into the parser's reused decode buffer and
+/// is valid only during the callback: a handler that keeps text copies
+/// it. Text and attribute values arrive entity-decoded (CDATA
+/// verbatim) and whitespace-only text is already dropped per
 /// ParseOptions::discard_whitespace_text. Returning a non-ok Status
 /// aborts the parse with that status.
 class StreamHandler {
@@ -76,17 +77,17 @@ class StreamHandler {
     (void)name;
     return Status::Ok();
   }
-  virtual Status OnAttribute(std::string_view name, std::string value) {
+  virtual Status OnAttribute(std::string_view name, std::string_view value) {
     (void)name;
     (void)value;
     return Status::Ok();
   }
   virtual Status OnStartTagDone() { return Status::Ok(); }
-  virtual Status OnText(std::string text) {
+  virtual Status OnText(std::string_view text) {
     (void)text;
     return Status::Ok();
   }
-  virtual Status OnCData(std::string text) {
+  virtual Status OnCData(std::string_view text) {
     (void)text;
     return Status::Ok();
   }
@@ -101,7 +102,7 @@ class StreamHandler {
 /// (both front ends instantiate the same parser template, so accepted
 /// inputs, rejected inputs, and the emitted text/CDATA node sequence
 /// are identical by construction). Nothing is materialized: peak
-/// memory is the handler's own state plus one pending-text buffer.
+/// memory is the handler's own state plus one entity-decode buffer.
 /// Comments, processing instructions, and the XML declaration are not
 /// surfaced as events.
 Status StreamParse(std::string_view input, StreamHandler* handler,

@@ -53,22 +53,21 @@ void MatchTree(const LabeledTree& tree, NodeId id,
                std::vector<NodeId>* out) {
   if (index >= steps.size()) return;
   const PathStep& step = steps[index];
-  const TreeNode& node = tree.node(id);
-  bool name_ok = node.kind == TreeNodeKind::kElement &&
-                 (step.name == "*" || node.label == step.name);
+  bool name_ok = tree.kind(id) == TreeNodeKind::kElement &&
+                 (step.name == "*" || tree.label(id) == step.name);
   if (name_ok) {
     if (index + 1 == steps.size()) {
       if (std::find(out->begin(), out->end(), id) == out->end()) {
         out->push_back(id);
       }
     } else {
-      for (NodeId child : node.children) {
+      for (NodeId child : tree.children(id)) {
         MatchTree(tree, child, steps, index + 1, out);
       }
     }
   }
   if (step.descendant) {
-    for (NodeId child : node.children) {
+    for (NodeId child : tree.children(id)) {
       MatchTree(tree, child, steps, index, out);
     }
   }

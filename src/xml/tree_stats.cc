@@ -11,13 +11,13 @@ TreeShape ComputeTreeShape(const LabeledTree& tree) {
   double depth_sum = 0.0;
   double fan_out_sum = 0.0;
   double density_sum = 0.0;
-  for (const TreeNode& node : tree.nodes()) {
-    depth_sum += node.depth;
-    fan_out_sum += node.fan_out();
-    int density = tree.DistinctChildLabelCount(node.id);
+  for (NodeId id : tree.ids()) {
+    depth_sum += tree.depth(id);
+    fan_out_sum += tree.fan_out(id);
+    int density = tree.DistinctChildLabelCount(id);
     density_sum += density;
-    shape.max_depth = std::max(shape.max_depth, node.depth);
-    shape.max_fan_out = std::max(shape.max_fan_out, node.fan_out());
+    shape.max_depth = std::max(shape.max_depth, tree.depth(id));
+    shape.max_fan_out = std::max(shape.max_fan_out, tree.fan_out(id));
     shape.max_density = std::max(shape.max_density, density);
   }
   double n = static_cast<double>(tree.size());
@@ -29,14 +29,13 @@ TreeShape ComputeTreeShape(const LabeledTree& tree) {
 
 double StructDegree(const LabeledTree& tree, NodeId id,
                     const StructDegreeWeights& weights) {
-  const TreeNode& node = tree.node(id);
   int max_depth = tree.MaxDepth();
   int max_fan_out = tree.MaxFanOut();
   int max_density = tree.MaxDensity();
   double depth_term =
-      max_depth > 0 ? static_cast<double>(node.depth) / max_depth : 0.0;
+      max_depth > 0 ? static_cast<double>(tree.depth(id)) / max_depth : 0.0;
   double fan_out_term =
-      max_fan_out > 0 ? static_cast<double>(node.fan_out()) / max_fan_out
+      max_fan_out > 0 ? static_cast<double>(tree.fan_out(id)) / max_fan_out
                       : 0.0;
   double density_term =
       max_density > 0
@@ -51,8 +50,8 @@ double AverageStructDegree(const LabeledTree& tree,
                            const StructDegreeWeights& weights) {
   if (tree.empty()) return 0.0;
   double sum = 0.0;
-  for (const TreeNode& node : tree.nodes()) {
-    sum += StructDegree(tree, node.id, weights);
+  for (NodeId id : tree.ids()) {
+    sum += StructDegree(tree, id, weights);
   }
   return sum / static_cast<double>(tree.size());
 }

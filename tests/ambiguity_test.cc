@@ -39,7 +39,7 @@ LabeledTree RichTree() {
   tree.Add(cast, "star", TreeNodeKind::kElement);
   tree.Add(picture, "genre", TreeNodeKind::kElement);
   tree.Add(picture, "plot", TreeNodeKind::kElement);
-  return tree;
+  return tree.Finish();
 }
 
 /// Figure 5.b-style tree: picture with identical children labels.
@@ -50,7 +50,7 @@ LabeledTree PoorTree() {
   for (int i = 0; i < 4; ++i) {
     tree.Add(picture, "star", TreeNodeKind::kElement);
   }
-  return tree;
+  return tree.Finish();
 }
 
 TEST(AmbiguityPolysemyTest, Proposition1Monotonicity) {
@@ -104,26 +104,27 @@ TEST(AmbiguityDegreeTest, Figure5Intuition) {
   // plot) vs over four identical "star" children. Put both shapes in
   // one tree so the per-tree normalizers cancel, then compare the two
   // picture nodes.
-  InternedTree tree;
-  NodeId root = tree.Add(kInvalidNode, "collection",
-                             TreeNodeKind::kElement);
-  NodeId rich = tree.Add(root, "picture", TreeNodeKind::kElement);
-  tree.Add(rich, "director", TreeNodeKind::kElement);
-  tree.Add(rich, "cast", TreeNodeKind::kElement);
-  tree.Add(rich, "genre", TreeNodeKind::kElement);
-  tree.Add(rich, "plot", TreeNodeKind::kElement);
-  NodeId poor = tree.Add(root, "picture", TreeNodeKind::kElement);
+  InternedTree builder;
+  NodeId root = builder.Add(kInvalidNode, "collection",
+                            TreeNodeKind::kElement);
+  NodeId rich = builder.Add(root, "picture", TreeNodeKind::kElement);
+  builder.Add(rich, "director", TreeNodeKind::kElement);
+  builder.Add(rich, "cast", TreeNodeKind::kElement);
+  builder.Add(rich, "genre", TreeNodeKind::kElement);
+  builder.Add(rich, "plot", TreeNodeKind::kElement);
+  NodeId poor = builder.Add(root, "picture", TreeNodeKind::kElement);
   for (int i = 0; i < 4; ++i) {
-    tree.Add(poor, "star", TreeNodeKind::kElement);
+    builder.Add(poor, "star", TreeNodeKind::kElement);
   }
+  const LabeledTree tree = builder.Finish();
   EXPECT_LT(AmbiguityDegree(tree, rich, Network()),
             AmbiguityDegree(tree, poor, Network()));
 }
 
 TEST(AmbiguityDegreeTest, RangeAndAssumption4) {
   LabeledTree tree = RichTree();
-  for (const auto& node : tree.nodes()) {
-    double degree = AmbiguityDegree(tree, node.id, Network());
+  for (xml::NodeId id : tree.ids()) {
+    double degree = AmbiguityDegree(tree, id, Network());
     EXPECT_GE(degree, 0.0);
     EXPECT_LE(degree, 1.0);
   }
@@ -131,15 +132,15 @@ TEST(AmbiguityDegreeTest, RangeAndAssumption4) {
   // regardless of structure (Assumption 4).
   InternedTree mono;
   mono.Add(kInvalidNode, "wheelchair", TreeNodeKind::kElement);
-  EXPECT_DOUBLE_EQ(AmbiguityDegree(mono, 0, Network()), 0.0);
+  EXPECT_DOUBLE_EQ(AmbiguityDegree(mono.Finish(), 0, Network()), 0.0);
 }
 
 TEST(AmbiguityDegreeTest, PolysemyWeightZeroDisables) {
   LabeledTree tree = RichTree();
   AmbiguityWeights weights;
   weights.polysemy = 0.0;
-  for (const auto& node : tree.nodes()) {
-    EXPECT_DOUBLE_EQ(AmbiguityDegree(tree, node.id, Network(), weights),
+  for (xml::NodeId id : tree.ids()) {
+    EXPECT_DOUBLE_EQ(AmbiguityDegree(tree, id, Network(), weights),
                      0.0);
   }
 }
@@ -172,7 +173,7 @@ TEST(SelectTargetsTest, ThresholdZeroSelectsAllSenseBearing) {
 TEST(SelectTargetsTest, SenselessLabelsNeverSelected) {
   InternedTree tree;
   tree.Add(kInvalidNode, "zzunknownzz", TreeNodeKind::kElement);
-  EXPECT_TRUE(SelectTargetNodes(tree, Network(), 0.0).empty());
+  EXPECT_TRUE(SelectTargetNodes(tree.Finish(), Network(), 0.0).empty());
 }
 
 TEST(SelectTargetsTest, ThresholdMonotone) {

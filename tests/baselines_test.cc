@@ -47,8 +47,8 @@ TEST(RpdTest, DisambiguatesStructureNodes) {
   ASSERT_TRUE(result.ok());
   // All element labels are in the lexicon -> all assigned.
   int structure_nodes = 0;
-  for (const auto& node : result->tree.nodes()) {
-    if (node.kind != xml::TreeNodeKind::kToken) ++structure_nodes;
+  for (xml::NodeId id : result->tree.ids()) {
+    if (result->tree.kind(id) != xml::TreeNodeKind::kToken) ++structure_nodes;
   }
   EXPECT_EQ(static_cast<int>(result->assignments.size()),
             structure_nodes);
@@ -61,7 +61,7 @@ TEST(RpdTest, NeverTouchesContentTokens) {
   auto result = rpd.RunOnTree(*tree);
   ASSERT_TRUE(result.ok());
   for (const auto& [id, assignment] : result->assignments) {
-    EXPECT_NE(result->tree.node(id).kind, xml::TreeNodeKind::kToken);
+    EXPECT_NE(result->tree.kind(id), xml::TreeNodeKind::kToken);
   }
 }
 
@@ -73,8 +73,8 @@ TEST(RpdTest, ScoreUsesRootPathContext) {
   // star descendants) strongly supports the cast-of-actors sense over
   // the plaster-cast sense.
   xml::NodeId cast = xml::kInvalidNode;
-  for (const auto& node : tree->nodes()) {
-    if (node.label == "cast") cast = node.id;
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) == "cast") cast = id;
   }
   ASSERT_NE(cast, xml::kInvalidNode);
   auto actors = wordnet::MiniWordNetConceptByKey("cast.actors.n");
@@ -84,7 +84,7 @@ TEST(RpdTest, ScoreUsesRootPathContext) {
   // ...and with no context at all (single-node tree) it is zero.
   testutil::InternedTree lone;
   lone.Add(xml::kInvalidNode, "cast", xml::TreeNodeKind::kElement);
-  EXPECT_DOUBLE_EQ(rpd.Score(lone, 0, *actors), 0.0);
+  EXPECT_DOUBLE_EQ(rpd.Score(lone.Finish(), 0, *actors), 0.0);
 }
 
 TEST(VsdTest, GaussianDecayShape) {
@@ -122,8 +122,8 @@ TEST(VsdTest, CrossableThresholdLimitsContext) {
   auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
   xml::NodeId star = xml::kInvalidNode;
-  for (const auto& node : tree->nodes()) {
-    if (node.label == "star") star = node.id;
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) == "star") star = id;
   }
   auto performer = wordnet::MiniWordNetConceptByKey("star.performer.n");
   VsdBaseline::Options tight;
@@ -142,7 +142,7 @@ TEST(VsdTest, RunAssignsStructureOnly) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->assignments.empty());
   for (const auto& [id, assignment] : result->assignments) {
-    EXPECT_NE(result->tree.node(id).kind, xml::TreeNodeKind::kToken);
+    EXPECT_NE(result->tree.kind(id), xml::TreeNodeKind::kToken);
     EXPECT_FALSE(assignment.sense.is_compound());
   }
 }

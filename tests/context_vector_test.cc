@@ -40,7 +40,7 @@ LabeledTree Figure6Tree() {
   NodeId star2 = tree.Add(cast, "star", TreeNodeKind::kElement);
   tree.Add(star2, "kelly", TreeNodeKind::kToken);
   tree.Add(picture, "plot", TreeNodeKind::kElement);
-  return tree;
+  return tree.Finish();
 }
 
 TEST(StructuralProximityTest, Equation7) {
@@ -145,8 +145,8 @@ TEST(CosineTest, DisjointVectorsScoreZero) {
   a.Add(kInvalidNode, "alpha", TreeNodeKind::kElement);
   testutil::InternedTree b;
   b.Add(kInvalidNode, "beta", TreeNodeKind::kElement);
-  ContextVector va(BuildXmlSphere(a, 0, 1));
-  ContextVector vb(BuildXmlSphere(b, 0, 1));
+  ContextVector va(BuildXmlSphere(a.Finish(), 0, 1));
+  ContextVector vb(BuildXmlSphere(b.Finish(), 0, 1));
   EXPECT_DOUBLE_EQ(va.Cosine(vb), 0.0);
 }
 
@@ -170,8 +170,8 @@ TEST(JaccardTest, DisjointVectorsScoreZero) {
   a.Add(kInvalidNode, "alpha", TreeNodeKind::kElement);
   testutil::InternedTree b;
   b.Add(kInvalidNode, "beta", TreeNodeKind::kElement);
-  ContextVector va(BuildXmlSphere(a, 0, 1));
-  ContextVector vb(BuildXmlSphere(b, 0, 1));
+  ContextVector va(BuildXmlSphere(a.Finish(), 0, 1));
+  ContextVector vb(BuildXmlSphere(b.Finish(), 0, 1));
   EXPECT_DOUBLE_EQ(va.Jaccard(vb), 0.0);
 }
 

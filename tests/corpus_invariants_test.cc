@@ -65,7 +65,7 @@ TEST_F(CorpusInvariantsTest, AssignedConceptsAreSensesOfTheirLabels) {
     auto result = system.RunOnTree(doc.tree);
     ASSERT_TRUE(result.ok());
     for (const auto& [id, assignment] : result->assignments) {
-      const std::string& label = result->tree.node(id).label;
+      const std::string label(result->tree.label(id));
       std::vector<wordnet::ConceptId> legal;
       for (const std::string& token :
            core::LabelSenseTokens(network(), label)) {
@@ -112,10 +112,11 @@ TEST_F(CorpusInvariantsTest, DisambiguationIsDeterministic) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->assignments.size(), b->assignments.size());
   for (const auto& [id, assignment] : a->assignments) {
-    const auto& other = b->assignments.at(id);
-    EXPECT_EQ(assignment.sense.primary, other.sense.primary);
-    EXPECT_EQ(assignment.sense.secondary, other.sense.secondary);
-    EXPECT_DOUBLE_EQ(assignment.score, other.score);
+    const core::SenseAssignment* other = b->assignments.find(id);
+    ASSERT_NE(other, nullptr) << "node " << id;
+    EXPECT_EQ(assignment.sense.primary, other->sense.primary);
+    EXPECT_EQ(assignment.sense.secondary, other->sense.secondary);
+    EXPECT_DOUBLE_EQ(assignment.score, other->score);
   }
 }
 
@@ -140,12 +141,13 @@ TEST_F(CorpusInvariantsTest, WndbRoundTripPreservesDisambiguation) {
     ASSERT_EQ(a->assignments.size(), b->assignments.size())
         << doc.generated.name;
     for (const auto& [id, assignment] : a->assignments) {
-      const auto& other = b->assignments.at(id);
+      const core::SenseAssignment* other = b->assignments.find(id);
+      ASSERT_NE(other, nullptr) << doc.generated.name << " node " << id;
       // Concept ids shift across the round trip (the parser groups
       // synsets by part of speech), so compare stable identity: the
       // gloss, which is unique per synset in the lexicon.
       EXPECT_EQ(network().GetConcept(assignment.sense.primary).gloss,
-                via_wndb->GetConcept(other.sense.primary).gloss)
+                via_wndb->GetConcept(other->sense.primary).gloss)
           << doc.generated.name << " node " << id;
     }
   }
@@ -173,8 +175,8 @@ TEST_F(CorpusInvariantsTest, TreesRebuildIdentically) {
     ASSERT_TRUE(rebuilt.ok());
     ASSERT_EQ(rebuilt->size(), doc.tree.size()) << doc.generated.name;
     for (size_t n = 0; n < doc.tree.size(); ++n) {
-      EXPECT_EQ(rebuilt->node(static_cast<int>(n)).label,
-                doc.tree.node(static_cast<int>(n)).label);
+      EXPECT_EQ(rebuilt->label(static_cast<int>(n)),
+                doc.tree.label(static_cast<int>(n)));
       EXPECT_EQ(rebuilt->label_id(static_cast<int>(n)),
                 doc.tree.label_id(static_cast<int>(n)));
     }

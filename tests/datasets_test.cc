@@ -112,7 +112,7 @@ TEST(DatasetsTest, GoldLabelsAppearInTrees) {
       auto tree = core::BuildTreeFromXml(doc.xml, Network(), true, Labels());
       ASSERT_TRUE(tree.ok());
       std::set<std::string> labels;
-      for (const auto& node : tree->nodes()) labels.insert(node.label);
+      for (xml::NodeId id : tree->ids()) labels.emplace(tree->label(id));
       for (const auto& [label, key] : doc.gold) {
         ++total;
         if (labels.count(label)) ++present;
@@ -145,8 +145,8 @@ TEST(DatasetsTest, GroupOneIsMostAmbiguous) {
     int nodes = 0;
     for (const auto& doc : docs) {
       auto tree = core::BuildTreeFromXml(doc.xml, Network(), true, Labels());
-      for (const auto& node : tree->nodes()) {
-        sum += Network().SenseCount(node.label);
+      for (xml::NodeId id : tree->ids()) {
+        sum += Network().SenseCount(tree->label(id));
         ++nodes;
       }
     }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/disambiguator.h"
+#include "core/node_query.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "wordnet/mini_wordnet.h"
@@ -37,10 +38,11 @@ const char* kFigure1Doc1 = R"(<?xml version="1.0"?>
 /// Assignment for the first node with this label, or nullptr.
 const SenseAssignment* FindByLabel(const SemanticTree& result,
                                    const std::string& label) {
-  for (const auto& node : result.tree.nodes()) {
-    if (node.label != label) continue;
-    auto it = result.assignments.find(node.id);
-    if (it != result.assignments.end()) return &it->second;
+  for (xml::NodeId id : result.tree.ids()) {
+    if (result.tree.label(id) != label) continue;
+    if (const SenseAssignment* found = result.assignments.find(id)) {
+      return found;
+    }
   }
   return nullptr;
 }
@@ -131,8 +133,8 @@ TEST(DisambiguatorTest, StructureOnlyDropsTokens) {
   Disambiguator system(&Network(), options);
   auto result = system.RunOnXml(kFigure1Doc1);
   ASSERT_TRUE(result.ok());
-  for (const auto& node : result->tree.nodes()) {
-    EXPECT_NE(node.kind, xml::TreeNodeKind::kToken);
+  for (xml::NodeId id : result->tree.ids()) {
+    EXPECT_NE(result->tree.kind(id), xml::TreeNodeKind::kToken);
   }
   EXPECT_EQ(FindByLabel(*result, "kelly"), nullptr);
 }
@@ -151,8 +153,8 @@ TEST(DisambiguatorTest, ProcessesProduceDifferentScores) {
   ASSERT_TRUE(tree.ok());
   // Find the "cast" node.
   xml::NodeId cast = xml::kInvalidNode;
-  for (const auto& node : tree->nodes()) {
-    if (node.label == "cast") cast = node.id;
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) == "cast") cast = id;
   }
   ASSERT_NE(cast, xml::kInvalidNode);
   auto concept_scores = concept_system.ScoreCandidates(*tree, cast);
@@ -262,27 +264,27 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
   size_t audited = 0;
-  for (const auto& node : tree->nodes()) {
-    auto assignment = system.DisambiguateNode(*tree, node.id);
-    auto audit = system.ExplainNode(*tree, node.id);
-    ASSERT_EQ(assignment.ok(), audit.ok()) << node.label;
+  for (xml::NodeId id : tree->ids()) {
+    auto assignment = system.DisambiguateNode(*tree, id);
+    auto audit = system.ExplainNode(*tree, id);
+    ASSERT_EQ(assignment.ok(), audit.ok()) << tree->label(id);
     if (!assignment.ok()) continue;
     ++audited;
-    ASSERT_GE(audit->chosen_index, 0) << node.label;
+    ASSERT_GE(audit->chosen_index, 0) << tree->label(id);
     ASSERT_LT(static_cast<size_t>(audit->chosen_index),
               audit->candidates.size());
     const CandidateAudit& chosen =
         audit->candidates[static_cast<size_t>(audit->chosen_index)];
     EXPECT_EQ(chosen.sense.primary, assignment->sense.primary)
-        << node.label;
+        << tree->label(id);
     EXPECT_EQ(chosen.sense.secondary, assignment->sense.secondary)
-        << node.label;
-    EXPECT_EQ(chosen.total, assignment->score) << node.label;  // bit-exact
-    EXPECT_EQ(audit->ambiguity, assignment->ambiguity) << node.label;
+        << tree->label(id);
+    EXPECT_EQ(chosen.total, assignment->score) << tree->label(id);  // bit-exact
+    EXPECT_EQ(audit->ambiguity, assignment->ambiguity) << tree->label(id);
     EXPECT_EQ(audit->candidates.size(),
               static_cast<size_t>(assignment->candidate_count));
-    EXPECT_EQ(audit->node, node.id);
-    EXPECT_EQ(audit->label, node.label);
+    EXPECT_EQ(audit->node, id);
+    EXPECT_EQ(audit->label, tree->label(id));
   }
   EXPECT_GT(audited, 5u) << "expected several disambiguated nodes";
 }
@@ -291,9 +293,9 @@ TEST(ExplainNodeTest, MarginSeparatesTopTwoCandidates) {
   Disambiguator system(&Network());
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
-  for (const auto& node : tree->nodes()) {
-    if (node.label != "star") continue;
-    auto audit = system.ExplainNode(*tree, node.id);
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) != "star") continue;
+    auto audit = system.ExplainNode(*tree, id);
     ASSERT_TRUE(audit.ok());
     ASSERT_GT(audit->candidates.size(), 1u);
     EXPECT_GT(audit->margin, 0.0);
@@ -314,9 +316,9 @@ TEST(ExplainNodeTest, SingleCandidateAuditsAsScoreOne) {
   Disambiguator system(&Network());
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
-  for (const auto& node : tree->nodes()) {
-    if (node.label != "wheelchair") continue;
-    auto audit = system.ExplainNode(*tree, node.id);
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) != "wheelchair") continue;
+    auto audit = system.ExplainNode(*tree, id);
     ASSERT_TRUE(audit.ok());
     ASSERT_EQ(audit->candidates.size(), 1u);
     EXPECT_EQ(audit->chosen_index, 0);
@@ -324,6 +326,37 @@ TEST(ExplainNodeTest, SingleCandidateAuditsAsScoreOne) {
     EXPECT_DOUBLE_EQ(audit->margin, 0.0);
     break;
   }
+}
+
+TEST(ResolveNodeQueryTest, NumericQueriesAddressOneNodeOrNone) {
+  Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
+  const auto last = static_cast<xml::NodeId>(tree->size() - 1);
+  EXPECT_EQ(ResolveNodeQuery(*tree, "0"), std::vector<xml::NodeId>{0});
+  EXPECT_EQ(ResolveNodeQuery(*tree, "007"), std::vector<xml::NodeId>{7});
+  EXPECT_EQ(ResolveNodeQuery(*tree, std::to_string(last)),
+            std::vector<xml::NodeId>{last});
+  // Past the last id, past INT_MAX (which atoi wrapped onto small ids)
+  // and past uint64_t, a number matches nothing.
+  for (const char* miss :
+       {"4294967296", "4294967297", "2147483648", "18446744073709551616",
+        "99999999999999999999999"}) {
+    EXPECT_TRUE(ResolveNodeQuery(*tree, miss).empty()) << miss;
+  }
+  EXPECT_TRUE(
+      ResolveNodeQuery(*tree, std::to_string(tree->size())).empty());
+}
+
+TEST(ResolveNodeQueryTest, PathQueriesMatchRawOrLabelSuffixes) {
+  Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
+  const std::vector<xml::NodeId> stars = ResolveNodeQuery(*tree, "cast/star");
+  ASSERT_EQ(stars.size(), 2u);
+  for (xml::NodeId id : stars) EXPECT_EQ(tree->label(id), "star");
+  EXPECT_EQ(ResolveNodeQuery(*tree, "/films"), std::vector<xml::NodeId>{0});
+  EXPECT_TRUE(ResolveNodeQuery(*tree, "/star").empty());
 }
 
 TEST(ExplainNodeTest, SenselessLabelReturnsNotFound) {
@@ -339,9 +372,9 @@ TEST(ExplainNodeTest, JsonRenderingCarriesTheDecomposition) {
   Disambiguator system(&Network());
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
-  for (const auto& node : tree->nodes()) {
-    if (node.label != "star") continue;
-    auto audit = system.ExplainNode(*tree, node.id);
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) != "star") continue;
+    auto audit = system.ExplainNode(*tree, id);
     ASSERT_TRUE(audit.ok());
     std::string json = NodeAuditToJson(*audit, Network());
     EXPECT_EQ(json.front(), '{');

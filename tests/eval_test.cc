@@ -125,7 +125,7 @@ TEST(GoldTest, ScoreOnNodesRestrictsToSample) {
   EXPECT_EQ(none.gold_total, 0);
   // The whole tree matches the plain scorer.
   std::vector<xml::NodeId> all;
-  for (const auto& node : result->tree.nodes()) all.push_back(node.id);
+  for (xml::NodeId id : result->tree.ids()) all.push_back(id);
   PrfScores full = ScoreOnNodes(*result, *gold, all);
   PrfScores reference = ScoreAgainstGold(*result, *gold);
   EXPECT_EQ(full.gold_total, reference.gold_total);
@@ -173,7 +173,7 @@ TEST(GoldTest, StructureBiasFavorsTags) {
     auto sample = SampleGoldNodes(*tree, *gold, 2, 1000000,
                                   static_cast<uint64_t>(seed));
     for (xml::NodeId id : sample) {
-      if (tree->node(id).kind == xml::TreeNodeKind::kToken) ++token_hits;
+      if (tree->kind(id) == xml::TreeNodeKind::kToken) ++token_hits;
     }
   }
   EXPECT_EQ(token_hits, 0);
@@ -225,9 +225,9 @@ TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
   // Locate "head" (33 senses) and "wheelchair" (1 sense).
   xml::NodeId head = xml::kInvalidNode;
   xml::NodeId wheelchair = xml::kInvalidNode;
-  for (const auto& node : tree->nodes()) {
-    if (node.label == "head") head = node.id;
-    if (node.label == "wheelchair") wheelchair = node.id;
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->label(id) == "head") head = id;
+    if (tree->label(id) == "wheelchair") wheelchair = id;
   }
   RaterPanelOptions options;
   options.noise_sigma = 0.0;

@@ -173,11 +173,11 @@ TEST(LabelSpaceTest, CrossDocumentInterningIsStable) {
   // distinct ids (exact-spelling injectivity).
   std::unordered_map<std::string, uint32_t> seen;
   for (const auto* tree : {&tree1.value(), &tree2.value()}) {
-    for (const auto& node : tree->nodes()) {
-      uint32_t id = tree->label_id(node.id);
+    for (xml::NodeId node : tree->ids()) {
+      uint32_t id = tree->label_id(node);
       ASSERT_NE(id, xml::kNoLabelId);
-      auto [it, inserted] = seen.emplace(node.label, id);
-      EXPECT_EQ(it->second, id) << "label '" << node.label
+      auto [it, inserted] = seen.emplace(tree->label(node), id);
+      EXPECT_EQ(it->second, id) << "label '" << tree->label(node)
                                 << "' got two different ids";
     }
   }
@@ -229,7 +229,7 @@ OracleNode ScoreWithOracle(const xml::LabeledTree& tree, xml::NodeId id,
                            const sim::CombinedMeasure& measure, int radius) {
   OracleNode oracle;
   oracle.candidates =
-      oracles::EnumerateCandidates(Network(), tree.node(id).label);
+      oracles::EnumerateCandidates(Network(), std::string(tree.label(id)));
   if (oracle.candidates.size() < 2) return oracle;
   const oracles::Sphere sphere = oracles::BuildXmlSphere(tree, id, radius);
   const oracles::ContextVector vector(sphere);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "common/token_interner.h"
 #include "core/label_space.h"
@@ -16,25 +15,27 @@ namespace xsdf::testutil {
 /// contract: through `space` when one is given (the tree records it as
 /// its label_source(), so a Disambiguator on that space reads it),
 /// else through a private TokenInterner (for trees no Disambiguator
-/// reads).
-class InternedTree : public xml::LabeledTree {
+/// reads). Finish() returns the tree.
+class InternedTree {
  public:
   InternedTree() = default;
-  explicit InternedTree(core::LabelSpace* space) : space_(space) {
-    set_label_source(space->serial());
-  }
+  explicit InternedTree(core::LabelSpace* space)
+      : space_(space), builder_(space->serial()) {}
 
-  /// AddNode() with `label`'s id filled in.
+  /// LabeledTreeBuilder::AddNode() with `label`'s id filled in.
   xml::NodeId Add(xml::NodeId parent, const std::string& label,
-                  xml::TreeNodeKind kind, std::string raw = {}) {
+                  xml::TreeNodeKind kind, const std::string& raw = {}) {
     const uint32_t id = space_ != nullptr ? space_->Resolve(label)
                                           : interner_.Intern(label);
-    return AddNode(parent, label, id, kind, std::move(raw));
+    return builder_.AddNode(parent, label, id, kind, raw);
   }
+
+  xml::LabeledTree Finish() { return builder_.Finish(); }
 
  private:
   core::LabelSpace* space_ = nullptr;
   TokenInterner interner_;
+  xml::LabeledTreeBuilder builder_;
 };
 
 }  // namespace xsdf::testutil

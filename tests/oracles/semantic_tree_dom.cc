@@ -11,10 +11,10 @@ namespace {
 void AppendNodeXml(const core::SemanticTree& semantic_tree,
                    const wordnet::SemanticNetwork& network,
                    xml::NodeId id, xml::Node* parent) {
-  const xml::TreeNode& node = semantic_tree.tree.node(id);
+  const xml::LabeledTree& tree = semantic_tree.tree;
   xml::Node* element = parent->AddElement("node");
-  element->AddAttribute("label", node.label);
-  switch (node.kind) {
+  element->AddAttribute("label", std::string(tree.label(id)));
+  switch (tree.kind(id)) {
     case xml::TreeNodeKind::kElement:
       element->AddAttribute("kind", "element");
       break;
@@ -25,9 +25,9 @@ void AppendNodeXml(const core::SemanticTree& semantic_tree,
       element->AddAttribute("kind", "token");
       break;
   }
-  auto it = semantic_tree.assignments.find(id);
-  if (it != semantic_tree.assignments.end()) {
-    const core::SenseAssignment& assignment = it->second;
+  if (const core::SenseAssignment* found =
+          semantic_tree.assignments.find(id)) {
+    const core::SenseAssignment& assignment = *found;
     const wordnet::Concept& c =
         network.GetConcept(assignment.sense.primary);
     element->AddAttribute("concept", c.label());
@@ -43,7 +43,7 @@ void AppendNodeXml(const core::SemanticTree& semantic_tree,
     }
     element->AddAttribute("score", StrFormat("%.4f", assignment.score));
   }
-  for (xml::NodeId child : node.children) {
+  for (xml::NodeId child : tree.children(id)) {
     AppendNodeXml(semantic_tree, network, child, element);
   }
 }

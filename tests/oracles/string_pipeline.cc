@@ -85,10 +85,10 @@ Sphere BuildXmlSphere(const xml::LabeledTree& tree, xml::NodeId center,
   for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
     for (xml::NodeId id : rings[static_cast<size_t>(d)]) {
       if (exclude_tokens && id != center &&
-          tree.node(id).kind == xml::TreeNodeKind::kToken) {
+          tree.kind(id) == xml::TreeNodeKind::kToken) {
         continue;
       }
-      sphere.members.push_back({tree.node(id).label, d});
+      sphere.members.push_back({std::string(tree.label(id)), d});
     }
   }
   return sphere;

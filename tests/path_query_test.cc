@@ -135,8 +135,8 @@ TEST(PathQueryTest, EvaluateOnLabeledTree) {
   auto ids = query->Evaluate(*tree);
   EXPECT_EQ(ids.size(), 4u);
   for (NodeId id : ids) {
-    EXPECT_EQ(tree->node(id).label, "star");
-    EXPECT_EQ(tree->node(id).kind, TreeNodeKind::kElement);
+    EXPECT_EQ(tree->label(id), "star");
+    EXPECT_EQ(tree->kind(id), TreeNodeKind::kElement);
   }
 }
 

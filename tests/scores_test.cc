@@ -55,7 +55,7 @@ LabeledTree MovieTree() {
   NodeId director = tree.Add(picture, "director",
                                  TreeNodeKind::kElement);
   tree.Add(director, "hitchcock", TreeNodeKind::kToken);
-  return tree;
+  return tree.Finish();
 }
 
 TEST(EnumerateCandidatesTest, SimpleLabel) {
@@ -116,7 +116,7 @@ TEST(ConceptScoreTest, RangeAndDiscrimination) {
 TEST(ConceptScoreTest, EmptySphereScoresZero) {
   testutil::InternedTree tree;
   tree.Add(kInvalidNode, "star", TreeNodeKind::kElement);
-  Sphere sphere = BuildXmlSphere(tree, 0, 2);  // only the center
+  Sphere sphere = BuildXmlSphere(tree.Finish(), 0, 2);  // only the center
   ContextVector vector(sphere);
   sim::CombinedMeasure measure;
   EXPECT_DOUBLE_EQ(

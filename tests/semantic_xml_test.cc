@@ -120,10 +120,11 @@ TEST(SemanticTreeToXmlTest, EscapesLabelsAndGlossesAndWritesCompounds) {
   tree.Add(1, "c&d", xml::TreeNodeKind::kAttribute);
   tree.Add(0, "a<b_c&d", xml::TreeNodeKind::kElement);
   tree.Add(1, "x\"y>z", xml::TreeNodeKind::kToken);
-  auto semantic_tree = disambiguator.RunOnTree(tree);
+  auto semantic_tree = disambiguator.RunOnTree(tree.Finish());
   ASSERT_TRUE(semantic_tree.ok());
-  ASSERT_EQ(semantic_tree->assignments.count(3), 1u);
-  ASSERT_TRUE(semantic_tree->assignments.at(3).sense.is_compound());
+  const core::SenseAssignment* compound = semantic_tree->assignments.find(3);
+  ASSERT_NE(compound, nullptr);
+  ASSERT_TRUE(compound->sense.is_compound());
   ExpectWriterMatchesOracle(*semantic_tree, network, "escaping network");
 
   const std::string out = core::SemanticTreeToXml(*semantic_tree, network);

@@ -174,6 +174,52 @@ TEST(ServeTest, DeadlineAlreadyExpiredReturns504) {
   EXPECT_EQ(response->status, 504);
 }
 
+TEST(ServeTest, HugeDeadlineBudgetMeansNoPracticalDeadline) {
+  auto network = BuildTinyTaxonomy(0);
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(network, "tiny").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  // 584 years: budget * 1e6 ns must saturate instead of wrapping the
+  // deadline into the past; so must a budget past int64_t.
+  for (const char* budget : {"18446744073709", "99999999999999999999999"}) {
+    auto response = HttpCall(kHost, server.port(), "POST", "/disambiguate",
+                             {{"X-Xsdf-Deadline-Ms", budget}},
+                             "<animal><cat/></animal>", kClientTimeoutMs);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200) << budget;
+  }
+}
+
+TEST(ServeTest, MalformedDeadlineHeaderIs400) {
+  auto network = BuildTinyTaxonomy(0);
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(network, "tiny").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  for (const char* budget : {"abc", "10ms", "1.5", "+5", "-"}) {
+    auto response = HttpCall(kHost, server.port(), "POST", "/disambiguate",
+                             {{"X-Xsdf-Deadline-Ms", budget}},
+                             "<animal><cat/></animal>", kClientTimeoutMs);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 400) << budget;
+  }
+  // Zero and negative budgets keep their deterministic 504.
+  auto expired = HttpCall(kHost, server.port(), "POST", "/disambiguate",
+                          {{"X-Xsdf-Deadline-Ms", "-5"}},
+                          "<animal><cat/></animal>", kClientTimeoutMs);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_EQ(expired->status, 504);
+}
+
 TEST(ServeTest, OverloadShedsWith429) {
   auto network = MiniNetwork();
   ServeOptions options;
@@ -279,6 +325,28 @@ TEST(ServeTest, ExplainReturnsAuditJson) {
                           "<a/>", kClientTimeoutMs);
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status, 400);
+}
+
+TEST(ServeTest, ExplainNodeIdPastTheTreeIsNotFound) {
+  auto network = MiniNetwork();
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(network, "mini").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  // 2^32 and 2^32 + 1 used to wrap onto the root and node 1.
+  const std::string xml = datasets::Figure1Documents()[0].xml;
+  for (const char* node : {"4294967296", "4294967297", "99999"}) {
+    auto response =
+        HttpCall(kHost, server.port(), "POST",
+                 std::string("/explain?node=") + node, {}, xml,
+                 kClientTimeoutMs);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 404) << node << ": " << response->body;
+  }
 }
 
 /// The concept_id of every <node> element of a /disambiguate body, in

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -41,23 +42,25 @@ const wordnet::SemanticNetwork& Network() {
   return *network;
 }
 
-/// Structural + label identity of two labeled trees, including the
-/// interned label ids (which encode interning *order*, so equality
-/// proves the two builds resolved labels in the same sequence).
+/// Identity of two labeled trees column by column — label id,
+/// spelling, raw text, kind, parent, depth and child order. The label
+/// ids encode interning *order*, so their equality proves the two
+/// builds resolved labels in the same sequence.
 void ExpectTreesIdentical(const xml::LabeledTree& dom,
                           const xml::LabeledTree& streaming,
                           const std::string& context) {
   ASSERT_EQ(dom.size(), streaming.size()) << context;
-  for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(dom.size()); ++id) {
-    const xml::TreeNode& a = dom.node(id);
-    const xml::TreeNode& b = streaming.node(id);
-    ASSERT_EQ(a.label, b.label) << context << " node " << id;
-    ASSERT_EQ(a.raw, b.raw) << context << " node " << id;
-    ASSERT_EQ(a.kind, b.kind) << context << " node " << id;
-    ASSERT_EQ(a.parent, b.parent) << context << " node " << id;
-    ASSERT_EQ(a.children, b.children) << context << " node " << id;
-    ASSERT_EQ(a.depth, b.depth) << context << " node " << id;
+  for (xml::NodeId id : dom.ids()) {
     ASSERT_EQ(dom.label_id(id), streaming.label_id(id))
+        << context << " node " << id;
+    ASSERT_EQ(dom.label(id), streaming.label(id)) << context << " node " << id;
+    ASSERT_EQ(dom.raw(id), streaming.raw(id)) << context << " node " << id;
+    ASSERT_EQ(dom.kind(id), streaming.kind(id)) << context << " node " << id;
+    ASSERT_EQ(dom.parent(id), streaming.parent(id))
+        << context << " node " << id;
+    ASSERT_EQ(dom.depth(id), streaming.depth(id))
+        << context << " node " << id;
+    ASSERT_TRUE(std::ranges::equal(dom.children(id), streaming.children(id)))
         << context << " node " << id;
   }
   EXPECT_TRUE(dom.Validate().ok()) << context;
@@ -139,14 +142,8 @@ TEST(StreamingBuilderTest, MatchesDomBuildWithoutValues) {
         &streaming_space);
     ASSERT_EQ(dom_tree.ok(), streaming_tree.ok()) << "doc " << i;
     if (!dom_tree.ok()) continue;
-    ASSERT_EQ(dom_tree->size(), streaming_tree->size()) << "doc " << i;
-    for (xml::NodeId id = 0;
-         id < static_cast<xml::NodeId>(dom_tree->size()); ++id) {
-      ASSERT_EQ(dom_tree->node(id).label, streaming_tree->node(id).label)
-          << "doc " << i << " node " << id;
-      ASSERT_EQ(dom_tree->node(id).kind, streaming_tree->node(id).kind)
-          << "doc " << i << " node " << id;
-    }
+    ExpectTreesIdentical(*dom_tree, *streaming_tree,
+                         "doc " + std::to_string(i));
   }
 }
 
@@ -215,6 +212,40 @@ uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 // thresholds, over the generated corpus (whose suffixed tags make
 // out-of-vocabulary compound labels, i.e. overflow ids) plus one giant
 // document.
+// A resident worker's whole-value memo stays bounded: fed distinct
+// values past TreeBuildCache::kMaxValues it is cleared, and a tree built
+// through the cleared cache equals, ids included, one built through a
+// fresh cache.
+TEST(StreamingBuilderTest, WholeValueMemoStaysBounded) {
+  const std::string xml_text = datasets::Figure1Documents()[0].xml;
+  core::LabelSpace space(&Network());
+  core::TreeBuildCache cache;
+  ASSERT_TRUE(core::BuildTreeStreaming(xml_text, Network(), xml::ParseOptions{},
+                                       /*include_values=*/true, &space, &cache)
+                  .ok());
+  // Distinct values over a few words: pure numbers are dropped, so only
+  // the whole-value level grows.
+  const char* const words[] = {"red", "film", "star", "cast"};
+  for (size_t i = 0; i < core::TreeBuildCache::kMaxValues + 100; ++i) {
+    core::TokenizeValueMemo(cache, Network(), space,
+                            std::string(words[i % 4]) + " " +
+                                std::to_string(i));
+    ASSERT_LE(cache.values.size(), core::TreeBuildCache::kMaxValues);
+  }
+  EXPECT_LT(cache.values.size(), core::TreeBuildCache::kMaxValues);
+  auto after_clear = core::BuildTreeStreaming(
+      xml_text, Network(), xml::ParseOptions{}, /*include_values=*/true,
+      &space, &cache);
+  core::TreeBuildCache fresh_cache;
+  auto fresh = core::BuildTreeStreaming(xml_text, Network(),
+                                        xml::ParseOptions{},
+                                        /*include_values=*/true, &space,
+                                        &fresh_cache);
+  ASSERT_TRUE(after_clear.ok());
+  ASSERT_TRUE(fresh.ok());
+  ExpectTreesIdentical(*fresh, *after_clear, "after the value memo cleared");
+}
+
 TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
   std::vector<std::string> docs = PropgenCorpus();
   docs.push_back(datasets::GiantDocuments(1, 256u << 10, 2)[0].xml);

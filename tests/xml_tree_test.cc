@@ -27,27 +27,27 @@ LabeledTree Figure6Tree() {
   NodeId star2 = tree.Add(cast, "star", TreeNodeKind::kElement);
   tree.Add(star2, "kelly", TreeNodeKind::kToken);
   tree.Add(picture, "plot", TreeNodeKind::kElement);
-  return tree;
+  return tree.Finish();
 }
 
 TEST(LabeledTreeTest, PreorderIdsAndDepths) {
   LabeledTree tree = Figure6Tree();
   ASSERT_EQ(tree.size(), 8u);
   EXPECT_EQ(tree.root(), 0);
-  EXPECT_EQ(tree.node(0).label, "films");
-  EXPECT_EQ(tree.node(0).depth, 0);
-  EXPECT_EQ(tree.node(2).label, "cast");
-  EXPECT_EQ(tree.node(2).depth, 2);
-  EXPECT_EQ(tree.node(4).label, "stewart");
-  EXPECT_EQ(tree.node(4).depth, 4);
-  EXPECT_EQ(tree.node(7).label, "plot");
+  EXPECT_EQ(tree.label(0), "films");
+  EXPECT_EQ(tree.depth(0), 0);
+  EXPECT_EQ(tree.label(2), "cast");
+  EXPECT_EQ(tree.depth(2), 2);
+  EXPECT_EQ(tree.label(4), "stewart");
+  EXPECT_EQ(tree.depth(4), 4);
+  EXPECT_EQ(tree.label(7), "plot");
 }
 
 TEST(LabeledTreeTest, FanOutAndDensity) {
   LabeledTree tree = Figure6Tree();
-  EXPECT_EQ(tree.node(2).fan_out(), 2);           // cast has 2 children
+  EXPECT_EQ(tree.fan_out(2), 2);           // cast has 2 children
   EXPECT_EQ(tree.DistinctChildLabelCount(2), 1);  // both labelled "star"
-  EXPECT_EQ(tree.node(1).fan_out(), 2);           // picture: cast, plot
+  EXPECT_EQ(tree.fan_out(1), 2);           // picture: cast, plot
   EXPECT_EQ(tree.DistinctChildLabelCount(1), 2);
   EXPECT_EQ(tree.MaxDepth(), 4);
   EXPECT_EQ(tree.MaxFanOut(), 2);
@@ -107,30 +107,38 @@ TEST(LabeledTreeTest, SubtreePreorder) {
 }
 
 TEST(LabeledTreeTest, EveryNodeNeedsALabelId) {
-  LabeledTree tree;
+  LabeledTreeBuilder builder;
   NodeId id = 0;
   EXPECT_DEBUG_DEATH(
-      id = tree.AddNode(kInvalidNode, "films", kNoLabelId,
-                        TreeNodeKind::kElement),
+      id = builder.AddNode(kInvalidNode, "films", kNoLabelId,
+                           TreeNodeKind::kElement),
       "label id");
 #ifdef NDEBUG
   EXPECT_EQ(id, kInvalidNode);
-  EXPECT_TRUE(tree.empty());
+  EXPECT_TRUE(builder.empty());
 #endif
 }
 
 TEST(LabeledTreeTest, ValidateAuditsTheIdLabelBijection) {
   EXPECT_TRUE(Figure6Tree().Validate().ok());
 
-  LabeledTree shared_id;  // two labels under one id
+  // Two labels under one id: the tree stores one spelling per id, so
+  // the builder refuses the second spelling.
+  LabeledTreeBuilder shared_id;
   shared_id.AddNode(kInvalidNode, "films", 0, TreeNodeKind::kElement);
-  shared_id.AddNode(0, "picture", 0, TreeNodeKind::kElement);
-  EXPECT_FALSE(shared_id.Validate().ok());
+  NodeId id = 0;
+  EXPECT_DEBUG_DEATH(
+      id = shared_id.AddNode(0, "picture", 0, TreeNodeKind::kElement),
+      "spelling");
+#ifdef NDEBUG
+  EXPECT_EQ(id, kInvalidNode);
+  EXPECT_EQ(shared_id.size(), 1u);
+#endif
 
-  LabeledTree split_label;  // one label under two ids
+  LabeledTreeBuilder split_label;  // one label under two ids
   split_label.AddNode(kInvalidNode, "star", 0, TreeNodeKind::kElement);
   split_label.AddNode(0, "star", 1, TreeNodeKind::kElement);
-  EXPECT_FALSE(split_label.Validate().ok());
+  EXPECT_FALSE(split_label.Finish().Validate().ok());
 }
 
 TEST(BuildLabeledTreeTest, FromDocument) {
@@ -141,8 +149,8 @@ TEST(BuildLabeledTreeTest, FromDocument) {
   auto tree = BuildLabeledTree(*doc);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 9u);  // 6 elements + 3 value tokens
-  EXPECT_EQ(tree->node(0).label, "films");
-  EXPECT_EQ(tree->node(0).kind, TreeNodeKind::kElement);
+  EXPECT_EQ(tree->label(0), "films");
+  EXPECT_EQ(tree->kind(0), TreeNodeKind::kElement);
   // The default hooks intern into a build-local interner, so ids
   // follow first sight and record no label source.
   EXPECT_TRUE(tree->Validate().ok());
@@ -157,13 +165,13 @@ TEST(BuildLabeledTreeTest, AttributesSortedBeforeElements) {
   auto tree = BuildLabeledTree(*doc);
   ASSERT_TRUE(tree.ok());
   // Order: m(0), alpha(1), a(2 token), zeta(3), z(4 token), child(5).
-  EXPECT_EQ(tree->node(1).label, "alpha");
-  EXPECT_EQ(tree->node(1).kind, TreeNodeKind::kAttribute);
-  EXPECT_EQ(tree->node(2).label, "a");
-  EXPECT_EQ(tree->node(2).kind, TreeNodeKind::kToken);
-  EXPECT_EQ(tree->node(3).label, "zeta");
-  EXPECT_EQ(tree->node(5).label, "child");
-  EXPECT_EQ(tree->node(5).kind, TreeNodeKind::kElement);
+  EXPECT_EQ(tree->label(1), "alpha");
+  EXPECT_EQ(tree->kind(1), TreeNodeKind::kAttribute);
+  EXPECT_EQ(tree->label(2), "a");
+  EXPECT_EQ(tree->kind(2), TreeNodeKind::kToken);
+  EXPECT_EQ(tree->label(3), "zeta");
+  EXPECT_EQ(tree->label(5), "child");
+  EXPECT_EQ(tree->kind(5), TreeNodeKind::kElement);
 }
 
 TEST(BuildLabeledTreeTest, StructureOnlySkipsValues) {
@@ -173,8 +181,8 @@ TEST(BuildLabeledTreeTest, StructureOnlySkipsValues) {
   options.include_values = false;
   auto tree = BuildLabeledTree(*doc, options);
   ASSERT_TRUE(tree.ok());
-  for (const TreeNode& node : tree->nodes()) {
-    EXPECT_NE(node.kind, TreeNodeKind::kToken);
+  for (xml::NodeId id : tree->ids()) {
+    EXPECT_NE(tree->kind(id), TreeNodeKind::kToken);
   }
   EXPECT_EQ(tree->size(), 3u);  // m, year, name
 }
@@ -185,8 +193,10 @@ TEST(BuildLabeledTreeTest, DefaultTokenizerLowercasesAndSplits) {
   auto tree = BuildLabeledTree(*doc);
   ASSERT_TRUE(tree.ok());
   std::vector<std::string> tokens;
-  for (const TreeNode& node : tree->nodes()) {
-    if (node.kind == TreeNodeKind::kToken) tokens.push_back(node.label);
+  for (xml::NodeId id : tree->ids()) {
+    if (tree->kind(id) == TreeNodeKind::kToken) {
+      tokens.emplace_back(tree->label(id));
+    }
   }
   EXPECT_EQ(tokens, (std::vector<std::string>{"a", "wheelchair-bound",
                                               "photographer"}));
@@ -209,9 +219,9 @@ TEST(BuildLabeledTreeTest, CustomCallbacks) {
   };
   auto tree = BuildLabeledTree(*doc, options);
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->node(0).label, "tag_A");
+  EXPECT_EQ(tree->label(0), "tag_A");
   EXPECT_EQ(tree->label_id(0), 7u);
-  EXPECT_EQ(tree->node(1).label, "fixed");
+  EXPECT_EQ(tree->label(1), "fixed");
   EXPECT_EQ(tree->label_id(1), 9u);
 }
 
@@ -234,8 +244,8 @@ TEST(TreeStatsTest, ComputeTreeShape) {
 
 TEST(TreeStatsTest, StructDegreeRangeAndMonotonicity) {
   LabeledTree tree = Figure6Tree();
-  for (const TreeNode& node : tree.nodes()) {
-    double degree = StructDegree(tree, node.id);
+  for (xml::NodeId id : tree.ids()) {
+    double degree = StructDegree(tree, id);
     EXPECT_GE(degree, 0.0);
     EXPECT_LE(degree, 1.0);
   }
@@ -258,8 +268,9 @@ TEST(TreeStatsTest, AverageStructDegreeInRange) {
 }
 
 TEST(TreeStatsTest, SingleNodeTree) {
-  testutil::InternedTree tree;
-  tree.Add(kInvalidNode, "only", TreeNodeKind::kElement);
+  testutil::InternedTree builder;
+  builder.Add(kInvalidNode, "only", TreeNodeKind::kElement);
+  const LabeledTree tree = builder.Finish();
   EXPECT_EQ(tree.MaxDepth(), 0);
   EXPECT_EQ(ComputeTreeShape(tree).node_count, 1);
   EXPECT_EQ(AverageStructDegree(tree), 0.0);

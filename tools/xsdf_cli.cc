@@ -616,23 +616,21 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
     double degree;
   };
   std::vector<Row> rows;
-  for (const auto& node : tree->nodes()) {
-    rows.push_back(
-        {node.id, xsdf::core::AmbiguityDegree(*tree, node.id, network)});
+  for (xsdf::xml::NodeId id : tree->ids()) {
+    rows.push_back({id, xsdf::core::AmbiguityDegree(*tree, id, network)});
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.degree > b.degree; });
   std::printf("%-6s %-16s %-8s %-8s %s\n", "node", "label", "senses",
               "depth", "Amb_Deg");
   for (const Row& row : rows) {
-    const auto& node = tree->node(row.id);
+    const std::string label(tree->label(row.id));
     int senses = 0;
-    for (const auto& token :
-         xsdf::core::LabelSenseTokens(network, node.label)) {
+    for (const auto& token : xsdf::core::LabelSenseTokens(network, label)) {
       senses += network.SenseCount(token);
     }
-    std::printf("%-6d %-16s %-8d %-8d %.4f\n", row.id,
-                node.label.c_str(), senses, node.depth, row.degree);
+    std::printf("%-6d %-16s %-8d %-8d %.4f\n", row.id, label.c_str(),
+                senses, tree->depth(row.id), row.degree);
   }
   return 0;
 }
@@ -676,12 +674,10 @@ int CmdExpand(const SemanticNetwork& network, const char* keyword,
         static_cast<char>(std::tolower(static_cast<unsigned char>(*p))));
   }
   bool found = false;
-  for (const auto& node : result->tree.nodes()) {
-    if (node.label != lowered) continue;
-    auto it = result->assignments.find(node.id);
-    if (it == result->assignments.end()) continue;
+  for (const auto& [id, assignment] : result->assignments) {
+    if (result->tree.label(id) != lowered) continue;
     found = true;
-    const auto& c = network.GetConcept(it->second.sense.primary);
+    const auto& c = network.GetConcept(assignment.sense.primary);
     std::printf("sense in context: %s — %s\nexpansion:", c.label().c_str(),
                 c.gloss.c_str());
     for (const std::string& synonym : c.synonyms) {

@@ -1,18 +1,19 @@
-// Microbenchmark for the interned, arena-backed front end: per-stage
-// timings for the parse -> labeled-tree -> sphere -> context-vector
-// half of the pipeline, string-keyed baseline vs the id path.
+// Microbenchmark for the interned front end: per-stage timings for the
+// parse -> labeled-tree -> sphere -> context-vector half of the
+// pipeline, string-keyed baseline vs the id path.
 //
-// The baseline reconstructs the pre-interning front end:
-// BuildLabeledTree() with the raw (non-memoized) per-node
-// PreprocessTagName / PreprocessTextValue hooks plus the one
-// build-local intern every tree node needs, then the string-keyed
-// BuildXmlSphere / ContextVector / ResolvedContext of the test-only
-// oracle library (tests/oracles/). The fast path is
-// what the runtime actually runs today: core::BuildTree() with a
-// LabelSpace (memoized pre-processing + interning at build time), then
-// BuildXmlIdSphere / IdContextVector / IdResolvedContext over flat id
-// arrays. Results go to stdout and to a JSON file (argv[1] when it is
-// not a flag, default BENCH_frontend.json).
+// The baseline reconstructs the pre-interning front end: xml::Parse
+// into a DOM, then the test-only DOM walk (oracles::BuildTreeViaDom)
+// with the raw (non-memoized) per-node PreprocessTagName /
+// PreprocessTextValue hooks plus the one build-local intern every tree
+// node needs, then the string-keyed BuildXmlSphere / ContextVector /
+// ResolvedContext of the test-only oracle library (tests/oracles/).
+// The fast path is what the runtime runs: core::BuildTreeStreaming()
+// with a LabelSpace (one streaming pass, memoized pre-processing +
+// interning at build time), then BuildXmlIdSphere / IdContextVector /
+// IdResolvedContext over flat id arrays. Results go to stdout and to a
+// JSON file (argv[1] when it is not a flag, default
+// BENCH_frontend.json).
 //
 // `--smoke` skips the timing loops and only verifies that the id path
 // reproduces the string path bit-for-bit over the corpus — labels,
@@ -25,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_env.h"
@@ -33,8 +35,8 @@
 #include "core/label_space.h"
 #include "core/scores.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
 #include "datasets/generator.h"
+#include "oracles/dom_tree_builder.h"
 #include "oracles/string_pipeline.h"
 #include "runtime/engine.h"
 #include "text/preprocess.h"
@@ -53,7 +55,7 @@ using xsdf::oracles::ContextVector;
 using xsdf::oracles::ResolvedContext;
 using xsdf::wordnet::SemanticNetwork;
 using xsdf::xml::LabeledTree;
-using xsdf::xml::ResolvedLabel;
+using xsdf::core::ResolvedLabel;
 
 constexpr int kRadius = 2;  ///< DisambiguatorOptions::sphere_radius
 
@@ -70,9 +72,9 @@ std::vector<std::string> CorpusXml() {
   return xml;
 }
 
-/// The pre-interning tree build: the pre-processing core::BuildTree
-/// wires up, run per node without its memo tables, and interned into a
-/// build-local TokenInterner instead of a LabelSpace.
+/// The pre-interning tree build: the production pre-processing, run
+/// per node without its memo tables and interned into a build-local
+/// TokenInterner instead of a LabelSpace, through the DOM walk.
 xsdf::Result<LabeledTree> BuildTreeBaseline(const xsdf::xml::Document& doc,
                                             const SemanticNetwork& network) {
   xsdf::text::LexiconProbe probe = [&network](const std::string& lemma) {
@@ -81,27 +83,25 @@ xsdf::Result<LabeledTree> BuildTreeBaseline(const xsdf::xml::Document& doc,
   xsdf::TokenInterner interner;
   ResolvedLabel tag;
   std::vector<ResolvedLabel> tokens;
-  xsdf::xml::TreeBuildOptions options;
-  options.include_values = true;
-  options.resolved_label_transform =
-      [&](const std::string& raw) -> const ResolvedLabel& {
-    tag.label = xsdf::text::PreprocessTagName(raw, probe).label;
-    tag.id = interner.Intern(tag.label);
-    return tag;
-  };
-  options.resolved_value_tokenizer =
-      [&](const std::string& value) -> const std::vector<ResolvedLabel>& {
-    tokens.clear();
-    for (std::string& token : xsdf::text::PreprocessTextValue(value, probe)) {
-      ResolvedLabel& resolved = tokens.emplace_back();
-      resolved.label = std::move(token);
-      if (!resolved.label.empty()) {
-        resolved.id = interner.Intern(resolved.label);
-      }
-    }
-    return tokens;
-  };
-  return BuildLabeledTree(doc, options);
+  return xsdf::oracles::BuildTreeViaDom(
+      doc, /*include_values=*/true, /*label_source=*/0,
+      [&](std::string_view raw) -> const ResolvedLabel& {
+        tag.label = xsdf::text::PreprocessTagName(raw, probe).label;
+        tag.id = interner.Intern(tag.label);
+        return tag;
+      },
+      [&](std::string_view value) -> const std::vector<ResolvedLabel>& {
+        tokens.clear();
+        for (std::string& token :
+             xsdf::text::PreprocessTextValue(value, probe)) {
+          ResolvedLabel& resolved = tokens.emplace_back();
+          resolved.label = std::move(token);
+          if (!resolved.label.empty()) {
+            resolved.id = interner.Intern(resolved.label);
+          }
+        }
+        return tokens;
+      });
 }
 
 /// Best-of-`rounds` total ns for `fn()`; the checksum defeats
@@ -199,7 +199,8 @@ GiantDocResult RunGiantDocSection(const SemanticNetwork& network) {
                      doc.status().ToString().c_str());
         return giant;
       }
-      auto tree = xsdf::core::BuildTree(*doc, network, true, &space);
+      auto tree =
+          xsdf::oracles::BuildTreeViaDom(*doc, network, true, &space);
       double us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - start)
                       .count();
@@ -274,19 +275,19 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> corpus = CorpusXml();
 
-  // Pre-parse and pre-build both tree flavors once for the per-stage
-  // loops (each timed stage then re-runs only its own work) and for the
+  // Pre-build both tree flavors once for the per-stage loops (each
+  // timed stage then re-runs only its own work) and for the
   // equivalence gate.
-  std::vector<xsdf::xml::Document> docs;
+  std::vector<std::string> docs;
   std::vector<LabeledTree> baseline_trees;
   std::vector<LabeledTree> id_trees;
   for (const std::string& xml : corpus) {
     auto doc = xsdf::xml::Parse(xml);
     if (!doc.ok()) continue;
     auto baseline = BuildTreeBaseline(*doc, network);
-    auto fast = xsdf::core::BuildTree(*doc, network, true, &space);
+    auto fast = xsdf::core::BuildTreeStreaming(xml, network, {}, true, &space);
     if (!baseline.ok() || !fast.ok()) continue;
-    docs.push_back(std::move(doc).value());
+    docs.push_back(xml);
     baseline_trees.push_back(std::move(baseline).value());
     id_trees.push_back(std::move(fast).value());
   }
@@ -357,8 +358,8 @@ int main(int argc, char** argv) {
   size_t total_nodes = 0;
   for (const LabeledTree& tree : id_trees) total_nodes += tree.size();
 
-  // parse: one arena-backed stage shared by both paths (the baseline
-  // DOM no longer exists); reported for context, not compared.
+  // parse: the DOM parse the baseline pays inside tree_build; reported
+  // for context, not compared.
   double parse_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
     for (const std::string& xml : corpus) {
@@ -368,11 +369,15 @@ int main(int argc, char** argv) {
     return sum;
   });
 
+  // tree_build: XML text to labeled tree on both arms (parse + walk vs
+  // the one streaming pass).
   StageResult tree_stage{"tree_build"};
   tree_stage.baseline_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
-    for (const auto& doc : docs) {
-      auto tree = BuildTreeBaseline(doc, network);
+    for (const std::string& xml : docs) {
+      auto doc = xsdf::xml::Parse(xml);
+      if (!doc.ok()) continue;
+      auto tree = BuildTreeBaseline(*doc, network);
       if (tree.ok()) sum += static_cast<double>(tree->size());
     }
     return sum;
@@ -382,9 +387,9 @@ int main(int argc, char** argv) {
   xsdf::core::TreeBuildCache tree_cache;
   tree_stage.fast_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
-    for (const auto& doc : docs) {
-      auto tree =
-          xsdf::core::BuildTree(doc, network, true, &space, &tree_cache);
+    for (const std::string& xml : docs) {
+      auto tree = xsdf::core::BuildTreeStreaming(xml, network, {}, true,
+                                                 &space, &tree_cache);
       if (tree.ok()) sum += static_cast<double>(tree->size());
     }
     return sum;
@@ -479,10 +484,8 @@ int main(int argc, char** argv) {
     xsdf::core::IdSphere sphere;
     IdContextVector vector;
     for (const std::string& xml : corpus) {
-      auto doc = xsdf::xml::Parse(xml);
-      if (!doc.ok()) continue;
-      auto tree =
-          xsdf::core::BuildTree(*doc, network, true, &space, &tree_cache);
+      auto tree = xsdf::core::BuildTreeStreaming(xml, network, {}, true,
+                                                 &space, &tree_cache);
       if (!tree.ok()) continue;
       for (size_t n = 0; n < tree->size(); ++n) {
         BuildXmlIdSphere(*tree, static_cast<xsdf::xml::NodeId>(n), kRadius,
@@ -500,7 +503,7 @@ int main(int argc, char** argv) {
   std::printf(
       "%zu docs, %zu nodes, best of %d rounds (checksum %.6f)\n",
       docs.size(), total_nodes, rounds, checksum);
-  std::printf("parse (shared arena path): %.1f us/corpus\n",
+  std::printf("parse (DOM, baseline only): %.1f us/corpus\n",
               parse_ns / 1000.0);
   std::printf("%-16s %15s %15s %9s\n", "stage", "baseline us",
               "id-path us", "speedup");

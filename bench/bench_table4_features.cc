@@ -7,7 +7,7 @@
 
 #include "core/baselines.h"
 #include "core/disambiguator.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "sim/measure.h"
 #include "text/preprocess.h"
 #include "wordnet/mini_wordnet.h"
@@ -28,9 +28,10 @@ int main() {
       xsdf::sim::MeasureRegistry::Global().Names().size() >= 3;
 
   xsdf::core::Disambiguator xsdf_system(&*network);
-  auto tree = xsdf::core::BuildTreeFromXml(
+  auto tree = xsdf::core::BuildTreeStreaming(
       "<films><picture><cast><star>Kelly</star></cast></picture></films>",
-      *network, /*include_values=*/true, xsdf_system.label_space());
+      *network, xsdf::xml::ParseOptions{}, /*include_values=*/true,
+      xsdf_system.label_space());
   auto semantic = xsdf_system.RunOnTree(*tree);
   bool disambiguates_content = false;
   for (const auto& [id, assignment] : semantic->assignments) {

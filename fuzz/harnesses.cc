@@ -8,15 +8,14 @@
 
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/strings.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
+#include "oracles/dom_tree_builder.h"
 #include "prop/generators.h"
 #include "snapshot/snapshot.h"
+#include "text/preprocess.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
 #include "xml/labeled_tree.h"
@@ -44,6 +43,19 @@ xml::ParseOptions FuzzXmlOptions() {
   std::fprintf(stderr, "[%s] ORACLE VIOLATION: %s\n%s\n", target, what,
                detail.c_str());
   std::abort();
+}
+
+/// The bundled mini-WordNet the tree targets build against, built once.
+const wordnet::SemanticNetwork& FuzzNetwork() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto built = wordnet::BuildMiniWordNet();
+    if (!built.ok()) {
+      OracleFailure("tree", "lexicon failed to build",
+                    built.status().ToString());
+    }
+    return new wordnet::SemanticNetwork(std::move(built).value());
+  }();
+  return *network;
 }
 
 std::string_view AsText(const uint8_t* data, size_t size) {
@@ -76,17 +88,18 @@ void DriveXmlParser(const uint8_t* data, size_t size) {
   if (xml::Serialize(*reparsed, ser) != s1) {
     OracleFailure("xml", "serialization is not a fixed point", s1);
   }
-  if (doc->root() != nullptr) {
-    auto tree = xml::BuildLabeledTree(*doc);
-    if (!tree.ok()) {
-      OracleFailure("xml", "parsed document failed tree construction",
-                    tree.status().ToString());
-    }
-    Status audit = tree->Validate();
-    if (!audit.ok()) {
-      OracleFailure("xml", "labeled tree failed its structural audit",
-                    audit.ToString());
-    }
+  core::LabelSpace space(&FuzzNetwork());
+  auto tree = core::BuildTreeStreaming(AsText(data, size), FuzzNetwork(),
+                                       FuzzXmlOptions(),
+                                       /*include_values=*/true, &space);
+  if (!tree.ok()) {
+    OracleFailure("xml", "parsed document failed tree construction",
+                  tree.status().ToString());
+  }
+  Status audit = tree->Validate();
+  if (!audit.ok()) {
+    OracleFailure("xml", "labeled tree failed its structural audit",
+                  audit.ToString());
   }
 }
 
@@ -138,12 +151,17 @@ struct ExpectedNode {
   int depth = 0;
 };
 
-/// Appends the token nodes the default value hook makes of `text`.
+/// The lexicon probe of the production pre-processing.
+bool InFuzzLexicon(const std::string& lemma) {
+  return FuzzNetwork().Contains(lemma);
+}
+
+/// Appends the token nodes the value pre-processing makes of `text`,
+/// computed directly rather than through the builder's memos.
 void ExpectTokens(std::string_view text, xml::NodeId parent, int depth,
                   std::vector<ExpectedNode>* out) {
-  for (const std::string& token :
-       StrSplitAny(text, " \t\r\n.,;:!?()[]{}'\"")) {
-    std::string label = AsciiToLower(token);
+  for (std::string& label :
+       text::PreprocessTextValue(text, InFuzzLexicon)) {
     if (label.empty()) continue;
     out->push_back({label, label, xml::TreeNodeKind::kToken, parent, depth});
   }
@@ -151,13 +169,15 @@ void ExpectTokens(std::string_view text, xml::NodeId parent, int depth,
 
 /// A direct recursive walk of the DOM in Definition 1's order (the
 /// element, its attributes sorted by name each followed by its value
-/// tokens, then content in document order) under the default hooks:
-/// the reference every column of the built tree is checked against.
+/// tokens, then content in document order), labelling every node with
+/// the unmemoized tag and value pre-processing: the reference every
+/// column of the built tree is checked against.
 void ExpectElement(const xml::Node& element, xml::NodeId parent, int depth,
                    bool include_values, std::vector<ExpectedNode>* out) {
   const auto id = static_cast<xml::NodeId>(out->size());
-  out->push_back({AsciiToLower(element.name()), element.name(),
-                  xml::TreeNodeKind::kElement, parent, depth});
+  out->push_back(
+      {text::PreprocessTagName(element.name(), InFuzzLexicon).label,
+       element.name(), xml::TreeNodeKind::kElement, parent, depth});
   std::vector<const xml::Attribute*> attrs;
   for (const xml::Attribute& attr : element.attributes()) {
     attrs.push_back(&attr);
@@ -168,8 +188,9 @@ void ExpectElement(const xml::Node& element, xml::NodeId parent, int depth,
             });
   for (const xml::Attribute* attr : attrs) {
     const auto attr_id = static_cast<xml::NodeId>(out->size());
-    out->push_back({AsciiToLower(attr->name), attr->name,
-                    xml::TreeNodeKind::kAttribute, id, depth + 1});
+    out->push_back(
+        {text::PreprocessTagName(attr->name, InFuzzLexicon).label,
+         attr->name, xml::TreeNodeKind::kAttribute, id, depth + 1});
     if (include_values) ExpectTokens(attr->value, attr_id, depth + 2, out);
   }
   for (const auto& child : element.children()) {
@@ -182,9 +203,10 @@ void ExpectElement(const xml::Node& element, xml::NodeId parent, int depth,
 }
 
 /// Checks every column of `tree` — label id, spelling, raw, kind,
-/// parent, depth and child order — against `expected`. The default
-/// hooks intern labels in node order, so a label's id is the number
-/// of distinct labels seen before its first node.
+/// parent, depth and child order — against `expected`. The builder
+/// interns labels in node order, so resolving the expected labels in
+/// node order through a fresh LabelSpace over the same network must
+/// reproduce every id.
 void CheckColumns(const xml::LabeledTree& tree,
                   const std::vector<ExpectedNode>& expected) {
   if (tree.size() != expected.size()) {
@@ -192,15 +214,14 @@ void CheckColumns(const xml::LabeledTree& tree,
                   std::to_string(tree.size()) + " vs " +
                       std::to_string(expected.size()));
   }
-  std::unordered_map<std::string, uint32_t> first_id;
+  core::LabelSpace space(&FuzzNetwork());
   std::vector<std::vector<xml::NodeId>> children(expected.size());
   for (xml::NodeId id : tree.ids()) {
     const ExpectedNode& want = expected[static_cast<size_t>(id)];
-    const uint32_t want_id =
-        first_id.try_emplace(want.label, first_id.size()).first->second;
-    if (tree.label_id(id) != want_id || tree.label(id) != want.label ||
-        tree.raw(id) != want.raw || tree.kind(id) != want.kind ||
-        tree.parent(id) != want.parent || tree.depth(id) != want.depth) {
+    if (tree.label_id(id) != space.Resolve(want.label) ||
+        tree.label(id) != want.label || tree.raw(id) != want.raw ||
+        tree.kind(id) != want.kind || tree.parent(id) != want.parent ||
+        tree.depth(id) != want.depth) {
       OracleFailure("tree", "column differs from the DOM walk",
                     "node " + std::to_string(id));
     }
@@ -223,11 +244,13 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   xml::ParseOptions po = FuzzXmlOptions();
   po.discard_whitespace_text = (flags & 1) != 0;
   po.keep_comments = (flags & 2) != 0;
-  auto doc = xml::Parse(AsText(data + 1, size - 1), po);
+  const bool include_values = (flags & 4) != 0;
+  const std::string_view text = AsText(data + 1, size - 1);
+  auto doc = xml::Parse(text, po);
   if (!doc.ok() || doc->root() == nullptr) return;
-  xml::TreeBuildOptions to;
-  to.include_values = (flags & 4) != 0;
-  auto tree = xml::BuildLabeledTree(*doc, to);
+  core::LabelSpace space(&FuzzNetwork());
+  auto tree = core::BuildTreeStreaming(text, FuzzNetwork(), po,
+                                       include_values, &space);
   if (!tree.ok()) {
     OracleFailure("tree", "parsed document failed tree construction",
                   tree.status().ToString());
@@ -237,7 +260,7 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
     OracleFailure("tree", "structural audit failed", audit.ToString());
   }
   std::vector<ExpectedNode> expected;
-  ExpectElement(*doc->root(), xml::kInvalidNode, 0, to.include_values,
+  ExpectElement(*doc->root(), xml::kInvalidNode, 0, include_values,
                 &expected);
   CheckColumns(*tree, expected);
   // Exercise the full query surface; inputs are derived from the flag
@@ -270,14 +293,7 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
 
 void DriveStreamParser(const uint8_t* data, size_t size) {
   if (size < 1) return;
-  static const wordnet::SemanticNetwork* network = [] {
-    auto built = wordnet::BuildMiniWordNet();
-    if (!built.ok()) {
-      OracleFailure("stream", "lexicon failed to build",
-                    built.status().ToString());
-    }
-    return new wordnet::SemanticNetwork(std::move(built).value());
-  }();
+  const wordnet::SemanticNetwork* network = &FuzzNetwork();
   const uint8_t flags = data[0];
   xml::ParseOptions po = FuzzXmlOptions();
   po.discard_whitespace_text = (flags & 1) != 0;
@@ -289,7 +305,8 @@ void DriveStreamParser(const uint8_t* data, size_t size) {
   Result<xml::LabeledTree> dom = [&]() -> Result<xml::LabeledTree> {
     auto doc = xml::Parse(text, po);
     if (!doc.ok()) return doc.status();
-    return core::BuildTree(*doc, *network, include_values, &dom_space);
+    return oracles::BuildTreeViaDom(*doc, *network, include_values,
+                                    &dom_space);
   }();
   core::LabelSpace stream_space(network);
   auto streamed = core::BuildTreeStreaming(text, *network, po,

@@ -16,7 +16,8 @@ namespace xsdf::fuzz {
 
 /// xml::Parse under fuzz limits; accepted documents must round-trip
 /// (serialize -> reparse -> structurally equal, serialization a fixed
-/// point) and build a LabeledTree that passes Validate().
+/// point) and core::BuildTreeStreaming must build them a LabeledTree
+/// that passes Validate().
 void DriveXmlParser(const uint8_t* data, size_t size);
 
 /// wordnet::ParseWndb over a "%%file" container (see
@@ -25,16 +26,19 @@ void DriveXmlParser(const uint8_t* data, size_t size);
 void DriveWndbParser(const uint8_t* data, size_t size);
 
 /// LabeledTree construction and query surface: first byte selects
-/// options, the rest is XML; a built tree must pass Validate() and
-/// every query (LCA, distance, rings, paths) must terminate.
+/// options, the rest is XML. For every input xml::Parse accepts,
+/// core::BuildTreeStreaming must build a tree that passes Validate()
+/// and matches, column for column, a direct DOM walk labelled by the
+/// unmemoized pre-processing (label ids included), and every query
+/// (LCA, distance, rings, paths) must terminate.
 void DriveLabeledTree(const uint8_t* data, size_t size);
 
 /// Streaming front end against its DOM reference: first byte selects
-/// options, the rest is XML. StreamParse + core::BuildTreeStreaming and
-/// Parse + core::BuildTree, each interning through a fresh LabelSpace,
-/// must agree on accepting the input, and accepted trees must match
-/// node for node (label, raw, kind, parent, depth, label id — so the
-/// interning order too) and pass Validate().
+/// options, the rest is XML. core::BuildTreeStreaming and Parse + the
+/// test-only DOM walk (oracles::BuildTreeViaDom), each interning
+/// through a fresh LabelSpace, must agree on accepting the input, and
+/// accepted trees must match node for node (label, raw, kind, parent,
+/// depth, label id — so the interning order too) and pass Validate().
 void DriveStreamParser(const uint8_t* data, size_t size);
 
 /// snapshot::LoadNetworkSnapshotFromBuffer over an 8-aligned copy of

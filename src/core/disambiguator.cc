@@ -9,8 +9,7 @@
 
 #include "common/check.h"
 #include "common/flat_id_map.h"
-#include "core/tree_builder.h"
-#include "xml/parser.h"
+#include "core/streaming_builder.h"
 #include "xml/serializer.h"
 
 namespace xsdf::core {
@@ -319,18 +318,12 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
   return result;
 }
 
-Result<SemanticTree> Disambiguator::Run(const xml::Document& doc) const {
-  auto tree =
-      BuildTree(doc, *network_, options_.include_values, label_space_);
-  if (!tree.ok()) return tree.status();
-  return RunOnTree(std::move(tree).value());
-}
-
 Result<SemanticTree> Disambiguator::RunOnXml(
     const std::string& xml_text) const {
-  auto doc = xml::Parse(xml_text);
-  if (!doc.ok()) return doc.status();
-  return Run(*doc);
+  auto tree = BuildTreeStreaming(xml_text, *network_, xml::ParseOptions{},
+                                 options_.include_values, label_space_);
+  if (!tree.ok()) return tree.status();
+  return RunOnTree(std::move(tree).value());
 }
 
 namespace {

@@ -17,7 +17,6 @@
 #include "obs/trace.h"
 #include "sim/combined.h"
 #include "wordnet/semantic_network.h"
-#include "xml/dom.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::core {
@@ -283,8 +282,8 @@ struct SemanticTree {
 /// disambiguation.
 ///
 /// Every entry point reads label ids straight off the tree, so a tree
-/// must have been built through label_space() (BuildTree() and
-/// BuildTreeStreaming() record the space as the tree's label_source()).
+/// must have been built through label_space() (BuildTreeStreaming()
+/// records the space as the tree's label_source()).
 /// A tree from any other interner is rejected: RunOnTree,
 /// DisambiguateNode and ExplainNode return InvalidArgument, while
 /// SelectTargets and ScoreCandidates return an empty vector (and trap
@@ -309,10 +308,9 @@ class Disambiguator {
   /// synchronized; trees for this disambiguator are built through it.
   LabelSpace* label_space() const { return label_space_; }
 
-  /// Runs the full pipeline on a parsed document.
-  Result<SemanticTree> Run(const xml::Document& doc) const;
-
-  /// Runs the pipeline on an XML string.
+  /// Runs the full pipeline on an XML string: BuildTreeStreaming()
+  /// under default ParseOptions through label_space(), then
+  /// RunOnTree(). Parse failures return the parser's Status.
   Result<SemanticTree> RunOnXml(const std::string& xml_text) const;
 
   /// Runs selection + disambiguation on an already-built tree.

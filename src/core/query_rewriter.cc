@@ -5,7 +5,6 @@
 #include <set>
 
 #include "text/preprocess.h"
-#include "xml/parser.h"
 
 namespace xsdf::core {
 
@@ -13,9 +12,8 @@ QueryRewriter::QueryRewriter(const wordnet::SemanticNetwork* network,
                              DisambiguatorOptions options)
     : network_(network), options_(options) {}
 
-Result<QueryRewriter::Rewriting> QueryRewriter::Rewrite(
-    const std::string& query,
-    const std::vector<const xml::Document*>& corpus,
+Result<QueryRewriter::Rewriting> QueryRewriter::RewriteOverXml(
+    const std::string& query, const std::vector<std::string>& corpus,
     size_t max_rewritings) const {
   auto compiled = xml::PathQuery::Parse(query);
   if (!compiled.ok()) return compiled.status();
@@ -24,8 +22,8 @@ Result<QueryRewriter::Rewriting> QueryRewriter::Rewrite(
   // corpus node carrying that label.
   Disambiguator disambiguator(network_, options_);
   std::map<std::string, std::map<wordnet::ConceptId, int>> votes;
-  for (const xml::Document* doc : corpus) {
-    auto result = disambiguator.Run(*doc);
+  for (const std::string& xml_text : corpus) {
+    auto result = disambiguator.RunOnXml(xml_text);
     if (!result.ok()) return result.status();
     for (const auto& [id, assignment] : result->assignments) {
       votes[std::string(result->tree.label(id))][assignment.sense.primary] +=
@@ -102,22 +100,6 @@ Result<QueryRewriter::Rewriting> QueryRewriter::Rewrite(
   }
   rewriting.queries.assign(queries.begin(), queries.end());
   return rewriting;
-}
-
-Result<QueryRewriter::Rewriting> QueryRewriter::RewriteOverXml(
-    const std::string& query, const std::vector<std::string>& corpus,
-    size_t max_rewritings) const {
-  std::vector<xml::Document> owned;
-  owned.reserve(corpus.size());
-  for (const std::string& xml_text : corpus) {
-    auto doc = xml::Parse(xml_text);
-    if (!doc.ok()) return doc.status();
-    owned.push_back(std::move(doc).value());
-  }
-  std::vector<const xml::Document*> pointers;
-  pointers.reserve(owned.size());
-  for (const xml::Document& doc : owned) pointers.push_back(&doc);
-  return Rewrite(query, pointers, max_rewritings);
 }
 
 }  // namespace xsdf::core

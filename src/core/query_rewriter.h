@@ -34,16 +34,11 @@ class QueryRewriter {
     std::vector<std::string> queries;
   };
 
-  /// Grounds `query` against the corpus documents (each is
-  /// disambiguated with the configured options) and produces the
-  /// rewritings. Steps ground to the majority concept over all corpus
-  /// nodes carrying the step's label.
-  Result<Rewriting> Rewrite(
-      const std::string& query,
-      const std::vector<const xml::Document*>& corpus,
-      size_t max_rewritings = 32) const;
-
-  /// Convenience overload over XML strings.
+  /// Grounds `query` against the corpus documents (each XML text is
+  /// disambiguated with the configured options through
+  /// Disambiguator::RunOnXml) and produces the rewritings. Steps ground
+  /// to the majority concept over all corpus nodes carrying the step's
+  /// label. A malformed query or document returns its Status.
   Result<Rewriting> RewriteOverXml(
       const std::string& query, const std::vector<std::string>& corpus,
       size_t max_rewritings = 32) const;

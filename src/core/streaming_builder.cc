@@ -12,16 +12,14 @@ namespace xsdf::core {
 namespace {
 
 using xml::NodeId;
-using xml::ResolvedLabel;
 using xml::TreeNodeKind;
 
-/// StreamHandler that replays xml::Builder's node-emission order
-/// (labeled_tree.cc) against the event stream: the element node on
-/// open, buffered attributes sorted by name (each followed by its
-/// value tokens) once the start tag closes, text/CDATA tokens at the
-/// parser's flush boundaries, pop on close. Every label goes through
-/// the shared TreeBuildCache memos, so interning order — and with it
-/// every label id — matches the DOM build node for node.
+/// StreamHandler that appends tree nodes in Definition 1's order: the
+/// element node on open, buffered attributes sorted by name (each
+/// followed by its value tokens) once the start tag closes, text/CDATA
+/// tokens at the parser's flush boundaries, pop on close. Every label
+/// goes through the TreeBuildCache memos, so labels are interned in
+/// node order.
 class StreamingTreeBuilder : public xml::StreamHandler {
  public:
   StreamingTreeBuilder(const wordnet::SemanticNetwork& network,
@@ -56,9 +54,8 @@ class StreamingTreeBuilder : public xml::StreamHandler {
   }
 
   Status OnStartTagDone() override {
-    // Attributes first, sorted by name (paper §3.1) — the same
-    // ordering Builder::AddElement applies to the DOM attribute list.
-    // The parser rejects duplicate names, so sort order is total.
+    // Attributes first, sorted by name (paper §3.1). The parser
+    // rejects duplicate names, so sort order is total.
     std::sort(attrs_.begin(), attrs_.end(),
               [this](const PendingAttr& a, const PendingAttr& b) {
                 return Staged(a.name) < Staged(b.name);

@@ -5,7 +5,6 @@
 #include "text/preprocess.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
-#include "xml/parser.h"
 
 namespace xsdf::core {
 
@@ -21,12 +20,12 @@ std::vector<std::string> LabelSenseTokens(
   return tokens;
 }
 
-const xml::ResolvedLabel& ResolveTagMemo(
+const ResolvedLabel& ResolveTagMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
     LabelSpace& label_space, std::string_view tag) {
   auto it = cache.tags.find(tag);
   if (it != cache.tags.end()) return it->second;
-  it = cache.tags.emplace(std::string(tag), xml::ResolvedLabel()).first;
+  it = cache.tags.emplace(std::string(tag), ResolvedLabel()).first;
   text::LexiconProbe probe = [&network](const std::string& lemma) {
     return network.Contains(lemma);
   };
@@ -35,7 +34,7 @@ const xml::ResolvedLabel& ResolveTagMemo(
   return it->second;
 }
 
-const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
+const std::vector<ResolvedLabel>& TokenizeValueMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
     LabelSpace& label_space, std::string_view value) {
   // Two-level value memo: whole values repeat less than their tokens,
@@ -50,7 +49,7 @@ const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
     cache.values.clear();
   }
   it = cache.values.emplace(std::string(value),
-                            std::vector<xml::ResolvedLabel>())
+                            std::vector<ResolvedLabel>())
            .first;
   text::LexiconProbe probe = [&network](const std::string& lemma) {
     return network.Contains(lemma);
@@ -72,44 +71,6 @@ const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
     it->second.push_back(tit->second);
   }
   return it->second;
-}
-
-Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
-                                   const wordnet::SemanticNetwork& network,
-                                   bool include_values,
-                                   LabelSpace* label_space,
-                                   TreeBuildCache* cache) {
-  if (label_space == nullptr) {
-    return Status::InvalidArgument("BuildTree requires a label space");
-  }
-  // Documents repeat the same raw tags and values over and over, so
-  // the (pure) pre-processing functions are memoized: into the
-  // caller's persistent cache when one is passed (cross-document
-  // reuse), else into a local one that dies with this build. The
-  // build is synchronous, so the hooks capture the cache by pointer.
-  TreeBuildCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
-  xml::TreeBuildOptions options;
-  options.include_values = include_values;
-  options.resolved_label_transform =
-      [&network, cache, label_space](
-          const std::string& tag) -> const xml::ResolvedLabel& {
-    return ResolveTagMemo(*cache, network, *label_space, tag);
-  };
-  options.resolved_value_tokenizer =
-      [&network, cache, label_space](const std::string& value)
-      -> const std::vector<xml::ResolvedLabel>& {
-    return TokenizeValueMemo(*cache, network, *label_space, value);
-  };
-  return xml::BuildLabeledTree(doc, options, label_space->serial());
-}
-
-Result<xml::LabeledTree> BuildTreeFromXml(
-    const std::string& xml_text, const wordnet::SemanticNetwork& network,
-    bool include_values, LabelSpace* label_space, TreeBuildCache* cache) {
-  auto doc = xml::Parse(xml_text);
-  if (!doc.ok()) return doc.status();
-  return BuildTree(*doc, network, include_values, label_space, cache);
 }
 
 }  // namespace xsdf::core

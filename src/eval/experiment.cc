@@ -5,7 +5,7 @@
 
 #include "core/ambiguity.h"
 #include "core/baselines.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "eval/raters.h"
 #include "xml/tree_stats.h"
 
@@ -22,8 +22,10 @@ Result<std::vector<CorpusDocument>> BuildCorpus(
     for (datasets::GeneratedDocument& doc : docs) {
       CorpusDocument entry;
       entry.dataset = generator->info();
-      auto tree = core::BuildTreeFromXml(doc.xml, network,
-                                         /*include_values=*/true, label_space);
+      auto tree = core::BuildTreeStreaming(doc.xml, network,
+                                           xml::ParseOptions{},
+                                           /*include_values=*/true,
+                                           label_space);
       if (!tree.ok()) return tree.status();
       entry.tree = std::move(tree).value();
       auto gold = ResolveGold(doc.gold);

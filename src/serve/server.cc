@@ -24,7 +24,7 @@
 #include "common/strings.h"
 #include "core/disambiguator.h"
 #include "core/node_query.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "obs/json_writer.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
@@ -609,18 +609,18 @@ HttpResponse Server::HandleExplain(const HttpRequest& request) {
   if (query.empty()) {
     return {400, {}, "missing ?node= query parameter\n"};
   }
-  auto doc = xml::Parse(request.body);
-  if (!doc.ok()) {
-    return {400, {}, doc.status().ToString() + "\n"};
-  }
-  // Same options as the engine workers, so the audited choice matches
-  // what /disambiguate answers for the same document. The tree interns
-  // its labels through the disambiguator's label space, so every
-  // explained node reads its ids off the tree.
+  // Same options and parse limits as the engine workers, so the audited
+  // choice matches what /disambiguate answers for the same document and
+  // both reject the same documents. The tree interns its labels through
+  // the disambiguator's label space, so every explained node reads its
+  // ids off the tree.
   core::DisambiguatorOptions doptions = options_.engine.disambiguator;
   core::Disambiguator system(state->network.get(), doptions);
-  auto tree = core::BuildTree(*doc, *state->network, doptions.include_values,
-                              system.label_space());
+  xml::ParseOptions parse_options;
+  parse_options.limits = options_.engine.parse_limits;
+  auto tree = core::BuildTreeStreaming(request.body, *state->network,
+                                       parse_options, doptions.include_values,
+                                       system.label_space());
   if (!tree.ok()) {
     return {400, {}, tree.status().ToString() + "\n"};
   }

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/strings.h"
-#include "common/token_interner.h"
 
 namespace xsdf::xml {
 
@@ -64,15 +63,6 @@ NodeId LabeledTreeBuilder::AddNode(NodeId parent, std::string_view label,
   tree_.label_slots_.push_back(slot);
   tree_.raw_.push_back(raw_range);
   return static_cast<NodeId>(id);
-}
-
-void LabeledTreeBuilder::Reserve(size_t node_count) {
-  tree_.parent_.reserve(node_count);
-  tree_.depth_.reserve(node_count);
-  tree_.kind_.reserve(node_count);
-  tree_.label_ids_.reserve(node_count);
-  tree_.label_slots_.reserve(node_count);
-  tree_.raw_.reserve(node_count);
 }
 
 LabeledTreeBuilder::PoolRange LabeledTreeBuilder::Append(
@@ -297,163 +287,6 @@ std::vector<NodeId> LabeledTree::Subtree(NodeId id) const {
     }
   }
   return out;
-}
-
-namespace {
-
-struct Builder {
-  Builder(const TreeBuildOptions& options, uint64_t label_source)
-      : options(options), tree(label_source) {}
-
-  const TreeBuildOptions& options;
-  LabeledTreeBuilder tree;
-  /// False once an AddNode() precondition failed (a hook returned an
-  /// id the tree cannot hold).
-  bool ok = true;
-  /// The default hooks' state: labels interned into an interner that
-  /// lives as long as the build, staged where the returned references
-  /// point.
-  TokenInterner interner;
-  ResolvedLabel tag;
-  std::vector<ResolvedLabel> tokens;
-
-  /// The tag hook, by default lowercasing the tag.
-  const ResolvedLabel& ResolveTag(const std::string& raw_tag) {
-    if (options.resolved_label_transform) {
-      return options.resolved_label_transform(raw_tag);
-    }
-    tag.label = AsciiToLower(raw_tag);
-    tag.id = interner.Intern(tag.label);
-    return tag;
-  }
-
-  /// The value hook, by default splitting on whitespace and
-  /// punctuation and lowercasing.
-  const std::vector<ResolvedLabel>& Tokenize(const std::string& text) {
-    if (options.resolved_value_tokenizer) {
-      return options.resolved_value_tokenizer(text);
-    }
-    tokens.clear();
-    for (const std::string& token :
-         StrSplitAny(text, " \t\r\n.,;:!?()[]{}'\"")) {
-      ResolvedLabel& resolved = tokens.emplace_back();
-      resolved.label = AsciiToLower(token);
-      if (!resolved.label.empty()) {
-        resolved.id = interner.Intern(resolved.label);
-      }
-    }
-    return tokens;
-  }
-
-  NodeId Add(NodeId parent, std::string_view label, uint32_t label_id,
-             TreeNodeKind kind, std::string_view raw) {
-    const NodeId id = tree.AddNode(parent, label, label_id, kind, raw);
-    if (id == kInvalidNode) ok = false;
-    return id;
-  }
-
-  NodeId AddTag(NodeId parent, const std::string& raw_tag,
-                TreeNodeKind kind) {
-    const ResolvedLabel& resolved = ResolveTag(raw_tag);
-    return Add(parent, resolved.label, resolved.id, kind, raw_tag);
-  }
-
-  void AddTokens(NodeId parent, const std::string& text) {
-    if (!options.include_values) return;
-    for (const ResolvedLabel& token : Tokenize(text)) {
-      if (token.label.empty()) continue;
-      Add(parent, token.label, token.id, TreeNodeKind::kToken, token.label);
-    }
-  }
-
-  void AddElement(NodeId parent, const Node& element) {
-    NodeId id = AddTag(parent, element.name(), TreeNodeKind::kElement);
-    if (!ok) return;
-    // Attributes first, sorted by name (paper §3.1).
-    std::vector<const Attribute*> attrs;
-    attrs.reserve(element.attributes().size());
-    for (const Attribute& a : element.attributes()) attrs.push_back(&a);
-    std::sort(attrs.begin(), attrs.end(),
-              [](const Attribute* a, const Attribute* b) {
-                return a->name < b->name;
-              });
-    for (const Attribute* attr : attrs) {
-      NodeId attr_id = AddTag(id, attr->name, TreeNodeKind::kAttribute);
-      AddTokens(attr_id, attr->value);
-    }
-    // Then content: text tokens and sub-elements in document order.
-    for (const auto& child : element.children()) {
-      if (child->is_element()) {
-        AddElement(id, *child);
-      } else if (child->is_text()) {
-        AddTokens(id, child->text());
-      }
-    }
-  }
-};
-
-}  // namespace
-
-namespace {
-
-/// Whitespace-separated chunks in `text` — an upper-ish bound on the
-/// token nodes tokenization will produce (stop words and pure numbers
-/// are dropped later, so this usually over-reserves slightly).
-size_t CountTokenChunks(std::string_view text) {
-  size_t n = 0;
-  bool in_chunk = false;
-  for (char c : text) {
-    bool ws = c == ' ' || c == '\t' || c == '\r' || c == '\n';
-    if (!ws && !in_chunk) ++n;
-    in_chunk = !ws;
-  }
-  return n;
-}
-
-/// Estimate of the labeled-tree size of `element`'s subtree: one node
-/// per element and attribute plus the token chunks of attribute values
-/// and text children, so Reserve() avoids rebucketing node storage on
-/// content-rich documents.
-size_t EstimateTreeNodes(const Node& element) {
-  size_t n = 1 + element.attributes().size();
-  for (const Attribute& attr : element.attributes()) {
-    n += CountTokenChunks(attr.value);
-  }
-  for (const auto& child : element.children()) {
-    if (child->is_element()) {
-      n += EstimateTreeNodes(*child);
-    } else if (child->is_text()) {
-      n += CountTokenChunks(child->text());
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-Result<LabeledTree> BuildLabeledTree(const Node& root_element,
-                                     const TreeBuildOptions& options,
-                                     uint64_t label_source) {
-  if (!root_element.is_element()) {
-    return Status::InvalidArgument(
-        "BuildLabeledTree requires an element node");
-  }
-  Builder builder(options, label_source);
-  builder.tree.Reserve(EstimateTreeNodes(root_element));
-  builder.AddElement(kInvalidNode, root_element);
-  if (!builder.ok) {
-    return Status::Internal("labeled tree construction failed");
-  }
-  return builder.tree.Finish();
-}
-
-Result<LabeledTree> BuildLabeledTree(const Document& doc,
-                                     const TreeBuildOptions& options,
-                                     uint64_t label_source) {
-  if (doc.root() == nullptr) {
-    return Status::InvalidArgument("document has no root element");
-  }
-  return BuildLabeledTree(*doc.root(), options, label_source);
 }
 
 }  // namespace xsdf::xml

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <ranges>
 #include <span>
 #include <string>
@@ -13,7 +12,6 @@
 
 #include "common/flat_id_map.h"
 #include "common/result.h"
-#include "xml/dom.h"
 
 namespace xsdf::xml {
 
@@ -245,9 +243,6 @@ class LabeledTreeBuilder {
   NodeId AddNode(NodeId parent, std::string_view label, uint32_t label_id,
                  TreeNodeKind kind, std::string_view raw = {});
 
-  /// Pre-sizes the node columns.
-  void Reserve(size_t node_count);
-
   bool empty() const { return tree_.empty(); }
   size_t size() const { return tree_.size(); }
 
@@ -267,55 +262,6 @@ class LabeledTreeBuilder {
   /// Per label slot, the last raw text that differed from the label.
   std::vector<PoolRange> last_raw_;
 };
-
-/// A preprocessed node label together with its interned id
-/// (kNoLabelId for a token that normalizes to nothing, which builders
-/// skip).
-struct ResolvedLabel {
-  std::string label;
-  uint32_t id = kNoLabelId;
-};
-
-/// Controls DOM -> LabeledTree conversion.
-struct TreeBuildOptions {
-  /// Include attribute/element text values as token leaf nodes
-  /// (structure-and-content); when false only tags are kept
-  /// (structure-only). See paper §3.1.
-  bool include_values = true;
-
-  /// Maps a raw tag name to its node label and interned id. The
-  /// default lowercases the tag and interns it into a TokenInterner
-  /// local to the build. XSDF's linguistic pre-processing (compound
-  /// splitting, stemming) and core::LabelSpace interning are plugged
-  /// in here by the core pipeline; a memoizing producer answers one
-  /// hash probe per node. The returned reference must stay valid until
-  /// the next call (memo entries outlive the build).
-  std::function<const ResolvedLabel&(const std::string&)>
-      resolved_label_transform;
-
-  /// The same for text values: splits a value into token labels (one
-  /// leaf node each) with their ids, under the same reference-lifetime
-  /// contract. The default splits on whitespace and punctuation,
-  /// lowercases, and interns into the build-local interner. XSDF's
-  /// tokenizer, stop-word filter, and stemmer are plugged in here.
-  std::function<const std::vector<ResolvedLabel>&(const std::string&)>
-      resolved_value_tokenizer;
-};
-
-/// Converts a parsed DOM into the rooted ordered labeled tree of
-/// Definition 1: element nodes in document order, attribute nodes as
-/// children sorted by attribute name before all sub-elements, and text
-/// values tokenized into leaf token nodes. The tree records
-/// `label_source` as its label_source(): the serial of the interner
-/// the hooks resolve ids through (0 for the default hooks).
-Result<LabeledTree> BuildLabeledTree(const Document& doc,
-                                     const TreeBuildOptions& options = {},
-                                     uint64_t label_source = 0);
-
-/// Same, but starting from an element subtree.
-Result<LabeledTree> BuildLabeledTree(const Node& root_element,
-                                     const TreeBuildOptions& options = {},
-                                     uint64_t label_source = 0);
 
 }  // namespace xsdf::xml
 

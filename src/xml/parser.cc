@@ -474,9 +474,9 @@ class ParserT {
 
   Status ParseElement() {
     if (!cursor_.Match("<")) return Error("expected '<'");
-    // The parser, the serializer, the DOM destructor, and the tree
-    // builder all recurse once per nesting level, so the depth cap is
-    // the stack-overflow guard for the whole pipeline.
+    // The parser, the serializer, and the DOM destructor recurse once
+    // per nesting level, so the depth cap is their stack-overflow
+    // guard.
     if (depth_ >= options_.limits.max_depth) {
       return LimitError(StrFormat("element nesting exceeds max_depth (%d)",
                                   options_.limits.max_depth));

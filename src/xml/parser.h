@@ -19,10 +19,10 @@ struct ParseLimits {
   size_t max_input_bytes = 64u << 20;
   /// Maximum element-nesting depth; must be at least 1 (Parse and
   /// StreamParse return InvalidArgument otherwise). The parser,
-  /// serializer, DOM destructor, and LabeledTree builder all recurse
-  /// over the element tree, so this bound protects every downstream
-  /// consumer from stack overflow, not just the parse itself. Raise it
-  /// deliberately and only as far as the stack allows.
+  /// serializer, and DOM destructor recurse over the element tree (the
+  /// labeled-tree builder does not), so this bound protects them from
+  /// stack overflow. Raise it deliberately and only as far as the
+  /// stack allows.
   int max_depth = 256;
   /// Maximum number of attributes on a single element.
   size_t max_attributes_per_element = 1024;

@@ -8,7 +8,7 @@
 
 #include "core/baselines.h"
 #include "core/label_space.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "interned_tree.h"
 #include "wordnet/mini_wordnet.h"
 
@@ -32,7 +32,8 @@ LabelSpace* Labels() {
 }
 
 Result<xml::LabeledTree> ParseTree(const char* xml) {
-  return BuildTreeFromXml(xml, Network(), /*include_values=*/true, Labels());
+  return BuildTreeStreaming(xml, Network(), xml::ParseOptions{},
+                            /*include_values=*/true, Labels());
 }
 
 const char* kMovieDoc =

@@ -11,6 +11,7 @@
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "eval/experiment.h"
 #include "wordnet/mini_wordnet.h"
@@ -131,8 +132,9 @@ TEST_F(CorpusInvariantsTest, WndbRoundTripPreservesDisambiguation) {
     const auto& doc = corpus()[i];
     // Label ids are network-relative, so the second network reads a
     // tree interned through its own label space.
-    auto tree_b = core::BuildTreeFromXml(doc.generated.xml, *via_wndb, true,
-                                         from_files.label_space());
+    auto tree_b = core::BuildTreeStreaming(doc.generated.xml, *via_wndb,
+                                           xml::ParseOptions{}, true,
+                                           from_files.label_space());
     ASSERT_TRUE(tree_b.ok());
     auto a = direct.RunOnTree(doc.tree);
     auto b = from_files.RunOnTree(std::move(tree_b).value());
@@ -170,8 +172,8 @@ TEST_F(CorpusInvariantsTest, SerializerRoundTripsEveryDocument) {
 TEST_F(CorpusInvariantsTest, TreesRebuildIdentically) {
   for (size_t i = 0; i < corpus().size(); i += 5) {
     const auto& doc = corpus()[i];
-    auto rebuilt = core::BuildTreeFromXml(doc.generated.xml, network(),
-                                          true, labels());
+    auto rebuilt = core::BuildTreeStreaming(
+        doc.generated.xml, network(), xml::ParseOptions{}, true, labels());
     ASSERT_TRUE(rebuilt.ok());
     ASSERT_EQ(rebuilt->size(), doc.tree.size()) << doc.generated.name;
     for (size_t n = 0; n < doc.tree.size(); ++n) {

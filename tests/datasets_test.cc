@@ -7,7 +7,7 @@
 #include <set>
 
 #include "core/label_space.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "eval/gold.h"
 #include "wordnet/mini_wordnet.h"
@@ -109,7 +109,8 @@ TEST(DatasetsTest, GoldLabelsAppearInTrees) {
     int present = 0;
     int total = 0;
     for (const GeneratedDocument& doc : docs) {
-      auto tree = core::BuildTreeFromXml(doc.xml, Network(), true, Labels());
+      auto tree = core::BuildTreeStreaming(doc.xml, Network(),
+                                           xml::ParseOptions{}, true, Labels());
       ASSERT_TRUE(tree.ok());
       std::set<std::string> labels;
       for (xml::NodeId id : tree->ids()) labels.emplace(tree->label(id));
@@ -126,8 +127,10 @@ TEST(DatasetsTest, ShakespeareIsLargestAndDeepest) {
   auto shakespeare = AllDatasets()[0]->Generate(11);
   auto club = AllDatasets()[9]->Generate(11);
   auto tree_s =
-      core::BuildTreeFromXml(shakespeare[0].xml, Network(), true, Labels());
-  auto tree_c = core::BuildTreeFromXml(club[0].xml, Network(), true, Labels());
+      core::BuildTreeStreaming(shakespeare[0].xml, Network(),
+                               xml::ParseOptions{}, true, Labels());
+  auto tree_c = core::BuildTreeStreaming(club[0].xml, Network(),
+                                         xml::ParseOptions{}, true, Labels());
   ASSERT_TRUE(tree_s.ok());
   ASSERT_TRUE(tree_c.ok());
   xml::TreeShape shape_s = xml::ComputeTreeShape(*tree_s);
@@ -144,7 +147,8 @@ TEST(DatasetsTest, GroupOneIsMostAmbiguous) {
     double sum = 0.0;
     int nodes = 0;
     for (const auto& doc : docs) {
-      auto tree = core::BuildTreeFromXml(doc.xml, Network(), true, Labels());
+      auto tree = core::BuildTreeStreaming(doc.xml, Network(),
+                                           xml::ParseOptions{}, true, Labels());
       for (xml::NodeId id : tree->ids()) {
         sum += Network().SenseCount(tree->label(id));
         ++nodes;

@@ -6,7 +6,7 @@
 
 #include "core/disambiguator.h"
 #include "core/node_query.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
@@ -50,8 +50,9 @@ const SenseAssignment* FindByLabel(const SemanticTree& result,
 /// `xml` built into a tree `system` reads (interned through its space).
 Result<xml::LabeledTree> TreeFor(const Disambiguator& system,
                                  const char* xml) {
-  return BuildTreeFromXml(xml, Network(), system.options().include_values,
-                          system.label_space());
+  return BuildTreeStreaming(xml, Network(), xml::ParseOptions{},
+                            system.options().include_values,
+                            system.label_space());
 }
 
 std::string AssignedLabel(const SemanticTree& result,
@@ -149,7 +150,8 @@ TEST(DisambiguatorTest, ProcessesProduceDifferentScores) {
   context_options.label_space = &space;
   Disambiguator concept_system(&Network(), concept_options);
   Disambiguator context_system(&Network(), context_options);
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network(), true, &space);
+  auto tree = BuildTreeStreaming(kFigure1Doc1, Network(), xml::ParseOptions{},
+                                 true, &space);
   ASSERT_TRUE(tree.ok());
   // Find the "cast" node.
   xml::NodeId cast = xml::kInvalidNode;
@@ -200,7 +202,8 @@ TEST(DisambiguatorTest, RejectsTreeFromAnotherLabelSpace) {
   for (const char* label : {"aa_one", "aa_two", "aa_three"}) {
     other.Resolve(label);
   }
-  auto foreign = BuildTreeFromXml(doc, Network(), true, &other);
+  auto foreign = BuildTreeStreaming(doc, Network(), xml::ParseOptions{}, true,
+                                    &other);
   ASSERT_TRUE(foreign.ok());
   Disambiguator system(&Network());
   for (const char* label : {"aa_one", "aa_two", "aa_three", "aa_four"}) {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/disambiguator.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "eval/gold.h"
 #include "eval/metrics.h"
 #include "eval/raters.h"
@@ -28,8 +28,8 @@ core::LabelSpace* Labels() {
 }
 
 Result<xml::LabeledTree> ParseTree(const char* xml) {
-  return core::BuildTreeFromXml(xml, Network(), /*include_values=*/true,
-                                Labels());
+  return core::BuildTreeStreaming(xml, Network(), xml::ParseOptions{},
+                                  /*include_values=*/true, Labels());
 }
 
 core::DisambiguatorOptions SharedSpaceOptions() {

@@ -17,7 +17,7 @@
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/scores.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
@@ -159,12 +159,12 @@ TEST(LabelSpaceTest, CandidatesByIdMatchStringEnumeration) {
 
 TEST(LabelSpaceTest, CrossDocumentInterningIsStable) {
   core::LabelSpace space(&Network());
-  auto tree1 = core::BuildTreeFromXml(
+  auto tree1 = core::BuildTreeStreaming(
       "<films><star>Kelly</star><custom_tag>x</custom_tag></films>",
-      Network(), /*include_values=*/true, &space);
-  auto tree2 = core::BuildTreeFromXml(
+      Network(), xml::ParseOptions{}, /*include_values=*/true, &space);
+  auto tree2 = core::BuildTreeStreaming(
       "<catalog><star>Stewart</star><custom_tag>y</custom_tag></catalog>",
-      Network(), /*include_values=*/true, &space);
+      Network(), xml::ParseOptions{}, /*include_values=*/true, &space);
   ASSERT_TRUE(tree1.ok() && tree2.ok());
   EXPECT_EQ(tree1->label_source(), space.serial());
   EXPECT_EQ(tree2->label_source(), space.serial());
@@ -283,7 +283,8 @@ TEST(IdPipelineOracleTest, CandidatesAndScoresMatchStringOracle) {
   const sim::CombinedMeasure measure;  // the oracle's own memo
   size_t scored_nodes = 0;
   for (size_t d = 0; d < docs.size(); ++d) {
-    auto tree = core::BuildTreeFromXml(docs[d], Network(), true, &space);
+    auto tree = core::BuildTreeStreaming(docs[d], Network(),
+                                         xml::ParseOptions{}, true, &space);
     ASSERT_TRUE(tree.ok()) << "doc " << d;
     for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree->size());
          ++id) {

@@ -3,14 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
+#include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 #include "xml/path_query.h"
 
 namespace xsdf::xml {
 namespace {
 
-Document MovieDoc() {
-  auto doc = Parse(R"(<films>
+constexpr const char* kMovieXml = R"(<films>
     <picture title="Rear Window">
       <director>Hitchcock</director>
       <cast><star>Stewart</star><star>Kelly</star></cast>
@@ -19,7 +21,10 @@ Document MovieDoc() {
       <cast><star>Stewart</star></cast>
     </picture>
     <short><star>Cameo</star></short>
-  </films>)");
+  </films>)";
+
+Document MovieDoc() {
+  auto doc = Parse(kMovieXml);
   EXPECT_TRUE(doc.ok());
   return std::move(doc).value();
 }
@@ -127,8 +132,11 @@ TEST(PathQueryTest, DocumentOrderAndNoDuplicates) {
 }
 
 TEST(PathQueryTest, EvaluateOnLabeledTree) {
-  auto doc = MovieDoc();
-  auto tree = BuildLabeledTree(doc);
+  auto network = wordnet::BuildMiniWordNet();
+  ASSERT_TRUE(network.ok());
+  core::LabelSpace space(&*network);
+  auto tree = core::BuildTreeStreaming(kMovieXml, *network, ParseOptions{},
+                                       /*include_values=*/true, &space);
   ASSERT_TRUE(tree.ok());
   auto query = PathQuery::Parse("//star");
   ASSERT_TRUE(query.ok());
@@ -138,6 +146,10 @@ TEST(PathQueryTest, EvaluateOnLabeledTree) {
     EXPECT_EQ(tree->label(id), "star");
     EXPECT_EQ(tree->kind(id), TreeNodeKind::kElement);
   }
+  // Labels are preprocessed: "films" is matched by its stem.
+  auto stemmed = PathQuery::Parse("/film/picture/cast/star");
+  ASSERT_TRUE(stemmed.ok());
+  EXPECT_EQ(stemmed->Evaluate(*tree).size(), 3u);
 }
 
 class MalformedQueryTest : public ::testing::TestWithParam<const char*> {};

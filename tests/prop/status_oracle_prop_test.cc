@@ -10,14 +10,24 @@
 
 #include <string>
 
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "prop/generators.h"
+#include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
-#include "xml/labeled_tree.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xsdf {
 namespace {
+
+const wordnet::SemanticNetwork& Network() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto built = wordnet::BuildMiniWordNet();
+    return new wordnet::SemanticNetwork(std::move(built).value());
+  }();
+  return *network;
+}
 
 /// Tight limits so the oracle exercises the limit paths often.
 xml::ParseOptions TightXmlOptions() {
@@ -32,6 +42,7 @@ xml::ParseOptions TightXmlOptions() {
 
 TEST(StatusOracleProp, MutatedXmlNeverCrashesAndAcceptedInputIsStable) {
   Rng rng(0x0bac1e01);
+  core::LabelSpace space(&Network());
   int accepted = 0;
   int rejected = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -56,11 +67,10 @@ TEST(StatusOracleProp, MutatedXmlNeverCrashesAndAcceptedInputIsStable) {
         << ": accepted input whose serialization is rejected: "
         << reparsed.status().ToString() << "\nserialized:\n"
         << serialized;
-    if (doc->root() != nullptr) {
-      auto tree = xml::BuildLabeledTree(*doc);
-      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-      ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
-    }
+    auto tree = core::BuildTreeStreaming(text, Network(), TightXmlOptions(),
+                                         /*include_values=*/true, &space);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   }
   // Mutation leaves some documents well-formed and breaks others; both
   // sides of the oracle must actually have been exercised.

@@ -8,13 +8,23 @@
 
 #include <string>
 
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "prop/generators.h"
-#include "xml/labeled_tree.h"
+#include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xsdf {
 namespace {
+
+const wordnet::SemanticNetwork& Network() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto built = wordnet::BuildMiniWordNet();
+    return new wordnet::SemanticNetwork(std::move(built).value());
+  }();
+  return *network;
+}
 
 /// Options under which the round trip is an exact fixed point: keep
 /// whitespace-only text (the generator emits it as real content), drop
@@ -76,11 +86,11 @@ TEST(XmlRoundTripProp, GeneratedDocumentsSurviveDefaultOptionsToo) {
 
 TEST(XmlRoundTripProp, LabeledTreesValidateOnGeneratedDocuments) {
   Rng rng(0x5eed0003);
+  core::LabelSpace space(&Network());
   for (int i = 0; i < 200; ++i) {
     std::string text = propgen::GenerateXmlDocument(rng);
-    auto doc = xml::Parse(text);
-    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-    auto tree = xml::BuildLabeledTree(*doc);
+    auto tree = core::BuildTreeStreaming(text, Network(), xml::ParseOptions{},
+                                         /*include_values=*/true, &space);
     ASSERT_TRUE(tree.ok()) << "doc " << i << ": "
                            << tree.status().ToString();
     Status audit = tree->Validate();

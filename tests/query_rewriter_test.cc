@@ -7,7 +7,7 @@
 #include <algorithm>
 
 #include "core/query_rewriter.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
@@ -59,10 +59,9 @@ TEST(QueryRewriterTest, CrossSchemaRetrieval) {
   // The headline scenario: a query written against Figure 1's first
   // schema retrieves from the second schema only after rewriting.
   auto docs = datasets::Figure1Documents();
-  auto doc_b = xml::Parse(docs[1].xml);
-  ASSERT_TRUE(doc_b.ok());
   LabelSpace space(&Network());
-  auto tree_b = BuildTree(*doc_b, Network(), true, &space);
+  auto tree_b = BuildTreeStreaming(docs[1].xml, Network(), xml::ParseOptions{},
+                                   true, &space);
   ASSERT_TRUE(tree_b.ok());
 
   const std::string original = "//picture";

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datasets/generator.h"
@@ -347,6 +348,79 @@ TEST(ServeTest, ExplainNodeIdPastTheTreeIsNotFound) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response->status, 404) << node << ": " << response->body;
   }
+}
+
+/// `<cast>` nested `depth` elements deep around one `<star>` leaf.
+std::string NestedCast(int depth) {
+  std::string xml;
+  for (int d = 1; d < depth; ++d) xml += "<cast>";
+  xml += "<star>Kelly</star>";
+  for (int d = 1; d < depth; ++d) xml += "</cast>";
+  return xml;
+}
+
+/// POSTs `xml` to /disambiguate and to /explain?node=star on a daemon
+/// parsing under `limits`, and returns the two responses.
+std::pair<ClientResponse, ClientResponse> DisambiguateAndExplain(
+    const xml::ParseLimits& limits, const std::string& xml) {
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  options.engine.parse_limits = limits;
+  Server server(options);
+  EXPECT_TRUE(server.InstallLexicon(MiniNetwork(), "mini").ok());
+  EXPECT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+  auto disambiguated = HttpCall(kHost, server.port(), "POST",
+                                "/disambiguate", {}, xml, kClientTimeoutMs);
+  auto explained = HttpCall(kHost, server.port(), "POST",
+                            "/explain?node=star", {}, xml, kClientTimeoutMs);
+  EXPECT_TRUE(disambiguated.ok()) << disambiguated.status().ToString();
+  EXPECT_TRUE(explained.ok()) << explained.status().ToString();
+  if (!disambiguated.ok() || !explained.ok()) return {};
+  return {std::move(disambiguated).value(), std::move(explained).value()};
+}
+
+// /explain parses under the daemon's limits, as /disambiguate does: a
+// lowered max_depth rejects a document the default cap accepts.
+TEST(ServeTest, ExplainAppliesALoweredMaxDepth) {
+  xml::ParseLimits limits;
+  limits.max_depth = 8;
+  auto [disambiguated, explained] =
+      DisambiguateAndExplain(limits, NestedCast(20));
+  EXPECT_EQ(disambiguated.status, 400);
+  EXPECT_EQ(explained.status, 400) << explained.body;
+  EXPECT_NE(disambiguated.body.find("max_depth (8)"), std::string::npos)
+      << disambiguated.body;
+  EXPECT_EQ(explained.body, disambiguated.body);
+}
+
+// A raised max_depth accepts a document the default cap (256) rejects,
+// on both endpoints.
+TEST(ServeTest, ExplainAppliesARaisedMaxDepth) {
+  xml::ParseLimits limits;
+  limits.max_depth = 600;
+  auto [disambiguated, explained] =
+      DisambiguateAndExplain(limits, NestedCast(300));
+  EXPECT_EQ(disambiguated.status, 200) << disambiguated.body;
+  EXPECT_EQ(explained.status, 200) << explained.body;
+  EXPECT_NE(explained.body.find("\"chosen\""), std::string::npos)
+      << explained.body;
+}
+
+// An input over max_input_bytes is rejected by both endpoints.
+TEST(ServeTest, ExplainAppliesMaxInputBytes) {
+  xml::ParseLimits limits;
+  limits.max_input_bytes = 64;
+  const std::string xml = NestedCast(10);
+  ASSERT_GT(xml.size(), 64u);
+  auto [disambiguated, explained] = DisambiguateAndExplain(limits, xml);
+  EXPECT_EQ(disambiguated.status, 400);
+  EXPECT_EQ(explained.status, 400) << explained.body;
+  EXPECT_NE(disambiguated.body.find("max_input_bytes (64)"),
+            std::string::npos)
+      << disambiguated.body;
+  EXPECT_EQ(explained.body, disambiguated.body);
 }
 
 /// The concept_id of every <node> element of a /disambiguate body, in

@@ -1,12 +1,12 @@
-// Streaming front-end identity tests: the fused one-pass parse + tree
-// build (core::BuildTreeStreaming) must be indistinguishable from the
-// two-pass DOM reference (xml::Parse + core::BuildTree) — same nodes,
-// same labels, same interned ids — over arbitrary generated documents;
-// the engine must produce byte-identical batch output to the DOM-based
-// library path (Disambiguator::RunOnXml) at any worker count; and the
-// intra-document subtree work stealing must never change a byte.
-// Malformed, truncated, and over-budget giant inputs must fail with a
-// Status, never a crash.
+// Streaming front-end identity tests: the production front end
+// (core::BuildTreeStreaming) must be indistinguishable from the DOM
+// reference (xml::Parse + the oracles::BuildTreeViaDom walk) — same
+// nodes, same labels, same interned ids — over arbitrary generated
+// documents; the engine must produce byte-identical batch output to
+// that reference disambiguated by Disambiguator::RunOnTree at any
+// worker count; and the intra-document subtree work stealing must
+// never change a byte. Malformed, truncated, and over-budget giant
+// inputs must fail with a Status, never a crash.
 // Over the same generated corpus, the id-native target selection must
 // agree with the string reference.
 
@@ -25,6 +25,7 @@
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "obs/metrics.h"
+#include "oracles/dom_tree_builder.h"
 #include "prop/generators.h"
 #include "runtime/engine.h"
 #include "wordnet/mini_wordnet.h"
@@ -85,9 +86,10 @@ const std::vector<std::string>& PropgenCorpus() {
 
 // The core identity property, driven over 500 generated documents:
 // for every well-formed input, BuildTreeStreaming produces exactly the
-// tree that Parse + BuildTree produces — same preorder, same labels,
-// same raws, same kinds, and (under independent LabelSpaces) the same
-// interned ids, which proves the interning order is reproduced too.
+// tree the DOM walk reads off Parse's document — same preorder, same
+// labels, same raws, same kinds, and (under independent LabelSpaces)
+// the same interned ids, which proves the interning order is
+// reproduced too.
 TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
   int skipped = 0;
   for (int i = 0; i < 500; ++i) {
@@ -97,9 +99,9 @@ TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
 
     core::LabelSpace dom_space(&Network());
     core::TreeBuildCache dom_cache;
-    auto dom_tree = core::BuildTree(*doc, Network(),
-                                    /*include_values=*/true, &dom_space,
-                                    &dom_cache);
+    auto dom_tree = oracles::BuildTreeViaDom(*doc, Network(),
+                                             /*include_values=*/true,
+                                             &dom_space, &dom_cache);
 
     core::LabelSpace streaming_space(&Network());
     core::TreeBuildCache streaming_cache;
@@ -134,8 +136,9 @@ TEST(StreamingBuilderTest, MatchesDomBuildWithoutValues) {
     auto doc = xml::Parse(xml_text);
     ASSERT_TRUE(doc.ok());
     core::LabelSpace dom_space(&Network());
-    auto dom_tree = core::BuildTree(*doc, Network(),
-                                    /*include_values=*/false, &dom_space);
+    auto dom_tree = oracles::BuildTreeViaDom(*doc, Network(),
+                                             /*include_values=*/false,
+                                             &dom_space);
     core::LabelSpace streaming_space(&Network());
     auto streaming_tree = core::BuildTreeStreaming(
         xml_text, Network(), xml::ParseOptions{}, /*include_values=*/false,
@@ -205,13 +208,6 @@ TEST(StreamingBuilderTest, ScaffoldingStaysSmall) {
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-// Id-native target selection must be the string reference in disguise:
-// Disambiguator::SelectTargets picks exactly SelectTargetNodes' nodes,
-// and every target's assignment.ambiguity is bit-equal to
-// AmbiguityDegree() — under default and non-default weights and
-// thresholds, over the generated corpus (whose suffixed tags make
-// out-of-vocabulary compound labels, i.e. overflow ids) plus one giant
-// document.
 // A resident worker's whole-value memo stays bounded: fed distinct
 // values past TreeBuildCache::kMaxValues it is cleared, and a tree built
 // through the cleared cache equals, ids included, one built through a
@@ -246,6 +242,13 @@ TEST(StreamingBuilderTest, WholeValueMemoStaysBounded) {
   ExpectTreesIdentical(*fresh, *after_clear, "after the value memo cleared");
 }
 
+// Id-native target selection must be the string reference in disguise:
+// Disambiguator::SelectTargets picks exactly SelectTargetNodes' nodes,
+// and every target's assignment.ambiguity is bit-equal to
+// AmbiguityDegree() — under default and non-default weights and
+// thresholds, over the generated corpus (whose suffixed tags make
+// out-of-vocabulary compound labels, i.e. overflow ids) plus one giant
+// document.
 TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
   std::vector<std::string> docs = PropgenCorpus();
   docs.push_back(datasets::GiantDocuments(1, 256u << 10, 2)[0].xml);
@@ -277,7 +280,7 @@ TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
                                   std::to_string(config.threshold);
       auto doc = xml::Parse(docs[i]);
       ASSERT_TRUE(doc.ok()) << context;
-      auto tree = core::BuildTree(*doc, Network(), true, &space);
+      auto tree = oracles::BuildTreeViaDom(*doc, Network(), true, &space);
       if (!tree.ok()) continue;
 
       const std::vector<xml::NodeId> expected = core::SelectTargetNodes(
@@ -323,15 +326,20 @@ std::vector<std::string> RunEngine(const runtime::EngineOptions& options,
 }
 
 // Batch output must be byte-identical at every worker count to the
-// DOM-based library path: xml::Parse + core::BuildTree + RunOnTree,
-// serialized, is the bit-identity reference for the engine's
-// streaming front end.
+// DOM reference: xml::Parse + the oracle walk + RunOnTree, serialized,
+// is the bit-identity reference for the engine's streaming front end.
 TEST(StreamingEngineTest, EngineMatchesDomLibraryPathAtAnyWorkerCount) {
   std::vector<runtime::DocumentJob> jobs = CorpusJobs();
   const core::Disambiguator disambiguator(&Network());
   std::vector<std::string> reference;
   for (const runtime::DocumentJob& job : jobs) {
-    auto semantic_tree = disambiguator.RunOnXml(job.xml);
+    auto doc = xml::Parse(job.xml);
+    ASSERT_TRUE(doc.ok()) << job.name;
+    auto tree = oracles::BuildTreeViaDom(*doc, Network(),
+                                         /*include_values=*/true,
+                                         disambiguator.label_space());
+    ASSERT_TRUE(tree.ok()) << job.name;
+    auto semantic_tree = disambiguator.RunOnTree(std::move(tree).value());
     ASSERT_TRUE(semantic_tree.ok()) << job.name;
     reference.push_back(core::SemanticTreeToXml(*semantic_tree, Network()));
   }

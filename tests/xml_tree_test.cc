@@ -1,10 +1,13 @@
 // Unit tests for the rooted ordered labeled tree (paper Definition 1):
-// construction from DOM, preorder ids, attribute ordering, distances,
-// rings, root paths, subtrees, and shape statistics.
+// construction by the front end, preorder ids, attribute ordering,
+// distances, rings, root paths, subtrees, and shape statistics.
 
 #include <gtest/gtest.h>
 
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "interned_tree.h"
+#include "wordnet/mini_wordnet.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
 #include "xml/tree_stats.h"
@@ -141,45 +144,62 @@ TEST(LabeledTreeTest, ValidateAuditsTheIdLabelBijection) {
   EXPECT_FALSE(split_label.Finish().Validate().ok());
 }
 
-TEST(BuildLabeledTreeTest, FromDocument) {
-  auto doc = Parse("<films><picture><cast><star>Stewart</star>"
-                   "<star>Kelly</star></cast><plot>spies</plot>"
-                   "</picture></films>");
-  ASSERT_TRUE(doc.ok());
-  auto tree = BuildLabeledTree(*doc);
+const wordnet::SemanticNetwork& Network() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto built = wordnet::BuildMiniWordNet();
+    return new wordnet::SemanticNetwork(std::move(built).value());
+  }();
+  return *network;
+}
+
+Result<LabeledTree> Build(const std::string& xml, core::LabelSpace* space,
+                          bool include_values = true) {
+  return core::BuildTreeStreaming(xml, Network(), ParseOptions{},
+                                  include_values, space);
+}
+
+TEST(BuildTreeStreamingTest, FromDocument) {
+  core::LabelSpace space(&Network());
+  auto tree = Build("<films><picture><cast><star>Stewart</star>"
+                    "<star>Kelly</star></cast><plot>spies</plot>"
+                    "</picture></films>",
+                    &space);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 9u);  // 6 elements + 3 value tokens
-  EXPECT_EQ(tree->label(0), "films");
+  EXPECT_EQ(tree->label(0), "film");  // stemmed against the lexicon
+  EXPECT_EQ(tree->raw(0), "films");
   EXPECT_EQ(tree->kind(0), TreeNodeKind::kElement);
-  // The default hooks intern into a build-local interner, so ids
-  // follow first sight and record no label source.
+  // Ids come from the label space, which the tree records.
   EXPECT_TRUE(tree->Validate().ok());
-  EXPECT_EQ(tree->label_id(0), 0u);
+  EXPECT_EQ(tree->label_id(0), space.Find("film"));
   EXPECT_EQ(tree->label_id(3), tree->label_id(5));  // both "star"
-  EXPECT_EQ(tree->label_source(), 0u);
+  EXPECT_EQ(tree->label_source(), space.serial());
 }
 
-TEST(BuildLabeledTreeTest, AttributesSortedBeforeElements) {
-  auto doc = Parse("<m zeta=\"z\" alpha=\"a\"><child/></m>");
-  ASSERT_TRUE(doc.ok());
-  auto tree = BuildLabeledTree(*doc);
+TEST(BuildTreeStreamingTest, AttributesSortedBeforeElements) {
+  core::LabelSpace space(&Network());
+  auto tree = Build("<m zeta=\"zebra\" alpha=\"apple\"><child/></m>",
+                    &space);
   ASSERT_TRUE(tree.ok());
-  // Order: m(0), alpha(1), a(2 token), zeta(3), z(4 token), child(5).
+  // Order: m(0), alpha(1), apple(2 token), zeta(3), zebra(4 token),
+  // child(5).
+  ASSERT_EQ(tree->size(), 6u);
   EXPECT_EQ(tree->label(1), "alpha");
   EXPECT_EQ(tree->kind(1), TreeNodeKind::kAttribute);
-  EXPECT_EQ(tree->label(2), "a");
+  EXPECT_EQ(tree->label(2), "apple");
   EXPECT_EQ(tree->kind(2), TreeNodeKind::kToken);
+  EXPECT_EQ(tree->parent(2), 1);
   EXPECT_EQ(tree->label(3), "zeta");
+  EXPECT_EQ(tree->label(4), "zebra");
   EXPECT_EQ(tree->label(5), "child");
   EXPECT_EQ(tree->kind(5), TreeNodeKind::kElement);
+  EXPECT_EQ(tree->parent(5), 0);
 }
 
-TEST(BuildLabeledTreeTest, StructureOnlySkipsValues) {
-  auto doc = Parse("<m year=\"1954\"><name>Rear Window</name></m>");
-  ASSERT_TRUE(doc.ok());
-  TreeBuildOptions options;
-  options.include_values = false;
-  auto tree = BuildLabeledTree(*doc, options);
+TEST(BuildTreeStreamingTest, StructureOnlySkipsValues) {
+  core::LabelSpace space(&Network());
+  auto tree = Build("<m year=\"1954\"><name>Rear Window</name></m>", &space,
+                    /*include_values=*/false);
   ASSERT_TRUE(tree.ok());
   for (xml::NodeId id : tree->ids()) {
     EXPECT_NE(tree->kind(id), TreeNodeKind::kToken);
@@ -187,47 +207,12 @@ TEST(BuildLabeledTreeTest, StructureOnlySkipsValues) {
   EXPECT_EQ(tree->size(), 3u);  // m, year, name
 }
 
-TEST(BuildLabeledTreeTest, DefaultTokenizerLowercasesAndSplits) {
-  auto doc = Parse("<plot>A Wheelchair-bound PHOTOGRAPHER</plot>");
-  ASSERT_TRUE(doc.ok());
-  auto tree = BuildLabeledTree(*doc);
-  ASSERT_TRUE(tree.ok());
-  std::vector<std::string> tokens;
-  for (xml::NodeId id : tree->ids()) {
-    if (tree->kind(id) == TreeNodeKind::kToken) {
-      tokens.emplace_back(tree->label(id));
-    }
-  }
-  EXPECT_EQ(tokens, (std::vector<std::string>{"a", "wheelchair-bound",
-                                              "photographer"}));
-}
-
-TEST(BuildLabeledTreeTest, CustomCallbacks) {
-  auto doc = Parse("<A>x y</A>");
-  ASSERT_TRUE(doc.ok());
-  TreeBuildOptions options;
-  ResolvedLabel tag;
-  options.resolved_label_transform =
-      [&tag](const std::string& raw) -> const ResolvedLabel& {
-    tag = {"tag_" + raw, 7};
-    return tag;
-  };
-  const std::vector<ResolvedLabel> tokens = {{"fixed", 9}};
-  options.resolved_value_tokenizer =
-      [&tokens](const std::string&) -> const std::vector<ResolvedLabel>& {
-    return tokens;
-  };
-  auto tree = BuildLabeledTree(*doc, options);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->label(0), "tag_A");
-  EXPECT_EQ(tree->label_id(0), 7u);
-  EXPECT_EQ(tree->label(1), "fixed");
-  EXPECT_EQ(tree->label_id(1), 9u);
-}
-
-TEST(BuildLabeledTreeTest, RejectsEmptyDocument) {
-  Document doc;
-  EXPECT_FALSE(BuildLabeledTree(doc).ok());
+TEST(BuildTreeStreamingTest, RejectsEmptyDocument) {
+  core::LabelSpace space(&Network());
+  EXPECT_FALSE(Build("", &space).ok());
+  EXPECT_FALSE(Build("<?xml version=\"1.0\"?>", &space).ok());
+  EXPECT_EQ(Build("<a/>", nullptr).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TreeStatsTest, ComputeTreeShape) {

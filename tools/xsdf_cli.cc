@@ -36,6 +36,7 @@
 #include "core/ambiguity.h"
 #include "core/disambiguator.h"
 #include "core/node_query.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "obs/json_writer.h"
@@ -235,6 +236,16 @@ bool ParseMeasuresValue(const std::vector<std::string>& args, size_t* i,
   return true;
 }
 
+/// The bytes of the file at `path`, or IoError "cannot open file:
+/// <path>" when it cannot be opened.
+xsdf::Result<std::string> ReadTextFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return xsdf::Status::IoError("cannot open file: " + path);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
 bool WriteTextFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -247,15 +258,15 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
 
 int CmdDisambiguate(const SemanticNetwork& network, const char* path,
                     int radius) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto xml = ReadTextFile(path);
+  if (!xml.ok()) {
+    std::fprintf(stderr, "%s\n", xml.status().ToString().c_str());
     return 1;
   }
   xsdf::core::DisambiguatorOptions options;
   options.sphere_radius = radius;
   xsdf::core::Disambiguator system(&network, options);
-  auto result = system.Run(*doc);
+  auto result = system.RunOnXml(*xml);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -361,14 +372,12 @@ int CmdBatch(const SemanticNetwork& network,
   std::vector<xsdf::runtime::DocumentJob> jobs;
   jobs.reserve(paths.size());
   for (const std::string& path : paths) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
+    auto content = ReadTextFile(path);
+    if (!content.ok()) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return 1;
     }
-    std::ostringstream content;
-    content << file.rdbuf();
-    jobs.push_back({0, path, content.str()});
+    jobs.push_back({0, path, std::move(content).value()});
   }
 
   // The sinks exist only when requested, so a plain batch run keeps
@@ -463,9 +472,9 @@ int CmdExplain(const SemanticNetwork& network,
   }
   if (file.empty() || query.empty() || radius < 1) return Usage();
 
-  auto doc = xsdf::xml::ParseFile(file.c_str());
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto xml = ReadTextFile(file);
+  if (!xml.ok()) {
+    std::fprintf(stderr, "%s\n", xml.status().ToString().c_str());
     return 1;
   }
   // Same options as `xsdf batch` (the caches only move memoized values
@@ -476,8 +485,9 @@ int CmdExplain(const SemanticNetwork& network,
   options.sphere_radius = radius;
   options.measure_config = measures;
   xsdf::core::Disambiguator system(&network, options);
-  auto tree = xsdf::core::BuildTree(*doc, network, options.include_values,
-                                    system.label_space());
+  auto tree = xsdf::core::BuildTreeStreaming(
+      *xml, network, xsdf::xml::ParseOptions{}, options.include_values,
+      system.label_space());
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
@@ -599,14 +609,16 @@ int CmdGenCorpus(const std::vector<std::string>& args) {
 }
 
 int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto xml = ReadTextFile(path);
+  if (!xml.ok()) {
+    std::fprintf(stderr, "%s\n", xml.status().ToString().c_str());
     return 1;
   }
   xsdf::core::LabelSpace label_space(&network);
-  auto tree = xsdf::core::BuildTree(*doc, network, /*include_values=*/true,
-                                    &label_space);
+  auto tree = xsdf::core::BuildTreeStreaming(*xml, network,
+                                             xsdf::xml::ParseOptions{},
+                                             /*include_values=*/true,
+                                             &label_space);
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
@@ -657,13 +669,13 @@ int CmdQuery(const char* path, const char* query_text) {
 
 int CmdExpand(const SemanticNetwork& network, const char* keyword,
               const char* path) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto xml = ReadTextFile(path);
+  if (!xml.ok()) {
+    std::fprintf(stderr, "%s\n", xml.status().ToString().c_str());
     return 1;
   }
   xsdf::core::Disambiguator system(&network);
-  auto result = system.Run(*doc);
+  auto result = system.RunOnXml(*xml);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -968,10 +980,7 @@ int CmdLoadgen(const std::vector<std::string>& args) {
     }
     std::sort(paths.begin(), paths.end());
     for (const auto& path : paths) {
-      std::ifstream file(path, std::ios::binary);
-      std::ostringstream content;
-      content << file.rdbuf();
-      bodies.push_back(content.str());
+      bodies.push_back(ReadTextFile(path.string()).value_or(""));
       names.push_back(path.string());
     }
     if (bodies.empty()) {
@@ -979,14 +988,12 @@ int CmdLoadgen(const std::vector<std::string>& args) {
       return 1;
     }
   } else {
-    std::ifstream file(input, std::ios::binary);
-    if (!file) {
+    auto content = ReadTextFile(input);
+    if (!content.ok()) {
       std::fprintf(stderr, "cannot open %s\n", input.c_str());
       return 1;
     }
-    std::ostringstream content;
-    content << file.rdbuf();
-    bodies.push_back(content.str());
+    bodies.push_back(std::move(content).value());
     names.push_back(input);
   }
 
@@ -1137,15 +1144,7 @@ int CmdLoadgen(const std::vector<std::string>& args) {
     // Merge into an existing JSON object file (e.g. BENCH_serve.json,
     // whose writer we control) by replacing its final '}' with our
     // keyed section; otherwise write a fresh single-key object.
-    std::string existing;
-    {
-      std::ifstream in(json_out, std::ios::binary);
-      if (in) {
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        existing = buffer.str();
-      }
-    }
+    std::string existing = ReadTextFile(json_out).value_or("");
     while (!existing.empty() &&
            (existing.back() == '\n' || existing.back() == ' ')) {
       existing.pop_back();
@@ -1219,13 +1218,11 @@ int CmdClient(const std::vector<std::string>& args) {
     for (;;) {
       size_t index = next.fetch_add(1);
       if (index >= paths.size()) return;
-      std::ifstream file(paths[index], std::ios::binary);
-      if (!file) {
+      auto content = ReadTextFile(paths[index]);
+      if (!content.ok()) {
         errors[index] = "cannot open file";
         continue;
       }
-      std::ostringstream content;
-      content << file.rdbuf();
       std::vector<std::pair<std::string, std::string>> headers = {
           {"X-Xsdf-Doc-Name", paths[index]}};
       if (deadline_ms > 0) {
@@ -1236,7 +1233,7 @@ int CmdClient(const std::vector<std::string>& args) {
       for (;;) {
         auto response = xsdf::serve::HttpCall(host, port, "POST",
                                               "/disambiguate", headers,
-                                              content.str(), 60000);
+                                              *content, 60000);
         if (!response.ok()) {
           errors[index] = response.status().ToString();
           break;

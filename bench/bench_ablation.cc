@@ -118,7 +118,7 @@ int main() {
     long targets = 0;
     for (const auto& doc : *corpus) {
       targets += static_cast<long>(
-          xsdf::core::SelectTargetNodes(doc.tree, *network, threshold)
+          xsdf::core::SelectTargetNodes(doc.tree, labels, threshold)
               .size());
     }
     std::printf("%-10.2f %-10ld %-8.3f %-8.3f %-8.3f %-8.2f\n", threshold,

@@ -56,8 +56,8 @@ int main() {
     options.label_space = &labels;
     options.sphere_radius = kOptimalRadius[group];
     xsdf::core::Disambiguator xsdf_system(&*network, options);
-    xsdf::core::RpdBaseline rpd(&*network);
-    xsdf::core::VsdBaseline vsd(&*network);
+    xsdf::core::RpdBaseline rpd(&labels);
+    xsdf::core::VsdBaseline vsd(&labels);
     std::vector<xsdf::eval::PrfScores> px, pr, pv;
     for (const auto& doc : *corpus) {
       if (doc.dataset.group != group) continue;

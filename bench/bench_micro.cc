@@ -129,7 +129,8 @@ void BM_AmbiguityDegree(benchmark::State& state) {
   for (auto _ : state) {
     double total = 0.0;
     for (xsdf::xml::NodeId id : tree.ids()) {
-      total += xsdf::core::AmbiguityDegree(tree, id, Network());
+      total += xsdf::core::AmbiguityDegree(
+          tree, id, Space().Senses(tree.label_id(id)).polysemy);
     }
     benchmark::DoNotOptimize(total);
   }

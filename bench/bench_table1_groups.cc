@@ -25,7 +25,7 @@ int main() {
               "structure.\n");
   std::printf("%-8s %-6s %-12s %-12s\n", "Group", "Docs", "Amb_Deg",
               "Struct_Deg");
-  for (const auto& row : xsdf::eval::ComputeTable1(*corpus, *network)) {
+  for (const auto& row : xsdf::eval::ComputeTable1(*corpus, &labels)) {
     std::printf("%-8d %-6d %-12.4f %-12.4f\n", row.group, row.documents,
                 row.avg_ambiguity, row.avg_structure);
   }

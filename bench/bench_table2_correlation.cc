@@ -23,7 +23,7 @@ int main() {
               "Group", "Test#1 all", "Test#2 poly", "Test#3 depth",
               "Test#4 dens", "Nodes");
   int total_nodes = 0;
-  for (const auto& row : xsdf::eval::ComputeTable2(*corpus, *network)) {
+  for (const auto& row : xsdf::eval::ComputeTable2(*corpus, &labels)) {
     std::printf("%-9d %-6d %+-12.3f %+-12.3f %+-12.3f %+-12.3f %-6d\n",
                 row.dataset_id, row.group, row.all_factors, row.polysemy,
                 row.depth, row.density, row.rated_nodes);

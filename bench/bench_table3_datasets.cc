@@ -21,7 +21,7 @@ int main() {
   std::printf("%-3s %-22s %-3s %-5s %-8s %-11s %-9s %-9s %-9s\n", "Ds",
               "Grammar", "Grp", "Docs", "AvgNode",
               "Polysemy", "Depth", "Fan-out", "Density");
-  for (const auto& row : xsdf::eval::ComputeTable3(*corpus, *network)) {
+  for (const auto& row : xsdf::eval::ComputeTable3(*corpus, &labels)) {
     std::printf(
         "%-3d %-22s %-3d %-5d %-8.1f %5.2f/%-4d %4.2f/%-4d %4.2f/%-4d "
         "%4.2f/%-4d\n",

@@ -39,7 +39,7 @@ int main() {
       disambiguates_content = true;
     }
   }
-  xsdf::core::RpdBaseline rpd(&*network);
+  xsdf::core::RpdBaseline rpd(xsdf_system.label_space());
   auto rpd_result = rpd.RunOnTree(*tree);
   bool rpd_content = false;
   for (const auto& [id, assignment] : rpd_result->assignments) {

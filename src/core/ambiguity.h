@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "wordnet/semantic_network.h"
+#include "core/label_space.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::core {
@@ -16,12 +16,6 @@ struct AmbiguityWeights {
   double density = 1.0;   ///< w_Density
 };
 
-/// Amb_Polysemy(x.l, SN) of Eq. 1: (senses-1) / (Max(senses(SN))-1).
-/// Unknown labels have 0 senses and score 0. Compound labels average
-/// their tokens' polysemy factors (the Definition 3 special case).
-double AmbiguityPolysemy(const wordnet::SemanticNetwork& network,
-                         const std::string& label);
-
 /// Amb_Depth(x, T) of Eq. 2: 1 - depth(x) / Max(depth(T)).
 double AmbiguityDepth(const xml::LabeledTree& tree, xml::NodeId id);
 
@@ -29,41 +23,34 @@ double AmbiguityDepth(const xml::LabeledTree& tree, xml::NodeId id);
 /// density is the number of children with distinct labels.
 double AmbiguityDensity(const xml::LabeledTree& tree, xml::NodeId id);
 
-/// Amb_Deg(x, T, SN) of Eq. 4 — the full ambiguity degree in [0, 1]:
+/// Amb_Deg(x, T, SN) of Eq. 4 — the full ambiguity degree in [0, 1] of
+/// node `id`, given its label's Amb_Polysemy (`polysemy`, the
+/// LabelSenses::polysemy of the node's label id):
 ///
 ///              w_P * Amb_Polysemy
 ///   ---------------------------------------------------
 ///   w_Dep * (1 - Amb_Depth) + w_Den * (1 - Amb_Density) + 1
 ///
 /// Monolysemous labels score 0 (Assumption 4); compound labels average
-/// their token degrees.
+/// their token polysemies.
 double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
-                       const wordnet::SemanticNetwork& network,
+                       double polysemy,
                        const AmbiguityWeights& weights = {});
-
-/// Amb_Deg of node `id` given its label's Amb_Polysemy (`polysemy`, as
-/// AmbiguityPolysemy() computes it): the structural half of Eq. 4.
-/// AmbiguityDegree() is exactly this applied to AmbiguityPolysemy() of
-/// the node's label; the id pipeline passes the value LabelSpace
-/// memoizes per label id, so both paths produce the same doubles.
-double AmbiguityDegreeWithPolysemy(const xml::LabeledTree& tree,
-                                   xml::NodeId id, double polysemy,
-                                   const AmbiguityWeights& weights = {});
 
 /// Average Amb_Deg over all nodes of the tree — the per-document
 /// ambiguity feature used to assign documents to Table 1 groups.
+/// `space` is the LabelSpace the tree was built through.
 double AverageAmbiguityDegree(const xml::LabeledTree& tree,
-                              const wordnet::SemanticNetwork& network,
+                              LabelSpace& space,
                               const AmbiguityWeights& weights = {});
 
 /// Nodes whose Amb_Deg >= threshold — the disambiguation targets
-/// (paper §3.3). A threshold of 0 selects every node whose label has
-/// at least one sense in the network. The string-keyed reference for
-/// Disambiguator::SelectTargets(), which selects the same nodes from
-/// the per-label-id memo.
+/// (paper §3.3), in id order. A threshold of 0 selects every node whose
+/// label has at least one sense in the network. `space` is the
+/// LabelSpace the tree was built through.
 std::vector<xml::NodeId> SelectTargetNodes(
-    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
-    double threshold, const AmbiguityWeights& weights = {});
+    const xml::LabeledTree& tree, LabelSpace& space, double threshold,
+    const AmbiguityWeights& weights = {});
 
 }  // namespace xsdf::core
 

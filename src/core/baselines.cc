@@ -2,27 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <span>
+#include <vector>
 
-#include "core/tree_builder.h"
+#include "common/check.h"
 
 namespace xsdf::core {
 
 namespace {
 
-/// First sense-bearing token of a label (the VSD convention of
-/// processing compound tokens separately) or the label itself.
-std::vector<wordnet::ConceptId> PrimaryTokenSenses(
-    const wordnet::SemanticNetwork& network, const std::string& label) {
-  for (const std::string& token : LabelSenseTokens(network, label)) {
-    const std::vector<wordnet::ConceptId>& senses = network.Senses(token);
-    if (!senses.empty()) return senses;
-  }
-  return {};
-}
-
 SenseAssignment AssignBest(
     const wordnet::SemanticNetwork& network, xml::NodeId id,
-    const std::vector<wordnet::ConceptId>& candidates,
+    std::span<const wordnet::ConceptId> candidates,
     const std::function<double(wordnet::ConceptId)>& score_fn) {
   SenseAssignment assignment;
   assignment.node = id;
@@ -63,18 +55,47 @@ SenseAssignment AssignBest(
   return assignment;
 }
 
+/// Both baselines' run: every structure (element/attribute) node whose
+/// label has senses gets the sense of its first sense-bearing token
+/// (compound tokens are processed separately, as distinct labels) that
+/// `baseline.Score()` ranks best. Content token nodes are never
+/// disambiguated: structure-and-content is XSDF-only (paper Table 4).
+template <typename Baseline>
+Result<SemanticTree> AssignStructureNodes(const Baseline& baseline,
+                                          LabelSpace& label_space,
+                                          xml::LabeledTree tree) {
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, label_space));
+  SemanticTree result;
+  result.assignments.Reset(tree.size());
+  for (xml::NodeId id : tree.ids()) {
+    if (tree.kind(id) == xml::TreeNodeKind::kToken) continue;
+    const LabelSenses& senses = label_space.Senses(tree.label_id(id));
+    if (!senses.has_senses()) continue;
+    result.assignments.emplace(
+        id, AssignBest(label_space.network(), id,
+                       senses.token_senses.front(),
+                       [&](wordnet::ConceptId c) {
+                         return baseline.Score(tree, id, c);
+                       }));
+  }
+  result.tree = std::move(tree);
+  return result;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- RPD --
 
-RpdBaseline::RpdBaseline(const wordnet::SemanticNetwork* network)
-    : network_(network),
+RpdBaseline::RpdBaseline(LabelSpace* label_space)
+    : label_space_(label_space),
       // The cited RPD configuration combines gloss overlap [6] with the
       // Wu-Palmer edge measure [59]; no information-content component.
       measure_(sim::MeasureConfig::PaperHybrid(0.5, 0.0, 0.5)) {}
 
 double RpdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
                           wordnet::ConceptId candidate) const {
+  XSDF_DCHECK(CheckLabelSource(tree, *label_space_).ok(),
+              "tree was built through another label space");
   // Context = the other labels on root-to-leaf paths through the node:
   // its ancestors plus its structural (element/attribute) descendants,
   // per the per-path disambiguation of [50].
@@ -84,15 +105,15 @@ double RpdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
       context.push_back(descendant);
     }
   }
+  const wordnet::SemanticNetwork& network = label_space_->network();
   double total = 0.0;
   for (xml::NodeId path_node : context) {
     if (path_node == id) continue;
-    const std::string label(tree.label(path_node));
     double best = 0.0;
-    for (const std::string& token : LabelSenseTokens(*network_, label)) {
-      for (wordnet::ConceptId other : network_->Senses(token)) {
-        best = std::max(best,
-                        measure_.Similarity(*network_, candidate, other));
+    for (std::span<const wordnet::ConceptId> senses :
+         label_space_->Senses(tree.label_id(path_node)).token_senses) {
+      for (wordnet::ConceptId other : senses) {
+        best = std::max(best, measure_.Similarity(network, candidate, other));
       }
     }
     total += best;
@@ -101,29 +122,13 @@ double RpdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
 }
 
 Result<SemanticTree> RpdBaseline::RunOnTree(xml::LabeledTree tree) const {
-  SemanticTree result;
-  result.assignments.Reset(tree.size());
-  for (xml::NodeId id : tree.ids()) {
-    // RPD generates structure features: element/attribute labels only;
-    // content (token) nodes are not disambiguated (paper Table 4).
-    if (tree.kind(id) == xml::TreeNodeKind::kToken) continue;
-    std::vector<wordnet::ConceptId> candidates =
-        PrimaryTokenSenses(*network_, std::string(tree.label(id)));
-    if (candidates.empty()) continue;
-    result.assignments.emplace(
-        id, AssignBest(*network_, id, candidates, [&](wordnet::ConceptId c) {
-          return Score(tree, id, c);
-        }));
-  }
-  result.tree = std::move(tree);
-  return result;
+  return AssignStructureNodes(*this, *label_space_, std::move(tree));
 }
 
 // ---------------------------------------------------------------- VSD --
 
-VsdBaseline::VsdBaseline(const wordnet::SemanticNetwork* network,
-                         Options options)
-    : network_(network), options_(options) {}
+VsdBaseline::VsdBaseline(LabelSpace* label_space, Options options)
+    : label_space_(label_space), options_(options) {}
 
 double VsdBaseline::DecayWeight(int distance) const {
   double d = static_cast<double>(distance);
@@ -133,9 +138,10 @@ double VsdBaseline::DecayWeight(int distance) const {
 double VsdBaseline::LeacockChodorow(wordnet::ConceptId a,
                                     wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  int len = network_->HypernymPathLength(a, b);
+  const wordnet::SemanticNetwork& network = label_space_->network();
+  int len = network.HypernymPathLength(a, b);
   if (len < 0) return 0.0;
-  int max_depth = std::max(network_->MaxDepth(), 1);
+  int max_depth = std::max(network.MaxDepth(), 1);
   // lch = -log((len+1) / (2 * max_depth)); normalized by the maximum
   // attainable value -log(1 / (2 * max_depth)).
   double raw = -std::log(static_cast<double>(len + 1) /
@@ -148,6 +154,8 @@ double VsdBaseline::LeacockChodorow(wordnet::ConceptId a,
 
 double VsdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
                           wordnet::ConceptId candidate) const {
+  XSDF_DCHECK(CheckLabelSource(tree, *label_space_).ok(),
+              "tree was built through another label space");
   std::vector<std::vector<xml::NodeId>> rings =
       tree.Rings(id, options_.max_distance);
   double total = 0.0;
@@ -155,10 +163,10 @@ double VsdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
     double weight = DecayWeight(d);
     if (weight < options_.threshold) break;  // edge no longer crossable
     for (xml::NodeId context : rings[static_cast<size_t>(d)]) {
-      const std::string label(tree.label(context));
       double best = 0.0;
-      for (const std::string& token : LabelSenseTokens(*network_, label)) {
-        for (wordnet::ConceptId other : network_->Senses(token)) {
+      for (std::span<const wordnet::ConceptId> senses :
+           label_space_->Senses(tree.label_id(context)).token_senses) {
+        for (wordnet::ConceptId other : senses) {
           best = std::max(best, LeacockChodorow(candidate, other));
         }
       }
@@ -169,22 +177,7 @@ double VsdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
 }
 
 Result<SemanticTree> VsdBaseline::RunOnTree(xml::LabeledTree tree) const {
-  SemanticTree result;
-  result.assignments.Reset(tree.size());
-  for (xml::NodeId id : tree.ids()) {
-    // VSD disambiguates structured labels, not text content
-    // (paper Table 4: structure-and-content is XSDF-only).
-    if (tree.kind(id) == xml::TreeNodeKind::kToken) continue;
-    std::vector<wordnet::ConceptId> candidates =
-        PrimaryTokenSenses(*network_, std::string(tree.label(id)));
-    if (candidates.empty()) continue;
-    result.assignments.emplace(
-        id, AssignBest(*network_, id, candidates, [&](wordnet::ConceptId c) {
-          return Score(tree, id, c);
-        }));
-  }
-  result.tree = std::move(tree);
-  return result;
+  return AssignStructureNodes(*this, *label_space_, std::move(tree));
 }
 
 }  // namespace xsdf::core

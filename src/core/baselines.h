@@ -3,7 +3,7 @@
 
 #include "common/result.h"
 #include "core/disambiguator.h"
-#include "wordnet/semantic_network.h"
+#include "core/label_space.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::core {
@@ -18,11 +18,16 @@ namespace xsdf::core {
 /// selecting the sense with the highest total relatedness. No node
 /// selection: every sense-bearing node is disambiguated; structural
 /// proximity is not modeled (bag-of-words over the path).
+///
+/// Like Disambiguator, a baseline reads label senses through the
+/// LabelSpace its trees were built with (the network is the space's);
+/// a tree from any other space is InvalidArgument.
 class RpdBaseline {
  public:
-  explicit RpdBaseline(const wordnet::SemanticNetwork* network);
+  /// `label_space` must outlive the baseline.
+  explicit RpdBaseline(LabelSpace* label_space);
 
-  /// Disambiguates every sense-bearing node of the tree.
+  /// Disambiguates every sense-bearing structure node of the tree.
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
   /// Scores sense `candidate` of node `id` against its root path.
@@ -30,7 +35,7 @@ class RpdBaseline {
                wordnet::ConceptId candidate) const;
 
  private:
-  const wordnet::SemanticNetwork* network_;
+  LabelSpace* label_space_;
   sim::CombinedMeasure measure_;  // 1/2 edge + 1/2 gloss, no node-based
 };
 
@@ -55,9 +60,9 @@ class VsdBaseline {
     int max_distance = 4;      ///< BFS horizon
   };
 
-  explicit VsdBaseline(const wordnet::SemanticNetwork* network)
-      : VsdBaseline(network, Options()) {}
-  VsdBaseline(const wordnet::SemanticNetwork* network, Options options);
+  explicit VsdBaseline(LabelSpace* label_space)
+      : VsdBaseline(label_space, Options()) {}
+  VsdBaseline(LabelSpace* label_space, Options options);
 
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
@@ -71,7 +76,7 @@ class VsdBaseline {
                wordnet::ConceptId candidate) const;
 
  private:
-  const wordnet::SemanticNetwork* network_;
+  LabelSpace* label_space_;
   Options options_;
 };
 

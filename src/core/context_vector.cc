@@ -97,10 +97,10 @@ double IdContextVector::WeightById(uint32_t label_id) const {
 
 namespace {
 
-/// Scratch for the vector-level Cosine/Jaccard path: intersection
-/// position pairs plus a dense per-entry match buffer. Thread-local and
-/// grown-never-shrunk — the scoring hot loop compares thousands of
-/// vector pairs per document.
+/// Scratch for Cosine/Jaccard: intersection position pairs plus a
+/// dense per-entry match buffer. Thread-local and grown-never-shrunk —
+/// the scoring hot loop compares thousands of vector pairs per
+/// document.
 struct MatchScratch {
   std::vector<uint32_t> pos_a;
   std::vector<uint32_t> pos_b;
@@ -116,30 +116,13 @@ MatchScratch& LocalMatchScratch() {
 }  // namespace
 
 double IdContextVector::Cosine(const IdContextVector& other) const {
+  // One sorted-set merge finds every matching dimension, then the
+  // weights are gathered into a zero-filled dense buffer so the FP
+  // accumulation below runs in first-occurrence order over exactly the
+  // values a per-id WeightById() lookup would return (+0.0 for absent
+  // ids), every partial sum bit-identical to that reference (the SIMD
+  // equivalence tests hold every dispatch level to it).
   const size_t n = ids_.size();
-  if (simd::ActiveLevel() == simd::Level::kScalar) {
-    // Scalar reference path: per-id binary search over each of this
-    // vector's dimensions. The vector path below must reproduce it bit
-    // for bit (the equivalence tests compare the two directly).
-    double dot = 0.0;
-    double norm_a = 0.0;
-    double norm_b = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double w = weights_[i];
-      norm_a += w * w;
-      double v = other.WeightById(ids_[i]);
-      dot += w * v;
-    }
-    for (double w : other.weights_) norm_b += w * w;
-    if (norm_a <= 0.0 || norm_b <= 0.0) return 0.0;
-    return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
-  }
-  // Vector path: one sorted-set merge finds every matching dimension,
-  // then the weights are gathered into a zero-filled dense buffer so
-  // the FP accumulation below runs over the same values in the same
-  // first-occurrence order as the scalar path — WeightById() returns
-  // +0.0 for absent ids and the gather leaves exactly those slots
-  // +0.0, so every partial sum is bit-identical.
   const size_t m = other.ids_.size();
   MatchScratch& scratch = LocalMatchScratch();
   const size_t cap = n < m ? n : m;
@@ -170,29 +153,13 @@ double IdContextVector::Cosine(const IdContextVector& other) const {
 }
 
 double IdContextVector::Jaccard(const IdContextVector& other) const {
+  // One merge replaces both per-id WeightById() lookups in the min/max
+  // loop and reverse lookups for the unmatched-other loop. Weights are
+  // strictly positive, so min(w, +0.0) == +0.0 and max(w, +0.0) == w
+  // exactly as with an absent id's +0.0: every partial sum is
+  // bit-identical to the lookup reference (see Cosine).
   const size_t n = ids_.size();
   const size_t m = other.ids_.size();
-  if (simd::ActiveLevel() == simd::Level::kScalar) {
-    // Scalar reference path (see Cosine).
-    double min_sum = 0.0;
-    double max_sum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double w = weights_[i];
-      double v = other.WeightById(ids_[i]);
-      min_sum += std::min(w, v);
-      max_sum += std::max(w, v);
-    }
-    for (size_t i = 0; i < m; ++i) {
-      if (FindEntry(other.ids_[i]) < 0) max_sum += other.weights_[i];
-    }
-    return max_sum <= 0.0 ? 0.0 : min_sum / max_sum;
-  }
-  // Vector path: one merge replaces both the per-id binary searches of
-  // the min/max loop and the reverse FindEntry() probes of the
-  // unmatched-other loop. Weights are strictly positive, so
-  // min(w, +0.0) == +0.0 and max(w, +0.0) == w exactly as with
-  // WeightById()'s absent result — every partial sum is bit-identical
-  // to the scalar path.
   MatchScratch& scratch = LocalMatchScratch();
   const size_t cap = n < m ? n : m;
   if (scratch.pos_a.size() < cap) {

@@ -42,17 +42,6 @@ Disambiguator::Disambiguator(const wordnet::SemanticNetwork* network,
   }
 }
 
-Status Disambiguator::CheckLabelSource(const xml::LabeledTree& tree) const {
-  if (tree.label_source() == label_space_->serial()) return Status::Ok();
-  return Status::InvalidArgument(
-      "tree was not built through this disambiguator's label space");
-}
-
-const LabelSenses& Disambiguator::LabelSensesFor(const xml::LabeledTree& tree,
-                                                 xml::NodeId id) const {
-  return label_space_->Senses(tree.label_id(id));
-}
-
 std::shared_ptr<const SenseEntry> Disambiguator::CandidatesFor(
     const xml::LabeledTree& tree, xml::NodeId id) const {
   const uint32_t label_id = tree.label_id(id);
@@ -78,7 +67,7 @@ CombinationWeights Disambiguator::EffectiveCombination() const {
 
 std::vector<double> Disambiguator::ScoreCandidates(
     const xml::LabeledTree& tree, xml::NodeId id) const {
-  if (!CheckLabelSource(tree).ok()) {
+  if (!CheckLabelSource(tree, *label_space_).ok()) {
     XSDF_DCHECK(false, "tree was built through another label space");
     return {};
   }
@@ -183,7 +172,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNode(
 
 Result<SenseAssignment> Disambiguator::DisambiguateNode(
     const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times) const {
-  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree));
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
   return DisambiguateNodeImpl(tree, id, times, nullptr);
 }
 
@@ -214,8 +203,8 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
   SenseAssignment assignment;
   assignment.node = id;
   assignment.candidate_count = static_cast<int>(candidates.size());
-  assignment.ambiguity = AmbiguityDegreeWithPolysemy(
-      tree, id, LabelSensesFor(tree, id).polysemy,
+  assignment.ambiguity = AmbiguityDegree(
+      tree, id, label_space_->Senses(tree.label_id(id)).polysemy,
       options_.ambiguity_weights);
   if (ins_.node_candidates != nullptr) {
     ins_.node_candidates->Record(candidates.size());
@@ -272,7 +261,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
 
 Result<NodeAudit> Disambiguator::ExplainNode(const xml::LabeledTree& tree,
                                              xml::NodeId id) const {
-  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree));
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
   NodeAudit audit;
   auto assignment = DisambiguateNodeImpl(tree, id, nullptr, &audit);
   if (!assignment.ok()) return assignment.status();
@@ -281,28 +270,18 @@ Result<NodeAudit> Disambiguator::ExplainNode(const xml::LabeledTree& tree,
 
 std::vector<xml::NodeId> Disambiguator::SelectTargets(
     const xml::LabeledTree& tree) const {
-  if (!CheckLabelSource(tree).ok()) {
+  if (!CheckLabelSource(tree, *label_space_).ok()) {
     XSDF_DCHECK(false, "tree was built through another label space");
     return {};
   }
   obs::StageTimer timer(ins_.select_us, options_.trace, "select");
-  std::vector<xml::NodeId> targets;
-  for (xml::NodeId id : tree.ids()) {
-    // Senseless labels can never be assigned a concept, so they are
-    // never targets, even at threshold 0 (as in SelectTargetNodes).
-    const LabelSenses& senses = LabelSensesFor(tree, id);
-    if (!senses.has_senses()) continue;
-    if (AmbiguityDegreeWithPolysemy(tree, id, senses.polysemy,
-                                    options_.ambiguity_weights) >=
-        options_.ambiguity_threshold) {
-      targets.push_back(id);
-    }
-  }
-  return targets;
+  return SelectTargetNodes(tree, *label_space_,
+                           options_.ambiguity_threshold,
+                           options_.ambiguity_weights);
 }
 
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
-  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree));
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
   SemanticTree result;
   StageTimes times;
   StageTimes* timed = records_stage_times() ? &times : nullptr;

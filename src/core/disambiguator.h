@@ -317,14 +317,13 @@ class Disambiguator {
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
   /// The target nodes RunOnTree would disambiguate, in selection
-  /// order, timed into stage.select_us. Selection reads each label's
-  /// Amb_Polysemy from the label space's per-id memo, so it equals
-  /// SelectTargetNodes() on the same tree without re-tokenizing a
-  /// label per node. Exposed so the runtime engine
-  /// can split the per-target DisambiguateNode() loop into stealable
-  /// chunks across workers — DisambiguateNode is a pure function of
-  /// (tree, id) for identically-configured disambiguators, so chunk
-  /// placement never changes results.
+  /// order, timed into stage.select_us: SelectTargetNodes() through
+  /// label_space() under this disambiguator's threshold and weights.
+  /// Exposed so the runtime engine can split the per-target
+  /// DisambiguateNode() loop into stealable chunks across workers —
+  /// DisambiguateNode is a pure function of (tree, id) for
+  /// identically-configured disambiguators, so chunk placement never
+  /// changes results.
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
 
   /// Disambiguates a single node of `tree`; returns the winning
@@ -383,13 +382,6 @@ class Disambiguator {
   };
 
   CombinationWeights EffectiveCombination() const;
-
-  /// InvalidArgument unless `tree`'s ids come from label_space().
-  Status CheckLabelSource(const xml::LabeledTree& tree) const;
-
-  /// The node's memoized label senses (and Amb_Polysemy).
-  const LabelSenses& LabelSensesFor(const xml::LabeledTree& tree,
-                                    xml::NodeId id) const;
 
   /// The node's shared candidate entry, via the sense inventory when
   /// installed; never null.

@@ -2,10 +2,34 @@
 
 #include <mutex>
 
-#include "core/ambiguity.h"
-#include "core/tree_builder.h"
+#include "common/strings.h"
 
 namespace xsdf::core {
+
+namespace {
+
+/// The lemma tokens that carry a label's senses (see LabelSenses).
+std::vector<std::string> LabelSenseTokens(
+    const wordnet::SemanticNetwork& network, const std::string& label) {
+  if (label.empty()) return {};
+  if (network.Contains(label)) return {label};
+  if (label.find('_') == std::string::npos) return {label};
+  std::vector<std::string> tokens;
+  for (std::string& token : StrSplit(label, '_')) {
+    if (!token.empty()) tokens.push_back(std::move(token));
+  }
+  return tokens;
+}
+
+/// Eq. 1's polysemy factor of one token with `senses` senses.
+double TokenPolysemy(size_t senses, int max_senses) {
+  if (max_senses <= 1) return 0.0;
+  if (senses <= 1) return 0.0;  // unknown or monosemous: unambiguous
+  return static_cast<double>(senses - 1) /
+         static_cast<double>(max_senses - 1);
+}
+
+}  // namespace
 
 LabelSpace::LabelSpace(const wordnet::SemanticNetwork* network)
     : network_(network),
@@ -72,9 +96,9 @@ const LabelSenses& LabelSpace::Senses(uint32_t id) {
     auto it = senses_.find(id);
     if (it != senses_.end()) return *it->second;
   }
-  // Resolve outside the lock (Senses()/LabelSenseTokens() may allocate
-  // and hash); two racing threads compute the same pure value and the
-  // first insert wins.
+  // Resolve outside the lock (splitting the label and looking up its
+  // tokens may allocate and hash); two racing threads compute the same
+  // pure value and the first insert wins.
   auto resolved = ResolveSenses(id);
   std::unique_lock<std::shared_mutex> lock(senses_mu_);
   auto [it, inserted] = senses_.emplace(id, std::move(resolved));
@@ -84,14 +108,19 @@ const LabelSenses& LabelSpace::Senses(uint32_t id) {
 
 std::unique_ptr<LabelSenses> LabelSpace::ResolveSenses(uint32_t id) {
   auto resolved = std::make_unique<LabelSenses>();
-  const std::string& spelling = Spelling(id);
-  for (const std::string& token : LabelSenseTokens(*network_, spelling)) {
+  const std::vector<std::string> tokens =
+      LabelSenseTokens(*network_, Spelling(id));
+  if (tokens.empty()) return resolved;
+  const int max_senses = network_->MaxPolysemy();
+  double polysemy_sum = 0.0;
+  for (const std::string& token : tokens) {
     const std::vector<wordnet::ConceptId>& senses = network_->Senses(token);
+    polysemy_sum += TokenPolysemy(senses.size(), max_senses);
     if (!senses.empty()) {
       resolved->token_senses.emplace_back(senses.data(), senses.size());
     }
   }
-  resolved->polysemy = AmbiguityPolysemy(*network_, spelling);
+  resolved->polysemy = polysemy_sum / static_cast<double>(tokens.size());
   return resolved;
 }
 
@@ -102,6 +131,13 @@ size_t LabelSpace::overflow_size() const {
 
 size_t LabelSpace::resolved_sense_count() const {
   return resolved_count_.load(std::memory_order_relaxed);
+}
+
+Status CheckLabelSource(const xml::LabeledTree& tree,
+                        const LabelSpace& space) {
+  if (tree.label_source() == space.serial()) return Status::Ok();
+  return Status::InvalidArgument(
+      "tree was not built through this label space");
 }
 
 }  // namespace xsdf::core

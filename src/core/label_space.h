@@ -9,26 +9,41 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
+#include "common/status.h"
 #include "common/token_interner.h"
 #include "wordnet/semantic_network.h"
+#include "xml/labeled_tree.h"
 
 namespace xsdf::core {
 
 /// The senses of one label, resolved against the network once and then
-/// shared: the sense lists of the label's sense-bearing tokens, in
-/// token order (LabelSenseTokens() order; tokens without senses are
-/// dropped, since they can contribute no candidate and no similarity),
-/// plus the label's Amb_Polysemy. Spans point into the network's
-/// sense index and stay valid while the network is unchanged.
+/// shared. A label's lemma tokens are the label itself when the network
+/// knows it as one lemma (collocations like "first_name" included);
+/// otherwise an underscore-joined compound splits into its parts (paper
+/// §3.2's unresolved-compound case, whose senses Eqs. 10/12 combine).
+/// `token_senses` holds the sense lists of the sense-bearing tokens in
+/// token order (tokens without senses are dropped, since they can
+/// contribute no candidate and no similarity). Spans point into the
+/// network's sense index and stay valid while the network is unchanged.
 struct LabelSenses {
   std::vector<std::span<const wordnet::ConceptId>> token_senses;
-  /// AmbiguityPolysemy(network, spelling): like the senses, a pure
-  /// function of the label and the fixed lexicon, so target selection
-  /// reads it here instead of re-tokenizing the label per node.
+  /// Amb_Polysemy(x.l, SN) of Eq. 1: per token (senses-1) /
+  /// (Max(senses(SN))-1), 0 for unknown and monosemous tokens, averaged
+  /// over all the label's tokens (the Definition 3 compound case).
   double polysemy = 0.0;
 
   bool has_senses() const { return !token_senses.empty(); }
+
+  /// The total number of senses over the label's tokens.
+  int sense_count() const {
+    size_t count = 0;
+    for (std::span<const wordnet::ConceptId> senses : token_senses) {
+      count += senses.size();
+    }
+    return static_cast<int>(count);
+  }
 };
 
 /// The engine-wide label id space joining XML tree labels and concept
@@ -79,7 +94,8 @@ class LabelSpace {
 
   /// The label's resolved senses and polysemy, memoized per id (filled
   /// on the first call for an id). The reference is stable for the
-  /// life of the space.
+  /// life of the space. This is the only place a label becomes lemma
+  /// tokens and senses: every per-label sense fact reads it.
   const LabelSenses& Senses(uint32_t id);
 
   const wordnet::SemanticNetwork& network() const { return *network_; }
@@ -122,6 +138,12 @@ class LabelSpace {
   /// callers hold references across further resolution.
   std::unordered_map<uint32_t, std::unique_ptr<LabelSenses>> senses_;
 };
+
+/// Ok when `tree`'s label ids come from `space` (its label_source() is
+/// the space's serial()); InvalidArgument otherwise, since the ids of
+/// another space name other labels.
+Status CheckLabelSource(const xml::LabeledTree& tree,
+                        const LabelSpace& space);
 
 }  // namespace xsdf::core
 

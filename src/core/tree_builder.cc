@@ -1,24 +1,11 @@
 #include "core/tree_builder.h"
 
-#include "common/strings.h"
 #include "core/label_space.h"
 #include "text/preprocess.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
 
 namespace xsdf::core {
-
-std::vector<std::string> LabelSenseTokens(
-    const wordnet::SemanticNetwork& network, const std::string& label) {
-  if (label.empty()) return {};
-  if (network.Contains(label)) return {label};
-  if (label.find('_') == std::string::npos) return {label};
-  std::vector<std::string> tokens;
-  for (std::string& token : StrSplit(label, '_')) {
-    if (!token.empty()) tokens.push_back(std::move(token));
-  }
-  return tokens;
-}
 
 const ResolvedLabel& ResolveTagMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,

@@ -80,14 +80,6 @@ const std::vector<ResolvedLabel>& TokenizeValueMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
     LabelSpace& label_space, std::string_view value);
 
-/// Splits a node label into the lemma tokens that carry its senses:
-/// a label the network knows as one lemma (including collocations like
-/// "first_name") is a single token; otherwise an underscore-joined
-/// compound is split into its constituent tokens (paper §3.2's
-/// unresolved-compound case, whose senses are combined by Eqs. 10/12).
-std::vector<std::string> LabelSenseTokens(
-    const wordnet::SemanticNetwork& network, const std::string& label);
-
 }  // namespace xsdf::core
 
 #endif  // XSDF_CORE_TREE_BUILDER_H_

@@ -58,14 +58,13 @@ double GroupContextClarity(int group) {
 }
 
 std::vector<GroupFeatureRow> ComputeTable1(
-    const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network) {
+    const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space) {
   std::map<int, GroupFeatureRow> rows;
   for (const CorpusDocument& doc : corpus) {
     GroupFeatureRow& row = rows[doc.dataset.group];
     row.group = doc.dataset.group;
     row.avg_ambiguity +=
-        core::AverageAmbiguityDegree(doc.tree, network);
+        core::AverageAmbiguityDegree(doc.tree, *label_space);
     row.avg_structure += xml::AverageStructDegree(doc.tree);
     row.documents += 1;
   }
@@ -79,8 +78,8 @@ std::vector<GroupFeatureRow> ComputeTable1(
 }
 
 std::vector<CorrelationRow> ComputeTable2(
-    const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network, uint64_t seed) {
+    const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space,
+    uint64_t seed) {
   struct Accumulator {
     std::vector<double> human;
     std::vector<double> test[4];
@@ -100,17 +99,19 @@ std::vector<CorrelationRow> ComputeTable2(
     // 12-13 rated nodes per document, as in the paper.
     int count = 12 + static_cast<int>((seed ^ doc.tree.size()) % 2);
     std::vector<xml::NodeId> nodes = SampleRatableNodes(
-        doc.tree, network, count,
+        doc.tree, *label_space, count,
         seed + doc.tree.size() * 31 + doc.dataset.id * 7);
     RaterPanelOptions options;
     options.context_clarity = GroupContextClarity(doc.dataset.group);
     std::vector<double> ratings = SimulateHumanRatings(
-        doc.tree, nodes, network, options, seed + doc.dataset.id);
+        doc.tree, nodes, *label_space, options, seed + doc.dataset.id);
     for (size_t i = 0; i < nodes.size(); ++i) {
       acc.human.push_back(ratings[i]);
+      const double polysemy =
+          label_space->Senses(doc.tree.label_id(nodes[i])).polysemy;
       for (int t = 0; t < 4; ++t) {
-        acc.test[t].push_back(core::AmbiguityDegree(
-            doc.tree, nodes[i], network, kConfigs[t]));
+        acc.test[t].push_back(core::AmbiguityDegree(doc.tree, nodes[i],
+                                                    polysemy, kConfigs[t]));
       }
     }
   }
@@ -130,8 +131,7 @@ std::vector<CorrelationRow> ComputeTable2(
 }
 
 std::vector<DatasetStatsRow> ComputeTable3(
-    const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network) {
+    const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space) {
   std::map<int, DatasetStatsRow> rows;
   std::map<int, int> doc_counts;
   for (const CorpusDocument& doc : corpus) {
@@ -149,11 +149,8 @@ std::vector<DatasetStatsRow> ComputeTable3(
     // Label polysemy over nodes.
     double polysemy_sum = 0.0;
     for (xml::NodeId id : doc.tree.ids()) {
-      int label_senses = 0;
-      for (const std::string& token :
-           core::LabelSenseTokens(network, std::string(doc.tree.label(id)))) {
-        label_senses += network.SenseCount(token);
-      }
+      const int label_senses =
+          label_space->Senses(doc.tree.label_id(id)).sense_count();
       polysemy_sum += label_senses;
       row.max_polysemy = std::max(row.max_polysemy, label_senses);
     }
@@ -227,12 +224,11 @@ std::vector<ComparisonCell> ComputeFigure9(
   std::vector<ComparisonCell> cells;
   for (int group = 1; group <= 4; ++group) {
     // XSDF at its optimal configuration, identified (as in the paper)
-    // from repeated tests over the Figure 8 sweep on this corpus:
-    // concept-based with per-group radii. Note the optimum radii on
-    // the synthetic corpus differ from the paper's (see
-    // EXPERIMENTS.md): deep Group 1 trees need d=4 to reach sibling
-    // content tokens, while flat Group 3-4 records are least noisy at
-    // d=1.
+    // from repeated tests over an earlier Figure 8 sweep on this
+    // corpus: concept-based with per-group radii. Deep Group 1 trees
+    // need a large radius to reach sibling content tokens. Today's
+    // sweep puts Groups 3 and 4 at d=3 and d=2 (see EXPERIMENTS.md);
+    // the radii stay until a change that may move the Figure 9 output.
     static constexpr int kOptimalRadius[5] = {0, 4, 2, 1, 1};
     core::DisambiguatorOptions options;
     options.label_space = label_space;
@@ -241,8 +237,8 @@ std::vector<ComparisonCell> ComputeFigure9(
     cells.push_back(
         {group, "XSDF", RunOnGroup(corpus, group, network, options)});
 
-    core::RpdBaseline rpd(&network);
-    core::VsdBaseline vsd(&network);
+    core::RpdBaseline rpd(label_space);
+    core::VsdBaseline vsd(label_space);
     std::vector<PrfScores> rpd_parts;
     std::vector<PrfScores> vsd_parts;
     for (const CorpusDocument& doc : corpus) {

@@ -44,9 +44,10 @@ struct GroupFeatureRow {
   double avg_structure = 0.0;
   int documents = 0;
 };
+/// `label_space` is the space the corpus was built through (as for
+/// Table 2 and Table 3 below).
 std::vector<GroupFeatureRow> ComputeTable1(
-    const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network);
+    const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space);
 
 /// One Table 2 row: per-dataset Pearson correlation between the
 /// simulated rater panel and Amb_Deg under the four weight configs.
@@ -60,8 +61,8 @@ struct CorrelationRow {
   int rated_nodes = 0;
 };
 std::vector<CorrelationRow> ComputeTable2(
-    const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network, uint64_t seed = 4242);
+    const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space,
+    uint64_t seed = 4242);
 
 /// One Table 3 row: dataset shape characteristics.
 struct DatasetStatsRow {
@@ -77,8 +78,7 @@ struct DatasetStatsRow {
   int max_density = 0;
 };
 std::vector<DatasetStatsRow> ComputeTable3(
-    const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network);
+    const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space);
 
 /// One Figure 8 cell: F-value of a configuration on a group.
 struct ConfigCell {
@@ -94,7 +94,8 @@ std::vector<ConfigCell> ComputeFigure8(
     const std::vector<int>& radii = {1, 2, 3, 4});
 
 /// One Figure 9 cell: P/R/F of one system (XSDF at its optimal
-/// configuration, RPD, or VSD) on a group.
+/// configuration, RPD, or VSD) on a group. Every system reads the
+/// corpus through `label_space`.
 struct ComparisonCell {
   int group = 0;
   std::string system;  ///< "XSDF", "RPD", "VSD"

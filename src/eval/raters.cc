@@ -6,9 +6,6 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "core/ambiguity.h"
-#include "core/tree_builder.h"
-
 namespace xsdf::eval {
 
 namespace {
@@ -44,14 +41,13 @@ double StructuralTransparency(const xml::LabeledTree& tree,
 
 std::vector<double> SimulateHumanRatings(
     const xml::LabeledTree& tree, const std::vector<xml::NodeId>& nodes,
-    const wordnet::SemanticNetwork& network,
-    const RaterPanelOptions& options, uint64_t seed) {
+    core::LabelSpace& label_space, const RaterPanelOptions& options,
+    uint64_t seed) {
   std::vector<double> means;
   means.reserve(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     xml::NodeId id = nodes[i];
-    double polysemy =
-        core::AmbiguityPolysemy(network, std::string(tree.label(id)));
+    double polysemy = label_space.Senses(tree.label_id(id)).polysemy;
     double transparency =
         std::clamp(0.35 * StructuralTransparency(tree, id) +
                        options.context_clarity * (0.6 + 0.8 * polysemy),
@@ -71,17 +67,13 @@ std::vector<double> SimulateHumanRatings(
   return means;
 }
 
-std::vector<xml::NodeId> SampleRatableNodes(
-    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
-    int count, uint64_t seed) {
+std::vector<xml::NodeId> SampleRatableNodes(const xml::LabeledTree& tree,
+                                            core::LabelSpace& label_space,
+                                            int count, uint64_t seed) {
   std::vector<xml::NodeId> candidates;
   for (xml::NodeId id : tree.ids()) {
-    for (const std::string& token :
-         core::LabelSenseTokens(network, std::string(tree.label(id)))) {
-      if (network.SenseCount(token) > 0) {
-        candidates.push_back(id);
-        break;
-      }
+    if (label_space.Senses(tree.label_id(id)).has_senses()) {
+      candidates.push_back(id);
     }
   }
   Rng rng(seed);

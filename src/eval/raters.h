@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "wordnet/semantic_network.h"
+#include "core/label_space.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::eval {
@@ -34,18 +34,20 @@ struct RaterPanelOptions {
   double context_clarity = 0.0;
 };
 
-/// Mean panel rating (in [0, 4]) for each node id in `nodes`.
-/// Deterministic in `seed`.
+/// Mean panel rating (in [0, 4]) for each node id in `nodes`, reading
+/// label polysemy through `label_space`, the space the tree was built
+/// through. Deterministic in `seed`.
 std::vector<double> SimulateHumanRatings(
     const xml::LabeledTree& tree, const std::vector<xml::NodeId>& nodes,
-    const wordnet::SemanticNetwork& network,
-    const RaterPanelOptions& options, uint64_t seed);
+    core::LabelSpace& label_space, const RaterPanelOptions& options,
+    uint64_t seed);
 
 /// Samples `count` distinct sense-bearing nodes from the tree for
-/// rating (the paper samples 12-13 nodes per document).
-std::vector<xml::NodeId> SampleRatableNodes(
-    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
-    int count, uint64_t seed);
+/// rating (the paper samples 12-13 nodes per document). `label_space`
+/// is the space the tree was built through.
+std::vector<xml::NodeId> SampleRatableNodes(const xml::LabeledTree& tree,
+                                            core::LabelSpace& label_space,
+                                            int count, uint64_t seed);
 
 }  // namespace xsdf::eval
 

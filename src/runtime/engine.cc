@@ -341,32 +341,39 @@ void DisambiguationEngine::RunSubtreeChunks(
     if (worker_index != work.owner_worker) {
       subtree_steals_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Container span for the per-node spans below: on a stealing
-    // worker's tid there is no enclosing "document" span, so the trace
-    // validator accepts "subtree_chunk" as the alternative container.
-    obs::Span chunk_span(
-        trace_, "subtree_chunk",
-        trace_ != nullptr ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
-                          : std::string());
-    const std::vector<xml::NodeId>& targets = *work.targets;
-    const size_t begin = chunk * work.chunk_size;
-    const size_t end = std::min(begin + work.chunk_size, targets.size());
-    // DisambiguateNode is a pure function of (tree, id) for
-    // identically-configured disambiguators, so running this chunk
-    // under a helper's Disambiguator yields the exact bytes the owner
-    // would have produced.
-    core::Disambiguator::StageTimes times;
-    core::Disambiguator::StageTimes* timed =
-        disambiguator.records_stage_times() ? &times : nullptr;
-    for (size_t i = begin; i < end; ++i) {
-      auto assignment =
-          disambiguator.DisambiguateNode(*work.tree, targets[i], timed);
-      if (!assignment.ok()) continue;  // senseless labels stay untouched
-      work.assignments->slot(targets[i]) = std::move(assignment).value();
-    }
-    if (timed != nullptr) {
-      work.context_ns.fetch_add(times.context_ns, std::memory_order_relaxed);
-      work.score_ns.fetch_add(times.score_ns, std::memory_order_relaxed);
+    {
+      // Container span for the per-node spans below: on a stealing
+      // worker's tid there is no enclosing "document" span, so the
+      // trace validator accepts "subtree_chunk" as the alternative
+      // container. It closes before the chunk counts as done: once the
+      // owner sees the last chunk, the batch may finish and the trace
+      // be read while a helper would still be recording this span.
+      obs::Span chunk_span(
+          trace_, "subtree_chunk",
+          trace_ != nullptr
+              ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
+              : std::string());
+      const std::vector<xml::NodeId>& targets = *work.targets;
+      const size_t begin = chunk * work.chunk_size;
+      const size_t end = std::min(begin + work.chunk_size, targets.size());
+      // DisambiguateNode is a pure function of (tree, id) for
+      // identically-configured disambiguators, so running this chunk
+      // under a helper's Disambiguator yields the exact bytes the owner
+      // would have produced.
+      core::Disambiguator::StageTimes times;
+      core::Disambiguator::StageTimes* timed =
+          disambiguator.records_stage_times() ? &times : nullptr;
+      for (size_t i = begin; i < end; ++i) {
+        auto assignment =
+            disambiguator.DisambiguateNode(*work.tree, targets[i], timed);
+        if (!assignment.ok()) continue;  // senseless labels stay untouched
+        work.assignments->slot(targets[i]) = std::move(assignment).value();
+      }
+      if (timed != nullptr) {
+        work.context_ns.fetch_add(times.context_ns,
+                                  std::memory_order_relaxed);
+        work.score_ns.fetch_add(times.score_ns, std::memory_order_relaxed);
+      }
     }
     const size_t done =
         work.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;

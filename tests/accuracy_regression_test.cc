@@ -6,7 +6,10 @@
 // are the integer (gold, attempted, correct) counts per group plus the
 // derived P/R/F — so a kernel "optimization" that silently flips even
 // one sense assignment under any measure composition fails this test,
-// not a human eyeballing a benchmark table.
+// not a human eyeballing a benchmark table. The same report pins the
+// paper tables computed on that corpus: Table 1's group features,
+// Table 2's rater correlations, Table 3's dataset shapes and the RPD
+// and VSD cells of Figure 9.
 //
 // Regenerating after an *intentional* accuracy change:
 //   XSDF_UPDATE_GOLDEN=1 ./accuracy_regression_test
@@ -87,6 +90,69 @@ void AppendCounts(std::string* out, const eval::PrfScores& scores) {
   *out += buf;
 }
 
+/// Appends the paper tables computed on the golden corpus: Table 1
+/// rows, Table 2 correlations, Table 3 rows and Figure 9's baseline
+/// cells (the XSDF cell is the configs' business above).
+void AppendPaperTables(std::string* out) {
+  char buf[320];
+  *out += "  \"table1\": [\n";
+  const auto table1 = eval::ComputeTable1(Corpus(), Labels());
+  for (size_t i = 0; i < table1.size(); ++i) {
+    const auto& row = table1[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"group\": %d, \"documents\": %d, "
+                  "\"avg_ambiguity\": %.6f, \"avg_structure\": %.6f}%s\n",
+                  row.group, row.documents, row.avg_ambiguity,
+                  row.avg_structure, i + 1 < table1.size() ? "," : "");
+    *out += buf;
+  }
+  *out += "  ],\n  \"table2\": [\n";
+  const auto table2 = eval::ComputeTable2(Corpus(), Labels());
+  for (size_t i = 0; i < table2.size(); ++i) {
+    const auto& row = table2[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"dataset\": %d, \"group\": %d, "
+                  "\"rated_nodes\": %d, \"all_factors\": %.6f, "
+                  "\"polysemy\": %.6f, \"depth\": %.6f, "
+                  "\"density\": %.6f}%s\n",
+                  row.dataset_id, row.group, row.rated_nodes,
+                  row.all_factors, row.polysemy, row.depth, row.density,
+                  i + 1 < table2.size() ? "," : "");
+    *out += buf;
+  }
+  *out += "  ],\n  \"table3\": [\n";
+  const auto table3 = eval::ComputeTable3(Corpus(), Labels());
+  for (size_t i = 0; i < table3.size(); ++i) {
+    const auto& row = table3[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"dataset\": %d, \"avg_nodes\": %.6f, "
+                  "\"avg_polysemy\": %.6f, \"max_polysemy\": %d, "
+                  "\"avg_depth\": %.6f, \"max_depth\": %d, "
+                  "\"avg_fan_out\": %.6f, \"max_fan_out\": %d, "
+                  "\"avg_density\": %.6f, \"max_density\": %d}%s\n",
+                  row.info.id, row.avg_nodes, row.avg_polysemy,
+                  row.max_polysemy, row.avg_depth, row.max_depth,
+                  row.avg_fan_out, row.max_fan_out, row.avg_density,
+                  row.max_density, i + 1 < table3.size() ? "," : "");
+    *out += buf;
+  }
+  *out += "  ],\n  \"figure9_baselines\": [\n";
+  std::vector<eval::ComparisonCell> baselines;
+  for (const auto& cell :
+       eval::ComputeFigure9(Corpus(), Network(), Labels())) {
+    if (cell.system != "XSDF") baselines.push_back(cell);
+  }
+  for (size_t i = 0; i < baselines.size(); ++i) {
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"group\": %d, \"system\": \"%s\", ",
+                  baselines[i].group, baselines[i].system.c_str());
+    *out += buf;
+    AppendCounts(out, baselines[i].scores);
+    *out += i + 1 < baselines.size() ? "},\n" : "}\n";
+  }
+  *out += "  ]\n";
+}
+
 /// The full deterministic report; every golden byte comes from here.
 std::string BuildReport() {
   struct NamedConfig {
@@ -134,7 +200,9 @@ std::string BuildReport() {
     AppendCounts(&out, eval::CombinePrf(parts));
     out += c + 1 < configs.size() ? "}},\n" : "}}\n";
   }
-  out += "  ]\n}\n";
+  out += "  ],\n";
+  AppendPaperTables(&out);
+  out += "}\n";
   return out;
 }
 

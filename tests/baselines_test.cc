@@ -43,7 +43,7 @@ const char* kMovieDoc =
 TEST(RpdTest, DisambiguatesStructureNodes) {
   auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
-  RpdBaseline rpd(&Network());
+  RpdBaseline rpd(Labels());
   auto result = rpd.RunOnTree(*tree);
   ASSERT_TRUE(result.ok());
   // All element labels are in the lexicon -> all assigned.
@@ -58,7 +58,7 @@ TEST(RpdTest, DisambiguatesStructureNodes) {
 TEST(RpdTest, NeverTouchesContentTokens) {
   auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
-  RpdBaseline rpd(&Network());
+  RpdBaseline rpd(Labels());
   auto result = rpd.RunOnTree(*tree);
   ASSERT_TRUE(result.ok());
   for (const auto& [id, assignment] : result->assignments) {
@@ -69,7 +69,7 @@ TEST(RpdTest, NeverTouchesContentTokens) {
 TEST(RpdTest, ScoreUsesRootPathContext) {
   auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
-  RpdBaseline rpd(&Network());
+  RpdBaseline rpd(Labels());
   // Find the "cast" node: its path context (film/picture ancestors,
   // star descendants) strongly supports the cast-of-actors sense over
   // the plaster-cast sense.
@@ -83,25 +83,25 @@ TEST(RpdTest, ScoreUsesRootPathContext) {
   // A candidate scored with path context present is positive...
   EXPECT_GT(rpd.Score(*tree, cast, *actors), 0.0);
   // ...and with no context at all (single-node tree) it is zero.
-  testutil::InternedTree lone;
+  testutil::InternedTree lone(Labels());
   lone.Add(xml::kInvalidNode, "cast", xml::TreeNodeKind::kElement);
   EXPECT_DOUBLE_EQ(rpd.Score(lone.Finish(), 0, *actors), 0.0);
 }
 
 TEST(VsdTest, GaussianDecayShape) {
-  VsdBaseline vsd(&Network());
+  VsdBaseline vsd(Labels());
   EXPECT_DOUBLE_EQ(vsd.DecayWeight(0), 1.0);
   EXPECT_GT(vsd.DecayWeight(1), vsd.DecayWeight(2));
   EXPECT_GT(vsd.DecayWeight(2), vsd.DecayWeight(3));
   // sigma controls the width.
   VsdBaseline::Options narrow;
   narrow.sigma = 0.5;
-  VsdBaseline vsd_narrow(&Network(), narrow);
+  VsdBaseline vsd_narrow(Labels(), narrow);
   EXPECT_LT(vsd_narrow.DecayWeight(2), vsd.DecayWeight(2));
 }
 
 TEST(VsdTest, LeacockChodorowProperties) {
-  VsdBaseline vsd(&Network());
+  VsdBaseline vsd(Labels());
   auto actor = wordnet::MiniWordNetConceptByKey("actor.n");
   auto actress = wordnet::MiniWordNetConceptByKey("actress.n");
   auto calorie = wordnet::MiniWordNetConceptByKey("calorie.n");
@@ -129,8 +129,8 @@ TEST(VsdTest, CrossableThresholdLimitsContext) {
   auto performer = wordnet::MiniWordNetConceptByKey("star.performer.n");
   VsdBaseline::Options tight;
   tight.threshold = 0.75;
-  VsdBaseline vsd_tight(&Network(), tight);
-  VsdBaseline vsd_loose(&Network());
+  VsdBaseline vsd_tight(Labels(), tight);
+  VsdBaseline vsd_loose(Labels());
   EXPECT_LT(vsd_tight.Score(*tree, star, *performer),
             vsd_loose.Score(*tree, star, *performer));
 }
@@ -138,7 +138,7 @@ TEST(VsdTest, CrossableThresholdLimitsContext) {
 TEST(VsdTest, RunAssignsStructureOnly) {
   auto tree = ParseTree(kMovieDoc);
   ASSERT_TRUE(tree.ok());
-  VsdBaseline vsd(&Network());
+  VsdBaseline vsd(Labels());
   auto result = vsd.RunOnTree(*tree);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->assignments.empty());
@@ -156,14 +156,34 @@ TEST(BaselineComparisonTest, SystemsDisagreeSomewhere) {
       "<members><member><hobby>tennis</hobby></member></members></club>";
   auto tree = ParseTree(doc);
   ASSERT_TRUE(tree.ok());
-  RpdBaseline rpd(&Network());
-  VsdBaseline vsd(&Network());
+  RpdBaseline rpd(Labels());
+  VsdBaseline vsd(Labels());
   auto rpd_result = rpd.RunOnTree(*tree);
   auto vsd_result = vsd.RunOnTree(*tree);
   ASSERT_TRUE(rpd_result.ok());
   ASSERT_TRUE(vsd_result.ok());
   EXPECT_EQ(rpd_result->assignments.size(),
             vsd_result->assignments.size());
+}
+
+TEST(BaselineLabelSpaceTest, TreeFromAnotherSpaceIsInvalidArgument) {
+  // Like Disambiguator, the baselines read label ids straight off the
+  // tree, so a tree interned through another space is rejected.
+  LabelSpace other(&Network());
+  auto foreign = BuildTreeStreaming(kMovieDoc, Network(), xml::ParseOptions{},
+                                    /*include_values=*/true, &other);
+  ASSERT_TRUE(foreign.ok());
+  RpdBaseline rpd(Labels());
+  VsdBaseline vsd(Labels());
+  auto rpd_result = rpd.RunOnTree(*foreign);
+  auto vsd_result = vsd.RunOnTree(*foreign);
+  EXPECT_EQ(rpd_result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(vsd_result.status().code(), StatusCode::kInvalidArgument);
+  // The same document through the baselines' own space runs.
+  auto own = ParseTree(kMovieDoc);
+  ASSERT_TRUE(own.ok());
+  EXPECT_TRUE(rpd.RunOnTree(*own).ok());
+  EXPECT_TRUE(vsd.RunOnTree(*own).ok());
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
 #include "eval/experiment.h"
+#include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -69,7 +69,7 @@ TEST_F(CorpusInvariantsTest, AssignedConceptsAreSensesOfTheirLabels) {
       const std::string label(result->tree.label(id));
       std::vector<wordnet::ConceptId> legal;
       for (const std::string& token :
-           core::LabelSenseTokens(network(), label)) {
+           oracles::LabelSenseTokens(network(), label)) {
         const auto& senses = network().Senses(token);
         legal.insert(legal.end(), senses.begin(), senses.end());
       }

@@ -183,11 +183,11 @@ TEST(RatersTest, RatingsAreDeterministicAndBounded) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
   auto tree = ParseTree(doc);
-  auto nodes = SampleRatableNodes(*tree, Network(), 5, 7);
+  auto nodes = SampleRatableNodes(*tree, *Labels(), 5, 7);
   ASSERT_FALSE(nodes.empty());
   RaterPanelOptions options;
-  auto a = SimulateHumanRatings(*tree, nodes, Network(), options, 11);
-  auto b = SimulateHumanRatings(*tree, nodes, Network(), options, 11);
+  auto a = SimulateHumanRatings(*tree, nodes, *Labels(), options, 11);
+  auto b = SimulateHumanRatings(*tree, nodes, *Labels(), options, 11);
   EXPECT_EQ(a, b);
   for (double rating : a) {
     EXPECT_GE(rating, 0.0);
@@ -200,16 +200,16 @@ TEST(RatersTest, ClarityLowersRatings) {
       "<personnel><person><address><state>virginia</state></address>"
       "</person></personnel>";
   auto tree = ParseTree(doc);
-  auto nodes = SampleRatableNodes(*tree, Network(), 10, 7);
+  auto nodes = SampleRatableNodes(*tree, *Labels(), 10, 7);
   RaterPanelOptions opaque;
   opaque.context_clarity = 0.0;
   opaque.noise_sigma = 0.0;
   RaterPanelOptions transparent;
   transparent.context_clarity = 0.9;
   transparent.noise_sigma = 0.0;
-  auto high = SimulateHumanRatings(*tree, nodes, Network(), opaque, 1);
+  auto high = SimulateHumanRatings(*tree, nodes, *Labels(), opaque, 1);
   auto low =
-      SimulateHumanRatings(*tree, nodes, Network(), transparent, 1);
+      SimulateHumanRatings(*tree, nodes, *Labels(), transparent, 1);
   double sum_high = 0.0;
   double sum_low = 0.0;
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -232,7 +232,7 @@ TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
   RaterPanelOptions options;
   options.noise_sigma = 0.0;
   auto ratings = SimulateHumanRatings(*tree, {head, wheelchair},
-                                      Network(), options, 5);
+                                      *Labels(), options, 5);
   EXPECT_GT(ratings[0], ratings[1]);
   EXPECT_DOUBLE_EQ(ratings[1], 0.0);  // monosemous -> unambiguous
 }
@@ -240,7 +240,7 @@ TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
 TEST(RatersTest, SampleRatableNodesSkipsSenseless) {
   const char* doc = "<zzz><qqq>vvv</qqq></zzz>";
   auto tree = ParseTree(doc);
-  EXPECT_TRUE(SampleRatableNodes(*tree, Network(), 5, 3).empty());
+  EXPECT_TRUE(SampleRatableNodes(*tree, *Labels(), 5, 3).empty());
 }
 
 }  // namespace

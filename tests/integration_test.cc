@@ -59,7 +59,7 @@ TEST_F(ExperimentTest, SampledNodesTotalRoughlyPaperScale) {
 }
 
 TEST_F(ExperimentTest, Table1GroupOneMostAmbiguous) {
-  auto rows = ComputeTable1(corpus(), network());
+  auto rows = ComputeTable1(corpus(), labels());
   ASSERT_EQ(rows.size(), 4u);
   std::map<int, double> ambiguity;
   for (const auto& row : rows) ambiguity[row.group] = row.avg_ambiguity;
@@ -72,7 +72,7 @@ TEST_F(ExperimentTest, Table1GroupOneMostAmbiguous) {
 }
 
 TEST_F(ExperimentTest, Table2ShapeMatchesPaper) {
-  auto rows = ComputeTable2(corpus(), network());
+  auto rows = ComputeTable2(corpus(), labels());
   ASSERT_EQ(rows.size(), 10u);
   double group1 = 0.0;
   int negatives_in_34 = 0;
@@ -89,7 +89,7 @@ TEST_F(ExperimentTest, Table2ShapeMatchesPaper) {
 }
 
 TEST_F(ExperimentTest, Table3ShapesMatchPaper) {
-  auto rows = ComputeTable3(corpus(), network());
+  auto rows = ComputeTable3(corpus(), labels());
   ASSERT_EQ(rows.size(), 10u);
   std::map<int, DatasetStatsRow> by_id;
   for (const auto& row : rows) by_id[row.info.id] = row;

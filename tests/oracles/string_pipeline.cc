@@ -6,10 +6,79 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "common/strings.h"
 #include "core/context_vector.h"
-#include "core/tree_builder.h"
 
 namespace xsdf::oracles {
+
+namespace {
+
+/// Polysemy factor of a single lemma token.
+double TokenPolysemy(const wordnet::SemanticNetwork& network,
+                     const std::string& token) {
+  int max_senses = network.MaxPolysemy();
+  if (max_senses <= 1) return 0.0;
+  int senses = network.SenseCount(token);
+  if (senses <= 1) return 0.0;  // unknown or monosemous: unambiguous
+  return static_cast<double>(senses - 1) /
+         static_cast<double>(max_senses - 1);
+}
+
+}  // namespace
+
+std::vector<std::string> LabelSenseTokens(
+    const wordnet::SemanticNetwork& network, const std::string& label) {
+  if (label.empty()) return {};
+  if (network.Contains(label)) return {label};
+  if (label.find('_') == std::string::npos) return {label};
+  std::vector<std::string> tokens;
+  for (std::string& token : StrSplit(label, '_')) {
+    if (!token.empty()) tokens.push_back(std::move(token));
+  }
+  return tokens;
+}
+
+double AmbiguityPolysemy(const wordnet::SemanticNetwork& network,
+                         const std::string& label) {
+  std::vector<std::string> tokens = LabelSenseTokens(network, label);
+  if (tokens.empty()) return 0.0;
+  double sum = 0.0;
+  for (const std::string& token : tokens) {
+    sum += TokenPolysemy(network, token);
+  }
+  return sum / static_cast<double>(tokens.size());
+}
+
+double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
+                       const wordnet::SemanticNetwork& network,
+                       const core::AmbiguityWeights& weights) {
+  return core::AmbiguityDegree(
+      tree, id, AmbiguityPolysemy(network, std::string(tree.label(id))),
+      weights);
+}
+
+std::vector<xml::NodeId> SelectTargetNodes(
+    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
+    double threshold, const core::AmbiguityWeights& weights) {
+  std::vector<xml::NodeId> targets;
+  for (xml::NodeId id : tree.ids()) {
+    // Nodes with no senses at all cannot be assigned a concept; they are
+    // never targets even at threshold 0.
+    bool has_sense = false;
+    for (const std::string& token :
+         LabelSenseTokens(network, std::string(tree.label(id)))) {
+      if (network.SenseCount(token) > 0) {
+        has_sense = true;
+        break;
+      }
+    }
+    if (!has_sense) continue;
+    if (AmbiguityDegree(tree, id, network, weights) >= threshold) {
+      targets.push_back(id);
+    }
+  }
+  return targets;
+}
 
 ContextVector::ContextVector(const Sphere& sphere, bool uniform_proximity)
     : sphere_size_(sphere.size()) {
@@ -139,7 +208,7 @@ std::vector<core::SenseCandidate> EnumerateCandidates(
   std::vector<core::SenseCandidate> candidates;
   // Keep only sense-bearing tokens.
   std::vector<const std::vector<wordnet::ConceptId>*> sense_lists;
-  for (const std::string& token : core::LabelSenseTokens(network, label)) {
+  for (const std::string& token : LabelSenseTokens(network, label)) {
     const std::vector<wordnet::ConceptId>& senses = network.Senses(token);
     if (!senses.empty()) sense_lists.push_back(&senses);
   }
@@ -177,7 +246,7 @@ ResolvedContext::ResolvedContext(const wordnet::SemanticNetwork& network,
     if (inserted) {
       ResolvedLabel resolved;
       for (const std::string& token :
-           core::LabelSenseTokens(network, member.label)) {
+           LabelSenseTokens(network, member.label)) {
         const std::vector<wordnet::ConceptId>& senses =
             network.Senses(token);
         if (!senses.empty()) {

@@ -6,19 +6,49 @@
 #include <utility>
 #include <vector>
 
+#include "core/ambiguity.h"
 #include "core/scores.h"
 #include "sim/combined.h"
 #include "wordnet/semantic_network.h"
 #include "xml/labeled_tree.h"
 
 /// The string-keyed front half of the disambiguation core (paper
-/// Definitions 5-10, Eqs. 10-13): spheres of label spellings, context
-/// vectors keyed by spelling, and Concept_/Context_Score over them. The
-/// id pipeline in src/core (IdSphere, IdContextVector,
-/// IdResolvedContext, IdContextScore, EnumerateCandidatesById) replaced
-/// it in production; tests hold the id pipeline to these functions bit
-/// for bit.
+/// Definitions 3-10, Eqs. 1-13): label tokens and Amb_Polysemy split
+/// per node, target selection over them, spheres of label spellings,
+/// context vectors keyed by spelling, and Concept_/Context_Score over
+/// them. The id pipeline in src/core (LabelSpace::Senses,
+/// SelectTargetNodes, IdSphere, IdContextVector, IdResolvedContext,
+/// IdContextScore, EnumerateCandidatesById) replaced it in production;
+/// tests hold the id pipeline to these functions bit for bit.
 namespace xsdf::oracles {
+
+/// Splits a node label into the lemma tokens that carry its senses:
+/// a label the network knows as one lemma (including collocations like
+/// "first_name") is a single token; otherwise an underscore-joined
+/// compound is split into its constituent tokens (paper §3.2's
+/// unresolved-compound case, whose senses are combined by Eqs. 10/12).
+std::vector<std::string> LabelSenseTokens(
+    const wordnet::SemanticNetwork& network, const std::string& label);
+
+/// Amb_Polysemy(x.l, SN) of Eq. 1: (senses-1) / (Max(senses(SN))-1).
+/// Unknown labels have 0 senses and score 0. Compound labels average
+/// their tokens' polysemy factors (the Definition 3 special case).
+double AmbiguityPolysemy(const wordnet::SemanticNetwork& network,
+                         const std::string& label);
+
+/// Amb_Deg(x, T, SN) of Eq. 4, the node's label split and its
+/// polysemy computed on every call: core::AmbiguityDegree() applied to
+/// AmbiguityPolysemy() of the node's label.
+double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
+                       const wordnet::SemanticNetwork& network,
+                       const core::AmbiguityWeights& weights = {});
+
+/// Nodes whose string-path Amb_Deg >= threshold and whose label has at
+/// least one token with senses, in id order: the reference for
+/// core::SelectTargetNodes() and Disambiguator::SelectTargets().
+std::vector<xml::NodeId> SelectTargetNodes(
+    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
+    double threshold, const core::AmbiguityWeights& weights = {});
 
 /// One node of a sphere neighborhood: a label at a structural distance
 /// from the sphere center (distance 0 is the center itself).

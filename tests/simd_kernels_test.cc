@@ -3,13 +3,16 @@
 // return exactly its scalar reference's result at every dispatch
 // level, and every consumer (the four measures, the combined measure,
 // IdContextVector comparisons, IdContextScore) must produce
-// bit-identical doubles at every level. Also covers the seqlock
-// cache's batch probe and the engine's thread auto-detection.
+// bit-identical doubles at every level — the vector comparisons equal
+// to the per-id lookup reference in tests/oracles/ at every level,
+// scalar included. Also covers the seqlock cache's batch probe and the
+// engine's thread auto-detection.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -20,6 +23,7 @@
 #include "common/simd.h"
 #include "core/context_vector.h"
 #include "core/scores.h"
+#include "oracles/id_vector_reference.h"
 #include "runtime/engine.h"
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
@@ -262,6 +266,26 @@ void ExpectBitIdenticalAcrossLevels(Compute&& compute,
   }
 }
 
+/// Runs `compute` once per supported level, scalar included, and
+/// expects every level to reproduce `want` — a reference computed
+/// independently of the dispatch level — bit for bit.
+template <typename Compute>
+void ExpectBitIdenticalToReference(Compute&& compute,
+                                   const std::vector<double>& want,
+                                   const char* what) {
+  LevelGuard guard;
+  for (simd::Level level : SupportedLevels()) {
+    simd::ForceLevel(level);
+    const std::vector<double> got = compute();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+          << what << " diverged from the reference at "
+          << simd::LevelName(level) << ", sample " << i;
+    }
+  }
+}
+
 /// Deterministic sample of concept pairs covering the whole id range.
 std::vector<std::pair<ConceptId, ConceptId>> SamplePairs(size_t count) {
   std::mt19937 rng(20150324);
@@ -318,7 +342,17 @@ TEST(SimdEquivalenceTest, ContextVectorComparisonsAcrossLevels) {
       0, static_cast<int>(network.size()) - 1);
   std::vector<std::pair<ConceptId, ConceptId>> centers;
   for (int i = 0; i < 60; ++i) centers.emplace_back(pick(rng), pick(rng));
-  ExpectBitIdenticalAcrossLevels(
+  // The per-id lookup reference once; then, at every level, the
+  // vectors rebuilt and compared by the merge.
+  std::vector<double> want;
+  for (auto [ca, cb] : centers) {
+    const core::IdContextVector va(core::BuildConceptIdSphere(network, ca, 2));
+    const core::IdContextVector vb(core::BuildConceptIdSphere(network, cb, 2));
+    want.push_back(oracles::LookupCosine(va, vb));
+    want.push_back(oracles::LookupJaccard(va, vb));
+    want.push_back(oracles::LookupJaccard(vb, va));
+  }
+  ExpectBitIdenticalToReference(
       [&] {
         std::vector<double> values;
         core::IdContextVector va;
@@ -332,7 +366,7 @@ TEST(SimdEquivalenceTest, ContextVectorComparisonsAcrossLevels) {
         }
         return values;
       },
-      "context_vector");
+      want, "context_vector");
 }
 
 TEST(SimdEquivalenceTest, IdContextScoreAcrossLevels) {
@@ -370,15 +404,27 @@ TEST(SimdEquivalenceTest, IdContextScoreAcrossLevels) {
 
 TEST(SimdEquivalenceTest, OovOnlySpheresCompareCleanly) {
   // Spheres made purely of overflow (OOV) label ids never intersect a
-  // concept vector; both comparisons must agree with scalar and return
-  // finite values at every level.
+  // concept vector; both comparisons must agree with the lookup
+  // reference and return finite values at every level.
   const SemanticNetwork& network = Network();
   core::IdSphere oov;
   oov.radius = 2;
   const uint32_t base = 1u << 20;  // far beyond any interned id
   oov.push_back(base, 0);
   for (int i = 1; i <= 12; ++i) oov.push_back(base + 2 * i, 1 + (i % 2));
-  ExpectBitIdenticalAcrossLevels(
+  const core::IdContextVector reference_oov(oov);
+  const core::IdContextVector reference_concept(
+      core::BuildConceptIdSphere(network, 0, 2));
+  const core::IdContextVector reference_empty;
+  const std::vector<double> want = {
+      oracles::LookupCosine(reference_oov, reference_concept),
+      oracles::LookupJaccard(reference_oov, reference_concept),
+      oracles::LookupJaccard(reference_concept, reference_oov),
+      oracles::LookupCosine(reference_oov, reference_empty),
+      oracles::LookupJaccard(reference_empty, reference_oov),
+  };
+  for (double value : want) EXPECT_TRUE(std::isfinite(value));
+  ExpectBitIdenticalToReference(
       [&] {
         core::IdContextVector oov_vector;
         oov_vector.Assign(oov);
@@ -393,7 +439,7 @@ TEST(SimdEquivalenceTest, OovOnlySpheresCompareCleanly) {
             empty_vector.Jaccard(oov_vector),
         };
       },
-      "oov_sphere");
+      want, "oov_sphere");
 }
 
 TEST(EngineThreadsTest, ZeroAutoDetectsHardwareConcurrency) {

@@ -26,6 +26,7 @@
 #include "datasets/generator.h"
 #include "obs/metrics.h"
 #include "oracles/dom_tree_builder.h"
+#include "oracles/string_pipeline.h"
 #include "prop/generators.h"
 #include "runtime/engine.h"
 #include "wordnet/mini_wordnet.h"
@@ -243,12 +244,12 @@ TEST(StreamingBuilderTest, WholeValueMemoStaysBounded) {
 }
 
 // Id-native target selection must be the string reference in disguise:
-// Disambiguator::SelectTargets picks exactly SelectTargetNodes' nodes,
-// and every target's assignment.ambiguity is bit-equal to
-// AmbiguityDegree() — under default and non-default weights and
-// thresholds, over the generated corpus (whose suffixed tags make
-// out-of-vocabulary compound labels, i.e. overflow ids) plus one giant
-// document.
+// Disambiguator::SelectTargets picks exactly the string oracle's
+// SelectTargetNodes() nodes, and every target's assignment.ambiguity is
+// bit-equal to the oracle's AmbiguityDegree() — under default and
+// non-default weights and thresholds, over the generated corpus (whose
+// suffixed tags make out-of-vocabulary compound labels, i.e. overflow
+// ids) plus one giant document.
 TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
   std::vector<std::string> docs = PropgenCorpus();
   docs.push_back(datasets::GiantDocuments(1, 256u << 10, 2)[0].xml);
@@ -283,14 +284,14 @@ TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
       auto tree = oracles::BuildTreeViaDom(*doc, Network(), true, &space);
       if (!tree.ok()) continue;
 
-      const std::vector<xml::NodeId> expected = core::SelectTargetNodes(
+      const std::vector<xml::NodeId> expected = oracles::SelectTargetNodes(
           *tree, Network(), config.threshold, config.weights);
       ASSERT_EQ(system.SelectTargets(*tree), expected) << context;
       for (xml::NodeId id : expected) {
         ++targets;
         if (tree->label_id(id) >= space.network_size()) ++overflow_targets;
         const double reference =
-            core::AmbiguityDegree(*tree, id, Network(), config.weights);
+            oracles::AmbiguityDegree(*tree, id, Network(), config.weights);
         auto assignment = system.DisambiguateNode(*tree, id);
         ASSERT_TRUE(assignment.ok()) << context << " node " << id;
         ASSERT_EQ(Bits(assignment->ambiguity), Bits(reference))

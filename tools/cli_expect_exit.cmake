@@ -1,9 +1,9 @@
-# Runs `XSDF ARG1 [ARG2 [ARG3]]` and fails unless it exits with
+# Runs `XSDF ARG1 [ARG2 [ARG3 [ARG4]]]` and fails unless it exits with
 # EXIT_CODE and its stderr matches STDERR_REGEX. Run as a ctest command:
-#   cmake -DXSDF=<xsdf> -DARG1=... [-DARG2=... [-DARG3=...]]
+#   cmake -DXSDF=<xsdf> -DARG1=... [-DARG2=... [-DARG3=... [-DARG4=...]]]
 #         -DEXIT_CODE=1 "-DSTDERR_REGEX=..." -P cli_expect_exit.cmake
 set(args ${ARG1})
-foreach(arg ARG2 ARG3)
+foreach(arg ARG2 ARG3 ARG4)
   if(DEFINED ${arg})
     list(APPEND args ${${arg}})
   endif()

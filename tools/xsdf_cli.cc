@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -30,6 +31,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -37,7 +39,6 @@
 #include "core/disambiguator.h"
 #include "core/node_query.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -175,18 +176,21 @@ const SemanticNetwork* GetNetwork() {
   return &*network;
 }
 
+/// Parses all of `text` as a decimal int; false on an empty,
+/// non-numeric or out-of-range value, or trailing characters.
+bool ParseInt(const std::string& text, int* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 /// Parses the integer value of a `--flag N` pair; false on a missing
-/// or non-numeric value.
+/// value or one ParseInt() rejects.
 bool ParseIntValue(const std::vector<std::string>& args, size_t* i,
                    int* out) {
   if (*i + 1 >= args.size()) return false;
   ++*i;
-  const std::string& text = args[*i];
-  char* end = nullptr;
-  long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<int>(value);
-  return true;
+  return ParseInt(args[*i], out);
 }
 
 /// Parses the non-negative byte-count value of a `--flag N` pair
@@ -629,7 +633,9 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
   };
   std::vector<Row> rows;
   for (xsdf::xml::NodeId id : tree->ids()) {
-    rows.push_back({id, xsdf::core::AmbiguityDegree(*tree, id, network)});
+    rows.push_back({id, xsdf::core::AmbiguityDegree(
+                            *tree, id,
+                            label_space.Senses(tree->label_id(id)).polysemy)});
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.degree > b.degree; });
@@ -637,12 +643,9 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
               "depth", "Amb_Deg");
   for (const Row& row : rows) {
     const std::string label(tree->label(row.id));
-    int senses = 0;
-    for (const auto& token : xsdf::core::LabelSenseTokens(network, label)) {
-      senses += network.SenseCount(token);
-    }
     std::printf("%-6d %-16s %-8d %-8d %.4f\n", row.id, label.c_str(),
-                senses, tree->depth(row.id), row.degree);
+                label_space.Senses(tree->label_id(row.id)).sense_count(),
+                tree->depth(row.id), row.degree);
   }
   return 0;
 }
@@ -1302,12 +1305,8 @@ int main(int argc, char** argv) {
   if (command == "disambiguate") {
     if (rest.empty() || rest.size() > 2) return Usage();
     int radius = 2;
-    if (rest.size() == 2) {
-      char* end = nullptr;
-      radius = static_cast<int>(std::strtol(rest[1].c_str(), &end, 10));
-      if (end == rest[1].c_str() || *end != '\0' || radius < 1) {
-        return Usage();
-      }
+    if (rest.size() == 2 && (!ParseInt(rest[1], &radius) || radius < 1)) {
+      return Usage();
     }
     if (require_network() == nullptr) return 1;
     return CmdDisambiguate(*network, rest[0].c_str(), radius);

@@ -445,15 +445,18 @@ int main(int argc, char** argv) {
   });
   resolve_stage.fast_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
+    // The disambiguator's buffers: one sphere, vector and resolved
+    // context, reassigned per node.
     xsdf::core::IdSphere sphere;
     IdContextVector vector;
+    IdResolvedContext resolved;
     for (const LabeledTree& tree : id_trees) {
       for (size_t n = 0; n < tree.size(); ++n) {
         const auto id = static_cast<xsdf::xml::NodeId>(n);
         BuildXmlIdSphere(tree, id, kRadius, /*exclude_tokens=*/false,
                          &sphere);
         vector.Assign(sphere);
-        IdResolvedContext resolved(space, sphere, vector);
+        resolved.Assign(space, vector);
         sum += 1.0;
       }
     }

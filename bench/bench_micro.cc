@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/ambiguity.h"
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
@@ -116,9 +118,14 @@ void BM_BuildXmlIdSphere(benchmark::State& state) {
   int radius = static_cast<int>(state.range(0));
   xsdf::xml::NodeId center =
       static_cast<xsdf::xml::NodeId>(tree.size() / 2);
+  // The disambiguator's pattern: one sphere and one vector, rebuilt
+  // with their capacity kept.
+  xsdf::core::IdSphere sphere;
+  xsdf::core::IdContextVector vector;
   for (auto _ : state) {
-    auto sphere = xsdf::core::BuildXmlIdSphere(tree, center, radius);
-    xsdf::core::IdContextVector vector(sphere);
+    xsdf::core::BuildXmlIdSphere(tree, center, radius,
+                                 /*exclude_tokens=*/false, &sphere);
+    vector.Assign(sphere);
     benchmark::DoNotOptimize(vector);
   }
 }
@@ -137,6 +144,8 @@ void BM_AmbiguityDegree(benchmark::State& state) {
 }
 BENCHMARK(BM_AmbiguityDegree);
 
+// One Disambiguator across iterations: after the first, its decision
+// memo answers every multi-candidate target (the warm path).
 void BM_DisambiguateDocument(benchmark::State& state) {
   xsdf::core::DisambiguatorOptions options;
   options.sphere_radius = static_cast<int>(state.range(0));
@@ -151,6 +160,30 @@ void BM_DisambiguateDocument(benchmark::State& state) {
                           static_cast<int64_t>(tree.size()));
 }
 BENCHMARK(BM_DisambiguateDocument)->Arg(1)->Arg(2)->Arg(3);
+
+// A fresh Disambiguator per iteration (constructed off the clock): every
+// distinct sphere is scored once, the path a document of unseen
+// neighbourhoods takes.
+void BM_DisambiguateDocumentCold(benchmark::State& state) {
+  xsdf::core::DisambiguatorOptions options;
+  options.sphere_radius = static_cast<int>(state.range(0));
+  options.label_space = &Space();
+  const auto& tree = ShakespeareTree();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::optional<xsdf::core::Disambiguator> system;
+    system.emplace(&Network(), options);
+    state.ResumeTiming();
+    auto result = system->RunOnTree(tree);
+    benchmark::DoNotOptimize(result);
+    state.PauseTiming();
+    system.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tree.size()));
+}
+BENCHMARK(BM_DisambiguateDocumentCold)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_ContextBasedScore(benchmark::State& state) {
   const auto& network = Network();

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/context_vector.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
 #include "oracles/dom_tree_builder.h"
@@ -238,6 +239,38 @@ void CheckColumns(const xml::LabeledTree& tree,
   }
 }
 
+/// BuildXmlIdSphere must list Rings()' members in ring order and,
+/// within a ring, in Rings()' order, each with its node's label id and
+/// its ring's distance; excluding tokens drops exactly the token nodes
+/// past the center.
+void CheckSphereOrder(const xml::LabeledTree& tree, xml::NodeId center,
+                      int radius) {
+  const std::vector<std::vector<xml::NodeId>> rings =
+      tree.Rings(center, radius);
+  for (bool exclude_tokens : {false, true}) {
+    core::IdSphere expected;
+    expected.radius = radius;
+    for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
+      for (xml::NodeId id : rings[static_cast<size_t>(d)]) {
+        if (exclude_tokens && d > 0 &&
+            tree.kind(id) == xml::TreeNodeKind::kToken) {
+          continue;
+        }
+        expected.push_back(tree.label_id(id), d);
+      }
+    }
+    const core::IdSphere sphere =
+        core::BuildXmlIdSphere(tree, center, radius, exclude_tokens);
+    if (sphere.radius != radius || sphere.label_ids != expected.label_ids ||
+        sphere.distances != expected.distances) {
+      OracleFailure("tree", "sphere members differ from Rings()",
+                    "center " + std::to_string(center) + " radius " +
+                        std::to_string(radius) +
+                        (exclude_tokens ? " without tokens" : ""));
+    }
+  }
+}
+
 void DriveLabeledTree(const uint8_t* data, size_t size) {
   if (size < 1) return;
   uint8_t flags = data[0];
@@ -279,7 +312,7 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
       tree->depth(lca) > tree->depth(b)) {
     OracleFailure("tree", "LCA deeper than its descendants", "");
   }
-  tree->Rings(a, 1 + flags % 4);
+  CheckSphereOrder(*tree, a, 1 + flags % 4);
   if (tree->RootPath(b).empty()) {
     OracleFailure("tree", "empty root path", "");
   }

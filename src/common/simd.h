@@ -46,12 +46,11 @@ const char* LevelName(Level level);
 size_t FindU32Dispatch(const uint32_t* data, size_t n, uint32_t value);
 
 /// Index of the first element of data[0..n) equal to `value`, or `n`.
-/// (The first-occurrence dedup scan of IdContextVector::Assign and
-/// IdResolvedContext.) Scans below one AVX2 block stay inline — the
-/// dedup loop runs mostly over a handful of entries, where the
-/// cross-TU dispatch call costs more than the scan — and longer scans
-/// take the dispatched SIMD body. The returned index is identical
-/// either way.
+/// (The first-occurrence dedup scan of IdContextVector::Assign.)
+/// Scans below one AVX2 block stay inline — the dedup loop runs mostly
+/// over a handful of entries, where the cross-TU dispatch call costs
+/// more than the scan — and longer scans take the dispatched SIMD body.
+/// The returned index is identical either way.
 inline size_t FindU32(const uint32_t* data, size_t n, uint32_t value) {
   if (n < 16) {
     for (size_t i = 0; i < n; ++i) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
+#include "common/check.h"
 #include "common/simd.h"
 
 namespace xsdf::core {
@@ -23,35 +23,38 @@ void IdContextVector::Assign(const IdSphere& sphere,
                              bool uniform_proximity) {
   ids_.clear();
   weights_.clear();
+  member_dims_.clear();
   order_.clear();
   sorted_ids_.clear();
   sphere_size_ = sphere.size();
   if (sphere.empty()) return;
   // Freq(l, S) = sum of structural proximities of members labelled l,
   // accumulated in member order into first-occurrence-ordered entries.
-  // Spheres are small (a few
-  // dozen distinct labels), so first-occurrence dedup is a SIMD scan
-  // over the flat id array built so far — cheaper than a hash map at
-  // this size — with a hash-map fallback for pathologically wide
-  // spheres.
+  // Spheres are small (a few dozen distinct labels), so first-occurrence
+  // dedup is a SIMD scan over the flat id array built so far — cheaper
+  // than a hash table at this size — with an open-addressing table for
+  // pathologically wide spheres.
   const size_t member_count = sphere.label_ids.size();
   ids_.reserve(member_count);
   weights_.reserve(member_count);
+  member_dims_.resize(member_count);
   constexpr size_t kLinearScanLimit = 96;
-  std::unordered_map<uint32_t, uint32_t> index;
-  const bool use_map = member_count > kLinearScanLimit;
-  if (use_map) index.reserve(member_count);
+  size_t wide_mask = 0;
+  if (member_count > kLinearScanLimit) {
+    size_t capacity = 2 * kLinearScanLimit;
+    while (capacity < 2 * member_count) capacity *= 2;
+    if (wide_index_.size() < capacity) wide_index_.resize(capacity);
+    std::fill_n(wide_index_.begin(), capacity,
+                std::pair<uint32_t, uint32_t>(0, kEmptyWideSlot));
+    wide_mask = capacity - 1;
+  }
+  int32_t distance = -1;
+  double proximity = 0.0;
   for (size_t m = 0; m < member_count; ++m) {
     const uint32_t label_id = sphere.label_ids[m];
     size_t entry;
-    if (use_map) {
-      auto [it, inserted] =
-          index.emplace(label_id, static_cast<uint32_t>(ids_.size()));
-      entry = it->second;
-      if (inserted) {
-        ids_.push_back(label_id);
-        weights_.push_back(0.0);
-      }
+    if (wide_mask != 0) {
+      entry = WideDimension(label_id, wide_mask);
     } else {
       entry = simd::FindU32(ids_.data(), ids_.size(), label_id);
       if (entry == ids_.size()) {
@@ -59,10 +62,16 @@ void IdContextVector::Assign(const IdSphere& sphere,
         weights_.push_back(0.0);
       }
     }
-    weights_[entry] +=
-        uniform_proximity
-            ? 1.0
-            : StructuralProximity(sphere.distances[m], sphere.radius);
+    member_dims_[m] = static_cast<uint32_t>(entry);
+    // Members come ring by ring, so the proximity is recomputed only
+    // when the distance changes.
+    if (sphere.distances[m] != distance) {
+      distance = sphere.distances[m];
+      proximity = uniform_proximity
+                      ? 1.0
+                      : StructuralProximity(distance, sphere.radius);
+    }
+    weights_[entry] += proximity;
   }
   // w(l) = Freq / Max_Freq = 2*Freq / (|S| + 1)   (Eq. 5).
   double denom = static_cast<double>(sphere.size()) + 1.0;
@@ -79,6 +88,24 @@ void IdContextVector::Assign(const IdSphere& sphere,
   sorted_ids_.resize(order_.size());
   for (size_t k = 0; k < order_.size(); ++k) {
     sorted_ids_[k] = ids_[order_[k]];
+  }
+}
+
+uint32_t IdContextVector::WideDimension(uint32_t label_id, size_t mask) {
+  // Fibonacci hashing, linear probing; the table is at most half full.
+  size_t i = static_cast<size_t>((label_id * 0x9E3779B97F4A7C15ull) >> 32) &
+             mask;
+  while (true) {
+    auto& [slot_id, slot_dim] = wide_index_[i];
+    if (slot_dim == kEmptyWideSlot) {
+      slot_id = label_id;
+      slot_dim = static_cast<uint32_t>(ids_.size());
+      ids_.push_back(label_id);
+      weights_.push_back(0.0);
+      return slot_dim;
+    }
+    if (slot_id == label_id) return slot_dim;
+    i = (i + 1) & mask;
   }
 }
 
@@ -205,47 +232,63 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
   IdSphere& sphere = *out;
   sphere.clear();
   sphere.radius = radius;
-  // Inline BFS over the undirected tree adjacency producing exactly
-  // the ring-by-ring, sorted-within-ring member order of
-  // tree.Rings(center, radius), but with reusable scratch instead of
-  // Rings()'s per-call ring vectors and visited array: an
-  // epoch-stamped mark table and two flat frontier buffers, reused
-  // across every sphere built on this thread.
-  thread_local std::vector<uint32_t> mark;
-  thread_local uint32_t epoch = 0;
-  thread_local std::vector<xml::NodeId> frontier;
-  thread_local std::vector<xml::NodeId> next;
-  if (mark.size() < tree.size()) mark.resize(tree.size(), 0);
-  if (++epoch == 0) {  // epoch wrapped: invalidate all stale marks
-    std::fill(mark.begin(), mark.end(), 0);
-    epoch = 1;
-  }
-
   sphere.push_back(tree.label_id(center), 0);
-  mark[static_cast<size_t>(center)] = epoch;
-  frontier.clear();
-  frontier.push_back(center);
-  for (int d = 1; d <= radius && !frontier.empty(); ++d) {
-    next.clear();
-    for (xml::NodeId id : frontier) {
-      auto visit = [&](xml::NodeId neighbor) {
-        if (neighbor != xml::kInvalidNode &&
-            mark[static_cast<size_t>(neighbor)] != epoch) {
-          mark[static_cast<size_t>(neighbor)] = epoch;
-          next.push_back(neighbor);
+  // BFS over the undirected tree without a visited set: a ring member
+  // below the path to the center reaches its children (its parent is
+  // in the previous ring), while the path's topmost node `up` reaches
+  // its parent and its children other than `below`, the path's next
+  // node. `rings` holds ring d-1 at [begin, end) and ring d is appended
+  // after it: the new ancestor first, then up's children with the
+  // descendants' children spliced in at `below`. Node ids are preorder
+  // ranks, so the ancestor is smaller than the rest, each run is
+  // ascending, and the descendants' children all lie in below's
+  // subtree, between below's siblings: the merged ring comes out in
+  // tree.Rings()' order without a sort.
+  thread_local std::vector<xml::NodeId> rings;
+  rings.clear();
+  rings.push_back(center);
+  size_t begin = 0;
+  xml::NodeId up = center;
+  xml::NodeId below = xml::kInvalidNode;
+  for (int d = 1; d <= radius; ++d) {
+    const size_t end = rings.size();
+    const xml::NodeId parent =
+        up != xml::kInvalidNode ? tree.parent(up) : xml::kInvalidNode;
+    if (parent != xml::kInvalidNode) rings.push_back(parent);
+    auto push_descendant_children = [&] {
+      for (size_t i = begin; i < end; ++i) {
+        const xml::NodeId id = rings[i];
+        if (id == up) continue;
+        for (xml::NodeId child : tree.children(id)) rings.push_back(child);
+      }
+    };
+    if (up != xml::kInvalidNode) {
+      // At d == 1 there is no `below`, and no member below the path.
+      for (xml::NodeId child : tree.children(up)) {
+        if (child == below) {
+          push_descendant_children();
+        } else {
+          rings.push_back(child);
         }
-      };
-      visit(tree.parent(id));
-      for (xml::NodeId child : tree.children(id)) visit(child);
+      }
+    } else {
+      push_descendant_children();
     }
-    std::sort(next.begin(), next.end());
-    for (xml::NodeId id : next) {
+    if (rings.size() == end) break;  // tree exhausted
+    XSDF_DCHECK(std::is_sorted(rings.begin() +
+                                   static_cast<std::ptrdiff_t>(end),
+                               rings.end()),
+                "tree node ids are not preorder ranks");
+    for (size_t i = end; i < rings.size(); ++i) {
+      const xml::NodeId id = rings[i];
       if (exclude_tokens && tree.kind(id) == xml::TreeNodeKind::kToken) {
         continue;
       }
       sphere.push_back(tree.label_id(id), d);
     }
-    std::swap(frontier, next);
+    below = up;
+    up = parent;
+    begin = end;
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "wordnet/semantic_network.h"
@@ -51,7 +52,9 @@ struct IdSphere {
 /// and all accumulation follows that order, so every weight and
 /// similarity depends only on which members share a label, never on
 /// the id values themselves; lookups are a binary search over a small
-/// sorted permutation.
+/// sorted permutation. Grouping the members by label records each
+/// member's dimension, so consumers that walk the sphere member by
+/// member (IdResolvedContext) never group it again.
 class IdContextVector {
  public:
   IdContextVector() = default;
@@ -65,7 +68,8 @@ class IdContextVector {
 
   /// Rebuilds this vector from `sphere`, reusing the existing buffers
   /// (the per-node hot loop builds thousands of vectors; reassignment
-  /// keeps their capacity instead of reallocating). Equivalent to
+  /// keeps their capacity instead of reallocating, wide spheres
+  /// included). Equivalent to
   /// `*this = IdContextVector(sphere, uniform_proximity)`.
   void Assign(const IdSphere& sphere, bool uniform_proximity = false);
 
@@ -76,6 +80,9 @@ class IdContextVector {
   std::span<const uint32_t> ids() const { return ids_; }
   /// Dimension weights, parallel to ids().
   std::span<const double> weights() const { return weights_; }
+  /// The dimension of each sphere member, in member order:
+  /// ids()[member_dims()[m]] == sphere.label_ids[m].
+  std::span<const uint32_t> member_dims() const { return member_dims_; }
   size_t dimension_count() const { return ids_.size(); }
   int sphere_size() const { return sphere_size_; }
 
@@ -92,8 +99,20 @@ class IdContextVector {
   /// order_).
   int FindEntry(uint32_t label_id) const;
 
+  /// The dimension of `label_id` among the wide-sphere dedup table's
+  /// first `mask + 1` slots, appending a new dimension on first sight.
+  uint32_t WideDimension(uint32_t label_id, size_t mask);
+
+  /// wide_index_ dimension of an empty slot.
+  static constexpr uint32_t kEmptyWideSlot = 0xFFFFFFFFu;
+
   std::vector<uint32_t> ids_;     ///< first-occurrence order
   std::vector<double> weights_;   ///< parallel to ids_
+  std::vector<uint32_t> member_dims_;  ///< per sphere member
+  /// Open-addressing (label id, dimension) table for spheres too wide
+  /// for a linear dedup scan: a power-of-two prefix sized to the
+  /// sphere is cleared per Assign; the buffer only ever grows.
+  std::vector<std::pair<uint32_t, uint32_t>> wide_index_;
   std::vector<uint32_t> order_;   ///< indices into ids_, sorted by id
   /// ids_ permuted by order_ (i.e. ascending) — the contiguous SoA
   /// form the SIMD Cosine/Jaccard merge loads; sorted_ids_[k] ==
@@ -106,11 +125,17 @@ class IdContextVector {
 double StructuralProximity(int distance, int radius);
 
 /// Builds the XML sphere neighborhood S_d(center) over the tree
-/// (Definition 5), rings computed by BFS over containment edges and
-/// sorted by node id within a ring; each member carries its node's
-/// tree.label_id(). When `exclude_tokens` is set, content token nodes
-/// are left out of the sphere (structure-only context; ablation of the
-/// paper's structure-and-content integration, §3.1).
+/// (Definition 5): ring by ring, in node id order within a ring —
+/// exactly tree.Rings(center, radius)'s order — each member carrying
+/// its node's tree.label_id(). Rings are merged, not sorted: ring d is
+/// the center's d-th ancestor, then the (d-1)-th ancestor's other
+/// children with the previous ring's other members' children spliced
+/// in where the path to the center leaves it. That relies on the
+/// tree's node ids being preorder ranks, as LabeledTree documents
+/// (checked in checked builds). When `exclude_tokens` is set, content
+/// token nodes past the center are left out of the sphere
+/// (structure-only context; ablation of the paper's
+/// structure-and-content integration, §3.1).
 IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
                           int radius, bool exclude_tokens = false);
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
@@ -39,6 +41,8 @@ Disambiguator::Disambiguator(const wordnet::SemanticNetwork* network,
     ins_.node_margin_milli = m->GetHistogram(
         "core.node_top2_margin_milli",
         {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000});
+    ins_.memo_lookups = m->GetCounter("core.decision_memo_lookups");
+    ins_.memo_hits = m->GetCounter("core.decision_memo_hits");
   }
 }
 
@@ -65,51 +69,91 @@ CombinationWeights Disambiguator::EffectiveCombination() const {
   return {1.0, 0.0};
 }
 
+namespace {
+
+/// InvalidArgument unless `id` names a node of `tree`.
+Status CheckNodeId(const xml::LabeledTree& tree, xml::NodeId id) {
+  if (id >= 0 && static_cast<size_t>(id) < tree.size()) return Status::Ok();
+  return Status::InvalidArgument("node id " + std::to_string(id) +
+                                 " is outside the tree of " +
+                                 std::to_string(tree.size()) + " nodes");
+}
+
+/// The first highest score, and its margin over the best other score
+/// (0 with a single score).
+Decision DecideFromScores(const std::vector<double>& scores) {
+  size_t best = 0;
+  for (size_t i = 1; i < scores.size(); ++i) {
+    if (scores[i] > scores[best]) best = i;
+  }
+  double runner_up = 0.0;
+  bool have_runner_up = false;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (i == best) continue;
+    if (!have_runner_up || scores[i] > runner_up) {
+      runner_up = scores[i];
+      have_runner_up = true;
+    }
+  }
+  return {static_cast<uint32_t>(best), scores[best],
+          have_runner_up ? scores[best] - runner_up : 0.0};
+}
+
+}  // namespace
+
 std::vector<double> Disambiguator::ScoreCandidates(
     const xml::LabeledTree& tree, xml::NodeId id) const {
   if (!CheckLabelSource(tree, *label_space_).ok()) {
     XSDF_DCHECK(false, "tree was built through another label space");
     return {};
   }
-  return ScoreCandidatesImpl(tree, id, CandidatesFor(tree, id)->candidates);
+  if (!CheckNodeId(tree, id).ok()) {
+    XSDF_DCHECK(false, "node id outside the tree");
+    return {};
+  }
+  std::shared_ptr<const SenseEntry> entry = CandidatesFor(tree, id);
+  BuildXmlIdSphere(tree, id, options_.sphere_radius,
+                   options_.structure_only_context, &work_.sphere);
+  ScoreSphere(tree.label_id(id), entry->candidates, nullptr, 0, nullptr);
+  return work_.scores;
 }
 
-std::vector<double> Disambiguator::ScoreCandidatesImpl(
-    const xml::LabeledTree& tree, xml::NodeId id,
-    const std::vector<SenseCandidate>& candidates, StageTimes* times,
-    NodeAudit* audit) const {
-  const uint64_t t_start = times != nullptr ? obs::MonotonicNowNs() : 0;
+void Disambiguator::ScoreSphere(uint32_t label_id,
+                                const std::vector<SenseCandidate>& candidates,
+                                StageTimes* times, uint64_t t_start,
+                                NodeAudit* audit) const {
   CombinationWeights combo = EffectiveCombination();
-  // Build the sphere context and resolve its labels against the sense
-  // index once; every candidate scores against the same resolved
-  // context. The sphere scratch is thread_local so batch workers
-  // scoring node after node reuse its member buffer instead of
-  // reallocating it.
-  thread_local IdSphere sphere;
-  BuildXmlIdSphere(tree, id, options_.sphere_radius,
-                   options_.structure_only_context, &sphere);
-  const IdContextVector vector(sphere, options_.bag_of_words_context);
-  IdResolvedContext resolved(*label_space_, sphere, vector);
+  // Group the sphere's members by label once and resolve each label
+  // against the sense index once; every candidate scores against the
+  // same resolved context.
+  work_.vector.Assign(work_.sphere, options_.bag_of_words_context);
+  if (combo.concept_weight > 0.0) {
+    work_.resolved.Assign(*label_space_, work_.vector);
+  }
   uint64_t t_context = 0;
   if (times != nullptr) {
     t_context = obs::MonotonicNowNs();
     times->context_ns += t_context - t_start;
   }
-  std::vector<double> scores;
-  scores.reserve(candidates.size());
-  for (const SenseCandidate& candidate : candidates) {
+  if (combo.concept_weight > 0.0) {
+    work_.resolved.Score(*network_, measure_, label_id, candidates,
+                         &label_terms_, &work_.concept_scores);
+  }
+  std::vector<double>& scores = work_.scores;
+  scores.clear();
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const SenseCandidate& candidate = candidates[i];
     // Keep the accumulation order exactly as the un-audited path had
     // it — audit capture must stay bit-identical.
     double score = 0.0;
     double concept_part = 0.0;
     double context_part = 0.0;
     if (combo.concept_weight > 0.0) {
-      concept_part =
-          resolved.Score(*network_, measure_, candidate, &label_terms_);
+      concept_part = work_.concept_scores[i];
       score += combo.concept_weight * concept_part;
     }
     if (combo.context_weight > 0.0) {
-      context_part = IdContextScore(*network_, candidate, vector,
+      context_part = IdContextScore(*network_, candidate, work_.vector,
                                     options_.sphere_radius,
                                     options_.vector_similarity);
       score += combo.context_weight * context_part;
@@ -162,7 +206,6 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
   if (times != nullptr) {
     times->score_ns += obs::MonotonicNowNs() - t_context;
   }
-  return scores;
 }
 
 Result<SenseAssignment> Disambiguator::DisambiguateNode(
@@ -173,6 +216,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNode(
 Result<SenseAssignment> Disambiguator::DisambiguateNode(
     const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times) const {
   XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
+  XSDF_RETURN_IF_ERROR(CheckNodeId(tree, id));
   return DisambiguateNodeImpl(tree, id, times, nullptr);
 }
 
@@ -184,6 +228,10 @@ void Disambiguator::RecordStageTimes(const StageTimes& times) const {
   }
   if (ins_.score_us != nullptr) {
     ins_.score_us->Record((times.score_ns + 500) / 1000);
+  }
+  if (ins_.memo_lookups != nullptr) {
+    ins_.memo_lookups->Increment(times.memo_lookups);
+    ins_.memo_hits->Increment(times.memo_hits);
   }
 }
 
@@ -200,12 +248,13 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     return Status::NotFound("label has no senses in the network: " +
                             std::string(label));
   }
+  const uint32_t label_id = tree.label_id(id);
   SenseAssignment assignment;
   assignment.node = id;
   assignment.candidate_count = static_cast<int>(candidates.size());
-  assignment.ambiguity = AmbiguityDegree(
-      tree, id, label_space_->Senses(tree.label_id(id)).polysemy,
-      options_.ambiguity_weights);
+  assignment.ambiguity =
+      AmbiguityDegree(tree, id, label_space_->Senses(label_id).polysemy,
+                      options_.ambiguity_weights);
   if (ins_.node_candidates != nullptr) {
     ins_.node_candidates->Record(candidates.size());
   }
@@ -230,38 +279,47 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     }
     return assignment;
   }
-  std::vector<double> scores =
-      ScoreCandidatesImpl(tree, id, candidates, times, audit);
-  size_t best = 0;
-  for (size_t i = 1; i < scores.size(); ++i) {
-    if (scores[i] > scores[best]) best = i;
-  }
-  double runner_up = 0.0;
-  bool have_runner_up = false;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (i == best) continue;
-    if (!have_runner_up || scores[i] > runner_up) {
-      runner_up = scores[i];
-      have_runner_up = true;
+  const uint64_t t_start = times != nullptr ? obs::MonotonicNowNs() : 0;
+  BuildXmlIdSphere(tree, id, options_.sphere_radius,
+                   options_.structure_only_context, &work_.sphere);
+  // Audits always compute; everything else first asks the memo.
+  const bool memoized = audit == nullptr;
+  uint64_t key_hash = 0;
+  std::optional<Decision> decision;
+  if (memoized) {
+    DecisionMemo::KeyOf(work_.sphere, &work_.memo_key);
+    key_hash = DecisionMemo::Hash(work_.memo_key);
+    decision = decisions_.Find(key_hash, work_.memo_key);
+    if (times != nullptr) {
+      ++times->memo_lookups;
+      if (decision.has_value()) {
+        ++times->memo_hits;
+        times->context_ns += obs::MonotonicNowNs() - t_start;
+      }
     }
   }
-  const double margin = have_runner_up ? scores[best] - runner_up : 0.0;
+  if (!decision.has_value()) {
+    ScoreSphere(label_id, candidates, times, t_start, audit);
+    decision = DecideFromScores(work_.scores);
+    if (memoized) decisions_.Insert(key_hash, work_.memo_key, *decision);
+  }
   if (ins_.node_margin_milli != nullptr) {
     ins_.node_margin_milli->Record(static_cast<uint64_t>(
-        std::lround(std::max(margin, 0.0) * 1000.0)));
+        std::lround(std::max(decision->margin, 0.0) * 1000.0)));
   }
   if (audit != nullptr) {
-    audit->chosen_index = static_cast<int>(best);
-    audit->margin = margin;
+    audit->chosen_index = static_cast<int>(decision->chosen);
+    audit->margin = decision->margin;
   }
-  assignment.sense = candidates[best];
-  assignment.score = scores[best];
+  assignment.sense = candidates[decision->chosen];
+  assignment.score = decision->score;
   return assignment;
 }
 
 Result<NodeAudit> Disambiguator::ExplainNode(const xml::LabeledTree& tree,
                                              xml::NodeId id) const {
   XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
+  XSDF_RETURN_IF_ERROR(CheckNodeId(tree, id));
   NodeAudit audit;
   auto assignment = DisambiguateNodeImpl(tree, id, nullptr, &audit);
   if (!assignment.ok()) return assignment.status();

@@ -10,6 +10,8 @@
 
 #include "common/result.h"
 #include "core/ambiguity.h"
+#include "core/context_vector.h"
+#include "core/decision_memo.h"
 #include "core/label_space.h"
 #include "core/scores.h"
 #include "obs/json_writer.h"
@@ -287,13 +289,23 @@ struct SemanticTree {
 /// A tree from any other interner is rejected: RunOnTree,
 /// DisambiguateNode and ExplainNode return InvalidArgument, while
 /// SelectTargets and ScoreCandidates return an empty vector (and trap
-/// in checked builds).
+/// in checked builds). The per-node entry points hold a node id to the
+/// same rule: an id outside [0, tree.size()) is InvalidArgument, or an
+/// empty vector (and a trap in checked builds) from ScoreCandidates.
 ///
 /// A Disambiguator is used from one thread at a time: its entry points
-/// are const but fill a private label-term memo (see LabelTermMemo).
-/// Concurrent callers each construct their own from the same options,
-/// as the runtime engine's workers do; identically configured
-/// instances produce identical bytes.
+/// are const but fill private memos (see LabelTermMemo and
+/// DecisionMemo) and reuse private buffers for the sphere, its context
+/// vector and the scores, so deciding a target allocates nothing once
+/// they have grown. Concurrent callers each construct their own from
+/// the same options, as the runtime engine's workers do; identically
+/// configured instances produce identical bytes.
+///
+/// DisambiguateNode and RunOnTree decide each distinct sphere once:
+/// a target whose ordered sphere this instance has already decided is
+/// answered from its DecisionMemo, which holds exactly what scoring
+/// would compute. ExplainNode and ScoreCandidates never read or write
+/// it, so an audit always shows computed scores.
 class Disambiguator {
  public:
   /// `network` must outlive the disambiguator and have finalized
@@ -327,17 +339,23 @@ class Disambiguator {
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
 
   /// Disambiguates a single node of `tree`; returns the winning
-  /// assignment, or NotFound when the label has no candidate senses.
+  /// assignment, NotFound when the label has no candidate senses, or
+  /// InvalidArgument when `id` is outside the tree.
   Result<SenseAssignment> DisambiguateNode(const xml::LabeledTree& tree,
                                            xml::NodeId id) const;
 
   /// Per-document accumulator for the stage.context_us and
-  /// stage.score_us histograms: context covers sphere + context-vector
-  /// + sense resolution, score covers the candidate scoring loop (incl.
-  /// the frequency prior).
+  /// stage.score_us histograms and the decision-memo counters: context
+  /// covers the sphere and the memo probe, plus on a miss the context
+  /// vector and sense resolution; score covers a miss's candidate
+  /// scoring loop (incl. the frequency prior). A hit adds no score
+  /// time. Lookups count the multi-candidate targets, which probe the
+  /// memo; hits count those it answered.
   struct StageTimes {
     uint64_t context_ns = 0;
     uint64_t score_ns = 0;
+    uint64_t memo_lookups = 0;
+    uint64_t memo_hits = 0;
   };
 
   /// True when a metrics registry is attached. Callers running the
@@ -353,11 +371,15 @@ class Disambiguator {
                                            StageTimes* times) const;
 
   /// Records one document's accumulated stage times as one sample per
-  /// histogram; no-op without a registry.
+  /// histogram, and adds its memo lookups and hits to the
+  /// core.decision_memo_lookups / core.decision_memo_hits counters;
+  /// no-op without a registry.
   void RecordStageTimes(const StageTimes& times) const;
 
   /// Scores every candidate sense of `id` (exposed for analysis and
-  /// tests); parallel to EnumerateCandidatesById() order.
+  /// tests); parallel to EnumerateCandidatesById() order. Always
+  /// computed (the decision memo is neither read nor written); empty
+  /// for an id outside the tree.
   std::vector<double> ScoreCandidates(const xml::LabeledTree& tree,
                                       xml::NodeId id) const;
 
@@ -365,7 +387,9 @@ class Disambiguator {
   /// candidate with its concept/context/prior score decomposition and
   /// the chosen index. The chosen sense and scores are byte-identical
   /// to DisambiguateNode() on the same tree — audit capture never
-  /// perturbs the computation. NotFound when the label is senseless.
+  /// perturbs the computation, and it always computes (the decision
+  /// memo is neither read nor written). NotFound when the label is
+  /// senseless, InvalidArgument when `id` is outside the tree.
   Result<NodeAudit> ExplainNode(const xml::LabeledTree& tree,
                                 xml::NodeId id) const;
 
@@ -379,6 +403,18 @@ class Disambiguator {
     obs::Histogram* node_ambiguity_pct = nullptr;
     obs::Histogram* node_candidates = nullptr;
     obs::Histogram* node_margin_milli = nullptr;
+    obs::Counter* memo_lookups = nullptr;
+    obs::Counter* memo_hits = nullptr;
+  };
+
+  /// The buffers one decision works in, reused target after target.
+  struct Workspace {
+    IdSphere sphere;
+    IdContextVector vector;
+    IdResolvedContext resolved;
+    std::vector<double> concept_scores;
+    std::vector<double> scores;
+    std::vector<uint32_t> memo_key;
   };
 
   CombinationWeights EffectiveCombination() const;
@@ -395,13 +431,14 @@ class Disambiguator {
                                                StageTimes* times,
                                                NodeAudit* audit) const;
 
-  /// Scores an already-enumerated candidate list, resolving the node's
-  /// sphere context once for all candidates (DisambiguateNode passes
-  /// the list it fetched, avoiding a second sense-inventory lookup).
-  std::vector<double> ScoreCandidatesImpl(
-      const xml::LabeledTree& tree, xml::NodeId id,
-      const std::vector<SenseCandidate>& candidates,
-      StageTimes* times = nullptr, NodeAudit* audit = nullptr) const;
+  /// Scores the candidates of `label_id` (the center's label) against
+  /// the sphere in work_.sphere into work_.scores, resolving the
+  /// sphere context once for all candidates. Context time runs from
+  /// `t_start` (the sphere build's start) when `times` is set.
+  void ScoreSphere(uint32_t label_id,
+                   const std::vector<SenseCandidate>& candidates,
+                   StageTimes* times, uint64_t t_start,
+                   NodeAudit* audit) const;
 
   const wordnet::SemanticNetwork* network_;
   DisambiguatorOptions options_;
@@ -410,6 +447,10 @@ class Disambiguator {
   /// this instance's label space, network and measure, which never
   /// change after construction.
   mutable LabelTermMemo label_terms_;
+  /// Sphere -> decision, read and written by DisambiguateNode and
+  /// RunOnTree only.
+  mutable DecisionMemo decisions_;
+  mutable Workspace work_;
   Instruments ins_;
   /// Private space when options_.label_space was null.
   std::unique_ptr<LabelSpace> owned_label_space_;

@@ -2,28 +2,69 @@
 
 #include <algorithm>
 
-#include "common/simd.h"
+#include "common/check.h"
 
 namespace xsdf::core {
 
+namespace {
+
+/// SplitMix64 finalizer.
+uint64_t Mix64(uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
 size_t LabelTermMemo::KeyHash::operator()(const Key& key) const {
-  // SplitMix64 finalizer over the label id and primary concept, with
-  // the secondary concept (usually kInvalidConcept) spread in first.
+  // The label id and primary concept, with the secondary concept
+  // (usually kInvalidConcept) spread in first.
   uint64_t h = (uint64_t{key.label_id} << 32) |
                static_cast<uint32_t>(key.primary);
   h ^= static_cast<uint32_t>(key.secondary) * 0x9E3779B97F4A7C15ULL;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-  return static_cast<size_t>(h ^ (h >> 31));
+  return static_cast<size_t>(Mix64(h));
+}
+
+size_t LabelTermMemo::Row(const wordnet::SemanticNetwork& network,
+                          const sim::CombinedMeasure& measure,
+                          uint32_t label_id, const LabelSenses& senses,
+                          uint32_t target_label_id,
+                          std::span<const SenseCandidate> candidates) {
+  XSDF_DCHECK(senses.has_senses(), "a senseless label has no term row");
+  if (2 * (row_count_ + 1) > row_slots_.size()) GrowRows();
+  const uint64_t key = (uint64_t{label_id} << 32) | target_label_id;
+  const size_t mask = row_slots_.size() - 1;
+  size_t i = static_cast<size_t>(Mix64(key)) & mask;
+  while (row_slots_[i].key != kEmptyRow) {
+    if (row_slots_[i].key == key) return row_slots_[i].row;
+    i = (i + 1) & mask;
+  }
+  const size_t row = row_terms_.size();
+  for (const SenseCandidate& candidate : candidates) {
+    row_terms_.push_back(Term(network, measure, label_id, senses, candidate));
+  }
+  row_slots_[i] = {key, row};
+  ++row_count_;
+  return row;
+}
+
+void LabelTermMemo::GrowRows() {
+  std::vector<RowSlot> old = std::move(row_slots_);
+  row_slots_.assign(old.empty() ? 64 : 2 * old.size(), RowSlot());
+  const size_t mask = row_slots_.size() - 1;
+  for (const RowSlot& slot : old) {
+    if (slot.key == kEmptyRow) continue;
+    size_t i = static_cast<size_t>(Mix64(slot.key)) & mask;
+    while (row_slots_[i].key != kEmptyRow) i = (i + 1) & mask;
+    row_slots_[i] = slot;
+  }
 }
 
 double LabelTermMemo::Term(const wordnet::SemanticNetwork& network,
                            const sim::CombinedMeasure& measure,
                            uint32_t label_id, const LabelSenses& senses,
                            const SenseCandidate& candidate) {
-  // A senseless label scores 0 against every candidate; leaving it out
-  // keeps out-of-vocabulary content from growing the memo.
-  if (!senses.has_senses()) return 0.0;
   auto [it, inserted] = terms_.try_emplace(
       Key{label_id, candidate.primary, candidate.secondary}, 0.0);
   if (!inserted) return it->second;
@@ -49,51 +90,65 @@ double LabelTermMemo::Term(const wordnet::SemanticNetwork& network,
   return it->second;
 }
 
-IdResolvedContext::IdResolvedContext(LabelSpace& space,
-                                     const IdSphere& sphere,
-                                     const IdContextVector& vector)
-    : sphere_size_(sphere.size()) {
-  // First-occurrence label grouping via SIMD scan over the small flat
-  // set of distinct ids seen so far (spheres rarely hold more than a
-  // few dozen distinct labels; see IdContextVector for the same
-  // tradeoff).
-  const size_t member_count = sphere.label_ids.size();
-  label_ids_.reserve(member_count);
-  members_.reserve(member_count);
-  bool center_skipped = false;
-  for (size_t m = 0; m < member_count; ++m) {
-    const uint32_t label_id = sphere.label_ids[m];
-    if (!center_skipped && sphere.distances[m] == 0) {
-      center_skipped = true;  // skip exactly the center occurrence
-      continue;
-    }
-    const uint32_t entry = static_cast<uint32_t>(
-        simd::FindU32(label_ids_.data(), label_ids_.size(), label_id));
-    if (entry == label_ids_.size()) {
-      label_ids_.push_back(label_id);
-      labels_.push_back(&space.Senses(label_id));
-    }
-    members_.push_back({entry, vector.WeightById(label_id)});
+void IdResolvedContext::Assign(LabelSpace& space,
+                               const IdContextVector& vector) {
+  vector_ = &vector;
+  const std::span<const uint32_t> ids = vector.ids();
+  const std::span<const uint32_t> member_dims = vector.member_dims();
+  labels_.assign(ids.size(), nullptr);
+  // The center (member 0) is not scored against, so its dimension
+  // counts only when another member shares its label; every other
+  // dimension first occurs past the center. A senseless label scores 0
+  // against every candidate and stays null, which also keeps
+  // out-of-vocabulary content out of the term memo.
+  bool center_label_shared = false;
+  for (size_t m = 1; m < member_dims.size() && !center_label_shared; ++m) {
+    center_label_shared = member_dims[m] == 0;
   }
-  terms_.resize(labels_.size());
+  for (size_t dim = center_label_shared ? 0 : 1; dim < ids.size(); ++dim) {
+    const LabelSenses& senses = space.Senses(ids[dim]);
+    if (senses.has_senses()) labels_[dim] = &senses;
+  }
+  rows_.resize(ids.size());
 }
 
-double IdResolvedContext::Score(const wordnet::SemanticNetwork& network,
-                                const sim::CombinedMeasure& measure,
-                                const SenseCandidate& candidate,
-                                LabelTermMemo* terms) {
-  if (sphere_size_ == 0) return 0.0;
-  for (size_t li = 0; li < labels_.size(); ++li) {
-    terms_[li] =
-        terms->Term(network, measure, label_ids_[li], *labels_[li], candidate);
+void IdResolvedContext::Score(const wordnet::SemanticNetwork& network,
+                              const sim::CombinedMeasure& measure,
+                              uint32_t target_label_id,
+                              std::span<const SenseCandidate> candidates,
+                              LabelTermMemo* terms,
+                              std::vector<double>* scores) {
+  const size_t count = candidates.size();
+  scores->assign(count, 0.0);
+  const int sphere_size = vector_->sphere_size();
+  if (sphere_size == 0) return;
+  const std::span<const uint32_t> ids = vector_->ids();
+  for (size_t dim = 0; dim < labels_.size(); ++dim) {
+    if (labels_[dim] == nullptr) continue;
+    rows_[dim] = terms->Row(network, measure, ids[dim], *labels_[dim],
+                            target_label_id, candidates);
   }
-  double sum = 0.0;
-  for (const Member& member : members_) {
-    double sim = terms_[member.label_index];
-    if (sim <= 0.0) continue;
-    sum += sim * member.weight;
+  // Each candidate's sum runs over the members in member order, one
+  // addition per member whose term is positive, exactly as a
+  // per-candidate loop would add them.
+  const double* all_terms = terms->terms().data();
+  const std::span<const double> weights = vector_->weights();
+  const std::span<const uint32_t> member_dims = vector_->member_dims();
+  double* sums = scores->data();
+  for (size_t m = 1; m < member_dims.size(); ++m) {
+    const uint32_t dim = member_dims[m];
+    if (labels_[dim] == nullptr) continue;
+    const double* row = all_terms + rows_[dim];
+    const double weight = weights[dim];
+    for (size_t i = 0; i < count; ++i) {
+      const double term = row[i];
+      if (term <= 0.0) continue;
+      sums[i] += term * weight;
+    }
   }
-  return sum / static_cast<double>(sphere_size_);
+  for (size_t i = 0; i < count; ++i) {
+    sums[i] /= static_cast<double>(sphere_size);
+  }
 }
 
 std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,

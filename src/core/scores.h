@@ -54,15 +54,29 @@ std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
 /// with plain CombinedMeasure::Similarity() calls in sense order, and
 /// then read back for every later node whose sphere holds that label.
 ///
+/// Reads are at row grain: one probe per (context label, target label)
+/// returns the terms of all the target label's candidates, back to back
+/// in one flat array. A row is filled once from the per-candidate
+/// terms, each computed once whichever target labels share the
+/// candidate, so a concept pair is never compared twice.
+///
 /// One memo is valid for one LabelSpace, network and measure
 /// composition (a Disambiguator owns one), and is not thread-safe.
 class LabelTermMemo {
  public:
-  /// The term of `candidate` against the label interned under
-  /// `label_id`, whose resolved senses are `senses`.
-  double Term(const wordnet::SemanticNetwork& network,
-              const sim::CombinedMeasure& measure, uint32_t label_id,
-              const LabelSenses& senses, const SenseCandidate& candidate);
+  /// The position in terms() of the row of the context label interned
+  /// under `label_id`, whose resolved senses `senses` are non-empty,
+  /// against the label interned under `target_label_id`, whose
+  /// candidates are `candidates` (always the same list for one target
+  /// label): terms()[row + i] is candidate i's term. Positions stay
+  /// valid for the memo's life; terms() may move when a row is added.
+  size_t Row(const wordnet::SemanticNetwork& network,
+             const sim::CombinedMeasure& measure, uint32_t label_id,
+             const LabelSenses& senses, uint32_t target_label_id,
+             std::span<const SenseCandidate> candidates);
+
+  /// Every row, back to back.
+  std::span<const double> terms() const { return row_terms_; }
 
  private:
   struct Key {
@@ -74,55 +88,68 @@ class LabelTermMemo {
   struct KeyHash {
     size_t operator()(const Key& key) const;
   };
+  /// One slot of the open-addressing row index; kEmptyRow when free.
+  struct RowSlot {
+    uint64_t key = kEmptyRow;  ///< label_id << 32 | target_label_id
+    size_t row = 0;            ///< into row_terms_
+  };
+  static constexpr uint64_t kEmptyRow = ~uint64_t{0};
+
+  /// The term of `candidate` against the label (computed on first use).
+  double Term(const wordnet::SemanticNetwork& network,
+              const sim::CombinedMeasure& measure, uint32_t label_id,
+              const LabelSenses& senses, const SenseCandidate& candidate);
+  void GrowRows();
 
   std::unordered_map<Key, double, KeyHash> terms_;
+  std::vector<RowSlot> row_slots_;  ///< power-of-two, at most half full
+  size_t row_count_ = 0;
+  std::vector<double> row_terms_;
 };
 
 /// A sphere context resolved against the sense inventory once, so that
 /// scoring N candidates reads each sphere label's senses a single time
-/// instead of N times per sphere member. Sphere labels resolve through
-/// the LabelSpace's memoized per-id sense table; distinct labels
-/// collapse to one entry, grouped in first-occurrence order, and each
-/// candidate's term for a label is read once from a LabelTermMemo and
-/// reused for every member carrying that label (the term is pure, so
-/// reuse is bit-identical). Member weights come from the
-/// IdContextVector.
+/// instead of N times per sphere member. It takes the sphere's label
+/// grouping and weights straight from the IdContextVector built from
+/// the same sphere: each distinct label resolves once through the
+/// LabelSpace's memoized per-id sense table, and its terms for every
+/// candidate come from one LabelTermMemo row, reused for every member
+/// carrying that label (the term is pure, so reuse is bit-identical).
 ///
-/// Holds pointers into the space's memo, whose spans point into the
-/// network's sense index — build, score, and discard while the network
-/// is unchanged.
+/// Holds pointers into the vector, the space's memo and the network's
+/// sense index — assign, score and reassign while they are unchanged.
+/// Reassigning reuses the buffers, so a per-node loop allocates nothing
+/// once they have grown.
 class IdResolvedContext {
  public:
-  IdResolvedContext(LabelSpace& space, const IdSphere& sphere,
-                    const IdContextVector& vector);
+  /// Resolves the sphere `vector` was last assigned from, whose member
+  /// 0 is the center (as in every XML sphere).
+  void Assign(LabelSpace& space, const IdContextVector& vector);
 
   /// Concept_Score(s_p, S_d(x), SN-bar) of Definition 8 (and its
-  /// compound extension Eq. 10): the average over context nodes of the
-  /// maximum candidate-to-context-sense similarity, scaled by each
-  /// context node's context-vector weight. The center node itself is
-  /// not scored against (its own label's best sense is the candidate
-  /// itself, a constant across candidates). Per-label terms come from
-  /// `terms`, which must belong to the space this context was resolved
-  /// through and to `network` and `measure`.
-  double Score(const wordnet::SemanticNetwork& network,
-               const sim::CombinedMeasure& measure,
-               const SenseCandidate& candidate, LabelTermMemo* terms);
+  /// compound extension Eq. 10) of every candidate of the center's
+  /// label `target_label_id`, written to `(*scores)[i]` for
+  /// `candidates[i]` (resized to match): the average over context
+  /// nodes of the maximum candidate-to-context-sense similarity,
+  /// scaled by each context node's context-vector weight, summed in
+  /// member order. The center node itself is not scored against (its
+  /// own label's best sense is the candidate itself, a constant across
+  /// candidates). Per-label terms come from `terms`, which must belong
+  /// to the space this context was resolved through and to `network`
+  /// and `measure`.
+  void Score(const wordnet::SemanticNetwork& network,
+             const sim::CombinedMeasure& measure, uint32_t target_label_id,
+             std::span<const SenseCandidate> candidates,
+             LabelTermMemo* terms, std::vector<double>* scores);
 
  private:
-  struct Member {
-    uint32_t label_index = 0;  ///< into label_ids_ / labels_
-    double weight = 0.0;       ///< vector.WeightById(label_id)
-  };
-
-  /// One distinct sphere label id, in first-occurrence order, with its
-  /// resolution in the space's stable memo.
-  std::vector<uint32_t> label_ids_;
+  const IdContextVector* vector_ = nullptr;
+  /// Per vector dimension: the label's resolved senses, or null when no
+  /// context member (the center aside) carries a sense-bearing label
+  /// there, so the dimension adds no term.
   std::vector<const LabelSenses*> labels_;
-  std::vector<Member> members_;
-  /// Per-label terms of the candidate being scored (scratch, reused
-  /// across the node's candidates).
-  std::vector<double> terms_;
-  int sphere_size_ = 0;
+  /// Per vector dimension: its row in the term memo (scratch).
+  std::vector<size_t> rows_;
 };
 
 /// How two context vectors are compared in Context_Score: cosine (the

@@ -65,11 +65,14 @@ struct DisambiguationEngine::SubtreeWork {
   int owner_worker = -1;
   std::atomic<size_t> next_chunk{0};
   std::atomic<size_t> chunks_done{0};
-  /// Stage times summed over every chunk (whichever worker ran it),
-  /// recorded by the owner as the document's one sample per stage.
-  /// Only accumulated when the disambiguators record stage times.
+  /// Stage times and decision-memo counts summed over every chunk
+  /// (whichever worker ran it), recorded by the owner as the
+  /// document's one sample per stage and one add per counter. Only
+  /// accumulated when the disambiguators record stage times.
   std::atomic<uint64_t> context_ns{0};
   std::atomic<uint64_t> score_ns{0};
+  std::atomic<uint64_t> memo_lookups{0};
+  std::atomic<uint64_t> memo_hits{0};
   std::mutex mu;
   std::condition_variable done_cv;
 };
@@ -322,7 +325,9 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
     // increments, which the acquire wait above observed.
     disambiguator.RecordStageTimes(
         {work->context_ns.load(std::memory_order_relaxed),
-         work->score_ns.load(std::memory_order_relaxed)});
+         work->score_ns.load(std::memory_order_relaxed),
+         work->memo_lookups.load(std::memory_order_relaxed),
+         work->memo_hits.load(std::memory_order_relaxed)});
   }
   // Every chunk wrote its targets' slots before its chunks_done
   // increment, so the column is complete; which worker ran what never
@@ -373,6 +378,9 @@ void DisambiguationEngine::RunSubtreeChunks(
         work.context_ns.fetch_add(times.context_ns,
                                   std::memory_order_relaxed);
         work.score_ns.fetch_add(times.score_ns, std::memory_order_relaxed);
+        work.memo_lookups.fetch_add(times.memo_lookups,
+                                    std::memory_order_relaxed);
+        work.memo_hits.fetch_add(times.memo_hits, std::memory_order_relaxed);
       }
     }
     const size_t done =

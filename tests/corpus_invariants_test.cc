@@ -12,6 +12,7 @@
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
+#include "datasets/generator.h"
 #include "eval/experiment.h"
 #include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
@@ -223,6 +224,59 @@ TEST_F(CorpusInvariantsTest, RingsPartitionWithinRadius) {
       }
     }
   }
+}
+
+/// Fails unless BuildXmlIdSphere lists Rings()' members of every node
+/// of `tree`, at radius 1-4, in Rings()' order with their label ids
+/// and ring distances; excluding tokens drops exactly the token nodes
+/// past the center.
+void ExpectSpheresFollowRings(const xml::LabeledTree& tree,
+                              const std::string& name) {
+  core::IdSphere sphere;
+  std::vector<uint32_t> want_ids;
+  std::vector<int32_t> want_distances;
+  for (xml::NodeId center : tree.ids()) {
+    for (int radius = 1; radius <= 4; ++radius) {
+      const auto rings = tree.Rings(center, radius);
+      for (bool exclude_tokens : {false, true}) {
+        want_ids.clear();
+        want_distances.clear();
+        for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
+          for (xml::NodeId id : rings[static_cast<size_t>(d)]) {
+            if (exclude_tokens && d > 0 &&
+                tree.kind(id) == xml::TreeNodeKind::kToken) {
+              continue;
+            }
+            want_ids.push_back(tree.label_id(id));
+            want_distances.push_back(d);
+          }
+        }
+        core::BuildXmlIdSphere(tree, center, radius, exclude_tokens,
+                               &sphere);
+        ASSERT_EQ(sphere.label_ids, want_ids)
+            << name << " node " << center << " radius " << radius
+            << (exclude_tokens ? " without tokens" : "");
+        ASSERT_EQ(sphere.distances, want_distances)
+            << name << " node " << center << " radius " << radius
+            << (exclude_tokens ? " without tokens" : "");
+      }
+    }
+  }
+}
+
+TEST_F(CorpusInvariantsTest, SpheresFollowRingsEverywhere) {
+  for (const auto& doc : corpus()) {
+    ExpectSpheresFollowRings(doc.tree, doc.generated.name);
+  }
+  // The giant document's root has hundreds of children, so every
+  // sphere reaching it holds a long run of siblings.
+  const datasets::GeneratedDocument giant =
+      datasets::GiantDocuments(1, 256u << 10, 1)[0];
+  auto tree = core::BuildTreeStreaming(giant.xml, network(),
+                                       xml::ParseOptions{}, true, labels());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_GT(tree->fan_out(tree->root()), 100);
+  ExpectSpheresFollowRings(*tree, giant.name);
 }
 
 TEST_F(CorpusInvariantsTest, JaccardProcessStillDisambiguates) {

@@ -4,10 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <initializer_list>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "core/decision_memo.h"
 #include "core/disambiguator.h"
 #include "core/node_query.h"
 #include "core/streaming_builder.h"
 #include "datasets/generator.h"
+#include "obs/metrics.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 
@@ -226,6 +237,36 @@ TEST(DisambiguatorTest, RejectsTreeFromAnotherLabelSpace) {
   EXPECT_EQ(accepted->assignments.size(), 7u);
 }
 
+// Node ids index the tree's columns, so an id outside [0, size()) is
+// rejected before any column is read.
+TEST(DisambiguatorTest, RejectsNodeIdOutsideTheTree) {
+  Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
+  for (const xml::NodeId id :
+       {xml::NodeId{-1}, static_cast<xml::NodeId>(tree->size())}) {
+    EXPECT_EQ(system.DisambiguateNode(*tree, id).status().code(),
+              StatusCode::kInvalidArgument)
+        << id;
+    Disambiguator::StageTimes times;
+    EXPECT_EQ(system.DisambiguateNode(*tree, id, &times).status().code(),
+              StatusCode::kInvalidArgument)
+        << id;
+    EXPECT_EQ(times.memo_lookups, 0u);
+    EXPECT_EQ(system.ExplainNode(*tree, id).status().code(),
+              StatusCode::kInvalidArgument)
+        << id;
+    std::vector<double> scores;
+    EXPECT_DEBUG_DEATH(scores = system.ScoreCandidates(*tree, id),
+                       "outside the tree");
+    EXPECT_TRUE(scores.empty()) << id;
+  }
+  // The last node is inside.
+  const auto last = static_cast<xml::NodeId>(tree->size() - 1);
+  EXPECT_NE(system.DisambiguateNode(*tree, last).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(DisambiguatorTest, MalformedXmlPropagatesError) {
   Disambiguator system(&Network());
   auto result = system.RunOnXml("<broken>");
@@ -258,11 +299,137 @@ TEST(SemanticTreeXmlTest, SerializesAnnotations) {
 
 // =================== ExplainNode audit trail ======================
 
+/// The bucket counts of the per-node histograms in `registry`.
+std::vector<std::vector<uint64_t>> NodeHistogramCounts(
+    const obs::MetricsRegistry& registry) {
+  std::vector<std::vector<uint64_t>> counts;
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  for (const char* name : {"core.node_top2_margin_milli",
+                           "core.node_candidates",
+                           "core.node_ambiguity_pct"}) {
+    counts.emplace_back();
+    for (const obs::HistogramSnapshot& h : snapshot.histograms) {
+      if (h.name == name) counts.back() = h.counts;
+    }
+  }
+  return counts;
+}
+
+/// `after - before`, bucket by bucket.
+std::vector<std::vector<uint64_t>> CountsAdded(
+    const std::vector<std::vector<uint64_t>>& before,
+    std::vector<std::vector<uint64_t>> after) {
+  for (size_t h = 0; h < after.size(); ++h) {
+    for (size_t b = 0; b < after[h].size(); ++b) {
+      after[h][b] -= b < before[h].size() ? before[h][b] : 0;
+    }
+  }
+  return after;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// One node's first-pass DisambiguateNode result.
+struct FirstPass {
+  const xml::LabeledTree* tree = nullptr;
+  xml::NodeId id = xml::kInvalidNode;
+  Result<SenseAssignment> assignment;
+};
+
+/// Runs DisambiguateNode twice over every node of `docs` on one
+/// Disambiguator configured by `options` (its metrics registry is
+/// attached here), in windows that end before its decision memo would
+/// clear: the second pass over a window must be answered entirely by
+/// the memo, record the same per-node histogram buckets as the first,
+/// and repeat the first's results bit for bit, which must also equal
+/// ExplainNode's (which always computes).
+void ExpectMemoizedDecisionsMatchExplain(
+    DisambiguatorOptions options,
+    const std::vector<datasets::GeneratedDocument>& docs,
+    const std::string& what) {
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  Disambiguator system(&Network(), options);
+  std::vector<xml::LabeledTree> trees;
+  for (const datasets::GeneratedDocument& doc : docs) {
+    auto tree = BuildTreeStreaming(doc.xml, Network(), xml::ParseOptions{},
+                                   options.include_values,
+                                   system.label_space());
+    ASSERT_TRUE(tree.ok()) << doc.name;
+    trees.push_back(std::move(tree).value());
+  }
+  // A shadow memo fed the same keys tells where the real one clears.
+  DecisionMemo shadow;
+  IdSphere sphere;
+  std::vector<uint32_t> key;
+  std::vector<FirstPass> window;
+  uint64_t second_pass_lookups = 0;
+  auto before = NodeHistogramCounts(registry);
+  auto finish_window = [&] {
+    const auto after_first = NodeHistogramCounts(registry);
+    Disambiguator::StageTimes second;
+    std::vector<Result<SenseAssignment>> again;
+    for (const FirstPass& first : window) {
+      again.push_back(system.DisambiguateNode(*first.tree, first.id, &second));
+    }
+    EXPECT_EQ(second.memo_hits, second.memo_lookups) << what;
+    second_pass_lookups += second.memo_lookups;
+    EXPECT_EQ(CountsAdded(after_first, NodeHistogramCounts(registry)),
+              CountsAdded(before, after_first))
+        << what;
+    for (size_t i = 0; i < window.size(); ++i) {
+      const FirstPass& first = window[i];
+      const auto audit = system.ExplainNode(*first.tree, first.id);
+      ASSERT_EQ(again[i].ok(), first.assignment.ok());
+      ASSERT_EQ(audit.ok(), first.assignment.ok());
+      if (!first.assignment.ok()) continue;
+      const SenseAssignment& a = *first.assignment;
+      const CandidateAudit& chosen =
+          audit->candidates[static_cast<size_t>(audit->chosen_index)];
+      for (const auto& [sense, score, ambiguity, source] :
+           {std::tuple(again[i]->sense, again[i]->score,
+                       again[i]->ambiguity, "second pass"),
+            std::tuple(chosen.sense, chosen.total, audit->ambiguity,
+                       "explain")}) {
+        EXPECT_TRUE(sense == a.sense && SameBits(score, a.score) &&
+                    SameBits(ambiguity, a.ambiguity))
+            << what << ": " << source << " differs at node " << first.id
+            << " (" << first.tree->label(first.id) << ")";
+      }
+    }
+    window.clear();
+    before = NodeHistogramCounts(registry);
+  };
+  for (const xml::LabeledTree& tree : trees) {
+    for (xml::NodeId id : tree.ids()) {
+      if (EnumerateCandidatesById(*system.label_space(), tree.label_id(id))
+              .size() > 1) {
+        BuildXmlIdSphere(tree, id, options.sphere_radius,
+                         options.structure_only_context, &sphere);
+        DecisionMemo::KeyOf(sphere, &key);
+        const uint64_t hash = DecisionMemo::Hash(key);
+        if (!shadow.Find(hash, key)) {
+          const size_t held = shadow.size();
+          shadow.Insert(hash, key, {});
+          ASSERT_TRUE(shadow.Find(hash, key)) << "key not stored";
+          if (shadow.size() <= held) finish_window();
+        }
+      }
+      window.push_back({&tree, id, system.DisambiguateNode(tree, id)});
+    }
+  }
+  finish_window();
+  EXPECT_GT(second_pass_lookups, 0u) << what;
+}
+
 TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
   // The acceptance bar for `xsdf explain`: on every node the audit's
   // chosen sense, score, and ambiguity are byte-identical to what the
   // batch pipeline assigns — audit capture must not perturb the
-  // floating-point accumulation.
+  // floating-point accumulation, and a decision the memo answers
+  // must be exactly the one scoring computes.
   Disambiguator system(&Network());
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
@@ -290,6 +457,42 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
     EXPECT_EQ(audit->label, tree->label(id));
   }
   EXPECT_GT(audited, 5u) << "expected several disambiguated nodes";
+
+  // Every node of the generated corpus (as `xsdf gen-corpus` writes it)
+  // and of a 256 KB giant document, under each process.
+  std::vector<datasets::GeneratedDocument> docs;
+  for (const auto* generator : datasets::AllDatasets()) {
+    for (auto& doc : generator->Generate(42)) docs.push_back(std::move(doc));
+  }
+  for (auto& doc : datasets::Figure1Documents()) docs.push_back(doc);
+  docs.push_back(datasets::GiantDocuments(1, 256u << 10, 1)[0]);
+  struct Config {
+    const char* name;
+    DisambiguationProcess process;
+    VectorSimilarity vector_similarity;
+    bool structure_only;
+  };
+  for (const Config& config :
+       {Config{"concept", DisambiguationProcess::kConceptBased,
+               VectorSimilarity::kCosine, false},
+        Config{"combined-cosine", DisambiguationProcess::kCombined,
+               VectorSimilarity::kCosine, false},
+        Config{"combined-jaccard", DisambiguationProcess::kCombined,
+               VectorSimilarity::kJaccard, false},
+        Config{"structure-only", DisambiguationProcess::kConceptBased,
+               VectorSimilarity::kCosine, true}}) {
+    for (int radius = 1; radius <= 3; ++radius) {
+      DisambiguatorOptions options;
+      options.sphere_radius = radius;
+      options.process = config.process;
+      options.combination_weights = {0.5, 0.5};
+      options.vector_similarity = config.vector_similarity;
+      options.structure_only_context = config.structure_only;
+      ExpectMemoizedDecisionsMatchExplain(
+          options, docs,
+          std::string(config.name) + " radius " + std::to_string(radius));
+    }
+  }
 }
 
 TEST(ExplainNodeTest, MarginSeparatesTopTwoCandidates) {
@@ -405,6 +608,121 @@ TEST(SemanticTreeXmlTest, Figure1SecondDocumentCompounds) {
   EXPECT_NE(FindByLabel(*result, "first_name"), nullptr);
   EXPECT_NE(FindByLabel(*result, "last_name"), nullptr);
   EXPECT_EQ(AssignedLabel(*result, "kelly"), "grace_kelly");
+}
+
+// ======================== Decision memo ==========================
+
+/// The sphere of (label id, distance) members, center first.
+IdSphere SphereOf(
+    std::initializer_list<std::pair<uint32_t, int32_t>> members) {
+  IdSphere sphere;
+  sphere.radius = 2;
+  for (const auto& [label_id, distance] : members) {
+    sphere.push_back(label_id, distance);
+  }
+  return sphere;
+}
+
+TEST(DecisionMemoTest, KeysTellDistancesApart) {
+  // The same labels in the same order, one member a ring further out:
+  // its weight differs, so the keys must too.
+  std::vector<uint32_t> near;
+  std::vector<uint32_t> far;
+  DecisionMemo::KeyOf(SphereOf({{7, 0}, {8, 1}, {9, 1}}), &near);
+  DecisionMemo::KeyOf(SphereOf({{7, 0}, {8, 1}, {9, 2}}), &far);
+  EXPECT_NE(near, far);
+  std::vector<uint32_t> other_center;
+  DecisionMemo::KeyOf(SphereOf({{8, 0}, {7, 1}, {9, 1}}), &other_center);
+  EXPECT_NE(near, other_center);
+  std::vector<uint32_t> again;
+  DecisionMemo::KeyOf(SphereOf({{7, 0}, {8, 1}, {9, 1}}), &again);
+  EXPECT_EQ(near, again);
+  EXPECT_EQ(DecisionMemo::Hash(near), DecisionMemo::Hash(again));
+}
+
+TEST(DecisionMemoTest, KeysUnderOneHashDoNotAlias) {
+  DecisionMemo memo;
+  const std::vector<uint32_t> a = {1, 2, 3};
+  const std::vector<uint32_t> b = {1, 2, 4};
+  const std::vector<uint32_t> shorter = {1, 2};
+  constexpr uint64_t kHash = 12345;
+  EXPECT_FALSE(memo.Find(kHash, a));  // nothing allocated yet
+  memo.Insert(kHash, a, {1, 0.5, 0.25});
+  EXPECT_FALSE(memo.Find(kHash, b));
+  EXPECT_FALSE(memo.Find(kHash, shorter));
+  memo.Insert(kHash, b, {2, 0.75, 0.125});
+  const std::optional<Decision> found_a = memo.Find(kHash, a);
+  const std::optional<Decision> found_b = memo.Find(kHash, b);
+  ASSERT_TRUE(found_a);
+  ASSERT_TRUE(found_b);
+  EXPECT_EQ(found_a->chosen, 1u);
+  EXPECT_EQ(found_a->score, 0.5);
+  EXPECT_EQ(found_a->margin, 0.25);
+  EXPECT_EQ(found_b->chosen, 2u);
+  EXPECT_EQ(found_b->score, 0.75);
+  EXPECT_EQ(found_b->margin, 0.125);
+  EXPECT_FALSE(memo.Find(kHash + 1, a));
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(DecisionMemoTest, ClearsWhenFullAndStaysRight) {
+  // Distinct keys, each with a decision derived from it; `width` words
+  // per key fills the slot table (narrow keys) or the arena (wide
+  // ones) first. Every answer is the inserted one or none.
+  for (const size_t width : {size_t{2}, DecisionMemo::kKeyWords / 64}) {
+    DecisionMemo memo;
+    auto key_of = [width](uint32_t k) {
+      std::vector<uint32_t> key(width, k);
+      key.back() = ~k;
+      return key;
+    };
+    auto decision_of = [](uint32_t k) {
+      return Decision{k % 5, 1.0 / (k + 1), 0.5 / (k + 1)};
+    };
+    const uint32_t total = static_cast<uint32_t>(DecisionMemo::kSlots);
+    size_t high_water = 0;
+    for (uint32_t k = 0; k < total; ++k) {
+      const std::vector<uint32_t> key = key_of(k);
+      const uint64_t hash = DecisionMemo::Hash(key);
+      ASSERT_FALSE(memo.Find(hash, key)) << width << " " << k;
+      memo.Insert(hash, key, decision_of(k));
+      const std::optional<Decision> found = memo.Find(hash, key);
+      ASSERT_TRUE(found) << width << " " << k;
+      EXPECT_EQ(found->chosen, decision_of(k).chosen);
+      EXPECT_EQ(found->score, decision_of(k).score);
+      EXPECT_EQ(found->margin, decision_of(k).margin);
+      high_water = std::max(high_water, memo.size());
+    }
+    EXPECT_LT(memo.size(), total) << "the memo never cleared";
+    EXPECT_LE(high_water, DecisionMemo::kSlots / 2);
+    size_t answered = 0;
+    for (uint32_t k = 0; k < total; ++k) {
+      const std::vector<uint32_t> key = key_of(k);
+      if (const auto found = memo.Find(DecisionMemo::Hash(key), key)) {
+        ++answered;
+        EXPECT_EQ(found->chosen, decision_of(k).chosen);
+        EXPECT_EQ(found->score, decision_of(k).score);
+      }
+    }
+    EXPECT_EQ(answered, memo.size());
+    EXPECT_FALSE(memo.Find(DecisionMemo::Hash(key_of(0)), key_of(0)));
+  }
+}
+
+TEST(DecisionMemoTest, KeyLargerThanTheArenaIsNotStored) {
+  // An entry takes its key's words plus one for the chosen index.
+  DecisionMemo memo;
+  const std::vector<uint32_t> fits(DecisionMemo::kKeyWords - 1, 3);
+  const std::vector<uint32_t> too_large(DecisionMemo::kKeyWords, 3);
+  memo.Insert(DecisionMemo::Hash(too_large), too_large, {1, 1.0, 0.5});
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_FALSE(memo.Find(DecisionMemo::Hash(too_large), too_large));
+  memo.Insert(DecisionMemo::Hash(fits), fits, {1, 1.0, 0.5});
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(memo.Find(DecisionMemo::Hash(fits), fits));
+  // Storing the over-size key again leaves the stored one alone.
+  memo.Insert(DecisionMemo::Hash(too_large), too_large, {1, 1.0, 0.5});
+  EXPECT_TRUE(memo.Find(DecisionMemo::Hash(fits), fits));
 }
 
 }  // namespace

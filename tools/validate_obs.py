@@ -2,11 +2,18 @@
 """Validates the xsdf observability exports (CI gate).
 
 Subcommands:
-  metrics FILE           --metrics-out JSON: schema + histogram invariants
+  metrics FILE [--require-memo-hits]
+                         --metrics-out JSON: schema + histogram invariants,
+                         and the decision-memo counters are present with
+                         lookups > 0 and hits <= lookups (hits > 0 with
+                         the flag, for a batch run with --passes 2)
   trace FILE             --trace-out JSON: schema + span timeline invariants
-  explain BATCH EXPLAIN  `xsdf explain` output vs `xsdf batch` stdout:
-                         the audited chosen sense must be byte-identical
-                         to the concept the batch pipeline assigned
+  explain BATCH EXPLAIN...
+                         `xsdf explain` outputs vs `xsdf batch` stdout:
+                         each audited chosen sense (concept_id,
+                         concept2_id) and its score at the four decimals
+                         the batch prints must equal what the batch
+                         pipeline assigned
   prom FILE              GET /metrics?format=prom capture: text exposition
                          format 0.0.4 grammar + histogram bucket invariants
   accesslog FILE         `xsdf serve --access-log` JSONL: every line parses
@@ -158,6 +165,23 @@ def validate_metrics(args):
                 f"{stage}: {count} samples for {built} documents "
                 f"past the front end"
             )
+    # The decision memo: every multi-candidate target is one lookup, and
+    # only a lookup can hit. A second pass over the same corpus repeats
+    # every sphere, so it must hit.
+    counters = data.get("counters", {})
+    lookups = counters.get("core.decision_memo_lookups")
+    hits = counters.get("core.decision_memo_hits")
+    if lookups is None or hits is None:
+        errors.append("missing counter core.decision_memo_lookups or "
+                      "core.decision_memo_hits")
+    else:
+        if lookups <= 0:
+            errors.append("core.decision_memo_lookups is zero")
+        if hits > lookups:
+            errors.append(f"core.decision_memo_hits {hits} exceeds "
+                          f"core.decision_memo_lookups {lookups}")
+        if args.require_memo_hits and hits <= 0:
+            errors.append("core.decision_memo_hits is zero")
     if errors:
         return fail(errors)
     print(
@@ -239,8 +263,10 @@ def validate_trace(args):
     return 0
 
 
-def batch_concepts(batch_path, document):
-    """concept_id per preorder node index, parsed from batch stdout.
+def batch_assignments(batch_path, document):
+    """(concept_id, concept2_id, score text) per preorder node index of
+    the annotated nodes, parsed from batch stdout; concept2_id is None
+    for a simple sense.
 
     Batch output interleaves `<!-- name -->` comment headers with each
     document's semantic tree; `<node ...>` elements appear in preorder,
@@ -258,37 +284,71 @@ def batch_concepts(batch_path, document):
             break
     if body is None:
         raise SystemExit(f"FAIL: document '{document}' not in {batch_path}")
-    concepts = {}
+    assigned = {}
     for index, match in enumerate(re.finditer(r"<node\b([^>]*)>", body)):
         attrs = match.group(1)
         concept = re.search(r'concept_id="(\d+)"', attrs)
         if concept:
-            concepts[index] = int(concept.group(1))
-    return concepts
+            concept2 = re.search(r'concept2_id="(\d+)"', attrs)
+            score = re.search(r'score="([^"]*)"', attrs)
+            assigned[index] = (
+                int(concept.group(1)),
+                int(concept2.group(1)) if concept2 else None,
+                score.group(1) if score else None,
+            )
+    return assigned
+
+
+def same_printed_score(printed, score):
+    """Whether `score` prints as the batch's four-decimal `printed`.
+
+    Explain writes scores with nine significant digits, so a value
+    within that rounding of a four-decimal tie may print as either
+    neighbour; any other difference is a mismatch.
+    """
+    if printed == f"{score:.4f}":
+        return True
+    try:
+        value = float(printed)
+    except (TypeError, ValueError):
+        return False
+    return abs(abs(score - value) - 0.00005) <= 1e-8 * max(1.0, abs(score))
 
 
 def validate_explain(args):
-    explain = load_json(args.explain)
-    concepts = batch_concepts(args.batch, explain["file"])
     errors = []
     compared = 0
-    for audit in explain.get("nodes", []):
-        node = audit["node"]
-        chosen = audit.get("chosen")
-        if chosen is None:
-            continue
-        if node not in concepts:
-            # Explain audits any node with candidate senses; batch only
-            # annotates selected targets. Absence is fine — a *different*
-            # concept is not.
-            continue
-        compared += 1
-        if concepts[node] != chosen["concept_id"]:
-            errors.append(
-                f"node {node} ('{audit.get('label')}'): batch assigned "
-                f"concept {concepts[node]}, explain chose "
-                f"{chosen['concept_id']}"
-            )
+    for explain_path in args.explain:
+        explain = load_json(explain_path)
+        assigned = batch_assignments(args.batch, explain["file"])
+        for audit in explain.get("nodes", []):
+            node = audit["node"]
+            chosen = audit.get("chosen")
+            if chosen is None:
+                continue
+            if node not in assigned:
+                # Explain audits any node with candidate senses; batch only
+                # annotates selected targets. Absence is fine — a *different*
+                # sense is not.
+                continue
+            compared += 1
+            concept, concept2, printed = assigned[node]
+            where = f"{explain['file']} node {node} ('{audit.get('label')}')"
+            if concept != chosen["concept_id"]:
+                errors.append(
+                    f"{where}: batch assigned concept {concept}, explain "
+                    f"chose {chosen['concept_id']}"
+                )
+            if concept2 != chosen.get("concept2_id"):
+                errors.append(
+                    f"{where}: batch assigned concept2 {concept2}, explain "
+                    f"chose {chosen.get('concept2_id')}"
+                )
+            if not same_printed_score(printed, chosen["score"]):
+                errors.append(
+                    f"{where}: batch printed score {printed}, explain "
+                    f"scored {chosen['score']}"
+                )
     if compared == 0:
         errors.append("no overlapping nodes between batch and explain output")
     if errors:
@@ -497,6 +557,10 @@ def main():
 
     metrics = commands.add_parser("metrics")
     metrics.add_argument("file")
+    metrics.add_argument(
+        "--require-memo-hits", action="store_true",
+        help="fail unless core.decision_memo_hits > 0 (a batch run with "
+             "--passes 2 repeats every sphere)")
     metrics.set_defaults(handler=validate_metrics)
 
     trace = commands.add_parser("trace")
@@ -506,7 +570,8 @@ def main():
 
     explain = commands.add_parser("explain")
     explain.add_argument("batch", help="captured `xsdf batch` stdout")
-    explain.add_argument("explain", help="`xsdf explain` JSON output")
+    explain.add_argument("explain", nargs="+",
+                         help="`xsdf explain` JSON outputs")
     explain.set_defaults(handler=validate_explain)
 
     prom = commands.add_parser("prom")

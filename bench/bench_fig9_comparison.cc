@@ -50,11 +50,10 @@ int main() {
   std::printf("\nStructure-only evaluation (content tokens excluded; the "
               "baselines never attempt\nthem per Table 4):\n");
   std::vector<xsdf::eval::ComparisonCell> structural;
-  static constexpr int kOptimalRadius[5] = {0, 4, 2, 1, 1};
   for (int group = 1; group <= 4; ++group) {
     xsdf::core::DisambiguatorOptions options;
     options.label_space = &labels;
-    options.sphere_radius = kOptimalRadius[group];
+    options.sphere_radius = xsdf::eval::kFigure9Radius[group];
     xsdf::core::Disambiguator xsdf_system(&*network, options);
     xsdf::core::RpdBaseline rpd(&labels);
     xsdf::core::VsdBaseline vsd(&labels);

@@ -2,12 +2,13 @@
 // parse -> labeled-tree -> sphere -> context-vector half of the
 // pipeline, string-keyed baseline vs the id path.
 //
-// The baseline reconstructs the pre-interning front end: xml::Parse
-// into a DOM, then the test-only DOM walk (oracles::BuildTreeViaDom)
-// with the raw (non-memoized) per-node PreprocessTagName /
-// PreprocessTextValue hooks plus the one build-local intern every tree
-// node needs, then the string-keyed BuildXmlSphere / ContextVector /
-// ResolvedContext of the test-only oracle library (tests/oracles/).
+// The baseline reconstructs the pre-interning front end: a parse into
+// the test-only DOM (oracles::ParseDom), then the DOM walk
+// (oracles::BuildTreeViaDom) with the raw (non-memoized) per-node
+// PreprocessTagName / PreprocessTextValue hooks plus the one
+// build-local intern every tree node needs, then the string-keyed
+// BuildXmlSphere / ContextVector / ResolvedContext of the test-only
+// oracle library (tests/oracles/).
 // The fast path is what the runtime runs: core::BuildTreeStreaming()
 // with a LabelSpace (one streaming pass, memoized pre-processing +
 // interning at build time), then BuildXmlIdSphere / IdContextVector /
@@ -36,6 +37,7 @@
 #include "core/scores.h"
 #include "core/streaming_builder.h"
 #include "datasets/generator.h"
+#include "oracles/dom.h"
 #include "oracles/dom_tree_builder.h"
 #include "oracles/string_pipeline.h"
 #include "runtime/engine.h"
@@ -75,7 +77,7 @@ std::vector<std::string> CorpusXml() {
 /// The pre-interning tree build: the production pre-processing, run
 /// per node without its memo tables and interned into a build-local
 /// TokenInterner instead of a LabelSpace, through the DOM walk.
-xsdf::Result<LabeledTree> BuildTreeBaseline(const xsdf::xml::Document& doc,
+xsdf::Result<LabeledTree> BuildTreeBaseline(const xsdf::oracles::Document& doc,
                                             const SemanticNetwork& network) {
   xsdf::text::LexiconProbe probe = [&network](const std::string& lemma) {
     return network.Contains(lemma);
@@ -151,7 +153,6 @@ struct GiantDocResult {
   double streaming_build_us = 0.0;
   double dom_build_us = 0.0;
   size_t scaffold_peak_bytes = 0;   ///< streaming transient scaffold
-  size_t dom_arena_bytes = 0;       ///< DOM arena reservation
   double scaffold_pct_of_doc = 0.0;
   size_t engine_doc_bytes = 0;
   double engine_1t_us = 0.0;
@@ -193,7 +194,7 @@ GiantDocResult RunGiantDocSection(const SemanticNetwork& network) {
     for (int round = 0; round < 2; ++round) {
       LabelSpace space(&network);
       auto start = std::chrono::steady_clock::now();
-      auto doc = xsdf::xml::Parse(xml);
+      auto doc = xsdf::oracles::ParseDom(xml);
       if (!doc.ok()) {
         std::fprintf(stderr, "giant DOM parse failed: %s\n",
                      doc.status().ToString().c_str());
@@ -206,7 +207,6 @@ GiantDocResult RunGiantDocSection(const SemanticNetwork& network) {
                       .count();
       if (!tree.ok()) return giant;
       if (round == 0 || us < giant.dom_build_us) giant.dom_build_us = us;
-      giant.dom_arena_bytes = doc->arena().bytes_reserved();
     }
     giant.scaffold_pct_of_doc =
         100.0 * static_cast<double>(giant.scaffold_peak_bytes) /
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
   std::vector<LabeledTree> baseline_trees;
   std::vector<LabeledTree> id_trees;
   for (const std::string& xml : corpus) {
-    auto doc = xsdf::xml::Parse(xml);
+    auto doc = xsdf::oracles::ParseDom(xml);
     if (!doc.ok()) continue;
     auto baseline = BuildTreeBaseline(*doc, network);
     auto fast = xsdf::core::BuildTreeStreaming(xml, network, {}, true, &space);
@@ -363,8 +363,8 @@ int main(int argc, char** argv) {
   double parse_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
     for (const std::string& xml : corpus) {
-      auto doc = xsdf::xml::Parse(xml);
-      if (doc.ok()) sum += static_cast<double>(doc->arena().bytes_used());
+      auto doc = xsdf::oracles::ParseDom(xml);
+      if (doc.ok()) sum += static_cast<double>(doc->CountElements());
     }
     return sum;
   });
@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
   tree_stage.baseline_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
     for (const std::string& xml : docs) {
-      auto doc = xsdf::xml::Parse(xml);
+      auto doc = xsdf::oracles::ParseDom(xml);
       if (!doc.ok()) continue;
       auto tree = BuildTreeBaseline(*doc, network);
       if (tree.ok()) sum += static_cast<double>(tree->size());
@@ -470,7 +470,7 @@ int main(int argc, char** argv) {
   e2e_stage.baseline_ns = TimeStage(rounds, &checksum, [&] {
     double sum = 0.0;
     for (const std::string& xml : corpus) {
-      auto doc = xsdf::xml::Parse(xml);
+      auto doc = xsdf::oracles::ParseDom(xml);
       if (!doc.ok()) continue;
       auto tree = BuildTreeBaseline(*doc, network);
       if (!tree.ok()) continue;
@@ -516,10 +516,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "giant doc (%zu bytes): streaming build %.1f ms (scaffold peak "
-      "%zu bytes, %.2f%% of doc), DOM build %.1f ms (arena %zu bytes)\n",
+      "%zu bytes, %.2f%% of doc), DOM build %.1f ms\n",
       giant.frontend_doc_bytes, giant.streaming_build_us / 1000.0,
       giant.scaffold_peak_bytes, giant.scaffold_pct_of_doc,
-      giant.dom_build_us / 1000.0, giant.dom_arena_bytes);
+      giant.dom_build_us / 1000.0);
   std::printf(
       "giant engine (%zu bytes): 1t %.1f ms, 8t %.1f ms "
       "(%.2fx, %.3f docs/s, %llu steals)\n",
@@ -559,8 +559,6 @@ int main(int argc, char** argv) {
   std::fprintf(json, "    \"dom_build_us\": %.1f,\n", giant.dom_build_us);
   std::fprintf(json, "    \"scaffold_peak_bytes\": %zu,\n",
                giant.scaffold_peak_bytes);
-  std::fprintf(json, "    \"dom_arena_bytes\": %zu,\n",
-               giant.dom_arena_bytes);
   std::fprintf(json, "    \"scaffold_pct_of_doc\": %.3f,\n",
                giant.scaffold_pct_of_doc);
   std::fprintf(json, "    \"engine_doc_bytes\": %zu,\n",

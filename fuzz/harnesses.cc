@@ -13,6 +13,7 @@
 #include "core/context_vector.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
+#include "oracles/dom.h"
 #include "oracles/dom_tree_builder.h"
 #include "prop/generators.h"
 #include "snapshot/snapshot.h"
@@ -21,19 +22,19 @@
 #include "wordnet/wndb.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace xsdf::fuzz {
 namespace {
 
 /// Fuzz-time parse limits: small enough that pathological inputs fail
 /// fast instead of timing out the fuzzer, large enough to not mask the
-/// interesting parser states.
+/// interesting parser states. The depth cap sits far above the default:
+/// nothing in the parser or the tree builder recurses per level.
 xml::ParseOptions FuzzXmlOptions() {
   xml::ParseOptions options;
   options.discard_whitespace_text = false;
   options.limits.max_input_bytes = 1u << 20;
-  options.limits.max_depth = 64;
+  options.limits.max_depth = 4096;
   options.limits.max_attributes_per_element = 256;
   options.limits.max_entity_references = 1u << 12;
   return options;
@@ -66,27 +67,27 @@ std::string_view AsText(const uint8_t* data, size_t size) {
 }  // namespace
 
 void DriveXmlParser(const uint8_t* data, size_t size) {
-  auto doc = xml::Parse(AsText(data, size), FuzzXmlOptions());
+  auto doc = oracles::ParseDom(AsText(data, size), FuzzXmlOptions());
   if (!doc.ok()) {
     if (doc.status().ToString().empty()) {
       OracleFailure("xml", "rejection without a message", "");
     }
     return;
   }
-  xml::SerializeOptions ser;
+  oracles::SerializeOptions ser;
   ser.indent = 0;
-  std::string s1 = xml::Serialize(*doc, ser);
-  auto reparsed = xml::Parse(s1, FuzzXmlOptions());
+  std::string s1 = oracles::SerializeDom(*doc, ser);
+  auto reparsed = oracles::ParseDom(s1, FuzzXmlOptions());
   if (!reparsed.ok()) {
     OracleFailure("xml", "accepted document, rejected its serialization",
                   reparsed.status().ToString() + "\nserialized:\n" + s1);
   }
   std::string diff;
-  if (!propgen::StructurallyEqual(*doc, *reparsed, &diff)) {
+  if (!oracles::StructurallyEqual(*doc, *reparsed, &diff)) {
     OracleFailure("xml", "round trip changed the document",
                   diff + "\nserialized:\n" + s1);
   }
-  if (xml::Serialize(*reparsed, ser) != s1) {
+  if (oracles::SerializeDom(*reparsed, ser) != s1) {
     OracleFailure("xml", "serialization is not a fixed point", s1);
   }
   core::LabelSpace space(&FuzzNetwork());
@@ -168,37 +169,66 @@ void ExpectTokens(std::string_view text, xml::NodeId parent, int depth,
   }
 }
 
-/// A direct recursive walk of the DOM in Definition 1's order (the
-/// element, its attributes sorted by name each followed by its value
-/// tokens, then content in document order), labelling every node with
-/// the unmemoized tag and value pre-processing: the reference every
-/// column of the built tree is checked against.
-void ExpectElement(const xml::Node& element, xml::NodeId parent, int depth,
-                   bool include_values, std::vector<ExpectedNode>* out) {
+/// Appends `element` and its attributes, sorted by name, each followed
+/// by its value tokens; returns the element's id.
+xml::NodeId ExpectStartTag(const oracles::Node& element, xml::NodeId parent,
+                           int depth, bool include_values,
+                           std::vector<ExpectedNode>* out) {
   const auto id = static_cast<xml::NodeId>(out->size());
   out->push_back(
       {text::PreprocessTagName(element.name(), InFuzzLexicon).label,
        element.name(), xml::TreeNodeKind::kElement, parent, depth});
-  std::vector<const xml::Attribute*> attrs;
-  for (const xml::Attribute& attr : element.attributes()) {
+  std::vector<const oracles::Attribute*> attrs;
+  for (const oracles::Attribute& attr : element.attributes()) {
     attrs.push_back(&attr);
   }
   std::sort(attrs.begin(), attrs.end(),
-            [](const xml::Attribute* a, const xml::Attribute* b) {
+            [](const oracles::Attribute* a, const oracles::Attribute* b) {
               return a->name < b->name;
             });
-  for (const xml::Attribute* attr : attrs) {
+  for (const oracles::Attribute* attr : attrs) {
     const auto attr_id = static_cast<xml::NodeId>(out->size());
     out->push_back(
         {text::PreprocessTagName(attr->name, InFuzzLexicon).label,
          attr->name, xml::TreeNodeKind::kAttribute, id, depth + 1});
     if (include_values) ExpectTokens(attr->value, attr_id, depth + 2, out);
   }
-  for (const auto& child : element.children()) {
-    if (child->is_element()) {
-      ExpectElement(*child, id, depth + 1, include_values, out);
-    } else if (child->is_text() && include_values) {
-      ExpectTokens(child->text(), id, depth + 1, out);
+  return id;
+}
+
+/// A direct walk of the DOM in Definition 1's order (the element, its
+/// attributes sorted by name each followed by its value tokens, then
+/// content in document order), labelling every node with the
+/// unmemoized tag and value pre-processing: the reference every column
+/// of the built tree is checked against. An explicit stack keeps deep
+/// documents off the call stack.
+void ExpectElement(const oracles::Node& root, bool include_values,
+                   std::vector<ExpectedNode>* out) {
+  struct Frame {
+    const oracles::Node* element;
+    xml::NodeId id;
+    int depth;
+    size_t next_child;
+  };
+  std::vector<Frame> open = {
+      {&root, ExpectStartTag(root, xml::kInvalidNode, 0, include_values, out),
+       0, 0}};
+  while (!open.empty()) {
+    Frame& frame = open.back();
+    const std::vector<oracles::Node*>& children = frame.element->children();
+    if (frame.next_child == children.size()) {
+      open.pop_back();
+      continue;
+    }
+    const oracles::Node& child = *children[frame.next_child++];
+    const xml::NodeId id = frame.id;
+    const int depth = frame.depth + 1;
+    if (child.is_element()) {
+      open.push_back({&child,
+                      ExpectStartTag(child, id, depth, include_values, out),
+                      depth, 0});
+    } else if (child.is_text() && include_values) {
+      ExpectTokens(child.text(), id, depth, out);
     }
   }
 }
@@ -275,11 +305,12 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   if (size < 1) return;
   uint8_t flags = data[0];
   xml::ParseOptions po = FuzzXmlOptions();
+  // Bit 1 is unused (it once kept comments in the DOM), so the seed
+  // corpora replay unchanged.
   po.discard_whitespace_text = (flags & 1) != 0;
-  po.keep_comments = (flags & 2) != 0;
   const bool include_values = (flags & 4) != 0;
   const std::string_view text = AsText(data + 1, size - 1);
-  auto doc = xml::Parse(text, po);
+  auto doc = oracles::ParseDom(text, po);
   if (!doc.ok() || doc->root() == nullptr) return;
   core::LabelSpace space(&FuzzNetwork());
   auto tree = core::BuildTreeStreaming(text, FuzzNetwork(), po,
@@ -293,8 +324,7 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
     OracleFailure("tree", "structural audit failed", audit.ToString());
   }
   std::vector<ExpectedNode> expected;
-  ExpectElement(*doc->root(), xml::kInvalidNode, 0, include_values,
-                &expected);
+  ExpectElement(*doc->root(), include_values, &expected);
   CheckColumns(*tree, expected);
   // Exercise the full query surface; inputs are derived from the flag
   // byte so replay is deterministic. Every call must terminate and stay
@@ -329,14 +359,15 @@ void DriveStreamParser(const uint8_t* data, size_t size) {
   const wordnet::SemanticNetwork* network = &FuzzNetwork();
   const uint8_t flags = data[0];
   xml::ParseOptions po = FuzzXmlOptions();
+  // Bit 1 is unused (it once kept comments in the DOM), so the seed
+  // corpora replay unchanged.
   po.discard_whitespace_text = (flags & 1) != 0;
-  po.keep_comments = (flags & 2) != 0;
   const bool include_values = (flags & 4) != 0;
   const std::string_view text = AsText(data + 1, size - 1);
 
   core::LabelSpace dom_space(network);
   Result<xml::LabeledTree> dom = [&]() -> Result<xml::LabeledTree> {
-    auto doc = xml::Parse(text, po);
+    auto doc = oracles::ParseDom(text, po);
     if (!doc.ok()) return doc.status();
     return oracles::BuildTreeViaDom(*doc, *network, include_values,
                                     &dom_space);

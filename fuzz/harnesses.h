@@ -14,9 +14,10 @@
 /// regression corpus.
 namespace xsdf::fuzz {
 
-/// xml::Parse under fuzz limits; accepted documents must round-trip
-/// (serialize -> reparse -> structurally equal, serialization a fixed
-/// point) and core::BuildTreeStreaming must build them a LabeledTree
+/// oracles::ParseDom (xml::StreamParse events materialized into the
+/// test-only DOM) under fuzz limits; accepted documents must
+/// round-trip (serialize -> reparse -> structurally equal,
+/// serialization a fixed point) and core::BuildTreeStreaming must build them a LabeledTree
 /// that passes Validate().
 void DriveXmlParser(const uint8_t* data, size_t size);
 
@@ -26,7 +27,7 @@ void DriveXmlParser(const uint8_t* data, size_t size);
 void DriveWndbParser(const uint8_t* data, size_t size);
 
 /// LabeledTree construction and query surface: first byte selects
-/// options, the rest is XML. For every input xml::Parse accepts,
+/// options, the rest is XML. For every input oracles::ParseDom accepts,
 /// core::BuildTreeStreaming must build a tree that passes Validate()
 /// and matches, column for column, a direct DOM walk labelled by the
 /// unmemoized pre-processing (label ids included), and every query
@@ -34,11 +35,12 @@ void DriveWndbParser(const uint8_t* data, size_t size);
 void DriveLabeledTree(const uint8_t* data, size_t size);
 
 /// Streaming front end against its DOM reference: first byte selects
-/// options, the rest is XML. core::BuildTreeStreaming and Parse + the
-/// test-only DOM walk (oracles::BuildTreeViaDom), each interning
-/// through a fresh LabelSpace, must agree on accepting the input, and
-/// accepted trees must match node for node (label, raw, kind, parent,
-/// depth, label id — so the interning order too) and pass Validate().
+/// options, the rest is XML. core::BuildTreeStreaming and the
+/// test-only DOM path (oracles::ParseDom, then oracles::BuildTreeViaDom),
+/// each interning through a fresh LabelSpace, must agree on accepting
+/// the input, and accepted trees must match node for node (label, raw,
+/// kind, parent, depth, label id — so the interning order too) and pass
+/// Validate().
 void DriveStreamParser(const uint8_t* data, size_t size);
 
 /// snapshot::LoadNetworkSnapshotFromBuffer over an 8-aligned copy of

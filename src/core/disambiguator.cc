@@ -12,7 +12,8 @@
 #include "common/check.h"
 #include "common/flat_id_map.h"
 #include "core/streaming_builder.h"
-#include "xml/serializer.h"
+#include "xml/escape.h"
+#include "xml/parser.h"
 
 namespace xsdf::core {
 
@@ -421,9 +422,19 @@ class RunTable {
   std::string text_;
 };
 
-/// Writes the <semantic_tree> text in the layout of xml::Serialize()
-/// with default options (declaration line, one element per line
-/// indented two spaces per level, childless elements self-closed).
+/// The deepest indentation level of any document the default
+/// ParseLimits accept: a token below an attribute of the deepest
+/// element sits at tree depth max_depth + 1, which the writer puts at
+/// level max_depth + 2 under <semantic_tree>. Deeper nodes are indented
+/// no further, so those documents print as they always have, and a
+/// chain of n elements prints O(n) bytes instead of O(n^2) whatever the
+/// depth cap.
+constexpr size_t kMaxIndentLevel =
+    static_cast<size_t>(xml::ParseLimits{}.max_depth) + 2;
+
+/// Writes the <semantic_tree> text: the declaration line, then one
+/// element per line indented two spaces per level (up to
+/// kMaxIndentLevel), childless elements self-closed.
 /// A giant document carries a few thousand distinct labels and
 /// concepts over hundreds of thousands of nodes, so each label's
 /// escaped ` label="..."` run and each concept's attribute run is built
@@ -508,7 +519,9 @@ class SemanticXmlWriter {
     const xml::LabeledTree& tree = semantic_tree_.tree;
     size_t size = out_.size() + sizeof("<semantic_tree>\n</semantic_tree>");
     for (xml::NodeId id : tree.ids()) {
-      const size_t indent = 1 + 2 * (static_cast<size_t>(tree.depth(id)) + 1);
+      const size_t indent =
+          1 + 2 * std::min(static_cast<size_t>(tree.depth(id)) + 1,
+                           kMaxIndentLevel);
       size += indent + LabelRun(id).size() +
               KindAttribute(tree.kind(id)).size();
       if (tree.fan_out(id) == 0) {
@@ -529,7 +542,7 @@ class SemanticXmlWriter {
 
   void AppendIndent(size_t level) {
     out_.push_back('\n');
-    out_.append(2 * level, ' ');
+    out_.append(2 * std::min(level, kMaxIndentLevel), ' ');
   }
 
   /// ` concept="..." concept_id="..." gloss="..."` of `id`.

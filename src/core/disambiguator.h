@@ -461,9 +461,13 @@ class Disambiguator {
 /// per tree node carrying its label, kind, and — when disambiguated —
 /// the assigned concept's label, id, and gloss. This is the
 /// "semantically augmented XML tree" deliverable of the paper abstract.
-/// The text is written straight into the returned string, byte for
-/// byte what xml::Serialize() (default options) prints for the
-/// equivalent <semantic_tree> DOM, without building that DOM.
+/// The layout: an `<?xml version="1.0"?>` line, then a
+/// <semantic_tree> root with one <node> element per line, nested as
+/// the tree and indented two spaces per level, a childless node
+/// self-closed as `<node .../>`. Indentation stops growing at the
+/// deepest level a document within the default ParseLimits depth cap
+/// can reach, so output stays linear in the tree's size under any cap.
+/// The text is written straight into the returned string, with no DOM.
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network);
 

@@ -9,11 +9,11 @@
 
 #include <memory>
 
+#include "common/check.h"
 #include "common/strings.h"
 #include "text/preprocess.h"
 #include "wordnet/mini_wordnet.h"
-#include "xml/dom.h"
-#include "xml/serializer.h"
+#include "xml/escape.h"
 
 namespace xsdf::datasets {
 
@@ -39,14 +39,31 @@ const text::LexiconProbe& GoldProbe() {
   return *probe;
 }
 
-/// Builder for one generated document.
+/// An element of the document a DocBuilder is writing: its nesting
+/// level, and the serial that tells it from a later element opened at
+/// the same level after it closed.
+struct Element {
+  size_t level = 0;
+  uint64_t serial = 0;
+};
+
+/// Builder for one generated document. The XML is written forward into
+/// GeneratedDocument::xml, in document order, with no tree behind it:
+/// the declaration line, then `<tag/>` for a childless element,
+/// `<tag>text</tag>` when its only content is text, and otherwise each
+/// child on its own line, indented two spaces per level. Appending
+/// under an element closes every element opened after it, so the
+/// generators append in document order; appending to a closed element,
+/// text after child elements, or an attribute after content is a
+/// generator bug.
 class DocBuilder {
  public:
   explicit DocBuilder(const char* root_tag) {
-    doc_.set_root(doc_.NewElement(root_tag));
+    out_.xml = "<?xml version=\"1.0\"?>\n";
+    Open(root_tag);
   }
 
-  xml::Node* root() { return doc_.mutable_root(); }
+  Element root() const { return {0, 0}; }
 
   /// Records that the node label derived from `label` was generated in
   /// sense `key`. The label is normalized through the same linguistic
@@ -56,40 +73,118 @@ class DocBuilder {
     out_.gold[text::PreprocessTagName(label, GoldProbe()).label] = key;
   }
 
-  /// Adds <tag>, recording gold for the tag when `key` is non-null.
-  xml::Node* Elem(xml::Node* parent, const char* tag,
-                  const char* key = nullptr) {
+  /// Adds <tag> under `parent`, recording gold for the tag when `key` is
+  /// non-null.
+  Element Elem(Element parent, const char* tag, const char* key = nullptr) {
     if (key != nullptr) Gold(AsciiToLower(tag), key);
-    return parent->AddElement(tag);
+    XSDF_DCHECK(IsOpen(parent), "element appended to a closed element");
+    while (open_.size() > parent.level + 1) Close();
+    OpenFrame& frame = open_.back();
+    XSDF_DCHECK(frame.content != Content::kText,
+                "element appended after text content");
+    if (frame.content == Content::kNone) out_.xml += '>';
+    frame.content = Content::kElements;
+    AppendIndent(open_.size());
+    return Open(tag);
+  }
+
+  /// Adds ` name="value"` to `element`, which must have no content yet.
+  void Attribute([[maybe_unused]] Element element, const char* name,
+                 const std::string& value) {
+    XSDF_DCHECK(IsOpen(element) && element.level + 1 == open_.size() &&
+                    open_.back().content == Content::kNone,
+                "attribute added after content");
+    out_.xml += ' ';
+    out_.xml += name;
+    out_.xml += "=\"";
+    xml::AppendEscaped(&out_.xml, value, /*attribute=*/true);
+    out_.xml += '"';
   }
 
   /// Adds <tag>word</tag> where `word` comes from the vocabulary item;
   /// gold is recorded for both the tag and the value word.
-  xml::Node* ElemWithVocab(xml::Node* parent, const char* tag,
-                           const char* tag_key, const Vocab& value) {
-    xml::Node* e = Elem(parent, tag, tag_key);
-    e->AddText(value.word);
+  Element ElemWithVocab(Element parent, const char* tag, const char* tag_key,
+                        const Vocab& value) {
+    Element e = Elem(parent, tag, tag_key);
+    Text(value.word);
     if (value.key != nullptr) Gold(value.word, value.key);
     return e;
   }
 
   /// Adds <tag>text</tag> with no gold for the value.
-  xml::Node* ElemWithText(xml::Node* parent, const char* tag,
-                          const char* tag_key, const std::string& text) {
-    xml::Node* e = Elem(parent, tag, tag_key);
-    e->AddText(text);
+  Element ElemWithText(Element parent, const char* tag, const char* tag_key,
+                       const std::string& text) {
+    Element e = Elem(parent, tag, tag_key);
+    Text(text);
     return e;
   }
 
   GeneratedDocument Finish(std::string name) {
+    while (!open_.empty()) Close();
     out_.name = std::move(name);
-    out_.xml = xml::Serialize(doc_);
     return std::move(out_);
   }
 
  private:
-  xml::Document doc_;
+  enum class Content { kNone, kText, kElements };
+  struct OpenFrame {
+    const char* tag;
+    uint64_t serial;
+    Content content;
+  };
+
+  bool IsOpen(Element element) const {
+    return element.level < open_.size() &&
+           open_[element.level].serial == element.serial;
+  }
+
+  Element Open(const char* tag) {
+    out_.xml += '<';
+    out_.xml += tag;
+    const Element element{open_.size(), next_serial_++};
+    open_.push_back({tag, element.serial, Content::kNone});
+    return element;
+  }
+
+  /// Text content of the innermost open element, just opened.
+  void Text(std::string_view text) {
+    OpenFrame& frame = open_.back();
+    XSDF_DCHECK(frame.content != Content::kElements,
+                "text appended after child elements");
+    if (frame.content == Content::kNone) out_.xml += '>';
+    frame.content = Content::kText;
+    xml::AppendEscaped(&out_.xml, text, /*attribute=*/false);
+  }
+
+  void Close() {
+    const OpenFrame& frame = open_.back();
+    switch (frame.content) {
+      case Content::kNone:
+        out_.xml += "/>";
+        break;
+      case Content::kText:
+        out_.xml += "</";
+        out_.xml += frame.tag;
+        out_.xml += '>';
+        break;
+      case Content::kElements:
+        AppendIndent(open_.size() - 1);
+        out_.xml += "</";
+        out_.xml += frame.tag;
+        out_.xml += '>';
+        break;
+    }
+    open_.pop_back();
+  }
+
+  void AppendIndent(size_t level) {
+    out_.xml += '\n';
+    out_.xml.append(2 * level, ' ');
+  }
+
   GeneratedDocument out_;
+  std::vector<OpenFrame> open_;
+  uint64_t next_serial_ = 0;
 };
 
 const Vocab& Pick(Rng& rng, const std::vector<Vocab>& pool) {
@@ -157,7 +252,7 @@ class ShakespeareGenerator : public DatasetGenerator {
       b.Gold("play", "play.drama.n");
       b.ElemWithVocab(b.root(), "TITLE", "title.name.n",
                       Pick(rng, kTitles));
-      xml::Node* personae = b.Elem(b.root(), "PERSONAE", "persona.n");
+      Element personae = b.Elem(b.root(), "PERSONAE", "persona.n");
       b.Gold("personae", "persona.n");
       int persona_count = 2 + static_cast<int>(rng.UniformInt(3));
       for (int p = 0; p < persona_count; ++p) {
@@ -166,11 +261,11 @@ class ShakespeareGenerator : public DatasetGenerator {
       }
       int acts = 3 + static_cast<int>(rng.UniformInt(2));
       for (int a = 0; a < acts; ++a) {
-        xml::Node* act = b.Elem(b.root(), "ACT", "act.play.n");
+        Element act = b.Elem(b.root(), "ACT", "act.play.n");
         b.ElemWithVocab(act, "TITLE", "title.name.n", Pick(rng, kTitles));
         int scenes = 2 + static_cast<int>(rng.UniformInt(2));
         for (int s = 0; s < scenes; ++s) {
-          xml::Node* scene = b.Elem(act, "SCENE", "scene.play.n");
+          Element scene = b.Elem(act, "SCENE", "scene.play.n");
           if (rng.Bernoulli(0.4)) {
             b.ElemWithVocab(scene, "STAGEDIR", "stage_direction.n",
                             Pick(rng, kSpeakers));
@@ -178,7 +273,7 @@ class ShakespeareGenerator : public DatasetGenerator {
           }
           int speeches = 2 + static_cast<int>(rng.UniformInt(2));
           for (int sp = 0; sp < speeches; ++sp) {
-            xml::Node* speech = b.Elem(scene, "SPEECH", "speech.lines.n");
+            Element speech = b.Elem(scene, "SPEECH", "speech.lines.n");
             b.ElemWithVocab(speech, "SPEAKER", "speaker.n",
                             Pick(rng, kSpeakers));
             int lines = 1 + static_cast<int>(rng.UniformInt(2));
@@ -238,7 +333,7 @@ class AmazonGenerator : public DatasetGenerator {
       b.Gold("products", "product.n");
       int items = 3 + static_cast<int>(rng.UniformInt(2));
       for (int i = 0; i < items; ++i) {
-        xml::Node* product = b.Elem(b.root(), "product", "product.n");
+        Element product = b.Elem(b.root(), "product", "product.n");
         b.ElemWithVocab(product, "title", "title.name.n",
                         Pick(rng, kProducts));
         b.ElemWithVocab(product, "brand", "brand.n", Pick(rng, kProducts));
@@ -260,10 +355,10 @@ class AmazonGenerator : public DatasetGenerator {
           if (v1.key) b.Gold(v1.word, v1.key);
           if (v2.key) b.Gold(v2.word, v2.key);
         }
-        xml::Node* offers = b.Elem(product, "offers", "offer.n");
+        Element offers = b.Elem(product, "offers", "offer.n");
         int offer_count = 1 + static_cast<int>(rng.UniformInt(2));
         for (int o = 0; o < offer_count; ++o) {
-          xml::Node* offer = b.Elem(offers, "offer", "offer.n");
+          Element offer = b.Elem(offers, "offer", "offer.n");
           b.ElemWithText(offer, "price", "price.n",
                          StrFormat("%d", 4 + (int)rng.UniformInt(180)));
           b.ElemWithVocab(offer, "condition", "condition.n",
@@ -271,12 +366,10 @@ class AmazonGenerator : public DatasetGenerator {
           b.ElemWithText(offer, "stock", "stock.supply.n",
                          StrFormat("%d", (int)rng.UniformInt(50)));
         }
-        xml::Node* reviews = b.Elem(product, "reviews",
-                                    "review.critique.n");
+        Element reviews = b.Elem(product, "reviews", "review.critique.n");
         int review_count = 1 + static_cast<int>(rng.UniformInt(2));
         for (int r = 0; r < review_count; ++r) {
-          xml::Node* review = b.Elem(reviews, "review",
-                                     "review.critique.n");
+          Element review = b.Elem(reviews, "review", "review.critique.n");
           b.ElemWithText(review, "rating", "rating.n",
                          StrFormat("%d", 1 + (int)rng.UniformInt(5)));
           const Vocab& v = Pick(rng, kProducts);
@@ -320,10 +413,10 @@ class SigmodGenerator : public DatasetGenerator {
                      StrFormat("%d", 10 + (int)rng.UniformInt(30)));
       b.ElemWithText(b.root(), "number", "number.identifier.n",
                      StrFormat("%d", 1 + (int)rng.UniformInt(4)));
-      xml::Node* articles = b.Elem(b.root(), "articles", "article.n");
+      Element articles = b.Elem(b.root(), "articles", "article.n");
       int article_count = 2 + static_cast<int>(rng.UniformInt(2));
       for (int a = 0; a < article_count; ++a) {
-        xml::Node* article = b.Elem(articles, "article", "article.n");
+        Element article = b.Elem(articles, "article", "article.n");
         {
           const Vocab& t1 = Pick(rng, kTopics);
           const Vocab& t2 = Pick(rng, kTopics);
@@ -332,7 +425,7 @@ class SigmodGenerator : public DatasetGenerator {
           if (t1.key) b.Gold(t1.word, t1.key);
           if (t2.key) b.Gold(t2.word, t2.key);
         }
-        xml::Node* authors = b.Elem(article, "authors", "writer.n");
+        Element authors = b.Elem(article, "authors", "writer.n");
         int author_count = 1 + static_cast<int>(rng.UniformInt(3));
         for (int au = 0; au < author_count; ++au) {
           b.ElemWithVocab(authors, "author", "writer.n",
@@ -375,14 +468,14 @@ class ImdbGenerator : public DatasetGenerator {
       Rng rng(seed + 47 + static_cast<uint64_t>(d) * 49999);
       DocBuilder b("movies");
       b.Gold("movies", "movie.n");
-      xml::Node* movie = b.Elem(b.root(), "movie", "movie.n");
-      movie->AddAttribute("year",
-                          StrFormat("%d", 1940 + (int)rng.UniformInt(60)));
+      Element movie = b.Elem(b.root(), "movie", "movie.n");
+      b.Attribute(movie, "year",
+                  StrFormat("%d", 1940 + (int)rng.UniformInt(60)));
       b.Gold("year", "year.calendar.n");
       b.ElemWithVocab(movie, "genre", "genre.kind.n", Pick(rng, kGenres));
       b.ElemWithVocab(movie, "director", "director.stage.n",
                       Pick(rng, kDirectors));
-      xml::Node* cast = b.Elem(movie, "cast", "cast.actors.n");
+      Element cast = b.Elem(movie, "cast", "cast.actors.n");
       int stars = 1 + static_cast<int>(rng.UniformInt(2));
       for (int s = 0; s < stars; ++s) {
         b.ElemWithVocab(cast, "star", "star.performer.n",
@@ -419,7 +512,7 @@ class BibGenerator : public DatasetGenerator {
       DocBuilder b("bib");
       int books = 2 + static_cast<int>(rng.UniformInt(2));
       for (int book_idx = 0; book_idx < books; ++book_idx) {
-        xml::Node* book = b.Elem(b.root(), "book", "book.n");
+        Element book = b.Elem(b.root(), "book", "book.n");
         b.ElemWithVocab(book, "title", "title.name.n",
                         Pick(rng, kSubjects));
         b.ElemWithVocab(book, "author", "writer.n", Pick(rng, kAuthors));
@@ -463,7 +556,7 @@ class CdCatalogGenerator : public DatasetGenerator {
       b.Gold("catalog", "catalog.n");
       int cds = 2 + static_cast<int>(rng.UniformInt(2));
       for (int c = 0; c < cds; ++c) {
-        xml::Node* cd = b.Elem(b.root(), "CD", "cd.n");
+        Element cd = b.Elem(b.root(), "CD", "cd.n");
         b.ElemWithText(cd, "TITLE", "title.name.n", "song album");
         b.Gold("song", "song.n");
         b.Gold("album", "album.n");
@@ -513,7 +606,7 @@ class FoodMenuGenerator : public DatasetGenerator {
       b.Gold("breakfast_menu", "menu.n");
       int foods = 2 + static_cast<int>(rng.UniformInt(2));
       for (int f = 0; f < foods; ++f) {
-        xml::Node* food = b.Elem(b.root(), "food", "solid_food.n");
+        Element food = b.Elem(b.root(), "food", "solid_food.n");
         b.ElemWithVocab(food, "name", "name.n", Pick(rng, kDishes));
         b.ElemWithText(food, "price", "price.n",
                        StrFormat("%d", 4 + (int)rng.UniformInt(8)));
@@ -556,7 +649,7 @@ class PlantCatalogGenerator : public DatasetGenerator {
       b.Gold("catalog", "catalog.n");
       int plants = 2 + static_cast<int>(rng.UniformInt(1));
       for (int p = 0; p < plants; ++p) {
-        xml::Node* plant = b.Elem(b.root(), "PLANT", "plant.flora.n");
+        Element plant = b.Elem(b.root(), "PLANT", "plant.flora.n");
         b.ElemWithVocab(plant, "COMMON", "common.vernacular.a",
                         Pick(rng, kPlants));
         b.ElemWithVocab(plant, "BOTANICAL", "botanic.a",
@@ -603,8 +696,8 @@ class PersonnelGenerator : public DatasetGenerator {
       b.Gold("personnel", "personnel.n");
       int persons = 2 + static_cast<int>(rng.UniformInt(2));
       for (int p = 0; p < persons; ++p) {
-        xml::Node* person = b.Elem(b.root(), "person", "person.n");
-        xml::Node* name = b.Elem(person, "name", "name.n");
+        Element person = b.Elem(b.root(), "person", "person.n");
+        Element name = b.Elem(person, "name", "name.n");
         // <given>/<family> per personnel.dtd: "given" has no lexicon
         // entry (unresolvable for every system), "family" only the
         // household sense, which is what an annotator limited to the
@@ -614,8 +707,7 @@ class PersonnelGenerator : public DatasetGenerator {
         b.ElemWithText(person, "email", "email.n",
                        StrFormat("user%d at example dot com",
                                  (int)rng.UniformInt(100)));
-        xml::Node* address = b.Elem(person, "address",
-                                    "address.location.n");
+        Element address = b.Elem(person, "address", "address.location.n");
         b.ElemWithText(address, "street", "street.n",
                        StrFormat("%d main", 1 + (int)rng.UniformInt(900)));
         b.ElemWithVocab(address, "city", "city.n", Pick(rng, kCities));
@@ -659,10 +751,10 @@ class ClubGenerator : public DatasetGenerator {
       b.ElemWithText(b.root(), "president", "president.chair.n",
                      "stewart");
       b.Gold("stewart", "jackie_stewart.n");
-      xml::Node* members = b.Elem(b.root(), "members", "member.n");
+      Element members = b.Elem(b.root(), "members", "member.n");
       int member_count = 2 + static_cast<int>(rng.UniformInt(3));
       for (int m = 0; m < member_count; ++m) {
-        xml::Node* member = b.Elem(members, "member", "member.n");
+        Element member = b.Elem(members, "member", "member.n");
         b.ElemWithText(member, "name", "name.n",
                        StrFormat("member%d", m));
         b.ElemWithVocab(member, "hobby", "hobby.n", Pick(rng, kSports));

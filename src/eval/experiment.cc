@@ -223,16 +223,11 @@ std::vector<ComparisonCell> ComputeFigure9(
     const wordnet::SemanticNetwork& network, core::LabelSpace* label_space) {
   std::vector<ComparisonCell> cells;
   for (int group = 1; group <= 4; ++group) {
-    // XSDF at its optimal configuration, identified (as in the paper)
-    // from repeated tests over an earlier Figure 8 sweep on this
-    // corpus: concept-based with per-group radii. Deep Group 1 trees
-    // need a large radius to reach sibling content tokens. Today's
-    // sweep puts Groups 3 and 4 at d=3 and d=2 (see EXPERIMENTS.md);
-    // the radii stay until a change that may move the Figure 9 output.
-    static constexpr int kOptimalRadius[5] = {0, 4, 2, 1, 1};
+    // XSDF at its optimal configuration: concept-based with the
+    // per-group radii of kFigure9Radius.
     core::DisambiguatorOptions options;
     options.label_space = label_space;
-    options.sphere_radius = kOptimalRadius[group];
+    options.sphere_radius = kFigure9Radius[group];
     options.process = core::DisambiguationProcess::kConceptBased;
     cells.push_back(
         {group, "XSDF", RunOnGroup(corpus, group, network, options)});

@@ -93,6 +93,14 @@ std::vector<ConfigCell> ComputeFigure8(
     const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
     const std::vector<int>& radii = {1, 2, 3, 4});
 
+/// XSDF's Figure 9 sphere radius per group (index 1..4; index 0 is
+/// unused), identified as in the paper from repeated tests over an
+/// earlier Figure 8 sweep on the experiments corpus. Deep Group 1 trees
+/// need a large radius to reach sibling content tokens. Today's sweep
+/// puts Groups 3 and 4 at d=3 and d=2 (see EXPERIMENTS.md); the radii
+/// stay until a change that may move the Figure 9 output.
+inline constexpr int kFigure9Radius[5] = {0, 4, 2, 1, 1};
+
 /// One Figure 9 cell: P/R/F of one system (XSDF at its optimal
 /// configuration, RPD, or VSD) on a group. Every system reads the
 /// corpus through `label_space`.

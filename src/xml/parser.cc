@@ -1,10 +1,8 @@
 #include "xml/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <vector>
 
 #include "common/strings.h"
@@ -139,159 +137,31 @@ class Cursor {
 Status DecodeEntitiesInto(std::string_view text, size_t* budget,
                           std::string* out);
 
-/// Materializing sink: reproduces the DOM `Parse` has always built.
-/// Children, text, CDATA, and kept comments attach to the innermost
-/// open element in event order, so the resulting tree is the same the
-/// previous recursive build produced.
-class DomSink {
+/// The parser behind StreamParse: one loop over a Cursor with an
+/// explicit stack of open tag names (views into the input), calling
+/// the StreamHandler as it goes. Nothing recurses per nesting level,
+/// so document depth costs heap, not stack; ParseLimits::max_depth
+/// bounds it.
+class Parser {
  public:
-  explicit DomSink(Document* doc) : doc_(doc) {}
-
-  void SetVersion(std::string value) { doc_->set_version(std::move(value)); }
-  void SetEncoding(std::string value) {
-    doc_->set_encoding(std::move(value));
-  }
-
-  void PrologComment(std::string content) {
-    Node* node = doc_->NewNode(NodeKind::kComment);
-    node->set_text(std::move(content));
-    doc_->AddPrologNode(node);
-  }
-
-  void PrologProcessingInstruction(std::string content) {
-    Node* node = doc_->NewNode(NodeKind::kProcessingInstruction);
-    size_t space = content.find(' ');
-    node->set_name(content.substr(0, space));
-    if (space != std::string::npos) {
-      node->set_text(content.substr(space + 1));
-    }
-    doc_->AddPrologNode(node);
-  }
-
-  Status StartElement(std::string_view name) {
-    Node* element = doc_->NewNode(NodeKind::kElement);
-    element->set_name(std::string(name));
-    if (open_.empty()) {
-      doc_->set_root(element);
-    } else {
-      open_.back()->AddChild(element);
-    }
-    open_.push_back(element);
-    return Status::Ok();
-  }
-
-  size_t AttributeCount() const { return open_.back()->attributes().size(); }
-  bool HasAttribute(std::string_view name) const {
-    return open_.back()->FindAttribute(name) != nullptr;
-  }
-
-  Status AddAttribute(std::string_view name, std::string_view value) {
-    open_.back()->AddAttribute(std::string(name), std::string(value));
-    return Status::Ok();
-  }
-
-  Status FinishStartTag() { return Status::Ok(); }
-
-  Status AddText(std::string_view text) {
-    open_.back()->AddText(std::string(text));
-    return Status::Ok();
-  }
-
-  Status AddCData(std::string_view text) {
-    Node* cdata = doc_->NewNode(NodeKind::kCData);
-    cdata->set_text(std::string(text));
-    open_.back()->AddChild(cdata);
-    return Status::Ok();
-  }
-
-  void AddComment(std::string content) {
-    Node* comment = doc_->NewNode(NodeKind::kComment);
-    comment->set_text(std::move(content));
-    open_.back()->AddChild(comment);
-  }
-
-  Status EndElement(std::string_view name) {
-    (void)name;
-    open_.pop_back();
-    return Status::Ok();
-  }
-
- private:
-  Document* doc_;
-  std::vector<Node*> open_;
-};
-
-/// Forwarding sink for `StreamParse`: no DOM, no arena — just the
-/// per-start-tag attribute-name scratch the duplicate check needs.
-class HandlerSink {
- public:
-  explicit HandlerSink(StreamHandler* handler) : handler_(handler) {}
-
-  void SetVersion(std::string value) { (void)value; }
-  void SetEncoding(std::string value) { (void)value; }
-  void PrologComment(std::string content) { (void)content; }
-  void PrologProcessingInstruction(std::string content) { (void)content; }
-  void AddComment(std::string content) { (void)content; }
-
-  Status StartElement(std::string_view name) {
-    attr_names_.clear();
-    return handler_->OnStartElement(name);
-  }
-
-  size_t AttributeCount() const { return attr_names_.size(); }
-  bool HasAttribute(std::string_view name) const {
-    for (std::string_view existing : attr_names_) {
-      if (existing == name) return true;
-    }
-    return false;
-  }
-
-  Status AddAttribute(std::string_view name, std::string_view value) {
-    attr_names_.push_back(name);
-    return handler_->OnAttribute(name, value);
-  }
-
-  Status FinishStartTag() { return handler_->OnStartTagDone(); }
-  Status AddText(std::string_view text) { return handler_->OnText(text); }
-  Status AddCData(std::string_view text) { return handler_->OnCData(text); }
-  Status EndElement(std::string_view name) {
-    return handler_->OnEndElement(name);
-  }
-
- private:
-  StreamHandler* handler_;
-  /// Attribute names of the currently open start tag, as views into
-  /// the input (cleared at StartElement — attributes can only occur
-  /// before any child opens).
-  std::vector<std::string_view> attr_names_;
-};
-
-/// Recursive-descent parser over a Cursor, emitting structure into a
-/// Sink. `DomSink` materializes the document `Parse` returns;
-/// `HandlerSink` forwards events to a StreamHandler for the one-pass
-/// streaming front end. Both instantiate this same template, so the
-/// grammar, limit checks, entity budget, and text-node boundaries are
-/// shared — the property the streaming-vs-DOM bit-identity tests pin.
-template <typename Sink>
-class ParserT {
- public:
-  ParserT(std::string_view input, const ParseOptions& options, Sink* sink)
+  Parser(std::string_view input, const ParseOptions& options,
+         StreamHandler* handler)
       : cursor_(input),
         options_(options),
-        sink_(sink),
+        handler_(handler),
         entity_budget_(options.limits.max_entity_references) {}
 
   Status Run() {
     XSDF_RETURN_IF_ERROR(ParseProlog());
-    XSDF_RETURN_IF_ERROR(ParseElement());
+    XSDF_RETURN_IF_ERROR(ParseStartTag());
+    XSDF_RETURN_IF_ERROR(ParseContent());
     cursor_.SkipWhitespace();
-    // Trailing misc: comments and PIs are allowed after the root
-    // (always dropped, matching the previous behavior).
+    // Trailing misc: comments and PIs are allowed after the root.
     while (!cursor_.AtEnd()) {
       if (cursor_.LookingAt("<!--")) {
-        XSDF_RETURN_IF_ERROR(SkipComment(/*in_prolog=*/false));
+        XSDF_RETURN_IF_ERROR(SkipComment());
       } else if (cursor_.LookingAt("<?")) {
-        XSDF_RETURN_IF_ERROR(SkipProcessingInstruction(/*in_prolog=*/false));
+        XSDF_RETURN_IF_ERROR(SkipProcessingInstruction());
       } else {
         return Error("unexpected content after root element");
       }
@@ -335,11 +205,11 @@ class ParserT {
     cursor_.SkipWhitespace();
     while (!cursor_.AtEnd()) {
       if (cursor_.LookingAt("<!--")) {
-        XSDF_RETURN_IF_ERROR(SkipComment(/*in_prolog=*/true));
+        XSDF_RETURN_IF_ERROR(SkipComment());
       } else if (cursor_.LookingAt("<!DOCTYPE")) {
         XSDF_RETURN_IF_ERROR(SkipDoctype());
       } else if (cursor_.LookingAt("<?")) {
-        XSDF_RETURN_IF_ERROR(SkipProcessingInstruction(/*in_prolog=*/true));
+        XSDF_RETURN_IF_ERROR(SkipProcessingInstruction());
       } else {
         break;
       }
@@ -351,6 +221,7 @@ class ParserT {
     return Status::Ok();
   }
 
+  /// Validates the declaration; its values are not surfaced.
   Status ParseXmlDeclaration() {
     cursor_.Match("<?xml");
     while (!cursor_.AtEnd() && !cursor_.LookingAt("?>")) {
@@ -366,21 +237,17 @@ class ParserT {
       cursor_.SkipWhitespace();
       auto value = ParseQuotedValue();
       if (!value.ok()) return value.status();
-      // Declaration values are emitted verbatim on serialization, so
-      // they must be held to their spec grammars (VersionNum,
-      // EncName) or round-tripping accepted garbage would produce
-      // unparseable output.
+      // Held to their spec grammars (VersionNum, EncName), so a
+      // document that re-emits its declaration stays parseable.
       if (*name == "version") {
         if (!IsValidXmlVersion(*value)) {
           return Error("malformed XML version \"" + std::string(*value) + "\"");
         }
-        sink_->SetVersion(std::string(*value));
       } else if (*name == "encoding") {
         if (!IsValidEncodingName(*value)) {
           return Error("malformed encoding name \"" + std::string(*value) +
-                     "\"");
+                       "\"");
         }
-        sink_->SetEncoding(std::string(*value));
       }
       // `standalone` is accepted and ignored.
     }
@@ -404,42 +271,26 @@ class ParserT {
     return Error("unterminated DOCTYPE declaration");
   }
 
-  Status SkipComment(bool in_prolog) {
+  Status SkipComment() {
     cursor_.Match("<!--");
-    size_t begin = cursor_.pos();
     while (!cursor_.AtEnd()) {
-      if (cursor_.LookingAt("-->")) {
-        std::string content(cursor_.Slice(begin, cursor_.pos()));
-        cursor_.Match("-->");
-        if (options_.keep_comments && in_prolog) {
-          sink_->PrologComment(std::move(content));
-        }
-        return Status::Ok();
-      }
+      if (cursor_.Match("-->")) return Status::Ok();
       cursor_.Advance();
     }
     return Error("unterminated comment");
   }
 
-  Status SkipProcessingInstruction(bool in_prolog) {
+  Status SkipProcessingInstruction() {
     cursor_.Match("<?");
-    size_t begin = cursor_.pos();
     while (!cursor_.AtEnd()) {
-      if (cursor_.LookingAt("?>")) {
-        std::string content(cursor_.Slice(begin, cursor_.pos()));
-        cursor_.Match("?>");
-        if (options_.keep_processing_instructions && in_prolog) {
-          sink_->PrologProcessingInstruction(std::move(content));
-        }
-        return Status::Ok();
-      }
+      if (cursor_.Match("?>")) return Status::Ok();
       cursor_.Advance();
     }
     return Error("unterminated processing instruction");
   }
 
-  /// Names are slices of the input (no decoding), so they are parsed
-  /// as views; callers copy only where the DOM keeps the name.
+  /// Names are slices of the input (no decoding), so they stay valid
+  /// for the whole parse.
   Result<std::string_view> ParseName() {
     if (cursor_.AtEnd() || !IsNameStartChar(cursor_.Peek())) {
       return Error("expected name");
@@ -472,49 +323,40 @@ class ParserT {
     return Decode(raw);
   }
 
-  Status ParseElement() {
+  /// Reads the start tag at the cursor and emits its events. A
+  /// self-closing tag is also ended here; any other stays open on
+  /// `open_` until ParseContent() reads its end tag.
+  Status ParseStartTag() {
     if (!cursor_.Match("<")) return Error("expected '<'");
-    // The parser, the serializer, and the DOM destructor recurse once
-    // per nesting level, so the depth cap is their stack-overflow
-    // guard.
-    if (depth_ >= options_.limits.max_depth) {
+    if (static_cast<int>(open_.size()) >= options_.limits.max_depth) {
       return LimitError(StrFormat("element nesting exceeds max_depth (%d)",
                                   options_.limits.max_depth));
     }
-    ++depth_;
-    Status element = ParseElementBody();
-    --depth_;
-    return element;
-  }
-
-  Status ParseElementBody() {
     auto name = ParseName();
     if (!name.ok()) return name.status();
-    XSDF_RETURN_IF_ERROR(sink_->StartElement(*name));
-
-    // Attributes.
+    attr_names_.clear();
+    XSDF_RETURN_IF_ERROR(handler_->OnStartElement(*name));
     while (true) {
       cursor_.SkipWhitespace();
       if (cursor_.AtEnd()) return Error("unterminated start tag");
-      if (cursor_.LookingAt("/>")) {
-        cursor_.Match("/>");
-        XSDF_RETURN_IF_ERROR(sink_->FinishStartTag());
-        return sink_->EndElement(*name);
+      if (cursor_.Match("/>")) {
+        XSDF_RETURN_IF_ERROR(handler_->OnStartTagDone());
+        return handler_->OnEndElement(*name);
       }
       if (cursor_.Peek() == '>') {
         cursor_.Advance();
         break;
       }
       if (options_.limits.max_attributes_per_element > 0 &&
-          sink_->AttributeCount() >=
-              options_.limits.max_attributes_per_element) {
+          attr_names_.size() >= options_.limits.max_attributes_per_element) {
         return LimitError(
             StrFormat("element has more than %zu attributes",
                       options_.limits.max_attributes_per_element));
       }
       auto attr_name = ParseName();
       if (!attr_name.ok()) return attr_name.status();
-      if (sink_->HasAttribute(*attr_name)) {
+      if (std::find(attr_names_.begin(), attr_names_.end(), *attr_name) !=
+          attr_names_.end()) {
         return Error("duplicate attribute '" + std::string(*attr_name) +
                      "'");
       }
@@ -526,35 +368,38 @@ class ParserT {
       cursor_.SkipWhitespace();
       auto value = ParseQuotedValue();
       if (!value.ok()) return value.status();
-      XSDF_RETURN_IF_ERROR(sink_->AddAttribute(*attr_name, *value));
+      attr_names_.push_back(*attr_name);
+      XSDF_RETURN_IF_ERROR(handler_->OnAttribute(*attr_name, *value));
     }
-    XSDF_RETURN_IF_ERROR(sink_->FinishStartTag());
-
-    // Content until the matching end tag.
-    XSDF_RETURN_IF_ERROR(ParseContent(*name));
-    return sink_->EndElement(*name);
+    XSDF_RETURN_IF_ERROR(handler_->OnStartTagDone());
+    open_.push_back(*name);
+    return Status::Ok();
   }
 
-  Status ParseContent(std::string_view tag_name) {
-    // Character data runs up to the next '<', and every markup branch
-    // below flushes it first, so pending text is always one slice of
-    // the input.
-    std::string_view pending_text;
-    auto flush_text = [&]() -> Status {
-      if (pending_text.empty()) return Status::Ok();
-      if (!options_.discard_whitespace_text ||
-          !IsWhitespaceOnly(pending_text)) {
-        auto decoded = Decode(pending_text);
-        if (!decoded.ok()) return decoded.status();
-        XSDF_RETURN_IF_ERROR(sink_->AddText(*decoded));
-      }
-      pending_text = {};
-      return Status::Ok();
-    };
+  /// Emits the character data collected since the last markup, unless
+  /// it is whitespace the options discard.
+  Status FlushText(std::string_view* pending) {
+    if (pending->empty()) return Status::Ok();
+    if (!options_.discard_whitespace_text || !IsWhitespaceOnly(*pending)) {
+      auto decoded = Decode(*pending);
+      if (!decoded.ok()) return decoded.status();
+      XSDF_RETURN_IF_ERROR(handler_->OnText(*decoded));
+    }
+    *pending = {};
+    return Status::Ok();
+  }
 
-    while (true) {
+  /// Reads content until every open element has closed: character
+  /// data, CDATA, comments, PIs, start tags (which push) and end tags
+  /// (which pop).
+  Status ParseContent() {
+    // Character data runs up to the next '<', and every markup branch
+    // flushes it first, so pending text is always one slice of the
+    // input.
+    std::string_view pending_text;
+    while (!open_.empty()) {
       if (cursor_.AtEnd()) {
-        return Error("unterminated element '" + std::string(tag_name) +
+        return Error("unterminated element '" + std::string(open_.back()) +
                      "'");
       }
       if (cursor_.Peek() != '<') {
@@ -563,23 +408,20 @@ class ParserT {
         pending_text = cursor_.AdvanceUntilLt();
         continue;
       }
-      if (cursor_.LookingAt("</")) {
-        XSDF_RETURN_IF_ERROR(flush_text());
-        cursor_.Match("</");
+      XSDF_RETURN_IF_ERROR(FlushText(&pending_text));
+      if (cursor_.Match("</")) {
         auto end_name = ParseName();
         if (!end_name.ok()) return end_name.status();
         cursor_.SkipWhitespace();
         if (!cursor_.Match(">")) return Error("malformed end tag");
-        if (*end_name != tag_name) {
-          return Error("mismatched end tag: expected </" +
-                       std::string(tag_name) + ">, got </" +
-                       std::string(*end_name) + ">");
+        const std::string_view name = open_.back();
+        if (*end_name != name) {
+          return Error("mismatched end tag: expected </" + std::string(name) +
+                       ">, got </" + std::string(*end_name) + ">");
         }
-        return Status::Ok();
-      }
-      if (cursor_.LookingAt("<![CDATA[")) {
-        XSDF_RETURN_IF_ERROR(flush_text());
-        cursor_.Match("<![CDATA[");
+        open_.pop_back();
+        XSDF_RETURN_IF_ERROR(handler_->OnEndElement(name));
+      } else if (cursor_.Match("<![CDATA[")) {
         size_t begin = cursor_.pos();
         while (!cursor_.AtEnd() && !cursor_.LookingAt("]]>")) {
           cursor_.Advance();
@@ -587,41 +429,30 @@ class ParserT {
         if (cursor_.AtEnd()) return Error("unterminated CDATA section");
         std::string_view cdata = cursor_.Slice(begin, cursor_.pos());
         cursor_.Match("]]>");
-        XSDF_RETURN_IF_ERROR(sink_->AddCData(cdata));
-        continue;
+        XSDF_RETURN_IF_ERROR(handler_->OnCData(cdata));
+      } else if (cursor_.LookingAt("<!--")) {
+        XSDF_RETURN_IF_ERROR(SkipComment());
+      } else if (cursor_.LookingAt("<?")) {
+        XSDF_RETURN_IF_ERROR(SkipProcessingInstruction());
+      } else {
+        XSDF_RETURN_IF_ERROR(ParseStartTag());
       }
-      if (cursor_.LookingAt("<!--")) {
-        XSDF_RETURN_IF_ERROR(flush_text());
-        cursor_.Match("<!--");
-        size_t begin = cursor_.pos();
-        while (!cursor_.AtEnd() && !cursor_.LookingAt("-->")) {
-          cursor_.Advance();
-        }
-        if (cursor_.AtEnd()) return Error("unterminated comment");
-        if (options_.keep_comments) {
-          sink_->AddComment(
-              std::string(cursor_.Slice(begin, cursor_.pos())));
-        }
-        cursor_.Match("-->");
-        continue;
-      }
-      if (cursor_.LookingAt("<?")) {
-        XSDF_RETURN_IF_ERROR(flush_text());
-        XSDF_RETURN_IF_ERROR(SkipProcessingInstruction(/*in_prolog=*/false));
-        continue;
-      }
-      XSDF_RETURN_IF_ERROR(flush_text());
-      XSDF_RETURN_IF_ERROR(ParseElement());
     }
+    return Status::Ok();
   }
 
   Cursor cursor_;
-  ParseOptions options_;
-  Sink* sink_;
-  int depth_ = 0;
+  const ParseOptions& options_;
+  StreamHandler* handler_;
   size_t entity_budget_ = 0;
   /// Reused target of every entity decode.
   std::string decoded_;
+  /// Names of the open elements, outermost first, as views into the
+  /// input.
+  std::vector<std::string_view> open_;
+  /// Attribute names of the start tag being read, for the duplicate
+  /// check.
+  std::vector<std::string_view> attr_names_;
 };
 
 }  // namespace
@@ -732,16 +563,13 @@ bool IsValidName(std::string_view name) {
   return true;
 }
 
-namespace {
-
-/// The checks both entry points run before parsing: a usable depth
-/// cap, and the input size budget.
-Status CheckLimits(std::string_view input, const ParseOptions& options) {
+Status StreamParse(std::string_view input, StreamHandler* handler,
+                   const ParseOptions& options) {
   if (options.limits.max_depth <= 0) {
-    return Status::InvalidArgument(StrFormat(
-        "max_depth must be at least 1 (got %d): the depth cap is the "
-        "parser's stack-overflow guard",
-        options.limits.max_depth));
+    return Status::InvalidArgument(
+        StrFormat("max_depth must be at least 1 (got %d): the depth cap "
+                  "cannot be disabled",
+                  options.limits.max_depth));
   }
   if (options.limits.max_input_bytes > 0 &&
       input.size() > options.limits.max_input_bytes) {
@@ -749,35 +577,7 @@ Status CheckLimits(std::string_view input, const ParseOptions& options) {
         StrFormat("XML input of %zu bytes exceeds max_input_bytes (%zu)",
                   input.size(), options.limits.max_input_bytes));
   }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<Document> Parse(std::string_view input, const ParseOptions& options) {
-  XSDF_RETURN_IF_ERROR(CheckLimits(input, options));
-  Document doc;
-  DomSink sink(&doc);
-  ParserT<DomSink> parser(input, options, &sink);
-  XSDF_RETURN_IF_ERROR(parser.Run());
-  return doc;
-}
-
-Status StreamParse(std::string_view input, StreamHandler* handler,
-                   const ParseOptions& options) {
-  XSDF_RETURN_IF_ERROR(CheckLimits(input, options));
-  HandlerSink sink(handler);
-  ParserT<HandlerSink> parser(input, options, &sink);
-  return parser.Run();
-}
-
-Result<Document> ParseFile(const std::string& path,
-                           const ParseOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str(), options);
+  return Parser(input, options, handler).Run();
 }
 
 }  // namespace xsdf::xml

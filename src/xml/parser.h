@@ -5,24 +5,25 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "xml/dom.h"
 
 namespace xsdf::xml {
 
 /// Input-hardening limits. Every document XSDF serves enters through
 /// this parser, so adversarial inputs must fail with a `Status` before
-/// they can exhaust the stack (deep recursion), memory, or CPU. A zero
-/// value disables the corresponding size or count limit; the depth cap
-/// cannot be disabled.
+/// they can exhaust memory or CPU. A zero value disables the
+/// corresponding size or count limit; the depth cap cannot be
+/// disabled.
 struct ParseLimits {
   /// Maximum accepted input size in bytes.
   size_t max_input_bytes = 64u << 20;
-  /// Maximum element-nesting depth; must be at least 1 (Parse and
-  /// StreamParse return InvalidArgument otherwise). The parser,
-  /// serializer, and DOM destructor recurse over the element tree (the
-  /// labeled-tree builder does not), so this bound protects them from
-  /// stack overflow. Raise it deliberately and only as far as the
-  /// stack allows.
+  /// Maximum element-nesting depth; must be at least 1 (StreamParse
+  /// returns InvalidArgument otherwise). Nothing recurses per nesting
+  /// level (the parser, the tree builder and the semantic-tree writer
+  /// keep explicit stacks), so a raised cap cannot overflow the stack.
+  /// It bounds the per-node work that grows with depth: root paths,
+  /// sphere rings and the open-element stacks. The semantic-tree
+  /// writer's indentation stops growing past the depth this default
+  /// allows, so its output stays linear in its input whatever the cap.
   int max_depth = 256;
   /// Maximum number of attributes on a single element.
   size_t max_attributes_per_element = 1024;
@@ -37,27 +38,13 @@ struct ParseLimits {
 
 /// Options controlling XML parsing.
 struct ParseOptions {
-  /// When true, text nodes consisting only of whitespace (typical
-  /// pretty-printing indentation) are dropped from the DOM.
+  /// When true, text consisting only of whitespace (typical
+  /// pretty-printing indentation) is not reported as text.
   bool discard_whitespace_text = true;
-  /// When true, comments are kept as DOM nodes; otherwise dropped.
-  bool keep_comments = false;
-  /// When true, processing instructions are kept; otherwise dropped.
-  bool keep_processing_instructions = false;
   /// Hardening limits; violations produce `OutOfRange` errors (while
   /// grammar violations stay `Corruption`).
   ParseLimits limits;
 };
-
-/// Parses an XML 1.0 document from `input`.
-///
-/// Supported: XML declaration, elements, attributes (single/double
-/// quoted), character data, CDATA sections, comments, processing
-/// instructions, DOCTYPE declarations (skipped, including internal
-/// subsets), the five predefined entities, and decimal/hex character
-/// references. Errors carry 1-based line/column positions.
-Result<Document> Parse(std::string_view input,
-                       const ParseOptions& options = {});
 
 /// Receiver for `StreamParse` events. Callbacks fire in document
 /// order: OnStartElement, then one OnAttribute per attribute in source
@@ -97,20 +84,19 @@ class StreamHandler {
   }
 };
 
-/// One-pass SAX-style parse of `input` into `handler`, sharing the
-/// grammar, memchr hot path, and `ParseLimits` budgets with `Parse`
-/// (both front ends instantiate the same parser template, so accepted
-/// inputs, rejected inputs, and the emitted text/CDATA node sequence
-/// are identical by construction). Nothing is materialized: peak
-/// memory is the handler's own state plus one entity-decode buffer.
-/// Comments, processing instructions, and the XML declaration are not
-/// surfaced as events.
+/// One-pass SAX-style parse of an XML 1.0 document from `input` into
+/// `handler` — the one XML parser XSDF has.
+///
+/// Supported: XML declaration (validated, not surfaced), elements,
+/// attributes (single/double quoted), character data, CDATA sections,
+/// comments and processing instructions (skipped), DOCTYPE
+/// declarations (skipped, including internal subsets), the five
+/// predefined entities, and decimal/hex character references. Errors
+/// carry 1-based line/column positions. Nothing is materialized and
+/// nothing recurses: peak memory is the handler's own state, one
+/// entity-decode buffer and the stack of open tag names.
 Status StreamParse(std::string_view input, StreamHandler* handler,
                    const ParseOptions& options = {});
-
-/// Reads and parses the XML file at `path`.
-Result<Document> ParseFile(const std::string& path,
-                           const ParseOptions& options = {});
 
 /// Decodes the predefined entities and character references in `text`.
 /// Unknown entity references produce a Corruption error.

@@ -1,77 +1,117 @@
 #include "xml/path_query.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 
 namespace xsdf::xml {
 
 namespace {
 
-/// Does `node` satisfy the name + attribute predicate of `step`?
-bool StepMatches(const Node& node, const PathStep& step) {
-  if (!node.is_element()) return false;
-  if (step.name != "*" && node.name() != step.name) return false;
-  if (step.has_attribute_predicate) {
-    const std::string* value = node.FindAttribute(step.attribute);
-    if (value == nullptr) return false;
-    if (step.has_attribute_value && *value != step.attribute_value) {
-      return false;
-    }
+/// The evaluator behind PathQuery::Evaluate. Step k "reaches" an
+/// element when the element may satisfy it: the root reaches step 0,
+/// and a child reaches step k+1 when its parent satisfied step k, and
+/// step k when its parent reached a descendant step k. An element
+/// satisfies a reached step when its name and attribute predicate
+/// match, and it is a match when it satisfies the last step. One row of
+/// reached flags per nesting level is all the state the open elements
+/// need.
+class StreamMatcher : public StreamHandler {
+ public:
+  StreamMatcher(const std::vector<PathStep>& steps, PathMatches* out)
+      : steps_(steps),
+        out_(out),
+        candidate_(steps.size()),
+        predicate_met_(steps.size()),
+        reached_(steps.size()) {
+    if (!steps.empty()) reached_[0] = 1;
   }
-  return true;
-}
 
-/// Recursive matcher: nodes satisfying steps[index..] starting the
-/// match attempt at `node`.
-void Match(const Node& node, const std::vector<PathStep>& steps,
-           size_t index, std::vector<const Node*>* out) {
-  if (index >= steps.size()) return;
-  const PathStep& step = steps[index];
+  Status OnStartElement(std::string_view name) override {
+    const uint8_t* reached = Row(open_.size());
+    for (size_t k = 0; k < steps_.size(); ++k) {
+      const PathStep& step = steps_[k];
+      candidate_[k] = reached[k] && (step.name == "*" || step.name == name);
+      predicate_met_[k] = !step.has_attribute_predicate;
+    }
+    if (!candidate_.empty() && candidate_.back()) name_.assign(name);
+    return Status::Ok();
+  }
 
-  if (StepMatches(node, step)) {
-    if (index + 1 == steps.size()) {
-      if (std::find(out->begin(), out->end(), &node) == out->end()) {
-        out->push_back(&node);
-      }
-    } else {
-      for (const auto& child : node.children()) {
-        Match(*child, steps, index + 1, out);
+  Status OnAttribute(std::string_view name, std::string_view value) override {
+    for (size_t k = 0; k < steps_.size(); ++k) {
+      const PathStep& step = steps_[k];
+      if (candidate_[k] && !predicate_met_[k] && step.attribute == name &&
+          (!step.has_attribute_value || step.attribute_value == value)) {
+        predicate_met_[k] = 1;
       }
     }
+    return Status::Ok();
   }
-  // A descendant step may also start deeper.
-  if (step.descendant) {
-    for (const auto& child : node.children()) {
-      Match(*child, steps, index, out);
-    }
-  }
-}
 
-void MatchTree(const LabeledTree& tree, NodeId id,
-               const std::vector<PathStep>& steps, size_t index,
-               std::vector<NodeId>* out) {
-  if (index >= steps.size()) return;
-  const PathStep& step = steps[index];
-  bool name_ok = tree.kind(id) == TreeNodeKind::kElement &&
-                 (step.name == "*" || tree.label(id) == step.name);
-  if (name_ok) {
-    if (index + 1 == steps.size()) {
-      if (std::find(out->begin(), out->end(), id) == out->end()) {
-        out->push_back(id);
-      }
-    } else {
-      for (NodeId child : tree.children(id)) {
-        MatchTree(tree, child, steps, index + 1, out);
+  Status OnStartTagDone() override {
+    const size_t level = open_.size();
+    const size_t n = steps_.size();
+    reached_.resize((level + 2) * n);
+    const uint8_t* reached = Row(level);
+    uint8_t* child = Row(level + 1);
+    for (size_t k = 0; k < n; ++k) {
+      child[k] = reached[k] && steps_[k].descendant;
+    }
+    bool is_match = false;
+    for (size_t k = 0; k < n; ++k) {
+      if (!candidate_[k] || !predicate_met_[k]) continue;
+      if (k + 1 < n) {
+        child[k + 1] = 1;
+      } else {
+        is_match = true;
       }
     }
-  }
-  if (step.descendant) {
-    for (NodeId child : tree.children(id)) {
-      MatchTree(tree, child, steps, index, out);
+    if (!is_match) {
+      open_.push_back(kNoMatch);
+      return Status::Ok();
     }
+    open_.push_back(out_->matches.size());
+    out_->matches.push_back({name_, out_->text.size(), out_->text.size()});
+    ++open_matches_;
+    return Status::Ok();
   }
-}
+
+  Status OnText(std::string_view text) override {
+    if (open_matches_ > 0) out_->text.append(text);
+    return Status::Ok();
+  }
+
+  Status OnCData(std::string_view text) override { return OnText(text); }
+
+  Status OnEndElement(std::string_view name) override {
+    (void)name;
+    const size_t match = open_.back();
+    open_.pop_back();
+    if (match != kNoMatch) {
+      out_->matches[match].text_end = out_->text.size();
+      --open_matches_;
+    }
+    return Status::Ok();
+  }
+
+ private:
+  static constexpr size_t kNoMatch = static_cast<size_t>(-1);
+
+  /// The reached flags of an element at nesting `level`.
+  uint8_t* Row(size_t level) { return reached_.data() + level * steps_.size(); }
+
+  const std::vector<PathStep>& steps_;
+  PathMatches* out_;
+  /// Per step, for the start tag being read: name matched / predicate
+  /// met so far.
+  std::vector<uint8_t> candidate_;
+  std::vector<uint8_t> predicate_met_;
+  /// Reached flags, one row of steps_.size() per nesting level.
+  std::vector<uint8_t> reached_;
+  /// Per open element, its index in out_->matches or kNoMatch.
+  std::vector<size_t> open_;
+  size_t open_matches_ = 0;
+  std::string name_;
+};
 
 }  // namespace
 
@@ -162,20 +202,11 @@ Result<PathQuery> PathQuery::Parse(std::string_view query) {
   return compiled;
 }
 
-std::vector<const Node*> PathQuery::Evaluate(const Document& doc) const {
-  std::vector<const Node*> out;
-  if (doc.root() != nullptr) {
-    Match(*doc.root(), steps_, 0, &out);
-  }
-  return out;
-}
-
-std::vector<NodeId> PathQuery::Evaluate(const LabeledTree& tree) const {
-  std::vector<NodeId> out;
-  if (!tree.empty()) {
-    MatchTree(tree, tree.root(), steps_, 0, &out);
-  }
-  std::sort(out.begin(), out.end());
+Result<PathMatches> PathQuery::Evaluate(std::string_view xml,
+                                        const ParseOptions& options) const {
+  PathMatches out;
+  StreamMatcher matcher(steps_, &out);
+  XSDF_RETURN_IF_ERROR(StreamParse(xml, &matcher, options));
   return out;
 }
 

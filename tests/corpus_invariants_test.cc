@@ -14,10 +14,10 @@
 #include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "eval/experiment.h"
+#include "oracles/dom.h"
 #include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace xsdf {
 namespace {
@@ -158,10 +158,10 @@ TEST_F(CorpusInvariantsTest, WndbRoundTripPreservesDisambiguation) {
 
 TEST_F(CorpusInvariantsTest, SerializerRoundTripsEveryDocument) {
   for (const auto& doc : corpus()) {
-    auto parsed = xml::Parse(doc.generated.xml);
+    auto parsed = oracles::ParseDom(doc.generated.xml);
     ASSERT_TRUE(parsed.ok()) << doc.generated.name;
-    std::string serialized = xml::Serialize(*parsed);
-    auto reparsed = xml::Parse(serialized);
+    std::string serialized = oracles::SerializeDom(*parsed);
+    auto reparsed = oracles::ParseDom(serialized);
     ASSERT_TRUE(reparsed.ok()) << doc.generated.name;
     // Structure-preserving: same element count and same root.
     EXPECT_EQ(reparsed->CountElements(), parsed->CountElements())

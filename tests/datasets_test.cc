@@ -10,6 +10,7 @@
 #include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "eval/gold.h"
+#include "oracles/dom.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 #include "xml/tree_stats.h"
@@ -63,7 +64,7 @@ TEST(DatasetsTest, DocumentCountsMatchTable3) {
 TEST(DatasetsTest, EveryDocumentParses) {
   for (const DatasetGenerator* generator : AllDatasets()) {
     for (const GeneratedDocument& doc : generator->Generate(7)) {
-      auto parsed = xml::Parse(doc.xml);
+      auto parsed = oracles::ParseDom(doc.xml);
       EXPECT_TRUE(parsed.ok())
           << doc.name << ": " << parsed.status().ToString();
     }
@@ -165,7 +166,7 @@ TEST(Figure1Test, BothDocumentsParseAndCarryGold) {
   auto docs = Figure1Documents();
   ASSERT_EQ(docs.size(), 2u);
   for (const GeneratedDocument& doc : docs) {
-    auto parsed = xml::Parse(doc.xml);
+    auto parsed = oracles::ParseDom(doc.xml);
     ASSERT_TRUE(parsed.ok()) << doc.name;
     auto gold = eval::ResolveGold(doc.gold);
     EXPECT_TRUE(gold.ok()) << gold.status().ToString();

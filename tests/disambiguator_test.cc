@@ -19,6 +19,7 @@
 #include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "obs/metrics.h"
+#include "oracles/dom.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 
@@ -290,7 +291,7 @@ TEST(SemanticTreeXmlTest, SerializesAnnotations) {
   ASSERT_TRUE(result.ok());
   std::string xml_out = SemanticTreeToXml(*result, Network());
   // The output parses back and carries concept annotations.
-  auto reparsed = xml::Parse(xml_out);
+  auto reparsed = oracles::ParseDom(xml_out);
   ASSERT_TRUE(reparsed.ok()) << xml_out.substr(0, 400);
   EXPECT_NE(xml_out.find("concept=\"grace_kelly\""), std::string::npos);
   EXPECT_NE(xml_out.find("kind=\"token\""), std::string::npos);

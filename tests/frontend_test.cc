@@ -1,9 +1,8 @@
-// Tests for the interned, arena-backed front end: the bump arena, the
-// engine-wide label id space (cross-document id stability, exact-
-// spelling injectivity), and the headline contract — for every node,
-// the id-based candidates and sphere/vector scores are BIT-identical
-// to the string-keyed reference in tests/oracles/, on trees with and
-// without label ids.
+// Tests for the interned front end: the engine-wide label id space
+// (cross-document id stability, exact-spelling injectivity), and the
+// headline contract — for every node, the id-based candidates and
+// sphere/vector scores are BIT-identical to the string-keyed reference
+// in tests/oracles/, on trees with and without label ids.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/scores.h"
@@ -32,93 +30,6 @@ const wordnet::SemanticNetwork& Network() {
     return new wordnet::SemanticNetwork(std::move(result).value());
   }();
   return *network;
-}
-
-// ============================ Arena ===============================
-
-TEST(ArenaTest, BumpAllocationsAreAlignedAndCounted) {
-  Arena arena;
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.block_count(), 0u);
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  void* c = arena.Allocate(1, 64);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-  EXPECT_GE(arena.bytes_used(), 3u + 8u + 1u);
-  EXPECT_EQ(arena.block_count(), 1u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-}
-
-TEST(ArenaTest, GrowsBlocksGeometrically) {
-  Arena arena;
-  for (int i = 0; i < 2000; ++i) arena.Allocate(64, 8);
-  EXPECT_GE(arena.bytes_used(), 2000u * 64u);
-  EXPECT_GT(arena.block_count(), 1u) << "growth must add blocks";
-  EXPECT_LT(arena.block_count(), 40u) << "blocks must grow geometrically";
-}
-
-TEST(ArenaTest, OversizedAllocationGetsItsOwnBlock) {
-  Arena arena;
-  void* big = arena.Allocate(1 << 20, 16);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), static_cast<size_t>(1 << 20));
-}
-
-TEST(ArenaTest, CopyStringIsStableAndDetached) {
-  Arena arena;
-  std::string original = "semantic ambiguity";
-  std::string_view view = arena.CopyString(original);
-  original.assign(original.size(), 'x');  // mutate the source
-  EXPECT_EQ(view, "semantic ambiguity");
-  EXPECT_EQ(arena.CopyString("").size(), 0u);
-}
-
-struct DtorRecorder {
-  std::vector<int>* order;
-  int id;
-  ~DtorRecorder() { order->push_back(id); }
-};
-
-TEST(ArenaTest, RunsOwnedDestructorsInReverseOrder) {
-  std::vector<int> order;
-  {
-    Arena arena;
-    arena.New<DtorRecorder>(&order, 1);
-    arena.New<DtorRecorder>(&order, 2);
-    arena.New<DtorRecorder>(&order, 3);
-    // Trivially destructible types must not register anything.
-    arena.New<int>(7);
-  }
-  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(ArenaTest, ResetReturnsToFreshState) {
-  std::vector<int> order;
-  Arena arena;
-  arena.New<DtorRecorder>(&order, 1);
-  arena.Allocate(1 << 16);
-  arena.Reset();
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  EXPECT_EQ(arena.block_count(), 0u);
-  // And the arena is usable again.
-  EXPECT_EQ(arena.CopyString("again"), "again");
-}
-
-TEST(ArenaTest, DocumentParseLandsInArena) {
-  auto doc = xml::Parse("<a b=\"c\"><d>text value here</d><e/></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_GT(doc->arena().bytes_used(), 0u);
-  // Moving the document must not invalidate its nodes (the arena is
-  // heap-held and moves by pointer).
-  xml::Document moved = std::move(doc).value();
-  ASSERT_NE(moved.root(), nullptr);
-  EXPECT_EQ(moved.root()->name(), "a");
-  ASSERT_EQ(moved.root()->children().size(), 2u);
-  EXPECT_EQ(moved.root()->children()[0]->name(), "d");
 }
 
 // ========================== LabelSpace ============================

@@ -103,5 +103,25 @@ TEST(FuzzRegressionTest, SnapshotCrashRegressionsStayFixed) {
                   /*required=*/false);
 }
 
+// The harnesses parse under a 4,096-deep cap (FuzzXmlOptions). A chain
+// at the cap, and one past it, must run through every oracle — the
+// test-only DOM, its serializer and equality, and both DOM walks —
+// which therefore keep explicit stacks instead of recursing per level.
+TEST(FuzzRegressionTest, ChainsAtTheFuzzDepthCapRunClean) {
+  for (int depth : {4096, 4097}) {
+    std::string xml;
+    for (int d = 0; d < depth; ++d) xml += "<a x=\"star\">word ";
+    for (int d = 0; d < depth; ++d) xml += "</a>";
+    fuzz::DriveXmlParser(reinterpret_cast<const uint8_t*>(xml.data()),
+                         xml.size());
+    for (char flags : {'\0', '\5'}) {
+      const std::string input = flags + xml;
+      const auto* data = reinterpret_cast<const uint8_t*>(input.data());
+      fuzz::DriveLabeledTree(data, input.size());
+      fuzz::DriveStreamParser(data, input.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xsdf

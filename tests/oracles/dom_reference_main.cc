@@ -1,6 +1,6 @@
 // xsdf_dom_reference <file.xml> — the DOM reference for `xsdf
 // disambiguate` and the streaming batch: parses the whole file into a
-// DOM (xml::ParseFile, default limits), reads the labeled tree off it
+// DOM (oracles::ParseDomFile, default limits), reads the labeled tree off it
 // with the test-only walk (oracles::BuildTreeViaDom), disambiguates it
 // with default options over the bundled mini-WordNet and prints the
 // semantic tree exactly as `xsdf disambiguate` does. Both production
@@ -12,9 +12,9 @@
 #include <utility>
 
 #include "core/disambiguator.h"
+#include "oracles/dom.h"
 #include "oracles/dom_tree_builder.h"
 #include "wordnet/mini_wordnet.h"
-#include "xml/parser.h"
 
 int main(int argc, char** argv) {
   if (argc != 2) {
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", network.status().ToString().c_str());
     return 1;
   }
-  auto doc = xsdf::xml::ParseFile(argv[1]);
+  auto doc = xsdf::oracles::ParseDomFile(argv[1]);
   if (!doc.ok()) {
     std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
     return 1;

@@ -17,30 +17,35 @@ class DomWalk {
         tokenize_(tokenize),
         tree_(label_source) {}
 
-  bool AddElement(xml::NodeId parent, const xml::Node& element) {
-    const xml::NodeId id =
-        AddTag(parent, element.name(), xml::TreeNodeKind::kElement);
-    if (id == xml::kInvalidNode) return false;
-    std::vector<const xml::Attribute*> attrs;
-    for (const xml::Attribute& attr : element.attributes()) {
-      attrs.push_back(&attr);
-    }
-    std::sort(attrs.begin(), attrs.end(),
-              [](const xml::Attribute* a, const xml::Attribute* b) {
-                return a->name < b->name;
-              });
-    for (const xml::Attribute* attr : attrs) {
-      const xml::NodeId attr_id =
-          AddTag(id, attr->name, xml::TreeNodeKind::kAttribute);
-      if (attr_id == xml::kInvalidNode || !AddTokens(attr_id, attr->value)) {
-        return false;
+  /// Appends `root` and its subtree under `parent`. The walk keeps an
+  /// explicit stack, so a deep document does not recurse.
+  bool AddElement(xml::NodeId parent, const Node& root) {
+    struct Frame {
+      const Node* element;
+      xml::NodeId id;
+      size_t next_child;
+    };
+    std::vector<Frame> open;
+    auto open_element = [&](xml::NodeId under, const Node& element) {
+      const xml::NodeId id = AddStartTag(under, element);
+      if (id == xml::kInvalidNode) return false;
+      open.push_back({&element, id, 0});
+      return true;
+    };
+    if (!open_element(parent, root)) return false;
+    while (!open.empty()) {
+      Frame& frame = open.back();
+      const std::vector<Node*>& children = frame.element->children();
+      if (frame.next_child == children.size()) {
+        open.pop_back();
+        continue;
       }
-    }
-    for (const xml::Node* child : element.children()) {
-      if (child->is_element()) {
-        if (!AddElement(id, *child)) return false;
-      } else if (child->is_text()) {
-        if (!AddTokens(id, child->text())) return false;
+      const Node& child = *children[frame.next_child++];
+      const xml::NodeId id = frame.id;
+      if (child.is_element()) {
+        if (!open_element(id, child)) return false;
+      } else if (child.is_text()) {
+        if (!AddTokens(id, child.text())) return false;
       }
     }
     return true;
@@ -49,6 +54,30 @@ class DomWalk {
   xml::LabeledTree Finish() { return tree_.Finish(); }
 
  private:
+  /// Appends `element` and its attributes, sorted by name, each
+  /// followed by its value tokens; returns the element's id.
+  xml::NodeId AddStartTag(xml::NodeId parent, const Node& element) {
+    const xml::NodeId id =
+        AddTag(parent, element.name(), xml::TreeNodeKind::kElement);
+    if (id == xml::kInvalidNode) return id;
+    std::vector<const Attribute*> attrs;
+    for (const Attribute& attr : element.attributes()) {
+      attrs.push_back(&attr);
+    }
+    std::sort(attrs.begin(), attrs.end(),
+              [](const Attribute* a, const Attribute* b) {
+                return a->name < b->name;
+              });
+    for (const Attribute* attr : attrs) {
+      const xml::NodeId attr_id =
+          AddTag(id, attr->name, xml::TreeNodeKind::kAttribute);
+      if (attr_id == xml::kInvalidNode || !AddTokens(attr_id, attr->value)) {
+        return xml::kInvalidNode;
+      }
+    }
+    return id;
+  }
+
   xml::NodeId AddTag(xml::NodeId parent, const std::string& raw,
                      xml::TreeNodeKind kind) {
     const core::ResolvedLabel& resolved = resolve_tag_(raw);
@@ -76,7 +105,7 @@ class DomWalk {
 
 }  // namespace
 
-Result<xml::LabeledTree> BuildTreeViaDom(const xml::Document& doc,
+Result<xml::LabeledTree> BuildTreeViaDom(const Document& doc,
                                          bool include_values,
                                          uint64_t label_source,
                                          const TagResolver& resolve_tag,
@@ -92,7 +121,7 @@ Result<xml::LabeledTree> BuildTreeViaDom(const xml::Document& doc,
 }
 
 Result<xml::LabeledTree> BuildTreeViaDom(
-    const xml::Document& doc, const wordnet::SemanticNetwork& network,
+    const Document& doc, const wordnet::SemanticNetwork& network,
     bool include_values, core::LabelSpace* label_space,
     core::TreeBuildCache* cache) {
   if (label_space == nullptr) {

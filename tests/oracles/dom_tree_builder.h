@@ -10,7 +10,7 @@
 #include "core/label_space.h"
 #include "core/tree_builder.h"
 #include "wordnet/semantic_network.h"
-#include "xml/dom.h"
+#include "oracles/dom.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::oracles {
@@ -34,7 +34,7 @@ using ValueResolver = std::function<const std::vector<core::ResolvedLabel>&(
 /// (structure-only, paper §3.1). The tree records `label_source` as
 /// its label_source(). A document without a root is InvalidArgument; a
 /// resolver id the tree cannot hold is Internal.
-Result<xml::LabeledTree> BuildTreeViaDom(const xml::Document& doc,
+Result<xml::LabeledTree> BuildTreeViaDom(const Document& doc,
                                          bool include_values,
                                          uint64_t label_source,
                                          const TagResolver& resolve_tag,
@@ -46,7 +46,7 @@ Result<xml::LabeledTree> BuildTreeViaDom(const xml::Document& doc,
 /// same input, core::BuildTreeStreaming must return this tree, label
 /// ids and interning order included.
 Result<xml::LabeledTree> BuildTreeViaDom(
-    const xml::Document& doc, const wordnet::SemanticNetwork& network,
+    const Document& doc, const wordnet::SemanticNetwork& network,
     bool include_values, core::LabelSpace* label_space,
     core::TreeBuildCache* cache = nullptr);
 

@@ -1,8 +1,7 @@
 #include "oracles/semantic_tree_dom.h"
 
 #include "common/strings.h"
-#include "xml/dom.h"
-#include "xml/serializer.h"
+#include "oracles/dom.h"
 
 namespace xsdf::oracles {
 
@@ -10,9 +9,9 @@ namespace {
 
 void AppendNodeXml(const core::SemanticTree& semantic_tree,
                    const wordnet::SemanticNetwork& network,
-                   xml::NodeId id, xml::Node* parent) {
+                   xml::NodeId id, Document* doc, Node* parent) {
   const xml::LabeledTree& tree = semantic_tree.tree;
-  xml::Node* element = parent->AddElement("node");
+  Node* element = doc->AddElement(parent, "node");
   element->AddAttribute("label", std::string(tree.label(id)));
   switch (tree.kind(id)) {
     case xml::TreeNodeKind::kElement:
@@ -44,7 +43,7 @@ void AppendNodeXml(const core::SemanticTree& semantic_tree,
     element->AddAttribute("score", StrFormat("%.4f", assignment.score));
   }
   for (xml::NodeId child : tree.children(id)) {
-    AppendNodeXml(semantic_tree, network, child, element);
+    AppendNodeXml(semantic_tree, network, child, doc, element);
   }
 }
 
@@ -52,13 +51,13 @@ void AppendNodeXml(const core::SemanticTree& semantic_tree,
 
 std::string SemanticTreeToXmlViaDom(const core::SemanticTree& semantic_tree,
                                     const wordnet::SemanticNetwork& network) {
-  xml::Document doc;
-  xml::Node* root = doc.NewElement("semantic_tree");
+  Document doc;
+  Node* root = doc.AddElement(nullptr, "semantic_tree");
   if (!semantic_tree.tree.empty()) {
-    AppendNodeXml(semantic_tree, network, semantic_tree.tree.root(), root);
+    AppendNodeXml(semantic_tree, network, semantic_tree.tree.root(), &doc,
+                  root);
   }
-  doc.set_root(root);
-  return xml::Serialize(doc);
+  return SerializeDom(doc);
 }
 
 }  // namespace xsdf::oracles

@@ -14,9 +14,11 @@ namespace xsdf::oracles {
 /// The DOM-building semantic-tree writer: builds one <node> element per
 /// tree node (label, kind and, when disambiguated, concept, concept_id,
 /// gloss, concept2, concept2_id, score attributes) under a
-/// <semantic_tree> root, then prints the document with
-/// xml::Serialize(). core::SemanticTreeToXml() must produce the same
-/// bytes without the DOM.
+/// <semantic_tree> root, then prints the document with SerializeDom().
+/// Within the default ParseLimits depth cap, core::SemanticTreeToXml()
+/// must produce the same bytes without the DOM. Deeper trees differ by
+/// design: the production writer clamps its indentation there, and
+/// this one indents every level.
 std::string SemanticTreeToXmlViaDom(const core::SemanticTree& semantic_tree,
                                     const wordnet::SemanticNetwork& network);
 

@@ -150,103 +150,14 @@ std::string GenerateXmlDocument(Rng& rng, const XmlGenOptions& options) {
   return out;
 }
 
-namespace {
-
-/// Children of `node` with runs of consecutive text nodes coalesced:
-/// (kind, name, text) triples. The parser only splits character data
-/// at markup boundaries, so two parses of equivalent documents may
-/// group the same characters into different numbers of text nodes
-/// (e.g. when a dropped comment separated them on the first parse).
-struct FlatChild {
-  xml::NodeKind kind;
-  const xml::Node* node;  // null for coalesced text
-  std::string text;
-};
-
-std::vector<FlatChild> FlattenChildren(const xml::Node& node) {
-  std::vector<FlatChild> out;
-  for (const auto& child : node.children()) {
-    if (child->kind() == xml::NodeKind::kText) {
-      if (!out.empty() && out.back().kind == xml::NodeKind::kText) {
-        out.back().text += child->text();
-        continue;
-      }
-      out.push_back({xml::NodeKind::kText, nullptr, child->text()});
-    } else {
-      out.push_back({child->kind(), child, child->text()});
-    }
-  }
-  return out;
-}
-
-bool ElementsEqual(const xml::Node& a, const xml::Node& b,
-                   std::string* diff) {
-  auto fail = [&](const std::string& what) {
-    if (diff != nullptr) {
-      *diff = "element <" + a.name() + ">: " + what;
-    }
-    return false;
-  };
-  if (a.name() != b.name()) {
-    return fail("name mismatch: " + a.name() + " vs " + b.name());
-  }
-  if (a.attributes().size() != b.attributes().size()) {
-    return fail("attribute count mismatch");
-  }
-  for (size_t i = 0; i < a.attributes().size(); ++i) {
-    if (a.attributes()[i].name != b.attributes()[i].name ||
-        a.attributes()[i].value != b.attributes()[i].value) {
-      return fail("attribute mismatch at index " + std::to_string(i) +
-                  ": " + a.attributes()[i].name);
-    }
-  }
-  std::vector<FlatChild> ca = FlattenChildren(a);
-  std::vector<FlatChild> cb = FlattenChildren(b);
-  if (ca.size() != cb.size()) {
-    return fail(StrFormat("child count mismatch: %zu vs %zu", ca.size(),
-                          cb.size()));
-  }
-  for (size_t i = 0; i < ca.size(); ++i) {
-    if (ca[i].kind != cb[i].kind) {
-      return fail("child kind mismatch at index " + std::to_string(i));
-    }
-    switch (ca[i].kind) {
-      case xml::NodeKind::kElement:
-        if (!ElementsEqual(*ca[i].node, *cb[i].node, diff)) return false;
-        break;
-      case xml::NodeKind::kText:
-      case xml::NodeKind::kCData:
-      case xml::NodeKind::kComment: {
-        const std::string& ta =
-            ca[i].node != nullptr ? ca[i].node->text() : ca[i].text;
-        const std::string& tb =
-            cb[i].node != nullptr ? cb[i].node->text() : cb[i].text;
-        if (ta != tb) {
-          return fail("text mismatch at index " + std::to_string(i));
-        }
-        break;
-      }
-      case xml::NodeKind::kProcessingInstruction:
-        if (ca[i].node->name() != cb[i].node->name() ||
-            ca[i].node->text() != cb[i].node->text()) {
-          return fail("PI mismatch at index " + std::to_string(i));
-        }
-        break;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool StructurallyEqual(const xml::Document& a, const xml::Document& b,
-                       std::string* diff) {
-  if ((a.root() == nullptr) != (b.root() == nullptr)) {
-    if (diff != nullptr) *diff = "one document lacks a root";
-    return false;
-  }
-  if (a.root() == nullptr) return true;
-  return ElementsEqual(*a.root(), *b.root(), diff);
+xml::ParseOptions TightXmlOptions() {
+  xml::ParseOptions options;
+  options.discard_whitespace_text = false;
+  options.limits.max_input_bytes = 1u << 16;
+  options.limits.max_depth = 32;
+  options.limits.max_attributes_per_element = 16;
+  options.limits.max_entity_references = 256;
+  return options;
 }
 
 // ====================== Mini-lexicon generation ======================

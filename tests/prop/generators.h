@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "wordnet/semantic_network.h"
 #include "wordnet/wndb.h"
-#include "xml/dom.h"
+#include "xml/parser.h"
 
 /// Deterministic input generators shared by the property tests, the
 /// fuzz seed-corpus builder (tools/make_fuzz_corpus), and the
@@ -33,15 +33,12 @@ struct XmlGenOptions {
 };
 
 /// Generates a random well-formed XML document as text. The result is
-/// always accepted by xml::Parse.
+/// always accepted by xml::StreamParse under default options.
 std::string GenerateXmlDocument(Rng& rng, const XmlGenOptions& options = {});
 
-/// Deep structural equality of two parsed documents: same element
-/// names, attributes (name, value, order), text/CDATA content, and
-/// child structure. On mismatch returns false and, when `diff` is
-/// non-null, describes the first difference.
-bool StructurallyEqual(const xml::Document& a, const xml::Document& b,
-                       std::string* diff = nullptr);
+/// Tight parse limits, so the status oracles and the parser golden
+/// exercise the limit paths often.
+xml::ParseOptions TightXmlOptions();
 
 // ====================== Mini-lexicon generation ======================
 

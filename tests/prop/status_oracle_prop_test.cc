@@ -12,11 +12,11 @@
 
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
+#include "oracles/dom.h"
 #include "prop/generators.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace xsdf {
 namespace {
@@ -29,16 +29,7 @@ const wordnet::SemanticNetwork& Network() {
   return *network;
 }
 
-/// Tight limits so the oracle exercises the limit paths often.
-xml::ParseOptions TightXmlOptions() {
-  xml::ParseOptions options;
-  options.discard_whitespace_text = false;
-  options.limits.max_input_bytes = 1u << 16;
-  options.limits.max_depth = 32;
-  options.limits.max_attributes_per_element = 16;
-  options.limits.max_entity_references = 256;
-  return options;
-}
+using propgen::TightXmlOptions;
 
 TEST(StatusOracleProp, MutatedXmlNeverCrashesAndAcceptedInputIsStable) {
   Rng rng(0x0bac1e01);
@@ -49,7 +40,7 @@ TEST(StatusOracleProp, MutatedXmlNeverCrashesAndAcceptedInputIsStable) {
     std::string text = propgen::GenerateXmlDocument(rng);
     text = propgen::MutateBytes(rng, text,
                                 1 + static_cast<int>(rng.UniformInt(8)));
-    auto doc = xml::Parse(text, TightXmlOptions());
+    auto doc = oracles::ParseDom(text, TightXmlOptions());
     if (!doc.ok()) {
       // The Status must carry a message; silent failures are bugs too.
       EXPECT_FALSE(doc.status().ToString().empty());
@@ -58,10 +49,10 @@ TEST(StatusOracleProp, MutatedXmlNeverCrashesAndAcceptedInputIsStable) {
     }
     ++accepted;
     // Anything accepted must round-trip and build a valid tree.
-    xml::SerializeOptions ser;
+    oracles::SerializeOptions ser;
     ser.indent = 0;
-    std::string serialized = xml::Serialize(*doc, ser);
-    auto reparsed = xml::Parse(serialized, TightXmlOptions());
+    std::string serialized = oracles::SerializeDom(*doc, ser);
+    auto reparsed = oracles::ParseDom(serialized, TightXmlOptions());
     ASSERT_TRUE(reparsed.ok())
         << "iteration " << i
         << ": accepted input whose serialization is rejected: "
@@ -142,14 +133,14 @@ TEST(StatusOracleProp, EntityBudgetAndInputCapReturnOutOfRange) {
   xml::ParseOptions options;
   options.limits.max_entity_references = 4;
   std::string text = "<a>&amp;&amp;&amp;&amp;&amp;</a>";
-  auto doc = xml::Parse(text, options);
+  auto doc = oracles::ParseDom(text, options);
   ASSERT_FALSE(doc.ok());
   EXPECT_EQ(doc.status().code(), StatusCode::kOutOfRange)
       << doc.status().ToString();
 
   xml::ParseOptions small;
   small.limits.max_input_bytes = 8;
-  auto capped = xml::Parse("<aaaaaaaa/>", small);
+  auto capped = oracles::ParseDom("<aaaaaaaa/>", small);
   ASSERT_FALSE(capped.ok());
   EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange)
       << capped.status().ToString();

@@ -1,8 +1,9 @@
 // Property tests for the XML layer: every generated well-formed
-// document must survive parse -> serialize -> reparse with identical
-// structure, the serialized form must be a fixed point, and the
-// LabeledTree built from any parsed document must pass its structural
-// audit.
+// document must survive parse -> serialize -> reparse through the
+// test-only DOM (oracles::ParseDom, oracles::SerializeDom) with
+// identical structure, the serialized form must be a fixed point, and
+// the LabeledTree built from any parsed document must pass its
+// structural audit.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,10 @@
 
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
+#include "oracles/dom.h"
 #include "prop/generators.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace xsdf {
 namespace {
@@ -27,20 +28,18 @@ const wordnet::SemanticNetwork& Network() {
 }
 
 /// Options under which the round trip is an exact fixed point: keep
-/// whitespace-only text (the generator emits it as real content), drop
-/// comments and PIs (their content is not part of the document data),
-/// and serialize without indentation (pretty-printing inserts text
-/// into mixed content, which is intentionally not idempotent).
+/// whitespace-only text (the generator emits it as real content; the
+/// parser never surfaces comments or PIs), and serialize without
+/// indentation (pretty-printing inserts text into mixed content, which
+/// is intentionally not idempotent).
 xml::ParseOptions OracleParseOptions() {
   xml::ParseOptions options;
   options.discard_whitespace_text = false;
-  options.keep_comments = false;
-  options.keep_processing_instructions = false;
   return options;
 }
 
-xml::SerializeOptions OracleSerializeOptions() {
-  xml::SerializeOptions options;
+oracles::SerializeOptions OracleSerializeOptions() {
+  oracles::SerializeOptions options;
   options.indent = 0;
   return options;
 }
@@ -49,23 +48,23 @@ TEST(XmlRoundTripProp, FiveHundredGeneratedDocumentsAreStable) {
   Rng rng(0x5eed0001);
   for (int i = 0; i < 500; ++i) {
     std::string text = propgen::GenerateXmlDocument(rng);
-    auto doc1 = xml::Parse(text, OracleParseOptions());
+    auto doc1 = oracles::ParseDom(text, OracleParseOptions());
     ASSERT_TRUE(doc1.ok()) << "doc " << i << " rejected: "
                            << doc1.status().ToString() << "\ninput:\n"
                            << text;
-    std::string s1 = xml::Serialize(*doc1, OracleSerializeOptions());
-    auto doc2 = xml::Parse(s1, OracleParseOptions());
+    std::string s1 = oracles::SerializeDom(*doc1, OracleSerializeOptions());
+    auto doc2 = oracles::ParseDom(s1, OracleParseOptions());
     ASSERT_TRUE(doc2.ok()) << "doc " << i << " reparse rejected: "
                            << doc2.status().ToString() << "\ninput:\n"
                            << text << "\nserialized:\n"
                            << s1;
     std::string diff;
-    ASSERT_TRUE(propgen::StructurallyEqual(*doc1, *doc2, &diff))
+    ASSERT_TRUE(oracles::StructurallyEqual(*doc1, *doc2, &diff))
         << "doc " << i << " structural drift: " << diff << "\ninput:\n"
         << text << "\nserialized:\n"
         << s1;
     // The serialized form is a fixed point of parse-then-serialize.
-    std::string s2 = xml::Serialize(*doc2, OracleSerializeOptions());
+    std::string s2 = oracles::SerializeDom(*doc2, OracleSerializeOptions());
     ASSERT_EQ(s1, s2) << "doc " << i << " serialization not idempotent";
   }
 }
@@ -77,7 +76,7 @@ TEST(XmlRoundTripProp, GeneratedDocumentsSurviveDefaultOptionsToo) {
   Rng rng(0x5eed0002);
   for (int i = 0; i < 200; ++i) {
     std::string text = propgen::GenerateXmlDocument(rng);
-    auto doc = xml::Parse(text);
+    auto doc = oracles::ParseDom(text);
     ASSERT_TRUE(doc.ok()) << "doc " << i << " rejected: "
                           << doc.status().ToString() << "\ninput:\n"
                           << text;
@@ -113,7 +112,7 @@ TEST(XmlRoundTripProp, NestingDeeperThanTheLimitIsOutOfRange) {
   xml::ParseOptions tight = OracleParseOptions();
   tight.limits.max_depth = 8;
   for (int depth = 1; depth <= 32; ++depth) {
-    auto doc = xml::Parse(nested(depth), tight);
+    auto doc = oracles::ParseDom(nested(depth), tight);
     if (depth <= 8) {
       ASSERT_TRUE(doc.ok()) << "depth " << depth << ": "
                             << doc.status().ToString();
@@ -127,7 +126,7 @@ TEST(XmlRoundTripProp, NestingDeeperThanTheLimitIsOutOfRange) {
   // switched off: 0 is rejected on both parse entry points...
   xml::ParseOptions off = OracleParseOptions();
   off.limits.max_depth = 0;
-  auto rejected = xml::Parse(nested(2), off);
+  auto rejected = oracles::ParseDom(nested(2), off);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   xml::StreamHandler ignore;
@@ -136,9 +135,9 @@ TEST(XmlRoundTripProp, NestingDeeperThanTheLimitIsOutOfRange) {
   // ...while a deliberately raised cap accepts nesting past the default.
   xml::ParseOptions raised = OracleParseOptions();
   raised.limits.max_depth = 512;
-  auto deep = xml::Parse(nested(512), raised);
+  auto deep = oracles::ParseDom(nested(512), raised);
   ASSERT_TRUE(deep.ok()) << deep.status().ToString();
-  EXPECT_EQ(xml::Parse(nested(513), raised).status().code(),
+  EXPECT_EQ(oracles::ParseDom(nested(513), raised).status().code(),
             StatusCode::kOutOfRange);
 }
 

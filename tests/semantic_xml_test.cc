@@ -1,21 +1,26 @@
 // Byte-identity of the semantic-tree writer: core::SemanticTreeToXml()
 // writes the <semantic_tree> text directly, and must print exactly what
-// the DOM-building oracle (tests/oracles) prints through xml::Serialize
-// — on the experiments corpus, giant documents, the paper's Figure 1
-// documents, an empty tree, and a small network whose labels and
-// glosses need escaping and whose compound senses emit concept2.
+// the DOM-building oracle (tests/oracles) prints through its DOM
+// serializer — on the experiments corpus, giant documents, the paper's
+// Figure 1 documents, a document at the default depth cap, an empty
+// tree, and a small network whose labels and glosses need escaping and
+// whose compound senses emit concept2. Past the default depth cap the
+// writer's indentation stops growing, so output stays linear in depth.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/disambiguator.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "eval/experiment.h"
 #include "interned_tree.h"
 #include "oracles/semantic_tree_dom.h"
 #include "wordnet/mini_wordnet.h"
+#include "xml/parser.h"
 
 namespace xsdf {
 namespace {
@@ -76,6 +81,65 @@ TEST(SemanticTreeToXmlTest, MatchesDomOracleOnGiantDocuments) {
 
 TEST(SemanticTreeToXmlTest, MatchesDomOracleOnFigure1Documents) {
   ExpectDocumentsMatch(datasets::Figure1Documents());
+}
+
+/// `depth` nested `tag` elements, the innermost carrying `attribute`.
+std::string Chain(int depth, const std::string& tag,
+                  const std::string& attribute) {
+  std::string xml;
+  for (int d = 1; d < depth; ++d) xml += "<" + tag + ">";
+  xml += "<" + tag + " " + attribute + "/>";
+  for (int d = 1; d < depth; ++d) xml += "</" + tag + ">";
+  return xml;
+}
+
+/// The widest indentation of any line of `text`, in spaces.
+size_t MaxIndent(const std::string& text) {
+  size_t widest = 0;
+  size_t at = 0;
+  while ((at = text.find('\n', at)) != std::string::npos) {
+    const size_t begin = ++at;
+    while (at < text.size() && text[at] == ' ') ++at;
+    widest = std::max(widest, at - begin);
+  }
+  return widest;
+}
+
+TEST(SemanticTreeToXmlTest, MatchesDomOracleAtTheDefaultDepthCap) {
+  // The deepest element the default cap admits, with an attribute whose
+  // value token is the deepest node of any such document.
+  const int cap = xml::ParseLimits{}.max_depth;
+  core::Disambiguator disambiguator(&Network());
+  auto semantic_tree =
+      disambiguator.RunOnXml(Chain(cap, "star", "title=\"star\""));
+  ASSERT_TRUE(semantic_tree.ok()) << semantic_tree.status().ToString();
+  ASSERT_FALSE(semantic_tree->assignments.empty());
+  ExpectWriterMatchesOracle(*semantic_tree, Network(), "chain at the cap");
+  // The token sits at tree depth cap + 1, one level under the root.
+  EXPECT_EQ(MaxIndent(core::SemanticTreeToXml(*semantic_tree, Network())),
+            2u * static_cast<size_t>(cap + 2));
+}
+
+TEST(SemanticTreeToXmlTest, OutputStaysLinearPastTheDefaultDepthCap) {
+  constexpr int kDepth = 20000;
+  xml::ParseOptions raised;
+  raised.limits.max_depth = kDepth;
+  core::Disambiguator disambiguator(&Network());
+  auto tree = core::BuildTreeStreaming(Chain(kDepth, "zq", "zr=\"zs\""),
+                                       Network(), raised,
+                                       /*include_values=*/true,
+                                       disambiguator.label_space());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const size_t nodes = tree->size();
+  auto semantic_tree = disambiguator.RunOnTree(std::move(tree).value());
+  ASSERT_TRUE(semantic_tree.ok()) << semantic_tree.status().ToString();
+  const std::string out = core::SemanticTreeToXml(*semantic_tree, Network());
+  // An opening and a closing line per element, each indented at most
+  // 2 * (cap + 2) spaces: ~22 MB, where unclamped indentation would
+  // print ~800 MB.
+  EXPECT_LT(out.size(), 1100u * nodes);
+  EXPECT_EQ(MaxIndent(out),
+            2u * static_cast<size_t>(xml::ParseLimits{}.max_depth + 2));
 }
 
 TEST(SemanticTreeToXmlTest, EmptyTree) {

@@ -17,14 +17,14 @@
 #include <vector>
 
 #include "datasets/generator.h"
+#include "oracles/dom.h"
 #include "runtime/engine.h"
 #include "serve/http.h"
-#include "sim/measure_config.h"
 #include "serve/server.h"
+#include "sim/measure_config.h"
 #include "snapshot/snapshot.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
-#include "xml/dom.h"
 #include "xml/parser.h"
 
 namespace xsdf {
@@ -428,18 +428,18 @@ TEST(ServeTest, ExplainAppliesMaxInputBytes) {
 /// node that carries no concept.
 std::vector<int64_t> ConceptIdsInNodeOrder(const std::string& semantic_xml) {
   std::vector<int64_t> ids;
-  auto doc = xml::Parse(semantic_xml);
+  auto doc = oracles::ParseDom(semantic_xml);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   if (!doc.ok()) return ids;
-  std::vector<const xml::Node*> stack = {doc->root()};
+  std::vector<const oracles::Node*> stack = {doc->root()};
   while (!stack.empty()) {
-    const xml::Node* node = stack.back();
+    const oracles::Node* node = stack.back();
     stack.pop_back();
     if (node->name() == "node") {
       const std::string* concept_id = node->FindAttribute("concept_id");
       ids.push_back(concept_id == nullptr ? -1 : std::stoll(*concept_id));
     }
-    const std::vector<xml::Node*>& children = node->children();
+    const std::vector<oracles::Node*>& children = node->children();
     for (auto it = children.rbegin(); it != children.rend(); ++it) {
       if ((*it)->is_element()) stack.push_back(*it);
     }

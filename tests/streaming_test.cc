@@ -1,6 +1,6 @@
 // Streaming front-end identity tests: the production front end
 // (core::BuildTreeStreaming) must be indistinguishable from the DOM
-// reference (xml::Parse + the oracles::BuildTreeViaDom walk) — same
+// reference (oracles::ParseDom + the oracles::BuildTreeViaDom walk) — same
 // nodes, same labels, same interned ids — over arbitrary generated
 // documents; the engine must produce byte-identical batch output to
 // that reference disambiguated by Disambiguator::RunOnTree at any
@@ -25,6 +25,7 @@
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "obs/metrics.h"
+#include "oracles/dom.h"
 #include "oracles/dom_tree_builder.h"
 #include "oracles/string_pipeline.h"
 #include "prop/generators.h"
@@ -95,7 +96,7 @@ TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
   int skipped = 0;
   for (int i = 0; i < 500; ++i) {
     const std::string& xml_text = PropgenCorpus()[static_cast<size_t>(i)];
-    auto doc = xml::Parse(xml_text);
+    auto doc = oracles::ParseDom(xml_text);
     ASSERT_TRUE(doc.ok()) << "doc " << i << ": " << doc.status().ToString();
 
     core::LabelSpace dom_space(&Network());
@@ -134,7 +135,7 @@ TEST(StreamingBuilderTest, MatchesDomBuildWithoutValues) {
   propgen::XmlGenOptions gen;
   for (int i = 0; i < 50; ++i) {
     const std::string xml_text = propgen::GenerateXmlDocument(rng, gen);
-    auto doc = xml::Parse(xml_text);
+    auto doc = oracles::ParseDom(xml_text);
     ASSERT_TRUE(doc.ok());
     core::LabelSpace dom_space(&Network());
     auto dom_tree = oracles::BuildTreeViaDom(*doc, Network(),
@@ -171,7 +172,7 @@ TEST(StreamingBuilderTest, MalformedAndOverBudgetInputsFailCleanly) {
     const std::string truncated = whole.substr(0, cut);
     EXPECT_FALSE(stream(truncated, xml::ParseOptions{}).ok())
         << "cut at " << cut;
-    auto doc = xml::Parse(truncated);
+    auto doc = oracles::ParseDom(truncated);
     EXPECT_FALSE(doc.ok()) << "cut at " << cut;
   }
 
@@ -179,19 +180,46 @@ TEST(StreamingBuilderTest, MalformedAndOverBudgetInputsFailCleanly) {
   xml::ParseOptions tight;
   tight.limits.max_input_bytes = 1024;
   EXPECT_FALSE(stream(whole, tight).ok());
-  EXPECT_FALSE(xml::Parse(whole, tight).ok());
+  EXPECT_FALSE(oracles::ParseDom(whole, tight).ok());
   xml::ParseOptions shallow;
   shallow.limits.max_depth = 4;
   EXPECT_FALSE(stream(whole, shallow).ok());
-  EXPECT_FALSE(xml::Parse(whole, shallow).ok());
+  EXPECT_FALSE(oracles::ParseDom(whole, shallow).ok());
 
   // The well-formed original passes both, for contrast.
   EXPECT_TRUE(stream(whole, xml::ParseOptions{}).ok());
 }
 
+// Nothing on the front end recurses per nesting level: a million-deep
+// chain builds its tree under a raised cap, and the default cap turns
+// it away with OutOfRange — a Status either way, never a stack
+// overflow (the recursive-descent parser this replaced crashed near
+// 30,000 levels in Release and 2,000 under ASan).
+TEST(StreamingBuilderTest, MillionDeepChainBuildsOrHitsItsLimit) {
+  constexpr int kDepth = 1000000;
+  std::string chain;
+  chain.reserve(7u * kDepth);
+  for (int d = 0; d < kDepth; ++d) chain += "<a>";
+  for (int d = 0; d < kDepth; ++d) chain += "</a>";
+  core::LabelSpace space(&Network());
+  xml::ParseOptions raised;
+  raised.limits.max_depth = kDepth;
+  auto tree = core::BuildTreeStreaming(chain, Network(), raised,
+                                       /*include_values=*/true, &space);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ(tree->size(), static_cast<size_t>(kDepth));
+  EXPECT_EQ(tree->depth(static_cast<xml::NodeId>(kDepth - 1)), kDepth - 1);
+  EXPECT_EQ(tree->MaxDepth(), kDepth - 1);
+  auto capped = core::BuildTreeStreaming(chain, Network(), xml::ParseOptions{},
+                                         /*include_values=*/true, &space);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange)
+      << capped.status().ToString();
+}
+
 // Streaming reports bounded scaffolding: on a document dominated by
 // wide/deep repetition the transient builder state must stay far below
-// the DOM arena's footprint (the bounded-peak-memory claim, asserted
+// the DOM's footprint (the bounded-peak-memory claim, asserted
 // end-to-end by the giant-doc CI job; this is the in-process version).
 TEST(StreamingBuilderTest, ScaffoldingStaysSmall) {
   auto giant = datasets::GiantDocuments(1, /*target_bytes=*/1u << 20, 3);
@@ -279,7 +307,7 @@ TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
       const std::string context = "doc " + std::to_string(i) +
                                   " threshold " +
                                   std::to_string(config.threshold);
-      auto doc = xml::Parse(docs[i]);
+      auto doc = oracles::ParseDom(docs[i]);
       ASSERT_TRUE(doc.ok()) << context;
       auto tree = oracles::BuildTreeViaDom(*doc, Network(), true, &space);
       if (!tree.ok()) continue;
@@ -334,7 +362,7 @@ TEST(StreamingEngineTest, EngineMatchesDomLibraryPathAtAnyWorkerCount) {
   const core::Disambiguator disambiguator(&Network());
   std::vector<std::string> reference;
   for (const runtime::DocumentJob& job : jobs) {
-    auto doc = xml::Parse(job.xml);
+    auto doc = oracles::ParseDom(job.xml);
     ASSERT_TRUE(doc.ok()) << job.name;
     auto tree = oracles::BuildTreeViaDom(*doc, Network(),
                                          /*include_values=*/true,

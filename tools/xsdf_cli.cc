@@ -651,9 +651,9 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
 }
 
 int CmdQuery(const char* path, const char* query_text) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto xml = ReadTextFile(path);
+  if (!xml.ok()) {
+    std::fprintf(stderr, "%s\n", xml.status().ToString().c_str());
     return 1;
   }
   auto query = xsdf::xml::PathQuery::Parse(query_text);
@@ -661,12 +661,16 @@ int CmdQuery(const char* path, const char* query_text) {
     std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
     return 1;
   }
-  auto results = query->Evaluate(*doc);
-  for (const xsdf::xml::Node* node : results) {
-    std::printf("<%s> %s\n", node->name().c_str(),
-                node->InnerText().c_str());
+  auto results = query->Evaluate(*xml);
+  if (!results.ok()) {
+    std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
+    return 1;
   }
-  std::fprintf(stderr, "%zu matches\n", results.size());
+  for (const xsdf::xml::PathMatch& match : results->matches) {
+    const std::string text(results->InnerText(match));
+    std::printf("<%s> %s\n", match.name.c_str(), text.c_str());
+  }
+  std::fprintf(stderr, "%zu matches\n", results->matches.size());
   return 0;
 }
 

@@ -1,7 +1,10 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 
 namespace xsdf {
@@ -85,6 +88,41 @@ bool IsAlphaOnly(std::string_view text) {
     if (!std::isalpha(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+void AppendFixed4(std::string* out, double value) {
+  if (value >= 0.0 && value < 1000.0 && !std::signbit(value)) {
+    // scaled = value * 10^4 < 2^24 is the exact product rounded once,
+    // so it lies within 2^-30 of it. Unless scaled sits within 1e-6 of
+    // a half-integer, no half-integer separates the two, and rounding
+    // scaled to the nearest integer rounds the exact product as
+    // to_chars does. The exact ties (odd multiples of 1/32) and their
+    // neighbourhood fall through to to_chars and its tie rule.
+    const double scaled = value * 10000.0;
+    const double whole = std::floor(scaled);
+    const double fraction = scaled - whole;
+    if (std::fabs(fraction - 0.5) > 1e-6) {
+      uint64_t n = static_cast<uint64_t>(whole) + (fraction > 0.5 ? 1 : 0);
+      char digits[16];  // at most "1000.0000"
+      char* const end = digits + sizeof(digits);
+      char* p = end;
+      for (int i = 0; i < 4; ++i, n /= 10) {
+        *--p = static_cast<char>('0' + n % 10);
+      }
+      *--p = '.';
+      do {
+        *--p = static_cast<char>('0' + n % 10);
+        n /= 10;
+      } while (n != 0);
+      out->append(p, static_cast<size_t>(end - p));
+      return;
+    }
+  }
+  char digits[400];  // any double at four decimals fits
+  const std::to_chars_result printed =
+      std::to_chars(digits, digits + sizeof(digits), value,
+                    std::chars_format::fixed, 4);
+  out->append(digits, static_cast<size_t>(printed.ptr - digits));
 }
 
 std::string StrFormat(const char* fmt, ...) {

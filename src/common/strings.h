@@ -33,6 +33,14 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// True when every character of `text` is an ASCII letter.
 bool IsAlphaOnly(std::string_view text);
 
+/// Appends `value` with four decimals: exactly what
+/// std::to_chars(value, std::chars_format::fixed, 4) prints (and so
+/// printf("%.4f")), ~20x faster for the values that dominate, those in
+/// [0, 1000) away from a rounding tie, which are printed by integer
+/// arithmetic. Every other value (negative, -0.0, 1000 and up,
+/// non-finite, or within 1e-6 of a tie) goes through to_chars.
+void AppendFixed4(std::string* out, double value);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -1,16 +1,17 @@
 #include "core/disambiguator.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
+#include <utility>
 
 #include "common/check.h"
-#include "common/flat_id_map.h"
+#include "common/strings.h"
 #include "core/streaming_builder.h"
 #include "xml/escape.h"
 #include "xml/parser.h"
@@ -376,51 +377,15 @@ void AppendAttribute(std::string* out, std::string_view name,
   out->push_back('"');
 }
 
-/// Appends ` name="<number>"`: a concept id, or a score printed with
-/// four decimals. to_chars in fixed format is specified to print what
-/// printf("%.4f") prints.
-template <typename Number>
-void AppendNumberAttribute(std::string* out, std::string_view name,
-                           Number value) {
-  char digits[400];  // any double at four decimals fits
-  std::to_chars_result printed;
-  if constexpr (std::is_floating_point_v<Number>) {
-    printed = std::to_chars(digits, digits + sizeof(digits), value,
-                            std::chars_format::fixed, 4);
-  } else {
-    printed = std::to_chars(digits, digits + sizeof(digits), value);
-  }
+/// Appends ` name="<id>"`.
+void AppendIdAttribute(std::string* out, std::string_view name,
+                       wordnet::ConceptId id) {
+  char digits[16];
+  const std::to_chars_result printed =
+      std::to_chars(digits, digits + sizeof(digits), id);
   AppendAttribute(out, name,
                   std::string_view(digits, printed.ptr - digits));
 }
-
-/// Attribute runs built once per key per document and stored back to
-/// back in one string, for keys drawn from a large id space (concept
-/// ids): the table grows with the keys one document uses.
-class RunTable {
- public:
-  /// The run of `key`, written by `write(std::string*)` on first use.
-  /// The view is valid until the next new key.
-  template <typename Write>
-  std::string_view Get(uint32_t key, Write&& write) {
-    bool inserted = false;
-    const uint32_t run = index_.FindOrInsert(
-        key, static_cast<uint32_t>(starts_.size()), &inserted);
-    if (inserted) {
-      starts_.push_back(text_.size());
-      write(&text_);
-    }
-    const size_t begin = starts_[run];
-    const size_t end =
-        run + 1 < starts_.size() ? starts_[run + 1] : text_.size();
-    return std::string_view(text_).substr(begin, end - begin);
-  }
-
- private:
-  FlatIdMap index_;  ///< key -> run number
-  std::vector<size_t> starts_;
-  std::string text_;
-};
 
 /// The deepest indentation level of any document the default
 /// ParseLimits accept: a token below an attribute of the deepest
@@ -432,179 +397,177 @@ class RunTable {
 constexpr size_t kMaxIndentLevel =
     static_cast<size_t>(xml::ParseLimits{}.max_depth) + 2;
 
-/// Writes the <semantic_tree> text: the declaration line, then one
-/// element per line indented two spaces per level (up to
-/// kMaxIndentLevel), childless elements self-closed.
-/// A giant document carries a few thousand distinct labels and
-/// concepts over hundreds of thousands of nodes, so each label's
-/// escaped ` label="..."` run and each concept's attribute run is built
-/// once per document and then copied; a node's assignment is one slot
-/// read.
-class SemanticXmlWriter {
- public:
-  SemanticXmlWriter(const SemanticTree& semantic_tree,
-                    const wordnet::SemanticNetwork& network)
-      : semantic_tree_(semantic_tree), network_(network) {}
+/// A newline and the widest indentation: every line break of the
+/// writer is a prefix of it.
+constexpr auto kNewlineAndIndent = [] {
+  std::array<char, 1 + 2 * kMaxIndentLevel> text{};
+  text.fill(' ');
+  text[0] = '\n';
+  return text;
+}();
 
-  std::string Write() {
-    const xml::LabeledTree& tree = semantic_tree_.tree;
-    out_.append("<?xml version=\"1.0\"?>\n");
-    if (tree.empty()) {
-      out_.append("<semantic_tree/>");
-      return std::move(out_);
-    }
-    BuildLabelRuns();
-    out_.reserve(EstimateSize());
-    out_.append("<semantic_tree>");
-    // An explicit stack keeps deep documents off the call stack.
-    struct Frame {
-      xml::NodeId id;
-      size_t next_child;
-    };
-    std::vector<Frame> open;
-    if (OpenNode(tree.root(), 1)) open.push_back({tree.root(), 0});
-    while (!open.empty()) {
-      Frame& frame = open.back();
-      const std::span<const xml::NodeId> children = tree.children(frame.id);
-      if (frame.next_child < children.size()) {
-        const xml::NodeId child = children[frame.next_child++];
-        if (OpenNode(child, open.size() + 1)) open.push_back({child, 0});
-        continue;
-      }
-      AppendIndent(open.size());
-      out_.append("</node>");
-      open.pop_back();
-    }
-    out_.append("\n</semantic_tree>");
-    return std::move(out_);
+/// The number of xml::TreeNodeKind values.
+constexpr size_t kNodeKinds = 3;
+
+/// The ` kind="..."` attribute of a node kind.
+std::string_view KindAttribute(xml::TreeNodeKind kind) {
+  switch (kind) {
+    case xml::TreeNodeKind::kElement:
+      return " kind=\"element\"";
+    case xml::TreeNodeKind::kAttribute:
+      return " kind=\"attribute\"";
+    case xml::TreeNodeKind::kToken:
+      return " kind=\"token\"";
   }
-
- private:
-  /// The ` kind="..."` attribute of a node kind.
-  static std::string_view KindAttribute(xml::TreeNodeKind kind) {
-    switch (kind) {
-      case xml::TreeNodeKind::kElement:
-        return " kind=\"element\"";
-      case xml::TreeNodeKind::kAttribute:
-        return " kind=\"attribute\"";
-      case xml::TreeNodeKind::kToken:
-        return " kind=\"token\"";
-    }
-    return {};
-  }
-
-  /// ` label="..."` of every label slot of the tree.
-  void BuildLabelRuns() {
-    const xml::LabeledTree& tree = semantic_tree_.tree;
-    label_run_starts_.reserve(tree.label_slot_count() + 1);
-    for (uint32_t slot = 0; slot < tree.label_slot_count(); ++slot) {
-      label_run_starts_.push_back(label_runs_.size());
-      AppendAttribute(&label_runs_, "label", tree.slot_label(slot));
-    }
-    label_run_starts_.push_back(label_runs_.size());
-  }
-
-  std::string_view LabelRun(xml::NodeId id) const {
-    const uint32_t slot = semantic_tree_.tree.label_slot(id);
-    const size_t begin = label_run_starts_[slot];
-    return std::string_view(label_runs_)
-        .substr(begin, label_run_starts_[slot + 1] - begin);
-  }
-
-  /// The length of the text when no score prints longer than seven
-  /// characters (scores lie near [0, 1]), plus 1/64 for the
-  /// exceptions, so the buffer does not regrow: a copy of tens of MB
-  /// on giant documents.
-  size_t EstimateSize() {
-    const xml::LabeledTree& tree = semantic_tree_.tree;
-    size_t size = out_.size() + sizeof("<semantic_tree>\n</semantic_tree>");
-    for (xml::NodeId id : tree.ids()) {
-      const size_t indent =
-          1 + 2 * std::min(static_cast<size_t>(tree.depth(id)) + 1,
-                           kMaxIndentLevel);
-      size += indent + LabelRun(id).size() +
-              KindAttribute(tree.kind(id)).size();
-      if (tree.fan_out(id) == 0) {
-        size += sizeof("<node/>") - 1;
-      } else {
-        size += sizeof("<node>") - 1 + indent + sizeof("</node>") - 1;
-      }
-    }
-    for (const auto& [id, assignment] : semantic_tree_.assignments) {
-      size += sizeof(" score=\"00.0000\"") - 1 +
-              PrimaryAttributes(assignment.sense.primary).size();
-      if (assignment.sense.is_compound()) {
-        size += SecondaryAttributes(assignment.sense.secondary).size();
-      }
-    }
-    return size + size / 64;
-  }
-
-  void AppendIndent(size_t level) {
-    out_.push_back('\n');
-    out_.append(2 * std::min(level, kMaxIndentLevel), ' ');
-  }
-
-  /// ` concept="..." concept_id="..." gloss="..."` of `id`.
-  std::string_view PrimaryAttributes(wordnet::ConceptId id) {
-    return primary_attributes_.Get(
-        static_cast<uint32_t>(id), [&](std::string* run) {
-          const wordnet::Concept& c = network_.GetConcept(id);
-          AppendAttribute(run, "concept", c.label());
-          AppendNumberAttribute(run, "concept_id", id);
-          AppendAttribute(run, "gloss", c.gloss);
-        });
-  }
-
-  /// ` concept2="..." concept2_id="..."` of a compound's second sense.
-  std::string_view SecondaryAttributes(wordnet::ConceptId id) {
-    return secondary_attributes_.Get(
-        static_cast<uint32_t>(id), [&](std::string* run) {
-          AppendAttribute(run, "concept2", network_.GetConcept(id).label());
-          AppendNumberAttribute(run, "concept2_id", id);
-        });
-  }
-
-  /// Opens the <node> element of tree node `id` at nesting `level` (the
-  /// <semantic_tree> root is level 0). Returns true when the element
-  /// stays open for children; a childless one is closed with "/>".
-  bool OpenNode(xml::NodeId id, size_t level) {
-    const xml::LabeledTree& tree = semantic_tree_.tree;
-    AppendIndent(level);
-    out_.append("<node");
-    out_.append(LabelRun(id));
-    out_.append(KindAttribute(tree.kind(id)));
-    if (const SenseAssignment* assignment =
-            semantic_tree_.assignments.find(id)) {
-      out_.append(PrimaryAttributes(assignment->sense.primary));
-      if (assignment->sense.is_compound()) {
-        out_.append(SecondaryAttributes(assignment->sense.secondary));
-      }
-      AppendNumberAttribute(&out_, "score", assignment->score);
-    }
-    if (tree.fan_out(id) == 0) {
-      out_.append("/>");
-      return false;
-    }
-    out_.push_back('>');
-    return true;
-  }
-
-  const SemanticTree& semantic_tree_;
-  const wordnet::SemanticNetwork& network_;
-  /// ` label="..."` runs, one per label slot, back to back.
-  std::string label_runs_;
-  std::vector<size_t> label_run_starts_;
-  RunTable primary_attributes_;
-  RunTable secondary_attributes_;
-  std::string out_;
-};
+  return {};
+}
 
 }  // namespace
 
+std::string SemanticXmlWriter::Write(const SemanticTree& semantic_tree) {
+  const xml::LabeledTree& tree = semantic_tree.tree;
+  semantic_tree_ = &semantic_tree;
+  out_.append("<?xml version=\"1.0\"?>\n");
+  if (tree.empty()) {
+    out_.append("<semantic_tree/>");
+  } else {
+    BuildNodeRuns();
+    out_.reserve(EstimateSize());
+    out_.append("<semantic_tree>");
+    // An explicit stack keeps deep documents off the call stack.
+    open_.clear();
+    if (OpenNode(tree.root(), 1)) open_.push_back({tree.root(), 0});
+    while (!open_.empty()) {
+      Frame& frame = open_.back();
+      const std::span<const xml::NodeId> children = tree.children(frame.id);
+      if (frame.next_child < children.size()) {
+        const xml::NodeId child = children[frame.next_child++];
+        if (OpenNode(child, open_.size() + 1)) open_.push_back({child, 0});
+        continue;
+      }
+      AppendIndent(open_.size());
+      out_.append("</node>");
+      open_.pop_back();
+    }
+    out_.append("\n</semantic_tree>");
+  }
+  semantic_tree_ = nullptr;
+  return std::exchange(out_, std::string());
+}
+
+/// `<node label="..." kind="..."` of every (label slot, kind) pair of
+/// the tree, at index 3 * slot + kind.
+void SemanticXmlWriter::BuildNodeRuns() {
+  const xml::LabeledTree& tree = semantic_tree_->tree;
+  node_runs_.clear();
+  node_run_starts_.clear();
+  node_run_starts_.reserve(kNodeKinds * tree.label_slot_count() + 1);
+  std::string label;
+  for (uint32_t slot = 0; slot < tree.label_slot_count(); ++slot) {
+    label.clear();
+    AppendAttribute(&label, "label", tree.slot_label(slot));
+    for (xml::TreeNodeKind kind : {xml::TreeNodeKind::kElement,
+                                   xml::TreeNodeKind::kAttribute,
+                                   xml::TreeNodeKind::kToken}) {
+      node_run_starts_.push_back(node_runs_.size());
+      node_runs_.append("<node");
+      node_runs_.append(label);
+      node_runs_.append(KindAttribute(kind));
+    }
+  }
+  node_run_starts_.push_back(node_runs_.size());
+}
+
+std::string_view SemanticXmlWriter::NodeRun(xml::NodeId id) const {
+  const xml::LabeledTree& tree = semantic_tree_->tree;
+  const size_t run = kNodeKinds * tree.label_slot(id) +
+                     static_cast<size_t>(tree.kind(id));
+  const size_t begin = node_run_starts_[run];
+  return std::string_view(node_runs_)
+      .substr(begin, node_run_starts_[run + 1] - begin);
+}
+
+/// The length of the text when no score prints longer than seven
+/// characters (scores lie near [0, 1]), plus 1/64 for the exceptions,
+/// so the buffer does not regrow: a copy of tens of MB on giant
+/// documents.
+size_t SemanticXmlWriter::EstimateSize() {
+  const xml::LabeledTree& tree = semantic_tree_->tree;
+  size_t size = out_.size() + sizeof("<semantic_tree>\n</semantic_tree>");
+  for (xml::NodeId id : tree.ids()) {
+    const size_t indent =
+        1 + 2 * std::min(static_cast<size_t>(tree.depth(id)) + 1,
+                         kMaxIndentLevel);
+    size += indent + NodeRun(id).size();
+    if (tree.fan_out(id) == 0) {
+      size += sizeof("/>") - 1;
+    } else {
+      size += sizeof(">") - 1 + indent + sizeof("</node>") - 1;
+    }
+  }
+  for (const auto& [id, assignment] : semantic_tree_->assignments) {
+    size += sizeof(" score=\"00.0000\"") - 1 +
+            PrimaryAttributes(assignment.sense.primary).size();
+    if (assignment.sense.is_compound()) {
+      size += SecondaryAttributes(assignment.sense.secondary).size();
+    }
+  }
+  return size + size / 64;
+}
+
+void SemanticXmlWriter::AppendIndent(size_t level) {
+  out_.append(kNewlineAndIndent.data(),
+              1 + 2 * std::min(level, kMaxIndentLevel));
+}
+
+/// ` concept="..." concept_id="..." gloss="..."` of `id`.
+std::string_view SemanticXmlWriter::PrimaryAttributes(wordnet::ConceptId id) {
+  return primary_attributes_.Get(
+      static_cast<uint32_t>(id), [&](std::string* run) {
+        const wordnet::Concept& c = network_.GetConcept(id);
+        AppendAttribute(run, "concept", c.label());
+        AppendIdAttribute(run, "concept_id", id);
+        AppendAttribute(run, "gloss", c.gloss);
+      });
+}
+
+/// ` concept2="..." concept2_id="..."` of a compound's second sense.
+std::string_view SemanticXmlWriter::SecondaryAttributes(
+    wordnet::ConceptId id) {
+  return secondary_attributes_.Get(
+      static_cast<uint32_t>(id), [&](std::string* run) {
+        AppendAttribute(run, "concept2", network_.GetConcept(id).label());
+        AppendIdAttribute(run, "concept2_id", id);
+      });
+}
+
+/// Opens the <node> element of tree node `id` at nesting `level` (the
+/// <semantic_tree> root is level 0). Returns true when the element
+/// stays open for children; a childless one is closed with "/>".
+bool SemanticXmlWriter::OpenNode(xml::NodeId id, size_t level) {
+  AppendIndent(level);
+  out_.append(NodeRun(id));
+  if (const SenseAssignment* assignment =
+          semantic_tree_->assignments.find(id)) {
+    out_.append(PrimaryAttributes(assignment->sense.primary));
+    if (assignment->sense.is_compound()) {
+      out_.append(SecondaryAttributes(assignment->sense.secondary));
+    }
+    out_.append(" score=\"");
+    AppendFixed4(&out_, assignment->score);
+    out_.push_back('"');
+  }
+  if (semantic_tree_->tree.fan_out(id) == 0) {
+    out_.append("/>");
+    return false;
+  }
+  out_.push_back('>');
+  return true;
+}
+
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network) {
-  return SemanticXmlWriter(semantic_tree, network).Write();
+  return SemanticXmlWriter(network).Write(semantic_tree);
 }
 
 namespace {

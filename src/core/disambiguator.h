@@ -5,9 +5,11 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "common/result.h"
 #include "core/ambiguity.h"
 #include "core/context_vector.h"
@@ -468,8 +470,97 @@ class Disambiguator {
 /// deepest level a document within the default ParseLimits depth cap
 /// can reach, so output stays linear in the tree's size under any cap.
 /// The text is written straight into the returned string, with no DOM.
+/// One-shot: a SemanticXmlWriter that lives for this call only.
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network);
+
+/// The writer behind SemanticTreeToXml(), bound to one network and
+/// kept across documents: it writes each tree in that function's
+/// layout and bytes, whatever it wrote before.
+///
+/// A giant document carries a few thousand distinct labels and
+/// concepts over hundreds of thousands of nodes, and a corpus repeats
+/// the same concepts document after document. So the opening run
+/// `<node label="..." kind="..."` of each (label, kind) is escaped once
+/// per document, and each concept's ` concept="..." concept_id="..."
+/// gloss="..."` run (and a compound second sense's ` concept2="..."
+/// concept2_id="..."`) is built on its first use and kept for every
+/// later document; a node's assignment is one slot read, and its score
+/// is printed by AppendFixed4().
+///
+/// Memory: a concept run is a pure function of (network, concept id),
+/// so a writer holds at most one run of each kind per concept of its
+/// network, however many documents it writes; the opening runs and
+/// the node stack are per-document buffers whose capacity is reused.
+///
+/// Not thread-safe: one writer per thread, as each runtime engine
+/// worker owns one. `network` must outlive the writer.
+class SemanticXmlWriter {
+ public:
+  explicit SemanticXmlWriter(const wordnet::SemanticNetwork& network)
+      : network_(network) {}
+
+  SemanticXmlWriter(const SemanticXmlWriter&) = delete;
+  SemanticXmlWriter& operator=(const SemanticXmlWriter&) = delete;
+
+  /// The annotated XML text of `semantic_tree` (SemanticTreeToXml()).
+  std::string Write(const SemanticTree& semantic_tree);
+
+ private:
+  /// Attribute runs keyed by concept id, stored back to back in one
+  /// string; the table grows with the concepts the writer has used.
+  class RunTable {
+   public:
+    /// The run of `key`, written by `write(std::string*)` on first
+    /// use. The view is valid until the next new key.
+    template <typename Write>
+    std::string_view Get(uint32_t key, Write&& write) {
+      bool inserted = false;
+      const uint32_t run = index_.FindOrInsert(
+          key, static_cast<uint32_t>(starts_.size()), &inserted);
+      if (inserted) {
+        starts_.push_back(text_.size());
+        write(&text_);
+      }
+      const size_t begin = starts_[run];
+      const size_t end =
+          run + 1 < starts_.size() ? starts_[run + 1] : text_.size();
+      return std::string_view(text_).substr(begin, end - begin);
+    }
+
+   private:
+    FlatIdMap index_;  ///< key -> run number
+    std::vector<size_t> starts_;
+    std::string text_;
+  };
+
+  /// One open <node> of the explicit-stack walk.
+  struct Frame {
+    xml::NodeId id;
+    size_t next_child;
+  };
+
+  void BuildNodeRuns();
+  std::string_view NodeRun(xml::NodeId id) const;
+  size_t EstimateSize();
+  void AppendIndent(size_t level);
+  std::string_view PrimaryAttributes(wordnet::ConceptId id);
+  std::string_view SecondaryAttributes(wordnet::ConceptId id);
+  bool OpenNode(xml::NodeId id, size_t level);
+
+  const wordnet::SemanticNetwork& network_;
+  /// Kept across documents (see the class comment).
+  RunTable primary_attributes_;
+  RunTable secondary_attributes_;
+  /// The document being written, set for the length of Write().
+  const SemanticTree* semantic_tree_ = nullptr;
+  std::string out_;
+  /// `<node label="..." kind="..."` runs, one per (label slot, kind)
+  /// of the current tree, back to back.
+  std::string node_runs_;
+  std::vector<size_t> node_run_starts_;
+  std::vector<Frame> open_;
+};
 
 /// Writes a NodeAudit's fields (label, ambiguity, candidates with
 /// concept labels/glosses resolved against `network`, chosen sense,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/label_space.h"
+#include "text/tokenizer.h"
 
 namespace xsdf::core {
 
@@ -120,10 +121,15 @@ class StreamingTreeBuilder : public xml::StreamHandler {
     return std::string_view(staged_).substr(range.offset, range.length);
   }
 
+  /// One token node per kept word of `text`, in order: the value is
+  /// scanned once, letterless tokens are dropped before any probe, and
+  /// every other word is one ResolveTokenMemo probe.
   Status AddTokens(NodeId parent, std::string_view text) {
     if (!include_values_) return Status::Ok();
-    for (const ResolvedLabel& token :
-         TokenizeValueMemo(*cache_, network_, label_space_, text)) {
+    for (text::TokenScanner scanner(text); scanner.Next();) {
+      if (!scanner.has_letter()) continue;  // drop pure numbers
+      const ResolvedLabel& token = ResolveTokenMemo(
+          *cache_, network_, label_space_, scanner.Lowercase(&lowered_));
       if (token.label.empty()) continue;
       if (tree_.AddNode(parent, token.label, token.id, TreeNodeKind::kToken,
                         token.label) == xml::kInvalidNode) {
@@ -149,6 +155,7 @@ class StreamingTreeBuilder : public xml::StreamHandler {
   std::vector<NodeId> stack_;       ///< open elements, root first
   std::vector<PendingAttr> attrs_;  ///< current start tag's attributes
   std::string staged_;              ///< their names and values
+  std::string lowered_;             ///< the current token, lowercased
   size_t scaffold_peak_bytes_ = 0;
 };
 

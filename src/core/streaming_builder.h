@@ -28,7 +28,8 @@ struct StreamingBuildStats {
 /// open/attribute/text/close event stream, never materializing a DOM.
 /// XSDF's linguistic pre-processing (paper §3.2) runs through the
 /// `TreeBuildCache` memos (ResolveTagMemo for element and attribute
-/// names, TokenizeValueMemo for text values), and nodes are emitted in
+/// names, ResolveTokenMemo for each lettered word text::TokenScanner
+/// finds in a text value), and nodes are emitted in
 /// Definition 1's order — element, then attributes sorted by name each
 /// followed by its value tokens, then content in document order.
 /// `include_values` selects structure-and-content (true) vs

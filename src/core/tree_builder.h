@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "wordnet/semantic_network.h"
 #include "xml/labeled_tree.h"
@@ -26,23 +25,24 @@ struct ResolvedLabel {
 /// Cross-document memo for the tree builder's pure pre-processing and
 /// interning. XML corpora share one vocabulary across documents, so a
 /// persistent cache turns tag stemming, token normalization, AND label
-/// interning into a single hash probe per node after the first few
-/// documents. Entries key raw input text and hold outputs identical to
-/// the direct computation, so cached and uncached builds produce
+/// interning into a single hash probe per tag or word after the first
+/// few documents. Entries key raw input text and hold outputs identical
+/// to the direct computation, so cached and uncached builds produce
 /// byte-identical trees with identical label ids. Lookups take string
 /// views, so a hit copies nothing.
+///
+/// Text values are not memoized whole: they repeat far less than their
+/// words (the two 2 MB generated giant documents hold ~59k distinct
+/// values over 24 distinct lettered words), so the builder scans each
+/// value and probes `tokens` once per word. Letterless tokens (pure
+/// numbers) are dropped before the probe, so `tokens` grows only with
+/// the lettered vocabulary a worker sees.
 ///
 /// Not thread-safe, and valid only for one (semantic network, label
 /// space) pairing — the probe the normalizers consult and the interner
 /// the ids come from: callers building trees concurrently keep one
 /// cache per worker, as the runtime engine does.
 struct TreeBuildCache {
-  /// Whole-value entries `values` may hold: TokenizeValueMemo clears
-  /// the level when it is full, so a resident worker fed distinct text
-  /// stays bounded (~200 heap bytes per entry). Above the ~59k distinct
-  /// values of the two 2 MB generated giant documents together.
-  static constexpr size_t kMaxValues = size_t{1} << 17;
-
   struct Hash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const {
@@ -54,9 +54,9 @@ struct TreeBuildCache {
 
   /// raw tag name -> preprocessed node label + interned id.
   Memo<ResolvedLabel> tags;
-  /// raw text value -> preprocessed, interned token list.
-  Memo<std::vector<ResolvedLabel>> values;
-  /// raw token -> normalized token (second level under `values`).
+  /// lowercase lettered word -> normalized token label + interned id;
+  /// a stop word, or a word that normalizes to nothing, is kept as a
+  /// skip entry with an empty label.
   Memo<ResolvedLabel> tokens;
 };
 
@@ -68,17 +68,18 @@ const ResolvedLabel& ResolveTagMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
     LabelSpace& label_space, std::string_view tag);
 
-/// Memoized raw-value -> preprocessed, interned token list (the value
-/// hook), under the same sharing contract as ResolveTagMemo, except
-/// that the reference is valid only until the next call: the
-/// whole-value level is cleared when it holds
-/// TreeBuildCache::kMaxValues entries. That level only memoizes labels
-/// the token level already interned, so clearing it changes no tree or
-/// id. Tokens that normalize to nothing keep an empty label and are
-/// never interned; the builder skips them.
-const std::vector<ResolvedLabel>& TokenizeValueMemo(
+/// Memoized word -> (normalized token label, interned id) mapping: the
+/// value hook, applied to every lettered token text::TokenScanner finds
+/// in a text value. `token` is lowercase and holds a letter. The
+/// composition is text::PreprocessTextValue()'s per token — stop words
+/// dropped, the rest normalized — and a label is interned on first
+/// sight, in build order, exactly as per-node resolution would. A stop
+/// word or a token that normalizes to nothing gets an empty label and
+/// no id; the builder skips it. The reference is valid until the cache
+/// is destroyed.
+const ResolvedLabel& ResolveTokenMemo(
     TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
-    LabelSpace& label_space, std::string_view value);
+    LabelSpace& label_space, std::string_view token);
 
 }  // namespace xsdf::core
 

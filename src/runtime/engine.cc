@@ -142,11 +142,13 @@ void DisambiguationEngine::WorkerLoop(int worker_index) {
     // trace has one stable tid (and name) per worker.
     trace_->GetThreadLog()->set_name(StrFormat("worker-%d", worker_index));
   }
-  // Per-worker scratch: the Disambiguator (with its label-term memo)
-  // and the pre-processing cache are private to this thread; only the
-  // network, the label space and the engine caches are shared.
+  // Per-worker scratch: the Disambiguator (with its label-term memo),
+  // the pre-processing cache and the writer (with its concept runs)
+  // are private to this thread; only the network, the label space and
+  // the engine caches are shared.
   core::Disambiguator disambiguator(network_, options_.disambiguator);
   core::TreeBuildCache tree_cache;
+  core::SemanticXmlWriter writer(*network_);
   while (auto item = queue_.Pop()) {
     if (item->subtree != nullptr) {
       // Helper ticket: steal target chunks from another worker's
@@ -197,7 +199,7 @@ void DisambiguationEngine::WorkerLoop(int worker_index) {
         ins_.job_run_us != nullptr || item->job.rtrace != nullptr;
     const uint64_t run_start = time_run ? obs::MonotonicNowNs() : 0;
     DocumentResult result =
-        Process(disambiguator, tree_cache, item->job, worker_index);
+        Process(disambiguator, tree_cache, writer, item->job, worker_index);
     result.worker = worker_index;
     result.queue_wait_us = queue_wait_us;
     if (time_run) {
@@ -226,8 +228,8 @@ void DisambiguationEngine::WorkerLoop(int worker_index) {
 
 DocumentResult DisambiguationEngine::Process(
     const core::Disambiguator& disambiguator,
-    core::TreeBuildCache& tree_cache, const DocumentJob& job,
-    int worker_index) {
+    core::TreeBuildCache& tree_cache, core::SemanticXmlWriter& writer,
+    const DocumentJob& job, int worker_index) {
   DocumentResult result;
   result.index = job.index;
   result.name = job.name;
@@ -270,7 +272,7 @@ DocumentResult DisambiguationEngine::Process(
   {
     obs::RequestSpan rspan(job.rtrace, "serialize");
     obs::StageTimer timer(ins_.serialize_us, trace_, "serialize");
-    result.semantic_xml = core::SemanticTreeToXml(*semantic_tree, *network_);
+    result.semantic_xml = writer.Write(*semantic_tree);
   }
   return result;
 }

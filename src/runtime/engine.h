@@ -203,8 +203,11 @@ class DisambiguationEngine {
   };
 
   void WorkerLoop(int worker_index);
+  /// One document through the worker's own front-end cache,
+  /// disambiguator and writer.
   DocumentResult Process(const core::Disambiguator& disambiguator,
                          core::TreeBuildCache& tree_cache,
+                         core::SemanticXmlWriter& writer,
                          const DocumentJob& job, int worker_index);
 
   /// Selection + per-target disambiguation for one document: RunOnTree

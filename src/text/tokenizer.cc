@@ -1,53 +1,68 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace xsdf::text {
 
 namespace {
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+bool IsWordChar(char c) { return IsLower(c) || IsUpper(c) || IsDigit(c); }
 }  // namespace
+
+bool TokenScanner::Next() {
+  const size_t n = input_.size();
+  size_t i = pos_;
+  while (i < n && !IsWordChar(input_[i])) ++i;
+  if (i >= n) {
+    pos_ = n;
+    return false;
+  }
+  begin_ = i;
+  has_letter_ = false;
+  has_upper_ = false;
+  for (; i < n && IsWordChar(input_[i]); ++i) {
+    const bool upper = IsUpper(input_[i]);
+    has_letter_ |= upper || IsLower(input_[i]);
+    has_upper_ |= upper;
+  }
+  end_ = i;
+  if (i < n && (input_[i] == '\'' || input_[i] == '\xE2')) {
+    // Possessive / contraction: "director's" -> "director". 0xE2
+    // begins the UTF-8 right single quote; its two tail bytes are
+    // skipped unread.
+    if (input_[i] == '\xE2' && i + 2 < n) i += 2;
+    if (i + 1 < n && (input_[i + 1] == 's' || input_[i + 1] == 'S') &&
+        (i + 2 >= n || !IsWordChar(input_[i + 2]))) {
+      ++i;  // the possessive s
+    }
+    ++i;
+  }
+  pos_ = i;
+  return true;
+}
+
+std::string_view TokenScanner::Lowercase(std::string* buffer) const {
+  const std::string_view token = raw();
+  if (!has_upper_) return token;
+  buffer->assign(token);
+  for (char& c : *buffer) {
+    if (IsUpper(c)) c = static_cast<char>(c - 'A' + 'a');
+  }
+  return *buffer;
+}
 
 std::vector<std::string> Tokenize(std::string_view input) {
   std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&]() {
-    if (!current.empty()) {
-      // Strip possessive suffix 's (already lowercased, apostrophe
-      // dropped below, so it appears as a trailing "s" after an
-      // apostrophe marker we track separately).
-      tokens.push_back(current);
-      current.clear();
-    }
-  };
-  for (size_t i = 0; i < input.size(); ++i) {
-    char c = input[i];
-    if (IsWordChar(c)) {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if ((c == '\'' || c == '\xE2') && !current.empty()) {
-      // Possessive / contraction: "director's" -> "director".
-      // (0xE2 begins the UTF-8 right single quote; skip its tail.)
-      if (c == '\xE2' && i + 2 < input.size()) i += 2;
-      if (i + 1 < input.size() &&
-          (input[i + 1] == 's' || input[i + 1] == 'S') &&
-          (i + 2 >= input.size() || !IsWordChar(input[i + 2]))) {
-        ++i;  // skip the possessive s
-      }
-      flush();
-    } else {
-      flush();
-    }
+  std::string lowered;
+  for (TokenScanner scanner(input); scanner.Next();) {
+    tokens.emplace_back(scanner.Lowercase(&lowered));
   }
-  flush();
   return tokens;
 }
 
 bool HasLetter(std::string_view token) {
   for (char c : token) {
-    if (std::isalpha(static_cast<unsigned char>(c))) return true;
+    if (IsLower(c) || IsUpper(c)) return true;
   }
   return false;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -125,6 +126,22 @@ class Cursor {
     return input_.substr(begin, end - begin);
   }
 
+  /// The 1-based line and column of `at`, a byte of the input at or
+  /// before the cursor: lines are counted back from the cursor's, and
+  /// the column from the last newline before `at`. Error paths only.
+  std::pair<int, int> PositionOf(const char* at) const {
+    const size_t offset = static_cast<size_t>(at - input_.data());
+    int line = line_;
+    for (size_t i = offset; i < pos_; ++i) {
+      if (input_[i] == '\n') --line;
+    }
+    const size_t newline =
+        offset == 0 ? std::string_view::npos : input_.rfind('\n', offset - 1);
+    const size_t column =
+        newline == std::string_view::npos ? offset + 1 : offset - newline;
+    return {line, static_cast<int>(column)};
+  }
+
  private:
   std::string_view input_;
   size_t pos_ = 0;
@@ -133,9 +150,10 @@ class Cursor {
 };
 
 /// DecodeEntities() into `*out` (replacing its contents), so a caller
-/// decoding text after text reuses one buffer.
+/// decoding text after text reuses one buffer. On failure `*error_at`
+/// (when set) is the offset in `text` of the offending '&'.
 Status DecodeEntitiesInto(std::string_view text, size_t* budget,
-                          std::string* out);
+                          std::string* out, size_t* error_at = nullptr);
 
 /// The parser behind StreamParse: one loop over a Cursor with an
 /// explicit stack of open tag names (views into the input), calling
@@ -172,25 +190,40 @@ class Parser {
 
  private:
   Status Error(const std::string& what) const {
-    return Status::Corruption(StrFormat("XML parse error at %d:%d: %s",
-                                        cursor_.line(), cursor_.column(),
-                                        what.c_str()));
+    return ErrorAt(StatusCode::kCorruption, cursor_.line(), cursor_.column(),
+                   what);
   }
 
   Status LimitError(const std::string& what) const {
-    return Status::OutOfRange(StrFormat("XML input limit at %d:%d: %s",
-                                        cursor_.line(), cursor_.column(),
-                                        what.c_str()));
+    return ErrorAt(StatusCode::kOutOfRange, cursor_.line(), cursor_.column(),
+                   what);
   }
 
-  /// `raw` with its references decoded against the document-wide
-  /// budget: `raw` itself when it has none, else a view of the reused
-  /// decode buffer, valid until the next Decode().
+  /// A parse error (Corruption) or a limit hit (OutOfRange) at
+  /// line:column.
+  static Status ErrorAt(StatusCode code, int line, int column,
+                        const std::string& what) {
+    return Status(code, StrFormat(code == StatusCode::kOutOfRange
+                                      ? "XML input limit at %d:%d: %s"
+                                      : "XML parse error at %d:%d: %s",
+                                  line, column, what.c_str()));
+  }
+
+  /// `raw` (a slice of the input before the cursor) with its
+  /// references decoded against the document-wide budget: `raw` itself
+  /// when it has none, else a view of the reused decode buffer, valid
+  /// until the next Decode(). A bad reference, or one past the budget,
+  /// is reported at the line:column of its '&'.
   Result<std::string_view> Decode(std::string_view raw) {
     if (raw.find('&') == std::string_view::npos) return raw;
     size_t* budget =
         options_.limits.max_entity_references > 0 ? &entity_budget_ : nullptr;
-    XSDF_RETURN_IF_ERROR(DecodeEntitiesInto(raw, budget, &decoded_));
+    size_t error_at = 0;
+    Status decoded = DecodeEntitiesInto(raw, budget, &decoded_, &error_at);
+    if (!decoded.ok()) {
+      const auto [line, column] = cursor_.PositionOf(raw.data() + error_at);
+      return ErrorAt(decoded.code(), line, column, decoded.message());
+    }
     return std::string_view(decoded_);
   }
 
@@ -464,7 +497,7 @@ Result<std::string> DecodeEntities(std::string_view text) {
 namespace {
 
 Status DecodeEntitiesInto(std::string_view text, size_t* budget,
-                          std::string* out) {
+                          std::string* out, size_t* error_at) {
   out->clear();
   out->reserve(text.size());
   size_t i = 0;
@@ -475,6 +508,7 @@ Status DecodeEntitiesInto(std::string_view text, size_t* budget,
       ++i;
       continue;
     }
+    if (error_at != nullptr) *error_at = i;
     if (budget != nullptr) {
       if (*budget == 0) {
         return Status::OutOfRange(

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -139,6 +144,76 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%05d-%s", 42, "x"), "00042-x");
   EXPECT_EQ(StrFormat("%.3f", 0.5), "0.500");
   EXPECT_EQ(StrFormat("empty"), "empty");
+}
+
+/// What std::to_chars prints for `value` at four fixed decimals.
+std::string ToCharsFixed4(double value) {
+  char digits[400];
+  const std::to_chars_result printed = std::to_chars(
+      digits, digits + sizeof(digits), value, std::chars_format::fixed, 4);
+  return std::string(digits, printed.ptr);
+}
+
+::testing::AssertionResult Fixed4MatchesToChars(double value) {
+  std::string out = "x";  // AppendFixed4 appends
+  AppendFixed4(&out, value);
+  if (out == "x" + ToCharsFixed4(value)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << std::hexfloat << value << ": AppendFixed4 printed "
+         << out.substr(1) << ", to_chars " << ToCharsFixed4(value);
+}
+
+// The score formatter's integer path must print what to_chars prints.
+TEST(StringsTest, AppendFixed4MatchesToCharsOnRandomDoubles) {
+  Rng rng(20241018);
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(Fixed4MatchesToChars(2.0 * rng.UniformDouble()));
+  }
+}
+
+// Odd multiples of 1/32 are the values whose fourth decimal is an
+// exact tie (0.03125 -> 312.5 ten-thousandths): to_chars rounds them
+// half to even. Their neighbours sit just either side of the tie.
+TEST(StringsTest, AppendFixed4MatchesToCharsAtExactTies) {
+  for (int k = 1; k < 64; k += 2) {
+    const double tie = k / 32.0;
+    EXPECT_TRUE(Fixed4MatchesToChars(tie));
+    double below = tie;
+    double above = tie;
+    for (int step = 0; step < 4; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 2.0);
+      EXPECT_TRUE(Fixed4MatchesToChars(below));
+      EXPECT_TRUE(Fixed4MatchesToChars(above));
+    }
+  }
+  EXPECT_EQ(ToCharsFixed4(0.03125), "0.0312");
+  EXPECT_EQ(ToCharsFixed4(0.09375), "0.0938");
+}
+
+TEST(StringsTest, AppendFixed4MatchesToCharsAtTheEdges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, -1e-9, -0.00005, -0.5, -1.0, -123.45678,
+      1e-300, std::numeric_limits<double>::denorm_min(), 0.00005, 0.99995,
+      1000.0, 1e300, inf, -inf, std::numeric_limits<double>::quiet_NaN()};
+  for (double edge : {999.99995, 1000.0}) {
+    double below = edge;
+    double above = edge;
+    values.push_back(edge);
+    for (int step = 0; step < 4; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 2000.0);
+      values.push_back(below);
+      values.push_back(above);
+    }
+  }
+  for (double value : values) EXPECT_TRUE(Fixed4MatchesToChars(value));
+  std::string out;
+  AppendFixed4(&out, 0.5);
+  AppendFixed4(&out, -0.0);
+  AppendFixed4(&out, 999.99995);
+  EXPECT_EQ(out, "0.5000-0.00001000.0000");
 }
 
 TEST(RngTest, Deterministic) {

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <string>
 
+#include "oracles/tokenizer_reference.h"
+#include "text/preprocess.h"
+#include "text/stopwords.h"
+#include "text/tokenizer.h"
+
 namespace xsdf::oracles {
 namespace {
 
@@ -133,9 +138,23 @@ Result<xml::LabeledTree> BuildTreeViaDom(
       [&](std::string_view tag) -> const core::ResolvedLabel& {
     return core::ResolveTagMemo(*cache, network, *label_space, tag);
   };
+  const text::LexiconProbe probe = [&network](const std::string& lemma) {
+    return network.Contains(lemma);
+  };
+  std::vector<core::ResolvedLabel> value_tokens;
   const ValueResolver tokenize = [&](std::string_view value)
       -> const std::vector<core::ResolvedLabel>& {
-    return core::TokenizeValueMemo(*cache, network, *label_space, value);
+    value_tokens.clear();
+    for (const std::string& token : ReferenceTokenize(value)) {
+      if (text::IsStopWord(token)) continue;
+      if (!text::HasLetter(token)) continue;  // drop pure numbers
+      core::ResolvedLabel& resolved = value_tokens.emplace_back();
+      resolved.label = text::NormalizeToken(token, probe);
+      if (!resolved.label.empty()) {
+        resolved.id = label_space->Resolve(resolved.label);
+      }
+    }
+    return value_tokens;
   };
   return BuildTreeViaDom(doc, include_values, label_space->serial(),
                          resolve_tag, tokenize);

@@ -40,11 +40,14 @@ Result<xml::LabeledTree> BuildTreeViaDom(const Document& doc,
                                          const TagResolver& resolve_tag,
                                          const ValueResolver& tokenize);
 
-/// The walk with the production label hooks (core::ResolveTagMemo and
-/// core::TokenizeValueMemo through `cache`, or a cache local to the
-/// call when it is null), interning through `label_space`: on the
-/// same input, core::BuildTreeStreaming must return this tree, label
-/// ids and interning order included.
+/// The walk with independent value tokens: tag names go through the
+/// production hook core::ResolveTagMemo (through `cache`, or a cache
+/// local to the call when it is null), while each text value is split
+/// by ReferenceTokenize() and every token stop-word filtered, dropped
+/// without a letter and normalized directly, with no memo. Labels are
+/// interned through `label_space` in walk order: on the same input,
+/// core::BuildTreeStreaming must return this tree, label ids and
+/// interning order included.
 Result<xml::LabeledTree> BuildTreeViaDom(
     const Document& doc, const wordnet::SemanticNetwork& network,
     bool include_values, core::LabelSpace* label_space,

@@ -1,7 +1,8 @@
 // Byte-identity of the semantic-tree writer: core::SemanticTreeToXml()
 // writes the <semantic_tree> text directly, and must print exactly what
 // the DOM-building oracle (tests/oracles) prints through its DOM
-// serializer — on the experiments corpus, giant documents, the paper's
+// serializer — also through one core::SemanticXmlWriter reused across
+// documents — on the experiments corpus, giant documents, the paper's
 // Figure 1 documents, a document at the default depth cap, an empty
 // tree, and a small network whose labels and glosses need escaping and
 // whose compound senses emit concept2. Past the default depth cap the
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/disambiguator.h"
@@ -71,6 +73,36 @@ TEST(SemanticTreeToXmlTest, MatchesDomOracleOnExperimentsCorpus) {
     auto semantic_tree = disambiguator.RunOnTree(doc.tree);
     ASSERT_TRUE(semantic_tree.ok()) << doc.generated.name;
     ExpectWriterMatchesOracle(*semantic_tree, Network(), doc.generated.name);
+  }
+}
+
+// A writer kept across documents (as each engine worker keeps one)
+// prints every document exactly as a fresh one-shot writer and the DOM
+// oracle do, whatever it wrote before: the experiments corpus forwards,
+// then backwards, through one SemanticXmlWriter.
+TEST(SemanticTreeToXmlTest, ReusedWriterMatchesFreshWriterAndDomOracle) {
+  core::Disambiguator disambiguator(&Network());
+  auto corpus = eval::BuildCorpus(Network(), disambiguator.label_space());
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ASSERT_GT(corpus->size(), 1u);
+  std::vector<core::SemanticTree> trees;
+  for (const eval::CorpusDocument& doc : *corpus) {
+    auto semantic_tree = disambiguator.RunOnTree(doc.tree);
+    ASSERT_TRUE(semantic_tree.ok()) << doc.generated.name;
+    trees.push_back(std::move(semantic_tree).value());
+  }
+  core::SemanticXmlWriter writer(Network());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t k = 0; k < trees.size(); ++k) {
+      const size_t i = pass == 0 ? k : trees.size() - 1 - k;
+      const std::string context = (*corpus)[i].generated.name +
+                                  (pass == 0 ? " (forwards)" : " (backwards)");
+      const std::string reused = writer.Write(trees[i]);
+      EXPECT_EQ(reused, core::SemanticTreeToXml(trees[i], Network()))
+          << context;
+      EXPECT_EQ(reused, oracles::SemanticTreeToXmlViaDom(trees[i], Network()))
+          << context;
+    }
   }
 }
 

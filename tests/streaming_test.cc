@@ -237,28 +237,34 @@ TEST(StreamingBuilderTest, ScaffoldingStaysSmall) {
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-// A resident worker's whole-value memo stays bounded: fed distinct
-// values past TreeBuildCache::kMaxValues it is cleared, and a tree built
-// through the cleared cache equals, ids included, one built through a
-// fresh cache.
-TEST(StreamingBuilderTest, WholeValueMemoStaysBounded) {
+// Letterless tokens never reach the token memo: a resident worker fed
+// 10^5 elements, each with a distinct letterless text value and
+// attribute value (numbers, dates, punctuation), keeps `cache.tokens`
+// at its size, and a tree built through that cache afterwards equals,
+// ids included, one built through a fresh cache.
+TEST(StreamingBuilderTest, LetterlessValuesLeaveTheTokenMemoAlone) {
   const std::string xml_text = datasets::Figure1Documents()[0].xml;
   core::LabelSpace space(&Network());
   core::TreeBuildCache cache;
   ASSERT_TRUE(core::BuildTreeStreaming(xml_text, Network(), xml::ParseOptions{},
                                        /*include_values=*/true, &space, &cache)
                   .ok());
-  // Distinct values over a few words: pure numbers are dropped, so only
-  // the whole-value level grows.
-  const char* const words[] = {"red", "film", "star", "cast"};
-  for (size_t i = 0; i < core::TreeBuildCache::kMaxValues + 100; ++i) {
-    core::TokenizeValueMemo(cache, Network(), space,
-                            std::string(words[i % 4]) + " " +
-                                std::to_string(i));
-    ASSERT_LE(cache.values.size(), core::TreeBuildCache::kMaxValues);
+  const size_t tokens = cache.tokens.size();
+  ASSERT_GT(tokens, 0u);
+  std::string values = "<values>";
+  for (size_t i = 0; i < 100000; ++i) {
+    values += "<v n=\"#" + std::to_string(7 * i) + "\">" + std::to_string(i) +
+              ", " + std::to_string(i % 97) + "-" + std::to_string(i / 3) +
+              " (12.5%)</v>";
   }
-  EXPECT_LT(cache.values.size(), core::TreeBuildCache::kMaxValues);
-  auto after_clear = core::BuildTreeStreaming(
+  values += "</values>";
+  auto letterless = core::BuildTreeStreaming(
+      values, Network(), xml::ParseOptions{}, /*include_values=*/true, &space,
+      &cache);
+  ASSERT_TRUE(letterless.ok()) << letterless.status().ToString();
+  EXPECT_EQ(letterless->size(), 1u + 2 * 100000);  // no token nodes
+  EXPECT_EQ(cache.tokens.size(), tokens);
+  auto after = core::BuildTreeStreaming(
       xml_text, Network(), xml::ParseOptions{}, /*include_values=*/true,
       &space, &cache);
   core::TreeBuildCache fresh_cache;
@@ -266,9 +272,30 @@ TEST(StreamingBuilderTest, WholeValueMemoStaysBounded) {
                                         xml::ParseOptions{},
                                         /*include_values=*/true, &space,
                                         &fresh_cache);
-  ASSERT_TRUE(after_clear.ok());
+  ASSERT_TRUE(after.ok());
   ASSERT_TRUE(fresh.ok());
-  ExpectTreesIdentical(*fresh, *after_clear, "after the value memo cleared");
+  ExpectTreesIdentical(*fresh, *after, "after 10^5 letterless values");
+}
+
+// Stop words are memoized as skip entries: probed once, never a node,
+// never interned.
+TEST(StreamingBuilderTest, StopWordsAreSkipEntries) {
+  core::LabelSpace space(&Network());
+  core::TreeBuildCache cache;
+  auto tree = core::BuildTreeStreaming(
+      "<a>The film and THE cast</a>", Network(), xml::ParseOptions{},
+      /*include_values=*/true, &space, &cache);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->size(), 3u);
+  EXPECT_EQ(tree->label(1), "film");
+  EXPECT_EQ(tree->label(2), "cast");
+  for (const char* stop_word : {"the", "and"}) {
+    auto it = cache.tokens.find(std::string_view(stop_word));
+    ASSERT_NE(it, cache.tokens.end()) << stop_word;
+    EXPECT_TRUE(it->second.label.empty()) << stop_word;
+    EXPECT_EQ(it->second.id, xml::kNoLabelId) << stop_word;
+  }
+  EXPECT_EQ(cache.tokens.size(), 4u);
 }
 
 // Id-native target selection must be the string reference in disguise:

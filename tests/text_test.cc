@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "common/rng.h"
+#include "oracles/tokenizer_reference.h"
 #include "text/compound.h"
 #include "text/porter_stemmer.h"
 #include "text/preprocess.h"
@@ -42,6 +47,63 @@ TEST(TokenizerTest, StripsPossessive) {
 TEST(TokenizerTest, EmptyAndPunctuationOnly) {
   EXPECT_TRUE(Tokenize("").empty());
   EXPECT_TRUE(Tokenize("... !!! ---").empty());
+}
+
+TEST(TokenizerTest, ScannerSlicesTheInput) {
+  const std::string_view text = "Rear WINDOW's 1954 mp3";
+  std::string buffer;
+  TokenScanner scanner(text);
+  ASSERT_TRUE(scanner.Next());
+  EXPECT_EQ(scanner.raw(), "Rear");
+  EXPECT_EQ(scanner.Lowercase(&buffer), "rear");
+  ASSERT_TRUE(scanner.Next());
+  EXPECT_EQ(scanner.raw(), "WINDOW");
+  EXPECT_TRUE(scanner.has_letter());
+  ASSERT_TRUE(scanner.Next());
+  EXPECT_EQ(scanner.raw(), "1954");
+  EXPECT_FALSE(scanner.has_letter());
+  ASSERT_TRUE(scanner.Next());
+  // No uppercase: the view is the input itself.
+  EXPECT_EQ(scanner.Lowercase(&buffer).data(), text.data() + 19);
+  EXPECT_FALSE(scanner.Next());
+  EXPECT_FALSE(scanner.Next());
+}
+
+/// A string of `length` pieces drawn from letters of both cases,
+/// digits, apostrophes, the UTF-8 right single quote (U+2019) and its
+/// bytes alone, possessive `s`/`S`, punctuation, whitespace and other
+/// high bytes.
+std::string RandomTokenizerInput(Rng& rng, int length) {
+  static const char* const kPieces[] = {
+      "a", "Z", "q", "M", "s", "S", "0", "7", "'", "'s", "'S",
+      "\xE2\x80\x99", "\xE2\x80\x99s", "\xE2", "\x80", "\x99", " ", "\t",
+      "\n", ",", ".", "-", "_", "!", "&", ";", "(", ")", "\xC3\xA9", "\xFF"};
+  std::string out;
+  for (int i = 0; i < length; ++i) {
+    out += kPieces[rng.UniformInt(std::size(kPieces))];
+  }
+  return out;
+}
+
+// Tokenize (the collector over TokenScanner) against the character
+// loop it replaced, on generated strings and on fixed corner cases.
+TEST(TokenizerTest, MatchesReferenceTokenizer) {
+  const char* const fixed[] = {
+      "", "'", "'s", "a'", "a's", "a'sb", "A'S", "a\xE2", "a\xE2\x80",
+      "a\xE2\x80\x99", "a\xE2\x80\x99s", "a\xE2\x80\x99sb", "a\xE2bc",
+      "a\xE2bs", "a\xE2bsc", "Director\xE2\x80\x99s cut", "O'Brien's",
+      "mp3 player 1954", "ABC123def", "x's's", "it''s", "\xE2\x80\x99s"};
+  for (const char* input : fixed) {
+    EXPECT_EQ(Tokenize(input), oracles::ReferenceTokenize(input))
+        << "input: " << input;
+  }
+  Rng rng(24);
+  for (int i = 0; i < 20000; ++i) {
+    const std::string input =
+        RandomTokenizerInput(rng, static_cast<int>(rng.UniformInt(24)));
+    ASSERT_EQ(Tokenize(input), oracles::ReferenceTokenize(input))
+        << "input #" << i << ": " << input;
+  }
 }
 
 TEST(TokenizerTest, HasLetter) {

@@ -180,6 +180,28 @@ TEST(XmlParserTest, ErrorPositionsReported) {
       << doc.status().ToString();
 }
 
+// Entity and character-reference errors point at their '&', like
+// every other parse error, in text and in attribute values alike.
+TEST(XmlParserTest, EntityErrorPositionsReported) {
+  auto text = ParseDom("<a>\n  text\n  more &bogus; here</a>");
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status(),
+            Status::Corruption("XML parse error at 3:8: unknown entity "
+                               "reference: &bogus;"));
+
+  auto attribute = ParseDom("<root>\n<item code=\"x&#12a;y\"/>\n</root>");
+  ASSERT_FALSE(attribute.ok());
+  EXPECT_EQ(attribute.status(),
+            Status::Corruption("XML parse error at 2:14: malformed "
+                               "character reference: &#12a;"));
+
+  auto unterminated = ParseDom("<a>ok &amp; fine\n\t&amp</a>");
+  ASSERT_FALSE(unterminated.ok());
+  EXPECT_EQ(unterminated.status(),
+            Status::Corruption("XML parse error at 2:2: unterminated entity "
+                               "reference"));
+}
+
 // ---- Parameterized malformed-input sweep -------------------------------
 
 class MalformedXmlTest : public ::testing::TestWithParam<const char*> {};
@@ -304,7 +326,10 @@ TEST(XmlParseLimitsTest, EntityBudgetIsDocumentWide) {
   EXPECT_TRUE(ParseDom("<a x=\"&lt;\"><b>&gt;</b>&amp;</a>", options).ok());
   auto over = ParseDom("<a x=\"&lt;\"><b>&gt;&#65;</b>&amp;</a>", options);
   ASSERT_FALSE(over.ok());
-  EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
+  // The fourth reference, &amp;, is the one past the budget.
+  EXPECT_EQ(over.status(),
+            Status::OutOfRange("XML input limit at 1:29: entity reference "
+                               "budget exhausted (max_entity_references)"));
 }
 
 TEST(XmlParseLimitsTest, InputSizeCap) {

@@ -8,22 +8,6 @@
 #include "eval/experiment.h"
 #include "wordnet/mini_wordnet.h"
 
-namespace {
-
-const char* ProcessName(xsdf::core::DisambiguationProcess process) {
-  switch (process) {
-    case xsdf::core::DisambiguationProcess::kConceptBased:
-      return "concept";
-    case xsdf::core::DisambiguationProcess::kContextBased:
-      return "context";
-    case xsdf::core::DisambiguationProcess::kCombined:
-      return "combined";
-  }
-  return "?";
-}
-
-}  // namespace
-
 int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
@@ -46,7 +30,7 @@ int main() {
       last_group = cell.group;
     }
     std::printf("%-8d %-10s %-8.3f %-8.3f %-8.3f\n", cell.radius,
-                ProcessName(cell.process), cell.scores.precision,
+                xsdf::eval::ProcessName(cell.process), cell.scores.precision,
                 cell.scores.recall, cell.scores.f_value);
   }
   std::printf(

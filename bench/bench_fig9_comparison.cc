@@ -1,21 +1,22 @@
 // Reproduces paper Figure 9: precision / recall / F-value of XSDF (at
-// its per-group optimal configuration) against the two baselines
-// reimplemented from the literature: RPD (root-path disambiguation,
-// Tagarelli et al.) and VSD (versatile structural disambiguation,
-// Mandreoli et al.). Also prints a structure-only evaluation variant
-// (content tokens excluded from scoring), since the baselines only
-// disambiguate structural labels (paper Table 4).
+// its per-group optimal configuration, read off the Figure 8 sweep by
+// eval::Figure9Radius) against the two baselines reimplemented from
+// the literature: RPD (root-path disambiguation, Tagarelli et al.) and
+// VSD (versatile structural disambiguation, Mandreoli et al.). The
+// same runs are also scored structure-only (content tokens excluded),
+// since the baselines only disambiguate structural labels (paper
+// Table 4).
 
 #include <cstdio>
 #include <vector>
 
-#include "core/baselines.h"
 #include "eval/experiment.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace {
 
-void PrintCells(const std::vector<xsdf::eval::ComparisonCell>& cells) {
+void PrintCells(const std::vector<xsdf::eval::ComparisonCell>& cells,
+                bool structure_only) {
   int last_group = 0;
   for (const auto& cell : cells) {
     if (cell.group != last_group) {
@@ -24,10 +25,11 @@ void PrintCells(const std::vector<xsdf::eval::ComparisonCell>& cells) {
                   "F", "gold", "correct");
       last_group = cell.group;
     }
+    const xsdf::eval::PrfScores& scores =
+        structure_only ? cell.structure_scores : cell.scores;
     std::printf("%-6s %-8.3f %-8.3f %-8.3f %8d %8d\n",
-                cell.system.c_str(), cell.scores.precision,
-                cell.scores.recall, cell.scores.f_value,
-                cell.scores.gold_total, cell.scores.correct);
+                cell.system.c_str(), scores.precision, scores.recall,
+                scores.f_value, scores.gold_total, scores.correct);
   }
 }
 
@@ -42,48 +44,32 @@ int main() {
     std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return 1;
   }
+  const auto figure8 = xsdf::eval::ComputeFigure8(*corpus, *network, &labels);
+  const auto cells =
+      xsdf::eval::ComputeFigure9(*corpus, *network, &labels, figure8);
 
   std::printf("Figure 9. XSDF vs RPD vs VSD on the sampled target nodes "
               "(12-13 per document).\n");
-  PrintCells(xsdf::eval::ComputeFigure9(*corpus, *network, &labels));
+  std::printf("XSDF is concept-based at its group's best concept-based "
+              "Figure 8 radius (a tie\ngoes to the smaller radius):");
+  for (const auto& cell : cells) {
+    if (cell.system == "XSDF") {
+      std::printf(" Group %d d=%d%s", cell.group, cell.radius,
+                  cell.group < 4 ? "," : ".\n");
+    }
+  }
+  PrintCells(cells, /*structure_only=*/false);
 
   std::printf("\nStructure-only evaluation (content tokens excluded; the "
               "baselines never attempt\nthem per Table 4):\n");
-  std::vector<xsdf::eval::ComparisonCell> structural;
-  for (int group = 1; group <= 4; ++group) {
-    xsdf::core::DisambiguatorOptions options;
-    options.label_space = &labels;
-    options.sphere_radius = xsdf::eval::kFigure9Radius[group];
-    xsdf::core::Disambiguator xsdf_system(&*network, options);
-    xsdf::core::RpdBaseline rpd(&labels);
-    xsdf::core::VsdBaseline vsd(&labels);
-    std::vector<xsdf::eval::PrfScores> px, pr, pv;
-    for (const auto& doc : *corpus) {
-      if (doc.dataset.group != group) continue;
-      std::vector<xsdf::xml::NodeId> nodes;
-      for (auto id : doc.target_sample) {
-        if (doc.tree.kind(id) != xsdf::xml::TreeNodeKind::kToken) {
-          nodes.push_back(id);
-        }
-      }
-      auto rx = xsdf_system.RunOnTree(doc.tree);
-      auto rr = rpd.RunOnTree(doc.tree);
-      auto rv = vsd.RunOnTree(doc.tree);
-      if (rx.ok()) px.push_back(xsdf::eval::ScoreOnNodes(*rx, doc.gold, nodes));
-      if (rr.ok()) pr.push_back(xsdf::eval::ScoreOnNodes(*rr, doc.gold, nodes));
-      if (rv.ok()) pv.push_back(xsdf::eval::ScoreOnNodes(*rv, doc.gold, nodes));
-    }
-    structural.push_back({group, "XSDF", xsdf::eval::CombinePrf(px)});
-    structural.push_back({group, "RPD", xsdf::eval::CombinePrf(pr)});
-    structural.push_back({group, "VSD", xsdf::eval::CombinePrf(pv)});
-  }
-  PrintCells(structural);
+  PrintCells(cells, /*structure_only=*/true);
 
   std::printf(
       "\nPaper shape: XSDF ahead of RPD and VSD with the largest margin "
       "on Group 1 (~35%%),\nshrinking toward Group 4. Reproduced: XSDF "
-      "leads all groups (largest absolute\nF on Group 1); RPD ties XSDF "
-      "on Group 1 structure-only. Divergence (see\nEXPERIMENTS.md): the "
-      "paper's slight RPD win on Group 4 does not appear here.\n");
+      "leads all groups under both protocols\n(largest absolute F on "
+      "Group 1). Divergence (see EXPERIMENTS.md): the margins grow\n"
+      "toward Groups 3-4 instead of shrinking, and the paper's slight RPD "
+      "win on Group 4\ndoes not appear here.\n");
   return 0;
 }

@@ -15,6 +15,7 @@
 #include "core/streaming_builder.h"
 #include "oracles/dom.h"
 #include "oracles/dom_tree_builder.h"
+#include "oracles/graph_walks.h"
 #include "prop/generators.h"
 #include "snapshot/snapshot.h"
 #include "text/preprocess.h"
@@ -269,14 +270,14 @@ void CheckColumns(const xml::LabeledTree& tree,
   }
 }
 
-/// BuildXmlIdSphere must list Rings()' members in ring order and,
-/// within a ring, in Rings()' order, each with its node's label id and
+/// BuildXmlIdSphere must list oracles::Rings()' members in ring order
+/// and, within a ring, in its order, each with its node's label id and
 /// its ring's distance; excluding tokens drops exactly the token nodes
 /// past the center.
 void CheckSphereOrder(const xml::LabeledTree& tree, xml::NodeId center,
                       int radius) {
   const std::vector<std::vector<xml::NodeId>> rings =
-      tree.Rings(center, radius);
+      oracles::Rings(tree, center, radius);
   for (bool exclude_tokens : {false, true}) {
     core::IdSphere expected;
     expected.radius = radius;
@@ -333,8 +334,8 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   if (n == 0) return;
   auto a = static_cast<xml::NodeId>(flags % n);
   auto b = static_cast<xml::NodeId>((flags / 7 + size) % n);
-  xml::NodeId lca = tree->LowestCommonAncestor(a, b);
-  int distance = tree->Distance(a, b);
+  xml::NodeId lca = oracles::LowestCommonAncestor(*tree, a, b);
+  int distance = oracles::Distance(*tree, a, b);
   if (distance < 0) {
     OracleFailure("tree", "negative node distance", std::to_string(distance));
   }
@@ -472,7 +473,8 @@ void DriveSnapshotLoader(const uint8_t* data, size_t size) {
   network.MaxPolysemy();
   network.MaxDepth();
   if (n > 1) {
-    network.LeastCommonSubsumer(0, static_cast<wordnet::ConceptId>(n - 1));
+    oracles::LeastCommonSubsumer(network, 0,
+                                 static_cast<wordnet::ConceptId>(n - 1));
   }
   // Re-snapshot + re-load: the writer reads through the same views the
   // mapped network installed, so anything the loader accepts must

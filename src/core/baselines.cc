@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/context_vector.h"
+#include "sim/kernels.h"
 
 namespace xsdf::core {
 
@@ -128,7 +130,9 @@ Result<SemanticTree> RpdBaseline::RunOnTree(xml::LabeledTree tree) const {
 // ---------------------------------------------------------------- VSD --
 
 VsdBaseline::VsdBaseline(LabelSpace* label_space, Options options)
-    : label_space_(label_space), options_(options) {}
+    : label_space_(label_space),
+      options_(options),
+      max_depth_(std::max(label_space->network().MaxDepth(), 1)) {}
 
 double VsdBaseline::DecayWeight(int distance) const {
   double d = static_cast<double>(distance);
@@ -138,15 +142,13 @@ double VsdBaseline::DecayWeight(int distance) const {
 double VsdBaseline::LeacockChodorow(wordnet::ConceptId a,
                                     wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  const wordnet::SemanticNetwork& network = label_space_->network();
-  int len = network.HypernymPathLength(a, b);
+  int len = sim::HypernymPathLength(label_space_->network(), a, b);
   if (len < 0) return 0.0;
-  int max_depth = std::max(network.MaxDepth(), 1);
   // lch = -log((len+1) / (2 * max_depth)); normalized by the maximum
   // attainable value -log(1 / (2 * max_depth)).
   double raw = -std::log(static_cast<double>(len + 1) /
-                         (2.0 * static_cast<double>(max_depth)));
-  double max_raw = -std::log(1.0 / (2.0 * static_cast<double>(max_depth)));
+                         (2.0 * static_cast<double>(max_depth_)));
+  double max_raw = -std::log(1.0 / (2.0 * static_cast<double>(max_depth_)));
   if (max_raw <= 0.0) return 0.0;
   double sim = raw / max_raw;
   return std::clamp(sim, 0.0, 1.0);
@@ -156,22 +158,22 @@ double VsdBaseline::Score(const xml::LabeledTree& tree, xml::NodeId id,
                           wordnet::ConceptId candidate) const {
   XSDF_DCHECK(CheckLabelSource(tree, *label_space_).ok(),
               "tree was built through another label space");
-  std::vector<std::vector<xml::NodeId>> rings =
-      tree.Rings(id, options_.max_distance);
+  const IdSphere sphere = BuildXmlIdSphere(tree, id, options_.max_distance);
+  // Members come ring by ring, the center first, so the first member
+  // past the crossable horizon ends the context.
   double total = 0.0;
-  for (int d = 1; d < static_cast<int>(rings.size()); ++d) {
-    double weight = DecayWeight(d);
+  for (int m = 1; m < sphere.size(); ++m) {
+    double weight = DecayWeight(sphere.distances[static_cast<size_t>(m)]);
     if (weight < options_.threshold) break;  // edge no longer crossable
-    for (xml::NodeId context : rings[static_cast<size_t>(d)]) {
-      double best = 0.0;
-      for (std::span<const wordnet::ConceptId> senses :
-           label_space_->Senses(tree.label_id(context)).token_senses) {
-        for (wordnet::ConceptId other : senses) {
-          best = std::max(best, LeacockChodorow(candidate, other));
-        }
+    double best = 0.0;
+    for (std::span<const wordnet::ConceptId> senses :
+         label_space_->Senses(sphere.label_ids[static_cast<size_t>(m)])
+             .token_senses) {
+      for (wordnet::ConceptId other : senses) {
+        best = std::max(best, LeacockChodorow(candidate, other));
       }
-      total += weight * best;
     }
+    total += weight * best;
   }
   return total;
 }

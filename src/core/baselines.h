@@ -57,9 +57,11 @@ class VsdBaseline {
   struct Options {
     double sigma = 1.5;        ///< Gaussian decay width
     double threshold = 0.10;   ///< minimum crossable weight
-    int max_distance = 4;      ///< BFS horizon
+    int max_distance = 4;      ///< sphere radius of the context
   };
 
+  /// `label_space` must outlive the baseline, and its network must be
+  /// finalized (its maximum depth is read here, once).
   explicit VsdBaseline(LabelSpace* label_space)
       : VsdBaseline(label_space, Options()) {}
   VsdBaseline(LabelSpace* label_space, Options options);
@@ -69,15 +71,21 @@ class VsdBaseline {
   /// Gaussian decay weight of a context node at `distance`.
   double DecayWeight(int distance) const;
 
-  /// Leacock-Chodorow similarity normalized to [0, 1].
+  /// Leacock-Chodorow similarity normalized to [0, 1], over the
+  /// hypernym path length of sim::HypernymPathLength.
   double LeacockChodorow(wordnet::ConceptId a, wordnet::ConceptId b) const;
 
+  /// Scores sense `candidate` of node `id` against the members of the
+  /// node's radius-max_distance sphere (core::BuildXmlIdSphere, content
+  /// tokens included), ring by ring while the decay weight stays
+  /// crossable.
   double Score(const xml::LabeledTree& tree, xml::NodeId id,
                wordnet::ConceptId candidate) const;
 
  private:
   LabelSpace* label_space_;
   Options options_;
+  int max_depth_;  ///< the network's MaxDepth(), at least 1
 };
 
 }  // namespace xsdf::core

@@ -243,7 +243,8 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree, xml::NodeId center,
   // ranks, so the ancestor is smaller than the rest, each run is
   // ascending, and the descendants' children all lie in below's
   // subtree, between below's siblings: the merged ring comes out in
-  // tree.Rings()' order without a sort.
+  // node id order (the BFS oracle oracles::Rings()' order) without a
+  // sort.
   thread_local std::vector<xml::NodeId> rings;
   rings.clear();
   rings.push_back(center);

@@ -126,8 +126,9 @@ double StructuralProximity(int distance, int radius);
 
 /// Builds the XML sphere neighborhood S_d(center) over the tree
 /// (Definition 5): ring by ring, in node id order within a ring —
-/// exactly tree.Rings(center, radius)'s order — each member carrying
-/// its node's tree.label_id(). Rings are merged, not sorted: ring d is
+/// exactly the order of the test-only BFS oracle
+/// oracles::Rings(tree, center, radius) — each member carrying its
+/// node's tree.label_id(). Rings are merged, not sorted: ring d is
 /// the center's d-th ancestor, then the (d-1)-th ancestor's other
 /// children with the previous ring's other members' children spliced
 /// in where the path to the center leaves it. That relies on the

@@ -103,23 +103,6 @@ Decision DecideFromScores(const std::vector<double>& scores) {
 
 }  // namespace
 
-std::vector<double> Disambiguator::ScoreCandidates(
-    const xml::LabeledTree& tree, xml::NodeId id) const {
-  if (!CheckLabelSource(tree, *label_space_).ok()) {
-    XSDF_DCHECK(false, "tree was built through another label space");
-    return {};
-  }
-  if (!CheckNodeId(tree, id).ok()) {
-    XSDF_DCHECK(false, "node id outside the tree");
-    return {};
-  }
-  std::shared_ptr<const SenseEntry> entry = CandidatesFor(tree, id);
-  BuildXmlIdSphere(tree, id, options_.sphere_radius,
-                   options_.structure_only_context, &work_.sphere);
-  ScoreSphere(tree.label_id(id), entry->candidates, nullptr, 0, nullptr);
-  return work_.scores;
-}
-
 void Disambiguator::ScoreSphere(uint32_t label_id,
                                 const std::vector<SenseCandidate>& candidates,
                                 StageTimes* times, uint64_t t_start,

@@ -290,10 +290,9 @@ struct SemanticTree {
 /// records the space as the tree's label_source()).
 /// A tree from any other interner is rejected: RunOnTree,
 /// DisambiguateNode and ExplainNode return InvalidArgument, while
-/// SelectTargets and ScoreCandidates return an empty vector (and trap
-/// in checked builds). The per-node entry points hold a node id to the
-/// same rule: an id outside [0, tree.size()) is InvalidArgument, or an
-/// empty vector (and a trap in checked builds) from ScoreCandidates.
+/// SelectTargets returns an empty vector (and traps in checked
+/// builds). The per-node entry points hold a node id to the same rule:
+/// an id outside [0, tree.size()) is InvalidArgument.
 ///
 /// A Disambiguator is used from one thread at a time: its entry points
 /// are const but fill private memos (see LabelTermMemo and
@@ -306,8 +305,8 @@ struct SemanticTree {
 /// DisambiguateNode and RunOnTree decide each distinct sphere once:
 /// a target whose ordered sphere this instance has already decided is
 /// answered from its DecisionMemo, which holds exactly what scoring
-/// would compute. ExplainNode and ScoreCandidates never read or write
-/// it, so an audit always shows computed scores.
+/// would compute. ExplainNode never reads or writes it, so an audit
+/// always shows computed scores.
 class Disambiguator {
  public:
   /// `network` must outlive the disambiguator and have finalized
@@ -377,13 +376,6 @@ class Disambiguator {
   /// core.decision_memo_lookups / core.decision_memo_hits counters;
   /// no-op without a registry.
   void RecordStageTimes(const StageTimes& times) const;
-
-  /// Scores every candidate sense of `id` (exposed for analysis and
-  /// tests); parallel to EnumerateCandidatesById() order. Always
-  /// computed (the decision memo is neither read nor written); empty
-  /// for an id outside the tree.
-  std::vector<double> ScoreCandidates(const xml::LabeledTree& tree,
-                                      xml::NodeId id) const;
 
   /// Disambiguates one node and returns the full audit trail: every
   /// candidate with its concept/context/prior score decomposition and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "core/ambiguity.h"
 #include "core/baselines.h"
@@ -172,21 +173,50 @@ std::vector<DatasetStatsRow> ComputeTable3(
 
 namespace {
 
-PrfScores RunOnGroup(const std::vector<CorpusDocument>& corpus, int group,
-                     const wordnet::SemanticNetwork& network,
-                     const core::DisambiguatorOptions& options) {
-  core::Disambiguator disambiguator(&network, options);
+/// P/R/F of `run` (a document's tree -> Result<core::SemanticTree>)
+/// over the documents of `group`, scored on each document's target
+/// sample; with `structure_scores`, also on the sample's element and
+/// attribute nodes. Documents whose run fails are skipped.
+template <typename Run>
+PrfScores ScoreGroup(const std::vector<CorpusDocument>& corpus, int group,
+                     const Run& run, PrfScores* structure_scores = nullptr) {
   std::vector<PrfScores> parts;
+  std::vector<PrfScores> structure_parts;
+  std::vector<xml::NodeId> structure_nodes;
   for (const CorpusDocument& doc : corpus) {
     if (doc.dataset.group != group) continue;
-    auto result = disambiguator.RunOnTree(doc.tree);
+    auto result = run(doc.tree);
     if (!result.ok()) continue;
     parts.push_back(ScoreOnNodes(*result, doc.gold, doc.target_sample));
+    if (structure_scores == nullptr) continue;
+    structure_nodes.clear();
+    for (xml::NodeId id : doc.target_sample) {
+      if (doc.tree.kind(id) != xml::TreeNodeKind::kToken) {
+        structure_nodes.push_back(id);
+      }
+    }
+    structure_parts.push_back(
+        ScoreOnNodes(*result, doc.gold, structure_nodes));
+  }
+  if (structure_scores != nullptr) {
+    *structure_scores = CombinePrf(structure_parts);
   }
   return CombinePrf(parts);
 }
 
 }  // namespace
+
+const char* ProcessName(core::DisambiguationProcess process) {
+  switch (process) {
+    case core::DisambiguationProcess::kConceptBased:
+      return "concept";
+    case core::DisambiguationProcess::kContextBased:
+      return "context";
+    case core::DisambiguationProcess::kCombined:
+      return "combined";
+  }
+  return "?";
+}
 
 std::vector<ConfigCell> ComputeFigure8(
     const std::vector<CorpusDocument>& corpus,
@@ -206,11 +236,15 @@ std::vector<ConfigCell> ComputeFigure8(
         options.sphere_radius = radius;
         options.process = process;
         options.combination_weights = {0.5, 0.5};
+        const core::Disambiguator disambiguator(&network, options);
         ConfigCell cell;
         cell.group = group;
         cell.radius = radius;
         cell.process = process;
-        cell.scores = RunOnGroup(corpus, group, network, options);
+        cell.scores = ScoreGroup(corpus, group,
+                                 [&](const xml::LabeledTree& tree) {
+                                   return disambiguator.RunOnTree(tree);
+                                 });
         cells.push_back(cell);
       }
     }
@@ -218,39 +252,52 @@ std::vector<ConfigCell> ComputeFigure8(
   return cells;
 }
 
+int Figure9Radius(const std::vector<ConfigCell>& figure8, int group) {
+  const ConfigCell* best = nullptr;
+  for (const ConfigCell& cell : figure8) {
+    if (cell.group != group ||
+        cell.process != core::DisambiguationProcess::kConceptBased) {
+      continue;
+    }
+    if (best == nullptr || cell.scores.f_value > best->scores.f_value ||
+        (cell.scores.f_value == best->scores.f_value &&
+         cell.radius < best->radius)) {
+      best = &cell;
+    }
+  }
+  return best == nullptr ? 0 : best->radius;
+}
+
 std::vector<ComparisonCell> ComputeFigure9(
     const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space) {
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
+    const std::vector<ConfigCell>& figure8) {
+  const core::RpdBaseline rpd(label_space);
+  const core::VsdBaseline vsd(label_space);
   std::vector<ComparisonCell> cells;
   for (int group = 1; group <= 4; ++group) {
-    // XSDF at its optimal configuration: concept-based with the
-    // per-group radii of kFigure9Radius.
+    auto add = [&](const char* system, int radius, const auto& run) {
+      ComparisonCell cell;
+      cell.group = group;
+      cell.system = system;
+      cell.radius = radius;
+      cell.scores = ScoreGroup(corpus, group, run, &cell.structure_scores);
+      cells.push_back(std::move(cell));
+    };
     core::DisambiguatorOptions options;
     options.label_space = label_space;
-    options.sphere_radius = kFigure9Radius[group];
+    options.sphere_radius = Figure9Radius(figure8, group);
     options.process = core::DisambiguationProcess::kConceptBased;
-    cells.push_back(
-        {group, "XSDF", RunOnGroup(corpus, group, network, options)});
-
-    core::RpdBaseline rpd(label_space);
-    core::VsdBaseline vsd(label_space);
-    std::vector<PrfScores> rpd_parts;
-    std::vector<PrfScores> vsd_parts;
-    for (const CorpusDocument& doc : corpus) {
-      if (doc.dataset.group != group) continue;
-      auto rpd_result = rpd.RunOnTree(doc.tree);
-      if (rpd_result.ok()) {
-        rpd_parts.push_back(
-            ScoreOnNodes(*rpd_result, doc.gold, doc.target_sample));
-      }
-      auto vsd_result = vsd.RunOnTree(doc.tree);
-      if (vsd_result.ok()) {
-        vsd_parts.push_back(
-            ScoreOnNodes(*vsd_result, doc.gold, doc.target_sample));
-      }
-    }
-    cells.push_back({group, "RPD", CombinePrf(rpd_parts)});
-    cells.push_back({group, "VSD", CombinePrf(vsd_parts)});
+    const core::Disambiguator xsdf(&network, options);
+    add("XSDF", options.sphere_radius, [&](const xml::LabeledTree& tree) {
+      return xsdf.RunOnTree(tree);
+    });
+    add("RPD", 0, [&](const xml::LabeledTree& tree) {
+      return rpd.RunOnTree(tree);
+    });
+    add("VSD", 0, [&](const xml::LabeledTree& tree) {
+      return vsd.RunOnTree(tree);
+    });
   }
   return cells;
 }

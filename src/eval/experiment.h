@@ -80,6 +80,10 @@ struct DatasetStatsRow {
 std::vector<DatasetStatsRow> ComputeTable3(
     const std::vector<CorpusDocument>& corpus, core::LabelSpace* label_space);
 
+/// The name Figure 8's tables give `process`: "concept", "context" or
+/// "combined".
+const char* ProcessName(core::DisambiguationProcess process);
+
 /// One Figure 8 cell: F-value of a configuration on a group.
 struct ConfigCell {
   int group = 0;
@@ -93,25 +97,35 @@ std::vector<ConfigCell> ComputeFigure8(
     const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
     const std::vector<int>& radii = {1, 2, 3, 4});
 
-/// XSDF's Figure 9 sphere radius per group (index 1..4; index 0 is
-/// unused), identified as in the paper from repeated tests over an
-/// earlier Figure 8 sweep on the experiments corpus. Deep Group 1 trees
-/// need a large radius to reach sibling content tokens. Today's sweep
-/// puts Groups 3 and 4 at d=3 and d=2 (see EXPERIMENTS.md); the radii
-/// stay until a change that may move the Figure 9 output.
-inline constexpr int kFigure9Radius[5] = {0, 4, 2, 1, 1};
+/// XSDF's Figure 9 sphere radius for `group`, read off a Figure 8
+/// sweep as the paper picks its optimal configuration: the radius of
+/// the group's concept-based cell with the highest F-value. A tie goes
+/// to the smaller radius, the smallest sphere that reaches that F.
+/// 0 when `figure8` has no concept-based cell for the group.
+int Figure9Radius(const std::vector<ConfigCell>& figure8, int group);
 
 /// One Figure 9 cell: P/R/F of one system (XSDF at its optimal
-/// configuration, RPD, or VSD) on a group. Every system reads the
-/// corpus through `label_space`.
+/// configuration, RPD, or VSD) on a group, from one run per document
+/// scored two ways.
 struct ComparisonCell {
   int group = 0;
   std::string system;  ///< "XSDF", "RPD", "VSD"
+  int radius = 0;      ///< XSDF's sphere radius; 0 for RPD and VSD
+  /// On each document's target sample (structure and content nodes).
   PrfScores scores;
+  /// On the sample's element and attribute nodes only: the baselines
+  /// never disambiguate content tokens (paper Table 4).
+  PrfScores structure_scores;
 };
+/// Runs XSDF (concept-based, at Figure9Radius(figure8, group)), RPD and
+/// VSD on every group; each system reads the corpus through
+/// `label_space`. `figure8` is ComputeFigure8()'s sweep of the same
+/// corpus, so an XSDF cell's `scores` equal the Figure 8 cell at its
+/// radius.
 std::vector<ComparisonCell> ComputeFigure9(
     const std::vector<CorpusDocument>& corpus,
-    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space);
+    const wordnet::SemanticNetwork& network, core::LabelSpace* label_space,
+    const std::vector<ConfigCell>& figure8);
 
 /// The per-group context clarity used by the rater panel (Group 1
 /// generic/deep ... Group 4 flat/domain-specific).

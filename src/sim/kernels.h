@@ -11,7 +11,8 @@
 
 namespace xsdf::sim {
 
-/// The shared LCS-search kernel of Resnik/Lin/Wu-Palmer: positions of
+/// The shared LCS-search kernel of Resnik/Lin/Wu-Palmer (and of
+/// HypernymPathLength below, VSD's path length): positions of
 /// the common ancestors of two id-sorted AncestorEntry rows, written
 /// into per-thread scratch (valid until the calling thread's next
 /// IntersectAncestors call). The interleaved {id, distance} rows are
@@ -47,6 +48,23 @@ inline AncestorMatches IntersectAncestors(
       reinterpret_cast<const uint32_t*>(b.data()), b.size(), pos_a.data(),
       need_b_positions ? pos_b.data() : nullptr);
   return m;
+}
+
+/// Length (edges) of the shortest hypernym path from `a` to `b` through
+/// a common ancestor, -1 when the two share none: the least summed
+/// distance over the matches of the two finalized ancestor rows.
+inline int HypernymPathLength(const wordnet::SemanticNetwork& network,
+                              wordnet::ConceptId a, wordnet::ConceptId b) {
+  std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
+  std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
+  const AncestorMatches common =
+      IntersectAncestors(aa, ab, /*need_b_positions=*/true);
+  int best = -1;
+  for (size_t k = 0; k < common.count; ++k) {
+    const int sum = aa[common.a[k]].distance + ab[common.b[k]].distance;
+    if (best < 0 || sum < best) best = sum;
+  }
+  return best;
 }
 
 }  // namespace xsdf::sim

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cmath>
 #include <deque>
-#include <limits>
 
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
@@ -378,40 +377,6 @@ std::unordered_map<ConceptId, int> SemanticNetwork::AncestorDistances(
     }
   }
   return distances;
-}
-
-ConceptId SemanticNetwork::LeastCommonSubsumer(ConceptId a,
-                                               ConceptId b) const {
-  std::unordered_map<ConceptId, int> da = AncestorDistances(a);
-  std::unordered_map<ConceptId, int> db = AncestorDistances(b);
-  ConceptId best = kInvalidConcept;
-  int best_sum = std::numeric_limits<int>::max();
-  int best_depth = -1;
-  for (const auto& [ancestor, dist_a] : da) {
-    auto it = db.find(ancestor);
-    if (it == db.end()) continue;
-    int sum = dist_a + it->second;
-    int depth = Depth(ancestor);
-    if (sum < best_sum || (sum == best_sum && depth > best_depth)) {
-      best_sum = sum;
-      best_depth = depth;
-      best = ancestor;
-    }
-  }
-  return best;
-}
-
-int SemanticNetwork::HypernymPathLength(ConceptId a, ConceptId b) const {
-  std::unordered_map<ConceptId, int> da = AncestorDistances(a);
-  std::unordered_map<ConceptId, int> db = AncestorDistances(b);
-  int best = -1;
-  for (const auto& [ancestor, dist_a] : da) {
-    auto it = db.find(ancestor);
-    if (it == db.end()) continue;
-    int sum = dist_a + it->second;
-    if (best < 0 || sum < best) best = sum;
-  }
-  return best;
 }
 
 std::vector<std::vector<ConceptId>> SemanticNetwork::Rings(

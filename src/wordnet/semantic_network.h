@@ -205,15 +205,6 @@ class SemanticNetwork {
   /// shortest hypernym-path distance from `id`.
   std::unordered_map<ConceptId, int> AncestorDistances(ConceptId id) const;
 
-  /// Least common subsumer of `a` and `b` minimizing the summed path
-  /// length (ties broken toward greater depth). kInvalidConcept when
-  /// the two concepts share no ancestor.
-  ConceptId LeastCommonSubsumer(ConceptId a, ConceptId b) const;
-
-  /// Length (edges) of the shortest path from `a` to `b` through their
-  /// LCS; -1 when unrelated.
-  int HypernymPathLength(ConceptId a, ConceptId b) const;
-
   /// Concepts grouped by semantic distance from `center` following all
   /// relation edges: element r is the SN ring R_r(center); element 0 is
   /// {center}. Used to build concept sphere neighborhoods (§3.5.2).

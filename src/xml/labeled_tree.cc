@@ -221,50 +221,6 @@ int LabeledTree::MaxDensity() const {
   return max_density;
 }
 
-NodeId LabeledTree::LowestCommonAncestor(NodeId a, NodeId b) const {
-  while (depth(a) > depth(b)) a = parent(a);
-  while (depth(b) > depth(a)) b = parent(b);
-  while (a != b) {
-    a = parent(a);
-    b = parent(b);
-  }
-  return a;
-}
-
-int LabeledTree::Distance(NodeId a, NodeId b) const {
-  NodeId lca = LowestCommonAncestor(a, b);
-  return depth(a) + depth(b) - 2 * depth(lca);
-}
-
-std::vector<std::vector<NodeId>> LabeledTree::Rings(
-    NodeId center, int max_distance) const {
-  std::vector<std::vector<NodeId>> rings;
-  rings.push_back({center});
-  std::vector<bool> visited(size(), false);
-  visited[Index(center)] = true;
-  std::vector<NodeId> frontier = {center};
-  for (int d = 1; d <= max_distance && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (NodeId id : frontier) {
-      auto visit = [&](NodeId neighbor) {
-        if (neighbor != kInvalidNode && !visited[Index(neighbor)]) {
-          visited[Index(neighbor)] = true;
-          next.push_back(neighbor);
-        }
-      };
-      visit(parent(id));
-      for (NodeId child : children(id)) visit(child);
-    }
-    std::sort(next.begin(), next.end());
-    rings.push_back(next);
-    frontier = rings.back();
-  }
-  while (static_cast<int>(rings.size()) <= max_distance) {
-    rings.emplace_back();  // tree exhausted before max_distance
-  }
-  return rings;
-}
-
 std::vector<NodeId> LabeledTree::RootPath(NodeId id) const {
   std::vector<NodeId> path;
   for (NodeId cur = id; cur != kInvalidNode; cur = parent(cur)) {

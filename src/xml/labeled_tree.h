@@ -132,20 +132,6 @@ class LabeledTree {
   /// label list, by far the most expensive of the three.
   int MaxDensity() const;
 
-  /// Number of edges on the path between `a` and `b` (Definition 4's
-  /// Dist), computed via the lowest common ancestor.
-  int Distance(NodeId a, NodeId b) const;
-
-  /// Lowest common ancestor of `a` and `b`.
-  NodeId LowestCommonAncestor(NodeId a, NodeId b) const;
-
-  /// Nodes grouped by distance from `center`: element r of the result
-  /// is the XML ring R_r(center) (Definition 4); element 0 is {center}.
-  /// Rings are computed up to `max_distance` inclusive via BFS over the
-  /// undirected tree adjacency.
-  std::vector<std::vector<NodeId>> Rings(NodeId center,
-                                         int max_distance) const;
-
   /// Node ids on the path from the root down to `id`, inclusive
   /// (the paper's root path, used by the RPD baseline).
   std::vector<NodeId> RootPath(NodeId id) const;

@@ -8,8 +8,9 @@
 // one sense assignment under any measure composition fails this test,
 // not a human eyeballing a benchmark table. The same report pins the
 // paper tables computed on that corpus: Table 1's group features,
-// Table 2's rater correlations, Table 3's dataset shapes and the RPD
-// and VSD cells of Figure 9.
+// Table 2's rater correlations, Table 3's dataset shapes, Figure 8's 48
+// cells and the RPD and VSD cells of Figure 9; Figure 9's XSDF cells
+// are held to their Figure 8 cells.
 //
 // Regenerating after an *intentional* accuracy change:
 //   XSDF_UPDATE_GOLDEN=1 ./accuracy_regression_test
@@ -61,6 +62,15 @@ const std::vector<eval::CorpusDocument>& Corpus() {
   return *corpus;
 }
 
+/// Figure 8's sweep of the corpus, computed once: the report pins its
+/// cells and Figure 9 reads its radii from them.
+const std::vector<eval::ConfigCell>& Figure8() {
+  static const std::vector<eval::ConfigCell>* cells =
+      new std::vector<eval::ConfigCell>(
+          eval::ComputeFigure8(Corpus(), Network(), Labels()));
+  return *cells;
+}
+
 /// Same loop as eval's RunOnGroup: one disambiguator per group, scored
 /// on the shared target sample against the resolved gold.
 eval::PrfScores ScoreGroup(int group, const sim::MeasureConfig& config) {
@@ -91,8 +101,9 @@ void AppendCounts(std::string* out, const eval::PrfScores& scores) {
 }
 
 /// Appends the paper tables computed on the golden corpus: Table 1
-/// rows, Table 2 correlations, Table 3 rows and Figure 9's baseline
-/// cells (the XSDF cell is the configs' business above).
+/// rows, Table 2 correlations, Table 3 rows, Figure 8's cells and
+/// Figure 9's baseline cells (Figure9ReadsItsRadiiFromFigure8 holds
+/// each XSDF cell to its Figure 8 cell).
 void AppendPaperTables(std::string* out) {
   char buf[320];
   *out += "  \"table1\": [\n";
@@ -136,10 +147,21 @@ void AppendPaperTables(std::string* out) {
                   row.max_density, i + 1 < table3.size() ? "," : "");
     *out += buf;
   }
+  *out += "  ],\n  \"figure8\": [\n";
+  const std::vector<eval::ConfigCell>& figure8 = Figure8();
+  for (size_t i = 0; i < figure8.size(); ++i) {
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"group\": %d, \"radius\": %d, \"process\": \"%s\", ",
+                  figure8[i].group, figure8[i].radius,
+                  eval::ProcessName(figure8[i].process));
+    *out += buf;
+    AppendCounts(out, figure8[i].scores);
+    *out += i + 1 < figure8.size() ? "},\n" : "}\n";
+  }
   *out += "  ],\n  \"figure9_baselines\": [\n";
   std::vector<eval::ComparisonCell> baselines;
   for (const auto& cell :
-       eval::ComputeFigure9(Corpus(), Network(), Labels())) {
+       eval::ComputeFigure9(Corpus(), Network(), Labels(), Figure8())) {
     if (cell.system != "XSDF") baselines.push_back(cell);
   }
   for (size_t i = 0; i < baselines.size(); ++i) {
@@ -225,6 +247,67 @@ TEST(AccuracyRegressionTest, MatchesGolden) {
       << "accuracy drifted from the golden report; if the change is "
          "intentional, regenerate with XSDF_UPDATE_GOLDEN=1 and review "
          "the diff";
+}
+
+// Figure 9's XSDF radius comes from Figure 8 by one rule: the group's
+// best concept-based F, a tie going to the smaller radius. Each XSDF
+// cell is then the Figure 8 cell at that radius, count for count.
+TEST(AccuracyRegressionTest, Figure9ReadsItsRadiiFromFigure8) {
+  const std::vector<eval::ConfigCell>& figure8 = Figure8();
+  auto concept_cell = [&](int group, int radius) {
+    const eval::ConfigCell* found = nullptr;
+    for (const eval::ConfigCell& cell : figure8) {
+      if (cell.group == group && cell.radius == radius &&
+          cell.process == core::DisambiguationProcess::kConceptBased) {
+        found = &cell;
+      }
+    }
+    return found;
+  };
+
+  // Group 1's d=3 and d=4 cells tie exactly, and the tie goes to d=3.
+  const eval::ConfigCell* d3 = concept_cell(1, 3);
+  const eval::ConfigCell* d4 = concept_cell(1, 4);
+  ASSERT_NE(d3, nullptr);
+  ASSERT_NE(d4, nullptr);
+  EXPECT_EQ(d3->scores.gold_total, d4->scores.gold_total);
+  EXPECT_EQ(d3->scores.attempted, d4->scores.attempted);
+  EXPECT_EQ(d3->scores.correct, d4->scores.correct);
+  EXPECT_EQ(d3->scores.f_value, d4->scores.f_value);
+  EXPECT_EQ(eval::Figure9Radius(figure8, 1), 3);
+
+  for (int group = 1; group <= 4; ++group) {
+    const int radius = eval::Figure9Radius(figure8, group);
+    const eval::ConfigCell* chosen = concept_cell(group, radius);
+    ASSERT_NE(chosen, nullptr) << "group " << group;
+    for (int other = 1; other <= 4; ++other) {
+      const eval::ConfigCell* cell = concept_cell(group, other);
+      ASSERT_NE(cell, nullptr);
+      EXPECT_LE(cell->scores.f_value, chosen->scores.f_value)
+          << "group " << group << " d=" << other;
+      if (other < radius) {
+        EXPECT_LT(cell->scores.f_value, chosen->scores.f_value)
+            << "group " << group << " d=" << other;
+      }
+    }
+  }
+
+  int xsdf_cells = 0;
+  for (const eval::ComparisonCell& cell :
+       eval::ComputeFigure9(Corpus(), Network(), Labels(), figure8)) {
+    if (cell.system != "XSDF") continue;
+    ++xsdf_cells;
+    EXPECT_EQ(cell.radius, eval::Figure9Radius(figure8, cell.group));
+    const eval::ConfigCell* chosen = concept_cell(cell.group, cell.radius);
+    ASSERT_NE(chosen, nullptr) << "group " << cell.group;
+    EXPECT_EQ(cell.scores.gold_total, chosen->scores.gold_total);
+    EXPECT_EQ(cell.scores.attempted, chosen->scores.attempted);
+    EXPECT_EQ(cell.scores.correct, chosen->scores.correct);
+    EXPECT_EQ(cell.scores.precision, chosen->scores.precision);
+    EXPECT_EQ(cell.scores.recall, chosen->scores.recall);
+    EXPECT_EQ(cell.scores.f_value, chosen->scores.f_value);
+  }
+  EXPECT_EQ(xsdf_cells, 4);
 }
 
 // Sanity floor independent of the golden bytes: the paper hybrid must

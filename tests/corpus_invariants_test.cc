@@ -15,6 +15,7 @@
 #include "datasets/generator.h"
 #include "eval/experiment.h"
 #include "oracles/dom.h"
+#include "oracles/graph_walks.h"
 #include "oracles/string_pipeline.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
@@ -214,20 +215,20 @@ TEST_F(CorpusInvariantsTest, RingsPartitionWithinRadius) {
   for (size_t i = 0; i < corpus().size(); i += 11) {
     const auto& tree = corpus()[i].tree;
     xml::NodeId center = static_cast<xml::NodeId>(tree.size() / 2);
-    auto rings = tree.Rings(center, 3);
+    auto rings = oracles::Rings(tree, center, 3);
     std::vector<bool> seen(tree.size(), false);
     for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
       for (xml::NodeId id : rings[static_cast<size_t>(d)]) {
         EXPECT_FALSE(seen[static_cast<size_t>(id)]);
         seen[static_cast<size_t>(id)] = true;
-        EXPECT_EQ(tree.Distance(center, id), d);
+        EXPECT_EQ(oracles::Distance(tree, center, id), d);
       }
     }
   }
 }
 
-/// Fails unless BuildXmlIdSphere lists Rings()' members of every node
-/// of `tree`, at radius 1-4, in Rings()' order with their label ids
+/// Fails unless BuildXmlIdSphere lists oracles::Rings()' members of
+/// every node of `tree`, at radius 1-4, in its order with their label ids
 /// and ring distances; excluding tokens drops exactly the token nodes
 /// past the center.
 void ExpectSpheresFollowRings(const xml::LabeledTree& tree,
@@ -237,7 +238,7 @@ void ExpectSpheresFollowRings(const xml::LabeledTree& tree,
   std::vector<int32_t> want_distances;
   for (xml::NodeId center : tree.ids()) {
     for (int radius = 1; radius <= 4; ++radius) {
-      const auto rings = tree.Rings(center, radius);
+      const auto rings = oracles::Rings(tree, center, radius);
       for (bool exclude_tokens : {false, true}) {
         want_ids.clear();
         want_distances.clear();

@@ -171,12 +171,16 @@ TEST(DisambiguatorTest, ProcessesProduceDifferentScores) {
     if (tree->label(id) == "cast") cast = id;
   }
   ASSERT_NE(cast, xml::kInvalidNode);
-  auto concept_scores = concept_system.ScoreCandidates(*tree, cast);
-  auto context_scores = context_system.ScoreCandidates(*tree, cast);
-  ASSERT_EQ(concept_scores.size(), context_scores.size());
+  auto concept_audit = concept_system.ExplainNode(*tree, cast);
+  auto context_audit = context_system.ExplainNode(*tree, cast);
+  ASSERT_TRUE(concept_audit.ok()) << concept_audit.status().ToString();
+  ASSERT_TRUE(context_audit.ok()) << context_audit.status().ToString();
+  ASSERT_EQ(concept_audit->candidates.size(),
+            context_audit->candidates.size());
   bool any_different = false;
-  for (size_t i = 0; i < concept_scores.size(); ++i) {
-    if (std::abs(concept_scores[i] - context_scores[i]) > 1e-9) {
+  for (size_t i = 0; i < concept_audit->candidates.size(); ++i) {
+    if (std::abs(concept_audit->candidates[i].total -
+                 context_audit->candidates[i].total) > 1e-9) {
       any_different = true;
     }
   }
@@ -257,10 +261,6 @@ TEST(DisambiguatorTest, RejectsNodeIdOutsideTheTree) {
     EXPECT_EQ(system.ExplainNode(*tree, id).status().code(),
               StatusCode::kInvalidArgument)
         << id;
-    std::vector<double> scores;
-    EXPECT_DEBUG_DEATH(scores = system.ScoreCandidates(*tree, id),
-                       "outside the tree");
-    EXPECT_TRUE(scores.empty()) << id;
   }
   // The last node is inside.
   const auto last = static_cast<xml::NodeId>(tree->size() - 1);

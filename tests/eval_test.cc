@@ -1,10 +1,12 @@
-// Tests for the evaluation module: P/R/F metrics, Pearson correlation,
-// gold scoring, target-node sampling, and the simulated rater panel.
+// Tests for the evaluation module: P/R/F metrics, Figure 9's radius
+// rule, Pearson correlation, gold scoring, target-node sampling, and
+// the simulated rater panel.
 
 #include <gtest/gtest.h>
 
 #include "core/disambiguator.h"
 #include "core/streaming_builder.h"
+#include "eval/experiment.h"
 #include "eval/gold.h"
 #include "eval/metrics.h"
 #include "eval/raters.h"
@@ -64,6 +66,33 @@ TEST(MetricsTest, CombinePoolsCounts) {
   EXPECT_EQ(combined.attempted, 18);
   EXPECT_EQ(combined.correct, 8);
   EXPECT_DOUBLE_EQ(combined.precision, 8.0 / 18.0);
+}
+
+// The rule reads only concept-based cells of the asked group, picks the
+// highest F and sends a tie to the smaller radius whatever the order
+// of the cells.
+TEST(Figure9RadiusTest, HighestConceptBasedFTiesToSmallerRadius) {
+  auto cell = [](int group, int radius, core::DisambiguationProcess process,
+                 int correct) {
+    ConfigCell c;
+    c.group = group;
+    c.radius = radius;
+    c.process = process;
+    c.scores = ComputePrf(100, 100, correct);
+    return c;
+  };
+  const auto kConcept = core::DisambiguationProcess::kConceptBased;
+  const auto kContext = core::DisambiguationProcess::kContextBased;
+  const std::vector<ConfigCell> cells = {
+      cell(1, 4, kConcept, 70), cell(1, 3, kConcept, 70),
+      cell(1, 2, kConcept, 60), cell(1, 1, kContext, 90),
+      cell(2, 1, kConcept, 50), cell(2, 2, kConcept, 51),
+      cell(3, 2, kContext, 80),
+  };
+  EXPECT_EQ(Figure9Radius(cells, 1), 3);
+  EXPECT_EQ(Figure9Radius(cells, 2), 2);
+  EXPECT_EQ(Figure9Radius(cells, 3), 0) << "no concept-based cell";
+  EXPECT_EQ(Figure9Radius(cells, 4), 0) << "no cell at all";
 }
 
 TEST(PearsonTest, PerfectCorrelations) {

@@ -121,7 +121,8 @@ TEST_F(ExperimentTest, Figure8FValuesInPaperBand) {
 }
 
 TEST_F(ExperimentTest, Figure9XsdfLeadsOverall) {
-  auto cells = ComputeFigure9(corpus(), network(), labels());
+  auto cells = ComputeFigure9(corpus(), network(), labels(),
+                              ComputeFigure8(corpus(), network(), labels()));
   ASSERT_EQ(cells.size(), 12u);
   std::map<std::pair<int, std::string>, PrfScores> by_key;
   for (const auto& cell : cells) {

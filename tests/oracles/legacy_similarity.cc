@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "oracles/graph_walks.h"
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
@@ -35,7 +36,7 @@ double DensityAt(uint32_t children, uint32_t descendants) {
 double LegacyWuPalmer(const wordnet::SemanticNetwork& network,
                       wordnet::ConceptId a, wordnet::ConceptId b) {
   if (a == b) return 1.0;
-  wordnet::ConceptId lcs = network.LeastCommonSubsumer(a, b);
+  wordnet::ConceptId lcs = LeastCommonSubsumer(network, a, b);
   if (lcs == wordnet::kInvalidConcept) return 0.0;
   auto da = network.AncestorDistances(a);
   auto db = network.AncestorDistances(b);

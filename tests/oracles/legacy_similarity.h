@@ -13,7 +13,7 @@
 namespace xsdf::oracles {
 
 /// Wu & Palmer: 2 * depth(lcs) / (len(a, lcs) + len(b, lcs) +
-/// 2 * depth(lcs)), the lcs found by LeastCommonSubsumer().
+/// 2 * depth(lcs)), the lcs found by oracles::LeastCommonSubsumer().
 double LegacyWuPalmer(const wordnet::SemanticNetwork& network,
                       wordnet::ConceptId a, wordnet::ConceptId b);
 

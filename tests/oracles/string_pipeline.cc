@@ -8,6 +8,7 @@
 
 #include "common/strings.h"
 #include "core/context_vector.h"
+#include "oracles/graph_walks.h"
 
 namespace xsdf::oracles {
 
@@ -147,7 +148,7 @@ Sphere BuildXmlSphere(const xml::LabeledTree& tree, xml::NodeId center,
                       int radius, bool exclude_tokens) {
   Sphere sphere;
   sphere.radius = radius;
-  std::vector<std::vector<xml::NodeId>> rings = tree.Rings(center, radius);
+  std::vector<std::vector<xml::NodeId>> rings = Rings(tree, center, radius);
   size_t total = 0;
   for (const auto& ring : rings) total += ring.size();
   sphere.members.reserve(total);

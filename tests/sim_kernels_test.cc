@@ -9,18 +9,23 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/token_interner.h"
+#include "oracles/graph_walks.h"
 #include "oracles/legacy_similarity.h"
 #include "runtime/engine.h"
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
+#include "sim/kernels.h"
 #include "sim/lin.h"
 #include "sim/resnik.h"
 #include "sim/wu_palmer.h"
+#include "snapshot/snapshot.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
 
@@ -36,6 +41,26 @@ const SemanticNetwork& Network() {
     return new SemanticNetwork(std::move(result).value());
   }();
   return *network;
+}
+
+/// Network() restored from its snapshot bytes: the kernel tables,
+/// ancestor rows included, are read in place from the buffer, not
+/// built.
+const SemanticNetwork& RestoredNetwork() {
+  static const std::shared_ptr<const SemanticNetwork>* restored = [] {
+    auto bytes = snapshot::WriteNetworkSnapshot(Network());
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto aligned =
+        std::make_shared<std::vector<uint64_t>>((bytes->size() + 7) / 8);
+    std::memcpy(aligned->data(), bytes->data(), bytes->size());
+    auto loaded = snapshot::LoadNetworkSnapshotFromBuffer(
+        std::shared_ptr<const void>(aligned, aligned->data()),
+        reinterpret_cast<const uint8_t*>(aligned->data()), bytes->size());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return new std::shared_ptr<const SemanticNetwork>(
+        std::move(loaded).value());
+  }();
+  return **restored;
 }
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
@@ -157,6 +182,42 @@ TEST(KernelEquivalenceTest, GlossOverlapIsBitIdenticalToLegacy) {
         Bits(measure.Similarity(network, a, b)),
         Bits(oracles::LegacyGlossOverlap(network, a, b)))
         << "pair (" << a << ", " << b << ")";
+  }
+}
+
+// The path length behind VSD's Leacock-Chodorow term is read off the
+// ancestor rows; it must equal the two-walk oracle on sampled pairs,
+// on every concept with itself and on pairs of distinct taxonomy
+// roots, which share no ancestor — on a built network and on one
+// restored from a snapshot.
+TEST(KernelEquivalenceTest, HypernymPathLengthMatchesGraphWalk) {
+  std::vector<std::pair<ConceptId, ConceptId>> pairs = SamplePairs(10000);
+  std::vector<ConceptId> roots;
+  for (ConceptId id = 0; id < static_cast<ConceptId>(Network().size());
+       ++id) {
+    pairs.emplace_back(id, id);
+    if (Network().Hypernyms(id).empty()) roots.push_back(id);
+  }
+  ASSERT_GE(roots.size(), 2u);
+  for (ConceptId a : roots) {
+    for (ConceptId b : roots) {
+      if (a != b) pairs.emplace_back(a, b);
+    }
+  }
+  for (const SemanticNetwork* network : {&Network(), &RestoredNetwork()}) {
+    ASSERT_EQ(network->size(), Network().size());
+    size_t unrelated = 0;
+    size_t identical = 0;
+    for (auto [a, b] : pairs) {
+      const int want = oracles::HypernymPathLength(*network, a, b);
+      ASSERT_EQ(sim::HypernymPathLength(*network, a, b), want)
+          << "pair (" << a << ", " << b << ")"
+          << (network == &Network() ? "" : " restored");
+      unrelated += want < 0 ? 1 : 0;
+      identical += a == b ? 1 : 0;
+    }
+    EXPECT_GE(unrelated, roots.size() * (roots.size() - 1));
+    EXPECT_GE(identical, Network().size());
   }
 }
 

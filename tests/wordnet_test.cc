@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/graph_walks.h"
+#include "sim/kernels.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
 
@@ -118,22 +120,25 @@ TEST(SemanticNetworkTest, LeastCommonSubsumer) {
   ConceptId star_body = network.Senses("star")[1];
   ConceptId actor = network.Senses("actor")[0];
   // Two star senses meet only at entity.
-  EXPECT_EQ(network.LeastCommonSubsumer(star_person, star_body),
+  EXPECT_EQ(oracles::LeastCommonSubsumer(network, star_person, star_body),
             network.Senses("entity")[0]);
   // A concept with its ancestor: the ancestor itself.
-  EXPECT_EQ(network.LeastCommonSubsumer(star_person, actor), actor);
-  EXPECT_EQ(network.LeastCommonSubsumer(actor, actor), actor);
+  EXPECT_EQ(oracles::LeastCommonSubsumer(network, star_person, actor), actor);
+  EXPECT_EQ(oracles::LeastCommonSubsumer(network, actor, actor), actor);
 }
 
+// The graph-walk oracle and the ancestor-table kernel VSD reads.
 TEST(SemanticNetworkTest, HypernymPathLength) {
   SemanticNetwork network = ToyNetwork();
   ConceptId star_person = network.Senses("star")[0];
   ConceptId star_body = network.Senses("star")[1];
-  EXPECT_EQ(network.HypernymPathLength(star_person, star_body), 6);
-  EXPECT_EQ(network.HypernymPathLength(star_person, star_person), 0);
-  EXPECT_EQ(
-      network.HypernymPathLength(network.Senses("actor")[0], star_person),
-      1);
+  ConceptId actor = network.Senses("actor")[0];
+  for (auto path_length : {&oracles::HypernymPathLength,
+                           &sim::HypernymPathLength}) {
+    EXPECT_EQ(path_length(network, star_person, star_body), 6);
+    EXPECT_EQ(path_length(network, star_person, star_person), 0);
+    EXPECT_EQ(path_length(network, actor, star_person), 1);
+  }
 }
 
 TEST(SemanticNetworkTest, RingsOverRelations) {

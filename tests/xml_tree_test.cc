@@ -7,6 +7,7 @@
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
 #include "interned_tree.h"
+#include "oracles/graph_walks.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
@@ -57,30 +58,32 @@ TEST(LabeledTreeTest, FanOutAndDensity) {
   EXPECT_EQ(tree.MaxDensity(), 2);
 }
 
+// Distance, LowestCommonAncestor and Rings are the test-only walks of
+// oracles/graph_walks.h that the sphere tests hold BuildXmlIdSphere to.
 TEST(LabeledTreeTest, DistanceMatchesPaperExample) {
   LabeledTree tree = Figure6Tree();
   // Paper: Dist(T[2], T[6]) between "cast" and "kelly" equals 2.
-  EXPECT_EQ(tree.Distance(2, 6), 2);
-  EXPECT_EQ(tree.Distance(2, 2), 0);
-  EXPECT_EQ(tree.Distance(0, 4), 4);
-  EXPECT_EQ(tree.Distance(4, 6), 4);  // stewart <-> kelly via cast
-  EXPECT_EQ(tree.Distance(7, 3), 3);  // plot <-> star via picture, cast
+  EXPECT_EQ(oracles::Distance(tree, 2, 6), 2);
+  EXPECT_EQ(oracles::Distance(tree, 2, 2), 0);
+  EXPECT_EQ(oracles::Distance(tree, 0, 4), 4);
+  EXPECT_EQ(oracles::Distance(tree, 4, 6), 4);  // stewart <-> kelly via cast
+  EXPECT_EQ(oracles::Distance(tree, 7, 3), 3);  // plot <-> star via picture
   // Symmetry.
-  EXPECT_EQ(tree.Distance(6, 2), tree.Distance(2, 6));
+  EXPECT_EQ(oracles::Distance(tree, 6, 2), oracles::Distance(tree, 2, 6));
 }
 
 TEST(LabeledTreeTest, LowestCommonAncestor) {
   LabeledTree tree = Figure6Tree();
-  EXPECT_EQ(tree.LowestCommonAncestor(4, 6), 2);  // cast
-  EXPECT_EQ(tree.LowestCommonAncestor(3, 7), 1);  // picture
-  EXPECT_EQ(tree.LowestCommonAncestor(0, 5), 0);  // root with descendant
+  EXPECT_EQ(oracles::LowestCommonAncestor(tree, 4, 6), 2);  // cast
+  EXPECT_EQ(oracles::LowestCommonAncestor(tree, 3, 7), 1);  // picture
+  EXPECT_EQ(oracles::LowestCommonAncestor(tree, 0, 5), 0);  // root, descendant
 }
 
 TEST(LabeledTreeTest, RingsMatchPaperExample) {
   LabeledTree tree = Figure6Tree();
   // Paper: R_1(T[2]) = {picture(1), star(3), star(5)};
   //        R_2(T[2]) = {films(0), stewart(4), kelly(6), plot(7)}.
-  auto rings = tree.Rings(2, 2);
+  auto rings = oracles::Rings(tree, 2, 2);
   ASSERT_EQ(rings.size(), 3u);
   EXPECT_EQ(rings[0], (std::vector<NodeId>{2}));
   EXPECT_EQ(rings[1], (std::vector<NodeId>{1, 3, 5}));
@@ -89,7 +92,7 @@ TEST(LabeledTreeTest, RingsMatchPaperExample) {
 
 TEST(LabeledTreeTest, RingsExhaustTree) {
   LabeledTree tree = Figure6Tree();
-  auto rings = tree.Rings(2, 10);
+  auto rings = oracles::Rings(tree, 2, 10);
   size_t total = 0;
   for (const auto& ring : rings) total += ring.size();
   EXPECT_EQ(total, tree.size());  // every node in exactly one ring
@@ -259,7 +262,7 @@ TEST(TreeStatsTest, SingleNodeTree) {
   EXPECT_EQ(tree.MaxDepth(), 0);
   EXPECT_EQ(ComputeTreeShape(tree).node_count, 1);
   EXPECT_EQ(AverageStructDegree(tree), 0.0);
-  EXPECT_EQ(tree.Rings(0, 3)[1].size(), 0u);
+  EXPECT_EQ(oracles::Rings(tree, 0, 3)[1].size(), 0u);
 }
 
 }  // namespace

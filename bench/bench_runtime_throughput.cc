@@ -1,6 +1,6 @@
 // Throughput benchmark for the concurrent batch-disambiguation
 // runtime: docs/sec over the generated 10-family corpus at 1/2/4/8
-// worker threads, with the shared similarity/sense caches on and off,
+// worker threads, with the shared similarity (pair) cache on and off,
 // plus a warm (second-pass) measurement at the peak thread count and
 // an instrumented-vs-uninstrumented comparison (metrics registry +
 // trace session attached) that quantifies observability overhead.
@@ -58,7 +58,6 @@ RunResult Measure(const xsdf::wordnet::SemanticNetwork& network,
   EngineOptions options;
   options.threads = threads;
   options.enable_similarity_cache = cache;
-  options.enable_sense_cache = cache;
   options.metrics = metrics;
   options.trace = trace;
   DisambiguationEngine engine(&network, options);

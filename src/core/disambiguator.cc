@@ -48,17 +48,6 @@ Disambiguator::Disambiguator(const wordnet::SemanticNetwork* network,
   }
 }
 
-std::shared_ptr<const SenseEntry> Disambiguator::CandidatesFor(
-    const xml::LabeledTree& tree, xml::NodeId id) const {
-  const uint32_t label_id = tree.label_id(id);
-  if (options_.sense_inventory != nullptr) {
-    return options_.sense_inventory->Entry(*label_space_, label_id);
-  }
-  auto entry = std::make_shared<SenseEntry>();
-  entry->candidates = EnumerateCandidatesById(*label_space_, label_id);
-  return entry;
-}
-
 CombinationWeights Disambiguator::EffectiveCombination() const {
   switch (options_.process) {
     case DisambiguationProcess::kConceptBased:
@@ -104,7 +93,7 @@ Decision DecideFromScores(const std::vector<double>& scores) {
 }  // namespace
 
 void Disambiguator::ScoreSphere(uint32_t label_id,
-                                const std::vector<SenseCandidate>& candidates,
+                                std::span<const SenseCandidate> candidates,
                                 StageTimes* times, uint64_t t_start,
                                 NodeAudit* audit) const {
   CombinationWeights combo = EffectiveCombination();
@@ -227,19 +216,20 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
   obs::Span node_span(options_.trace, "node",
                       options_.trace != nullptr ? std::string(label)
                                                 : std::string());
-  std::shared_ptr<const SenseEntry> entry = CandidatesFor(tree, id);
-  const std::vector<SenseCandidate>& candidates = entry->candidates;
+  // The label's memoized senses give both the candidates, read in
+  // place, and the polysemy.
+  const uint32_t label_id = tree.label_id(id);
+  const LabelSenses& senses = label_space_->Senses(label_id);
+  const std::vector<SenseCandidate>& candidates = senses.candidates;
   if (candidates.empty()) {
     return Status::NotFound("label has no senses in the network: " +
                             std::string(label));
   }
-  const uint32_t label_id = tree.label_id(id);
   SenseAssignment assignment;
   assignment.node = id;
   assignment.candidate_count = static_cast<int>(candidates.size());
-  assignment.ambiguity =
-      AmbiguityDegree(tree, id, label_space_->Senses(label_id).polysemy,
-                      options_.ambiguity_weights);
+  assignment.ambiguity = AmbiguityDegree(tree, id, senses.polysemy,
+                                         options_.ambiguity_weights);
   if (ins_.node_candidates != nullptr) {
     ins_.node_candidates->Record(candidates.size());
   }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,26 +30,26 @@ namespace xsdf::core {
 /// both per Eq. 13 using the combination weights.
 enum class DisambiguationProcess { kConceptBased, kContextBased, kCombined };
 
-/// Pluggable provider of a label's candidate senses. The default path
-/// enumerates candidates on every node; a provider can memoize them
-/// (label id -> candidates is a pure function of the label space and
-/// its network). A provider shared across threads must be internally
-/// thread-safe; the runtime layer supplies a sharded LRU implementation
-/// with hit/miss counters.
+/// Benchmark-only leftovers, never consulted by the pipeline: every
+/// target reads its candidates by reference from
+/// LabelSpace::Senses(label_id).candidates, and no production path
+/// constructs a SenseInventory. They stay compiled only because the
+/// benchmark program (perfbench/) still names them; delete them with
+/// DisambiguatorOptions::sense_inventory and runtime::SenseInventoryCache
+/// when the benchmark is ported (ROADMAP item 2).
 ///
-/// Entries are handed out as shared_ptr<const SenseEntry>: a memoized
-/// hit is a pointer copy, not a candidate-vector copy, and an entry a
-/// worker is still scoring against stays alive even if the provider
-/// evicts it concurrently. Every call names the LabelSpace its id was
-/// resolved through, and a miss is computed from that space; all
-/// callers of one provider must pass the same space (the engine owns
-/// exactly one).
+/// A label's candidate list, handed out shared.
+struct SenseEntry {
+  std::vector<SenseCandidate> candidates;
+};
+
+/// A provider of SenseEntry values keyed by label id (see above).
 class SenseInventory {
  public:
   virtual ~SenseInventory() = default;
 
-  /// The shared candidate entry of the label interned under `label_id`
-  /// in `space`, in EnumerateCandidatesById() order; never null.
+  /// The candidate entry of the label interned under `label_id` in
+  /// `space`, equal to space.Senses(label_id).candidates; never null.
   virtual std::shared_ptr<const SenseEntry> Entry(LabelSpace& space,
                                                   uint32_t label_id) = 0;
 };
@@ -101,11 +102,11 @@ struct DisambiguatorOptions {
   /// (uniform structural proximity), as prior approaches do.
   bool bag_of_words_context = false;
 
-  /// The label id space shared with the sense inventory and the tree
-  /// builder (non-owning; optional). Without one the disambiguator
-  /// owns a private space — fine standalone, but an engine sharing a
-  /// SenseInventory across workers must install one shared space so
-  /// ids agree across threads.
+  /// The label id space shared with the tree builder (non-owning;
+  /// optional). Without one the disambiguator owns a private space —
+  /// fine standalone, but an engine whose workers disambiguate trees
+  /// other workers built installs one shared space, so ids agree
+  /// across threads and each label's senses resolve once.
   LabelSpace* label_space = nullptr;
 
   /// Weight of the most-frequent-sense prior drawn from the weighted
@@ -115,14 +116,14 @@ struct DisambiguatorOptions {
   /// the standard knowledge-based WSD backoff. 0 disables it.
   double frequency_prior = 0.15;
 
-  /// Non-owning shared caches (both optional; installed by the runtime
-  /// engine). `similarity_cache` memoizes the combined measure's
-  /// concept-pair values, which it computes only on a label-term memo
-  /// miss; `sense_inventory` replaces direct EnumerateCandidatesById()
-  /// calls. Either may be shared across many Disambiguator
-  /// instances/threads, in which case it must be thread-safe. They
-  /// never change results — only where memoized values live.
+  /// Non-owning shared pair cache (optional; installed by the runtime
+  /// engine): memoizes the combined measure's concept-pair values,
+  /// which it computes only on a label-term memo miss. It may be
+  /// shared across many Disambiguator instances/threads, in which case
+  /// it must be thread-safe. It never changes results — only where
+  /// memoized values live.
   sim::SimilarityCacheHook* similarity_cache = nullptr;
+  /// Never read: a benchmark-only leftover (see SenseInventory).
   SenseInventory* sense_inventory = nullptr;
 
   /// Optional observability sinks (non-owning; both may be shared
@@ -413,11 +414,6 @@ class Disambiguator {
 
   CombinationWeights EffectiveCombination() const;
 
-  /// The node's shared candidate entry, via the sense inventory when
-  /// installed; never null.
-  std::shared_ptr<const SenseEntry> CandidatesFor(
-      const xml::LabeledTree& tree, xml::NodeId id) const;
-
   /// DisambiguateNode with optional stage-time accumulation and audit
   /// capture (both null on the plain path).
   Result<SenseAssignment> DisambiguateNodeImpl(const xml::LabeledTree& tree,
@@ -430,7 +426,7 @@ class Disambiguator {
   /// sphere context once for all candidates. Context time runs from
   /// `t_start` (the sphere build's start) when `times` is set.
   void ScoreSphere(uint32_t label_id,
-                   const std::vector<SenseCandidate>& candidates,
+                   std::span<const SenseCandidate> candidates,
                    StageTimes* times, uint64_t t_start,
                    NodeAudit* audit) const;
 

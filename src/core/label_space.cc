@@ -21,6 +21,30 @@ std::vector<std::string> LabelSenseTokens(
   return tokens;
 }
 
+/// The candidate meanings of a label whose sense-bearing tokens have
+/// the sense lists `token_senses` (see LabelSenses::candidates). Only
+/// the first two tokens combine: tags of more than two terms are
+/// unlikely in practice (paper §3.2, footnote).
+std::vector<SenseCandidate> EnumerateCandidates(
+    std::span<const std::span<const wordnet::ConceptId>> token_senses) {
+  std::vector<SenseCandidate> candidates;
+  if (token_senses.empty()) return candidates;
+  if (token_senses.size() == 1) {
+    candidates.reserve(token_senses[0].size());
+    for (wordnet::ConceptId sense : token_senses[0]) {
+      candidates.push_back({sense, wordnet::kInvalidConcept});
+    }
+    return candidates;
+  }
+  candidates.reserve(token_senses[0].size() * token_senses[1].size());
+  for (wordnet::ConceptId p : token_senses[0]) {
+    for (wordnet::ConceptId q : token_senses[1]) {
+      candidates.push_back({p, q});
+    }
+  }
+  return candidates;
+}
+
 /// Eq. 1's polysemy factor of one token with `senses` senses.
 double TokenPolysemy(size_t senses, int max_senses) {
   if (max_senses <= 1) return 0.0;
@@ -121,6 +145,7 @@ std::unique_ptr<LabelSenses> LabelSpace::ResolveSenses(uint32_t id) {
     }
   }
   resolved->polysemy = polysemy_sum / static_cast<double>(tokens.size());
+  resolved->candidates = EnumerateCandidates(resolved->token_senses);
   return resolved;
 }
 

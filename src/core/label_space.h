@@ -18,6 +18,21 @@
 
 namespace xsdf::core {
 
+/// A candidate meaning for a target node label: a single sense for
+/// simple labels, or a pair of senses (one per token) for compound
+/// labels whose collocation is not in the network (Eqs. 10/12).
+struct SenseCandidate {
+  wordnet::ConceptId primary = wordnet::kInvalidConcept;
+  wordnet::ConceptId secondary = wordnet::kInvalidConcept;
+
+  bool is_compound() const {
+    return secondary != wordnet::kInvalidConcept;
+  }
+  friend bool operator==(const SenseCandidate& a, const SenseCandidate& b) {
+    return a.primary == b.primary && a.secondary == b.secondary;
+  }
+};
+
 /// The senses of one label, resolved against the network once and then
 /// shared. A label's lemma tokens are the label itself when the network
 /// knows it as one lemma (collocations like "first_name" included);
@@ -29,6 +44,11 @@ namespace xsdf::core {
 /// network's sense index and stay valid while the network is unchanged.
 struct LabelSenses {
   std::vector<std::span<const wordnet::ConceptId>> token_senses;
+  /// The label's candidate meanings (Definition 2): the senses of its
+  /// one sense-bearing token, or every pair over its first two
+  /// sense-bearing tokens (an unresolved compound, Eqs. 10/12), primary
+  /// major. Empty exactly when `token_senses` is.
+  std::vector<SenseCandidate> candidates;
   /// Amb_Polysemy(x.l, SN) of Eq. 1: per token (senses-1) /
   /// (Max(senses(SN))-1), 0 for unknown and monosemous tokens, averaged
   /// over all the label's tokens (the Definition 3 compound case).
@@ -64,7 +84,7 @@ struct LabelSenses {
 /// Thread-safety: Resolve()/Senses()/Spelling() may be called from any
 /// number of threads concurrently. Network-id reads are lock-free (the
 /// network is finalized and immutable, and memoized sense resolutions
-/// for network ids live in a dense atomic-pointer table — one relaxed
+/// for network ids live in a dense atomic-pointer table — one acquire
 /// load on the hot path); the overflow table and overflow-id sense
 /// resolutions take a shared_mutex, write-locked only on first sight
 /// of a label. One LabelSpace must only ever be used with its one
@@ -92,10 +112,11 @@ class LabelSpace {
   /// interners keep node-stable spellings).
   const std::string& Spelling(uint32_t id) const;
 
-  /// The label's resolved senses and polysemy, memoized per id (filled
-  /// on the first call for an id). The reference is stable for the
-  /// life of the space. This is the only place a label becomes lemma
-  /// tokens and senses: every per-label sense fact reads it.
+  /// The label's resolved senses, candidates and polysemy, memoized per
+  /// id (filled on the first call for an id). The reference is stable
+  /// for the life of the space, and every caller gets the same one.
+  /// This is the only place a label becomes lemma tokens, senses and
+  /// candidates: every per-label sense fact reads it.
   const LabelSenses& Senses(uint32_t id);
 
   const wordnet::SemanticNetwork& network() const { return *network_; }

@@ -151,28 +151,6 @@ void IdResolvedContext::Score(const wordnet::SemanticNetwork& network,
   }
 }
 
-std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
-                                                    uint32_t label_id) {
-  const LabelSenses& senses = space.Senses(label_id);
-  std::vector<SenseCandidate> candidates;
-  if (senses.token_senses.empty()) return candidates;
-  if (senses.token_senses.size() == 1) {
-    for (wordnet::ConceptId sense : senses.token_senses[0]) {
-      candidates.push_back({sense, wordnet::kInvalidConcept});
-    }
-    return candidates;
-  }
-  // Compound: combinations over the first two sense-bearing tokens
-  // (tags with more than two terms are unlikely in practice — paper
-  // §3.2 footnote).
-  for (wordnet::ConceptId p : senses.token_senses[0]) {
-    for (wordnet::ConceptId q : senses.token_senses[1]) {
-      candidates.push_back({p, q});
-    }
-  }
-  return candidates;
-}
-
 double IdContextScore(const wordnet::SemanticNetwork& network,
                       const SenseCandidate& candidate,
                       const IdContextVector& xml_vector, int radius,

@@ -13,39 +13,6 @@
 
 namespace xsdf::core {
 
-/// A candidate meaning for a target node label: a single sense for
-/// simple labels, or a pair of senses (one per token) for compound
-/// labels whose collocation is not in the network (Eqs. 10/12).
-struct SenseCandidate {
-  wordnet::ConceptId primary = wordnet::kInvalidConcept;
-  wordnet::ConceptId secondary = wordnet::kInvalidConcept;
-
-  bool is_compound() const {
-    return secondary != wordnet::kInvalidConcept;
-  }
-  friend bool operator==(const SenseCandidate& a, const SenseCandidate& b) {
-    return a.primary == b.primary && a.secondary == b.secondary;
-  }
-};
-
-/// The immutable, shareable sense inventory of one label. Produced
-/// once, then passed around as shared_ptr<const SenseEntry>: a cache
-/// hit hands out another reference instead of copying the candidate
-/// vector, and an entry held by an in-flight worker stays alive after
-/// the cache evicts it.
-struct SenseEntry {
-  std::vector<SenseCandidate> candidates;
-};
-
-/// Enumerates the sense candidates of the label interned under
-/// `label_id`: the label's senses when the network knows it (or its
-/// single sense-bearing token); otherwise all combinations of its first
-/// two sense-bearing compound tokens. Empty when no token has any
-/// sense. Served from the space's memoized sense resolution (no string
-/// splitting or lemma hashing after a label's first sight).
-std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
-                                                    uint32_t label_id);
-
 /// Definition 8's inner term at label grain: a candidate's best
 /// similarity to one context label, the max over the label's senses
 /// (Eq. 10 for compound candidates; the tokens of a compound context

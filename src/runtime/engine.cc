@@ -120,11 +120,6 @@ DisambiguationEngine::DisambiguationEngine(
             options_.disambiguator.EffectiveMeasureConfig()));
     options_.disambiguator.similarity_cache = similarity_cache_.get();
   }
-  if (options_.enable_sense_cache) {
-    sense_cache_ = std::make_unique<SenseInventoryCache>(
-        options_.sense_cache_capacity, options_.sense_cache_shards);
-    options_.disambiguator.sense_inventory = sense_cache_.get();
-  }
   workers_.reserve(static_cast<size_t>(options_.threads));
   for (int i = 0; i < options_.threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -460,7 +455,6 @@ EngineStats DisambiguationEngine::stats() const {
   stats.frontend_peak_bytes =
       frontend_peak_bytes_.load(std::memory_order_relaxed);
   if (similarity_cache_) stats.similarity_cache = similarity_cache_->GetStats();
-  if (sense_cache_) stats.sense_cache = sense_cache_->GetStats();
   return stats;
 }
 
@@ -482,7 +476,6 @@ void DisambiguationEngine::PublishStatsToMetrics() {
     set("capacity", cache.capacity);
   };
   publish_cache("cache.similarity", s.similarity_cache);
-  publish_cache("cache.sense", s.sense_cache);
   m->GetGauge("engine.worker_threads")
       ->Set(static_cast<int64_t>(s.worker_threads));
   // Giant-document front end: worst per-document scaffolding footprint
@@ -516,7 +509,6 @@ void DisambiguationEngine::ResetCounters() {
   // frontend_peak_bytes_ deliberately survives: it is a lifetime
   // high-water mark, not a rate (see EngineStats).
   if (similarity_cache_) similarity_cache_->ResetCounters();
-  if (sense_cache_) sense_cache_->ResetCounters();
 }
 
 std::string FormatEngineStats(const EngineStats& stats) {
@@ -539,14 +531,13 @@ std::string FormatEngineStats(const EngineStats& stats) {
   };
   return StrFormat(
       "%llu docs (%llu failed), %llu nodes, %llu senses | %d workers | "
-      "sim cache: %s | sense cache: %s",
+      "sim cache: %s",
       static_cast<unsigned long long>(stats.documents),
       static_cast<unsigned long long>(stats.failures),
       static_cast<unsigned long long>(stats.nodes),
       static_cast<unsigned long long>(stats.assignments),
       stats.worker_threads,
-      cache_line(stats.similarity_cache).c_str(),
-      cache_line(stats.sense_cache).c_str());
+      cache_line(stats.similarity_cache).c_str());
 }
 
 }  // namespace xsdf::runtime

@@ -14,7 +14,6 @@
 #include "obs/request_trace.h"
 #include "obs/trace.h"
 #include "runtime/job_queue.h"
-#include "runtime/sense_inventory_cache.h"
 #include "runtime/similarity_cache.h"
 #include "runtime/stats.h"
 #include "wordnet/semantic_network.h"
@@ -82,8 +81,10 @@ struct EngineOptions {
   size_t similarity_cache_capacity = 1 << 16;
   size_t similarity_cache_shards = 16;
 
-  /// Shared sense-inventory cache (label -> candidate senses).
-  bool enable_sense_cache = true;
+  /// Never read by the engine, which builds no sense cache (targets
+  /// read their candidates from the label space): benchmark-only
+  /// leftovers that size the benchmark's own SenseInventoryCache (see
+  /// core::SenseInventory).
   size_t sense_cache_capacity = 4096;
   size_t sense_cache_shards = 8;
 
@@ -111,9 +112,9 @@ struct EngineOptions {
 /// which pull DocumentJobs from a bounded MPMC queue and run the full
 /// XSDF pipeline (parse -> select -> sphere contexts -> disambiguate
 /// -> serialize) with per-worker scratch state (each worker owns its
-/// Disambiguator). The pairwise-similarity and sense-inventory caches
-/// are shared across workers and persist across batches, so repeated
-/// corpora run hot.
+/// Disambiguator). The label space (with its memoized senses and
+/// candidates) and the pairwise-similarity cache are shared across
+/// workers and persist across batches, so repeated corpora run hot.
 ///
 /// The network must outlive the engine and be finalized()
 /// (FinalizeFrequencies() makes all const accessors pure reads — see
@@ -233,11 +234,10 @@ class DisambiguationEngine {
   Instruments ins_;
   obs::TraceSession* trace_ = nullptr;
   /// The engine-wide label id space: one instance shared by every
-  /// worker's tree builds, disambiguators, and the sense cache, so
-  /// label ids agree across threads.
+  /// worker's tree builds and disambiguators, so label ids and their
+  /// memoized senses agree across threads.
   std::unique_ptr<core::LabelSpace> label_space_;
   std::unique_ptr<SimilarityCache> similarity_cache_;
-  std::unique_ptr<SenseInventoryCache> sense_cache_;
   BoundedJobQueue<WorkItem> queue_;
   std::vector<std::thread> workers_;
 

@@ -1,7 +1,5 @@
 #include "runtime/sense_inventory_cache.h"
 
-#include "core/scores.h"
-
 namespace xsdf::runtime {
 
 SenseInventoryCache::SenseInventoryCache(size_t capacity,
@@ -12,7 +10,7 @@ std::shared_ptr<const core::SenseEntry> SenseInventoryCache::Entry(
     core::LabelSpace& space, uint32_t label_id) {
   return cache_.GetOrCompute(label_id, [&] {
     auto entry = std::make_shared<core::SenseEntry>();
-    entry->candidates = core::EnumerateCandidatesById(space, label_id);
+    entry->candidates = space.Senses(label_id).candidates;
     return std::shared_ptr<const core::SenseEntry>(std::move(entry));
   });
 }

@@ -20,9 +20,15 @@ namespace xsdf::runtime {
 ///
 /// label id -> candidates is a pure function of the label space (and
 /// its network), so one cache instance must only ever be used with a
-/// single LabelSpace (the engine's contract — it owns one and shares it
-/// with every worker). A miss is filled by EnumerateCandidatesById()
-/// through the space the caller names.
+/// single LabelSpace. A miss copies space.Senses(label_id).candidates
+/// from the space the caller names.
+///
+/// A benchmark-only leftover: the engine no longer builds one, and
+/// nothing in the pipeline reads it, since every target reads its
+/// candidates by reference from the LabelSpace memo. It stays compiled
+/// only because the benchmark program (perfbench/) still constructs it;
+/// delete it with ShardedLruCache and core::SenseInventory when the
+/// benchmark is ported (ROADMAP item 2).
 class SenseInventoryCache : public core::SenseInventory {
  public:
   explicit SenseInventoryCache(size_t capacity, size_t shard_count = 8);

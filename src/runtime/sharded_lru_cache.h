@@ -23,6 +23,9 @@ namespace xsdf::runtime {
 /// so per-shard eviction can trigger before the global entry count
 /// reaches `capacity` when keys hash unevenly; with shards = 1 the
 /// cache is a textbook LRU, which the unit tests rely on.
+///
+/// A benchmark-only leftover: its one user is SenseInventoryCache,
+/// which no production path constructs (see core::SenseInventory).
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruCache {
  public:

@@ -7,9 +7,10 @@
 
 namespace xsdf::runtime {
 
-/// Point-in-time counters of one cache (similarity or sense
-/// inventory). Hits/misses/evictions accumulate since construction or
-/// the last ResetCounters(); entries/capacity describe current content.
+/// Point-in-time counters of one cache (the similarity cache or a
+/// ShardedLruCache). Hits/misses/evictions accumulate since
+/// construction or the last ResetCounters(); entries/capacity describe
+/// current content.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -54,6 +55,8 @@ struct EngineStats {
   /// rate.
   uint64_t frontend_peak_bytes = 0;
   CacheStats similarity_cache;
+  /// Always zero: the engine builds no sense cache. A benchmark-only
+  /// leftover (see core::SenseInventory).
   CacheStats sense_cache;
 };
 

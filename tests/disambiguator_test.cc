@@ -405,8 +405,9 @@ void ExpectMemoizedDecisionsMatchExplain(
   };
   for (const xml::LabeledTree& tree : trees) {
     for (xml::NodeId id : tree.ids()) {
-      if (EnumerateCandidatesById(*system.label_space(), tree.label_id(id))
-              .size() > 1) {
+      const LabelSenses& senses =
+          system.label_space()->Senses(tree.label_id(id));
+      if (senses.candidates.size() > 1) {
         BuildXmlIdSphere(tree, id, options.sphere_radius,
                          options.structure_only_context, &sphere);
         DecisionMemo::KeyOf(sphere, &key);

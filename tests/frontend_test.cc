@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/disambiguator.h"
@@ -57,14 +60,104 @@ TEST(LabelSpaceTest, OutOfVocabularyLabelsOverflowStably) {
   EXPECT_EQ(space.Find("never_resolved"), TokenInterner::kNotFound);
 }
 
+// Every distinct label and token of the generated example corpus (the
+// ten families at `xsdf gen-corpus`'s default seed, plus the Figure 1
+// documents), and hand-picked edge cases: the memoized candidate list
+// equals the string oracle's enumeration.
 TEST(LabelSpaceTest, CandidatesByIdMatchStringEnumeration) {
   core::LabelSpace space(&Network());
-  for (const char* label :
-       {"star", "movie", "kelly", "first_name", "zzz_not_a_lemma", ""}) {
-    uint32_t id = space.Resolve(label);
-    EXPECT_EQ(core::EnumerateCandidatesById(space, id),
-              oracles::EnumerateCandidates(Network(), label))
-        << label;
+  std::vector<std::string> docs;
+  for (const auto* generator : datasets::AllDatasets()) {
+    for (const auto& doc : generator->Generate(/*seed=*/42)) {
+      docs.push_back(doc.xml);
+    }
+  }
+  for (const auto& doc : datasets::Figure1Documents()) {
+    docs.push_back(doc.xml);
+  }
+  std::set<std::string> labels = {
+      "star", "movie", "kelly", "first_name",
+      "zzz_not_a_lemma",  // a compound with no sense-bearing part
+      "star_zzz",         // a compound with one senseless part
+      "zzz_star_movie",   // a senseless part before two senseful ones
+      "star__movie_",     // empty parts are dropped
+      "star_movie_title", // only the first two senseful parts combine
+      ""};
+  for (const std::string& xml : docs) {
+    auto tree = core::BuildTreeStreaming(xml, Network(), xml::ParseOptions{},
+                                         /*include_values=*/true, &space);
+    ASSERT_TRUE(tree.ok());
+    for (xml::NodeId id : tree->ids()) labels.emplace(tree->label(id));
+  }
+  EXPECT_GT(labels.size(), 150u);
+  size_t compounds = 0;
+  for (const std::string& label : labels) {
+    const uint32_t id = space.Resolve(label);
+    const std::vector<core::SenseCandidate> expected =
+        oracles::EnumerateCandidates(Network(), label);
+    const core::LabelSenses& senses = space.Senses(id);
+    EXPECT_EQ(senses.candidates, expected) << "'" << label << "'";
+    EXPECT_EQ(senses.has_senses(), !expected.empty()) << "'" << label << "'";
+    if (!expected.empty() && expected[0].is_compound()) ++compounds;
+  }
+  EXPECT_GT(compounds, 0u);
+}
+
+// Threads racing the first resolution of the same labels on a fresh
+// space all get the one published entry: one address per id, and
+// equal candidate lists. The labels cover network ids (a dense atomic
+// slot each), out-of-vocabulary ids (the locked overflow map) and
+// compounds of both kinds.
+TEST(LabelSpaceTest, ConcurrentFirstResolutionPublishesOneEntry) {
+  const std::vector<std::string> labels = {
+      "star",         "movie",        "title",      "director",
+      "first_name",   "kelly",        "zzz_unknown", "qqq",
+      "star_zzz",     "zzz_star",     "star_movie", "title_director_year",
+      "film_maker",   "actor_role",   "",           "movie_zzz_star"};
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 4; ++round) {
+    core::LabelSpace space(&Network());
+    struct Seen {
+      std::vector<uint32_t> ids;
+      std::vector<const core::LabelSenses*> entries;
+      std::vector<std::vector<core::SenseCandidate>> candidates;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        // Each thread walks the labels from its own offset, so first
+        // sights of one label collide across threads.
+        Seen& mine = seen[static_cast<size_t>(t)];
+        mine.ids.resize(labels.size());
+        mine.entries.resize(labels.size());
+        mine.candidates.resize(labels.size());
+        for (size_t k = 0; k < labels.size(); ++k) {
+          const size_t i = (k + static_cast<size_t>(t + round)) % labels.size();
+          mine.ids[i] = space.Resolve(labels[i]);
+          const core::LabelSenses& senses = space.Senses(mine.ids[i]);
+          mine.entries[i] = &senses;
+          mine.candidates[i] = senses.candidates;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t i = 0; i < labels.size(); ++i) {
+      const std::vector<core::SenseCandidate> expected =
+          oracles::EnumerateCandidates(Network(), labels[i]);
+      for (int t = 0; t < kThreads; ++t) {
+        const Seen& theirs = seen[static_cast<size_t>(t)];
+        EXPECT_EQ(theirs.ids[i], seen[0].ids[i]) << labels[i];
+        EXPECT_EQ(theirs.entries[i], seen[0].entries[i])
+            << "'" << labels[i] << "' has two published entries";
+        EXPECT_EQ(theirs.candidates[i], expected) << labels[i];
+      }
+      EXPECT_EQ(&space.Senses(seen[0].ids[i]), seen[0].entries[i]);
+    }
+    EXPECT_EQ(space.resolved_sense_count(), labels.size());
   }
 }
 

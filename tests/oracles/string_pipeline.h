@@ -16,9 +16,9 @@
 /// Definitions 3-10, Eqs. 1-13): label tokens and Amb_Polysemy split
 /// per node, target selection over them, spheres of label spellings,
 /// context vectors keyed by spelling, and Concept_/Context_Score over
-/// them. The id pipeline in src/core (LabelSpace::Senses,
-/// SelectTargetNodes, IdSphere, IdContextVector, IdResolvedContext,
-/// IdContextScore, EnumerateCandidatesById) replaced it in production;
+/// them. The id pipeline in src/core (LabelSpace::Senses and its
+/// candidates, SelectTargetNodes, IdSphere, IdContextVector,
+/// IdResolvedContext, IdContextScore) replaced it in production;
 /// tests hold the id pipeline to these functions bit for bit.
 namespace xsdf::oracles {
 

@@ -445,11 +445,10 @@ std::vector<DocumentJob> TestCorpus() {
   return jobs;
 }
 
-std::vector<std::string> RunWithThreads(int threads, bool caches_on) {
+std::vector<std::string> RunWithThreads(int threads, bool pair_cache_on) {
   EngineOptions options;
   options.threads = threads;
-  options.enable_similarity_cache = caches_on;
-  options.enable_sense_cache = caches_on;
+  options.enable_similarity_cache = pair_cache_on;
   DisambiguationEngine engine(&Network(), options);
   std::vector<DocumentResult> results = engine.RunBatch(TestCorpus());
   std::vector<std::string> trees;
@@ -462,8 +461,8 @@ std::vector<std::string> RunWithThreads(int threads, bool caches_on) {
 }
 
 TEST(DisambiguationEngineTest, OneAndEightWorkersAreByteIdentical) {
-  std::vector<std::string> one = RunWithThreads(1, /*caches_on=*/true);
-  std::vector<std::string> eight = RunWithThreads(8, /*caches_on=*/true);
+  std::vector<std::string> one = RunWithThreads(1, /*pair_cache_on=*/true);
+  std::vector<std::string> eight = RunWithThreads(8, /*pair_cache_on=*/true);
   ASSERT_EQ(one.size(), eight.size());
   for (size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i], eight[i]) << "document " << i;
@@ -471,15 +470,15 @@ TEST(DisambiguationEngineTest, OneAndEightWorkersAreByteIdentical) {
 }
 
 TEST(DisambiguationEngineTest, CachesDoNotChangeResults) {
-  std::vector<std::string> on = RunWithThreads(4, /*caches_on=*/true);
-  std::vector<std::string> off = RunWithThreads(4, /*caches_on=*/false);
+  std::vector<std::string> on = RunWithThreads(4, /*pair_cache_on=*/true);
+  std::vector<std::string> off = RunWithThreads(4, /*pair_cache_on=*/false);
   EXPECT_EQ(on, off);
 }
 
 TEST(DisambiguationEngineTest, MatchesSingleThreadedLibraryPath) {
   std::vector<DocumentJob> jobs = TestCorpus();
   std::vector<std::string> engine_trees =
-      RunWithThreads(8, /*caches_on=*/true);
+      RunWithThreads(8, /*pair_cache_on=*/true);
   core::Disambiguator disambiguator(&Network());
   ASSERT_EQ(engine_trees.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -510,18 +509,28 @@ TEST(DisambiguationEngineTest, ResultsKeepJobOrderAndMetadata) {
 }
 
 TEST(DisambiguationEngineTest, SecondPassRunsHot) {
+  obs::MetricsRegistry metrics;
   EngineOptions options;
   options.threads = 4;
+  options.metrics = &metrics;
   DisambiguationEngine engine(&Network(), options);
   std::vector<DocumentJob> jobs = TestCorpus();
   engine.RunBatch(jobs);
+  engine.PublishStatsToMetrics();
+  const int64_t resolved_after_first =
+      metrics.GetGauge("label_space.resolved_senses")->Value();
+  EXPECT_GT(resolved_after_first, 0);
   engine.ResetCounters();
   engine.RunBatch(jobs);
   EngineStats stats = engine.stats();
   EXPECT_GT(stats.similarity_cache.lookups(), 0u);
   EXPECT_GT(stats.similarity_cache.HitRate(), 0.5)
       << "warm second pass must mostly hit the similarity cache";
-  EXPECT_GT(stats.sense_cache.HitRate(), 0.5);
+  // Every label's senses and candidates were memoized by the first
+  // pass, so the second resolves no new label.
+  engine.PublishStatsToMetrics();
+  EXPECT_EQ(metrics.GetGauge("label_space.resolved_senses")->Value(),
+            resolved_after_first);
 }
 
 TEST(DisambiguationEngineTest, MalformedDocumentFailsAlone) {
@@ -602,7 +611,6 @@ TEST(SimilarityCacheTest, ContendedWritersSurfaceRetryAndCollisionCounts) {
   // The counters surface through the formatted stats line.
   EngineStats engine_stats;
   engine_stats.similarity_cache = stats;
-  engine_stats.sense_cache.capacity = 1;
   std::string line = FormatEngineStats(engine_stats);
   EXPECT_NE(line.find("seq retries"), std::string::npos) << line;
   EXPECT_NE(line.find("write collisions"), std::string::npos) << line;
@@ -663,9 +671,6 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
   EXPECT_EQ(static_cast<uint64_t>(
                 metrics.GetGauge("cache.similarity.hits")->Value()),
             stats.similarity_cache.hits);
-  EXPECT_EQ(static_cast<uint64_t>(
-                metrics.GetGauge("cache.sense.capacity")->Value()),
-            stats.sense_cache.capacity);
 }
 
 // At more than one worker the engine runs the per-target loop itself
@@ -725,7 +730,7 @@ TEST(DisambiguationEngineTest, TraceSessionRecordsOneTidPerWorker) {
 }
 
 TEST(DisambiguationEngineTest, SinksDoNotChangeResults) {
-  std::vector<std::string> plain = RunWithThreads(4, /*caches_on=*/true);
+  std::vector<std::string> plain = RunWithThreads(4, /*pair_cache_on=*/true);
 
   obs::MetricsRegistry metrics;
   obs::TraceSession trace;

@@ -74,7 +74,7 @@ int Usage() {
       "                    hybrid, equal thirds wu-palmer/lin/gloss)\n"
       "      --passes P    runs over the corpus; caches stay warm "
       "(default 1)\n"
-      "      --no-cache    disable the shared similarity/sense caches\n"
+      "      --no-cache    disable the shared similarity (pair) cache\n"
       "      --quiet       suppress per-document trees on stdout\n"
       "      --metrics-out FILE  write counters + latency histograms as "
       "JSON\n"
@@ -401,7 +401,6 @@ int CmdBatch(const SemanticNetwork& network,
   options.disambiguator.measure_config = measures;
   options.parse_limits = parse_limits;
   options.enable_similarity_cache = !no_cache;
-  options.enable_sense_cache = !no_cache;
   options.metrics = metrics.get();
   options.trace = trace.get();
   xsdf::runtime::DisambiguationEngine engine(&network, options);

@@ -1,5 +1,7 @@
 #include "core/ambiguity.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace xsdf::core {
@@ -47,7 +49,7 @@ double AverageAmbiguityDegree(const xml::LabeledTree& tree,
 
 std::vector<xml::NodeId> SelectTargetNodes(
     const xml::LabeledTree& tree, LabelSpace& space, double threshold,
-    const AmbiguityWeights& weights) {
+    const AmbiguityWeights& weights, obs::Histogram* degree_pct) {
   XSDF_DCHECK(tree.empty() || CheckLabelSource(tree, space).ok(),
               "tree was built through another label space");
   std::vector<xml::NodeId> targets;
@@ -56,8 +58,11 @@ std::vector<xml::NodeId> SelectTargetNodes(
     // never targets, even at threshold 0.
     const LabelSenses& senses = space.Senses(tree.label_id(id));
     if (!senses.has_senses()) continue;
-    if (AmbiguityDegree(tree, id, senses.polysemy, weights) >= threshold) {
-      targets.push_back(id);
+    const double degree = AmbiguityDegree(tree, id, senses.polysemy, weights);
+    if (degree < threshold) continue;
+    targets.push_back(id);
+    if (degree_pct != nullptr) {
+      degree_pct->Record(static_cast<uint64_t>(std::lround(degree * 100.0)));
     }
   }
   return targets;

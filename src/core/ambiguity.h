@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/label_space.h"
+#include "obs/metrics.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::core {
@@ -47,10 +48,12 @@ double AverageAmbiguityDegree(const xml::LabeledTree& tree,
 /// Nodes whose Amb_Deg >= threshold — the disambiguation targets
 /// (paper §3.3), in id order. A threshold of 0 selects every node whose
 /// label has at least one sense in the network. `space` is the
-/// LabelSpace the tree was built through.
+/// LabelSpace the tree was built through. `degree_pct`, when set,
+/// records each target's Amb_Deg as a rounded percentage.
 std::vector<xml::NodeId> SelectTargetNodes(
     const xml::LabeledTree& tree, LabelSpace& space, double threshold,
-    const AmbiguityWeights& weights = {});
+    const AmbiguityWeights& weights = {},
+    obs::Histogram* degree_pct = nullptr);
 
 }  // namespace xsdf::core
 

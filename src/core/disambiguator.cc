@@ -94,8 +94,7 @@ Decision DecideFromScores(const std::vector<double>& scores) {
 
 void Disambiguator::ScoreSphere(uint32_t label_id,
                                 std::span<const SenseCandidate> candidates,
-                                StageTimes* times, uint64_t t_start,
-                                NodeAudit* audit) const {
+                                StageTimes* times, NodeAudit* audit) const {
   CombinationWeights combo = EffectiveCombination();
   // Group the sphere's members by label once and resolve each label
   // against the sense index once; every candidate scores against the
@@ -104,11 +103,7 @@ void Disambiguator::ScoreSphere(uint32_t label_id,
   if (combo.concept_weight > 0.0) {
     work_.resolved.Assign(*label_space_, work_.vector);
   }
-  uint64_t t_context = 0;
-  if (times != nullptr) {
-    t_context = obs::MonotonicNowNs();
-    times->context_ns += t_context - t_start;
-  }
+  const uint64_t t_score = times != nullptr ? obs::MonotonicNowNs() : 0;
   if (combo.concept_weight > 0.0) {
     work_.resolved.Score(*network_, measure_, label_id, candidates,
                          &label_terms_, &work_.concept_scores);
@@ -178,20 +173,38 @@ void Disambiguator::ScoreSphere(uint32_t label_id,
     }
   }
   if (times != nullptr) {
-    times->score_ns += obs::MonotonicNowNs() - t_context;
+    times->score_ns += obs::MonotonicNowNs() - t_score;
   }
 }
 
 Result<SenseAssignment> Disambiguator::DisambiguateNode(
     const xml::LabeledTree& tree, xml::NodeId id) const {
-  return DisambiguateNode(tree, id, nullptr);
-}
-
-Result<SenseAssignment> Disambiguator::DisambiguateNode(
-    const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times) const {
   XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
   XSDF_RETURN_IF_ERROR(CheckNodeId(tree, id));
-  return DisambiguateNodeImpl(tree, id, times, nullptr);
+  return DisambiguateNodeImpl(tree, id, nullptr, nullptr);
+}
+
+Status Disambiguator::DisambiguateTargets(const xml::LabeledTree& tree,
+                                          std::span<const xml::NodeId> targets,
+                                          AssignmentColumn* column,
+                                          StageTimes* times) const {
+  XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
+  for (xml::NodeId id : targets) XSDF_RETURN_IF_ERROR(CheckNodeId(tree, id));
+  // Timed whole: what ScoreSphere books to score_ns is scoring, and
+  // the rest of the loop is context.
+  StageTimes* timed = ins_.context_us != nullptr ? times : nullptr;
+  const uint64_t t_start = timed != nullptr ? obs::MonotonicNowNs() : 0;
+  const uint64_t score_before = timed != nullptr ? timed->score_ns : 0;
+  for (xml::NodeId id : targets) {
+    auto assignment = DisambiguateNodeImpl(tree, id, timed, nullptr);
+    if (!assignment.ok()) continue;  // senseless labels stay untouched
+    column->slot(id) = std::move(assignment).value();
+  }
+  if (timed != nullptr) {
+    timed->context_ns += obs::MonotonicNowNs() - t_start -
+                         (timed->score_ns - score_before);
+  }
+  return Status::Ok();
 }
 
 void Disambiguator::RecordStageTimes(const StageTimes& times) const {
@@ -228,19 +241,15 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
   SenseAssignment assignment;
   assignment.node = id;
   assignment.candidate_count = static_cast<int>(candidates.size());
-  assignment.ambiguity = AmbiguityDegree(tree, id, senses.polysemy,
-                                         options_.ambiguity_weights);
   if (ins_.node_candidates != nullptr) {
     ins_.node_candidates->Record(candidates.size());
-  }
-  if (ins_.node_ambiguity_pct != nullptr) {
-    ins_.node_ambiguity_pct->Record(
-        static_cast<uint64_t>(std::lround(assignment.ambiguity * 100.0)));
   }
   if (audit != nullptr) {
     audit->node = id;
     audit->label = std::string(label);
-    audit->ambiguity = assignment.ambiguity;
+    // Selection's Amb_Deg, for the audit only: no decision reads it.
+    audit->ambiguity = AmbiguityDegree(tree, id, senses.polysemy,
+                                       options_.ambiguity_weights);
   }
   if (candidates.size() == 1) {
     assignment.sense = candidates[0];
@@ -254,7 +263,6 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     }
     return assignment;
   }
-  const uint64_t t_start = times != nullptr ? obs::MonotonicNowNs() : 0;
   BuildXmlIdSphere(tree, id, options_.sphere_radius,
                    options_.structure_only_context, &work_.sphere);
   // Audits always compute; everything else first asks the memo.
@@ -267,14 +275,11 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     decision = decisions_.Find(key_hash, work_.memo_key);
     if (times != nullptr) {
       ++times->memo_lookups;
-      if (decision.has_value()) {
-        ++times->memo_hits;
-        times->context_ns += obs::MonotonicNowNs() - t_start;
-      }
+      if (decision.has_value()) ++times->memo_hits;
     }
   }
   if (!decision.has_value()) {
-    ScoreSphere(label_id, candidates, times, t_start, audit);
+    ScoreSphere(label_id, candidates, times, audit);
     decision = DecideFromScores(work_.scores);
     if (memoized) decisions_.Insert(key_hash, work_.memo_key, *decision);
   }
@@ -310,22 +315,20 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
   obs::StageTimer timer(ins_.select_us, options_.trace, "select");
   return SelectTargetNodes(tree, *label_space_,
                            options_.ambiguity_threshold,
-                           options_.ambiguity_weights);
+                           options_.ambiguity_weights,
+                           ins_.node_ambiguity_pct);
 }
 
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
   XSDF_RETURN_IF_ERROR(CheckLabelSource(tree, *label_space_));
+  const std::vector<xml::NodeId> targets = SelectTargets(tree);
   SemanticTree result;
-  StageTimes times;
-  StageTimes* timed = records_stage_times() ? &times : nullptr;
-  std::vector<xml::NodeId> targets = SelectTargets(tree);
   result.assignments.Reset(tree.size());
-  for (xml::NodeId id : targets) {
-    auto assignment = DisambiguateNodeImpl(tree, id, timed, nullptr);
-    if (!assignment.ok()) continue;  // senseless labels stay untouched
-    result.assignments.emplace(id, std::move(assignment).value());
-  }
-  if (timed != nullptr) RecordStageTimes(times);
+  StageTimes times;
+  XSDF_RETURN_IF_ERROR(
+      DisambiguateTargets(tree, targets, &result.assignments, &times));
+  RecordStageTimes(times);
+  result.assignments.Recount();
   result.tree = std::move(tree);
   return result;
 }

@@ -130,9 +130,10 @@ struct DisambiguatorOptions {
   /// across Disambiguator instances — they are internally
   /// thread-safe). `metrics` receives the per-stage latency histograms
   /// (stage.select_us / stage.context_us / stage.score_us, recorded
-  /// per document) and the per-node distributions (ambiguity degree,
-  /// candidate count, top-2 score margin). `trace` receives spans for
-  /// the select stage and for every disambiguated node. Instrumentation
+  /// per document) and the per-node distributions (each selected
+  /// target's ambiguity degree, and each decided target's candidate
+  /// count and top-2 score margin). `trace` receives spans for the
+  /// select stage and for every disambiguated node. Instrumentation
   /// never changes results; with both null the pipeline does not even
   /// read the clock.
   obs::MetricsRegistry* metrics = nullptr;
@@ -145,7 +146,6 @@ struct SenseAssignment {
   int candidate_count = 0;    ///< size of the sense inventory examined
   SenseCandidate sense;       ///< winning candidate
   double score = 0.0;         ///< its (combined) score
-  double ambiguity = 0.0;     ///< the node's Amb_Deg
 };
 
 /// The sense assignments of one tree: a dense column indexed by node
@@ -286,14 +286,18 @@ struct SemanticTree {
 /// ambiguous-node selection -> sphere context construction -> hybrid
 /// disambiguation.
 ///
+/// Amb_Deg (§3.3, Eq. 4) only selects targets. DisambiguateTargets is
+/// the one loop that decides a list of them: RunOnTree calls it once,
+/// and each runtime engine chunk once over its slice.
+///
 /// Every entry point reads label ids straight off the tree, so a tree
 /// must have been built through label_space() (BuildTreeStreaming()
 /// records the space as the tree's label_source()).
 /// A tree from any other interner is rejected: RunOnTree,
-/// DisambiguateNode and ExplainNode return InvalidArgument, while
-/// SelectTargets returns an empty vector (and traps in checked
-/// builds). The per-node entry points hold a node id to the same rule:
-/// an id outside [0, tree.size()) is InvalidArgument.
+/// DisambiguateTargets, DisambiguateNode and ExplainNode return
+/// InvalidArgument, while SelectTargets returns an empty vector (and
+/// traps in checked builds). Node ids are held to the same rule: an id
+/// outside [0, tree.size()) is InvalidArgument.
 ///
 /// A Disambiguator is used from one thread at a time: its entry points
 /// are const but fill private memos (see LabelTermMemo and
@@ -303,11 +307,11 @@ struct SemanticTree {
 /// the same options, as the runtime engine's workers do; identically
 /// configured instances produce identical bytes.
 ///
-/// DisambiguateNode and RunOnTree decide each distinct sphere once:
-/// a target whose ordered sphere this instance has already decided is
-/// answered from its DecisionMemo, which holds exactly what scoring
-/// would compute. ExplainNode never reads or writes it, so an audit
-/// always shows computed scores.
+/// DisambiguateTargets and DisambiguateNode decide each distinct sphere
+/// once: a target whose ordered sphere this instance has already
+/// decided is answered from its DecisionMemo, which holds exactly what
+/// scoring would compute. ExplainNode never reads or writes it, so an
+/// audit always shows computed scores.
 class Disambiguator {
  public:
   /// `network` must outlive the disambiguator and have finalized
@@ -327,17 +331,16 @@ class Disambiguator {
   /// RunOnTree(). Parse failures return the parser's Status.
   Result<SemanticTree> RunOnXml(const std::string& xml_text) const;
 
-  /// Runs selection + disambiguation on an already-built tree.
+  /// Runs selection + disambiguation on an already-built tree:
+  /// SelectTargets(), then DisambiguateTargets() over every target.
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
   /// The target nodes RunOnTree would disambiguate, in selection
   /// order, timed into stage.select_us: SelectTargetNodes() through
-  /// label_space() under this disambiguator's threshold and weights.
-  /// Exposed so the runtime engine can split the per-target
-  /// DisambiguateNode() loop into stealable chunks across workers —
-  /// DisambiguateNode is a pure function of (tree, id) for
-  /// identically-configured disambiguators, so chunk placement never
-  /// changes results.
+  /// label_space() under this disambiguator's threshold and weights,
+  /// recording each target's Amb_Deg into core.node_ambiguity_pct.
+  /// Exposed so the runtime engine can split the target list into
+  /// stealable chunks across workers.
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
 
   /// Disambiguates a single node of `tree`; returns the winning
@@ -347,12 +350,13 @@ class Disambiguator {
                                            xml::NodeId id) const;
 
   /// Per-document accumulator for the stage.context_us and
-  /// stage.score_us histograms and the decision-memo counters: context
-  /// covers the sphere and the memo probe, plus on a miss the context
-  /// vector and sense resolution; score covers a miss's candidate
-  /// scoring loop (incl. the frequency prior). A hit adds no score
-  /// time. Lookups count the multi-candidate targets, which probe the
-  /// memo; hits count those it answered.
+  /// stage.score_us histograms and the decision-memo counters, filled
+  /// by DisambiguateTargets when a metrics registry is attached. The
+  /// loop is timed whole: score covers candidate scoring on a memo miss
+  /// (incl. the frequency prior), and context the rest of the loop —
+  /// spheres, memo probes, sense lookups, context vectors and
+  /// single-candidate targets. Lookups count the multi-candidate
+  /// targets, which probe the memo; hits count those it answered.
   struct StageTimes {
     uint64_t context_ns = 0;
     uint64_t score_ns = 0;
@@ -360,17 +364,18 @@ class Disambiguator {
     uint64_t memo_hits = 0;
   };
 
-  /// True when a metrics registry is attached. Callers running the
-  /// per-target loop themselves (the engine's chunked fan-out) pass a
-  /// StageTimes only then, so an uninstrumented run never reads the
-  /// clock.
-  bool records_stage_times() const { return ins_.context_us != nullptr; }
-
-  /// DisambiguateNode() that adds the node's context and score time to
-  /// `times` (null: no timing). Results are identical either way.
-  Result<SenseAssignment> DisambiguateNode(const xml::LabeledTree& tree,
-                                           xml::NodeId id,
-                                           StageTimes* times) const;
+  /// Decides `targets` into their slots of `column` (Reset() to cover
+  /// `tree`), leaving senseless labels unassigned. It writes no other
+  /// slot and leaves the count alone, so disjoint lists may fill one
+  /// column from several threads, each through its own Disambiguator;
+  /// Recount() after. With a metrics registry attached it adds its
+  /// StageTimes to `times`, else it reads no clock. InvalidArgument,
+  /// before deciding anything, for a tree from another label space or
+  /// an id outside it.
+  Status DisambiguateTargets(const xml::LabeledTree& tree,
+                             std::span<const xml::NodeId> targets,
+                             AssignmentColumn* column,
+                             StageTimes* times) const;
 
   /// Records one document's accumulated stage times as one sample per
   /// histogram, and adds its memo lookups and hits to the
@@ -414,8 +419,9 @@ class Disambiguator {
 
   CombinationWeights EffectiveCombination() const;
 
-  /// DisambiguateNode with optional stage-time accumulation and audit
-  /// capture (both null on the plain path).
+  /// Decides one target of a checked tree and id, counting its memo
+  /// probe and score time into `times` and capturing the audit (both
+  /// null on the plain path; an audit always computes).
   Result<SenseAssignment> DisambiguateNodeImpl(const xml::LabeledTree& tree,
                                                xml::NodeId id,
                                                StageTimes* times,
@@ -423,12 +429,11 @@ class Disambiguator {
 
   /// Scores the candidates of `label_id` (the center's label) against
   /// the sphere in work_.sphere into work_.scores, resolving the
-  /// sphere context once for all candidates. Context time runs from
-  /// `t_start` (the sphere build's start) when `times` is set.
+  /// sphere context once for all candidates. Adds the scoring time,
+  /// from after that resolution, to `times` when set.
   void ScoreSphere(uint32_t label_id,
                    std::span<const SenseCandidate> candidates,
-                   StageTimes* times, uint64_t t_start,
-                   NodeAudit* audit) const;
+                   StageTimes* times, NodeAudit* audit) const;
 
   const wordnet::SemanticNetwork* network_;
   DisambiguatorOptions options_;
@@ -437,8 +442,8 @@ class Disambiguator {
   /// this instance's label space, network and measure, which never
   /// change after construction.
   mutable LabelTermMemo label_terms_;
-  /// Sphere -> decision, read and written by DisambiguateNode and
-  /// RunOnTree only.
+  /// Sphere -> decision, read and written by DisambiguateTargets and
+  /// DisambiguateNode only.
   mutable DecisionMemo decisions_;
   mutable Workspace work_;
   Instruments ins_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "common/strings.h"
@@ -43,9 +44,9 @@ struct DisambiguationEngine::Batch {
   }
 };
 
-/// Shared state for one document's chunked target fan-out. The owning
-/// worker keeps it on its stack frame (via shared_ptr, so late-arriving
-/// helper tickets stay safe after the owner moves on) and blocks until
+/// Shared state for one document's target chunks. The owning worker
+/// keeps it on its stack frame (via shared_ptr, so late-arriving helper
+/// tickets stay safe after the owner moves on) and blocks until
 /// chunks_done reaches chunk_count. `tree`, `targets` and `assignments`
 /// point into the owner's frame: a worker only dereferences them while
 /// it holds a claimed chunk, every claim precedes its chunks_done
@@ -55,26 +56,24 @@ struct DisambiguationEngine::Batch {
 /// chunk_count and return without touching any of them.
 struct DisambiguationEngine::SubtreeWork {
   const xml::LabeledTree* tree = nullptr;
-  const std::vector<xml::NodeId>* targets = nullptr;
+  std::span<const xml::NodeId> targets;
   /// Sized for the whole tree before any chunk runs; each chunk writes
   /// the slots of its own targets, which no other chunk touches, and
-  /// the owner reads them after its acquire wait on chunks_done.
+  /// the owner reads them once its wait has seen every chunk done.
   core::AssignmentColumn* assignments = nullptr;
   size_t chunk_size = 0;
   size_t chunk_count = 0;
   int owner_worker = -1;
   std::atomic<size_t> next_chunk{0};
-  std::atomic<size_t> chunks_done{0};
-  /// Stage times and decision-memo counts summed over every chunk
-  /// (whichever worker ran it), recorded by the owner as the
-  /// document's one sample per stage and one add per counter. Only
-  /// accumulated when the disambiguators record stage times.
-  std::atomic<uint64_t> context_ns{0};
-  std::atomic<uint64_t> score_ns{0};
-  std::atomic<uint64_t> memo_lookups{0};
-  std::atomic<uint64_t> memo_hits{0};
   std::mutex mu;
   std::condition_variable done_cv;
+  /// Guarded by mu: finished chunks, the first chunk error, and the
+  /// stage times and memo counts summed over every chunk (whichever
+  /// worker ran it), which the owner records as the document's one
+  /// sample per stage and one add per counter.
+  size_t chunks_done = 0;
+  Status status;
+  core::Disambiguator::StageTimes times;
 };
 
 DisambiguationEngine::DisambiguationEngine(
@@ -275,16 +274,16 @@ DocumentResult DisambiguationEngine::Process(
 Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
     const core::Disambiguator& disambiguator, xml::LabeledTree tree,
     int worker_index) {
-  // Chunked fan-out requires another worker to steal chunks.
-  if (workers_.size() < 2) return disambiguator.RunOnTree(std::move(tree));
-  std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
-  const bool fan_out = targets.size() >= kSubtreeMinTargets;
+  const std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
+  // Stealing needs another worker, and pays only on a long target list.
+  const bool fan_out =
+      workers_.size() > 1 && targets.size() >= kSubtreeMinTargets;
   core::SemanticTree result;
   result.tree = std::move(tree);
   result.assignments.Reset(result.tree.size());
   auto work = std::make_shared<SubtreeWork>();
   work->tree = &result.tree;
-  work->targets = &targets;
+  work->targets = targets;
   work->assignments = &result.assignments;
   work->chunk_size =
       fan_out ? kSubtreeChunkTargets : std::max<size_t>(targets.size(), 1);
@@ -312,20 +311,12 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
   RunSubtreeChunks(*work, disambiguator, worker_index);
   {
     std::unique_lock<std::mutex> lock(work->mu);
-    work->done_cv.wait(lock, [&] {
-      return work->chunks_done.load(std::memory_order_acquire) ==
-             work->chunk_count;
-    });
+    work->done_cv.wait(lock,
+                       [&] { return work->chunks_done == work->chunk_count; });
   }
-  if (disambiguator.records_stage_times()) {
-    // The chunks' relaxed adds happen before their chunks_done
-    // increments, which the acquire wait above observed.
-    disambiguator.RecordStageTimes(
-        {work->context_ns.load(std::memory_order_relaxed),
-         work->score_ns.load(std::memory_order_relaxed),
-         work->memo_lookups.load(std::memory_order_relaxed),
-         work->memo_hits.load(std::memory_order_relaxed)});
-  }
+  // No chunk writes the fields below once the count is complete.
+  XSDF_RETURN_IF_ERROR(work->status);
+  disambiguator.RecordStageTimes(work->times);
   // Every chunk wrote its targets' slots before its chunks_done
   // increment, so the column is complete; which worker ran what never
   // shows, because each slot belongs to one node.
@@ -343,6 +334,8 @@ void DisambiguationEngine::RunSubtreeChunks(
     if (worker_index != work.owner_worker) {
       subtree_steals_.fetch_add(1, std::memory_order_relaxed);
     }
+    core::Disambiguator::StageTimes times;
+    Status status;
     {
       // Container span for the per-node spans below: on a stealing
       // worker's tid there is no enclosing "document" span, so the
@@ -355,40 +348,26 @@ void DisambiguationEngine::RunSubtreeChunks(
           trace_ != nullptr
               ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
               : std::string());
-      const std::vector<xml::NodeId>& targets = *work.targets;
       const size_t begin = chunk * work.chunk_size;
-      const size_t end = std::min(begin + work.chunk_size, targets.size());
-      // DisambiguateNode is a pure function of (tree, id) for
-      // identically-configured disambiguators, so running this chunk
-      // under a helper's Disambiguator yields the exact bytes the owner
-      // would have produced.
-      core::Disambiguator::StageTimes times;
-      core::Disambiguator::StageTimes* timed =
-          disambiguator.records_stage_times() ? &times : nullptr;
-      for (size_t i = begin; i < end; ++i) {
-        auto assignment =
-            disambiguator.DisambiguateNode(*work.tree, targets[i], timed);
-        if (!assignment.ok()) continue;  // senseless labels stay untouched
-        work.assignments->slot(targets[i]) = std::move(assignment).value();
-      }
-      if (timed != nullptr) {
-        work.context_ns.fetch_add(times.context_ns,
-                                  std::memory_order_relaxed);
-        work.score_ns.fetch_add(times.score_ns, std::memory_order_relaxed);
-        work.memo_lookups.fetch_add(times.memo_lookups,
-                                    std::memory_order_relaxed);
-        work.memo_hits.fetch_add(times.memo_hits, std::memory_order_relaxed);
-      }
+      // Targets decide the same under any identically-configured
+      // Disambiguator, so a helper running this chunk yields the exact
+      // bytes the owner would have produced.
+      status = disambiguator.DisambiguateTargets(
+          *work.tree,
+          work.targets.subspan(
+              begin, std::min(work.chunk_size, work.targets.size() - begin)),
+          work.assignments, &times);
     }
-    const size_t done =
-        work.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (done == work.chunk_count) {
-      // Notify under the mutex: the owner may destroy the frame the
-      // moment it observes the final count, and pairing notify with mu
-      // closes the missed-wakeup window against its predicate check.
-      std::lock_guard<std::mutex> lock(work.mu);
-      work.done_cv.notify_all();
-    }
+    // Count the chunk under the mutex: the owner may destroy the frame
+    // the moment it observes the final count, and pairing notify with
+    // mu closes the missed-wakeup window against its predicate check.
+    std::lock_guard<std::mutex> lock(work.mu);
+    work.times.context_ns += times.context_ns;
+    work.times.score_ns += times.score_ns;
+    work.times.memo_lookups += times.memo_lookups;
+    work.times.memo_hits += times.memo_hits;
+    if (work.status.ok()) work.status = std::move(status);
+    if (++work.chunks_done == work.chunk_count) work.done_cv.notify_all();
   }
 }
 

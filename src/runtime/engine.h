@@ -120,14 +120,14 @@ struct EngineOptions {
 /// (FinalizeFrequencies() makes all const accessors pure reads — see
 /// the SemanticNetwork thread-safety contract).
 ///
-/// Intra-document parallelism: when a multi-worker engine selects at
-/// least 64 target nodes in one document, the owning worker splits the
-/// target list into 32-target chunks and publishes helper tickets on
-/// the shared job queue so idle workers steal chunks — 8 workers
-/// saturate on a single giant file. Chunk placement never affects
-/// output: per-node disambiguation is pure, and each chunk writes its
-/// targets' slots of the document's dense assignment column, so there
-/// is nothing to merge.
+/// Each document's targets are decided in chunks, one
+/// Disambiguator::DisambiguateTargets call each. When a multi-worker
+/// engine selects at least 64 targets in one document, the owner splits
+/// them into 32-target chunks and publishes helper tickets on the shared
+/// job queue so idle workers steal chunks — 8 workers saturate on a
+/// single giant file; otherwise the owner runs one chunk. Placement
+/// never affects output: per-target disambiguation is pure, and each
+/// chunk writes only its targets' slots of the dense assignment column.
 ///
 /// RunBatch() may be called repeatedly; results are deterministic:
 /// identical jobs + options produce byte-identical semantic_xml for
@@ -211,10 +211,10 @@ class DisambiguationEngine {
                          core::SemanticXmlWriter& writer,
                          const DocumentJob& job, int worker_index);
 
-  /// Selection + per-target disambiguation for one document: RunOnTree
-  /// on a 1-worker engine, else the target list in chunks that other
-  /// workers may steal when it is big enough (one chunk the owner runs
-  /// when it is not). Byte-identical to RunOnTree.
+  /// Selection + per-target disambiguation for one document: the target
+  /// list in chunks that other workers may steal when there are others
+  /// and the list is long enough (one chunk the owner runs when not).
+  /// Byte-identical to RunOnTree.
   Result<core::SemanticTree> DisambiguateTree(
       const core::Disambiguator& disambiguator, xml::LabeledTree tree,
       int worker_index);

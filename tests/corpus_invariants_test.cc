@@ -99,9 +99,12 @@ TEST_F(CorpusInvariantsTest, ScoresAndAmbiguitiesBounded) {
       EXPECT_GE(assignment.score, 0.0) << doc.generated.name;
       EXPECT_LE(assignment.score, 1.0 + 0.15 + 1e-9)
           << doc.generated.name;
-      EXPECT_GE(assignment.ambiguity, 0.0);
-      EXPECT_LE(assignment.ambiguity, 1.0);
       EXPECT_GE(assignment.candidate_count, 1);
+      // Amb_Deg is the audit's, as selection computes it.
+      auto audit = system.ExplainNode(result->tree, id);
+      ASSERT_TRUE(audit.ok()) << doc.generated.name;
+      EXPECT_GE(audit->ambiguity, 0.0);
+      EXPECT_LE(audit->ambiguity, 1.0);
     }
   }
 }

@@ -245,7 +245,11 @@ TEST(DisambiguatorTest, RejectsTreeFromAnotherLabelSpace) {
 // Node ids index the tree's columns, so an id outside [0, size()) is
 // rejected before any column is read.
 TEST(DisambiguatorTest, RejectsNodeIdOutsideTheTree) {
-  Disambiguator system(&Network());
+  // Instrumented, so that DisambiguateTargets counts its memo lookups.
+  obs::MetricsRegistry registry;
+  DisambiguatorOptions options;
+  options.metrics = &registry;
+  Disambiguator system(&Network(), options);
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
   for (const xml::NodeId id :
@@ -253,11 +257,20 @@ TEST(DisambiguatorTest, RejectsNodeIdOutsideTheTree) {
     EXPECT_EQ(system.DisambiguateNode(*tree, id).status().code(),
               StatusCode::kInvalidArgument)
         << id;
+    // One bad id in a list decides none of the list's targets.
+    std::vector<xml::NodeId> targets = system.SelectTargets(*tree);
+    ASSERT_FALSE(targets.empty());
+    targets.push_back(id);
+    AssignmentColumn column;
+    column.Reset(tree->size());
     Disambiguator::StageTimes times;
-    EXPECT_EQ(system.DisambiguateNode(*tree, id, &times).status().code(),
-              StatusCode::kInvalidArgument)
+    EXPECT_EQ(
+        system.DisambiguateTargets(*tree, targets, &column, &times).code(),
+        StatusCode::kInvalidArgument)
         << id;
     EXPECT_EQ(times.memo_lookups, 0u);
+    column.Recount();
+    EXPECT_TRUE(column.empty());
     EXPECT_EQ(system.ExplainNode(*tree, id).status().code(),
               StatusCode::kInvalidArgument)
         << id;
@@ -275,14 +288,18 @@ TEST(DisambiguatorTest, MalformedXmlPropagatesError) {
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
 }
 
-TEST(DisambiguatorTest, AmbiguityRecordedPerAssignment) {
+// Amb_Deg selects targets and is not part of an assignment; the audit
+// reports it.
+TEST(DisambiguatorTest, AmbiguityReportedByTheAudit) {
   Disambiguator system(&Network());
   auto result = system.RunOnXml(kFigure1Doc1);
   ASSERT_TRUE(result.ok());
   const SenseAssignment* cast = FindByLabel(*result, "cast");
   ASSERT_NE(cast, nullptr);
-  EXPECT_GT(cast->ambiguity, 0.0);
   EXPECT_GT(cast->candidate_count, 1);
+  auto audit = system.ExplainNode(result->tree, cast->node);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_GT(audit->ambiguity, 0.0);
 }
 
 TEST(SemanticTreeXmlTest, SerializesAnnotations) {
@@ -300,14 +317,14 @@ TEST(SemanticTreeXmlTest, SerializesAnnotations) {
 
 // =================== ExplainNode audit trail ======================
 
-/// The bucket counts of the per-node histograms in `registry`.
+/// The bucket counts of the per-node histograms a decision records in
+/// `registry` (selection records core.node_ambiguity_pct).
 std::vector<std::vector<uint64_t>> NodeHistogramCounts(
     const obs::MetricsRegistry& registry) {
   std::vector<std::vector<uint64_t>> counts;
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
-  for (const char* name : {"core.node_top2_margin_milli",
-                           "core.node_candidates",
-                           "core.node_ambiguity_pct"}) {
+  for (const char* name :
+       {"core.node_top2_margin_milli", "core.node_candidates"}) {
     counts.emplace_back();
     for (const obs::HistogramSnapshot& h : snapshot.histograms) {
       if (h.name == name) counts.back() = h.counts;
@@ -339,13 +356,14 @@ struct FirstPass {
   Result<SenseAssignment> assignment;
 };
 
-/// Runs DisambiguateNode twice over every node of `docs` on one
-/// Disambiguator configured by `options` (its metrics registry is
-/// attached here), in windows that end before its decision memo would
-/// clear: the second pass over a window must be answered entirely by
-/// the memo, record the same per-node histogram buckets as the first,
-/// and repeat the first's results bit for bit, which must also equal
-/// ExplainNode's (which always computes).
+/// Runs every node of `docs` through DisambiguateNode and then again
+/// through DisambiguateTargets, on one Disambiguator configured by
+/// `options` (its metrics registry is attached here), in windows that
+/// end before its decision memo would clear: the second pass over a
+/// window must be answered entirely by the memo, record the same
+/// per-node histogram buckets as the first, and repeat the first's
+/// results bit for bit, which must also equal ExplainNode's (which
+/// always computes). The audit's Amb_Deg must be selection's.
 void ExpectMemoizedDecisionsMatchExplain(
     DisambiguatorOptions options,
     const std::vector<datasets::GeneratedDocument>& docs,
@@ -368,12 +386,29 @@ void ExpectMemoizedDecisionsMatchExplain(
   std::vector<FirstPass> window;
   uint64_t second_pass_lookups = 0;
   auto before = NodeHistogramCounts(registry);
+  AssignmentColumn column;
+  std::vector<xml::NodeId> run;
   auto finish_window = [&] {
     const auto after_first = NodeHistogramCounts(registry);
+    // The second pass: each tree's run of the window in one list.
     Disambiguator::StageTimes second;
-    std::vector<Result<SenseAssignment>> again;
-    for (const FirstPass& first : window) {
-      again.push_back(system.DisambiguateNode(*first.tree, first.id, &second));
+    std::vector<std::optional<SenseAssignment>> again;
+    for (size_t begin = 0; begin < window.size();) {
+      const xml::LabeledTree& tree = *window[begin].tree;
+      run.clear();
+      size_t end = begin;
+      for (; end < window.size() && window[end].tree == &tree; ++end) {
+        run.push_back(window[end].id);
+      }
+      column.Reset(tree.size());
+      ASSERT_TRUE(
+          system.DisambiguateTargets(tree, run, &column, &second).ok());
+      for (; begin < end; ++begin) {
+        const SenseAssignment* assigned = column.find(window[begin].id);
+        again.push_back(assigned != nullptr
+                            ? std::optional<SenseAssignment>(*assigned)
+                            : std::nullopt);
+      }
     }
     EXPECT_EQ(second.memo_hits, second.memo_lookups) << what;
     second_pass_lookups += second.memo_lookups;
@@ -383,22 +418,26 @@ void ExpectMemoizedDecisionsMatchExplain(
     for (size_t i = 0; i < window.size(); ++i) {
       const FirstPass& first = window[i];
       const auto audit = system.ExplainNode(*first.tree, first.id);
-      ASSERT_EQ(again[i].ok(), first.assignment.ok());
+      ASSERT_EQ(again[i].has_value(), first.assignment.ok());
       ASSERT_EQ(audit.ok(), first.assignment.ok());
       if (!first.assignment.ok()) continue;
       const SenseAssignment& a = *first.assignment;
       const CandidateAudit& chosen =
           audit->candidates[static_cast<size_t>(audit->chosen_index)];
-      for (const auto& [sense, score, ambiguity, source] :
-           {std::tuple(again[i]->sense, again[i]->score,
-                       again[i]->ambiguity, "second pass"),
-            std::tuple(chosen.sense, chosen.total, audit->ambiguity,
-                       "explain")}) {
-        EXPECT_TRUE(sense == a.sense && SameBits(score, a.score) &&
-                    SameBits(ambiguity, a.ambiguity))
+      for (const auto& [sense, score, source] :
+           {std::tuple(again[i]->sense, again[i]->score, "second pass"),
+            std::tuple(chosen.sense, chosen.total, "explain")}) {
+        EXPECT_TRUE(sense == a.sense && SameBits(score, a.score))
             << what << ": " << source << " differs at node " << first.id
             << " (" << first.tree->label(first.id) << ")";
       }
+      const double polysemy =
+          system.label_space()->Senses(first.tree->label_id(first.id))
+              .polysemy;
+      EXPECT_TRUE(SameBits(audit->ambiguity,
+                           AmbiguityDegree(*first.tree, first.id, polysemy,
+                                           options.ambiguity_weights)))
+          << what << ": explain's Amb_Deg differs at node " << first.id;
     }
     window.clear();
     before = NodeHistogramCounts(registry);
@@ -428,10 +467,11 @@ void ExpectMemoizedDecisionsMatchExplain(
 
 TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
   // The acceptance bar for `xsdf explain`: on every node the audit's
-  // chosen sense, score, and ambiguity are byte-identical to what the
-  // batch pipeline assigns — audit capture must not perturb the
-  // floating-point accumulation, and a decision the memo answers
-  // must be exactly the one scoring computes.
+  // chosen sense and score are byte-identical to what the batch
+  // pipeline assigns, and its ambiguity to the degree selection
+  // computes — audit capture must not perturb the floating-point
+  // accumulation, and a decision the memo answers must be exactly the
+  // one scoring computes.
   Disambiguator system(&Network());
   auto tree = TreeFor(system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
@@ -452,7 +492,12 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
     EXPECT_EQ(chosen.sense.secondary, assignment->sense.secondary)
         << tree->label(id);
     EXPECT_EQ(chosen.total, assignment->score) << tree->label(id);  // bit-exact
-    EXPECT_EQ(audit->ambiguity, assignment->ambiguity) << tree->label(id);
+    // Bit-exact to the degree selection computes.
+    EXPECT_EQ(audit->ambiguity,
+              AmbiguityDegree(
+                  *tree, id,
+                  system.label_space()->Senses(tree->label_id(id)).polysemy))
+        << tree->label(id);
     EXPECT_EQ(audit->candidates.size(),
               static_cast<size_t>(assignment->candidate_count));
     EXPECT_EQ(audit->node, id);

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/scores.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "oracles/string_pipeline.h"
 #include "runtime/engine.h"
@@ -26,6 +27,7 @@
 #include "runtime/sharded_lru_cache.h"
 #include "runtime/similarity_cache.h"
 #include "wordnet/mini_wordnet.h"
+#include "xml/parser.h"
 
 namespace xsdf::runtime {
 namespace {
@@ -673,10 +675,10 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
             stats.similarity_cache.hits);
 }
 
-// At more than one worker the engine runs the per-target loop itself
-// (inline for short target lists, in stolen chunks for long ones); both
-// must still record one context and one score sample per document, as
-// RunOnTree does at one worker.
+// The engine decides a document's targets in chunks (one chunk for a
+// short target list, stolen chunks for a long one); either way it must
+// record one context and one score sample per document, as RunOnTree
+// does.
 TEST(DisambiguationEngineTest, StageHistogramsSampleEveryDocumentAtFourWorkers) {
   obs::MetricsRegistry metrics;
   EngineOptions options;
@@ -699,6 +701,49 @@ TEST(DisambiguationEngineTest, StageHistogramsSampleEveryDocumentAtFourWorkers) 
        {"stage.select_us", "stage.context_us", "stage.score_us"}) {
     EXPECT_EQ(metrics.GetHistogram(name)->Snapshot().count, documents)
         << name;
+  }
+}
+
+// Amb_Deg is computed by selection only, and core.node_ambiguity_pct
+// records selection's degree: one sample per selected target, whether
+// RunOnTree decides the targets or engine chunks do (one chunk at one
+// worker, which publishes no helper tickets; stolen chunks at four).
+TEST(DisambiguationEngineTest, AmbiguityHistogramSamplesEverySelectedTarget) {
+  const datasets::GeneratedDocument giant =
+      datasets::GiantDocuments(1, 64u << 10, 5)[0];
+  core::Disambiguator plain(&Network());
+  auto tree = core::BuildTreeStreaming(giant.xml, Network(),
+                                       xml::ParseOptions{}, true,
+                                       plain.label_space());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const size_t targets = plain.SelectTargets(*tree).size();
+  ASSERT_GT(targets, 64u);  // enough to fan out
+
+  obs::MetricsRegistry core_metrics;
+  core::DisambiguatorOptions options;
+  options.metrics = &core_metrics;
+  const core::Disambiguator instrumented(&Network(), options);
+  ASSERT_TRUE(instrumented.RunOnXml(giant.xml).ok());
+  EXPECT_EQ(
+      core_metrics.GetHistogram("core.node_ambiguity_pct")->Snapshot().count,
+      targets);
+
+  for (const int threads : {1, 4}) {
+    obs::MetricsRegistry engine_metrics;
+    EngineOptions engine_options;
+    engine_options.threads = threads;
+    engine_options.metrics = &engine_metrics;
+    DisambiguationEngine engine(&Network(), engine_options);
+    const std::vector<DocumentResult> results =
+        engine.RunBatch({{0, giant.name, giant.xml}});
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(engine.stats().subtree_parallel_docs, threads > 1 ? 1u : 0u)
+        << threads << " workers";
+    EXPECT_EQ(engine_metrics.GetHistogram("core.node_ambiguity_pct")
+                  ->Snapshot()
+                  .count,
+              targets)
+        << threads << " workers";
   }
 }
 

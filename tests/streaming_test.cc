@@ -300,11 +300,11 @@ TEST(StreamingBuilderTest, StopWordsAreSkipEntries) {
 
 // Id-native target selection must be the string reference in disguise:
 // Disambiguator::SelectTargets picks exactly the string oracle's
-// SelectTargetNodes() nodes, and every target's assignment.ambiguity is
-// bit-equal to the oracle's AmbiguityDegree() — under default and
-// non-default weights and thresholds, over the generated corpus (whose
-// suffixed tags make out-of-vocabulary compound labels, i.e. overflow
-// ids) plus one giant document.
+// SelectTargetNodes() nodes, and every target's audited ambiguity
+// (ExplainNode) is bit-equal to the oracle's AmbiguityDegree() — under
+// default and non-default weights and thresholds, over the generated
+// corpus (whose suffixed tags make out-of-vocabulary compound labels,
+// i.e. overflow ids) plus one giant document.
 TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
   std::vector<std::string> docs = PropgenCorpus();
   docs.push_back(datasets::GiantDocuments(1, 256u << 10, 2)[0].xml);
@@ -326,7 +326,7 @@ TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
     options.ambiguity_weights = config.weights;
     options.ambiguity_threshold = config.threshold;
     // Radius 1 keeps the per-target scoring (which only has to run for
-    // the ambiguity check) fast.
+    // the audit) fast.
     options.sphere_radius = 1;
     options.label_space = &space;
     const core::Disambiguator system(&Network(), options);
@@ -347,9 +347,9 @@ TEST(IdSelectionTest, MatchesStringReferenceOnGeneratedCorpus) {
         if (tree->label_id(id) >= space.network_size()) ++overflow_targets;
         const double reference =
             oracles::AmbiguityDegree(*tree, id, Network(), config.weights);
-        auto assignment = system.DisambiguateNode(*tree, id);
-        ASSERT_TRUE(assignment.ok()) << context << " node " << id;
-        ASSERT_EQ(Bits(assignment->ambiguity), Bits(reference))
+        auto audit = system.ExplainNode(*tree, id);
+        ASSERT_TRUE(audit.ok()) << context << " node " << id;
+        ASSERT_EQ(Bits(audit->ambiguity), Bits(reference))
             << context << " node " << id;
       }
     }

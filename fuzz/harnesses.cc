@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-#include <string_view>
-
 #include <cstring>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/context_vector.h"
@@ -48,12 +47,12 @@ xml::ParseOptions FuzzXmlOptions() {
   std::abort();
 }
 
-/// The bundled mini-WordNet the tree targets build against, built once.
+/// The bundled mini-WordNet the front end builds against, built once.
 const wordnet::SemanticNetwork& FuzzNetwork() {
   static const wordnet::SemanticNetwork* network = [] {
     auto built = wordnet::BuildMiniWordNet();
     if (!built.ok()) {
-      OracleFailure("tree", "lexicon failed to build",
+      OracleFailure("frontend", "lexicon failed to build",
                     built.status().ToString());
     }
     return new wordnet::SemanticNetwork(std::move(built).value());
@@ -65,87 +64,7 @@ std::string_view AsText(const uint8_t* data, size_t size) {
   return {reinterpret_cast<const char*>(data), size};
 }
 
-}  // namespace
-
-void DriveXmlParser(const uint8_t* data, size_t size) {
-  auto doc = oracles::ParseDom(AsText(data, size), FuzzXmlOptions());
-  if (!doc.ok()) {
-    if (doc.status().ToString().empty()) {
-      OracleFailure("xml", "rejection without a message", "");
-    }
-    return;
-  }
-  oracles::SerializeOptions ser;
-  ser.indent = 0;
-  std::string s1 = oracles::SerializeDom(*doc, ser);
-  auto reparsed = oracles::ParseDom(s1, FuzzXmlOptions());
-  if (!reparsed.ok()) {
-    OracleFailure("xml", "accepted document, rejected its serialization",
-                  reparsed.status().ToString() + "\nserialized:\n" + s1);
-  }
-  std::string diff;
-  if (!oracles::StructurallyEqual(*doc, *reparsed, &diff)) {
-    OracleFailure("xml", "round trip changed the document",
-                  diff + "\nserialized:\n" + s1);
-  }
-  if (oracles::SerializeDom(*reparsed, ser) != s1) {
-    OracleFailure("xml", "serialization is not a fixed point", s1);
-  }
-  core::LabelSpace space(&FuzzNetwork());
-  auto tree = core::BuildTreeStreaming(AsText(data, size), FuzzNetwork(),
-                                       FuzzXmlOptions(),
-                                       /*include_values=*/true, &space);
-  if (!tree.ok()) {
-    OracleFailure("xml", "parsed document failed tree construction",
-                  tree.status().ToString());
-  }
-  Status audit = tree->Validate();
-  if (!audit.ok()) {
-    OracleFailure("xml", "labeled tree failed its structural audit",
-                  audit.ToString());
-  }
-}
-
-void DriveWndbParser(const uint8_t* data, size_t size) {
-  if (size > (1u << 20)) return;  // keep the fuzzer fast
-  wordnet::WndbFiles files = propgen::UnpackWndbContainer(AsText(data, size));
-  auto parsed = wordnet::ParseWndb(files);
-  if (!parsed.ok()) {
-    if (parsed.status().ToString().empty()) {
-      OracleFailure("wndb", "rejection without a message", "");
-    }
-    return;
-  }
-  // Differential idempotence. Write(Parse(input)) is compared against
-  // Write(Parse(Write(Parse(input)))) rather than against the input:
-  // the first round trip may canonicalize (lemma normalization, sense
-  // regrouping), but after that the codec must be a fixed point.
-  auto files2 = wordnet::WriteWndb(*parsed);
-  if (!files2.ok()) {
-    OracleFailure("wndb", "accepted network failed to serialize",
-                  files2.status().ToString());
-  }
-  auto parsed2 = wordnet::ParseWndb(*files2);
-  if (!parsed2.ok()) {
-    OracleFailure("wndb", "rewrite of accepted input was rejected",
-                  parsed2.status().ToString());
-  }
-  auto files3 = wordnet::WriteWndb(*parsed2);
-  if (!files3.ok()) {
-    OracleFailure("wndb", "second rewrite failed",
-                  files3.status().ToString());
-  }
-  if (*files2 != *files3) {
-    for (const auto& [name, contents] : *files2) {
-      if (!files3->count(name) || files3->at(name) != contents) {
-        OracleFailure("wndb", "codec is not a fixed point", name);
-      }
-    }
-    OracleFailure("wndb", "codec is not a fixed point", "file set drift");
-  }
-}
-
-/// One node of the tree DriveLabeledTree expects.
+/// One node of the tree the direct DOM walk expects.
 struct ExpectedNode {
   std::string label;
   std::string raw;
@@ -242,7 +161,7 @@ void ExpectElement(const oracles::Node& root, bool include_values,
 void CheckColumns(const xml::LabeledTree& tree,
                   const std::vector<ExpectedNode>& expected) {
   if (tree.size() != expected.size()) {
-    OracleFailure("tree", "node count differs from the DOM walk",
+    OracleFailure("frontend", "node count differs from the DOM walk",
                   std::to_string(tree.size()) + " vs " +
                       std::to_string(expected.size()));
   }
@@ -254,7 +173,7 @@ void CheckColumns(const xml::LabeledTree& tree,
         tree.label(id) != want.label || tree.raw(id) != want.raw ||
         tree.kind(id) != want.kind || tree.parent(id) != want.parent ||
         tree.depth(id) != want.depth) {
-      OracleFailure("tree", "column differs from the DOM walk",
+      OracleFailure("frontend", "column differs from the DOM walk",
                     "node " + std::to_string(id));
     }
     if (want.parent != xml::kInvalidNode) {
@@ -264,7 +183,7 @@ void CheckColumns(const xml::LabeledTree& tree,
   for (xml::NodeId id : tree.ids()) {
     if (!std::ranges::equal(tree.children(id),
                             children[static_cast<size_t>(id)])) {
-      OracleFailure("tree", "child order differs from the DOM walk",
+      OracleFailure("frontend", "child order differs from the DOM walk",
                     "node " + std::to_string(id));
     }
   }
@@ -294,7 +213,7 @@ void CheckSphereOrder(const xml::LabeledTree& tree, xml::NodeId center,
         core::BuildXmlIdSphere(tree, center, radius, exclude_tokens);
     if (sphere.radius != radius || sphere.label_ids != expected.label_ids ||
         sphere.distances != expected.distances) {
-      OracleFailure("tree", "sphere members differ from Rings()",
+      OracleFailure("frontend", "sphere members differ from Rings()",
                     "center " + std::to_string(center) + " radius " +
                         std::to_string(radius) +
                         (exclude_tokens ? " without tokens" : ""));
@@ -302,113 +221,170 @@ void CheckSphereOrder(const xml::LabeledTree& tree, xml::NodeId center,
   }
 }
 
-void DriveLabeledTree(const uint8_t* data, size_t size) {
-  if (size < 1) return;
-  uint8_t flags = data[0];
-  xml::ParseOptions po = FuzzXmlOptions();
-  // Bit 1 is unused (it once kept comments in the DOM), so the seed
-  // corpora replay unchanged.
-  po.discard_whitespace_text = (flags & 1) != 0;
-  const bool include_values = (flags & 4) != 0;
-  const std::string_view text = AsText(data + 1, size - 1);
-  auto doc = oracles::ParseDom(text, po);
-  if (!doc.ok() || doc->root() == nullptr) return;
-  core::LabelSpace space(&FuzzNetwork());
-  auto tree = core::BuildTreeStreaming(text, FuzzNetwork(), po,
-                                       include_values, &space);
-  if (!tree.ok()) {
-    OracleFailure("tree", "parsed document failed tree construction",
-                  tree.status().ToString());
+
+/// The accepted DOM serializes into text that reparses (under the same
+/// options) into a structurally equal document, and the reparse
+/// serializes to the same bytes: the parser held to its own output.
+void CheckRoundTrip(const oracles::Document& doc,
+                    const xml::ParseOptions& options) {
+  oracles::SerializeOptions ser;
+  ser.indent = 0;
+  const std::string s1 = oracles::SerializeDom(doc, ser);
+  auto reparsed = oracles::ParseDom(s1, options);
+  if (!reparsed.ok()) {
+    OracleFailure("frontend", "accepted document, rejected its serialization",
+                  reparsed.status().ToString() + "\nserialized:\n" + s1);
   }
-  Status audit = tree->Validate();
-  if (!audit.ok()) {
-    OracleFailure("tree", "structural audit failed", audit.ToString());
+  std::string diff;
+  if (!oracles::StructurallyEqual(doc, *reparsed, &diff)) {
+    OracleFailure("frontend", "round trip changed the document",
+                  diff + "\nserialized:\n" + s1);
   }
-  std::vector<ExpectedNode> expected;
-  ExpectElement(*doc->root(), include_values, &expected);
-  CheckColumns(*tree, expected);
-  // Exercise the full query surface; inputs are derived from the flag
-  // byte so replay is deterministic. Every call must terminate and stay
-  // in bounds (ASan/UBSan watch the rest).
-  size_t n = tree->size();
+  if (oracles::SerializeDom(*reparsed, ser) != s1) {
+    OracleFailure("frontend", "serialization is not a fixed point", s1);
+  }
+}
+
+/// The streaming tree equals the DOM build node for node: label, raw,
+/// kind, parent, depth, label id (so the interning order too) and
+/// child order.
+void CheckSameTree(const xml::LabeledTree& dom,
+                   const xml::LabeledTree& streamed) {
+  if (dom.size() != streamed.size()) {
+    OracleFailure("frontend", "streaming and DOM node counts differ",
+                  std::to_string(dom.size()) + " vs " +
+                      std::to_string(streamed.size()));
+  }
+  for (xml::NodeId id : dom.ids()) {
+    if (dom.label_id(id) != streamed.label_id(id) ||
+        dom.label(id) != streamed.label(id) ||
+        dom.raw(id) != streamed.raw(id) ||
+        dom.kind(id) != streamed.kind(id) ||
+        dom.parent(id) != streamed.parent(id) ||
+        dom.depth(id) != streamed.depth(id) ||
+        !std::ranges::equal(dom.children(id), streamed.children(id))) {
+      OracleFailure("frontend", "streaming and DOM trees differ",
+                    "node " + std::to_string(id));
+    }
+  }
+}
+
+/// Exercises the tree's query surface from nodes derived from the flag
+/// byte and the input size, so replay is deterministic. Every call
+/// must terminate and stay in bounds (ASan/UBSan watch the rest).
+void CheckQueries(const xml::LabeledTree& tree, uint8_t flags, size_t size) {
+  const size_t n = tree.size();
   if (n == 0) return;
   auto a = static_cast<xml::NodeId>(flags % n);
   auto b = static_cast<xml::NodeId>((flags / 7 + size) % n);
-  xml::NodeId lca = oracles::LowestCommonAncestor(*tree, a, b);
-  int distance = oracles::Distance(*tree, a, b);
+  xml::NodeId lca = oracles::LowestCommonAncestor(tree, a, b);
+  int distance = oracles::Distance(tree, a, b);
   if (distance < 0) {
-    OracleFailure("tree", "negative node distance", std::to_string(distance));
+    OracleFailure("frontend", "negative node distance",
+                  std::to_string(distance));
   }
-  if (tree->depth(lca) > tree->depth(a) ||
-      tree->depth(lca) > tree->depth(b)) {
-    OracleFailure("tree", "LCA deeper than its descendants", "");
+  if (tree.depth(lca) > tree.depth(a) || tree.depth(lca) > tree.depth(b)) {
+    OracleFailure("frontend", "LCA deeper than its descendants", "");
   }
-  CheckSphereOrder(*tree, a, 1 + flags % 4);
-  if (tree->RootPath(b).empty()) {
-    OracleFailure("tree", "empty root path", "");
+  CheckSphereOrder(tree, a, 1 + flags % 4);
+  if (tree.RootPath(b).empty()) {
+    OracleFailure("frontend", "empty root path", "");
   }
-  if (tree->Subtree(0).size() != n) {
-    OracleFailure("tree", "root subtree does not cover the tree", "");
+  if (tree.Subtree(0).size() != n) {
+    OracleFailure("frontend", "root subtree does not cover the tree", "");
   }
-  tree->MaxDepth();
-  tree->MaxFanOut();
-  tree->MaxDensity();
+  tree.MaxDepth();
+  tree.MaxFanOut();
+  tree.MaxDensity();
 }
 
-void DriveStreamParser(const uint8_t* data, size_t size) {
+}  // namespace
+
+void DriveFrontEnd(const uint8_t* data, size_t size) {
   if (size < 1) return;
-  const wordnet::SemanticNetwork* network = &FuzzNetwork();
+  const wordnet::SemanticNetwork& network = FuzzNetwork();
   const uint8_t flags = data[0];
   xml::ParseOptions po = FuzzXmlOptions();
   // Bit 1 is unused (it once kept comments in the DOM), so the seed
-  // corpora replay unchanged.
+  // corpus replays unchanged.
   po.discard_whitespace_text = (flags & 1) != 0;
   const bool include_values = (flags & 4) != 0;
   const std::string_view text = AsText(data + 1, size - 1);
 
-  core::LabelSpace dom_space(network);
-  Result<xml::LabeledTree> dom = [&]() -> Result<xml::LabeledTree> {
-    auto doc = oracles::ParseDom(text, po);
-    if (!doc.ok()) return doc.status();
-    return oracles::BuildTreeViaDom(*doc, *network, include_values,
-                                    &dom_space);
-  }();
-  core::LabelSpace stream_space(network);
-  auto streamed = core::BuildTreeStreaming(text, *network, po,
+  auto doc = oracles::ParseDom(text, po);
+  core::LabelSpace stream_space(&network);
+  auto streamed = core::BuildTreeStreaming(text, network, po,
                                            include_values, &stream_space);
-  if (dom.ok() != streamed.ok()) {
-    OracleFailure("stream", "front ends disagree on accepting the input",
-                  "dom: " + dom.status().ToString() +
+  if (doc.ok() != streamed.ok()) {
+    OracleFailure("frontend", "front ends disagree on accepting the input",
+                  "dom: " + doc.status().ToString() +
                       "\nstream: " + streamed.status().ToString());
   }
-  if (!dom.ok()) {
-    if (streamed.status().ToString().empty()) {
-      OracleFailure("stream", "rejection without a message", "");
+  if (!doc.ok()) {
+    if (doc.status().ToString().empty() ||
+        streamed.status().ToString().empty()) {
+      OracleFailure("frontend", "rejection without a message", "");
     }
     return;
+  }
+  core::LabelSpace dom_space(&network);
+  auto dom = oracles::BuildTreeViaDom(*doc, network, include_values,
+                                      &dom_space);
+  if (!dom.ok()) {
+    OracleFailure("frontend", "DOM walk failed on an accepted document",
+                  dom.status().ToString());
   }
   for (const xml::LabeledTree* tree : {&*dom, &*streamed}) {
     Status audit = tree->Validate();
     if (!audit.ok()) {
-      OracleFailure("stream", "labeled tree failed its audit",
+      OracleFailure("frontend", "labeled tree failed its audit",
                     audit.ToString());
     }
   }
-  if (dom->size() != streamed->size()) {
-    OracleFailure("stream", "node counts differ",
-                  std::to_string(dom->size()) + " vs " +
-                      std::to_string(streamed->size()));
-  }
-  for (xml::NodeId id : dom->ids()) {
-    if (dom->label_id(id) != streamed->label_id(id) ||
-        dom->label(id) != streamed->label(id) ||
-        dom->raw(id) != streamed->raw(id) ||
-        dom->kind(id) != streamed->kind(id) ||
-        dom->parent(id) != streamed->parent(id) ||
-        dom->depth(id) != streamed->depth(id) ||
-        !std::ranges::equal(dom->children(id), streamed->children(id))) {
-      OracleFailure("stream", "trees differ", "node " + std::to_string(id));
+  CheckSameTree(*dom, *streamed);
+  std::vector<ExpectedNode> expected;
+  ExpectElement(*doc->root(), include_values, &expected);
+  CheckColumns(*streamed, expected);
+  CheckRoundTrip(*doc, po);
+  CheckQueries(*streamed, flags, size);
+}
+
+void DriveWndbParser(const uint8_t* data, size_t size) {
+  if (size > (1u << 20)) return;  // keep the fuzzer fast
+  wordnet::WndbFiles files = propgen::UnpackWndbContainer(AsText(data, size));
+  auto parsed = wordnet::ParseWndb(files);
+  if (!parsed.ok()) {
+    if (parsed.status().ToString().empty()) {
+      OracleFailure("wndb", "rejection without a message", "");
     }
+    return;
+  }
+  // Differential idempotence. Write(Parse(input)) is compared against
+  // Write(Parse(Write(Parse(input)))) rather than against the input:
+  // the first round trip may canonicalize (lemma normalization, sense
+  // regrouping), but after that the codec must be a fixed point.
+  auto files2 = wordnet::WriteWndb(*parsed);
+  if (!files2.ok()) {
+    OracleFailure("wndb", "accepted network failed to serialize",
+                  files2.status().ToString());
+  }
+  auto parsed2 = wordnet::ParseWndb(*files2);
+  if (!parsed2.ok()) {
+    OracleFailure("wndb", "rewrite of accepted input was rejected",
+                  parsed2.status().ToString());
+  }
+  auto files3 = wordnet::WriteWndb(*parsed2);
+  if (!files3.ok()) {
+    OracleFailure("wndb", "second rewrite failed",
+                  files3.status().ToString());
+  }
+  if (*files2 != *files3) {
+    for (const auto& [name, contents] : *files2) {
+      if (!files3->count(name) || files3->at(name) != contents) {
+        OracleFailure("wndb", "codec is not a fixed point", name);
+      }
+    }
+    OracleFailure("wndb", "codec is not a fixed point", "file set drift");
   }
 }
 

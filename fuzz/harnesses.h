@@ -14,34 +14,30 @@
 /// regression corpus.
 namespace xsdf::fuzz {
 
-/// oracles::ParseDom (xml::StreamParse events materialized into the
-/// test-only DOM) under fuzz limits; accepted documents must
-/// round-trip (serialize -> reparse -> structurally equal,
-/// serialization a fixed point) and core::BuildTreeStreaming must build them a LabeledTree
-/// that passes Validate().
-void DriveXmlParser(const uint8_t* data, size_t size);
+/// The front end, XML text to Definition 1's labeled tree: one flag
+/// byte (bit 0 sets discard_whitespace_text, bit 2 include_values),
+/// then XML, parsed under fuzz limits. The input is parsed once by
+/// oracles::ParseDom and built once by core::BuildTreeStreaming and
+/// once by oracles::BuildTreeViaDom, each interning through a fresh
+/// LabelSpace. Then:
+///  - both paths agree on accepting the input, and every rejection
+///    carries a message;
+///  - both trees pass Validate();
+///  - the streaming tree equals the DOM build node for node (label,
+///    raw, kind, parent, depth, label id, child order);
+///  - its columns equal a direct DOM walk labelled by the unmemoized
+///    pre-processing, ids re-derived through a fresh LabelSpace;
+///  - the DOM serializes into text that reparses structurally equal
+///    and serializes again to the same bytes;
+///  - BuildXmlIdSphere matches oracles::Rings with and without tokens,
+///    and LCA, distance, root path, subtree and the tree-wide maxima
+///    stay in bounds.
+void DriveFrontEnd(const uint8_t* data, size_t size);
 
 /// wordnet::ParseWndb over a "%%file" container (see
 /// propgen::UnpackWndbContainer); accepted networks must re-serialize,
 /// and the rewrite must be a parse/write fixed point.
 void DriveWndbParser(const uint8_t* data, size_t size);
-
-/// LabeledTree construction and query surface: first byte selects
-/// options, the rest is XML. For every input oracles::ParseDom accepts,
-/// core::BuildTreeStreaming must build a tree that passes Validate()
-/// and matches, column for column, a direct DOM walk labelled by the
-/// unmemoized pre-processing (label ids included), and every query
-/// (LCA, distance, rings, paths) must terminate.
-void DriveLabeledTree(const uint8_t* data, size_t size);
-
-/// Streaming front end against its DOM reference: first byte selects
-/// options, the rest is XML. core::BuildTreeStreaming and the
-/// test-only DOM path (oracles::ParseDom, then oracles::BuildTreeViaDom),
-/// each interning through a fresh LabelSpace, must agree on accepting
-/// the input, and accepted trees must match node for node (label, raw,
-/// kind, parent, depth, label id — so the interning order too) and pass
-/// Validate().
-void DriveStreamParser(const uint8_t* data, size_t size);
 
 /// snapshot::LoadNetworkSnapshotFromBuffer over an 8-aligned copy of
 /// the input: every rejection must carry a message, and an accepted

@@ -3,9 +3,9 @@
 // corpus regression runs work identically on either compiler, plus a
 // dumb (non-coverage-guided) mutation mode for smoke fuzzing.
 //
-//   fuzz_xml_parser file1 [file2 ...]          replay individual inputs
-//   fuzz_xml_parser -dir <directory>           replay every file in a dir
-//   fuzz_xml_parser -mutate <iters> <seed> <dir>
+//   fuzz_frontend file1 [file2 ...]            replay individual inputs
+//   fuzz_frontend -dir <directory>             replay every file in a dir
+//   fuzz_frontend -mutate <iters> <seed> <dir>
 //       load the corpus in <dir>, then run <iters> rounds of
 //       mutate-and-execute from Rng seed <seed>; honors the target's
 //       LLVMFuzzerCustomMutator when it defines one (the WNDB

@@ -35,8 +35,9 @@ struct StreamingBuildStats {
 /// `include_values` selects structure-and-content (true) vs
 /// structure-only (false) processing (paper §3.1). A DOM walk in
 /// tests/oracles/ is the independent reference: tests/streaming_test.cc
-/// and fuzz_stream_parser hold this builder to it node for node,
-/// label id for label id.
+/// and the fuzz_frontend target hold this builder to it node for node,
+/// label id for label id, and tests/frontend_test.cc holds its labels
+/// and context vectors to the unmemoized per-node pre-processing.
 ///
 /// Every node's label is interned through `label_space`, which the
 /// tree records as its label_source(): only a disambiguator reading

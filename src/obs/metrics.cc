@@ -40,12 +40,10 @@ Histogram::Histogram(std::vector<uint64_t> bounds)
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
   const size_t buckets = bounds_.size() + 1;
-  for (Stripe& stripe : stripes_) {
-    stripe.buckets = std::make_unique<std::atomic<uint64_t>[]>(buckets);
-    for (size_t i = 0; i < buckets; ++i) {
-      stripe.buckets[i].store(0, std::memory_order_relaxed);
-    }
-  }
+  lines_per_stripe_ =
+      (buckets + BucketLine::kBuckets - 1) / BucketLine::kBuckets;
+  bucket_lines_ =
+      std::make_unique<BucketLine[]>(lines_per_stripe_ * kMetricStripes);
 }
 
 const std::vector<uint64_t>& Histogram::LatencyBoundsUs() {
@@ -60,8 +58,9 @@ void Histogram::Record(uint64_t value) {
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  Stripe& stripe = stripes_[MetricStripeIndex()];
-  stripe.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  const size_t index = MetricStripeIndex();
+  Bucket(index, bucket).fetch_add(1, std::memory_order_relaxed);
+  Stripe& stripe = stripes_[index];
   stripe.count.fetch_add(1, std::memory_order_relaxed);
   stripe.sum.fetch_add(value, std::memory_order_relaxed);
   uint64_t seen = stripe.max.load(std::memory_order_relaxed);
@@ -76,9 +75,10 @@ HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snapshot;
   snapshot.bounds = bounds_;
   snapshot.counts.assign(bounds_.size() + 1, 0);
-  for (const Stripe& stripe : stripes_) {
+  for (size_t s = 0; s < kMetricStripes; ++s) {
+    const Stripe& stripe = stripes_[s];
     for (size_t i = 0; i < snapshot.counts.size(); ++i) {
-      snapshot.counts[i] += stripe.buckets[i].load(std::memory_order_relaxed);
+      snapshot.counts[i] += Bucket(s, i).load(std::memory_order_relaxed);
     }
     snapshot.count += stripe.count.load(std::memory_order_relaxed);
     snapshot.sum += stripe.sum.load(std::memory_order_relaxed);
@@ -89,9 +89,10 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 
 void Histogram::Reset() {
-  for (Stripe& stripe : stripes_) {
+  for (size_t s = 0; s < kMetricStripes; ++s) {
+    Stripe& stripe = stripes_[s];
     for (size_t i = 0; i < bounds_.size() + 1; ++i) {
-      stripe.buckets[i].store(0, std::memory_order_relaxed);
+      Bucket(s, i).store(0, std::memory_order_relaxed);
     }
     stripe.count.store(0, std::memory_order_relaxed);
     stripe.sum.store(0, std::memory_order_relaxed);

@@ -8,22 +8,24 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace xsdf::obs {
 
 /// Stripe count for the hot-path instruments (power of two). Each
-/// stripe lives on its own cache line, so concurrent workers mostly
-/// bump disjoint lines; snapshots fold the stripes back together.
+/// stripe lives on its own cache lines, so concurrent workers bump
+/// disjoint lines; snapshots fold the stripes back together.
 inline constexpr size_t kMetricStripes = 8;
 
-/// The stripe the calling thread writes to — a hash of the thread id,
-/// computed once per thread.
+/// The stripe the calling thread writes to, taken on its first use
+/// from a process-wide counter: up to kMetricStripes threads that
+/// record at the same time get distinct stripes.
 inline size_t MetricStripeIndex() {
+  static std::atomic<size_t> next_stripe{0};
   thread_local const size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripe & (kMetricStripes - 1);
+      next_stripe.fetch_add(1, std::memory_order_relaxed) &
+      (kMetricStripes - 1);
+  return stripe;
 }
 
 /// A monotonically increasing counter. Increment is one relaxed
@@ -96,7 +98,8 @@ struct HistogramSnapshot {
 /// sorted bound array plus three relaxed fetch_adds on the calling
 /// thread's stripe (bucket, count, sum) — no locks anywhere on the
 /// record path. Bounds are fixed at construction; values above the
-/// last bound land in an overflow bucket.
+/// last bound land in an overflow bucket. Each stripe's bucket counts
+/// start on a cache line of their own in one shared block.
 class Histogram {
  public:
   explicit Histogram(std::vector<uint64_t> bounds);
@@ -112,13 +115,26 @@ class Histogram {
 
  private:
   struct alignas(64) Stripe {
-    std::unique_ptr<std::atomic<uint64_t>[]> buckets;
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> max{0};
   };
+  /// One cache line of bucket counts.
+  struct alignas(64) BucketLine {
+    static constexpr size_t kBuckets = 64 / sizeof(std::atomic<uint64_t>);
+    std::atomic<uint64_t> counts[kBuckets] = {};
+  };
+
+  std::atomic<uint64_t>& Bucket(size_t stripe, size_t bucket) const {
+    return bucket_lines_[stripe * lines_per_stripe_ +
+                         bucket / BucketLine::kBuckets]
+        .counts[bucket % BucketLine::kBuckets];
+  }
 
   std::vector<uint64_t> bounds_;
+  size_t lines_per_stripe_ = 0;
+  /// kMetricStripes runs of lines_per_stripe_ lines, one per stripe.
+  std::unique_ptr<BucketLine[]> bucket_lines_;
   Stripe stripes_[kMetricStripes];
 };
 

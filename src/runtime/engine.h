@@ -78,15 +78,19 @@ struct EngineOptions {
   /// only on a miss of their Disambiguator's label-term memo. Off =
   /// those misses compute every pair directly.
   bool enable_similarity_cache = true;
-  size_t similarity_cache_capacity = 1 << 16;
-  size_t similarity_cache_shards = 16;
 
+  /// Fixed cache sizes, not settings: nothing sets them. They stay
+  /// members (static, so EngineOptions carries no settable copy)
+  /// because the benchmark reads them through an EngineOptions value;
+  /// a change to the benchmark can move them out.
+  static constexpr size_t similarity_cache_capacity = 1 << 16;
+  static constexpr size_t similarity_cache_shards = 16;
   /// Never read by the engine, which builds no sense cache (targets
   /// read their candidates from the label space): benchmark-only
   /// leftovers that size the benchmark's own SenseInventoryCache (see
   /// core::SenseInventory).
-  size_t sense_cache_capacity = 4096;
-  size_t sense_cache_shards = 8;
+  static constexpr size_t sense_cache_capacity = 4096;
+  static constexpr size_t sense_cache_shards = 8;
 
   /// Parser hardening budgets applied to every document (the CLI's
   /// --max-input-bytes / --max-depth land here).

@@ -1,8 +1,8 @@
 // Tests for the interned front end: the engine-wide label id space
 // (cross-document id stability, exact-spelling injectivity), and the
-// headline contract — for every node, the id-based candidates and
-// sphere/vector scores are BIT-identical to the string-keyed reference
-// in tests/oracles/, on trees with and without label ids.
+// headline contract — for every node, the streaming tree's labels and
+// context vector and the id-based candidates and scores are
+// BIT-identical to the string-keyed reference in tests/oracles/.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +15,17 @@
 #include <thread>
 #include <vector>
 
+#include "common/token_interner.h"
+#include "core/context_vector.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/scores.h"
 #include "core/streaming_builder.h"
 #include "datasets/generator.h"
+#include "oracles/dom.h"
+#include "oracles/dom_tree_builder.h"
 #include "oracles/string_pipeline.h"
+#include "text/preprocess.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 
@@ -324,6 +329,89 @@ TEST(IdPipelineOracleTest, CandidatesAndScoresMatchStringOracle) {
     }
   }
   EXPECT_GT(scored_nodes, 1000u);
+}
+
+// ============ Front end vs the per-node pre-processing =============
+
+/// The DOM walk labelled by the per-node pre-processing, without its
+/// memo tables, each label interned into a build-local TokenInterner
+/// instead of a LabelSpace.
+Result<xml::LabeledTree> BuildTreePerNode(const oracles::Document& doc) {
+  const text::LexiconProbe probe = [](const std::string& lemma) {
+    return Network().Contains(lemma);
+  };
+  TokenInterner interner;
+  core::ResolvedLabel tag;
+  std::vector<core::ResolvedLabel> tokens;
+  return oracles::BuildTreeViaDom(
+      doc, /*include_values=*/true, /*label_source=*/0,
+      [&](std::string_view raw) -> const core::ResolvedLabel& {
+        tag.label = text::PreprocessTagName(raw, probe).label;
+        tag.id = interner.Intern(tag.label);
+        return tag;
+      },
+      [&](std::string_view value) -> const std::vector<core::ResolvedLabel>& {
+        tokens.clear();
+        for (std::string& token : text::PreprocessTextValue(value, probe)) {
+          core::ResolvedLabel& resolved = tokens.emplace_back();
+          resolved.label = std::move(token);
+          if (!resolved.label.empty()) {
+            resolved.id = interner.Intern(resolved.label);
+          }
+        }
+        return tokens;
+      });
+}
+
+// Every node of the Figure 1 documents and the ten dataset families at
+// seed 11: the streaming tree's labels equal the per-node reference's
+// and spell their ids, and its radius-2 IdContextVector equals the
+// string ContextVector over the reference tree — the same dimensions,
+// spelled the same and in the same order, the same sphere size and
+// bit-equal weights. The counts pin the coverage.
+TEST(FrontEndOracleTest, LabelsAndContextVectorsMatchPerNodeReference) {
+  std::vector<std::string> docs;
+  for (const auto& doc : datasets::Figure1Documents()) docs.push_back(doc.xml);
+  for (const auto* generator : datasets::AllDatasets()) {
+    for (const auto& doc : generator->Generate(/*seed=*/11)) {
+      docs.push_back(doc.xml);
+    }
+  }
+  core::LabelSpace space(&Network());
+  const int radius = core::DisambiguatorOptions{}.sphere_radius;
+  size_t nodes = 0;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    auto doc = oracles::ParseDom(docs[d]);
+    ASSERT_TRUE(doc.ok()) << "doc " << d;
+    auto reference = BuildTreePerNode(*doc);
+    auto tree = core::BuildTreeStreaming(docs[d], Network(),
+                                         xml::ParseOptions{}, true, &space);
+    ASSERT_TRUE(reference.ok() && tree.ok()) << "doc " << d;
+    ASSERT_EQ(tree->size(), reference->size()) << "doc " << d;
+    for (xml::NodeId id : tree->ids()) {
+      const std::string context =
+          "doc " + std::to_string(d) + " node " + std::to_string(id);
+      ASSERT_EQ(tree->label(id), reference->label(id)) << context;
+      ASSERT_EQ(space.Spelling(tree->label_id(id)), tree->label(id))
+          << context;
+      const oracles::ContextVector want(
+          oracles::BuildXmlSphere(*reference, id, radius));
+      const core::IdContextVector got(
+          core::BuildXmlIdSphere(*tree, id, radius));
+      ASSERT_EQ(got.dimension_count(), want.dimension_count()) << context;
+      ASSERT_EQ(got.sphere_size(), want.sphere_size()) << context;
+      for (size_t k = 0; k < got.dimension_count(); ++k) {
+        const auto& [label, weight] = want.weights()[k];
+        ASSERT_EQ(space.Spelling(got.ids()[k]), label)
+            << context << " dim " << k;
+        ASSERT_EQ(Bits(got.weights()[k]), Bits(weight))
+            << context << " dim " << k;
+      }
+      ++nodes;
+    }
+  }
+  EXPECT_EQ(docs.size(), 62u);
+  EXPECT_EQ(nodes, 4502u);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Replays the checked-in fuzz corpora through the fuzzing oracles in
-// plain gtest, so every inputs that ever crashed a parser (and every
+// plain gtest, so every input that ever crashed a parser (and every
 // seed input) is re-checked by ordinary ctest runs on every
 // configuration — no sanitizer runtime or libFuzzer required. The
 // oracles abort() on violation, which gtest reports as a crashed test.
 //
 // Layout (relative to the repo root, baked in via XSDF_SOURCE_DIR):
-//   fuzz/corpus/{xml,wndb,tree,stream,snapshot}           seed inputs
-//   fuzz/corpus/regressions/<target>/                     past crashes
+//   fuzz/corpus/{frontend,wndb,snapshot}           seed inputs
+//   fuzz/corpus/regressions/<corpus>/              past crashes
 
 #include <gtest/gtest.h>
 
@@ -54,20 +54,12 @@ void ReplayDirectory(const std::string& subdir, DriveFn drive,
   }
 }
 
-TEST(FuzzRegressionTest, XmlSeedCorpusReplaysClean) {
-  ReplayDirectory("xml", fuzz::DriveXmlParser, /*required=*/true);
+TEST(FuzzRegressionTest, FrontEndSeedCorpusReplaysClean) {
+  ReplayDirectory("frontend", fuzz::DriveFrontEnd, /*required=*/true);
 }
 
 TEST(FuzzRegressionTest, WndbSeedCorpusReplaysClean) {
   ReplayDirectory("wndb", fuzz::DriveWndbParser, /*required=*/true);
-}
-
-TEST(FuzzRegressionTest, TreeSeedCorpusReplaysClean) {
-  ReplayDirectory("tree", fuzz::DriveLabeledTree, /*required=*/true);
-}
-
-TEST(FuzzRegressionTest, StreamSeedCorpusReplaysClean) {
-  ReplayDirectory("stream", fuzz::DriveStreamParser, /*required=*/true);
 }
 
 TEST(FuzzRegressionTest, SnapshotSeedCorpusReplaysClean) {
@@ -78,23 +70,13 @@ TEST(FuzzRegressionTest, SnapshotSeedCorpusReplaysClean) {
 // one file per fixed bug (named after the defect). These directories
 // may be empty in a tree where no crash has been found yet; the test
 // then just verifies the directory scan itself.
-TEST(FuzzRegressionTest, XmlCrashRegressionsStayFixed) {
-  ReplayDirectory("regressions/xml", fuzz::DriveXmlParser,
+TEST(FuzzRegressionTest, FrontEndCrashRegressionsStayFixed) {
+  ReplayDirectory("regressions/frontend", fuzz::DriveFrontEnd,
                   /*required=*/false);
 }
 
 TEST(FuzzRegressionTest, WndbCrashRegressionsStayFixed) {
   ReplayDirectory("regressions/wndb", fuzz::DriveWndbParser,
-                  /*required=*/false);
-}
-
-TEST(FuzzRegressionTest, TreeCrashRegressionsStayFixed) {
-  ReplayDirectory("regressions/tree", fuzz::DriveLabeledTree,
-                  /*required=*/false);
-}
-
-TEST(FuzzRegressionTest, StreamCrashRegressionsStayFixed) {
-  ReplayDirectory("regressions/stream", fuzz::DriveStreamParser,
                   /*required=*/false);
 }
 
@@ -107,18 +89,17 @@ TEST(FuzzRegressionTest, SnapshotCrashRegressionsStayFixed) {
 // at the cap, and one past it, must run through every oracle — the
 // test-only DOM, its serializer and equality, and both DOM walks —
 // which therefore keep explicit stacks instead of recursing per level.
+// Flags 0x04 keep whitespace text and value tokens; 0x00 drops the
+// tokens, 0x05 the whitespace-only text.
 TEST(FuzzRegressionTest, ChainsAtTheFuzzDepthCapRunClean) {
   for (int depth : {4096, 4097}) {
     std::string xml;
     for (int d = 0; d < depth; ++d) xml += "<a x=\"star\">word ";
     for (int d = 0; d < depth; ++d) xml += "</a>";
-    fuzz::DriveXmlParser(reinterpret_cast<const uint8_t*>(xml.data()),
-                         xml.size());
-    for (char flags : {'\0', '\5'}) {
+    for (char flags : {'\x00', '\x04', '\x05'}) {
       const std::string input = flags + xml;
-      const auto* data = reinterpret_cast<const uint8_t*>(input.data());
-      fuzz::DriveLabeledTree(data, input.size());
-      fuzz::DriveStreamParser(data, input.size());
+      fuzz::DriveFrontEnd(reinterpret_cast<const uint8_t*>(input.data()),
+                          input.size());
     }
   }
 }

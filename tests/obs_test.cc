@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +62,29 @@ TEST(JsonWriterTest, IntegralDoublesPrintWithoutFraction) {
   writer.Value(0.25);
   writer.EndArray();
   EXPECT_EQ(writer.str(), "[3,0.25]");
+}
+
+// ---------------------------------------------------------------------------
+// Stripes
+
+// A thread takes its stripe on first use from a process-wide counter,
+// so a full set of threads recording together never share a stripe,
+// wherever their stacks land.
+TEST(MetricStripeTest, ThreadsStartedTogetherGetDistinctStripes) {
+  std::vector<size_t> stripes(kMetricStripes);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kMetricStripes; ++t) {
+    threads.emplace_back([&stripes, &ready, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kMetricStripes) std::this_thread::yield();
+      stripes[t] = MetricStripeIndex();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(std::set<size_t>(stripes.begin(), stripes.end()).size(),
+            kMetricStripes);
+  for (size_t stripe : stripes) EXPECT_LT(stripe, kMetricStripes);
 }
 
 // ---------------------------------------------------------------------------

@@ -91,9 +91,9 @@ struct Input {
   std::string text;
 };
 
-/// Corpus files under fuzz/corpus/`subdir`, in path order. The tree
-/// and stream harnesses read their first byte as option flags, so
-/// `skip_flag_byte` drops it to leave the XML they parse.
+/// Corpus files under fuzz/corpus/`subdir`, in path order. The
+/// front-end harness reads its first byte as option flags, so
+/// `skip_flag_byte` drops it to leave the XML it parses.
 void AddCorpus(const std::string& subdir, bool skip_flag_byte,
                std::vector<Input>* inputs) {
   const std::filesystem::path root =
@@ -124,11 +124,8 @@ std::string Chain(int depth) {
 
 std::vector<Input> Inputs() {
   std::vector<Input> inputs;
-  AddCorpus("xml", false, &inputs);
-  AddCorpus("stream", true, &inputs);
-  AddCorpus("tree", true, &inputs);
-  AddCorpus("regressions/xml", false, &inputs);
-  AddCorpus("regressions/tree", true, &inputs);
+  AddCorpus("frontend", true, &inputs);
+  AddCorpus("regressions/frontend", true, &inputs);
   AddCorpus("regressions/wndb", false, &inputs);
   Rng generated(0x9a1de001);
   for (int i = 0; i < 500; ++i) {

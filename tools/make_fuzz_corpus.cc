@@ -1,6 +1,6 @@
-// Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{xml,
-// wndb,tree,stream,snapshot}) from the deterministic generators in
-// tests/prop. Run from the repo root:
+// Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{frontend,
+// wndb,snapshot}) from the deterministic generators in tests/prop. Run
+// from the repo root:
 //
 //   ./build/tools/make_fuzz_corpus fuzz/corpus
 //
@@ -44,12 +44,12 @@ int main(int argc, char** argv) {
   const fs::path root = argv[1];
   bool ok = true;
 
-  // XML seeds: varied generator settings so the corpus starts with
-  // documents exercising every construct the parser knows. Each also
-  // seeds the streaming front end's differential target behind an
-  // option-flag byte cycling through all eight flag combinations.
-  fs::create_directories(root / "xml");
-  fs::create_directories(root / "stream");
+  // Front-end seeds: one option-flag byte, then an XML document.
+  // Varied generator settings make documents exercising every construct
+  // the parser knows; each goes in once with flags 0x04 (whitespace
+  // kept, values included) and once behind a flag byte cycling through
+  // all eight combinations, unless that byte is 0x04 too.
+  fs::create_directories(root / "frontend");
   {
     xsdf::Rng rng(0xc0597501);
     for (int i = 0; i < 24; ++i) {
@@ -60,11 +60,14 @@ int main(int argc, char** argv) {
       gen.allow_misc = i % 3 != 0;
       gen.allow_entities = i % 4 != 1;
       std::string doc = xsdf::propgen::GenerateXmlDocument(rng, gen);
-      ok &= WriteFile(root / "xml" /
-                          xsdf::StrFormat("gen_%02d.xml", i), doc);
-      ok &= WriteFile(root / "stream" /
-                          xsdf::StrFormat("gen_%02d.bin", i),
-                      static_cast<char>(i % 8) + doc);
+      ok &= WriteFile(root / "frontend" /
+                          xsdf::StrFormat("gen_xml_%02d.bin", i),
+                      '\x04' + doc);
+      if (i % 8 != 4) {
+        ok &= WriteFile(root / "frontend" /
+                            xsdf::StrFormat("gen_stream_%02d.bin", i),
+                        static_cast<char>(i % 8) + doc);
+      }
     }
   }
 
@@ -90,8 +93,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Tree seeds: one option-flag byte, then an XML document.
-  fs::create_directories(root / "tree");
+  // More front-end seeds, each behind a random flag byte.
   {
     xsdf::Rng rng(0xc0597503);
     for (int i = 0; i < 12; ++i) {
@@ -99,8 +101,8 @@ int main(int argc, char** argv) {
       std::string input;
       input += static_cast<char>(rng.UniformInt(256));
       input += doc;
-      ok &= WriteFile(root / "tree" /
-                          xsdf::StrFormat("gen_%02d.bin", i), input);
+      ok &= WriteFile(root / "frontend" /
+                          xsdf::StrFormat("gen_tree_%02d.bin", i), input);
     }
   }
 

@@ -12,13 +12,17 @@
 // at every supported SIMD dispatch level (nonzero exit on any
 // mismatch) — cheap enough for CI.
 //
-// The full run additionally times the raw dispatched id kernels
-// (sorted intersect, first-occurrence find) at each supported level
-// over synthetic sets of several sizes: the measure-level numbers
-// above are dominated by table walks and FP at mini-WordNet input
-// sizes, so the per-level section is where the lane-width effect is
-// actually visible.
+// The full run additionally times the raw dispatched id kernels at
+// each supported level (`simd_kernel_micro`): the stride-2, early-exit
+// and positions intersects on random mini-WordNet concept pairs'
+// ancestor rows and gloss bags, then the positions intersect and the
+// first-occurrence find on synthetic sets of several sizes. Each row
+// gives every level's median and range over 7 interleaved runs (each
+// the best of three batches); a vector body is kept only where it
+// beats the fastest level below it by more than its own range
+// (DESIGN.md §12).
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -26,12 +30,14 @@
 #include <cstring>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_env.h"
 #include "common/simd.h"
+#include "core/context_vector.h"
 #include "core/disambiguator.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
@@ -112,84 +118,172 @@ std::vector<uint32_t> StrictSet(std::mt19937& rng, size_t len,
   return {s.begin(), s.end()};
 }
 
-/// Per-level ns/call of one raw id kernel at one synthetic set size.
-struct MicroResult {
-  const char* kernel;
-  size_t set_len;
-  std::vector<std::pair<const char*, double>> level_ns;  // (name, ns)
-
-  double speedup_vs_scalar() const {
-    double scalar = level_ns.front().second;
-    double best = scalar;
-    for (const auto& [name, ns] : level_ns) best = std::min(best, ns);
-    return best > 0.0 ? scalar / best : 0.0;
-  }
+/// One level's ns/call over the repeated runs of one kernel row.
+struct LevelTiming {
+  const char* level;
+  double median_ns = 0.0;
+  double min_ns = 0.0;
+  double max_ns = 0.0;
 };
 
-/// Times the dispatched intersect + find kernels at each supported
-/// level over `kSets` random strictly-increasing set pairs (~30%
-/// overlap) per size. Restores the dispatch level afterwards.
-std::vector<MicroResult> RunSimdKernelMicro() {
-  constexpr size_t kSets = 64;
-  constexpr size_t kLens[] = {16, 64, 256};
-  std::vector<MicroResult> results;
-  std::mt19937 rng(20150324);
-  for (size_t len : kLens) {
-    std::vector<std::vector<uint32_t>> as;
-    std::vector<std::vector<uint32_t>> bs;
-    for (size_t i = 0; i < kSets; ++i) {
-      as.push_back(StrictSet(rng, len, static_cast<uint32_t>(3 * len)));
-      bs.push_back(StrictSet(rng, len, static_cast<uint32_t>(3 * len)));
-    }
-    std::vector<uint32_t> out_a(len);
-    std::vector<uint32_t> out_b(len);
-    MicroResult intersect{"sorted_intersect_positions", len, {}};
-    MicroResult find{"find_first", len, {}};
-    const int rounds = len >= 256 ? 600 : 4000;
-    for (xsdf::simd::Level level : SupportedLevels()) {
-      xsdf::simd::ForceLevel(level);
-      const char* name = xsdf::simd::LevelName(level);
-      size_t sink = 0;
+/// Per-level ns/call of one dispatched id kernel on one input.
+struct MicroResult {
+  const char* kernel;
+  std::string input;  // "ancestor_rows", "gloss_bags", "synthetic_<len>"
+  double mean_len = 0.0;
+  size_t max_len = 0;
+  std::vector<LevelTiming> levels;  // one per supported level, ascending
+};
+
+/// Runs `batch()` (which makes `calls` kernel calls and returns a sink
+/// value) kReps times at every supported level, the levels interleaved
+/// within each run so that host drift lands on every level alike, and
+/// returns each level's median and range in ns/call. A run is the best
+/// of three batches, which keeps a preempted batch out of the record.
+template <typename Batch>
+std::vector<LevelTiming> TimeEveryLevel(size_t calls, Batch&& batch) {
+  constexpr int kReps = 7;
+  const std::vector<xsdf::simd::Level> levels = SupportedLevels();
+  std::vector<std::vector<double>> runs(levels.size());
+  size_t sink = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t l = 0; l < levels.size(); ++l) {
+      xsdf::simd::ForceLevel(levels[l]);
       double best_ns = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
+      for (int pass = 0; pass < 3; ++pass) {
         auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < rounds; ++r) {
-          for (size_t i = 0; i < kSets; ++i) {
-            sink += xsdf::simd::SortedIntersectPositionsU32(
-                as[i].data(), len, bs[i].data(), len, out_a.data(),
-                out_b.data());
-          }
-        }
+        sink += batch();
         double ns = std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count() /
-                    static_cast<double>(rounds * kSets);
-        if (rep == 0 || ns < best_ns) best_ns = ns;
+                    static_cast<double>(calls);
+        if (pass == 0 || ns < best_ns) best_ns = ns;
       }
-      intersect.level_ns.emplace_back(name, best_ns);
-      // Worst-case find: the probed value is absent, so every level
-      // scans the full array.
-      const int find_rounds = rounds * 8;
-      best_ns = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < find_rounds; ++r) {
-          sink += xsdf::simd::FindU32(as[r % kSets].data(), len,
-                                      0xffffffffu);
-        }
-        double ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - start)
-                        .count() /
-                    static_cast<double>(find_rounds);
-        if (rep == 0 || ns < best_ns) best_ns = ns;
-      }
-      find.level_ns.emplace_back(name, best_ns);
-      if (sink == static_cast<size_t>(-1)) std::printf("impossible\n");
+      runs[l].push_back(best_ns);
     }
-    results.push_back(intersect);
-    results.push_back(find);
   }
   xsdf::simd::ForceLevel(xsdf::simd::DetectedLevel());
+  if (sink == static_cast<size_t>(-1)) std::printf("impossible\n");
+  std::vector<LevelTiming> out;
+  for (size_t l = 0; l < levels.size(); ++l) {
+    std::vector<double>& r = runs[l];
+    std::sort(r.begin(), r.end());
+    out.push_back({xsdf::simd::LevelName(levels[l]), r[r.size() / 2],
+                   r.front(), r.back()});
+  }
+  return out;
+}
+
+using IdSetPair = std::pair<std::vector<uint32_t>, std::vector<uint32_t>>;
+
+/// The label-id sets the context-based process (§3.5.2) intersects:
+/// each evaluated target of the experiments corpus has its radius-2
+/// sphere compared with the sphere of each of its candidates, as sorted
+/// distinct ids (what IdContextVector::Cosine hands the kernel).
+std::vector<IdSetPair> ContextVectorPairs(const SemanticNetwork& network) {
+  std::vector<IdSetPair> out;
+  xsdf::core::LabelSpace labels(&network);
+  auto corpus = xsdf::eval::BuildCorpus(network, &labels);
+  if (!corpus.ok()) return out;
+  auto sorted_ids = [](const xsdf::core::IdSphere& sphere) {
+    xsdf::core::IdContextVector vector(sphere);
+    std::vector<uint32_t> ids(vector.ids().begin(), vector.ids().end());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  for (const auto& doc : *corpus) {
+    for (xsdf::xml::NodeId id : doc.target_sample) {
+      const auto& senses = labels.Senses(doc.tree.label_id(id));
+      if (!senses.has_senses()) continue;
+      std::vector<uint32_t> xml_ids =
+          sorted_ids(xsdf::core::BuildXmlIdSphere(doc.tree, id, 2));
+      for (const auto& c : senses.candidates) {
+        out.emplace_back(
+            xml_ids, sorted_ids(c.is_compound()
+                                    ? xsdf::core::BuildCompoundConceptIdSphere(
+                                          network, c.primary, c.secondary, 2)
+                                    : xsdf::core::BuildConceptIdSphere(
+                                          network, c.primary, 2)));
+      }
+    }
+  }
+  return out;
+}
+
+/// Times the dispatched id kernels at each supported level: first on
+/// what production feeds them (the stride-2 intersect on the ancestor
+/// rows and the early-exit intersect on the gloss bags of random
+/// mini-WordNet concept pairs, each call including the two row lookups;
+/// the positions intersect on the same bags and on ContextVectorPairs),
+/// then on synthetic strictly increasing set pairs (~30% overlap) of
+/// several sizes.
+std::vector<MicroResult> RunSimdKernelMicro(const SemanticNetwork& network) {
+  std::vector<MicroResult> results;
+  std::vector<uint32_t> out_a;
+  std::vector<uint32_t> out_b;
+  // Adds the row of `kernel(row(a), row(b))` over `pairs`, each pass
+  // making `rounds` sweeps.
+  auto add = [&](const char* kernel, std::string input, const auto& pairs,
+                 auto&& row, size_t rounds, auto&& call) {
+    MicroResult m{kernel, std::move(input), 0.0, 0, {}};
+    size_t total = 0;
+    for (const auto& [a, b] : pairs) {
+      total += row(a).size() + row(b).size();
+      m.max_len = std::max({m.max_len, row(a).size(), row(b).size()});
+    }
+    m.mean_len = static_cast<double>(total) / (2.0 * pairs.size());
+    out_a.resize(std::max(out_a.size(), m.max_len));
+    out_b.resize(out_a.size());
+    m.levels = TimeEveryLevel(rounds * pairs.size(), [&] {
+      size_t sink = 0;
+      for (size_t r = 0; r < rounds; ++r) {
+        for (const auto& [a, b] : pairs) sink += call(row(a), row(b));
+      }
+      return sink;
+    });
+    results.push_back(std::move(m));
+  };
+  using Ids = std::span<const uint32_t>;
+  auto positions = [&](Ids a, Ids b) {
+    return xsdf::simd::SortedIntersectPositionsU32(
+        a.data(), a.size(), b.data(), b.size(), out_a.data(), out_b.data());
+  };
+  auto ancestors = [&](ConceptId c) { return network.Ancestors(c); };
+  auto bag = [&](ConceptId c) { return network.GlossTokenBag(c); };
+  auto as_is = [](const std::vector<uint32_t>& v) { return Ids(v); };
+
+  const auto pairs = SamplePairs(network, 200000);
+  add("stride2_intersect", "ancestor_rows", pairs, ancestors, 1,
+      [&](auto a, auto b) {
+        return xsdf::simd::SortedIntersectPositionsStride2(
+            reinterpret_cast<const uint32_t*>(a.data()), a.size(),
+            reinterpret_cast<const uint32_t*>(b.data()), b.size(),
+            out_a.data(), out_b.data());
+      });
+  add("early_exit_intersect", "gloss_bags", pairs, bag, 1, [](Ids a, Ids b) {
+    return size_t{xsdf::simd::SortedIntersectNonEmptyU32(a.data(), a.size(),
+                                                         b.data(), b.size())};
+  });
+  add("positions_intersect", "gloss_bags", pairs, bag, 1, positions);
+  add("positions_intersect", "context_vectors", ContextVectorPairs(network),
+      as_is, 20, positions);
+
+  std::mt19937 rng(20150324);
+  for (size_t len : {16, 64, 256}) {
+    std::vector<IdSetPair> sets;
+    for (int i = 0; i < 64; ++i) {
+      sets.emplace_back(StrictSet(rng, len, static_cast<uint32_t>(3 * len)),
+                        StrictSet(rng, len, static_cast<uint32_t>(3 * len)));
+    }
+    const std::string input = "synthetic_" + std::to_string(len);
+    const size_t rounds = len >= 256 ? 200 : 1000;
+    add("positions_intersect", input, sets, as_is, rounds, positions);
+    // Worst-case find: the probed value is absent, so every level
+    // scans the full array.
+    add("find_first", input, sets, as_is, rounds, [](Ids a, Ids) {
+      return xsdf::simd::FindU32(a.data(), a.size(), 0xffffffffu);
+    });
+  }
   return results;
 }
 
@@ -459,16 +553,18 @@ int main(int argc, char** argv) {
 
   // Raw dispatched-kernel timings per level: the lane-width effect
   // itself, isolated from measure-level table walks and FP.
-  std::vector<MicroResult> micro = RunSimdKernelMicro();
-  std::printf("%-28s %6s", "simd kernel", "len");
+  std::vector<MicroResult> micro = RunSimdKernelMicro(network);
+  std::printf("%-21s %-14s %8s", "simd kernel", "input", "mean len");
   for (xsdf::simd::Level level : levels) {
-    std::printf(" %9s", xsdf::simd::LevelName(level));
+    std::printf(" %24s", xsdf::simd::LevelName(level));
   }
-  std::printf(" %9s\n", "speedup");
+  std::printf("\n");
   for (const MicroResult& m : micro) {
-    std::printf("%-28s %6zu", m.kernel, m.set_len);
-    for (const auto& [name, ns] : m.level_ns) std::printf(" %7.1fns", ns);
-    std::printf(" %8.2fx\n", m.speedup_vs_scalar());
+    std::printf("%-21s %-14s %8.1f", m.kernel, m.input.c_str(), m.mean_len);
+    for (const LevelTiming& t : m.levels) {
+      std::printf("  %7.1f (%7.1f-%7.1f)", t.median_ns, t.min_ns, t.max_ns);
+    }
+    std::printf("\n");
   }
 
   std::FILE* json = std::fopen(json_path, "w");
@@ -507,13 +603,16 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"simd_kernel_micro\": [\n");
   for (size_t i = 0; i < micro.size(); ++i) {
     const MicroResult& m = micro[i];
-    std::fprintf(json, "    {\"kernel\": \"%s\", \"set_len\": %zu, ",
-                 m.kernel, m.set_len);
-    for (const auto& [name, ns] : m.level_ns) {
-      std::fprintf(json, "\"%s_ns\": %.1f, ", name, ns);
+    std::fprintf(json,
+                 "    {\"kernel\": \"%s\", \"input\": \"%s\", "
+                 "\"mean_len\": %.1f, \"max_len\": %zu",
+                 m.kernel, m.input.c_str(), m.mean_len, m.max_len);
+    for (const LevelTiming& t : m.levels) {
+      std::fprintf(json,
+                   ", \"%s_ns\": %.1f, \"%s_range_ns\": [%.1f, %.1f]",
+                   t.level, t.median_ns, t.level, t.min_ns, t.max_ns);
     }
-    std::fprintf(json, "\"speedup_vs_scalar\": %.2f}%s\n",
-                 m.speedup_vs_scalar(), i + 1 < micro.size() ? "," : "");
+    std::fprintf(json, "}%s\n", i + 1 < micro.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -84,23 +84,6 @@ namespace internal {
 
 namespace {
 
-/// Loads four consecutive element keys starting at element `e`:
-/// contiguous for stride 1, even-word deinterleave (in-register
-/// shuffles, no gathers) for the AncestorEntry stride-2 layout.
-template <int kStride>
-inline __m128i LoadKeys4(const uint32_t* p, size_t e) {
-  if constexpr (kStride == 1) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + e));
-  } else {
-    const uint32_t* q = p + 2 * e;
-    __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
-    __m128i v1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + 4));
-    __m128i lo0 = _mm_shuffle_epi32(v0, _MM_SHUFFLE(3, 1, 2, 0));
-    __m128i lo1 = _mm_shuffle_epi32(v1, _MM_SHUFFLE(3, 1, 2, 0));
-    return _mm_unpacklo_epi64(lo0, lo1);
-  }
-}
-
 inline unsigned Rotl4(unsigned mask, unsigned s) {
   return ((mask << s) | (mask >> (4 - s))) & 0xFu;
 }
@@ -116,13 +99,13 @@ inline uint32_t Ctz(unsigned mask) {
 /// `Emit(amask, bmask, i, j)` receives the per-block match masks;
 /// returning true stops the sweep (early exit). Returns the (i, j)
 /// element positions the scalar tail must resume from.
-template <int kStride, typename Emit>
+template <typename Emit>
 inline void BlockSweep4(const uint32_t* a, size_t na, const uint32_t* b,
                         size_t nb, size_t* pi, size_t* pj, Emit&& emit) {
   size_t i = *pi, j = *pj;
   while (i + 4 <= na && j + 4 <= nb) {
-    __m128i va = LoadKeys4<kStride>(a, i);
-    __m128i vb = LoadKeys4<kStride>(b, j);
+    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
     unsigned amask = 0;
     unsigned bmask = 0;
     unsigned m = static_cast<unsigned>(
@@ -146,8 +129,8 @@ inline void BlockSweep4(const uint32_t* a, size_t na, const uint32_t* b,
       *pj = j;
       return;
     }
-    uint32_t amax = KeyAt<kStride>(a, i + 3);
-    uint32_t bmax = KeyAt<kStride>(b, j + 3);
+    uint32_t amax = a[i + 3];
+    uint32_t bmax = b[j + 3];
     if (amax <= bmax) i += 4;
     if (bmax <= amax) j += 4;
   }
@@ -174,54 +157,36 @@ bool IntersectNonEmptySse2(const uint32_t* a, size_t na, const uint32_t* b,
                            size_t nb) {
   size_t i = 0, j = 0;
   bool hit = false;
-  BlockSweep4<1>(a, na, b, nb, &i, &j,
-                 [&](unsigned, unsigned, size_t, size_t) {
-                   hit = true;
-                   return true;  // early exit on the first match
-                 });
+  BlockSweep4(a, na, b, nb, &i, &j, [&](unsigned, unsigned, size_t, size_t) {
+    hit = true;
+    return true;  // early exit on the first match
+  });
   if (hit) return true;
-  return IntersectNonEmptyScalarFrom<1>(a, na, b, nb, i, j);
+  return IntersectNonEmptyScalarFrom(a, na, b, nb, i, j);
 }
-
-namespace {
-
-template <int kStride>
-inline size_t IntersectPositionsSse2T(const uint32_t* a, size_t na,
-                                      const uint32_t* b, size_t nb,
-                                      uint32_t* out_a, uint32_t* out_b) {
-  size_t i = 0, j = 0, k = 0;
-  BlockSweep4<kStride>(
-      a, na, b, nb, &i, &j,
-      [&](unsigned amask, unsigned bmask, size_t bi, size_t bj) {
-        // Matched values biject between the two strict sets, so the
-        // ascending set bits of amask and bmask pair up in order.
-        while (amask != 0) {
-          out_a[k] = static_cast<uint32_t>(bi) + Ctz(amask);
-          if (out_b != nullptr) {
-            out_b[k] = static_cast<uint32_t>(bj) + Ctz(bmask);
-          }
-          amask &= amask - 1;
-          bmask &= bmask - 1;
-          ++k;
-        }
-        return false;  // full sweep
-      });
-  return IntersectPositionsScalarFrom<kStride>(a, na, b, nb, out_a, out_b,
-                                               i, j, k);
-}
-
-}  // namespace
 
 size_t IntersectPositionsSse2(const uint32_t* a, size_t na,
                               const uint32_t* b, size_t nb, uint32_t* out_a,
                               uint32_t* out_b) {
-  return IntersectPositionsSse2T<1>(a, na, b, nb, out_a, out_b);
-}
-
-size_t IntersectPositionsStride2Sse2(const uint32_t* a, size_t na,
-                                     const uint32_t* b, size_t nb,
-                                     uint32_t* out_a, uint32_t* out_b) {
-  return IntersectPositionsSse2T<2>(a, na, b, nb, out_a, out_b);
+  size_t i = 0, j = 0, k = 0;
+  BlockSweep4(a, na, b, nb, &i, &j,
+              [&](unsigned amask, unsigned bmask, size_t bi, size_t bj) {
+                // Matched values biject between the two strict sets, so
+                // the ascending set bits of amask and bmask pair up in
+                // order.
+                while (amask != 0) {
+                  out_a[k] = static_cast<uint32_t>(bi) + Ctz(amask);
+                  if (out_b != nullptr) {
+                    out_b[k] = static_cast<uint32_t>(bj) + Ctz(bmask);
+                  }
+                  amask &= amask - 1;
+                  bmask &= bmask - 1;
+                  ++k;
+                }
+                return false;  // full sweep
+              });
+  return IntersectPositionsScalarFrom<1>(a, na, b, nb, out_a, out_b, i, j,
+                                         k);
 }
 
 }  // namespace internal
@@ -242,32 +207,23 @@ size_t FindU32Dispatch(const uint32_t* data, size_t n, uint32_t value) {
   return internal::FindU32Scalar(data, n, value);
 }
 
+// The intersects have no AVX2 body: at AVX2 they run the SSE2 one.
 bool SortedIntersectNonEmptyU32(const uint32_t* a, size_t na,
                                 const uint32_t* b, size_t nb) {
 #if defined(XSDF_SIMD_X86_64)
-  switch (ActiveLevel()) {
-    case Level::kAvx2:
-      return internal::IntersectNonEmptyAvx2(a, na, b, nb);
-    case Level::kSse2:
-      return internal::IntersectNonEmptySse2(a, na, b, nb);
-    case Level::kScalar:
-      break;
+  if (ActiveLevel() >= Level::kSse2) {
+    return internal::IntersectNonEmptySse2(a, na, b, nb);
   }
 #endif
-  return internal::IntersectNonEmptyScalarFrom<1>(a, na, b, nb, 0, 0);
+  return internal::IntersectNonEmptyScalarFrom(a, na, b, nb, 0, 0);
 }
 
 size_t SortedIntersectPositionsU32(const uint32_t* a, size_t na,
                                    const uint32_t* b, size_t nb,
                                    uint32_t* out_a, uint32_t* out_b) {
 #if defined(XSDF_SIMD_X86_64)
-  switch (ActiveLevel()) {
-    case Level::kAvx2:
-      return internal::IntersectPositionsAvx2(a, na, b, nb, out_a, out_b);
-    case Level::kSse2:
-      return internal::IntersectPositionsSse2(a, na, b, nb, out_a, out_b);
-    case Level::kScalar:
-      break;
+  if (ActiveLevel() >= Level::kSse2) {
+    return internal::IntersectPositionsSse2(a, na, b, nb, out_a, out_b);
   }
 #endif
   return internal::IntersectPositionsScalarFrom<1>(a, na, b, nb, out_a,
@@ -277,18 +233,6 @@ size_t SortedIntersectPositionsU32(const uint32_t* a, size_t na,
 size_t SortedIntersectPositionsStride2(const uint32_t* a, size_t na,
                                        const uint32_t* b, size_t nb,
                                        uint32_t* out_a, uint32_t* out_b) {
-#if defined(XSDF_SIMD_X86_64)
-  switch (ActiveLevel()) {
-    case Level::kAvx2:
-      return internal::IntersectPositionsStride2Avx2(a, na, b, nb, out_a,
-                                                     out_b);
-    case Level::kSse2:
-      return internal::IntersectPositionsStride2Sse2(a, na, b, nb, out_a,
-                                                     out_b);
-    case Level::kScalar:
-      break;
-  }
-#endif
   return internal::IntersectPositionsScalarFrom<2>(a, na, b, nb, out_a,
                                                    out_b, 0, 0, 0);
 }

@@ -8,7 +8,11 @@
 /// hot similarity paths run on (DESIGN.md §12): first-occurrence
 /// search, sorted-set intersection (early-exit and full-positions
 /// forms), and a stride-2 intersect for the interleaved
-/// AncestorEntry{id, distance} CSR rows.
+/// AncestorEntry{id, distance} CSR rows. A level has a vector body only
+/// where BENCH_sim_kernels.json's `simd_kernel_micro` shows it beating
+/// the level below: AVX2 has one for the find alone, SSE2 for the find
+/// and both plain intersects, and the stride-2 intersect is the scalar
+/// merge at every level.
 ///
 /// Dispatch contract: the level is resolved once per process from
 /// CPUID (`__builtin_cpu_supports`), clamped by what the build
@@ -77,9 +81,9 @@ size_t SortedIntersectPositionsU32(const uint32_t* a, size_t na,
 /// Same, for arrays whose keys sit at even indices of an interleaved
 /// (key, payload) uint32 sequence — the in-memory layout of the
 /// id-sorted AncestorEntry CSR rows. `na`/`nb` count *elements*
-/// (key-payload pairs), and positions are element indices. The
-/// deinterleave happens in-register, so the AoS snapshot format needs
-/// no layout change.
+/// (key-payload pairs), and positions are element indices. The merge
+/// reads the even words in place, so the AoS snapshot format needs no
+/// layout change.
 size_t SortedIntersectPositionsStride2(const uint32_t* a, size_t na,
                                        const uint32_t* b, size_t nb,
                                        uint32_t* out_a, uint32_t* out_b);

@@ -1,9 +1,9 @@
 // The one TU built with -mavx2 (see src/common/CMakeLists.txt). The
 // runtime dispatcher in simd.cc only routes here when CPUID reports
-// AVX2 *and* Avx2Compiled() is true, so these bodies never execute on
+// AVX2 *and* Avx2Compiled() is true, so this body never executes on
 // hardware that lacks the instructions. When the toolchain cannot
-// build AVX2 at all, the #else block links the SSE2 bodies instead
-// and reports Avx2Compiled() == false.
+// build AVX2 at all, the #else block links the SSE2 body instead and
+// reports Avx2Compiled() == false.
 #include "common/simd_internal.h"
 
 #if defined(XSDF_SIMD_X86_64)
@@ -14,112 +14,6 @@
 
 namespace xsdf::simd::internal {
 
-namespace {
-
-/// Eight consecutive element keys starting at element `e`: contiguous
-/// for stride 1; for the AncestorEntry stride-2 layout, two 256-bit
-/// loads deinterleaved in-register (per-lane even-word shuffle, 64-bit
-/// pack, then a cross-lane permute to restore order).
-template <int kStride>
-inline __m256i LoadKeys8(const uint32_t* p, size_t e) {
-  if constexpr (kStride == 1) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + e));
-  } else {
-    const uint32_t* q = p + 2 * e;
-    __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
-    __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 8));
-    __m256i lo0 = _mm256_shuffle_epi32(v0, _MM_SHUFFLE(3, 1, 2, 0));
-    __m256i lo1 = _mm256_shuffle_epi32(v1, _MM_SHUFFLE(3, 1, 2, 0));
-    // Per-lane unpack leaves the four key pairs as 64-bit chunks in
-    // order (k0k1, k4k5, k2k3, k6k7); the permute restores sequence.
-    __m256i packed = _mm256_unpacklo_epi64(lo0, lo1);
-    return _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
-  }
-}
-
-inline unsigned Rotl8(unsigned mask, unsigned s) {
-  return ((mask << s) | (mask >> (8 - s))) & 0xFFu;
-}
-
-inline uint32_t Ctz(unsigned mask) {
-  return static_cast<uint32_t>(__builtin_ctz(mask));
-}
-
-inline unsigned MoveMask8(__m256i cmp) {
-  return static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(cmp)));
-}
-
-/// The 8-wide analogue of simd.cc's BlockSweep4: all-pairs compare of
-/// one 8-key block against the 8 rotations of the other (cross-lane
-/// permutevar rotations), then advance the block with the smaller max.
-template <int kStride, typename Emit>
-inline void BlockSweep8(const uint32_t* a, size_t na, const uint32_t* b,
-                        size_t nb, size_t* pi, size_t* pj, Emit&& emit) {
-  const __m256i rot[8] = {
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0),
-      _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1),
-      _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2),
-      _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3),
-      _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4),
-      _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5),
-      _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6),
-  };
-  size_t i = *pi, j = *pj;
-  while (i + 8 <= na && j + 8 <= nb) {
-    __m256i va = LoadKeys8<kStride>(a, i);
-    __m256i vb = LoadKeys8<kStride>(b, j);
-    unsigned amask = 0;
-    unsigned bmask = 0;
-    for (unsigned r = 0; r < 8; ++r) {
-      unsigned m = MoveMask8(_mm256_cmpeq_epi32(
-          va, _mm256_permutevar8x32_epi32(vb, rot[r])));
-      amask |= m;
-      bmask |= Rotl8(m, r);
-    }
-    if (amask != 0 && emit(amask, bmask, i, j)) {
-      *pi = i;
-      *pj = j;
-      return;
-    }
-    uint32_t amax = KeyAt<kStride>(a, i + 7);
-    uint32_t bmax = KeyAt<kStride>(b, j + 7);
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  *pi = i;
-  *pj = j;
-}
-
-template <int kStride>
-inline size_t IntersectPositionsAvx2T(const uint32_t* a, size_t na,
-                                      const uint32_t* b, size_t nb,
-                                      uint32_t* out_a, uint32_t* out_b) {
-  size_t i = 0, j = 0, k = 0;
-  BlockSweep8<kStride>(
-      a, na, b, nb, &i, &j,
-      [&](unsigned amask, unsigned bmask, size_t bi, size_t bj) {
-        // Matched values biject between the two strict sets, so the
-        // ascending set bits of amask and bmask pair up in order.
-        while (amask != 0) {
-          out_a[k] = static_cast<uint32_t>(bi) + Ctz(amask);
-          if (out_b != nullptr) {
-            out_b[k] = static_cast<uint32_t>(bj) + Ctz(bmask);
-          }
-          amask &= amask - 1;
-          bmask &= bmask - 1;
-          ++k;
-        }
-        return false;  // full sweep
-      });
-  return IntersectPositionsScalarFrom<kStride>(a, na, b, nb, out_a, out_b,
-                                               i, j, k);
-}
-
-}  // namespace
-
 bool Avx2Compiled() { return true; }
 
 size_t FindU32Avx2(const uint32_t* data, size_t n, uint32_t value) {
@@ -128,41 +22,17 @@ size_t FindU32Avx2(const uint32_t* data, size_t n, uint32_t value) {
   for (; i + 8 <= n; i += 8) {
     __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    unsigned mask = MoveMask8(_mm256_cmpeq_epi32(v, needle));
-    if (mask != 0) return i + Ctz(mask);
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, needle))));
+    if (mask != 0) return i + static_cast<size_t>(__builtin_ctz(mask));
   }
   return i + FindU32Scalar(data + i, n - i, value);
 }
 
-bool IntersectNonEmptyAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb) {
-  size_t i = 0, j = 0;
-  bool hit = false;
-  BlockSweep8<1>(a, na, b, nb, &i, &j,
-                 [&](unsigned, unsigned, size_t, size_t) {
-                   hit = true;
-                   return true;  // early exit on the first match
-                 });
-  if (hit) return true;
-  return IntersectNonEmptyScalarFrom<1>(a, na, b, nb, i, j);
-}
-
-size_t IntersectPositionsAvx2(const uint32_t* a, size_t na,
-                              const uint32_t* b, size_t nb, uint32_t* out_a,
-                              uint32_t* out_b) {
-  return IntersectPositionsAvx2T<1>(a, na, b, nb, out_a, out_b);
-}
-
-size_t IntersectPositionsStride2Avx2(const uint32_t* a, size_t na,
-                                     const uint32_t* b, size_t nb,
-                                     uint32_t* out_a, uint32_t* out_b) {
-  return IntersectPositionsAvx2T<2>(a, na, b, nb, out_a, out_b);
-}
-
 }  // namespace xsdf::simd::internal
 
-#else  // x86-64 without an AVX2-capable toolchain: link-compatible
-       // fallbacks onto the SSE2 bodies; dispatch never selects them.
+#else  // x86-64 without an AVX2-capable toolchain: a link-compatible
+       // fallback onto the SSE2 body; dispatch never selects it.
 
 namespace xsdf::simd::internal {
 
@@ -170,23 +40,6 @@ bool Avx2Compiled() { return false; }
 
 size_t FindU32Avx2(const uint32_t* data, size_t n, uint32_t value) {
   return FindU32Sse2(data, n, value);
-}
-
-bool IntersectNonEmptyAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb) {
-  return IntersectNonEmptySse2(a, na, b, nb);
-}
-
-size_t IntersectPositionsAvx2(const uint32_t* a, size_t na,
-                              const uint32_t* b, size_t nb, uint32_t* out_a,
-                              uint32_t* out_b) {
-  return IntersectPositionsSse2(a, na, b, nb, out_a, out_b);
-}
-
-size_t IntersectPositionsStride2Avx2(const uint32_t* a, size_t na,
-                                     const uint32_t* b, size_t nb,
-                                     uint32_t* out_a, uint32_t* out_b) {
-  return IntersectPositionsStride2Sse2(a, na, b, nb, out_a, out_b);
 }
 
 }  // namespace xsdf::simd::internal

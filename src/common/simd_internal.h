@@ -28,16 +28,13 @@ inline size_t FindU32Scalar(const uint32_t* data, size_t n,
 }
 
 /// Scalar sorted-merge intersection probe resumed from (i, j).
-template <int kStride>
 inline bool IntersectNonEmptyScalarFrom(const uint32_t* a, size_t na,
                                         const uint32_t* b, size_t nb,
                                         size_t i, size_t j) {
   while (i < na && j < nb) {
-    uint32_t va = KeyAt<kStride>(a, i);
-    uint32_t vb = KeyAt<kStride>(b, j);
-    if (va < vb) {
+    if (a[i] < b[j]) {
       ++i;
-    } else if (vb < va) {
+    } else if (b[j] < a[i]) {
       ++j;
     } else {
       return true;
@@ -82,24 +79,13 @@ bool IntersectNonEmptySse2(const uint32_t* a, size_t na, const uint32_t* b,
 size_t IntersectPositionsSse2(const uint32_t* a, size_t na,
                               const uint32_t* b, size_t nb, uint32_t* out_a,
                               uint32_t* out_b);
-size_t IntersectPositionsStride2Sse2(const uint32_t* a, size_t na,
-                                     const uint32_t* b, size_t nb,
-                                     uint32_t* out_a, uint32_t* out_b);
 
-// AVX2 variants (defined in simd_avx2.cc, the TU built with -mavx2).
-// When the toolchain cannot build AVX2 they fall back to the SSE2
-// bodies and Avx2Compiled() reports false, so dispatch never selects
-// a level the binary cannot honor.
+// The AVX2 variant (defined in simd_avx2.cc, the TU built with -mavx2).
+// When the toolchain cannot build AVX2 it falls back to the SSE2 body
+// and Avx2Compiled() reports false, so dispatch never selects a level
+// the binary cannot honor.
 bool Avx2Compiled();
 size_t FindU32Avx2(const uint32_t* data, size_t n, uint32_t value);
-bool IntersectNonEmptyAvx2(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb);
-size_t IntersectPositionsAvx2(const uint32_t* a, size_t na,
-                              const uint32_t* b, size_t nb, uint32_t* out_a,
-                              uint32_t* out_b);
-size_t IntersectPositionsStride2Avx2(const uint32_t* a, size_t na,
-                                     const uint32_t* b, size_t nb,
-                                     uint32_t* out_a, uint32_t* out_b);
 #endif  // x86-64
 
 }  // namespace xsdf::simd::internal

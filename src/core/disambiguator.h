@@ -36,7 +36,7 @@ enum class DisambiguationProcess { kConceptBased, kContextBased, kCombined };
 /// constructs a SenseInventory. They stay compiled only because the
 /// benchmark program (perfbench/) still names them; delete them with
 /// DisambiguatorOptions::sense_inventory and runtime::SenseInventoryCache
-/// when the benchmark is ported (ROADMAP item 2).
+/// when the benchmark is ported (ROADMAP item 7).
 ///
 /// A label's candidate list, handed out shared.
 struct SenseEntry {

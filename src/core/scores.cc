@@ -15,16 +15,33 @@ uint64_t Mix64(uint64_t h) {
   return h ^ (h >> 31);
 }
 
-}  // namespace
-
-size_t LabelTermMemo::KeyHash::operator()(const Key& key) const {
-  // The label id and primary concept, with the secondary concept
-  // (usually kInvalidConcept) spread in first.
-  uint64_t h = (uint64_t{key.label_id} << 32) |
-               static_cast<uint32_t>(key.primary);
-  h ^= static_cast<uint32_t>(key.secondary) * 0x9E3779B97F4A7C15ULL;
-  return static_cast<size_t>(Mix64(h));
+/// The term of `candidate` against the context label whose resolved
+/// senses are `senses`. For simple context labels a compound candidate
+/// is compared exactly per Eq. 10: max over context senses of the
+/// average of the two token-sense similarities. For compound context
+/// labels each context token is matched independently and the results
+/// averaged.
+double Term(const wordnet::SemanticNetwork& network,
+            const sim::CombinedMeasure& measure, const LabelSenses& senses,
+            const SenseCandidate& candidate) {
+  double total = 0.0;
+  for (std::span<const wordnet::ConceptId> token : senses.token_senses) {
+    double best = 0.0;
+    for (wordnet::ConceptId sense : token) {
+      double sim = measure.Similarity(network, candidate.primary, sense);
+      if (candidate.is_compound()) {
+        sim = (sim + measure.Similarity(network, candidate.secondary,
+                                        sense)) /
+              2.0;
+      }
+      best = std::max(best, sim);
+    }
+    total += best;
+  }
+  return total / static_cast<double>(senses.token_senses.size());
 }
+
+}  // namespace
 
 size_t LabelTermMemo::Row(const wordnet::SemanticNetwork& network,
                           const sim::CombinedMeasure& measure,
@@ -42,7 +59,7 @@ size_t LabelTermMemo::Row(const wordnet::SemanticNetwork& network,
   }
   const size_t row = row_terms_.size();
   for (const SenseCandidate& candidate : candidates) {
-    row_terms_.push_back(Term(network, measure, label_id, senses, candidate));
+    row_terms_.push_back(Term(network, measure, senses, candidate));
   }
   row_slots_[i] = {key, row};
   ++row_count_;
@@ -59,35 +76,6 @@ void LabelTermMemo::GrowRows() {
     while (row_slots_[i].key != kEmptyRow) i = (i + 1) & mask;
     row_slots_[i] = slot;
   }
-}
-
-double LabelTermMemo::Term(const wordnet::SemanticNetwork& network,
-                           const sim::CombinedMeasure& measure,
-                           uint32_t label_id, const LabelSenses& senses,
-                           const SenseCandidate& candidate) {
-  auto [it, inserted] = terms_.try_emplace(
-      Key{label_id, candidate.primary, candidate.secondary}, 0.0);
-  if (!inserted) return it->second;
-  // For simple context labels a compound candidate is compared exactly
-  // per Eq. 10: max over context senses of the average of the two
-  // token-sense similarities. For compound context labels each context
-  // token is matched independently and the results averaged.
-  double total = 0.0;
-  for (std::span<const wordnet::ConceptId> token : senses.token_senses) {
-    double best = 0.0;
-    for (wordnet::ConceptId sense : token) {
-      double sim = measure.Similarity(network, candidate.primary, sense);
-      if (candidate.is_compound()) {
-        sim = (sim + measure.Similarity(network, candidate.secondary,
-                                        sense)) /
-              2.0;
-      }
-      best = std::max(best, sim);
-    }
-    total += best;
-  }
-  it->second = total / static_cast<double>(senses.token_senses.size());
-  return it->second;
 }
 
 void IdResolvedContext::Assign(LabelSpace& space,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/context_vector.h"
@@ -23,9 +22,10 @@ namespace xsdf::core {
 ///
 /// Reads are at row grain: one probe per (context label, target label)
 /// returns the terms of all the target label's candidates, back to back
-/// in one flat array. A row is filled once from the per-candidate
-/// terms, each computed once whichever target labels share the
-/// candidate, so a concept pair is never compared twice.
+/// in one flat array. A row's terms are computed when the row is first
+/// met; a candidate shared by two target labels is computed once per
+/// row (rarely: see DESIGN.md §6), its concept pairs then answered by
+/// the pair cache when one is attached.
 ///
 /// One memo is valid for one LabelSpace, network and measure
 /// composition (a Disambiguator owns one), and is not thread-safe.
@@ -46,15 +46,6 @@ class LabelTermMemo {
   std::span<const double> terms() const { return row_terms_; }
 
  private:
-  struct Key {
-    uint32_t label_id = 0;
-    wordnet::ConceptId primary = wordnet::kInvalidConcept;
-    wordnet::ConceptId secondary = wordnet::kInvalidConcept;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
   /// One slot of the open-addressing row index; kEmptyRow when free.
   struct RowSlot {
     uint64_t key = kEmptyRow;  ///< label_id << 32 | target_label_id
@@ -62,13 +53,8 @@ class LabelTermMemo {
   };
   static constexpr uint64_t kEmptyRow = ~uint64_t{0};
 
-  /// The term of `candidate` against the label (computed on first use).
-  double Term(const wordnet::SemanticNetwork& network,
-              const sim::CombinedMeasure& measure, uint32_t label_id,
-              const LabelSenses& senses, const SenseCandidate& candidate);
   void GrowRows();
 
-  std::unordered_map<Key, double, KeyHash> terms_;
   std::vector<RowSlot> row_slots_;  ///< power-of-two, at most half full
   size_t row_count_ = 0;
   std::vector<double> row_terms_;

@@ -28,7 +28,7 @@ namespace xsdf::runtime {
 /// candidates by reference from the LabelSpace memo. It stays compiled
 /// only because the benchmark program (perfbench/) still constructs it;
 /// delete it with ShardedLruCache and core::SenseInventory when the
-/// benchmark is ported (ROADMAP item 2).
+/// benchmark is ported (ROADMAP item 7).
 class SenseInventoryCache : public core::SenseInventory {
  public:
   explicit SenseInventoryCache(size_t capacity, size_t shard_count = 8);

@@ -185,27 +185,4 @@ void SimilarityCache::ResetCounters() {
   }
 }
 
-void SimilarityCache::Clear() {
-  for (size_t s = 0; s <= set_mask_; ++s) {
-    Set& set = sets_[s];
-    uint64_t seq = set.seq.load(std::memory_order_relaxed);
-    for (;;) {
-      if ((seq & 1) == 0 &&
-          set.seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    for (size_t w = 0; w < kWays; ++w) {
-      set.key[w].store(0, std::memory_order_relaxed);
-      set.value[w].store(0, std::memory_order_relaxed);
-    }
-    set.seq.store(seq + 2, std::memory_order_release);
-  }
-  for (size_t i = 0; i <= stripe_mask_; ++i) {
-    stripes_[i].fills.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace xsdf::runtime

@@ -53,7 +53,6 @@ class SimilarityCache : public sim::SimilarityCacheHook {
 
   CacheStats GetStats() const;
   void ResetCounters();
-  void Clear();
 
   /// 64-bit fingerprint of a measure composition (bit-exact on the
   /// ordered names and weights) — MeasureConfig::Fingerprint().

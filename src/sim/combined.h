@@ -62,7 +62,6 @@ class CombinedMeasure : public SimilarityMeasure {
   void set_external_cache(SimilarityCacheHook* cache) {
     external_cache_ = cache;
   }
-  SimilarityCacheHook* external_cache() const { return external_cache_; }
 
   /// The packed symmetric cache key (shared with SimilarityCacheHook
   /// implementations): smaller concept id in the high 32 bits.

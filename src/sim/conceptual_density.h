@@ -38,7 +38,7 @@ namespace xsdf::sim {
 /// Both counts come from one O(sum of CSR row lengths) pass over the
 /// finalized network's ancestor table, memoized per network behind a
 /// mutex-guarded shared_ptr (instances are safely shared across
-/// threads), and the common-subsumer set comes from the SIMD sorted
+/// threads), and the common-subsumer set comes from the sorted ancestor
 /// intersect — max over the matched set is order-independent, so
 /// scores are bit-identical at every dispatch level.
 class ConceptualDensityMeasure : public SimilarityMeasure {

@@ -16,8 +16,8 @@ namespace xsdf::sim {
 /// the common ancestors of two id-sorted AncestorEntry rows, written
 /// into per-thread scratch (valid until the calling thread's next
 /// IntersectAncestors call). The interleaved {id, distance} rows are
-/// consumed in place — the SIMD stride-2 intersect deinterleaves ids
-/// in-register, so the CSR/snapshot layout stays untouched.
+/// consumed in place — the stride-2 intersect reads the id words where
+/// they lie, so the CSR/snapshot layout stays untouched.
 ///
 /// Each measure finishes scalar over the matched positions in match
 /// order; the match set is identical at every dispatch level and the

@@ -10,7 +10,7 @@ double LinMeasure::Similarity(const wordnet::SemanticNetwork& network,
                               wordnet::ConceptId b) const {
   XSDF_DCHECK(network.finalized(), "similarity needs a finalized network");
   if (a == b) return 1.0;
-  // Most informative common subsumer via the SIMD sorted-ancestor
+  // Most informative common subsumer via the sorted-ancestor
   // intersect over the precomputed tables (see ResnikMeasure::Similarity
   // for why this is bit-identical at every dispatch level).
   std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);

@@ -14,7 +14,7 @@ double ResnikMeasure::Similarity(const wordnet::SemanticNetwork& network,
   if (a == b) return 1.0;
   double total = network.TotalFrequency();
   if (total <= 0.0) return 0.0;
-  // Most informative common subsumer via the SIMD sorted-ancestor
+  // Most informative common subsumer via the sorted-ancestor
   // intersect; the IC table holds each concept's -log p(c) (0 at the
   // roots), the intersect finds the same matches at every dispatch
   // level, and max() is order-independent — so scores are

@@ -13,7 +13,7 @@ double WuPalmerMeasure::Similarity(const wordnet::SemanticNetwork& network,
   XSDF_DCHECK(network.finalized(), "similarity needs a finalized network");
   if (a == b) return 1.0;
   // LCS = common ancestor minimizing len_a + len_b (ties toward depth),
-  // found by the SIMD intersect of the two id-sorted ancestor arrays.
+  // found by the stride-2 intersect of the two id-sorted ancestor arrays.
   // The score only depends on (best_sum, best_depth); the (sum, depth)
   // selection rule is order-independent over the matched set and the
   // intersect finds the same matches at every dispatch level — so the

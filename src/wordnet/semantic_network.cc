@@ -225,19 +225,6 @@ const std::vector<ConceptId>& SemanticNetwork::Senses(
   return senses_by_token_[token];
 }
 
-uint32_t SemanticNetwork::FindLemmaTokenId(std::string_view lemma) const {
-  thread_local std::string buffer;
-  NormalizeLemmaInto(lemma, &buffer);
-  return interner_.Find(buffer);
-}
-
-const std::vector<ConceptId>& SemanticNetwork::SensesByTokenId(
-    uint32_t token_id) const {
-  static const std::vector<ConceptId> kEmpty;
-  if (token_id >= senses_by_token_.size()) return kEmpty;
-  return senses_by_token_[token_id];
-}
-
 int SemanticNetwork::SenseCount(std::string_view lemma) const {
   return static_cast<int>(Senses(lemma).size());
 }

@@ -172,17 +172,6 @@ class SemanticNetwork {
   /// contiguous uint32_t id space.
   const TokenInterner& interner() const { return interner_; }
 
-  /// Interner id of `lemma` after lemma normalization, or
-  /// TokenInterner::kNotFound; never allocates (the lookup runs through
-  /// the same thread-local buffer as Senses()).
-  uint32_t FindLemmaTokenId(std::string_view lemma) const;
-
-  /// Senses of the token interned under `token_id`, in sense order;
-  /// empty for gloss-only tokens and out-of-range ids. The id-based
-  /// twin of Senses(): SensesByTokenId(FindLemmaTokenId(w)) ==
-  /// Senses(w) for every known lemma.
-  const std::vector<ConceptId>& SensesByTokenId(uint32_t token_id) const;
-
   /// Interner id of concept `id`'s label (first lemma). Defined after
   /// FinalizeFrequencies(); lets concept spheres carry the same id
   /// space as XML tree labels.

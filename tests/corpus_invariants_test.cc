@@ -2,12 +2,19 @@
 // document of the generated evaluation corpus, every assignment the
 // disambiguator makes, and every context vector it builds. These are
 // the repository's broadest safety net — they exercise the full
-// pipeline on all 60 documents rather than hand-picked fixtures.
+// pipeline on all 60 documents rather than hand-picked fixtures (and,
+// for id-value independence, on the tests/prop corpus too).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
@@ -17,6 +24,7 @@
 #include "oracles/dom.h"
 #include "oracles/graph_walks.h"
 #include "oracles/string_pipeline.h"
+#include "prop/generators.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 
@@ -292,6 +300,83 @@ TEST_F(CorpusInvariantsTest, JaccardProcessStillDisambiguates) {
   auto result = system.RunOnTree(doc.tree);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->assignments.empty());
+}
+
+TEST_F(CorpusInvariantsTest, OutputDoesNotDependOnOverflowIdValues) {
+  // Output may depend on which members share a label, never on the
+  // value of its id. Build the tests/prop corpus and every dataset
+  // document through a fresh space A, pre-intern A's overflow
+  // spellings into a fresh space B in a shuffled order, then build
+  // through B: the overflow ids move, and nothing else may.
+  std::vector<std::string> texts;
+  Rng rng(20260807);
+  propgen::XmlGenOptions gen;
+  gen.max_depth = 6;
+  gen.max_children = 5;
+  for (int i = 0; i < 500; ++i) {
+    texts.push_back(propgen::GenerateXmlDocument(rng, gen));
+  }
+  for (const auto& doc : corpus()) texts.push_back(doc.generated.xml);
+  auto build = [&](core::LabelSpace* space) {
+    std::vector<xml::LabeledTree> trees;
+    for (const std::string& text : texts) {
+      auto tree = core::BuildTreeStreaming(text, network(),
+                                           xml::ParseOptions{}, true, space);
+      EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+      if (tree.ok()) trees.push_back(std::move(tree).value());
+    }
+    return trees;
+  };
+  core::LabelSpace space_a(&network());
+  const std::vector<xml::LabeledTree> trees_a = build(&space_a);
+  std::vector<std::string> overflow;
+  for (size_t id = space_a.network_size(); id < space_a.size(); ++id) {
+    overflow.push_back(space_a.Spelling(static_cast<uint32_t>(id)));
+  }
+  std::shuffle(overflow.begin(), overflow.end(), std::mt19937(20261020));
+  core::LabelSpace space_b(&network());
+  for (const std::string& spelling : overflow) space_b.Resolve(spelling);
+  const std::vector<xml::LabeledTree> trees_b = build(&space_b);
+  ASSERT_EQ(trees_a.size(), texts.size());
+  ASSERT_EQ(trees_b.size(), texts.size());
+  ASSERT_EQ(space_b.size(), space_a.size());
+  size_t moved = 0;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    for (xml::NodeId id : trees_a[i].ids()) {
+      moved += trees_a[i].label_id(id) != trees_b[i].label_id(id);
+    }
+  }
+  EXPECT_GT(moved, 0u) << "the shuffle moved no label id";
+
+  for (core::DisambiguationProcess process :
+       {core::DisambiguationProcess::kConceptBased,
+        core::DisambiguationProcess::kContextBased}) {
+    core::DisambiguatorOptions options;
+    options.process = process;
+    options.sphere_radius = 2;
+    options.label_space = &space_a;
+    core::Disambiguator system_a(&network(), options);
+    options.label_space = &space_b;
+    core::Disambiguator system_b(&network(), options);
+    for (size_t i = 0; i < texts.size(); ++i) {
+      auto a = system_a.RunOnTree(trees_a[i]);
+      auto b = system_b.RunOnTree(trees_b[i]);
+      ASSERT_TRUE(a.ok() && b.ok()) << "doc " << i;
+      ASSERT_EQ(a->assignments.size(), b->assignments.size()) << "doc " << i;
+      for (const auto& [id, assignment] : a->assignments) {
+        const core::SenseAssignment* other = b->assignments.find(id);
+        ASSERT_NE(other, nullptr) << "doc " << i << " node " << id;
+        EXPECT_EQ(assignment.sense, other->sense)
+            << "doc " << i << " node " << id;
+        EXPECT_EQ(std::bit_cast<uint64_t>(assignment.score),
+                  std::bit_cast<uint64_t>(other->score))
+            << "doc " << i << " node " << id;
+      }
+      EXPECT_EQ(core::SemanticTreeToXml(*a, network()),
+                core::SemanticTreeToXml(*b, network()))
+          << "doc " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -12,11 +12,11 @@
 // at every supported SIMD dispatch level (nonzero exit on any
 // mismatch) — cheap enough for CI.
 //
-// The full run additionally times the raw dispatched id kernels at
-// each supported level (`simd_kernel_micro`): the stride-2, early-exit
-// and positions intersects on random mini-WordNet concept pairs'
-// ancestor rows and gloss bags, then the positions intersect and the
-// first-occurrence find on synthetic sets of several sizes. Each row
+// The full run additionally times the dispatched id kernels at each
+// supported level where production calls them (`simd_kernel_micro`):
+// the first-occurrence find inside IdContextVector::Assign's dedup and
+// inside its Cosine/Jaccard label lookups, and the early-exit
+// intersect on random mini-WordNet concept pairs' gloss bags. Each row
 // gives every level's median and range over 7 interleaved runs (each
 // the best of three batches); a vector body is kept only where it
 // beats the fastest level below it by more than its own range
@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
-#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -39,6 +38,8 @@
 #include "common/simd.h"
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
+#include "core/streaming_builder.h"
+#include "datasets/generator.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "oracles/legacy_similarity.h"
@@ -110,14 +111,6 @@ std::vector<xsdf::simd::Level> SupportedLevels() {
   return levels;
 }
 
-std::vector<uint32_t> StrictSet(std::mt19937& rng, size_t len,
-                                uint32_t range) {
-  std::set<uint32_t> s;
-  std::uniform_int_distribution<uint32_t> pick(0, range);
-  while (s.size() < len) s.insert(pick(rng));
-  return {s.begin(), s.end()};
-}
-
 /// One level's ns/call over the repeated runs of one kernel row.
 struct LevelTiming {
   const char* level;
@@ -126,26 +119,27 @@ struct LevelTiming {
   double max_ns = 0.0;
 };
 
-/// Per-level ns/call of one dispatched id kernel on one input.
+/// Per-level ns/call of one production call site of a dispatched id
+/// kernel on one input.
 struct MicroResult {
-  const char* kernel;
-  std::string input;  // "ancestor_rows", "gloss_bags", "synthetic_<len>"
-  double mean_len = 0.0;
+  const char* kernel;  // the production call that runs the kernel
+  const char* input;
+  double mean_len = 0.0;  // entries the kernel scans or merges per side
   size_t max_len = 0;
   std::vector<LevelTiming> levels;  // one per supported level, ascending
 };
 
-/// Runs `batch()` (which makes `calls` kernel calls and returns a sink
-/// value) kReps times at every supported level, the levels interleaved
-/// within each run so that host drift lands on every level alike, and
-/// returns each level's median and range in ns/call. A run is the best
-/// of three batches, which keeps a preempted batch out of the record.
+/// Runs `batch()` (which makes `calls` calls and returns a sink value)
+/// kReps times at every supported level, the levels interleaved within
+/// each run so that host drift lands on every level alike, and returns
+/// each level's median and range in ns/call. A run is the best of
+/// three batches, which keeps a preempted batch out of the record.
 template <typename Batch>
 std::vector<LevelTiming> TimeEveryLevel(size_t calls, Batch&& batch) {
   constexpr int kReps = 7;
   const std::vector<xsdf::simd::Level> levels = SupportedLevels();
   std::vector<std::vector<double>> runs(levels.size());
-  size_t sink = 0;
+  double sink = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     for (size_t l = 0; l < levels.size(); ++l) {
       xsdf::simd::ForceLevel(levels[l]);
@@ -163,7 +157,7 @@ std::vector<LevelTiming> TimeEveryLevel(size_t calls, Batch&& batch) {
     }
   }
   xsdf::simd::ForceLevel(xsdf::simd::DetectedLevel());
-  if (sink == static_cast<size_t>(-1)) std::printf("impossible\n");
+  if (sink < 0.0) std::printf("impossible\n");
   std::vector<LevelTiming> out;
   for (size_t l = 0; l < levels.size(); ++l) {
     std::vector<double>& r = runs[l];
@@ -174,116 +168,140 @@ std::vector<LevelTiming> TimeEveryLevel(size_t calls, Batch&& batch) {
   return out;
 }
 
-using IdSetPair = std::pair<std::vector<uint32_t>, std::vector<uint32_t>>;
+/// What the context-based process (§3.5.2) hands IdContextVector when
+/// it scores each evaluated target of the experiments corpus at radius
+/// 2: the target's sphere, which Assign dedups, and the (target vector,
+/// candidate vector) pairs Cosine/Jaccard compare. Also the radius-2
+/// sphere of every node with senses of a 256 KB giant document, whose
+/// wide blocks put up to hundreds of members in a sphere.
+struct ContextInputs {
+  std::vector<xsdf::core::IdSphere> corpus_spheres;
+  std::vector<xsdf::core::IdSphere> giant_spheres;
+  std::vector<std::pair<xsdf::core::IdContextVector,
+                        xsdf::core::IdContextVector>>
+      vector_pairs;
+};
 
-/// The label-id sets the context-based process (§3.5.2) intersects:
-/// each evaluated target of the experiments corpus has its radius-2
-/// sphere compared with the sphere of each of its candidates, as sorted
-/// distinct ids (what IdContextVector::Cosine hands the kernel).
-std::vector<IdSetPair> ContextVectorPairs(const SemanticNetwork& network) {
-  std::vector<IdSetPair> out;
+ContextInputs BuildContextInputs(const SemanticNetwork& network) {
+  ContextInputs out;
   xsdf::core::LabelSpace labels(&network);
   auto corpus = xsdf::eval::BuildCorpus(network, &labels);
   if (!corpus.ok()) return out;
-  auto sorted_ids = [](const xsdf::core::IdSphere& sphere) {
-    xsdf::core::IdContextVector vector(sphere);
-    std::vector<uint32_t> ids(vector.ids().begin(), vector.ids().end());
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
   for (const auto& doc : *corpus) {
     for (xsdf::xml::NodeId id : doc.target_sample) {
       const auto& senses = labels.Senses(doc.tree.label_id(id));
       if (!senses.has_senses()) continue;
-      std::vector<uint32_t> xml_ids =
-          sorted_ids(xsdf::core::BuildXmlIdSphere(doc.tree, id, 2));
+      out.corpus_spheres.push_back(
+          xsdf::core::BuildXmlIdSphere(doc.tree, id, 2));
+      const xsdf::core::IdContextVector xml_vector(
+          out.corpus_spheres.back());
       for (const auto& c : senses.candidates) {
-        out.emplace_back(
-            xml_ids, sorted_ids(c.is_compound()
-                                    ? xsdf::core::BuildCompoundConceptIdSphere(
-                                          network, c.primary, c.secondary, 2)
-                                    : xsdf::core::BuildConceptIdSphere(
-                                          network, c.primary, 2)));
+        out.vector_pairs.emplace_back(
+            xml_vector,
+            xsdf::core::IdContextVector(
+                c.is_compound() ? xsdf::core::BuildCompoundConceptIdSphere(
+                                      network, c.primary, c.secondary, 2)
+                                : xsdf::core::BuildConceptIdSphere(
+                                      network, c.primary, 2)));
       }
     }
+  }
+  const auto giant = xsdf::datasets::GiantDocuments(1, 256u << 10, 1)[0];
+  auto tree = xsdf::core::BuildTreeStreaming(
+      giant.xml, network, xsdf::xml::ParseOptions{}, true, &labels);
+  if (!tree.ok()) return out;
+  for (xsdf::xml::NodeId id : tree->ids()) {
+    if (!labels.Senses(tree->label_id(id)).has_senses()) continue;
+    out.giant_spheres.push_back(xsdf::core::BuildXmlIdSphere(*tree, id, 2));
   }
   return out;
 }
 
-/// Times the dispatched id kernels at each supported level: first on
-/// what production feeds them (the stride-2 intersect on the ancestor
-/// rows and the early-exit intersect on the gloss bags of random
-/// mini-WordNet concept pairs, each call including the two row lookups;
-/// the positions intersect on the same bags and on ContextVectorPairs),
-/// then on synthetic strictly increasing set pairs (~30% overlap) of
-/// several sizes.
+/// Times the dispatched id kernels at each supported level where
+/// production calls them: the find in Assign's dedup over the corpus
+/// and giant-document spheres and in the Cosine/Jaccard lookups over
+/// the vector pairs (ContextInputs), and the early-exit intersect on
+/// the gloss bags of random mini-WordNet concept pairs, each call
+/// including the two bag lookups.
 std::vector<MicroResult> RunSimdKernelMicro(const SemanticNetwork& network) {
   std::vector<MicroResult> results;
-  std::vector<uint32_t> out_a;
-  std::vector<uint32_t> out_b;
-  // Adds the row of `kernel(row(a), row(b))` over `pairs`, each pass
-  // making `rounds` sweeps.
-  auto add = [&](const char* kernel, std::string input, const auto& pairs,
-                 auto&& row, size_t rounds, auto&& call) {
-    MicroResult m{kernel, std::move(input), 0.0, 0, {}};
-    size_t total = 0;
-    for (const auto& [a, b] : pairs) {
-      total += row(a).size() + row(b).size();
-      m.max_len = std::max({m.max_len, row(a).size(), row(b).size()});
+  // Adds the row of `kernel` on `input`: `batch()` makes `calls` calls
+  // whose kernels scan or merge `lens` entries per side.
+  auto add = [&](const char* kernel, const char* input,
+                 const std::vector<size_t>& lens, size_t calls,
+                 auto&& batch) {
+    MicroResult m{kernel, input, 0.0, 0, {}};
+    double total = 0.0;
+    for (size_t len : lens) {
+      total += static_cast<double>(len);
+      m.max_len = std::max(m.max_len, len);
     }
-    m.mean_len = static_cast<double>(total) / (2.0 * pairs.size());
-    out_a.resize(std::max(out_a.size(), m.max_len));
-    out_b.resize(out_a.size());
-    m.levels = TimeEveryLevel(rounds * pairs.size(), [&] {
-      size_t sink = 0;
-      for (size_t r = 0; r < rounds; ++r) {
-        for (const auto& [a, b] : pairs) sink += call(row(a), row(b));
-      }
-      return sink;
-    });
+    m.mean_len = lens.empty() ? 0.0 : total / static_cast<double>(lens.size());
+    m.levels = TimeEveryLevel(calls, batch);
     results.push_back(std::move(m));
   };
-  using Ids = std::span<const uint32_t>;
-  auto positions = [&](Ids a, Ids b) {
-    return xsdf::simd::SortedIntersectPositionsU32(
-        a.data(), a.size(), b.data(), b.size(), out_a.data(), out_b.data());
-  };
-  auto ancestors = [&](ConceptId c) { return network.Ancestors(c); };
-  auto bag = [&](ConceptId c) { return network.GlossTokenBag(c); };
-  auto as_is = [](const std::vector<uint32_t>& v) { return Ids(v); };
+
+  const ContextInputs inputs = BuildContextInputs(network);
+  xsdf::core::IdContextVector scratch;
+  for (const auto* spheres : {&inputs.corpus_spheres, &inputs.giant_spheres}) {
+    std::vector<size_t> lens;
+    for (const auto& sphere : *spheres) {
+      scratch.Assign(sphere);
+      lens.push_back(scratch.dimension_count());
+    }
+    const size_t rounds = spheres == &inputs.corpus_spheres ? 20 : 1;
+    add("assign_dedup",
+        spheres == &inputs.corpus_spheres ? "corpus_spheres" : "giant_spheres",
+        lens, rounds * spheres->size(), [&, spheres, rounds] {
+          double sink = 0.0;
+          for (size_t r = 0; r < rounds; ++r) {
+            for (const auto& sphere : *spheres) {
+              scratch.Assign(sphere);
+              sink += static_cast<double>(scratch.dimension_count());
+            }
+          }
+          return sink;
+        });
+  }
+  std::vector<size_t> pair_lens;
+  for (const auto& [x, c] : inputs.vector_pairs) {
+    pair_lens.push_back(x.dimension_count());
+    pair_lens.push_back(c.dimension_count());
+  }
+  constexpr size_t kPairRounds = 20;
+  add("cosine_lookup", "context_vectors", pair_lens,
+      kPairRounds * inputs.vector_pairs.size(), [&] {
+        double sink = 0.0;
+        for (size_t r = 0; r < kPairRounds; ++r) {
+          for (const auto& [x, c] : inputs.vector_pairs) sink += x.Cosine(c);
+        }
+        return sink;
+      });
+  add("jaccard_lookup", "context_vectors", pair_lens,
+      kPairRounds * inputs.vector_pairs.size(), [&] {
+        double sink = 0.0;
+        for (size_t r = 0; r < kPairRounds; ++r) {
+          for (const auto& [x, c] : inputs.vector_pairs) sink += x.Jaccard(c);
+        }
+        return sink;
+      });
 
   const auto pairs = SamplePairs(network, 200000);
-  add("stride2_intersect", "ancestor_rows", pairs, ancestors, 1,
-      [&](auto a, auto b) {
-        return xsdf::simd::SortedIntersectPositionsStride2(
-            reinterpret_cast<const uint32_t*>(a.data()), a.size(),
-            reinterpret_cast<const uint32_t*>(b.data()), b.size(),
-            out_a.data(), out_b.data());
-      });
-  add("early_exit_intersect", "gloss_bags", pairs, bag, 1, [](Ids a, Ids b) {
-    return size_t{xsdf::simd::SortedIntersectNonEmptyU32(a.data(), a.size(),
-                                                         b.data(), b.size())};
-  });
-  add("positions_intersect", "gloss_bags", pairs, bag, 1, positions);
-  add("positions_intersect", "context_vectors", ContextVectorPairs(network),
-      as_is, 20, positions);
-
-  std::mt19937 rng(20150324);
-  for (size_t len : {16, 64, 256}) {
-    std::vector<IdSetPair> sets;
-    for (int i = 0; i < 64; ++i) {
-      sets.emplace_back(StrictSet(rng, len, static_cast<uint32_t>(3 * len)),
-                        StrictSet(rng, len, static_cast<uint32_t>(3 * len)));
-    }
-    const std::string input = "synthetic_" + std::to_string(len);
-    const size_t rounds = len >= 256 ? 200 : 1000;
-    add("positions_intersect", input, sets, as_is, rounds, positions);
-    // Worst-case find: the probed value is absent, so every level
-    // scans the full array.
-    add("find_first", input, sets, as_is, rounds, [](Ids a, Ids) {
-      return xsdf::simd::FindU32(a.data(), a.size(), 0xffffffffu);
-    });
+  std::vector<size_t> bag_lens;
+  for (const auto& [a, b] : pairs) {
+    bag_lens.push_back(network.GlossTokenBag(a).size());
+    bag_lens.push_back(network.GlossTokenBag(b).size());
   }
+  add("early_exit_intersect", "gloss_bags", bag_lens, pairs.size(), [&] {
+    double sink = 0.0;
+    for (const auto& [a, b] : pairs) {
+      std::span<const uint32_t> ba = network.GlossTokenBag(a);
+      std::span<const uint32_t> bb = network.GlossTokenBag(b);
+      sink += xsdf::simd::SortedIntersectNonEmptyU32(ba.data(), ba.size(),
+                                                     bb.data(), bb.size());
+    }
+    return sink;
+  });
   return results;
 }
 
@@ -554,13 +572,13 @@ int main(int argc, char** argv) {
   // Raw dispatched-kernel timings per level: the lane-width effect
   // itself, isolated from measure-level table walks and FP.
   std::vector<MicroResult> micro = RunSimdKernelMicro(network);
-  std::printf("%-21s %-14s %8s", "simd kernel", "input", "mean len");
+  std::printf("%-21s %-16s %8s", "simd kernel", "input", "mean len");
   for (xsdf::simd::Level level : levels) {
     std::printf(" %24s", xsdf::simd::LevelName(level));
   }
   std::printf("\n");
   for (const MicroResult& m : micro) {
-    std::printf("%-21s %-14s %8.1f", m.kernel, m.input.c_str(), m.mean_len);
+    std::printf("%-21s %-16s %8.1f", m.kernel, m.input, m.mean_len);
     for (const LevelTiming& t : m.levels) {
       std::printf("  %7.1f (%7.1f-%7.1f)", t.median_ns, t.min_ns, t.max_ns);
     }
@@ -606,7 +624,7 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "    {\"kernel\": \"%s\", \"input\": \"%s\", "
                  "\"mean_len\": %.1f, \"max_len\": %zu",
-                 m.kernel, m.input.c_str(), m.mean_len, m.max_len);
+                 m.kernel, m.input, m.mean_len, m.max_len);
     for (const LevelTiming& t : m.levels) {
       std::fprintf(json,
                    ", \"%s_ns\": %.1f, \"%s_range_ns\": [%.1f, %.1f]",

@@ -82,64 +82,6 @@ const char* LevelName(Level level) {
 
 namespace internal {
 
-namespace {
-
-inline unsigned Rotl4(unsigned mask, unsigned s) {
-  return ((mask << s) | (mask >> (4 - s))) & 0xFu;
-}
-
-inline uint32_t Ctz(unsigned mask) {
-  return static_cast<uint32_t>(__builtin_ctz(mask));
-}
-
-/// Block-wise intersection of two strictly increasing key sequences:
-/// all-pairs compare of one 4-key block against the rotations of the
-/// other, then advance whichever block has the smaller maximum (both
-/// on ties) — the classic branch-light SIMD set-intersection step.
-/// `Emit(amask, bmask, i, j)` receives the per-block match masks;
-/// returning true stops the sweep (early exit). Returns the (i, j)
-/// element positions the scalar tail must resume from.
-template <typename Emit>
-inline void BlockSweep4(const uint32_t* a, size_t na, const uint32_t* b,
-                        size_t nb, size_t* pi, size_t* pj, Emit&& emit) {
-  size_t i = *pi, j = *pj;
-  while (i + 4 <= na && j + 4 <= nb) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    unsigned amask = 0;
-    unsigned bmask = 0;
-    unsigned m = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(va, vb))));
-    amask |= m;
-    bmask |= m;
-    m = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(
-        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))))));
-    amask |= m;
-    bmask |= Rotl4(m, 1);
-    m = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(
-        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))))));
-    amask |= m;
-    bmask |= Rotl4(m, 2);
-    m = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(
-        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))))));
-    amask |= m;
-    bmask |= Rotl4(m, 3);
-    if (amask != 0 && emit(amask, bmask, i, j)) {
-      *pi = i;
-      *pj = j;
-      return;
-    }
-    uint32_t amax = a[i + 3];
-    uint32_t bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  *pi = i;
-  *pj = j;
-}
-
-}  // namespace
-
 size_t FindU32Sse2(const uint32_t* data, size_t n, uint32_t value) {
   const __m128i needle = _mm_set1_epi32(static_cast<int>(value));
   size_t i = 0;
@@ -148,45 +90,37 @@ size_t FindU32Sse2(const uint32_t* data, size_t n, uint32_t value) {
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
     unsigned mask = static_cast<unsigned>(
         _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, needle))));
-    if (mask != 0) return i + Ctz(mask);
+    if (mask != 0) return i + static_cast<size_t>(__builtin_ctz(mask));
   }
   return i + FindU32Scalar(data + i, n - i, value);
 }
 
 bool IntersectNonEmptySse2(const uint32_t* a, size_t na, const uint32_t* b,
                            size_t nb) {
-  size_t i = 0, j = 0;
-  bool hit = false;
-  BlockSweep4(a, na, b, nb, &i, &j, [&](unsigned, unsigned, size_t, size_t) {
-    hit = true;
-    return true;  // early exit on the first match
-  });
-  if (hit) return true;
+  // Block sweep: compare a 4-key block of one set against the four
+  // rotations of the other's, stop on any equal lane, else advance
+  // whichever block has the smaller maximum (both on ties). The scalar
+  // tail resumes where the blocks ran out.
+  size_t i = 0;
+  size_t j = 0;
+  while (i + 4 <= na && j + 4 <= nb) {
+    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
+    __m128i eq = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi32(va, vb),
+                     _mm_cmpeq_epi32(va, _mm_shuffle_epi32(
+                                             vb, _MM_SHUFFLE(0, 3, 2, 1)))),
+        _mm_or_si128(_mm_cmpeq_epi32(va, _mm_shuffle_epi32(
+                                             vb, _MM_SHUFFLE(1, 0, 3, 2))),
+                     _mm_cmpeq_epi32(va, _mm_shuffle_epi32(
+                                             vb, _MM_SHUFFLE(2, 1, 0, 3)))));
+    if (_mm_movemask_epi8(eq) != 0) return true;
+    uint32_t amax = a[i + 3];
+    uint32_t bmax = b[j + 3];
+    if (amax <= bmax) i += 4;
+    if (bmax <= amax) j += 4;
+  }
   return IntersectNonEmptyScalarFrom(a, na, b, nb, i, j);
-}
-
-size_t IntersectPositionsSse2(const uint32_t* a, size_t na,
-                              const uint32_t* b, size_t nb, uint32_t* out_a,
-                              uint32_t* out_b) {
-  size_t i = 0, j = 0, k = 0;
-  BlockSweep4(a, na, b, nb, &i, &j,
-              [&](unsigned amask, unsigned bmask, size_t bi, size_t bj) {
-                // Matched values biject between the two strict sets, so
-                // the ascending set bits of amask and bmask pair up in
-                // order.
-                while (amask != 0) {
-                  out_a[k] = static_cast<uint32_t>(bi) + Ctz(amask);
-                  if (out_b != nullptr) {
-                    out_b[k] = static_cast<uint32_t>(bj) + Ctz(bmask);
-                  }
-                  amask &= amask - 1;
-                  bmask &= bmask - 1;
-                  ++k;
-                }
-                return false;  // full sweep
-              });
-  return IntersectPositionsScalarFrom<1>(a, na, b, nb, out_a, out_b, i, j,
-                                         k);
 }
 
 }  // namespace internal
@@ -207,7 +141,7 @@ size_t FindU32Dispatch(const uint32_t* data, size_t n, uint32_t value) {
   return internal::FindU32Scalar(data, n, value);
 }
 
-// The intersects have no AVX2 body: at AVX2 they run the SSE2 one.
+// The intersection probe has no AVX2 body: at AVX2 it runs the SSE2 one.
 bool SortedIntersectNonEmptyU32(const uint32_t* a, size_t na,
                                 const uint32_t* b, size_t nb) {
 #if defined(XSDF_SIMD_X86_64)
@@ -216,25 +150,6 @@ bool SortedIntersectNonEmptyU32(const uint32_t* a, size_t na,
   }
 #endif
   return internal::IntersectNonEmptyScalarFrom(a, na, b, nb, 0, 0);
-}
-
-size_t SortedIntersectPositionsU32(const uint32_t* a, size_t na,
-                                   const uint32_t* b, size_t nb,
-                                   uint32_t* out_a, uint32_t* out_b) {
-#if defined(XSDF_SIMD_X86_64)
-  if (ActiveLevel() >= Level::kSse2) {
-    return internal::IntersectPositionsSse2(a, na, b, nb, out_a, out_b);
-  }
-#endif
-  return internal::IntersectPositionsScalarFrom<1>(a, na, b, nb, out_a,
-                                                   out_b, 0, 0, 0);
-}
-
-size_t SortedIntersectPositionsStride2(const uint32_t* a, size_t na,
-                                       const uint32_t* b, size_t nb,
-                                       uint32_t* out_a, uint32_t* out_b) {
-  return internal::IntersectPositionsScalarFrom<2>(a, na, b, nb, out_a,
-                                                   out_b, 0, 0, 0);
 }
 
 }  // namespace xsdf::simd

@@ -6,13 +6,10 @@
 
 /// Runtime-dispatched SIMD kernels for the flat uint32 id arrays the
 /// hot similarity paths run on (DESIGN.md §12): first-occurrence
-/// search, sorted-set intersection (early-exit and full-positions
-/// forms), and a stride-2 intersect for the interleaved
-/// AncestorEntry{id, distance} CSR rows. A level has a vector body only
-/// where BENCH_sim_kernels.json's `simd_kernel_micro` shows it beating
-/// the level below: AVX2 has one for the find alone, SSE2 for the find
-/// and both plain intersects, and the stride-2 intersect is the scalar
-/// merge at every level.
+/// search and an early-exit sorted-set intersection probe. A level has
+/// a vector body only where BENCH_sim_kernels.json's
+/// `simd_kernel_micro` shows it beating the level below: AVX2 has one
+/// for the find alone, SSE2 for the find and the intersection probe.
 ///
 /// Dispatch contract: the level is resolved once per process from
 /// CPUID (`__builtin_cpu_supports`), clamped by what the build
@@ -50,7 +47,8 @@ const char* LevelName(Level level);
 size_t FindU32Dispatch(const uint32_t* data, size_t n, uint32_t value);
 
 /// Index of the first element of data[0..n) equal to `value`, or `n`.
-/// (The first-occurrence dedup scan of IdContextVector::Assign.)
+/// (The first-occurrence dedup scan of IdContextVector::Assign, and
+/// the label lookup of its Cosine/Jaccard.)
 /// Scans below one AVX2 block stay inline — the dedup loop runs mostly
 /// over a handful of entries, where the cross-TU dispatch call costs
 /// more than the scan — and longer scans take the dispatched SIMD body.
@@ -69,24 +67,6 @@ inline size_t FindU32(const uint32_t* data, size_t n, uint32_t value) {
 /// gloss-bag early-exit probe).
 bool SortedIntersectNonEmptyU32(const uint32_t* a, size_t na,
                                 const uint32_t* b, size_t nb);
-
-/// Full intersection of two strictly increasing id sets: writes the
-/// matching *positions* into out_a/out_b (each must hold min(na, nb);
-/// out_b may be null) in ascending order and returns the match count.
-/// out_a[k] and out_b[k] index the same common value.
-size_t SortedIntersectPositionsU32(const uint32_t* a, size_t na,
-                                   const uint32_t* b, size_t nb,
-                                   uint32_t* out_a, uint32_t* out_b);
-
-/// Same, for arrays whose keys sit at even indices of an interleaved
-/// (key, payload) uint32 sequence — the in-memory layout of the
-/// id-sorted AncestorEntry CSR rows. `na`/`nb` count *elements*
-/// (key-payload pairs), and positions are element indices. The merge
-/// reads the even words in place, so the AoS snapshot format needs no
-/// layout change.
-size_t SortedIntersectPositionsStride2(const uint32_t* a, size_t na,
-                                       const uint32_t* b, size_t nb,
-                                       uint32_t* out_a, uint32_t* out_b);
 
 }  // namespace xsdf::simd
 

@@ -24,8 +24,7 @@ void IdContextVector::Assign(const IdSphere& sphere,
   ids_.clear();
   weights_.clear();
   member_dims_.clear();
-  order_.clear();
-  sorted_ids_.clear();
+  wide_mask_ = 0;
   sphere_size_ = sphere.size();
   if (sphere.empty()) return;
   // Freq(l, S) = sum of structural proximities of members labelled l,
@@ -33,34 +32,39 @@ void IdContextVector::Assign(const IdSphere& sphere,
   // Spheres are small (a few dozen distinct labels), so first-occurrence
   // dedup is a SIMD scan over the flat id array built so far — cheaper
   // than a hash table at this size — with an open-addressing table for
-  // pathologically wide spheres.
+  // pathologically wide spheres. Cosine/Jaccard look labels up through
+  // the same index.
   const size_t member_count = sphere.label_ids.size();
   ids_.reserve(member_count);
   weights_.reserve(member_count);
   member_dims_.resize(member_count);
   constexpr size_t kLinearScanLimit = 96;
-  size_t wide_mask = 0;
   if (member_count > kLinearScanLimit) {
     size_t capacity = 2 * kLinearScanLimit;
     while (capacity < 2 * member_count) capacity *= 2;
     if (wide_index_.size() < capacity) wide_index_.resize(capacity);
     std::fill_n(wide_index_.begin(), capacity,
                 std::pair<uint32_t, uint32_t>(0, kEmptyWideSlot));
-    wide_mask = capacity - 1;
+    wide_mask_ = capacity - 1;
   }
   int32_t distance = -1;
   double proximity = 0.0;
   for (size_t m = 0; m < member_count; ++m) {
     const uint32_t label_id = sphere.label_ids[m];
     size_t entry;
-    if (wide_mask != 0) {
-      entry = WideDimension(label_id, wide_mask);
+    if (wide_mask_ != 0) {
+      auto& [slot_id, slot_dim] = wide_index_[WideSlot(label_id)];
+      if (slot_dim == kEmptyWideSlot) {
+        slot_id = label_id;
+        slot_dim = static_cast<uint32_t>(ids_.size());
+      }
+      entry = slot_dim;
     } else {
       entry = simd::FindU32(ids_.data(), ids_.size(), label_id);
-      if (entry == ids_.size()) {
-        ids_.push_back(label_id);
-        weights_.push_back(0.0);
-      }
+    }
+    if (entry == ids_.size()) {
+      ids_.push_back(label_id);
+      weights_.push_back(0.0);
     }
     member_dims_[m] = static_cast<uint32_t>(entry);
     // Members come ring by ring, so the proximity is recomputed only
@@ -78,101 +82,42 @@ void IdContextVector::Assign(const IdSphere& sphere,
   for (double& f : weights_) {
     f = std::min(2.0 * f / denom, 1.0);
   }
-  order_.resize(ids_.size());
-  for (uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(),
-            [this](uint32_t a, uint32_t b) { return ids_[a] < ids_[b]; });
-  // Materialize the sorted ids contiguously (SoA) so Cosine/Jaccard
-  // can intersect two vectors with full-lane sorted-set merges
-  // instead of per-id binary searches.
-  sorted_ids_.resize(order_.size());
-  for (size_t k = 0; k < order_.size(); ++k) {
-    sorted_ids_[k] = ids_[order_[k]];
-  }
 }
 
-uint32_t IdContextVector::WideDimension(uint32_t label_id, size_t mask) {
-  // Fibonacci hashing, linear probing; the table is at most half full.
+size_t IdContextVector::WideSlot(uint32_t label_id) const {
+  // The table is at most half full, so the probe ends.
   size_t i = static_cast<size_t>((label_id * 0x9E3779B97F4A7C15ull) >> 32) &
-             mask;
-  while (true) {
-    auto& [slot_id, slot_dim] = wide_index_[i];
-    if (slot_dim == kEmptyWideSlot) {
-      slot_id = label_id;
-      slot_dim = static_cast<uint32_t>(ids_.size());
-      ids_.push_back(label_id);
-      weights_.push_back(0.0);
-      return slot_dim;
-    }
-    if (slot_id == label_id) return slot_dim;
-    i = (i + 1) & mask;
+             wide_mask_;
+  while (wide_index_[i].second != kEmptyWideSlot &&
+         wide_index_[i].first != label_id) {
+    i = (i + 1) & wide_mask_;
   }
+  return i;
 }
 
-int IdContextVector::FindEntry(uint32_t label_id) const {
-  auto it = std::lower_bound(
-      order_.begin(), order_.end(), label_id,
-      [this](uint32_t entry, uint32_t id) { return ids_[entry] < id; });
-  if (it == order_.end() || ids_[*it] != label_id) return -1;
-  return static_cast<int>(*it);
+size_t IdContextVector::DimensionOf(uint32_t label_id) const {
+  if (wide_mask_ == 0) {
+    return simd::FindU32(ids_.data(), ids_.size(), label_id);
+  }
+  const uint32_t dim = wide_index_[WideSlot(label_id)].second;
+  return dim == kEmptyWideSlot ? ids_.size() : dim;
 }
 
-double IdContextVector::WeightById(uint32_t label_id) const {
-  int i = FindEntry(label_id);
-  return i < 0 ? 0.0 : weights_[static_cast<size_t>(i)];
-}
-
-namespace {
-
-/// Scratch for Cosine/Jaccard: intersection position pairs plus a
-/// dense per-entry match buffer. Thread-local and grown-never-shrunk —
-/// the scoring hot loop compares thousands of vector pairs per
-/// document.
-struct MatchScratch {
-  std::vector<uint32_t> pos_a;
-  std::vector<uint32_t> pos_b;
-  std::vector<double> matched;        ///< other's weight per this-entry
-  std::vector<uint8_t> other_hit;     ///< 1 per matched other-entry
-};
-
-MatchScratch& LocalMatchScratch() {
-  thread_local MatchScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
+// Both comparisons look each dimension of one vector up in the other
+// and accumulate in first-occurrence order, an absent label
+// contributing +0.0, so every partial sum is the same at every SIMD
+// dispatch level (the lookups are integer scans) and bit-identical to
+// the test oracle's own id-to-weight map (oracles::LookupCosine/
+// LookupJaccard).
 double IdContextVector::Cosine(const IdContextVector& other) const {
-  // One sorted-set merge finds every matching dimension, then the
-  // weights are gathered into a zero-filled dense buffer so the FP
-  // accumulation below runs in first-occurrence order over exactly the
-  // values a per-id WeightById() lookup would return (+0.0 for absent
-  // ids), every partial sum bit-identical to that reference (the SIMD
-  // equivalence tests hold every dispatch level to it).
-  const size_t n = ids_.size();
-  const size_t m = other.ids_.size();
-  MatchScratch& scratch = LocalMatchScratch();
-  const size_t cap = n < m ? n : m;
-  if (scratch.pos_a.size() < cap) {
-    scratch.pos_a.resize(cap);
-    scratch.pos_b.resize(cap);
-  }
-  const size_t match_count = simd::SortedIntersectPositionsU32(
-      sorted_ids_.data(), n, other.sorted_ids_.data(), m,
-      scratch.pos_a.data(), scratch.pos_b.data());
-  if (scratch.matched.size() < n) scratch.matched.resize(n);
-  std::fill_n(scratch.matched.data(), n, 0.0);
-  for (size_t t = 0; t < match_count; ++t) {
-    scratch.matched[order_[scratch.pos_a[t]]] =
-        other.weights_[other.order_[scratch.pos_b[t]]];
-  }
   double dot = 0.0;
   double norm_a = 0.0;
   double norm_b = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double w = weights_[i];
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    const double w = weights_[i];
+    const size_t d = other.DimensionOf(ids_[i]);
     norm_a += w * w;
-    dot += w * scratch.matched[i];
+    dot += w * (d < other.weights_.size() ? other.weights_[d] : 0.0);
   }
   for (double w : other.weights_) norm_b += w * w;
   if (norm_a <= 0.0 || norm_b <= 0.0) return 0.0;
@@ -180,42 +125,22 @@ double IdContextVector::Cosine(const IdContextVector& other) const {
 }
 
 double IdContextVector::Jaccard(const IdContextVector& other) const {
-  // One merge replaces both per-id WeightById() lookups in the min/max
-  // loop and reverse lookups for the unmatched-other loop. Weights are
-  // strictly positive, so min(w, +0.0) == +0.0 and max(w, +0.0) == w
-  // exactly as with an absent id's +0.0: every partial sum is
-  // bit-identical to the lookup reference (see Cosine).
-  const size_t n = ids_.size();
-  const size_t m = other.ids_.size();
-  MatchScratch& scratch = LocalMatchScratch();
-  const size_t cap = n < m ? n : m;
-  if (scratch.pos_a.size() < cap) {
-    scratch.pos_a.resize(cap);
-    scratch.pos_b.resize(cap);
-  }
-  const size_t match_count = simd::SortedIntersectPositionsU32(
-      sorted_ids_.data(), n, other.sorted_ids_.data(), m,
-      scratch.pos_a.data(), scratch.pos_b.data());
-  if (scratch.matched.size() < n) scratch.matched.resize(n);
-  std::fill_n(scratch.matched.data(), n, 0.0);
-  if (scratch.other_hit.size() < m) scratch.other_hit.resize(m);
-  std::fill_n(scratch.other_hit.data(), m, static_cast<uint8_t>(0));
-  for (size_t t = 0; t < match_count; ++t) {
-    const uint32_t other_entry = other.order_[scratch.pos_b[t]];
-    scratch.matched[order_[scratch.pos_a[t]]] =
-        other.weights_[other_entry];
-    scratch.other_hit[other_entry] = 1;
-  }
+  // Weights are strictly positive, so min(w, +0.0) == +0.0 and
+  // max(w, +0.0) == w for an absent label; the other's unmatched
+  // dimensions then add their weights to the max sum, in its order.
   double min_sum = 0.0;
   double max_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double w = weights_[i];
-    double v = scratch.matched[i];
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    const double w = weights_[i];
+    const size_t d = other.DimensionOf(ids_[i]);
+    const double v = d < other.weights_.size() ? other.weights_[d] : 0.0;
     min_sum += std::min(w, v);
     max_sum += std::max(w, v);
   }
-  for (size_t i = 0; i < m; ++i) {
-    if (scratch.other_hit[i] == 0) max_sum += other.weights_[i];
+  for (size_t i = 0; i < other.ids_.size(); ++i) {
+    if (DimensionOf(other.ids_[i]) == ids_.size()) {
+      max_sum += other.weights_[i];
+    }
   }
   return max_sum <= 0.0 ? 0.0 : min_sum / max_sum;
 }

@@ -51,10 +51,12 @@ struct IdSphere {
 /// Eqs. 5-7). Dimensions are stored in first-occurrence sphere order
 /// and all accumulation follows that order, so every weight and
 /// similarity depends only on which members share a label, never on
-/// the id values themselves; lookups are a binary search over a small
-/// sorted permutation. Grouping the members by label records each
-/// member's dimension, so consumers that walk the sphere member by
-/// member (IdResolvedContext) never group it again.
+/// the id values themselves. A label is looked up through the index
+/// that grouped the members: a scan of the dimension ids, or the
+/// open-addressing table of a sphere too wide to scan. Grouping the
+/// members by label records each member's dimension, so consumers that
+/// walk the sphere member by member (IdResolvedContext) never group it
+/// again.
 class IdContextVector {
  public:
   IdContextVector() = default;
@@ -72,9 +74,6 @@ class IdContextVector {
   /// included). Equivalent to
   /// `*this = IdContextVector(sphere, uniform_proximity)`.
   void Assign(const IdSphere& sphere, bool uniform_proximity = false);
-
-  /// w(l) for the label interned under `label_id`, 0 when absent.
-  double WeightById(uint32_t label_id) const;
 
   /// Dimension label ids in first-occurrence sphere order.
   std::span<const uint32_t> ids() const { return ids_; }
@@ -95,13 +94,12 @@ class IdContextVector {
   double Jaccard(const IdContextVector& other) const;
 
  private:
-  /// Index into ids_/weights_ of `label_id`, or -1 (binary search over
-  /// order_).
-  int FindEntry(uint32_t label_id) const;
+  /// The dimension of `label_id`, or dimension_count() when absent.
+  size_t DimensionOf(uint32_t label_id) const;
 
-  /// The dimension of `label_id` among the wide-sphere dedup table's
-  /// first `mask + 1` slots, appending a new dimension on first sight.
-  uint32_t WideDimension(uint32_t label_id, size_t mask);
+  /// The wide_index_ slot holding `label_id`, or the empty slot where
+  /// it would go (Fibonacci hashing, linear probing).
+  size_t WideSlot(uint32_t label_id) const;
 
   /// wide_index_ dimension of an empty slot.
   static constexpr uint32_t kEmptyWideSlot = 0xFFFFFFFFu;
@@ -110,14 +108,11 @@ class IdContextVector {
   std::vector<double> weights_;   ///< parallel to ids_
   std::vector<uint32_t> member_dims_;  ///< per sphere member
   /// Open-addressing (label id, dimension) table for spheres too wide
-  /// for a linear dedup scan: a power-of-two prefix sized to the
-  /// sphere is cleared per Assign; the buffer only ever grows.
+  /// for a linear dedup scan: a power-of-two prefix of wide_mask_ + 1
+  /// slots sized to the sphere is cleared per Assign, and the buffer
+  /// only ever grows. wide_mask_ is 0 when the sphere was scanned.
   std::vector<std::pair<uint32_t, uint32_t>> wide_index_;
-  std::vector<uint32_t> order_;   ///< indices into ids_, sorted by id
-  /// ids_ permuted by order_ (i.e. ascending) — the contiguous SoA
-  /// form the SIMD Cosine/Jaccard merge loads; sorted_ids_[k] ==
-  /// ids_[order_[k]].
-  std::vector<uint32_t> sorted_ids_;
+  size_t wide_mask_ = 0;
   int sphere_size_ = 0;
 };
 

@@ -109,7 +109,7 @@ const char* HttpReason(int status) {
   }
 }
 
-Status ReadHttpRequest(int fd, HttpRequest* out, size_t max_body_bytes) {
+Status ReadHttpRequest(int fd, HttpRequest* out, size_t max_input_bytes) {
   std::string head;
   size_t head_end = std::string::npos;
   char buffer[4096];
@@ -199,8 +199,10 @@ Status ReadHttpRequest(int fd, HttpRequest* out, size_t max_body_bytes) {
     }
     content_length = static_cast<size_t>(parsed);
   }
-  if (content_length > max_body_bytes) {
-    return Status::OutOfRange("request body too large");
+  if (max_input_bytes > 0 && content_length > max_input_bytes) {
+    return Status::OutOfRange(
+        StrFormat("request body of %zu bytes exceeds max_input_bytes (%zu)",
+                  content_length, max_input_bytes));
   }
   if (body.size() > content_length) {
     // Pipelined extra bytes would desynchronize the keep-alive loop.

@@ -51,10 +51,12 @@ const char* HttpReason(int status);
 ///  - NotFound: the peer closed the connection cleanly before sending
 ///    anything (the keep-alive loop's normal exit — not an error);
 ///  - Corruption: malformed request (the caller answers 400);
-///  - OutOfRange: body larger than `max_body_bytes` (413);
+///  - OutOfRange: body larger than `max_input_bytes` (413), named in
+///    the message as the XML parser names it; 0 means no cap, as it
+///    does for the parser;
 ///  - IoError: socket error or timeout mid-request.
 /// Bodies require Content-Length; Transfer-Encoding is rejected.
-Status ReadHttpRequest(int fd, HttpRequest* out, size_t max_body_bytes);
+Status ReadHttpRequest(int fd, HttpRequest* out, size_t max_input_bytes);
 
 /// Serializes and writes `response` (adding Content-Length, Connection
 /// and Content-Type headers).

@@ -339,7 +339,8 @@ void Server::HandleConnection(int fd, uint64_t connection_id) {
     // time waiting for the request to arrive.
     const uint64_t read_start_ns = obs::MonotonicNowNs();
     HttpRequest request;
-    Status read = ReadHttpRequest(fd, &request, options_.max_body_bytes);
+    Status read = ReadHttpRequest(
+        fd, &request, options_.engine.parse_limits.max_input_bytes);
     if (!read.ok()) {
       if (read.code() != StatusCode::kNotFound) {
         HttpResponse error;

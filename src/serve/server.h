@@ -32,7 +32,6 @@ struct ServeOptions {
   int max_connections = 64;
   /// Per-socket receive/send timeout.
   int io_timeout_ms = 10000;
-  size_t max_body_bytes = 8u << 20;
   /// Exposes POST /admin/swap (hot lexicon swap from a snapshot path).
   bool enable_admin = true;
   /// When non-empty, /admin/swap only accepts snapshot paths that
@@ -52,7 +51,9 @@ struct ServeOptions {
   /// per-request allocations or extra clock reads).
   size_t slow_request_keep = 8;
   /// Engine configuration applied to every installed lexicon. Its
-  /// `metrics` field is overwritten with `metrics` below.
+  /// `metrics` field is overwritten with `metrics` below. Its
+  /// `parse_limits.max_input_bytes` also caps every request body: a
+  /// larger one is answered 413 before it is read.
   runtime::EngineOptions engine;
   /// Shared registry: /metrics exports it, and engines across hot
   /// swaps aggregate into the same instruments. May be null.

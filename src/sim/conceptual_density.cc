@@ -46,19 +46,15 @@ double ConceptualDensityMeasure::Similarity(
   XSDF_DCHECK(network.finalized(), "similarity needs a finalized network");
   if (a == b) return 1.0;
   std::shared_ptr<const SubtreeTable> table = TableFor(network);
-  std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
-  std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
-  AncestorMatches common =
-      IntersectAncestors(aa, ab, /*need_b_positions=*/false);
-  // Max over the matched set is order-independent, and the intersect
-  // finds the same matches at every SIMD level, so the score is
-  // bit-identical at every level.
+  // Max over the common ancestors is order-independent.
   double best = 0.0;
-  for (size_t k = 0; k < common.count; ++k) {
-    const size_t anc = static_cast<size_t>(aa[common.a[k]].id);
-    best = std::max(best,
-                    DensityAt(table->children[anc], table->descendants[anc]));
-  }
+  ForEachCommonAncestor(
+      network.Ancestors(a), network.Ancestors(b),
+      [&](const wordnet::AncestorEntry& ea, const wordnet::AncestorEntry&) {
+        const size_t anc = static_cast<size_t>(ea.id);
+        best = std::max(
+            best, DensityAt(table->children[anc], table->descendants[anc]));
+      });
   return best;
 }
 

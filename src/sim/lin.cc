@@ -10,17 +10,15 @@ double LinMeasure::Similarity(const wordnet::SemanticNetwork& network,
                               wordnet::ConceptId b) const {
   XSDF_DCHECK(network.finalized(), "similarity needs a finalized network");
   if (a == b) return 1.0;
-  // Most informative common subsumer via the sorted-ancestor
-  // intersect over the precomputed tables (see ResnikMeasure::Similarity
-  // for why this is bit-identical at every dispatch level).
-  std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
-  std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
+  // Most informative common subsumer over the merge of the two
+  // ancestor rows (see ResnikMeasure::Similarity).
   double best_ic = -1.0;
-  AncestorMatches lcs = IntersectAncestors(aa, ab, /*need_b_positions=*/false);
-  for (size_t k = 0; k < lcs.count; ++k) {
-    double ic = network.InformationContentOf(aa[lcs.a[k]].id);
-    if (ic > best_ic) best_ic = ic;
-  }
+  ForEachCommonAncestor(
+      network.Ancestors(a), network.Ancestors(b),
+      [&](const wordnet::AncestorEntry& ea, const wordnet::AncestorEntry&) {
+        double ic = network.InformationContentOf(ea.id);
+        if (ic > best_ic) best_ic = ic;
+      });
   if (best_ic < 0.0) return 0.0;  // unrelated
   double denom = network.InformationContentOf(a) +
                  network.InformationContentOf(b);

@@ -14,18 +14,15 @@ double ResnikMeasure::Similarity(const wordnet::SemanticNetwork& network,
   if (a == b) return 1.0;
   double total = network.TotalFrequency();
   if (total <= 0.0) return 0.0;
-  // Most informative common subsumer via the sorted-ancestor
-  // intersect; the IC table holds each concept's -log p(c) (0 at the
-  // roots), the intersect finds the same matches at every dispatch
-  // level, and max() is order-independent — so scores are
-  // bit-identical at every level.
-  std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
-  std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
+  // Most informative common subsumer over the merge of the two
+  // ancestor rows; the IC table holds each concept's -log p(c) (0 at
+  // the roots), and max() is order-independent.
   double best_ic = -1.0;
-  AncestorMatches lcs = IntersectAncestors(aa, ab, /*need_b_positions=*/false);
-  for (size_t k = 0; k < lcs.count; ++k) {
-    best_ic = std::max(best_ic, network.InformationContentOf(aa[lcs.a[k]].id));
-  }
+  ForEachCommonAncestor(
+      network.Ancestors(a), network.Ancestors(b),
+      [&](const wordnet::AncestorEntry& ea, const wordnet::AncestorEntry&) {
+        best_ic = std::max(best_ic, network.InformationContentOf(ea.id));
+      });
   if (best_ic < 0.0) return 0.0;  // unrelated
   double ic_max = network.MaxInformationContent();
   if (ic_max <= 0.0) return 0.0;

@@ -209,7 +209,10 @@ TEST_F(CorpusInvariantsTest, ContextVectorInvariantsEverywhere) {
             core::BuildXmlIdSphere(doc.tree, id, radius);
         const core::IdContextVector vector(sphere);
         for (int m = 0; m < sphere.size(); ++m) {
-          const double weight = vector.WeightById(sphere.label_ids[m]);
+          const uint32_t dim = vector.member_dims()[m];
+          ASSERT_LT(dim, vector.dimension_count());
+          EXPECT_EQ(vector.ids()[dim], sphere.label_ids[m]);
+          const double weight = vector.weights()[dim];
           EXPECT_GT(weight, 0.0) << doc.generated.name;
           EXPECT_LE(weight, 1.0);
           EXPECT_LE(sphere.distances[m], radius);

@@ -3,11 +3,11 @@
 
 #include "core/context_vector.h"
 
-/// Per-id lookup references for IdContextVector's comparisons: one
-/// WeightById() binary search per dimension instead of the production
-/// sorted-set merge, accumulated in the same first-occurrence order.
-/// Every SIMD dispatch level, scalar included, must reproduce them bit
-/// for bit.
+/// Per-id lookup references for IdContextVector's comparisons: each
+/// vector's weights go into the oracle's own id-to-weight map, built
+/// from ids()/weights(), so no lookup is shared with production, and
+/// the sums run in the same first-occurrence order. Every SIMD dispatch
+/// level, scalar included, must reproduce them bit for bit.
 namespace xsdf::oracles {
 
 /// Cosine similarity of `a` and `b` (0 when either is empty).

@@ -408,19 +408,44 @@ TEST(ServeTest, ExplainAppliesARaisedMaxDepth) {
       << explained.body;
 }
 
-// An input over max_input_bytes is rejected by both endpoints.
+// An input over max_input_bytes is refused by both endpoints before
+// its body is read, with the limit named as the parser names it.
 TEST(ServeTest, ExplainAppliesMaxInputBytes) {
   xml::ParseLimits limits;
   limits.max_input_bytes = 64;
   const std::string xml = NestedCast(10);
   ASSERT_GT(xml.size(), 64u);
   auto [disambiguated, explained] = DisambiguateAndExplain(limits, xml);
-  EXPECT_EQ(disambiguated.status, 400);
-  EXPECT_EQ(explained.status, 400) << explained.body;
+  EXPECT_EQ(disambiguated.status, 413);
+  EXPECT_EQ(explained.status, 413) << explained.body;
   EXPECT_NE(disambiguated.body.find("max_input_bytes (64)"),
             std::string::npos)
       << disambiguated.body;
   EXPECT_EQ(explained.body, disambiguated.body);
+}
+
+// A raised max_input_bytes raises the body cap with it: a 9 MiB body
+// under a 16 MiB cap is read whole and reaches the engine, which sheds
+// it on its expired deadline before parsing it.
+TEST(ServeTest, RaisedMaxInputBytesAdmitsALargeBody) {
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  options.engine.parse_limits.max_input_bytes = 16u << 20;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(BuildTinyTaxonomy(0), "tiny").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  std::string xml = "<animal>";
+  xml.append((9u << 20) - 2 * xml.size() - 1, 'a');
+  xml += "</animal>";
+  ASSERT_GT(xml.size(), 8u << 20);
+  auto response = HttpCall(kHost, server.port(), "POST", "/disambiguate",
+                           {{"X-Xsdf-Deadline-Ms", "0"}}, xml,
+                           kClientTimeoutMs);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 504) << response->body;
 }
 
 /// The concept_id of every <node> element of a /disambiguate body, in

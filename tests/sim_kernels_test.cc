@@ -2,7 +2,8 @@
 // precomputed tables (token interner, gloss token sequences/bags,
 // ancestor arrays, IC table) must reproduce the legacy string-path
 // scores of tests/oracles/ *bit for bit* on randomized concept pairs,
-// and the batch
+// the common-ancestor merge must visit exactly a reference merge's
+// matches, and the batch
 // runtime built on top must stay byte-identical across worker counts.
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/token_interner.h"
@@ -76,6 +80,99 @@ std::vector<std::pair<ConceptId, ConceptId>> SamplePairs(size_t count) {
     pairs.emplace_back(pick(rng), pick(rng));
   }
   return pairs;
+}
+
+/// An id-sorted ancestor row of `len` distinct ids drawn from a range
+/// ~3x the length, so rows share some ids but not all; each distance
+/// is derived from its id, so a visit can be checked for its payload.
+std::vector<wordnet::AncestorEntry> RandomRow(std::mt19937& rng,
+                                              size_t len) {
+  std::set<ConceptId> ids;
+  std::uniform_int_distribution<ConceptId> pick(
+      0, static_cast<ConceptId>(3 * len + 8));
+  while (ids.size() < len) ids.insert(pick(rng));
+  std::vector<wordnet::AncestorEntry> row;
+  for (ConceptId id : ids) row.push_back({id, id % 7 + 1});
+  return row;
+}
+
+/// The positions of the common ids of two id-sorted rows, by a plain
+/// two-pointer merge independent of the production kernel.
+std::vector<std::pair<size_t, size_t>> ReferenceCommon(
+    std::span<const wordnet::AncestorEntry> a,
+    std::span<const wordnet::AncestorEntry> b) {
+  std::vector<std::pair<size_t, size_t>> matches;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].id < b[j].id) {
+      ++i;
+    } else if (b[j].id < a[i].id) {
+      ++j;
+    } else {
+      matches.emplace_back(i++, j++);
+    }
+  }
+  return matches;
+}
+
+/// ForEachCommonAncestor must visit the reference's matches, in order,
+/// handing over the rows' own entries.
+void CheckCommonAncestors(const std::vector<wordnet::AncestorEntry>& a,
+                          const std::vector<wordnet::AncestorEntry>& b) {
+  const auto want = ReferenceCommon(a, b);
+  std::vector<std::pair<const wordnet::AncestorEntry*,
+                        const wordnet::AncestorEntry*>>
+      got;
+  sim::ForEachCommonAncestor(
+      a, b,
+      [&got](const wordnet::AncestorEntry& ea,
+             const wordnet::AncestorEntry& eb) {
+        got.emplace_back(&ea, &eb);
+      });
+  ASSERT_EQ(got.size(), want.size())
+      << "rows of " << a.size() << " and " << b.size();
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].first, &a[want[k].first]) << "match " << k;
+    EXPECT_EQ(got[k].second, &b[want[k].second]) << "match " << k;
+  }
+}
+
+TEST(CommonAncestorTest, MatchesReferenceOnRandomRows) {
+  std::mt19937 rng(20150324);
+  std::uniform_int_distribution<size_t> len_pick(0, 48);
+  for (int round = 0; round < 400; ++round) {
+    CheckCommonAncestors(RandomRow(rng, len_pick(rng)),
+                         RandomRow(rng, len_pick(rng)));
+  }
+}
+
+TEST(CommonAncestorTest, EdgeShapesEmptySingleAndLastOnly) {
+  auto row = [](std::vector<ConceptId> ids) {
+    std::vector<wordnet::AncestorEntry> out;
+    for (ConceptId id : ids) out.push_back({id, id % 7 + 1});
+    return out;
+  };
+  // Empty rows on either or both sides.
+  CheckCommonAncestors({}, {});
+  CheckCommonAncestors({}, row({1, 5, 9}));
+  CheckCommonAncestors(row({3}), {});
+  // Single-entry rows (a root's own row), hit and miss.
+  CheckCommonAncestors(row({7}), row({7}));
+  CheckCommonAncestors(row({7}), row({8}));
+  // Every length pair up to 19, with the only match at the last entry
+  // of both rows.
+  for (ConceptId la = 1; la <= 19; ++la) {
+    for (ConceptId lb = 1; lb <= 19; ++lb) {
+      std::vector<ConceptId> a;
+      std::vector<ConceptId> b;
+      for (ConceptId i = 0; i + 1 < la; ++i) a.push_back(2 * i);  // evens
+      for (ConceptId i = 0; i + 1 < lb; ++i) b.push_back(2 * i + 1);
+      a.push_back(2 * (la + lb) + 2);
+      b.push_back(2 * (la + lb) + 2);
+      CheckCommonAncestors(row(a), row(b));
+    }
+  }
 }
 
 TEST(TokenInternerTest, InternAssignsContiguousIdsAndDeduplicates) {

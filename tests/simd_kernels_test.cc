@@ -1,12 +1,13 @@
 // Scalar-vs-SIMD equivalence tests for the dispatched id kernels
 // (common/simd.h) and everything built on them: every kernel must
 // return exactly its scalar reference's result at every dispatch
-// level, and every consumer (the four measures, the combined measure,
+// level, and every consumer (the measures, the combined measure,
 // IdContextVector comparisons, IdContextScore) must produce
 // bit-identical doubles at every level — the vector comparisons equal
 // to the per-id lookup reference in tests/oracles/ at every level,
-// scalar included. Also covers the seqlock cache's batch probe and the
-// engine's thread auto-detection.
+// scalar included, on narrow spheres and on spheres wide enough for
+// the open-addressing index. Also covers the engine's thread
+// auto-detection.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,10 @@
 
 #include "common/simd.h"
 #include "core/context_vector.h"
+#include "core/label_space.h"
 #include "core/scores.h"
+#include "core/streaming_builder.h"
+#include "datasets/generator.h"
 #include "oracles/id_vector_reference.h"
 #include "runtime/engine.h"
 #include "sim/combined.h"
@@ -32,6 +36,7 @@
 #include "sim/wu_palmer.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
+#include "xml/parser.h"
 
 namespace xsdf {
 namespace {
@@ -79,14 +84,10 @@ std::vector<uint32_t> StrictSet(std::mt19937& rng, size_t len) {
   return {s.begin(), s.end()};
 }
 
-/// Reference sorted-set intersection, independent of the production
-/// scalar path (a plain two-pointer merge).
-size_t ReferenceIntersect(const std::vector<uint32_t>& a,
-                          const std::vector<uint32_t>& b,
-                          std::vector<uint32_t>* pos_a,
-                          std::vector<uint32_t>* pos_b) {
-  pos_a->clear();
-  pos_b->clear();
+/// Whether two strictly increasing sets share an element, by a plain
+/// two-pointer merge independent of the production scalar path.
+bool ReferenceShares(const std::vector<uint32_t>& a,
+                     const std::vector<uint32_t>& b) {
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() && j < b.size()) {
@@ -95,73 +96,21 @@ size_t ReferenceIntersect(const std::vector<uint32_t>& a,
     } else if (b[j] < a[i]) {
       ++j;
     } else {
-      pos_a->push_back(static_cast<uint32_t>(i));
-      pos_b->push_back(static_cast<uint32_t>(j));
-      ++i;
-      ++j;
+      return true;
     }
   }
-  return pos_a->size();
-}
-
-/// Interleaves keys with a payload (key * 7 + 1) — the stride-2
-/// AncestorEntry-row layout.
-std::vector<uint32_t> Interleave(const std::vector<uint32_t>& keys) {
-  std::vector<uint32_t> packed;
-  packed.reserve(keys.size() * 2);
-  for (uint32_t k : keys) {
-    packed.push_back(k);
-    packed.push_back(k * 7 + 1);
-  }
-  return packed;
+  return false;
 }
 
 void CheckKernelsOnPair(const std::vector<uint32_t>& a,
                         const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> want_a;
-  std::vector<uint32_t> want_b;
-  const size_t want =
-      ReferenceIntersect(a, b, &want_a, &want_b);
-  const std::vector<uint32_t> packed_a = Interleave(a);
-  const std::vector<uint32_t> packed_b = Interleave(b);
-  const size_t cap = std::min(a.size(), b.size());
-  std::vector<uint32_t> got_a(cap + 1, 0xdeadbeefu);
-  std::vector<uint32_t> got_b(cap + 1, 0xdeadbeefu);
+  const bool want = ReferenceShares(a, b);
   for (simd::Level level : SupportedLevels()) {
     simd::ForceLevel(level);
-    const char* name = simd::LevelName(level);
     EXPECT_EQ(simd::SortedIntersectNonEmptyU32(a.data(), a.size(),
                                                b.data(), b.size()),
-              want != 0)
-        << name;
-    size_t got = simd::SortedIntersectPositionsU32(
-        a.data(), a.size(), b.data(), b.size(), got_a.data(),
-        got_b.data());
-    ASSERT_EQ(got, want) << name;
-    for (size_t k = 0; k < want; ++k) {
-      EXPECT_EQ(got_a[k], want_a[k]) << name << " match " << k;
-      EXPECT_EQ(got_b[k], want_b[k]) << name << " match " << k;
-    }
-    // Null out_b form (the Resnik/Lin LCS path).
-    std::fill(got_a.begin(), got_a.end(), 0xdeadbeefu);
-    got = simd::SortedIntersectPositionsU32(a.data(), a.size(), b.data(),
-                                            b.size(), got_a.data(),
-                                            nullptr);
-    ASSERT_EQ(got, want) << name << " (null out_b)";
-    for (size_t k = 0; k < want; ++k) {
-      EXPECT_EQ(got_a[k], want_a[k]) << name << " match " << k;
-    }
-    // Stride-2 form over the interleaved layout: same positions.
-    std::fill(got_a.begin(), got_a.end(), 0xdeadbeefu);
-    std::fill(got_b.begin(), got_b.end(), 0xdeadbeefu);
-    got = simd::SortedIntersectPositionsStride2(
-        packed_a.data(), a.size(), packed_b.data(), b.size(),
-        got_a.data(), got_b.data());
-    ASSERT_EQ(got, want) << name << " (stride 2)";
-    for (size_t k = 0; k < want; ++k) {
-      EXPECT_EQ(got_a[k], want_a[k]) << name << " match " << k;
-      EXPECT_EQ(got_b[k], want_b[k]) << name << " match " << k;
-    }
+              want)
+        << simd::LevelName(level);
   }
 }
 
@@ -221,7 +170,7 @@ TEST(SimdKernelTest, EdgeShapesEmptySingleAndRaggedTails) {
   CheckKernelsOnPair({}, {});
   CheckKernelsOnPair({}, {1, 5, 9});
   CheckKernelsOnPair({3}, {});
-  // Single-element chains (the single-ancestor case), hit and miss.
+  // Single-element sets, hit and miss.
   CheckKernelsOnPair({7}, {7});
   CheckKernelsOnPair({7}, {8});
   // Every length pair around the 4- and 8-lane widths, with the only
@@ -367,6 +316,68 @@ TEST(SimdEquivalenceTest, ContextVectorComparisonsAcrossLevels) {
         return values;
       },
       want, "context_vector");
+}
+
+// Spheres of more than 96 members index their labels in an
+// open-addressing table instead of scanning them, and the comparisons
+// look labels up through it. A wide block of a giant document puts
+// hundreds of siblings in each child's radius-2 sphere; every such
+// node with senses is compared with each candidate's concept vector,
+// both ways round, against the oracle's own lookups.
+TEST(SimdEquivalenceTest, WideSphereComparisonsAcrossLevels) {
+  const SemanticNetwork& network = Network();
+  core::LabelSpace labels(&network);
+  const datasets::GeneratedDocument giant =
+      datasets::GiantDocuments(1, 256u << 10, 1)[0];
+  auto tree = core::BuildTreeStreaming(giant.xml, network,
+                                       xml::ParseOptions{}, true, &labels);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  struct Pair {
+    core::IdSphere xml_sphere;
+    core::IdSphere concept_sphere;
+  };
+  std::vector<Pair> pairs;
+  std::vector<double> want;
+  for (xml::NodeId id : tree->ids()) {
+    if (pairs.size() >= 600) break;
+    const core::LabelSenses& senses = labels.Senses(tree->label_id(id));
+    if (senses.candidates.empty()) continue;
+    core::IdSphere sphere = core::BuildXmlIdSphere(*tree, id, 2);
+    if (sphere.size() <= 96) continue;
+    const core::IdContextVector x(sphere);
+    for (const core::SenseCandidate& c : senses.candidates) {
+      core::IdSphere concept_sphere =
+          c.is_compound() ? core::BuildCompoundConceptIdSphere(
+                                network, c.primary, c.secondary, 2)
+                          : core::BuildConceptIdSphere(network, c.primary, 2);
+      const core::IdContextVector cv(concept_sphere);
+      want.push_back(oracles::LookupCosine(x, cv));
+      want.push_back(oracles::LookupCosine(cv, x));
+      want.push_back(oracles::LookupJaccard(x, cv));
+      want.push_back(oracles::LookupJaccard(cv, x));
+      pairs.push_back({sphere, std::move(concept_sphere)});
+    }
+  }
+  ASSERT_GE(pairs.size(), 100u);
+  size_t shared = 0;
+  for (size_t k = 0; k < want.size(); k += 4) shared += want[k] > 0.0;
+  EXPECT_GT(shared, 0u) << "no wide sphere shares a label with a concept";
+  ExpectBitIdenticalToReference(
+      [&] {
+        std::vector<double> values;
+        core::IdContextVector x;
+        core::IdContextVector cv;
+        for (const Pair& pair : pairs) {
+          x.Assign(pair.xml_sphere);
+          cv.Assign(pair.concept_sphere);
+          values.push_back(x.Cosine(cv));
+          values.push_back(cv.Cosine(x));
+          values.push_back(x.Jaccard(cv));
+          values.push_back(cv.Jaccard(x));
+        }
+        return values;
+      },
+      want, "wide_sphere");
 }
 
 TEST(SimdEquivalenceTest, IdContextScoreAcrossLevels) {

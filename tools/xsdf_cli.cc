@@ -127,8 +127,9 @@ int Usage() {
       "      --slow-keep N       slowest traces kept per window for\n"
       "                          GET /debug/slow (default 8; 0 turns\n"
       "                          request tracing off)\n"
-      "      --max-input-bytes N per-document input size cap (default "
-      "64MiB)\n"
+      "      --max-input-bytes N request body and per-document input "
+      "size cap\n"
+      "                          (default 64MiB)\n"
       "      --max-depth N       element nesting cap (default 256)\n"
       "  client <host:port> <dir|filelist> [--concurrency N]\n"
       "                                    drive a serve instance; "
